@@ -39,8 +39,7 @@ def _config_from_args(args) -> Config:
 def _config_banner(config: Config) -> str:
     return (f"# config: class_budget={config.class_budget} "
             f"sample_bound={config.sample_bound} "
-            f"nu_closure={config.nu_closure} nu_seed={config.nu_seed} "
-            f"step_bound={config.step_bound}")
+            f"nu_closure={config.nu_closure} nu_seed={config.nu_seed}")
 
 
 def _normalize(p: Pwf, config: Config) -> Pwf:
@@ -248,9 +247,7 @@ def _cmd_mll(args) -> int:
 def _realizer_str(expr) -> str:
     if isinstance(expr, mll.Const):
         return expr.label
-    if isinstance(expr, mll.Star1):
-        return f"({_realizer_str(expr.func)} *1 {_realizer_str(expr.arg)})"
-    return f"({_realizer_str(expr.left)} | {_realizer_str(expr.right)})"
+    return f"({_realizer_str(expr.func)} *1 {_realizer_str(expr.arg)})"
 
 
 def _cmd_hy_check(args) -> int:

@@ -16,10 +16,9 @@ class Config:
     sample_bound: int = 256
     nu_closure: str = "literal"  # or "class-closure"
     nu_seed: str = "fn"  # or "np"
-    step_bound: int = 8
 
     def __post_init__(self) -> None:
-        if self.class_budget < 1 or self.sample_bound < 1 or self.step_bound < 0:
+        if self.class_budget < 1 or self.sample_bound < 1:
             raise ValueError("config limits must be positive")
         if self.nu_closure not in ("literal", "class-closure"):
             raise ValueError(f"unknown nu_closure {self.nu_closure!r}")
@@ -44,7 +43,7 @@ def parse_config_text(text: str, base: Config = DEFAULT) -> Config:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in ("class_budget", "sample_bound", "step_bound"):
+        if key in ("class_budget", "sample_bound"):
             kw[key] = int(value)
         elif key in ("nu_closure", "nu_seed"):
             kw[key] = value

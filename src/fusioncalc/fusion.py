@@ -129,15 +129,14 @@ def related(e: Fusion, x: Name, y: Name, config: Config = DEFAULT) -> bool:
     return y in class_of(e, x, config)
 
 
-def min_rep(e: Fusion, x: Name, config: Config = DEFAULT) -> Name:
-    return min(class_of(e, x, config))
+def second_rep(e: Fusion, x: Name, config: Config = DEFAULT,
+               removed: frozenset[Name] = frozenset()) -> Name:
+    """x*: min([x] minus removed minus x), or x when that is empty.
 
-
-def second_rep(e: Fusion, x: Name, config: Config = DEFAULT) -> Name:
-    cls = class_of(e, x, config)
-    if cls == {x}:
-        return x
-    return min(cls - {x})
+    This is the representative in e with the removed names dropped, since
+    removal only shrinks classes: [x]_{e minus S} = [x]_e - S."""
+    cls = class_of(e, x, config) - removed - {x}
+    return min(cls) if cls else x
 
 
 def validate(e: Fusion, config: Config = DEFAULT) -> bool:

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Union
 from .calgebra import Element, FinModel
 from .fusion import DELTA
 from .process import NIL
-from .pwf import Pwf, as_pwf, par, realizer_catalog, star
+from .pwf import Pwf, as_pwf, realizer_catalog, star
 
 
 class MllError(Exception):
@@ -463,13 +463,7 @@ class Star1:
     arg: "RealizerExpr"
 
 
-@dataclass(frozen=True)
-class ParExpr:
-    left: "RealizerExpr"
-    right: "RealizerExpr"
-
-
-RealizerExpr = Union[Const, Star1, ParExpr]
+RealizerExpr = Union[Const, Star1]
 
 
 def _compose(r1: RealizerExpr, r2: RealizerExpr) -> RealizerExpr:
@@ -534,9 +528,7 @@ def evaluate_realizer(r: RealizerExpr) -> Pwf:
             return as_pwf(realizer_catalog()[r.label])
         except KeyError:
             raise MllError(f"unknown realizer constant {r.label}") from None
-    if isinstance(r, Star1):
-        return star(1, evaluate_realizer(r.func), evaluate_realizer(r.arg))
-    return par(evaluate_realizer(r.left), evaluate_realizer(r.right))
+    return star(1, evaluate_realizer(r.func), evaluate_realizer(r.arg))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 """The pi-term fragment: nil, parallel, binding actions, restriction.
 
-Structural congruence is decided by canonicalization: terms are brought
-to a scope-maximal multiset form, bound names are renumbered by
-traversal order while backtracking over orderings of structurally
-ambiguous parallel siblings, and the lexicographically least rendering
-wins.  A deterministic scope-minimization pass then shapes the result
-for printing.
+Structural congruence is decided by canonicalization: one pass renames
+every binder apart and brings the term to a scope-maximal multiset form,
+bound names are then renumbered by traversal order while backtracking
+over orderings of structurally ambiguous parallel siblings, and the
+lexicographically least rendering wins.  A deterministic
+scope-minimization pass then shapes the result for printing.
+
+The multiset form is a private tuple representation; `spine` is its
+public view, the top-level restricted names and parallel components as
+ordinary process terms.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .names import Name, parse_name
+from .names import Name, NameSet, parse_name
 from .subst import Substitution, finite_subst, restrict_away
 
 
@@ -104,13 +108,11 @@ def substitute(p: Process, sigma: Substitution) -> Process:
         return Par(substitute(p.left, sigma), substitute(p.right, sigma))
     if isinstance(p, Act):
         body, bound = _avoid_capture(p.body, p.bound, sigma)
-        from .names import NameSet
         inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
         return Act(sigma.apply(p.subject), p.polarity, bound,
                    substitute(body, inner))
     if isinstance(p, Nu):
         body, bound = _avoid_capture(p.body, (p.name,), sigma)
-        from .names import NameSet
         inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
         return Nu(bound[0], substitute(body, inner))
     raise ProcessError(f"unknown process node {p!r}")
@@ -137,23 +139,6 @@ def _avoid_capture(body: Process, bound: tuple[Name, ...],
 _MAX_CANDIDATES = 40320
 
 
-def _freshen(p: Process, counter: Iterator[Name]) -> Process:
-    """Rename every binder to a globally unique name."""
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Par):
-        return Par(_freshen(p.left, counter), _freshen(p.right, counter))
-    if isinstance(p, Act):
-        fresh = tuple(next(counter) for _ in p.bound)
-        body = substitute(p.body, finite_subst(dict(zip(p.bound, fresh))))
-        return Act(p.subject, p.polarity, fresh, _freshen(body, counter))
-    if isinstance(p, Nu):
-        fresh = next(counter)
-        body = substitute(p.body, finite_subst({p.name: fresh}))
-        return Nu(fresh, _freshen(body, counter))
-    raise ProcessError(f"unknown process node {p!r}")
-
-
 def _node_free(node) -> frozenset[Name]:
     kind = node[0]
     if kind == "nil":
@@ -170,15 +155,22 @@ def _node_free(node) -> frozenset[Name]:
     return _node_free(body) - names
 
 
-def _simplify(p: Process):
-    """Scope-maximal multiset form (binders already globally unique)."""
+def _simplify(p: Process, env: dict[Name, Name], counter: Iterator[Name]):
+    """Scope-maximal multiset form with every binder renamed apart.
+
+    Binders take the next counter name in pre-order; `env` maps the
+    binders in scope to their new names, so free names stay as they are."""
     if isinstance(p, Nil):
         return ("nil",)
     if isinstance(p, Act):
-        return ("act", p.subject, p.polarity, p.bound, _simplify(p.body))
+        fresh = tuple(next(counter) for _ in p.bound)
+        inner = {**env, **dict(zip(p.bound, fresh))} if fresh else env
+        return ("act", env.get(p.subject, p.subject), p.polarity, fresh,
+                _simplify(p.body, inner, counter))
     if isinstance(p, Nu):
-        body = _simplify(p.body)
-        names = {p.name}
+        fresh = next(counter)
+        body = _simplify(p.body, {**env, p.name: fresh}, counter)
+        names = {fresh}
         if body[0] == "nu":
             names |= set(body[1])
             body = body[2]
@@ -190,7 +182,7 @@ def _simplify(p: Process):
         comps: list = []
         names: set[Name] = set()
         for side in (p.left, p.right):
-            node = _simplify(side)
+            node = _simplify(side, env, counter)
             if node[0] == "nu":
                 names |= set(node[1])
                 node = node[2]
@@ -206,6 +198,26 @@ def _simplify(p: Process):
             return ("nu", frozenset(names), inner)
         return inner
     raise ProcessError(f"unknown process node {p!r}")
+
+
+def _simplify_apart(p: Process):
+    """`_simplify` with fresh names above every name of p, and the number
+    of binders renamed."""
+    start = max(all_names(p) | {0}) + 1
+    counter = itertools.count(start)
+    node = _simplify(p, {}, counter)
+    return node, next(counter) - start
+
+
+def spine(p: Process) -> tuple[frozenset[Name], list[Process]]:
+    """The top-level restricted names and parallel components of the
+    scope-maximal form of p, with all binders renamed apart."""
+    node, _ = _simplify_apart(p)
+    bound: frozenset[Name] = frozenset()
+    if node[0] == "nu":
+        _, bound, node = node
+    comps = node[1] if node[0] == "par" else (node,)
+    return bound, [_to_process(c) for c in comps]
 
 
 def _skeleton(node, bound: frozenset[Name]):
@@ -380,11 +392,8 @@ def _to_process(node) -> Process:
 
 
 def canonical(p: Process) -> Process:
-    fn = free_names(p)
-    start = max(all_names(p) | {0}) + 1
-    unique = _freshen(p, itertools.count(start))
-    node = _simplify(unique)
-    pool_template = _fresh_names(set(fn), len(all_names(unique)) + 1)
+    node, binders = _simplify_apart(p)
+    pool_template = _fresh_names(set(free_names(p)), binders)
     best: Optional[tuple] = None
     best_node = None
     best_assign = None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, canonical_subst, class_of, equal,
                      fusion_str, identity_I, join, map_fusion, parse_fusion,
-                     phi, psi, remove, sigma_tau)
+                     phi, psi, remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue, parse_nameset, word
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       parse_process, process_str, struct_eq, substitute, tidy)
@@ -77,7 +77,7 @@ def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf,
 
 
 def nu_name(x: Name, p: Pwf, config: Config = DEFAULT) -> Pwf:
-    star = _second_rep_removed(p.fus, x, frozenset(), config)
+    star = second_rep(p.fus, x, config)
     body = substitute(p.proc, finite_subst({x: star}))
     return Pwf(Nu(x, body), remove(p.fus, finite([x]), config))
 
@@ -98,14 +98,6 @@ def _nu_finite_literal(X: frozenset[Name], p: Pwf,
     for x in sorted(X):
         out = nu_name(x, out, config)
     return out
-
-
-def _second_rep_removed(e: Fusion, x: Name, removed: frozenset[Name],
-                        config: Config) -> Name:
-    """min([x] minus removed minus x) in e-with-removed-names-dropped,
-    using that removal only shrinks classes: [x]_{e minus S} = [x]_e - S."""
-    cls = class_of(e, x, config) - removed - {x}
-    return min(cls) if cls else x
 
 
 def hereditary_closure(X: NameSet, p: Pwf, config: Config = DEFAULT
@@ -133,7 +125,7 @@ def _closure_step(S: frozenset[Name], e: Fusion,
     ts = []
     ordered = sorted(S)
     for h, s in enumerate(ordered):
-        ts.append(_second_rep_removed(e, s, frozenset(ordered[:h]), config))
+        ts.append(second_rep(e, s, config, removed=frozenset(ordered[:h])))
     return ts
 
 

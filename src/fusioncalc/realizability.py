@@ -29,7 +29,7 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     cache: dict = {}
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
-        key = canonical(q.proc)
+        key = (canonical(q.proc), q.fus)
         if key not in cache:
             cache[key] = reduces_within(q, UNIT_PWF, k, config)
         return cache[key]

@@ -5,7 +5,8 @@ binders but never under a prefix, with opposite polarities, equal
 communication arities, and subjects identified by the ambient fusion
 (restriction-bound subjects only match themselves).  Firing rewrites
 the pair to the communicated continuation under a shared bound vector;
-the fusion component is untouched.
+the fusion component is untouched.  Redexes are looked up on the
+components of `process.spine`, whose binders are renamed apart.
 """
 
 from __future__ import annotations
@@ -13,133 +14,75 @@ from __future__ import annotations
 import itertools
 
 from .config import DEFAULT, Config
-from .fusion import Fusion, related
-from .process import (NIL, Act, Nu, Par, Process, all_names, canonical,
-                      free_names, _freshen, _simplify, _node_free,
+from .fusion import related
+from .process import (Act, Nu, Par, Process, all_names, canonical, spine,
                       substitute)
 from .pwf import Pwf, equal_pwf, nu_all, par
 from .subst import finite_subst
 
 
-def _spine(p: Process):
-    """Freshened scope-maximal view: (bound name set, component list)."""
-    start = max(all_names(p) | {0}) + 1
-    node = _simplify(_freshen(p, itertools.count(start)))
-    bound: frozenset[int] = frozenset()
-    if node[0] == "nu":
-        bound = node[1]
-        node = node[2]
-    comps = list(node[1]) if node[0] == "par" else [node]
-    return bound, comps
-
-
-def _node_to_process(node) -> Process:
-    kind = node[0]
-    if kind == "nil":
-        return NIL
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        return Act(subj, pol, bnd, _node_to_process(body))
-    if kind == "par":
-        out = _node_to_process(node[1][0])
-        for child in node[1][1:]:
-            out = Par(out, _node_to_process(child))
-        return out
-    _, names, body = node
-    out = _node_to_process(body)
-    for x in sorted(names, reverse=True):
-        out = Nu(x, out)
-    return out
-
-
 def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
     """All one-step reducts, deduplicated up to structural congruence."""
-    bound, comps = _spine(p.proc)
+    bound, comps = spine(p.proc)
     results: list[Pwf] = []
     seen = set()
     for i, j in itertools.combinations(range(len(comps)), 2):
         for a, b in ((i, j), (j, i)):
             sender, receiver = comps[a], comps[b]
-            if sender[0] != "act" or receiver[0] != "act":
+            if not (isinstance(sender, Act) and isinstance(receiver, Act)):
                 continue
-            if sender[2] != "up" or receiver[2] != "down":
+            if sender.polarity != "up" or receiver.polarity != "down":
                 continue
-            _, u, _, xs, pbody = sender
-            _, v, _, ys, qbody = receiver
-            if len(xs) != len(ys):
+            if len(sender.bound) != len(receiver.bound):
                 continue
+            u, v = sender.subject, receiver.subject
             if u in bound or v in bound:
                 if u != v:
                     continue
             elif not related(p.fus, u, v, config):
                 continue
             reduct = _fire(bound, comps, a, b, p)
-            key = _canon_key(reduct.proc)
+            key = canonical(reduct.proc)
             if key not in seen:
                 seen.add(key)
                 results.append(reduct)
     return results
 
 
-def _fire(bound, comps, a, b, p: Pwf) -> Pwf:
-    _, _, _, xs, pbody = comps[a]
-    _, _, _, ys, qbody = comps[b]
+def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
+    sender, receiver = comps[a], comps[b]
     avoid = set(bound)
     for c in comps:
-        avoid |= set(_node_all_names(c))
-    fresh = []
+        avoid |= all_names(c)
     candidate = max(avoid | {0}) + 1
-    for _ in xs:
-        fresh.append(candidate)
-        candidate += 1
-    left = substitute(_node_to_process(pbody),
-                      finite_subst(dict(zip(xs, fresh))))
-    right = substitute(_node_to_process(qbody),
-                       finite_subst(dict(zip(ys, fresh))))
+    fresh = list(range(candidate, candidate + len(sender.bound)))
+    left = substitute(sender.body,
+                      finite_subst(dict(zip(sender.bound, fresh))))
+    right = substitute(receiver.body,
+                       finite_subst(dict(zip(receiver.bound, fresh))))
     merged: Process = Par(left, right)
     for x in reversed(fresh):
         merged = Nu(x, merged)
-    rest = [_node_to_process(c) for k, c in enumerate(comps)
-            if k not in (a, b)]
     out = merged
-    for q in rest:
-        out = Par(out, q)
+    for k, q in enumerate(comps):
+        if k not in (a, b):
+            out = Par(out, q)
     for x in sorted(bound, reverse=True):
         out = Nu(x, out)
     return Pwf(out, p.fus)
 
 
-def _node_all_names(node) -> set[int]:
-    kind = node[0]
-    if kind == "nil":
-        return set()
-    if kind == "act":
-        _, subj, _, bnd, body = node
-        return {subj, *bnd} | _node_all_names(body)
-    if kind == "par":
-        out: set[int] = set()
-        for c in node[1]:
-            out |= _node_all_names(c)
-        return out
-    _, names, body = node
-    return set(names) | _node_all_names(body)
-
-
-def _canon_key(proc: Process):
-    return canonical(proc)
-
-
 def reduces_within(p: Pwf, target: Pwf, k: int,
                    config: Config = DEFAULT) -> bool:
     frontier = [p]
-    seen = {_canon_key(p.proc)}
+    seen = {canonical(p.proc)}
     for _ in range(k + 1):
         next_frontier = []
         for q in frontier:
             if equal_pwf(q, target, config):
                 return True
             for r in step(q, config):
-                key = _canon_key(r.proc)
+                key = canonical(r.proc)
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(r)

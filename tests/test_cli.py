@@ -72,9 +72,10 @@ def test_pole_laws_report(capsys):
 
 
 def test_pole_laws_report_states_config(capsys):
-    code, out, _ = run(capsys, "--set", "step_bound=5", "pole-laws",
+    code, out, _ = run(capsys, "--set", "class_budget=2048", "pole-laws",
                        "--universe", "limit=20", "--samples", "2")
-    assert code == 0 and "step_bound=5" in out and "universe-relative" in out
+    assert code == 0 and "class_budget=2048" in out
+    assert "universe-relative" in out
 
 
 def test_algebra_check(capsys):
@@ -118,8 +119,9 @@ def test_laws_suite(capsys):
 
 def test_config_file_is_honoured(capsys, tmp_path):
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text("# tighter bounds\nstep_bound = 3\nnu_seed = np\n")
+    cfg.write_text("# a larger class budget\nclass_budget = 2048\n"
+                   "nu_seed = np\n")
     code, out, _ = run(capsys, "--config", str(cfg), "laws")
-    assert code == 0 and "step_bound=3" in out and "nu_seed=np" in out
+    assert code == 0 and "class_budget=2048" in out and "nu_seed=np" in out
     code, _, err = run(capsys, "--set", "bogus=1", "laws")
     assert code == 2 and "error:" in err

@@ -5,7 +5,7 @@ from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (
     DELTA, Fusion, InvalidFusionError, NotRepresentableError, canonical_subst,
     class_of, delta, equal, fusion_str, identity_I, join, join_all,
-    map_fusion, meet, min_rep, parse_fusion, phi, psi, related, remove,
+    map_fusion, meet, parse_fusion, phi, psi, related, remove,
     restrict, second_rep, sigma_tau, validate,
 )
 from fusioncalc.names import ALL, NameSet, finite, parse_nameset, residue, tag
@@ -38,10 +38,10 @@ def test_combinator_classes():
 
 def test_representatives():
     e = parse_fusion("{0~1~2}")
-    assert min_rep(e, 2) == 0
+    assert min(class_of(e, 2)) == 0
     assert second_rep(e, 0) == 1
     assert second_rep(DELTA, 5) == 5
-    assert min_rep(phi(), 3) == 3
+    assert min(class_of(phi(), 3)) == 3
     assert second_rep(phi(), 4) == 3
 
 

@@ -6,8 +6,10 @@ from congruence_oracle import (
 )
 from fusioncalc.process import (
     NIL, Act, Nu, Par, ProcessError, canonical, free_names, parse_process,
-    process_str, struct_eq, substitute,
+    process_str, spine, struct_eq, substitute,
 )
+from fusioncalc.pwf import parse_pwf, pwf_str
+from fusioncalc.reduction import step
 from fusioncalc.subst import finite_subst, remap_subst
 
 
@@ -86,6 +88,51 @@ def test_printer_parser_roundtrip_examples():
                  "2?(0).(new 1. 1!() | 0!(3).1?())"]:
         p = parse_process(text)
         assert parse_process(process_str(p)) == p
+
+
+def _canonical_str(text):
+    return process_str(canonical(parse_process(text)))
+
+
+def _step_listing(text):
+    return [pwf_str(r) for r in step(parse_pwf(text))]
+
+
+# Exact printed results, fresh-name numbering included; the congruence
+# tests above and the oracle only check canonical forms up to renaming.
+@pytest.mark.parametrize("render, text, expected", [
+    # an input binder shadowing an outer input binder of the same name
+    (_canonical_str, "0?(1).1?(1).1!()", "0?(1).1?(2).2!()"),
+    # a restriction shadowing an outer restriction
+    (_canonical_str, "new 1. (1!() | new 1. 1?().1!())",
+     "(new 0. 0?().0!()) | (new 1. 1!())"),
+    # an input binder shadowing a restriction
+    (_canonical_str, "new 0. 0?(0).0!()", "new 0. 0?(1).1!()"),
+    # bound arguments re-using free names
+    (_canonical_str, "1!() | 0?(1).1!()", "0?(2).2!() | 1!()"),
+    (_canonical_str, "0!(2).2?() | 2!(3).3?(2)", "0!(1).1?() | 2!(3).3?(4)"),
+    # nested restrictions, one of them shadowed by an output binder
+    (_canonical_str, "new 0. new 1. (0!(1) | 1?().0?())",
+     "new 1. 1!(2) | (new 0. 0?().1?())"),
+    (_canonical_str, "new 2 3. (3?().2?() | 2!(3) | 4!())",
+     "4!() | (new 1. 1!(2) | (new 0. 0?().1?()))"),
+    # input binders under parallel composition
+    (_canonical_str, "0?(1).1!() | 0?(1).1?() | 1!()",
+     "0?(2).2?() | 0?(3).3!() | 1!()"),
+    (_canonical_str, "0?(1,2).(new 1. (1!(2) | 2?()) | 1?())",
+     "0?(1,2).(2?() | (new 3. 3?() | 3!(4)))"),
+    # one communication of arity 2
+    (_step_listing, "<0!(1,2).(1!() | 2?()) | 0?(3,4).4!().3?() | 1?() ; {}>",
+     ["<(new 9 10. 9!() | 10?() | 10!().9?()) | 1?() ; {}>"]),
+])
+def test_exact_output(render, text, expected):
+    assert render(text) == expected
+
+
+def test_spine_renames_apart_and_keeps_component_order():
+    bound, comps = spine(parse_process("new 3.(3!() | 0?().1!()) | 2!()"))
+    assert bound == {4}
+    assert comps == [parse_process(t) for t in ("4!()", "0?().1!()", "2!()")]
 
 
 def _processes(max_depth=3):

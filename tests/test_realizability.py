@@ -35,6 +35,12 @@ def test_parse_pole():
         parse_pole("sometimes")
 
 
+def test_done_pole_cache_keys_on_the_fusion():
+    pole = make_pole_done(1)
+    assert not pole(parse_pwf("<0!() | 0?() ; {0~1}>"))
+    assert pole(parse_pwf("<0!() | 0?() ; {}>"))
+
+
 def test_orthogonal_of_empty_is_everything():
     u = small_universe()
     assert u.orthogonal_mask(0) == u.full_mask
