@@ -12,15 +12,14 @@ import sys
 
 from . import calgebra, hy_encodings, mll, realizability
 from .config import DEFAULT, Config, parse_config_text
-from .fusion import (DELTA, FusionError, class_of, equal, fusion_str, join,
-                     parse_fusion, remove, restrict)
+from .fusion import (DELTA, FusionError, canonical_subst, class_of, equal,
+                     fusion_str, join, parse_fusion, remove, restrict)
 from .names import parse_nameset
 from .process import (ProcessError, canonical, parse_process, process_str,
                       substitute)
 from .pwf import (Pwf, PwfError, equal_pwf, nu_set, par, parse_pwf, pwf_str,
                   star)
-from .fusion import canonical_subst
-from .reduction import reduces_within, step
+from .reduction import step
 
 _PARSE_ERRORS = (FusionError, PwfError, ProcessError, mll.MllError,
                  calgebra.ModelError, OSError, ValueError)

@@ -12,11 +12,11 @@ from it), which is what makes restriction representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .config import DEFAULT, Config
-from .names import (EPSILON, Name, NameSet, Word, _all_words, index_set,
-                    is_suffix, parse_name, tag, untag, word, word_str)
+from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
+                    parse_name, tag, untag, word, word_str)
 from .subst import Substitution, remap_subst
 
 

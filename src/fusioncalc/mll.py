@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .calgebra import Element, FinModel
 from .fusion import DELTA

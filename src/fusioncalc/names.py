@@ -11,7 +11,7 @@ operations the fusion calculus needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 Name = int

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, canonical_subst, class_of, equal,
-                     fusion_str, identity_I, join, map_fusion, parse_fusion,
-                     phi, psi, remove, second_rep, sigma_tau)
-from .names import ALL, Name, NameSet, finite, residue, parse_nameset, word
-from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
-                      parse_process, process_str, struct_eq, substitute, tidy)
+                     fusion_str, join, map_fusion, parse_fusion, remove,
+                     second_rep, sigma_tau)
+from .names import ALL, Name, NameSet, finite, residue
+from .process import (NIL, Act, Nu, Par, Process, free_names, parse_process,
+                      process_str, struct_eq, substitute, tidy)
 from .subst import Substitution, compose, finite_subst, remap_subst
 
 

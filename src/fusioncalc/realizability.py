@@ -4,7 +4,11 @@ the truth-value operations, with law checkers.
 All results are universe-relative: operations clip to the member set,
 and the reports only assert laws that hold for every polarity matrix
 plus closure-operator algebra.  Subsets are manipulated as bitmasks over
-the member list, and the orthogonality matrix is computed once.
+the member list, and the orthogonality matrix is computed once (the
+`always` pole needs no composites at all).  The op tables depend only on
+the member list and the config, so universes that share both (one per
+pole, say) share one set of tables.  `clip` rejects an image whose cheap
+invariants match no member before it canonicalises anything.
 """
 
 from __future__ import annotations
@@ -14,11 +18,18 @@ from typing import Callable, Iterable, Optional
 
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, canonical_subst, class_of
-from .process import NIL, Act, Par, Process, canonical, substitute
+from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
+                      substitute)
 from .pwf import Pwf, PwfError, bullet, equal_pwf, nu_all, par, star
 from .reduction import reduces_within
 
 UNIT_PWF = Pwf(NIL, DELTA)
+
+# op tables by (member tuple, config), shared by every Universe on them;
+# the oldest member list is dropped past _SHARED_LISTS, so a long-lived
+# process keeps a bounded number of tables alive
+_TABLES: dict = {}
+_SHARED_LISTS = 4
 
 
 def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
@@ -84,6 +95,17 @@ def default_universe(max_actions: int = 3, names: int = 4,
     return members
 
 
+def _actions(p: Process) -> int:
+    """Number of action prefixes in p."""
+    if isinstance(p, Act):
+        return 1 + _actions(p.body)
+    if isinstance(p, Par):
+        return _actions(p.left) + _actions(p.right)
+    if isinstance(p, Nu):
+        return _actions(p.body)
+    return 0
+
+
 class Universe:
     """A finite member list with a pole; computes orthogonality once and
     exposes the behaviour operations as bitmask transformers."""
@@ -94,8 +116,11 @@ class Universe:
         self.config = config
         self._matrix = None
         self._keyed: Optional[dict] = None
-        self._clip_cache: dict = {}
-        self._tables: dict = {}
+        self._signatures: set = set()
+        key = (self.members, config)
+        if key not in _TABLES and len(_TABLES) >= _SHARED_LISTS:
+            del _TABLES[next(iter(_TABLES))]
+        self._tables: dict = _TABLES.setdefault(key, {})
 
     @property
     def full_mask(self) -> int:
@@ -105,6 +130,10 @@ class Universe:
         """Row i: bitmask of members orthogonal to member i."""
         if self._matrix is None:
             n = len(self.members)
+            if self.pole is pole_always:
+                # every composite is in the pole; build none of them
+                self._matrix = [self.full_mask] * n
+                return self._matrix
             rows = [0] * n
             for i in range(n):
                 for j in range(i, n):
@@ -133,38 +162,47 @@ class Universe:
             raise ValueError("PWF is not a universe member")
         return mask.bit_length() - 1
 
-    def _member_key(self, p: Pwf):
+    def _signature(self, p: Pwf):
+        """Cheap invariants of the member key, and the fusion's
+        representative substitution σ: the action count, the classes of
+        the fusion endpoints and σ(fn P).  Congruence and substitution
+        keep the action count, and fn(σP) = σ(fn P), so PWFs with equal
+        keys have equal signatures."""
+        classes = frozenset(frozenset(class_of(p.fus, x, self.config))
+                            for x in p.fus.endpoints())
+        sigma = canonical_subst(p.fus, self.config)
+        free = frozenset(sigma.apply(x) for x in free_names(p.proc))
+        return (_actions(p.proc), classes, free), sigma
+
+    def _member_key(self, p: Pwf, signature, sigma):
         """Equality-respecting lookup key: the canonical form of the
-        process under the fusion's representative substitution, plus the
-        fusion's finite partition and family generators."""
-        classes = set()
-        for x in p.fus.endpoints():
-            classes.add(frozenset(class_of(p.fus, x, self.config)))
-        proc = substitute(p.proc, canonical_subst(p.fus, self.config))
-        return canonical(proc), frozenset(classes), p.fus.families
+        process under σ, the signature (which holds the fusion's finite
+        partition) and the fusion's family generators."""
+        return canonical(substitute(p.proc, sigma)), signature, p.fus.families
 
     def clip(self, pwfs: Iterable[Pwf]) -> int:
         """Mask of the members equal to one of the given PWF."""
         if self._keyed is None:
             self._keyed = {}
             for i, m in enumerate(self.members):
-                self._keyed.setdefault(self._member_key(m), i)
+                signature, sigma = self._signature(m)
+                self._signatures.add(signature)
+                key = self._member_key(m, signature, sigma)
+                self._keyed.setdefault(key, i)
         mask = 0
         for p in pwfs:
-            key = self._member_key(p)
-            if key in self._clip_cache:
-                i = self._clip_cache[key]
-            else:
-                i = self._keyed.get(key)
-                if i is None and p.fus.families:
-                    # family generators can subsume finite pairs, so the
-                    # partition signature may differ between equal fusions
-                    for j, m in enumerate(self.members):
-                        if m.fus.families == p.fus.families and \
-                                equal_pwf(p, m, self.config):
-                            i = j
-                            break
-                self._clip_cache[key] = i
+            signature, sigma = self._signature(p)
+            if not p.fus.families and signature not in self._signatures:
+                continue
+            i = self._keyed.get(self._member_key(p, signature, sigma))
+            if i is None and p.fus.families:
+                # family generators can subsume finite pairs, so the
+                # partition signature may differ between equal fusions
+                for j, m in enumerate(self.members):
+                    if m.fus.families == p.fus.families and \
+                            equal_pwf(p, m, self.config):
+                        i = j
+                        break
             if i is not None:
                 mask |= 1 << i
         return mask

@@ -14,17 +14,22 @@ from __future__ import annotations
 import itertools
 
 from .config import DEFAULT, Config
-from .fusion import related
+from .fusion import canonical_subst, equal, related
 from .process import (Act, Nu, Par, Process, all_names, canonical, spine,
                       substitute)
-from .pwf import Pwf, equal_pwf, nu_all, par
+from .pwf import Pwf, nu_all, par
 from .subst import finite_subst
 
 
 def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
     """All one-step reducts, deduplicated up to structural congruence."""
+    return [r for _, r in _keyed_reducts(p, config, {})]
+
+
+def _keyed_reducts(p: Pwf, config: Config, keys: dict[Process, Process]):
+    """Yield (canonical process, reduct) once per congruence class.  `keys`
+    memoises `canonical` on the raw reduct terms."""
     bound, comps = spine(p.proc)
-    results: list[Pwf] = []
     seen = set()
     for i, j in itertools.combinations(range(len(comps)), 2):
         for a, b in ((i, j), (j, i)):
@@ -42,11 +47,12 @@ def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
             elif not related(p.fus, u, v, config):
                 continue
             reduct = _fire(bound, comps, a, b, p)
-            key = canonical(reduct.proc)
+            key = keys.get(reduct.proc)
+            if key is None:
+                key = keys[reduct.proc] = canonical(reduct.proc)
             if key not in seen:
                 seen.add(key)
-                results.append(reduct)
-    return results
+                yield key, reduct
 
 
 def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
@@ -74,18 +80,31 @@ def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
 
 def reduces_within(p: Pwf, target: Pwf, k: int,
                    config: Config = DEFAULT) -> bool:
-    frontier = [p]
-    seen = {canonical(p.proc)}
+    """Whether p reaches a PWF equal to the target in at most k steps.
+
+    Reduction never changes the fusion, so the fusion half of `equal_pwf`
+    is decided once, and the target's canonical form is computed once.
+    Under Δ a term's dedup key is its equality form as well."""
+    if not equal(p.fus, target.fus, config):
+        return False
+    sigma = canonical_subst(p.fus, config)
+    goal = canonical(substitute(target.proc,
+                                canonical_subst(target.fus, config)))
+    start = canonical(p.proc)
+    frontier = [(start, p)]
+    seen = {start}
+    keys = {p.proc: start}
     for _ in range(k + 1):
         next_frontier = []
-        for q in frontier:
-            if equal_pwf(q, target, config):
+        for key, q in frontier:
+            form = key if p.fus.is_delta() else canonical(
+                substitute(q.proc, sigma))
+            if form == goal:
                 return True
-            for r in step(q, config):
-                key = canonical(r.proc)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(r)
+            for rkey, r in _keyed_reducts(q, config, keys):
+                if rkey not in seen:
+                    seen.add(rkey)
+                    next_frontier.append((rkey, r))
         if not next_frontier:
             return False
         frontier = next_frontier

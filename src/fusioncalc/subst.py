@@ -8,11 +8,11 @@ finitely many names (an entry x -> x pins the identity there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Iterable, Mapping
 
-from .names import (EPSILON, Name, NameSet, Word, is_suffix, parse_name,
-                    tag, untag, word, word_str)
+from .names import (Name, NameSet, Word, is_suffix, parse_name, tag, untag,
+                    word, word_str)
 
 
 class SubstitutionError(Exception):

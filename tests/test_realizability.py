@@ -2,8 +2,12 @@ import random
 
 import pytest
 
-from fusioncalc.fusion import DELTA, parse_fusion
-from fusioncalc.pwf import parse_pwf
+from fusioncalc import realizability
+from fusioncalc.config import DEFAULT, Config
+from fusioncalc.fusion import DELTA, identity_I, parse_fusion
+from fusioncalc.process import NIL, Act
+from fusioncalc.pwf import (Pwf, PwfError, bullet, equal_pwf, nu_all, par,
+                            parse_pwf, star)
 from fusioncalc.realizability import (UNIT_PWF, Universe, check_laws,
                                       default_universe, make_pole_done,
                                       parse_pole, pole_always)
@@ -112,3 +116,104 @@ def test_done_pole_is_regular_on_small_universe():
     members = default_universe(max_actions=2, names=3,
                                fusions=[DELTA], limit=40)
     assert pole_regular_on(make_pole_done(8), members)
+
+
+def mixed_members():
+    """Δ members over names 0, 1; {0~1} members with subject 0 only, so an
+    image such as <1!() ; {0~1}> is a member only up to the fusion; and
+    two members under the family fusion [1 <-> 2], which fuses 0~1 and
+    2~3, so that their joins with <1 ; {0~1}> or <1 ; {2~3}> are members
+    only through the family fallback."""
+    family = identity_I()
+    members = (default_universe(1, 2, [DELTA], 100)
+               + default_universe(1, 1, [parse_fusion("{0~1}")], 100)
+               + [Pwf(NIL, parse_fusion("{2~3}")), Pwf(NIL, family),
+                  Pwf(Act(0, "up", (), NIL), family)])
+    for i, a in enumerate(members):
+        for b in members[i + 1:]:
+            assert not equal_pwf(a, b)
+    return members
+
+
+TABLE_OPS = {
+    "par": (Universe.op_par, par),
+    "bullet": (Universe.op_bullet, bullet),
+    "star1": (lambda u, a, b: u.op_star(1, a, b),
+              lambda p, q: star(1, p, q)),
+    "star2": (lambda u, a, b: u.op_star(2, a, b),
+              lambda p, q: star(2, p, q)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(TABLE_OPS))
+def test_table_cells_match_a_scan_with_equal_pwf(label):
+    members = mixed_members()
+    u = Universe(members, pole_always)
+    op_mask, op = TABLE_OPS[label]
+    hits = 0
+    for i, a in enumerate(members):
+        for j, b in enumerate(members):
+            try:
+                image = op(a, b)
+            except PwfError:
+                image = None
+            expected = 0
+            if image is not None:
+                for k, m in enumerate(members):
+                    if equal_pwf(image, m):
+                        expected = 1 << k
+                        break
+            hits += expected != 0
+            assert op_mask(u, 1 << i, 1 << j) == expected, (label, a, b)
+    assert hits
+
+
+def test_fast_path_covers_fused_and_family_images():
+    members = mixed_members()
+    u = Universe(members, pole_always)
+    fused = members.index(parse_pwf("<0!() ; {0~1}>"))
+    # <1!() ; {0~1}> is not a member, but equals one under the fusion
+    image = par(parse_pwf("<1 ; {0~1}>"), parse_pwf("<1!() ; {}>"))
+    assert u.clip([image]) == 1 << fused
+    # the family subsumes the pair; the keys differ, the PWFs do not, and
+    # no member shares the signature of the second image
+    for pair in ("{0~1}", "{2~3}"):
+        image = par(members[-1], parse_pwf(f"<1 ; {pair}>"))
+        assert image.fus.pairs and image.fus.families
+        assert u.clip([image]) == 1 << (len(members) - 1)
+
+
+def test_universes_on_one_member_list_share_the_tables(monkeypatch):
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    calls = []
+
+    def counting_par(p, q, config=DEFAULT):
+        calls.append(config)
+        return par(p, q, config)
+
+    monkeypatch.setattr(realizability, "par", counting_par)
+    members = default_universe(1, 2, [DELTA], 10)
+    n = len(members)
+    full = (1 << n) - 1
+    images = []
+    for pole in (pole_always, make_pole_done(2)):
+        images.append(Universe(members, pole).op_par(full, full))
+        assert len(calls) == n * n
+    other = Config(class_budget=2048)
+    images.append(Universe(members, pole_always, other).op_par(full, full))
+    assert len(calls) == 2 * n * n and calls[-1] is other
+    assert images[0] == images[1] == images[2]
+    for limit in range(2, 9):
+        Universe(default_universe(1, 2, [DELTA], limit), pole_always)
+    assert len(realizability._TABLES) == realizability._SHARED_LISTS
+
+
+def test_always_matrix_equals_the_pairwise_rows():
+    members = mixed_members()
+    n = len(members)
+    rows = [0] * n
+    for i in range(n):
+        for j in range(n):
+            if pole_always(nu_all(par(members[i], members[j]))):
+                rows[i] |= 1 << j
+    assert Universe(members, pole_always).matrix() == rows

@@ -85,3 +85,31 @@ def test_pole_regular_examples():
     assert pole_regular_on(lambda q: reduces_within(q, UNIT, 8), universe)
     # the bare singleton pole is not regular: a redex is not literally 1
     assert not pole_regular_on(lambda q: equal_pwf(q, UNIT), universe)
+
+
+def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
+    p = parse_pwf("<0!().1!() | 1?() ; {0~1}>")
+    assert reduces_within(p, parse_pwf("<0!() ; {0~1}>"), 1)
+    assert reduces_within(p, parse_pwf("<1!() ; {0~1}>"), 1)
+    assert not reduces_within(p, parse_pwf("<0!() ; {0~1}>"), 0)
+    # reduction keeps the fusion, so a target under another one is unreachable
+    assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
+
+
+def test_reduces_within_canonicalises_each_term_once(monkeypatch):
+    from fusioncalc import process, reduction
+    calls = []
+    original = process.canonical
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(process, "canonical", counting)
+    monkeypatch.setattr(reduction, "canonical", counting)
+    p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
+                         " ; {0~2, 1~3}>"))
+    assert reduces_within(p, UNIT, 4)
+    # the start term, the target and 27 distinct reducts, each once
+    assert len(calls) == len(set(calls)) == 29
+    assert calls[:2] == [UNIT.proc, p.proc]
