@@ -3,16 +3,18 @@
 A fusion is a finite set of generator pairs on concrete names plus a
 finite set of "family" generators (w1, w2), each denoting the pairs
 (tag(n, w1), tag(n, w2)) for every n.  The relation itself is the
-reflexive-symmetric-transitive closure; classes are computed by bounded
-BFS, and the family part can be re-expressed as a partition into
-parametric classes (a base residue plus the closed set of words reached
-from it), which is what makes restriction representable.
+reflexive-symmetric-transitive closure.  Classes are walked by bounded
+BFS, each class once per operation (`_classes` remembers a walked class
+for all its members until the operation returns), with family steps done
+as affine arithmetic on names.  The family part can be re-expressed as a
+partition into parametric classes (a base residue plus the closed set of
+words reached from it), which is what makes restriction representable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
@@ -95,32 +97,70 @@ def sigma_tau(remaps: Iterable[tuple[Word, Word]] | Substitution) -> Fusion:
     return Fusion(families=frozenset(_fam_pair(u, v) for u, v in remaps))
 
 
-def class_of(e: Fusion, x: Name, config: Config = DEFAULT) -> frozenset[Name]:
+def _affine(w1: Word, w2: Word) -> tuple[int, int, int, int, int]:
+    """The family step y -> tag(untag(y, w1), w2) as constants.
+
+    tag(n, w) = n * 2**len(w) + tag(0, w), so y lies in w1's residue iff
+    d = y - tag(0, w1) has no bits under 2**len(w1), and then the step
+    is (d >> len(w1) << len(w2)) + tag(0, w2)."""
+    return (tag(0, w1), (1 << len(w1)) - 1, len(w1), len(w2), tag(0, w2))
+
+
+def _singleton(x: Name) -> frozenset[Name]:
+    return frozenset((x,))
+
+
+def _classes(e: Fusion, config: Config = DEFAULT
+             ) -> Callable[[Name], frozenset[Name]]:
+    """x -> class_of(e, x, config), walking each class once.
+
+    The adjacency map and the family steps are built once; a walked class
+    is remembered for every member, for the lifetime of the returned
+    function only.  Δ needs neither: all its classes are singletons."""
+    if e.is_delta():
+        return _singleton
     budget = config.class_budget
-    adj: dict[Name, set[Name]] = {}
+    adj: dict[Name, list[Name]] = {}
     for a, b in e.pairs:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    seen = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        neighbors = set(adj.get(y, ()))
-        for w1, w2 in e.families:
-            n = untag(y, w1)
-            if n is not None:
-                neighbors.add(tag(n, w2))
-            n = untag(y, w2)
-            if n is not None:
-                neighbors.add(tag(n, w1))
-        for z in neighbors:
-            if z not in seen:
-                if len(seen) >= budget:
-                    raise InvalidFusionError(
-                        f"class of {x} exceeds budget {budget}")
-                seen.add(z)
-                frontier.append(z)
-    return frozenset(seen)
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    steps = []
+    for w1, w2 in e.families:
+        steps.append(_affine(w1, w2))
+        steps.append(_affine(w2, w1))
+    memo: dict[Name, frozenset[Name]] = {}
+
+    def walk(x):
+        cls = memo.get(x)
+        if cls is not None:
+            return cls
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            neighbors = list(adj.get(y, ()))
+            for offset, mask, shift_in, shift_out, offset_out in steps:
+                d = y - offset
+                if not d & mask:
+                    neighbors.append((d >> shift_in << shift_out)
+                                     + offset_out)
+            for z in neighbors:
+                if z not in seen:
+                    if len(seen) >= budget:
+                        raise InvalidFusionError(
+                            f"class of {x} exceeds budget {budget}")
+                    seen.add(z)
+                    frontier.append(z)
+        cls = frozenset(seen)
+        for y in cls:
+            memo[y] = cls
+        return cls
+
+    return walk
+
+
+def class_of(e: Fusion, x: Name, config: Config = DEFAULT) -> frozenset[Name]:
+    return _classes(e, config)(x)
 
 
 def related(e: Fusion, x: Name, y: Name, config: Config = DEFAULT) -> bool:
@@ -145,8 +185,9 @@ def validate(e: Fusion, config: Config = DEFAULT) -> bool:
         for n in range(config.sample_bound):
             probes.add(tag(n, w1))
     try:
+        classes = _classes(e, config)
         for p in sorted(probes):
-            class_of(e, p, config)
+            classes(p)
         family_partition(e.families, config)
     except InvalidFusionError:
         return False
@@ -175,18 +216,19 @@ def join_all(fusions: Iterable[Fusion], config: Config = DEFAULT) -> Fusion:
 def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
     """Lattice meet: the intersection of the two relations."""
     families = e.families & f.families
+    e_cls, f_cls = _classes(e, config), _classes(f, config)
+    shared_cls = _classes(Fusion(families=families), config)
     support: set[Name] = set()
     for x in set(e.endpoints()) | set(f.endpoints()):
-        support |= class_of(e, x, config) | class_of(f, x, config)
+        support |= e_cls(x) | f_cls(x)
     # family instances of one side that the other side also relates, and
     # that the shared families do not already cover
-    shared = Fusion(families=families)
     extra: set[tuple[Name, Name]] = set()
     for w1, w2 in (e.families | f.families) - families:
         for n in range(config.sample_bound):
             a, b = tag(n, w1), tag(n, w2)
-            if related(e, a, b, config) and related(f, a, b, config) \
-                    and not related(shared, a, b, config):
+            if a != b and b in e_cls(a) and b in f_cls(a) \
+                    and b not in shared_cls(a):
                 extra.add(_name_pair(a, b))
         if len(extra) > 4 * len(support) + 64:
             raise NotRepresentableError(
@@ -195,7 +237,7 @@ def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
     support = sorted(support)
     for i, a in enumerate(support):
         for b in support[i + 1:]:
-            if related(e, a, b, config) and related(f, a, b, config):
+            if b in e_cls(a) and b in f_cls(a):
                 pairs.add(_name_pair(a, b))
     return Fusion(frozenset(pairs), families)
 
@@ -283,10 +325,11 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
 
     new_pairs: set[tuple[Name, Name]] = set()
     concrete_seen: set[Name] = set()
+    classes = _classes(e, config)
     for a, b in sorted(e.pairs):
         for x in (a, b):
             if x not in concrete_seen:
-                cls = class_of(e, x, config)
+                cls = classes(x)
                 concrete_seen |= cls
                 kept = sorted(y for y in cls if X.member(y))
                 new_pairs.update(zip(kept, kept[1:]))
@@ -390,10 +433,11 @@ def map_fusion(e: Fusion, sigma: Substitution,
 def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
     fm: dict[Name, Name] = {}
     concrete_seen: set[Name] = set()
+    classes = _classes(e, config)
     for a, b in sorted(e.pairs):
         for x in (a, b):
             if x not in concrete_seen:
-                cls = class_of(e, x, config)
+                cls = classes(x)
                 concrete_seen |= cls
                 m = min(cls)
                 for y in cls:
@@ -420,12 +464,14 @@ def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
 
 def equal(e: Fusion, f: Fusion, config: Config = DEFAULT) -> bool:
     for one, other in ((e, f), (f, e)):
+        classes = _classes(other, config)
         for a, b in one.pairs:
-            if not related(other, a, b, config):
+            if b not in classes(a):
                 return False
         for w1, w2 in one.families:
             for n in range(config.sample_bound):
-                if not related(other, tag(n, w1), tag(n, w2), config):
+                a, b = tag(n, w1), tag(n, w2)
+                if a != b and b not in classes(a):
                     return False
     return True
 

@@ -15,6 +15,8 @@ ordinary process terms.
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -253,28 +255,44 @@ def _orderings(node, bound: frozenset[Name]):
             yield ("nu", names, b)
         return
     _, children = node
-    variants = [list(_orderings(c, bound)) for c in children]
-    keyed = sorted(range(len(children)),
-                   key=lambda i: _skeleton(children[i], bound))
-    groups: list[list[int]] = []
-    for i in keyed:
-        if groups and _skeleton(children[groups[-1][0]], bound) == \
-                _skeleton(children[i], bound):
-            groups[-1].append(i)
+    variants = {c: list(_orderings(c, bound)) for c in set(children)}
+    keyed = sorted(children, key=lambda c: _skeleton(c, bound))
+    groups: list[list] = []
+    for c in keyed:
+        if groups and _skeleton(groups[-1][0], bound) == _skeleton(c, bound):
+            groups[-1].append(c)
         else:
-            groups.append([i])
-    group_perms = [list(itertools.permutations(g)) for g in groups]
+            groups.append([c])
+    # identical siblings are interchangeable, so each group is arranged
+    # as a multiset: len(g)! / prod(multiplicity!) distinct orders
     count = 1
-    for perms in group_perms:
-        count *= len(perms)
-    for vs in variants:
-        count *= len(vs)
+    for g in groups:
+        count *= math.factorial(len(g))
+        for multiplicity in Counter(g).values():
+            count //= math.factorial(multiplicity)
+    for c in children:
+        count *= len(variants[c])
     if count > _MAX_CANDIDATES:
         raise ProcessError("canonicalization search space too large")
-    for arrangement in itertools.product(*group_perms):
-        order = [i for grp in arrangement for i in grp]
-        for choice in itertools.product(*(variants[i] for i in order)):
+    group_orders = [list(_distinct_orders(g)) for g in groups]
+    for arrangement in itertools.product(*group_orders):
+        order = [c for grp in arrangement for c in grp]
+        for choice in itertools.product(*(variants[c] for c in order)):
             yield ("par", tuple(choice))
+
+
+def _distinct_orders(nodes: list) -> Iterator[tuple]:
+    """Each distinct sequence of the multiset `nodes` once, in the order
+    in which itertools.permutations first reaches it."""
+    if not nodes:
+        yield ()
+        return
+    tried = set()
+    for i, c in enumerate(nodes):
+        if c not in tried:
+            tried.add(c)
+            for rest in _distinct_orders(nodes[:i] + nodes[i + 1:]):
+                yield (c,) + rest
 
 
 def _render(node, assign: dict[Name, Name], fresh: list[Name],

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
-from .fusion import (DELTA, Fusion, canonical_subst, class_of, equal,
-                     fusion_str, join, map_fusion, parse_fusion, remove,
-                     second_rep, sigma_tau)
+from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
+                     equal, fusion_str, join, map_fusion, parse_fusion,
+                     remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names, parse_process,
                       process_str, struct_eq, substitute, tidy)
@@ -48,8 +48,9 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
     names plus the finite-pair endpoints of the fusion.  Family-generated
     names are reported through fn_contains instead."""
     out: set[Name] = set()
+    classes = _classes(p.fus, config)
     for x in free_names(p.proc):
-        out |= class_of(p.fus, x, config)
+        out |= classes(x)
     for a, b in p.fus.pairs:
         out |= {a, b}
     return frozenset(out)
@@ -69,8 +70,9 @@ def par(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:
 
 def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf,
            config: Config = DEFAULT) -> Pwf:
+    classes = _classes(p.fus, config)
     for x in xs:
-        if class_of(p.fus, x, config) != {x}:
+        if classes(x) != {x}:
             raise PwfError(
                 f"prefix argument {x} is fused; construction not allowed")
     return Pwf(Act(u, polarity, tuple(xs), p.proc), p.fus)
@@ -85,8 +87,9 @@ def nu_name(x: Name, p: Pwf, config: Config = DEFAULT) -> Pwf:
 def nu_finite(X: frozenset[Name], p: Pwf, config: Config = DEFAULT) -> Pwf:
     if config.nu_closure == "class-closure":
         closure: set[Name] = set()
+        classes = _classes(p.fus, config)
         for x in free_names(p.proc) & X:
-            closure |= class_of(p.fus, x, config)
+            closure |= classes(x)
         inner = _nu_finite_literal(frozenset(closure), p, config)
         return Pwf(inner.proc, remove(inner.fus, finite(X), config))
     return _nu_finite_literal(frozenset(X), p, config)

@@ -17,7 +17,7 @@ import random
 from typing import Callable, Iterable, Optional
 
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion, canonical_subst, class_of
+from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       substitute)
 from .pwf import Pwf, PwfError, bullet, equal_pwf, nu_all, par, star
@@ -168,8 +168,8 @@ class Universe:
         the fusion endpoints and σ(fn P).  Congruence and substitution
         keep the action count, and fn(σP) = σ(fn P), so PWFs with equal
         keys have equal signatures."""
-        classes = frozenset(frozenset(class_of(p.fus, x, self.config))
-                            for x in p.fus.endpoints())
+        class_of = _classes(p.fus, self.config)
+        classes = frozenset(class_of(x) for x in p.fus.endpoints())
         sigma = canonical_subst(p.fus, self.config)
         free = frozenset(sigma.apply(x) for x in free_names(p.proc))
         return (_actions(p.proc), classes, free), sigma

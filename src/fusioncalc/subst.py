@@ -25,8 +25,11 @@ class Substitution:
     word_remaps: frozenset[tuple[Word, Word]] = frozenset()
 
     def __post_init__(self) -> None:
-        items = tuple(sorted(dict(self.finite_map).items()))
-        object.__setattr__(self, "finite_map", items)
+        table = dict(self.finite_map)
+        object.__setattr__(self, "finite_map", tuple(sorted(table.items())))
+        # lookup table for apply; not a field, so equality and hashing
+        # still read finite_map alone
+        object.__setattr__(self, "_table", table)
         remaps = frozenset((u, v) for u, v in self.word_remaps if u != v)
         for u, v in remaps:
             for u2, _ in remaps:
@@ -36,12 +39,11 @@ class Substitution:
         object.__setattr__(self, "word_remaps", remaps)
 
     def as_dict(self) -> dict[Name, Name]:
-        return dict(self.finite_map)
+        return dict(self._table)
 
     def apply(self, x: Name) -> Name:
-        fm = dict(self.finite_map)
-        if x in fm:
-            return fm[x]
+        if x in self._table:
+            return self._table[x]
         for u, v in self.word_remaps:
             n = untag(x, u)
             if n is not None:
@@ -97,7 +99,7 @@ def compose(sigma: Substitution, tau: Substitution) -> Substitution:
             if n is not None:
                 x = tag(n, u)
                 fm.setdefault(x, sigma.apply(z))
-        if z not in dict(tau.finite_map) and not any(
+        if z not in tau._table and not any(
                 untag(z, u) is not None for u in tau_dom_words):
             fm.setdefault(z, sigma.apply(z))
     remaps: set[tuple[Word, Word]] = set()

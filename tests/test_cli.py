@@ -25,6 +25,14 @@ def test_normalize_and_equal(capsys):
     assert code == 1 and "not equal" in out and "normal form" in out
 
 
+def test_equal_on_nine_identical_siblings(capsys):
+    flat = " | ".join(["0!()"] * 9)
+    nested = "0!() | (" * 8 + "0!()" + ")" * 8
+    code, out, _ = run(capsys, "equal", f"<{flat} ; {{}}>",
+                       f"<{nested} ; {{}}>")
+    assert code == 0 and out.strip() == "equal"
+
+
 def test_reduce_lists_reducts_in_order(capsys):
     code, out, _ = run(capsys, "reduce", "<0!().1|0?().1 ; {}>",
                        "--steps", "2")

@@ -1,14 +1,19 @@
+import itertools
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc.config import DEFAULT
+from fusioncalc import fusion
+from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
-    DELTA, Fusion, InvalidFusionError, NotRepresentableError, canonical_subst,
-    class_of, delta, equal, fusion_str, identity_I, join, join_all,
-    map_fusion, meet, parse_fusion, phi, psi, related, remove,
+    DELTA, Fusion, InvalidFusionError, NotRepresentableError, _affine,
+    _classes, canonical_subst, class_of, delta, equal, fusion_str, identity_I,
+    join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
     restrict, second_rep, sigma_tau, validate,
 )
-from fusioncalc.names import ALL, NameSet, finite, parse_nameset, residue, tag
+from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
+                              tag, untag)
 from fusioncalc.subst import compose, finite_subst, remap_subst
 
 
@@ -181,3 +186,155 @@ def test_literal_roundtrip():
         assert fusion_str(parse_fusion(fusion_str(e))) == fusion_str(e)
     assert fusion_str(parse_fusion("{2~0~1}")) == "{0~1~2}"
     assert fusion_str(DELTA) == "{}"
+
+
+# ---------------------------------------------------------------------------
+# class walks against the per-name reference
+
+def reference_class_of(e, x, config=DEFAULT):
+    """The per-name BFS that `_classes` replaces: a fresh adjacency map on
+    every call, and family steps through untag/tag."""
+    budget = config.class_budget
+    adj: dict[int, set[int]] = {}
+    for a, b in e.pairs:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        y = frontier.pop()
+        neighbors = set(adj.get(y, ()))
+        for w1, w2 in e.families:
+            n = untag(y, w1)
+            if n is not None:
+                neighbors.add(tag(n, w2))
+            n = untag(y, w2)
+            if n is not None:
+                neighbors.add(tag(n, w1))
+        for z in neighbors:
+            if z not in seen:
+                if len(seen) >= budget:
+                    raise InvalidFusionError(
+                        f"class of {x} exceeds budget {budget}")
+                seen.add(z)
+                frontier.append(z)
+    return frozenset(seen)
+
+
+def reference_classes(e, config=DEFAULT):
+    return lambda x: reference_class_of(e, x, config)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and message of what it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # compared, not swallowed
+        return "raised", type(exc), str(exc)
+
+
+def reference_outcome(fn, *args):
+    """outcome(fn, *args) with every class computed by the reference."""
+    with mock.patch.object(fusion, "_classes", reference_classes):
+        return outcome(fn, *args)
+
+
+FAMILY_SOURCES = sorted(identity_I().families | psi().families
+                        | phi().families)
+SHORT_WORDS = st.lists(st.sampled_from([1, 2]), max_size=2).map(tuple)
+
+
+@st.composite
+def mixed_fusions(draw):
+    """Finite pairs plus family generators of I, psi and phi, each
+    injected by a short word (tag(n, w + v) = tag(tag(n, w), v)); now and
+    then a raw word pair, whose classes may be infinite."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 40)),
+                          max_size=6))
+    families = set()
+    for w1, w2 in draw(st.lists(st.sampled_from(FAMILY_SOURCES),
+                                max_size=3)):
+        v = draw(SHORT_WORDS)
+        families.add((w1 + v, w2 + v))
+    if draw(st.integers(0, 5)) == 0:
+        families.add((draw(SHORT_WORDS), draw(SHORT_WORDS)))
+    return Fusion(frozenset(pairs), frozenset(families))
+
+
+configs = st.builds(Config, class_budget=st.sampled_from([2, 4, 1024, 1024]),
+                    sample_bound=st.sampled_from([8, 24]))
+
+
+@given(mixed_fusions(), configs, st.lists(st.integers(0, 80), max_size=30))
+@settings(max_examples=150, deadline=None)
+def test_classes_match_reference(e, config, xs):
+    classes = _classes(e, config)
+    for x in xs:
+        expected = outcome(reference_class_of, e, x, config)
+        assert outcome(classes, x) == expected
+        assert outcome(class_of, e, x, config) == expected
+
+
+@given(mixed_fusions(), mixed_fusions(), configs)
+@settings(max_examples=150, deadline=None)
+def test_operations_match_reference(e, f, config):
+    for op, args in ((validate, (e, config)), (equal, (e, f, config)),
+                     (equal, (e, e, config)), (meet, (e, f, config)),
+                     (canonical_subst, (e, config))):
+        assert outcome(op, *args) == reference_outcome(op, *args)
+
+
+@given(mixed_fusions(), small_namesets(), configs)
+@settings(max_examples=150, deadline=None)
+def test_restrict_matches_reference(e, X, config):
+    assert outcome(restrict, e, X, config) == \
+        reference_outcome(restrict, e, X, config)
+
+
+def test_budget_error_names_the_queried_name():
+    e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}))
+    classes = _classes(e, Config(class_budget=3))
+    for x in (2, 0):
+        with pytest.raises(InvalidFusionError,
+                           match=f"^class of {x} exceeds budget 3$"):
+            classes(x)
+    assert classes(7) == {7}
+
+
+def test_equal_walks_no_class_for_a_coinciding_family_instance():
+    """tag(0, ()) = tag(0, (2,)) = 0, so the instance n = 0 relates 0 to
+    itself; the class of 0 in f is infinite but is never walked."""
+    e = Fusion(families=frozenset({((), (2,))}))
+    f = Fusion(frozenset({(0, 1)}), e.families)
+    assert not equal(e, f, Config(sample_bound=1))
+
+
+WORDS = [w for k in range(6) for w in itertools.product((1, 2), repeat=k)]
+
+
+def test_affine_step_is_untag_then_tag():
+    """Each word w1 of length <= 5 against every y < 1024, with w2 cycling
+    through all those words, so every (w1, w2) pair is met."""
+    for i, w1 in enumerate(WORDS):
+        for y in range(1024):
+            w2 = WORDS[(i + y) % len(WORDS)]
+            offset, mask, shift_in, shift_out, offset_out = _affine(w1, w2)
+            d = y - offset
+            n = untag(y, w1)
+            if n is None:
+                assert d & mask
+            else:
+                assert not d & mask
+                assert (d >> shift_in << shift_out) + offset_out == tag(n, w2)
+
+
+def test_class_memo_does_not_outlive_the_call():
+    e = join(parse_fusion("{0~1, 5~9}"), phi())
+    f = join(parse_fusion("{0~1}"), identity_I())
+    before = dict(vars(e))
+    class_of(e, 3)
+    validate(e)
+    equal(e, f)
+    meet(e, f)
+    restrict(e, parse_nameset("{0,1,5}"))
+    assert vars(e) == before

@@ -8,7 +8,9 @@ from fusioncalc.process import (
     NIL, Act, Nu, Par, ProcessError, canonical, free_names, parse_process,
     process_str, spine, struct_eq, substitute,
 )
-from fusioncalc.pwf import parse_pwf, pwf_str
+from fusioncalc import process
+from fusioncalc.fusion import DELTA
+from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import finite_subst, remap_subst
 
@@ -127,6 +129,70 @@ def _step_listing(text):
 ])
 def test_exact_output(render, text, expected):
     assert render(text) == expected
+
+
+def _associations(leaves):
+    """Left-nested, right-nested and balanced parallel compositions."""
+    def balanced(xs):
+        if len(xs) == 1:
+            return xs[0]
+        mid = len(xs) // 2
+        return Par(balanced(xs[:mid]), balanced(xs[mid:]))
+    left = leaves[0]
+    for leaf in leaves[1:]:
+        left = Par(left, leaf)
+    right = leaves[-1]
+    for leaf in reversed(leaves[:-1]):
+        right = Par(leaf, right)
+    return [left, right, balanced(leaves)]
+
+
+@pytest.mark.parametrize("k", [9, 10, 11, 12])
+def test_identical_siblings_in_any_association(k):
+    terms = _associations([Act(0, "up", (), NIL)] * k)
+    for p in terms:
+        assert process_str(canonical(p)) == " | ".join(["0!()"] * k)
+    assert equal_pwf(Pwf(terms[0], DELTA), Pwf(terms[2], DELTA))
+    assert equal_pwf(Pwf(terms[1], DELTA), Pwf(terms[2], DELTA))
+
+
+# Groups with identical and distinct siblings of one skeleton; the
+# expected forms are those of the exhaustive permutation search.
+@pytest.mark.parametrize("text, expected", [
+    ("new 5 6. (5!() | 6!() | 5!() | 0!() | 6?() | 6!() | 0!() | 5?() "
+     "| 1?())",
+     "0!() | 0!() | 1?() | (new 2. 2?() | 2!() | 2!()) "
+     "| (new 3. 3?() | 3!() | 3!())"),
+    ("new 7. (0!() | 0!() | 0!() | 7!() | 7!().0!() | 0!())",
+     "0!() | 0!() | 0!() | 0!() | (new 1. 1!().0!() | 1!())"),
+    ("0!() | 0!() | 1!() | 0!() | 0?()", "0?() | 0!() | 0!() | 0!() | 1!()"),
+    ("new 5 6. (5!() | 6!() | 5!() | 6!() | 5!() | 6!() | 0!() | 0!())",
+     "0!() | 0!() | (new 1. 1!() | 1!() | 1!()) "
+     "| (new 2. 2!() | 2!() | 2!())"),
+])
+def test_mixed_sibling_groups(text, expected):
+    assert _canonical_str(text) == expected
+
+
+@pytest.mark.parametrize("text, candidates", [
+    (" | ".join(["0!()"] * 9), 1),
+    # 6! / (3! 3!) orders of the bound-subject outputs, one of the 0!()s
+    ("new 5 6. (5!() | 6!() | 5!() | 6!() | 5!() | 6!() | 0!() | 0!())", 20),
+])
+def test_one_candidate_per_distinct_order(text, candidates):
+    node, _ = process._simplify_apart(parse_process(text))
+    assert sum(1 for _ in process._orderings(node, frozenset())) == \
+        candidates
+
+
+def test_candidate_budget_is_counted_before_enumerating():
+    # nine distinct siblings of one skeleton, linked in a cycle of
+    # restricted names: 9! orders, over the budget
+    names = range(1, 10)
+    text = "new " + " ".join(map(str, names)) + ". (" + \
+        " | ".join(f"{x}!().{x % 9 + 1}!()" for x in names) + ")"
+    with pytest.raises(ProcessError, match="search space too large"):
+        canonical(parse_process(text))
 
 
 def test_spine_renames_apart_and_keeps_component_order():
