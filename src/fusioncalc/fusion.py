@@ -169,13 +169,9 @@ def related(e: Fusion, x: Name, y: Name, config: Config = DEFAULT) -> bool:
     return y in class_of(e, x, config)
 
 
-def second_rep(e: Fusion, x: Name, config: Config = DEFAULT,
-               removed: frozenset[Name] = frozenset()) -> Name:
-    """x*: min([x] minus removed minus x), or x when that is empty.
-
-    This is the representative in e with the removed names dropped, since
-    removal only shrinks classes: [x]_{e minus S} = [x]_e - S."""
-    cls = class_of(e, x, config) - removed - {x}
+def second_rep(e: Fusion, x: Name, config: Config = DEFAULT) -> Name:
+    """x*: min([x] minus x), or x when that is empty."""
+    cls = class_of(e, x, config) - {x}
     return min(cls) if cls else x
 
 

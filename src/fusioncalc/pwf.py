@@ -111,25 +111,27 @@ def hereditary_closure(X: NameSet, p: Pwf, config: Config = DEFAULT
     else:
         seed = {x for x in free_names(p.proc) if X.member(x)}
     current = frozenset(seed)
+    classes = _classes(p.fus, config)
     while True:
-        ts = _closure_step(current, p.fus, config)
+        ts = _closure_step(current, classes)
         grown = current | {t for t in ts if X.member(t)}
         if grown == current:
             break
         current = grown
     sigma = Substitution()
-    for s, t in zip(sorted(current), _closure_step(current, p.fus, config)):
+    for s, t in zip(sorted(current), _closure_step(current, classes)):
         sigma = compose(finite_subst({s: t}), sigma)
     return current, sigma
 
 
-def _closure_step(S: frozenset[Name], e: Fusion,
-                  config: Config) -> list[Name]:
-    ts = []
-    ordered = sorted(S)
-    for h, s in enumerate(ordered):
-        ts.append(second_rep(e, s, config, removed=frozenset(ordered[:h])))
-    return ts
+def _closure_step(S: frozenset[Name], classes) -> list[Name]:
+    """For each s of S in sorted order, x* of s in e with the names of S
+    below s removed: min([s]_e minus s and those names), or s when that
+    is empty, since removal only shrinks classes: [x]_{e minus T} =
+    [x]_e - T.  All of them read one set of class walks."""
+    return [min((y for y in classes(s) if y > s or y < s and y not in S),
+                default=s)
+            for s in sorted(S)]
 
 
 def nu_set(X: NameSet, p: Pwf, config: Config = DEFAULT) -> Pwf:

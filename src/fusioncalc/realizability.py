@@ -21,7 +21,7 @@ from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       substitute)
 from .pwf import Pwf, PwfError, bullet, equal_pwf, nu_all, par, star
-from .reduction import reduces_within
+from .reduction import _reduces_within
 
 UNIT_PWF = Pwf(NIL, DELTA)
 
@@ -40,9 +40,10 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     cache: dict = {}
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
-        key = (canonical(q.proc), q.fus)
+        start = canonical(q.proc)
+        key = (start, q.fus)
         if key not in cache:
-            cache[key] = reduces_within(q, UNIT_PWF, k, config)
+            cache[key] = _reduces_within(q, UNIT_PWF, k, config, start)
         return cache[key]
 
     pole.__name__ = f"pole_done_{k}"

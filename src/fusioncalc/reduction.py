@@ -12,6 +12,7 @@ components of `process.spine`, whose binders are renamed apart.
 from __future__ import annotations
 
 import itertools
+from typing import Optional
 
 from .config import DEFAULT, Config
 from .fusion import canonical_subst, equal, related
@@ -85,12 +86,20 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
     is decided once, and the target's canonical form is computed once.
     Under Δ a term's dedup key is its equality form as well."""
+    return _reduces_within(p, target, k, config)
+
+
+def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
+                    start: Optional[Process] = None) -> bool:
+    """`reduces_within`, given `start = canonical(p.proc)` when the caller
+    has already computed it."""
     if not equal(p.fus, target.fus, config):
         return False
     sigma = canonical_subst(p.fus, config)
     goal = canonical(substitute(target.proc,
                                 canonical_subst(target.fus, config)))
-    start = canonical(p.proc)
+    if start is None:
+        start = canonical(p.proc)
     frontier = [(start, p)]
     seen = {start}
     keys = {p.proc: start}

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusioncalc.calgebra import (FinModel, ModelError, check_ca, check_ccpa,
-                                 check_cpa, check_cs, check_derived_props,
-                                 hom_compose, load_model, parse_model, passed,
-                                 shipped_model_names)
+from fusioncalc.calgebra import (FinModel, ModelError, _check_parcomp,
+                                 check_ca, check_ccpa, check_cpa, check_cs,
+                                 check_derived_props, hom_compose, load_model,
+                                 parse_model, passed, shipped_model_names)
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +140,219 @@ def test_hy_reduction_inequalities_hold_where_defined(boolean4):
             assert m.le(m.parcomp[hy["K"][a,], m.m(a, x)], m.unit)
             for b in m.window:
                 assert m.le(m.parcomp[hy["F"][a, b], m.m(a, x)], m.m(b, x))
+
+
+# -- lattice tables against carrier scans -----------------------------------
+#
+# The reference operations scan the carrier with `le`, as FinModel did
+# before it kept lattice tables.
+
+
+def reference_join2(m, a, b):
+    uppers = [c for c in m.carrier if m.le(a, c) and m.le(b, c)]
+    least = [c for c in uppers if all(m.le(c, d) for d in uppers)]
+    if len(least) != 1:
+        raise ModelError(f"join of {a} and {b} does not exist")
+    return least[0]
+
+
+def reference_bottom(m):
+    for c in m.carrier:
+        if all(m.le(c, d) for d in m.carrier):
+            return c
+    raise ModelError("carrier has no bottom element")
+
+
+def reference_top(m):
+    for c in m.carrier:
+        if all(m.le(d, c) for d in m.carrier):
+            return c
+    raise ModelError("carrier has no top element")
+
+
+def reference_join(m, elems):
+    out = reference_bottom(m)
+    for e in elems:
+        out = reference_join2(m, out, e)
+    return out
+
+
+def reference_meet(m, elems):
+    lowers = [c for c in m.carrier if all(m.le(c, e) for e in elems)]
+    return reference_join(m, lowers)
+
+
+def reference_join_compatible(m):
+    """The parcomp-join-compatible row by the earlier subset enumeration:
+    every subset by size up to 12 elements, 2,048 sampled ones above."""
+    p = m.parcomp
+    n = len(m.carrier)
+    subsets = (itertools.chain.from_iterable(
+        itertools.combinations(m.carrier, k) for k in range(n + 1))
+        if 2 ** n <= 4096 else
+        (tuple(m.carrier[i] for i in range(n) if k >> i & 1)
+         for k in range(0, 2 ** n, max(1, 2 ** n // 2048))))
+    w = None
+    for subset in subsets:
+        joined = m.join(subset)
+        for a in m.carrier:
+            rhs = m.join(p[b, a] for b in subset)
+            if not m.le(p[joined, a], rhs):
+                w = f"par/join compatibility fails for {subset} with {a}"
+                break
+        if w:
+            break
+    return ("parcomp-join-compatible", w is None, w or "")
+
+
+def join_compatible_row(m):
+    report = []
+    _check_parcomp(m, report)
+    return report[-1]
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ModelError as exc:
+        return "ModelError", str(exc)
+
+
+def order_model(carrier, leq, parcomp=None):
+    """A model with only its order (and par) filled in."""
+    return FinModel(carrier=tuple(carrier), leq=frozenset(leq), tensor={},
+                    perp={}, unit=carrier[-1], parcomp=parcomp)
+
+
+@st.composite
+def closure_lattices(draw, max_size=12):
+    """A lattice of at most max_size elements: subsets of a set of at most
+    four, closed under intersection and holding the full set, ordered by
+    inclusion and listed in a drawn order."""
+    rng = draw(st.randoms(use_true_random=False))
+    k = rng.randint(0, 4)
+    full = frozenset(range(k))
+    family = {full}
+    target = rng.randint(1, max_size)
+    for _ in range(4 * max_size):
+        if len(family) >= target:
+            break
+        grown = family | {frozenset(x for x in full if rng.random() < 0.5)}
+        while True:
+            closed = grown | {a & b for a in grown for b in grown}
+            if closed == grown:
+                break
+            grown = closed
+        if len(grown) <= max_size:
+            family = grown
+    members = sorted(family, key=sorted)
+    rng.shuffle(members)
+    name = {a: "s" + "".join(map(str, sorted(a))) for a in members}
+    leq = {(name[a], name[b]) for a in members for b in members if a <= b}
+    return [name[a] for a in members], leq
+
+
+@st.composite
+def finite_orders(draw):
+    """Arbitrary relations, their reflexive-transitive closures, and
+    lattices: the tables must agree with the scans on non-lattices too."""
+    kind = draw(st.sampled_from(["relation", "preorder", "lattice"]))
+    if kind == "lattice":
+        return draw(closure_lattices())
+    n = draw(st.integers(1, 6))
+    carrier = [f"e{i}" for i in draw(st.permutations(range(n)))]
+    elem = st.sampled_from(carrier)
+    leq = set(draw(st.sets(st.tuples(elem, elem), max_size=n * n)))
+    if kind == "preorder":
+        leq |= {(a, a) for a in carrier}
+        for b, a, c in itertools.product(carrier, repeat=3):
+            if (a, b) in leq and (b, c) in leq:
+                leq.add((a, c))
+    return carrier, leq
+
+
+@given(finite_orders(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_lattice_tables_match_carrier_scans(order, data):
+    carrier, leq = order
+    m = order_model(carrier, leq)
+    probes = carrier + ["outside"]
+    assert outcome(m.bottom) == outcome(reference_bottom, m)
+    assert outcome(m.top) == outcome(reference_top, m)
+    for _ in range(2):  # the second pass reads the join memo
+        for a, b in itertools.product(probes, repeat=2):
+            assert outcome(m.join2, a, b) == outcome(reference_join2, m, a, b)
+    for _ in range(5):
+        elems = data.draw(st.lists(st.sampled_from(probes), max_size=4))
+        assert outcome(m.join, elems) == outcome(reference_join, m, elems)
+        assert outcome(m.meet, elems) == outcome(reference_meet, m, elems)
+        assert outcome(m.meet, iter(elems)) == \
+            outcome(reference_meet, m, elems)
+
+
+@given(closure_lattices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_pair_check_matches_subset_enumeration(lattice, data):
+    carrier, leq = lattice
+    m = order_model(carrier, leq)
+    # meet as par with up to three entries redrawn (passes, and failures
+    # on pairs), or a table drawn whole (mostly failures on the empty join)
+    elem = st.sampled_from(carrier)
+    if data.draw(st.booleans()):
+        par = {(a, b): m.meet([a, b]) for a in carrier for b in carrier}
+        for _ in range(data.draw(st.integers(0, 3))):
+            par[data.draw(st.sampled_from(sorted(par)))] = data.draw(elem)
+    else:
+        par = {(a, b): data.draw(elem) for a in carrier for b in carrier}
+    m = order_model(carrier, leq, par)
+    assert join_compatible_row(m) == reference_join_compatible(m)
+
+
+def test_cyclic_join_order_is_not_partial():
+    # the derived order a <= c <= b <= a is not transitive
+    text = ("[carrier]\na b c\n[join]\n"
+            "a a -> a\na b -> a\na c -> c\nb a -> a\nb b -> b\n"
+            "b c -> b\nc a -> c\nc b -> b\nc c -> c\n"
+            "[tensor]\n" + "".join(f"{x} {y} -> a\n" for x in "abc"
+                                    for y in "abc") +
+            "[perp]\na -> a\nb -> b\nc -> c\n[unit]\na\n")
+    m = parse_model(text)
+    report = check_cs(m)
+    assert report[0] == ("order-is-partial", False,
+                         "transitivity fails on a <= c <= b")
+
+
+def test_irreflexive_join_order_is_not_partial():
+    # a <= b and b <= b only: a join table whose a a row is b
+    text = ("[carrier]\na b\n[join]\n"
+            "a a -> b\na b -> b\nb a -> b\nb b -> b\n"
+            "[tensor]\na a -> a\na b -> a\nb a -> a\nb b -> b\n"
+            "[perp]\na -> b\nb -> a\n[unit]\nb\n")
+    report = check_cs(parse_model(text))
+    assert report[0] == ("order-is-partial", False, "reflexivity fails at a")
+
+
+def test_pair_check_catches_what_the_sample_skipped():
+    # 2^4 listed by size, tensor = meet, par = meet except that par of
+    # {0,1} with {0} is {0,1}: only subsets holding the atoms {0} and {1}
+    # fail, and the 2,048-subset sample never picks the first five
+    # elements of the carrier
+    sets = [frozenset(c) for k in range(5)
+            for c in itertools.combinations(range(4), k)]
+    name = {a: "".join("abcd"[i] for i in sorted(a)) or "0" for a in sets}
+    carrier = [name[a] for a in sets]
+    leq = {(name[a], name[b]) for a in sets for b in sets if a <= b}
+    meet = {(name[a], name[b]): name[a & b] for a in sets for b in sets}
+    par = dict(meet)
+    par["ab", "a"] = par["a", "ab"] = "ab"
+    full = frozenset(range(4))
+    m = FinModel(carrier=tuple(carrier), leq=frozenset(leq), tensor=meet,
+                 perp={name[a]: name[full - a] for a in sets},
+                 unit="abcd", parcomp=par, separator=frozenset({"abcd"}))
+    assert passed(check_cs(m))
+    assert reference_join_compatible(m) == \
+        ("parcomp-join-compatible", True, "")
+    rows = {row[0]: row for row in check_ca(m)}
+    assert rows["parcomp-join-compatible"] == (
+        "parcomp-join-compatible", False,
+        "par/join compatibility fails for ('a', 'b') with a")

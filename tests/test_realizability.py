@@ -45,6 +45,26 @@ def test_done_pole_cache_keys_on_the_fusion():
     assert pole(parse_pwf("<0!() | 0?() ; {}>"))
 
 
+def test_done_pole_canonicalises_a_term_once(monkeypatch):
+    from fusioncalc import process, reduction
+    calls = []
+    original = process.canonical
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (process, reduction, realizability):
+        monkeypatch.setattr(module, "canonical", counting)
+    q = parse_pwf("<0!() | 0?() ; {}>")
+    pole = make_pole_done(1)
+    assert pole(q)
+    # the cache key, then the target; the start of the search reuses
+    # the key
+    assert calls[:2] == [q.proc, UNIT_PWF.proc]
+    assert calls.count(q.proc) == 1
+
+
 def test_orthogonal_of_empty_is_everything():
     u = small_universe()
     assert u.orthogonal_mask(0) == u.full_mask
