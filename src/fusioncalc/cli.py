@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command succeeds (and any checked property
 holds), 1 when a checked property fails (a witness is printed), 2 for
-parse or validation errors.
+parse or validation errors, 3 when a valid input exceeds a search budget
+(the verdict is undecided; the message names the budget).
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from .config import DEFAULT, Config, parse_config_text
 from .fusion import (DELTA, FusionError, canonical_subst, class_of, equal,
                      fusion_str, join, parse_fusion, remove, restrict)
 from .names import parse_nameset
-from .process import (ProcessError, canonical, parse_process, process_str,
-                      substitute)
+from .process import (ProcessError, SearchBudgetError, canonical,
+                      parse_process, process_str, substitute)
 from .pwf import (Pwf, PwfError, equal_pwf, nu_set, par, parse_pwf, pwf_str,
                   star)
 from .reduction import step
@@ -181,11 +182,14 @@ def _cmd_pole_laws(args) -> int:
     members = _parse_universe_spec(args.universe or "", config)
     pole = realizability.parse_pole(args.pole)
     universe = realizability.Universe(members, pole, config)
+    seed = 0
     if args.format != "tsv":
         print(_config_banner(config))
         print(f"# universe-relative report: {len(members)} members, "
               f"pole {args.pole}")
-    rows = realizability.check_laws(universe, samples=args.samples)
+        print(f"# sampled laws: samples={args.samples} seed={seed}")
+    rows = realizability.check_laws(universe, samples=args.samples,
+                                    seed=seed)
     return 0 if _print_report(rows, args.format) else 1
 
 
@@ -417,6 +421,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except SearchBudgetError as exc:
+        print(f"undecided: {exc}")
+        return 3
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,10 @@ class ProcessError(Exception):
     pass
 
 
+class SearchBudgetError(ProcessError):
+    """A valid term whose canonical search exceeds the candidate budget."""
+
+
 class Process:
     __slots__ = ()
 
@@ -273,7 +277,9 @@ def _orderings(node, bound: frozenset[Name]):
     for c in children:
         count *= len(variants[c])
     if count > _MAX_CANDIDATES:
-        raise ProcessError("canonicalization search space too large")
+        raise SearchBudgetError(
+            f"canonicalization search space too large: {count} candidate "
+            f"orders, budget {_MAX_CANDIDATES}")
     group_orders = [list(_distinct_orders(g)) for g in groups]
     for arrangement in itertools.product(*group_orders):
         order = [c for grp in arrangement for c in grp]

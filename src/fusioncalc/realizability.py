@@ -7,8 +7,27 @@ plus closure-operator algebra.  Subsets are manipulated as bitmasks over
 the member list, and the orthogonality matrix is computed once (the
 `always` pole needs no composites at all).  The op tables depend only on
 the member list and the config, so universes that share both (one per
-pole, say) share one set of tables.  `clip` rejects an image whose cheap
-invariants match no member before it canonicalises anything.
+pole, say) share one set of tables; each row keeps only its member
+cells.
+
+Every member carries one invariant, the multiset of its action prefixes
+by (polarity, arity).  Congruence, substitution, relabelling, `nu_set`
+and `unrelabel` keep it, and composition adds it up.  Three filters read
+it before any term is canonicalised, the last two before the term is
+even built, and each is exact:
+
+- `clip` rejects an image whose invariant, fusion classes and free
+  names (under the fusion's representatives) match no member, since
+  equal PWFs agree on all three;
+- an op-table cell (a, b) is empty without applying the operation when
+  inv(a) + inv(b) is no member's invariant, since that is the invariant
+  of the image; the fusion half of the operation still runs once per
+  pair of member fusions, so a `FusionError` raises as before;
+- the `done:k` pole is false, before canonicalising anything, on a
+  term whose up and down actions do not pair off per arity or that has
+  more than 2k actions, since each step consumes one up and one down
+  action of equal arity and `<NIL ; Δ>` has none; the matrix applies
+  the same test to inv(a) + inv(b) and builds no such composite.
 """
 
 from __future__ import annotations
@@ -21,7 +40,7 @@ from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       substitute)
 from .pwf import Pwf, PwfError, bullet, equal_pwf, nu_all, par, star
-from .reduction import _reduces_within
+from .reduction import _form, _reduces_within
 
 UNIT_PWF = Pwf(NIL, DELTA)
 
@@ -37,16 +56,26 @@ def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
 
 
 def make_pole_done(k: int) -> Callable[[Pwf], bool]:
+    """The pole of terms that reach <NIL ; Δ> within k steps.  The pole
+    carries its k, so `Universe.matrix` can skip composites that it
+    rejects on their invariant alone."""
     cache: dict = {}
+    goals: dict = {}
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
+        if not _may_reach_unit(_invariant(q.proc), k):
+            return False
         start = canonical(q.proc)
         key = (start, q.fus)
         if key not in cache:
-            cache[key] = _reduces_within(q, UNIT_PWF, k, config, start)
+            if config not in goals:
+                goals[config] = _form(UNIT_PWF, config)
+            cache[key] = _reduces_within(q, UNIT_PWF, k, config, start,
+                                         goals[config])
         return cache[key]
 
     pole.__name__ = f"pole_done_{k}"
+    pole.k = k
     return pole
 
 
@@ -96,15 +125,57 @@ def default_universe(max_actions: int = 3, names: int = 4,
     return members
 
 
-def _actions(p: Process) -> int:
-    """Number of action prefixes in p."""
-    if isinstance(p, Act):
-        return 1 + _actions(p.body)
-    if isinstance(p, Par):
-        return _actions(p.left) + _actions(p.right)
-    if isinstance(p, Nu):
-        return _actions(p.body)
-    return 0
+def _invariant(p: Process) -> tuple:
+    """The multiset of p's action prefixes by (polarity, arity), as the
+    sorted ((polarity, arity), count) items."""
+    counts: dict = {}
+    stack = [p]
+    while stack:
+        q = stack.pop()
+        if isinstance(q, Act):
+            key = (q.polarity, len(q.bound))
+            counts[key] = counts.get(key, 0) + 1
+            stack.append(q.body)
+        elif isinstance(q, Par):
+            stack += (q.left, q.right)
+        elif isinstance(q, Nu):
+            stack.append(q.body)
+    return tuple(sorted(counts.items()))
+
+
+def _add(inv_a: tuple, inv_b: tuple) -> tuple:
+    counts = dict(inv_a)
+    for key, count in inv_b:
+        counts[key] = counts.get(key, 0) + count
+    return tuple(sorted(counts.items()))
+
+
+def _may_reach_unit(inv: tuple, k: int) -> bool:
+    """Whether a term with this invariant can reach <NIL ; Δ> in k steps:
+    a step consumes one up and one down action of equal arity, so the
+    counts must pair off per arity, at most k pairs."""
+    ups = {arity: count for (polarity, arity), count in inv
+           if polarity == "up"}
+    downs = {arity: count for (polarity, arity), count in inv
+             if polarity == "down"}
+    return ups == downs and sum(ups.values()) <= k
+
+
+def _pair_memo(values: list, fn) -> Callable[[int, int], object]:
+    """(i, j) -> fn(values[i], values[j]), evaluated once per pair of
+    distinct values, in the order the pairs are first asked for."""
+    ids: dict = {}
+    index = [ids.setdefault(v, len(ids)) for v in values]
+    distinct = list(ids)
+    memo: dict = {}
+
+    def at(i: int, j: int):
+        key = (index[i], index[j])
+        if key not in memo:
+            memo[key] = fn(distinct[key[0]], distinct[key[1]])
+        return memo[key]
+
+    return at
 
 
 class Universe:
@@ -118,6 +189,7 @@ class Universe:
         self._matrix = None
         self._keyed: Optional[dict] = None
         self._signatures: set = set()
+        self._invariants = [_invariant(m.proc) for m in self.members]
         key = (self.members, config)
         if key not in _TABLES and len(_TABLES) >= _SHARED_LISTS:
             del _TABLES[next(iter(_TABLES))]
@@ -135,9 +207,20 @@ class Universe:
                 # every composite is in the pole; build none of them
                 self._matrix = [self.full_mask] * n
                 return self._matrix
+            k = getattr(self.pole, "k", None)
+            reachable = _pair_memo(
+                self._invariants,
+                lambda a, b: k is None or _may_reach_unit(_add(a, b), k))
+            fusion_half = self._fusion_half(
+                lambda p, q, config: nu_all(par(p, q, config), config))
             rows = [0] * n
             for i in range(n):
                 for j in range(i, n):
+                    if not reachable(i, j):
+                        # outside the pole; the composite's fusion steps
+                        # still run, so their errors are not lost
+                        fusion_half(i, j)
+                        continue
                     q = nu_all(par(self.members[i], self.members[j],
                                    self.config), self.config)
                     if self.pole(q):
@@ -145,6 +228,20 @@ class Universe:
                         rows[j] |= 1 << i
             self._matrix = rows
         return self._matrix
+
+    def _fusion_half(self, op) -> Callable[[int, int], Optional[Pwf]]:
+        """(i, j) -> op on the fusions of members i and j with NIL as
+        their processes, or None where that raises `PwfError`.  With no
+        process to act on, op runs exactly its fusion steps (joins,
+        relabellings, removals and the unrelabel fusion check), so it
+        raises what op raises on those fusions."""
+        def half(e: Fusion, f: Fusion) -> Optional[Pwf]:
+            try:
+                return op(Pwf(NIL, e), Pwf(NIL, f), self.config)
+            except PwfError:
+                return None
+
+        return _pair_memo([m.fus for m in self.members], half)
 
     # -- mask plumbing ------------------------------------------------
 
@@ -163,17 +260,17 @@ class Universe:
             raise ValueError("PWF is not a universe member")
         return mask.bit_length() - 1
 
-    def _signature(self, p: Pwf):
+    def _signature(self, p: Pwf, invariant: tuple):
         """Cheap invariants of the member key, and the fusion's
-        representative substitution σ: the action count, the classes of
-        the fusion endpoints and σ(fn P).  Congruence and substitution
-        keep the action count, and fn(σP) = σ(fn P), so PWFs with equal
-        keys have equal signatures."""
+        representative substitution σ: the action invariant, the classes
+        of the fusion endpoints and σ(fn P).  Congruence and substitution
+        keep the action invariant, and fn(σP) = σ(fn P), so PWFs with
+        equal keys have equal signatures."""
         class_of = _classes(p.fus, self.config)
         classes = frozenset(class_of(x) for x in p.fus.endpoints())
         sigma = canonical_subst(p.fus, self.config)
         free = frozenset(sigma.apply(x) for x in free_names(p.proc))
-        return (_actions(p.proc), classes, free), sigma
+        return (invariant, classes, free), sigma
 
     def _member_key(self, p: Pwf, signature, sigma):
         """Equality-respecting lookup key: the canonical form of the
@@ -186,13 +283,13 @@ class Universe:
         if self._keyed is None:
             self._keyed = {}
             for i, m in enumerate(self.members):
-                signature, sigma = self._signature(m)
+                signature, sigma = self._signature(m, self._invariants[i])
                 self._signatures.add(signature)
                 key = self._member_key(m, signature, sigma)
                 self._keyed.setdefault(key, i)
         mask = 0
         for p in pwfs:
-            signature, sigma = self._signature(p)
+            signature, sigma = self._signature(p, _invariant(p.proc))
             if not p.fus.families and signature not in self._signatures:
                 continue
             i = self._keyed.get(self._member_key(p, signature, sigma))
@@ -233,33 +330,41 @@ class Universe:
 
     # -- truth-value operations ---------------------------------------
 
-    def _table(self, label: str, op) -> list[list[Optional[int]]]:
-        """n x n table of member indices for the clipped binary image."""
+    def _table(self, label: str, op) -> list[list[tuple[int, int]]]:
+        """Per member i, the (bit of j, bit of the image) of every j whose
+        clipped image op(i, j) is a member.  Only pairs whose invariants
+        sum to a member's invariant, and whose fusion half succeeds, are
+        applied and clipped."""
         if label not in self._tables:
-            n = len(self.members)
-            table: list[list[Optional[int]]] = []
-            for a in self.members:
-                row: list[Optional[int]] = []
-                for b in self.members:
+            members, config = self.members, self.config
+            possible = set(self._invariants)
+            fits = _pair_memo(self._invariants,
+                              lambda a, b: _add(a, b) in possible)
+            fusion_half = self._fusion_half(op)
+            rows: list[list[tuple[int, int]]] = []
+            for i, a in enumerate(members):
+                row: list[tuple[int, int]] = []
+                for j, b in enumerate(members):
+                    if fusion_half(i, j) is None or not fits(i, j):
+                        continue
                     try:
-                        image = self.clip([op(a, b, self.config)])
+                        image = self.clip([op(a, b, config)])
                     except PwfError:
-                        image = 0
-                    row.append(image.bit_length() - 1 if image else None)
-                table.append(row)
-            self._tables[label] = table
+                        continue
+                    if image:
+                        row.append((1 << j, image))
+                rows.append(row)
+            self._tables[label] = rows
         return self._tables[label]
 
-    def _image(self, table, mask_a: int, mask_b: int) -> int:
+    def _image(self, rows, mask_a: int, mask_b: int) -> int:
         out = 0
-        n = len(self.members)
-        for i in range(n):
-            if not mask_a >> i & 1:
-                continue
-            row = table[i]
-            for j in range(n):
-                if mask_b >> j & 1 and row[j] is not None:
-                    out |= 1 << row[j]
+        while mask_a:
+            low = mask_a & -mask_a
+            for bit, image in rows[low.bit_length() - 1]:
+                if mask_b & bit:
+                    out |= image
+            mask_a ^= low
         return out
 
     def op_par(self, mask_a: int, mask_b: int) -> int:

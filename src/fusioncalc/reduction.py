@@ -90,14 +90,16 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
 
 
 def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
-                    start: Optional[Process] = None) -> bool:
-    """`reduces_within`, given `start = canonical(p.proc)` when the caller
-    has already computed it."""
+                    start: Optional[Process] = None,
+                    goal: Optional[Process] = None) -> bool:
+    """`reduces_within`, given `start = canonical(p.proc)` and
+    `goal = _form(target, config)` when the caller has already computed
+    them."""
     if not equal(p.fus, target.fus, config):
         return False
     sigma = canonical_subst(p.fus, config)
-    goal = canonical(substitute(target.proc,
-                                canonical_subst(target.fus, config)))
+    if goal is None:
+        goal = _form(target, config)
     if start is None:
         start = canonical(p.proc)
     frontier = [(start, p)]
@@ -118,6 +120,11 @@ def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
             return False
         frontier = next_frontier
     return False
+
+
+def _form(p: Pwf, config: Config) -> Process:
+    """The canonical process of p under its fusion's representatives."""
+    return canonical(substitute(p.proc, canonical_subst(p.fus, config)))
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

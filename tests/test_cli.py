@@ -133,3 +133,19 @@ def test_config_file_is_honoured(capsys, tmp_path):
     assert code == 0 and "class_budget=2048" in out and "nu_seed=np" in out
     code, _, err = run(capsys, "--set", "bogus=1", "laws")
     assert code == 2 and "error:" in err
+
+
+def test_search_budget_is_undecided_not_a_parse_error(capsys):
+    names = " ".join(str(x) for x in range(1, 10))
+    outputs = " | ".join(f"{x}!()" for x in range(1, 10))
+    literal = f"<new {names}. ({outputs}) ; {{}}>"
+    code, out, _ = run(capsys, "equal", literal, literal)
+    assert code == 3
+    assert out.startswith("undecided: canonicalization search space too large")
+    assert "budget 40320" in out
+
+
+def test_pole_laws_header_states_the_sample(capsys):
+    code, out, _ = run(capsys, "pole-laws", "--universe", "limit=20",
+                       "--samples", "3")
+    assert code == 0 and "# sampled laws: samples=3 seed=0" in out

@@ -1,17 +1,20 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fusioncalc import realizability
+from fusioncalc import pwf, realizability
 from fusioncalc.config import DEFAULT, Config
-from fusioncalc.fusion import DELTA, identity_I, parse_fusion
-from fusioncalc.process import NIL, Act
+from fusioncalc.fusion import (DELTA, InvalidFusionError, canonical_subst,
+                               identity_I, parse_fusion)
+from fusioncalc.process import NIL, Act, Nu, Par, canonical, substitute
 from fusioncalc.pwf import (Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                             parse_pwf, star)
 from fusioncalc.realizability import (UNIT_PWF, Universe, check_laws,
                                       default_universe, make_pole_done,
                                       parse_pole, pole_always)
-from fusioncalc.reduction import pole_regular_on
+from fusioncalc.reduction import pole_regular_on, reduces_within
 
 
 def small_universe(pole=pole_always, n=40):
@@ -63,6 +66,30 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
     # the key
     assert calls[:2] == [q.proc, UNIT_PWF.proc]
     assert calls.count(q.proc) == 1
+    # the goal form is kept per pole and config: later cache misses do
+    # not canonicalise NIL again
+    assert pole(parse_pwf("<1!() | 1?() ; {}>"))
+    assert pole(parse_pwf("<new 2. 2!() | 2?() ; {}>"))
+    assert calls.count(UNIT_PWF.proc) == 1
+
+
+def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
+        monkeypatch):
+    from fusioncalc import process, reduction
+    calls = []
+    original = process.canonical
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (process, reduction, realizability):
+        monkeypatch.setattr(module, "canonical", counting)
+    pole = make_pole_done(1)
+    for text in ("<0!() | 0!() ; {}>", "<0!() | 0?(1) ; {}>",
+                 "<0!().0?() | 0?().0!() ; {}>"):
+        assert not pole(parse_pwf(text))
+    assert calls == []
 
 
 def test_orthogonal_of_empty_is_everything():
@@ -203,6 +230,24 @@ def test_fast_path_covers_fused_and_family_images():
         assert u.clip([image]) == 1 << (len(members) - 1)
 
 
+def invariant(p):
+    """Action prefixes of a process counted by (polarity, arity)."""
+    if isinstance(p, Act):
+        return Counter({(p.polarity, len(p.bound)): 1}) + invariant(p.body)
+    if isinstance(p, Par):
+        return invariant(p.left) + invariant(p.right)
+    if isinstance(p, Nu):
+        return invariant(p.body)
+    return Counter()
+
+
+def reaches_nil_possibly(counts, k):
+    """Up and down actions pair off per arity, in at most k pairs."""
+    ups = {a: c for (pol, a), c in counts.items() if pol == "up"}
+    downs = {a: c for (pol, a), c in counts.items() if pol == "down"}
+    return ups == downs and sum(ups.values()) <= k
+
+
 def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     monkeypatch.setattr(realizability, "_TABLES", {})
     calls = []
@@ -215,13 +260,19 @@ def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     members = default_universe(1, 2, [DELTA], 10)
     n = len(members)
     full = (1 << n) - 1
+    possible = [invariant(m.proc) for m in members]
+    fitting = sum(1 for a in members for b in members
+                  if invariant(a.proc) + invariant(b.proc) in possible)
+    assert 0 < fitting < n * n
+    # the fitting pairs, and one fusion half for the one pair of fusions
+    built = fitting + 1
     images = []
     for pole in (pole_always, make_pole_done(2)):
         images.append(Universe(members, pole).op_par(full, full))
-        assert len(calls) == n * n
+        assert len(calls) == built
     other = Config(class_budget=2048)
     images.append(Universe(members, pole_always, other).op_par(full, full))
-    assert len(calls) == 2 * n * n and calls[-1] is other
+    assert len(calls) == 2 * built and calls[-1] is other
     assert images[0] == images[1] == images[2]
     for limit in range(2, 9):
         Universe(default_universe(1, 2, [DELTA], limit), pole_always)
@@ -237,3 +288,151 @@ def test_always_matrix_equals_the_pairwise_rows():
             if pole_always(nu_all(par(members[i], members[j]))):
                 rows[i] |= 1 << j
     assert Universe(members, pole_always).matrix() == rows
+
+
+def sandbox_members():
+    return default_universe(2, 3, [DELTA, parse_fusion("{0~1}")], 48)
+
+
+BINDING_MEMBERS = [parse_pwf("<0?(5).5!() ; {}>"),
+                   parse_pwf("<new 2. 2!(3) | 1?(4).4?() ; {0~1}>")]
+INVARIANT_POOL = (default_universe(2, 3, [DELTA, parse_fusion("{0~1}")], 160)
+                  + mixed_members() + BINDING_MEMBERS)
+INVARIANT_OPS = {label: op for label, (_, op) in TABLE_OPS.items()}
+
+
+@given(st.sampled_from(INVARIANT_POOL), st.sampled_from(INVARIANT_POOL),
+       st.sampled_from(sorted(INVARIANT_OPS)))
+@settings(max_examples=150, deadline=None)
+def test_images_have_the_summed_invariant(a, b, label):
+    expected = invariant(a.proc) + invariant(b.proc)
+    try:
+        image = INVARIANT_OPS[label](a, b)
+    except PwfError:
+        return
+    sigma = canonical_subst(image.fus)
+    for p in (image.proc, canonical(image.proc), substitute(image.proc, sigma),
+              nu_all(image).proc):
+        assert invariant(p) == expected
+        assert realizability._invariant(p) == tuple(sorted(expected.items()))
+
+
+def test_done_matrix_builds_only_balanced_composites(monkeypatch):
+    built = []
+
+    def recording_nu_all(p, config=DEFAULT):
+        built.append(p)
+        return nu_all(p, config)
+
+    monkeypatch.setattr(realizability, "nu_all", recording_nu_all)
+    members = sandbox_members()
+    Universe(members, make_pole_done(2)).matrix()
+    balanced = sum(1 for i, a in enumerate(members) for b in members[i:]
+                   if reaches_nil_possibly(invariant(Par(a.proc, b.proc)), 2))
+    # each balanced pair once, and one NIL stand-in for the fusion half of
+    # the skipped pairs: all 48 members are under Δ
+    assert {m.fus for m in members} == {DELTA}
+    assert len(built) == balanced + 1
+    assert balanced < len(members) ** 2 // 4
+    assert all(reaches_nil_possibly(invariant(p.proc), 2) for p in built)
+
+
+@pytest.mark.parametrize("k", [2, 4, 8])
+def test_done_pole_is_empty_off_balanced_small_terms(k):
+    members = sandbox_members()
+    pole = make_pole_done(k)
+    inside = 0
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            q = nu_all(par(a, b))
+            verdict = reduces_within(q, UNIT_PWF, k)
+            assert pole(q) == verdict, (a, b)
+            if verdict:
+                inside += 1
+                assert reaches_nil_possibly(invariant(q.proc), k), (a, b)
+    assert inside
+
+
+def reference_cells(members, op):
+    """The all-pairs loop: every image built and clipped."""
+    u = Universe(members, pole_always)
+    cells = {}
+    for a in members:
+        for b in members:
+            try:
+                image = u.clip([op(a, b)])
+            except PwfError:
+                image = 0
+            cells[a, b] = members[image.bit_length() - 1] if image else None
+    return cells
+
+
+def reference_orthogonal(members, k):
+    """The all-pairs matrix loop under a pole with no invariant test."""
+    pairs = set()
+    for i, a in enumerate(members):
+        for b in members[i:]:
+            if reduces_within(nu_all(par(a, b)), UNIT_PWF, k):
+                pairs |= {(a, b), (b, a)}
+    return pairs
+
+
+def reordered(members, seed):
+    out = list(members)
+    random.Random(seed).shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("universe", ["sandbox", "mixed"])
+def test_tables_and_matrix_match_the_all_pairs_loops(universe):
+    members = sandbox_members() if universe == "sandbox" else mixed_members()
+    orders = ([reordered(members, 11), reordered(members, 12)]
+              if universe == "sandbox" else [members])
+    cells = {label: reference_cells(members, op)
+             for label, op in INVARIANT_OPS.items()}
+    orthogonal = reference_orthogonal(members, 8)
+    for order in orders:
+        u = Universe(order, make_pole_done(8))
+        index = {m: 1 << i for i, m in enumerate(order)}
+        for label, (op_mask, _) in TABLE_OPS.items():
+            for a in order:
+                for b in order:
+                    expected = cells[label][a, b]
+                    assert op_mask(u, index[a], index[b]) == \
+                        (index[expected] if expected else 0), (label, a, b)
+        rng = random.Random(len(order))
+        for label, (op_mask, _) in TABLE_OPS.items():
+            for _ in range(20):
+                mask_a = rng.getrandbits(len(order))
+                mask_b = rng.getrandbits(len(order))
+                expected = 0
+                for a in u.subset_of(mask_a):
+                    for b in u.subset_of(mask_b):
+                        image = cells[label][a, b]
+                        expected |= index[image] if image else 0
+                assert op_mask(u, mask_a, mask_b) == expected, label
+        rows = u.matrix()
+        for i, a in enumerate(order):
+            assert rows[i] == sum(index[b] for b in order
+                                  if (a, b) in orthogonal)
+
+
+def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
+        monkeypatch):
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    members = [parse_pwf("<0!() ; {}>"), parse_pwf("<1!() ; {}>"),
+               parse_pwf("<0!() ; {0~1}>")]
+    possible = [invariant(m.proc) for m in members]
+    assert not any(invariant(a.proc) + invariant(b.proc) in possible
+                   for a in members for b in members)
+    assert Universe(members, pole_always).op_par(7, 7) == 0
+
+    def failing_join(e, f, config=DEFAULT):
+        raise InvalidFusionError("join produced an infinite class")
+
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    monkeypatch.setattr(pwf, "join", failing_join)
+    with pytest.raises(InvalidFusionError):
+        Universe(members, pole_always).op_par(7, 7)
+    with pytest.raises(InvalidFusionError):
+        Universe(members, make_pole_done(1)).matrix()
