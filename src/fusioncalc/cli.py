@@ -9,18 +9,19 @@ parse or validation errors, 3 when a valid input exceeds a search budget
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
 from . import calgebra, hy_encodings, mll, realizability
 from .config import DEFAULT, Config, parse_config_text
-from .fusion import (DELTA, FusionError, canonical_subst, class_of, equal,
-                     fusion_str, join, parse_fusion, remove, restrict)
+from .fusion import (DELTA, FusionError, class_of, equal, fusion_str, join,
+                     parse_fusion, remove, restrict)
 from .names import parse_nameset
-from .process import (ProcessError, SearchBudgetError, canonical,
-                      parse_process, process_str, substitute)
-from .pwf import (Pwf, PwfError, equal_pwf, nu_set, par, parse_pwf, pwf_str,
-                  star)
-from .reduction import step
+from .process import (ProcessError, SearchBudgetError, parse_process,
+                      process_str)
+from .pwf import (Pwf, PwfError, equal_pwf, normalize, nu_set, par, parse_pwf,
+                  pwf_str, star)
+from .reduction import reach
 
 _PARSE_ERRORS = (FusionError, PwfError, ProcessError, mll.MllError,
                  calgebra.ModelError, OSError, ValueError)
@@ -40,11 +41,6 @@ def _config_banner(config: Config) -> str:
     return (f"# config: class_budget={config.class_budget} "
             f"sample_bound={config.sample_bound} "
             f"nu_closure={config.nu_closure} nu_seed={config.nu_seed}")
-
-
-def _normalize(p: Pwf, config: Config) -> Pwf:
-    return Pwf(canonical(substitute(p.proc, canonical_subst(p.fus, config))),
-               p.fus)
 
 
 def _print_report(rows, fmt: str) -> bool:
@@ -77,7 +73,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_normalize(args) -> int:
     config = _config_from_args(args)
-    print(pwf_str(_normalize(parse_pwf(args.pwf), config)))
+    print(pwf_str(normalize(parse_pwf(args.pwf), config)))
     return 0
 
 
@@ -88,27 +84,16 @@ def _cmd_equal(args) -> int:
         print("equal")
         return 0
     print("not equal")
-    print(f"  left  normal form: {pwf_str(_normalize(left, config))}")
-    print(f"  right normal form: {pwf_str(_normalize(right, config))}")
+    print(f"  left  normal form: {pwf_str(normalize(left, config))}")
+    print(f"  right normal form: {pwf_str(normalize(right, config))}")
     return 1
 
 
 def _cmd_reduce(args) -> int:
     config = _config_from_args(args)
-    frontier = [parse_pwf(args.pwf)]
-    seen = {pwf_str(_normalize(frontier[0], config))}
-    reached: list[Pwf] = []
-    for _ in range(args.steps):
-        nxt = []
-        for p in frontier:
-            for q in step(p, config):
-                key = pwf_str(_normalize(q, config))
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(q)
-                    reached.append(q)
-        frontier = nxt
-    for line in sorted(pwf_str(_normalize(q, config)) for q in reached):
+    p = parse_pwf(args.pwf)
+    reached = itertools.islice(reach(p, args.steps, config), 1, None)
+    for line in sorted(pwf_str(Pwf(form, p.fus)) for form, _ in reached):
         print(line)
     return 0
 

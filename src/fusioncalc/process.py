@@ -143,6 +143,7 @@ def _avoid_capture(body: Process, bound: tuple[Name, ...],
 #                | ("par", (nodes...)) | ("nu", frozenset, node)
 
 _MAX_CANDIDATES = 40320
+_NIL_NODE = ("nil",)
 
 
 def _node_free(node) -> frozenset[Name]:
@@ -162,47 +163,54 @@ def _node_free(node) -> frozenset[Name]:
 
 
 def _simplify(p: Process, env: dict[Name, Name], counter: Iterator[Name]):
-    """Scope-maximal multiset form with every binder renamed apart.
+    """Scope-maximal multiset form with every binder renamed apart, and
+    its free names.
 
     Binders take the next counter name in pre-order; `env` maps the
     binders in scope to their new names, so free names stay as they are."""
     if isinstance(p, Nil):
-        return ("nil",)
+        return _NIL_NODE, frozenset()
     if isinstance(p, Act):
         fresh = tuple(next(counter) for _ in p.bound)
         inner = {**env, **dict(zip(p.bound, fresh))} if fresh else env
-        return ("act", env.get(p.subject, p.subject), p.polarity, fresh,
-                _simplify(p.body, inner, counter))
+        subject = env.get(p.subject, p.subject)
+        body, free = _simplify(p.body, inner, counter)
+        return (("act", subject, p.polarity, fresh, body),
+                free.difference(fresh) | {subject})
     if isinstance(p, Nu):
         fresh = next(counter)
-        body = _simplify(p.body, {**env, p.name: fresh}, counter)
+        body, free = _simplify(p.body, {**env, p.name: fresh}, counter)
         names = {fresh}
         if body[0] == "nu":
-            names |= set(body[1])
+            # the unwrapped binders are free in the inner body
+            names |= body[1]
+            free |= body[1]
             body = body[2]
-        names &= _node_free(body)
+        names &= free
         if not names:
-            return body
-        return ("nu", frozenset(names), body)
+            return body, free
+        return ("nu", frozenset(names), body), free - names
     if isinstance(p, Par):
         comps: list = []
         names: set[Name] = set()
+        free: frozenset[Name] = frozenset()
         for side in (p.left, p.right):
-            node = _simplify(side, env, counter)
+            node, side_free = _simplify(side, env, counter)
+            free |= side_free
             if node[0] == "nu":
-                names |= set(node[1])
+                names |= node[1]
+                free |= node[1]
                 node = node[2]
             if node[0] == "par":
                 comps.extend(node[1])
             elif node[0] != "nil":
                 comps.append(node)
         if not comps:
-            return ("nil",)
+            return _NIL_NODE, frozenset()
         inner = comps[0] if len(comps) == 1 else ("par", tuple(comps))
-        names &= _node_free(inner)
         if names:
-            return ("nu", frozenset(names), inner)
-        return inner
+            return ("nu", frozenset(names), inner), free - names
+        return inner, free
     raise ProcessError(f"unknown process node {p!r}")
 
 
@@ -211,7 +219,7 @@ def _simplify_apart(p: Process):
     of binders renamed."""
     start = max(all_names(p) | {0}) + 1
     counter = itertools.count(start)
-    node = _simplify(p, {}, counter)
+    node, _ = _simplify(p, {}, counter)
     return node, next(counter) - start
 
 

@@ -39,8 +39,9 @@ from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       substitute)
-from .pwf import Pwf, PwfError, bullet, equal_pwf, nu_all, par, star
-from .reduction import _form, _reduces_within
+from .pwf import (Pwf, PwfError, bullet, equal_pwf, normalize, nu_all, par,
+                  star)
+from .reduction import _reduces_within
 
 UNIT_PWF = Pwf(NIL, DELTA)
 
@@ -69,7 +70,7 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
         key = (start, q.fus)
         if key not in cache:
             if config not in goals:
-                goals[config] = _form(UNIT_PWF, config)
+                goals[config] = normalize(UNIT_PWF, config).proc
             cache[key] = _reduces_within(q, UNIT_PWF, k, config, start,
                                          goals[config])
         return cache[key]

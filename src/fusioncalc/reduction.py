@@ -1,4 +1,4 @@
-"""One-step reduction of processes with fusions.
+"""One-step reduction of processes with fusions, and the search over it.
 
 A redex is a pair of parallel components, possibly under restriction
 binders but never under a prefix, with opposite polarities, equal
@@ -7,18 +7,27 @@ communication arities, and subjects identified by the ambient fusion
 the pair to the communicated continuation under a shared bound vector;
 the fusion component is untouched.  Redexes are looked up on the
 components of `process.spine`, whose binders are renamed apart.
+
+`reach` searches in σ-normal form.  It substitutes the representatives
+of the fusion's classes (`canonical_subst`, σ) into the start term once;
+σ fixes every representative, so σ(σ(x)) = σ(x).  Fused subjects then
+have equal representatives, and a reduct's free names are among the
+start's, which σ already fixes.  So `canonical` of a reduct is at once
+the search's dedup key, the reduct's form up to the fusion (what
+`pwf.normalize` computes) and its line in the `fusioncalc reduce`
+listing: each reachable class is canonicalised once.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import Iterator, Optional
 
 from .config import DEFAULT, Config
 from .fusion import canonical_subst, equal, related
 from .process import (Act, Nu, Par, Process, all_names, canonical, spine,
                       substitute)
-from .pwf import Pwf, nu_all, par
+from .pwf import Pwf, normalize, nu_all, par
 from .subst import finite_subst
 
 
@@ -79,52 +88,53 @@ def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
     return Pwf(out, p.fus)
 
 
+def reach(p: Pwf, k: int, config: Config = DEFAULT,
+          start: Optional[Process] = None) -> Iterator[tuple[Process, Pwf]]:
+    """Each congruence class reachable from p in at most k steps, once,
+    as (σ-normal form, term), in breadth-first order starting with p's.
+
+    Under Δ, `start = canonical(p.proc)` may be passed when the caller has
+    already computed it; under any other fusion it is ignored."""
+    if not p.fus.is_delta():
+        p = Pwf(substitute(p.proc, canonical_subst(p.fus, config)), p.fus)
+        start = None
+    if start is None:
+        start = canonical(p.proc)
+    yield start, p
+    frontier = [p]
+    seen = {start}
+    keys = {p.proc: start}
+    for _ in range(k):
+        next_frontier = []
+        for q in frontier:
+            for key, r in _keyed_reducts(q, config, keys):
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append(r)
+                    yield key, r
+        frontier = next_frontier
+
+
 def reduces_within(p: Pwf, target: Pwf, k: int,
                    config: Config = DEFAULT) -> bool:
     """Whether p reaches a PWF equal to the target in at most k steps.
 
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
-    is decided once, and the target's canonical form is computed once.
-    Under Δ a term's dedup key is its equality form as well."""
+    is decided once, and the target's σ-normal form is computed once."""
     return _reduces_within(p, target, k, config)
 
 
 def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
                     start: Optional[Process] = None,
                     goal: Optional[Process] = None) -> bool:
-    """`reduces_within`, given `start = canonical(p.proc)` and
-    `goal = _form(target, config)` when the caller has already computed
-    them."""
+    """`reduces_within`, given `start = canonical(p.proc)` (used under Δ
+    only) and `goal = normalize(target, config).proc` when the caller has
+    already computed them."""
     if not equal(p.fus, target.fus, config):
         return False
-    sigma = canonical_subst(p.fus, config)
     if goal is None:
-        goal = _form(target, config)
-    if start is None:
-        start = canonical(p.proc)
-    frontier = [(start, p)]
-    seen = {start}
-    keys = {p.proc: start}
-    for _ in range(k + 1):
-        next_frontier = []
-        for key, q in frontier:
-            form = key if p.fus.is_delta() else canonical(
-                substitute(q.proc, sigma))
-            if form == goal:
-                return True
-            for rkey, r in _keyed_reducts(q, config, keys):
-                if rkey not in seen:
-                    seen.add(rkey)
-                    next_frontier.append((rkey, r))
-        if not next_frontier:
-            return False
-        frontier = next_frontier
-    return False
-
-
-def _form(p: Pwf, config: Config) -> Process:
-    """The canonical process of p under its fusion's representatives."""
-    return canonical(substitute(p.proc, canonical_subst(p.fus, config)))
+        goal = normalize(target, config).proc
+    return any(form == goal for form, _ in reach(p, k, config, start))
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

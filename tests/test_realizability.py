@@ -49,7 +49,7 @@ def test_done_pole_cache_keys_on_the_fusion():
 
 
 def test_done_pole_canonicalises_a_term_once(monkeypatch):
-    from fusioncalc import process, reduction
+    from fusioncalc import process, pwf, reduction
     calls = []
     original = process.canonical
 
@@ -57,7 +57,7 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
         calls.append(p)
         return original(p)
 
-    for module in (process, reduction, realizability):
+    for module in (process, pwf, reduction, realizability):
         monkeypatch.setattr(module, "canonical", counting)
     q = parse_pwf("<0!() | 0?() ; {}>")
     pole = make_pole_done(1)
@@ -75,7 +75,7 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
         monkeypatch):
-    from fusioncalc import process, reduction
+    from fusioncalc import process, pwf, reduction
     calls = []
     original = process.canonical
 
@@ -83,7 +83,7 @@ def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
         calls.append(p)
         return original(p)
 
-    for module in (process, reduction, realizability):
+    for module in (process, pwf, reduction, realizability):
         monkeypatch.setattr(module, "canonical", counting)
     pole = make_pole_done(1)
     for text in ("<0!() | 0!() ; {}>", "<0!() | 0?(1) ; {}>",

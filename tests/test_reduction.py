@@ -1,10 +1,16 @@
+from functools import reduce
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc.fusion import DELTA, Fusion
-from fusioncalc.process import NIL, Act
-from fusioncalc.pwf import Pwf, equal_pwf, nu_all, par, parse_pwf, pwf_str
-from fusioncalc.reduction import pole_regular_on, reduces_within, step
+from fusioncalc.cli import main
+from fusioncalc.config import DEFAULT
+from fusioncalc.fusion import DELTA, canonical_subst, parse_fusion
+from fusioncalc.process import NIL, Act, Nu, Par, canonical, free_names
+from fusioncalc.pwf import Pwf, equal_pwf, normalize, nu_all, parse_pwf, pwf_str
+from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
+                                  reduces_within, step)
+from reduction_reference import reference_listing, reference_reduces_within
 
 UNIT = parse_pwf("<1 ; {}>")
 
@@ -96,8 +102,10 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
     assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
 
 
-def test_reduces_within_canonicalises_each_term_once(monkeypatch):
-    from fusioncalc import process, reduction
+def _count_canonical(monkeypatch) -> list:
+    """Record the argument of every `canonical` call, in every module
+    that binds it."""
+    from fusioncalc import process, pwf, realizability, reduction
     calls = []
     original = process.canonical
 
@@ -105,11 +113,90 @@ def test_reduces_within_canonicalises_each_term_once(monkeypatch):
         calls.append(p)
         return original(p)
 
-    monkeypatch.setattr(process, "canonical", counting)
-    monkeypatch.setattr(reduction, "canonical", counting)
+    for module in (process, pwf, realizability, reduction):
+        monkeypatch.setattr(module, "canonical", counting)
+    return calls
+
+
+def test_reduces_within_canonicalises_each_term_once(monkeypatch):
+    calls = _count_canonical(monkeypatch)
     p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
                          " ; {0~2, 1~3}>"))
     assert reduces_within(p, UNIT, 4)
     # the start term, the target and 27 distinct reducts, each once
     assert len(calls) == len(set(calls)) == 29
     assert calls[:2] == [UNIT.proc, p.proc]
+
+
+@pytest.mark.parametrize("literal, steps, distinct", [
+    ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?() ; {0~2, 1~3}>",
+     4, 27),
+    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 7),
+])
+def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
+                                                  literal, steps, distinct):
+    calls = _count_canonical(monkeypatch)
+    assert main(["reduce", literal, "--steps", str(steps)]) == 0
+    # the start term and every distinct reduct, each once; the listing
+    # reuses the search's keys
+    assert len(calls) == len(set(calls)) == distinct
+
+
+_FUSIONS = ("{}", "{0~1}", "{0~2, 1~3}", "{[1 <-> 2]}", "{0~1, [1 <-> 2]}")
+
+
+@st.composite
+def _pwfs(draw):
+    """One or two action chains over subjects 0..3, each possibly with a
+    partner of opposite polarity and equal arity on a subject that some
+    fusion relates to it.  A prefix may bind 5, which the continuation may
+    use as its subject (a bound output); chains and the whole term may sit
+    under a restriction."""
+    subject = st.integers(0, 3)
+    polarity = st.sampled_from(["up", "down"])
+    tail = st.just(NIL) | st.builds(Act, st.integers(0, 5), polarity,
+                                    st.just(()), st.just(NIL))
+    comps = []
+    for _ in range(draw(st.integers(1, 2))):
+        act = draw(st.builds(Act, subject, polarity,
+                             st.sampled_from([(), (5,)]), tail))
+        chains = [act]
+        if draw(st.booleans()):
+            partner = draw(st.sampled_from([0, 1, 2]))
+            flip = "down" if act.polarity == "up" else "up"
+            chains.append(Act(act.subject ^ partner, flip, act.bound,
+                              draw(tail)))
+        comps.extend(Nu(draw(subject), c) if draw(st.booleans()) else c
+                     for c in chains)
+    if len(comps) == 1:
+        comps.append(draw(st.builds(Act, subject, polarity, st.just(()),
+                                    st.just(NIL))))
+    term = reduce(Par, comps)
+    if draw(st.booleans()):
+        term = Nu(draw(subject), term)
+    return Pwf(term, parse_fusion(draw(st.sampled_from(_FUSIONS))))
+
+
+@given(_pwfs(), st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_reach_matches_the_raw_reduct_searches(p, k):
+    sigma = canonical_subst(p.fus)
+    for x in free_names(p.proc):
+        assert sigma.apply(sigma.apply(x)) == sigma.apply(x)
+    found = list(reach(p, k))
+    forms = [form for form, _ in found]
+    assert len(set(forms)) == len(forms)
+    # each key is its term's form up to the fusion
+    assert forms[0] == normalize(p).proc
+    for form, q in found:
+        assert normalize(q).proc == form
+    listing = sorted(pwf_str(Pwf(form, p.fus)) for form in forms[1:])
+    assert listing == reference_listing(p, k)
+    targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA)] + step(p)[:2]
+    for target in targets:
+        for j in range(k + 1):
+            expected = reference_reduces_within(p, target, j)
+            assert reduces_within(p, target, j) == expected
+            # a precomputed start is the σ-form under Δ only
+            assert _reduces_within(p, target, j, DEFAULT,
+                                   canonical(p.proc)) == expected
