@@ -15,12 +15,12 @@ import sys
 from . import calgebra, hy_encodings, mll, realizability
 from .config import DEFAULT, Config, parse_config_text
 from .fusion import (DELTA, FusionError, class_of, equal, fusion_str, join,
-                     parse_fusion, remove, restrict)
+                     meet, parse_fusion, phi, remove, restrict)
 from .names import parse_nameset
 from .process import (ProcessError, SearchBudgetError, parse_process,
                       process_str)
-from .pwf import (Pwf, PwfError, equal_pwf, normalize, nu_set, par, parse_pwf,
-                  pwf_str, star)
+from .pwf import (Pwf, PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
+                  parse_pwf, pwf_str, star)
 from .reduction import reach
 
 _PARSE_ERRORS = (FusionError, PwfError, ProcessError, mll.MllError,
@@ -44,7 +44,6 @@ def _config_banner(config: Config) -> str:
 
 
 def _print_report(rows, fmt: str) -> bool:
-    all_ok = True
     for name, ok, witness in rows:
         verdict = "pass" if ok else "fail"
         if fmt == "tsv":
@@ -52,8 +51,7 @@ def _print_report(rows, fmt: str) -> bool:
         else:
             suffix = f"  [{witness}]" if witness else ""
             print(f"{verdict:4s}  {name}{suffix}")
-        all_ok = all_ok and ok
-    return all_ok
+    return calgebra.passed(rows)
 
 
 # -- commands ---------------------------------------------------------------
@@ -129,8 +127,7 @@ def _cmd_fusion(args) -> int:
     return 0
 
 
-_FUSION_ARITY = {"join": 2, "restrict": 2, "remove": 2, "class": 2,
-                 "equal": 2}
+_FUSION_OPS = ("class", "equal", "join", "remove", "restrict")
 
 
 def _cmd_star(args) -> int:
@@ -141,7 +138,7 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _parse_universe_spec(spec: str, config: Config):
+def _parse_universe_spec(spec: str):
     max_actions, names, limit = 2, 3, 160
     fusions = [DELTA, parse_fusion("{0~1}")]
     for part in filter(None, (s.strip() for s in spec.split(","))):
@@ -164,7 +161,7 @@ def _parse_universe_spec(spec: str, config: Config):
 
 def _cmd_pole_laws(args) -> int:
     config = _config_from_args(args)
-    members = _parse_universe_spec(args.universe or "", config)
+    members = _parse_universe_spec(args.universe or "")
     pole = realizability.parse_pole(args.pole)
     universe = realizability.Universe(members, pole, config)
     seed = 0
@@ -217,9 +214,9 @@ def _cmd_mll(args) -> int:
                 continue
             for proof_name, proof in proofs.items():
                 report = mll.check_soundness(proof, model)
-                bad = [r for r in report if not r[1]]
-                rows.append((f"{model_name}:{proof_name}", not bad,
-                             bad[0][2] if bad else ""))
+                rows.append(calgebra.first_witness(
+                    f"{model_name}:{proof_name}",
+                    (witness for _, ok, witness in report if not ok)))
         return 0 if _print_report(rows, args.format) else 1
     # extract
     try:
@@ -228,7 +225,7 @@ def _cmd_mll(args) -> int:
         print(f"invalid proof: {exc}")
         return 1
     print(_realizer_str(expr))
-    print(pwf_str(mll.evaluate_realizer(expr)))
+    print(pwf_str(mll.evaluate_realizer(expr, config)))
     return 0
 
 
@@ -257,7 +254,6 @@ def _cmd_laws(args) -> int:
         print(_config_banner(config))
     rows = []
 
-    from .fusion import meet, phi
     e, f, g = (parse_fusion(t) for t in ("{0~1}", "{1~2}", "{0~2}"))
     lattice_ok = (equal(join(e, f, config), join(f, e, config), config)
                   and equal(meet(e, join(e, f, config), config), e, config)
@@ -269,7 +265,6 @@ def _cmd_laws(args) -> int:
                  not equal(lhs, rhs, config), "join/meet distribute"
                  if equal(lhs, rhs, config) else ""))
 
-    from .pwf import as_pwf
     p = parse_pwf("<0!().1 ; {}>")
     q = parse_pwf("<2?().1 ; {0~3}>")
     adjoint_ok = equal_pwf(star(1, star(1, as_pwf(phi()), p, config), q,
@@ -285,8 +280,7 @@ def _cmd_laws(args) -> int:
                                       realizability.make_pole_done(8),
                                       config)
     law_rows = realizability.check_laws(universe, samples=6)
-    rows.append(("realizability-laws",
-                 all(ok for _, ok, _ in law_rows),
+    rows.append(("realizability-laws", calgebra.passed(law_rows),
                  "; ".join(n for n, ok, _ in law_rows if not ok)))
 
     for name in calgebra.shipped_model_names():
@@ -305,7 +299,7 @@ def _cmd_laws(args) -> int:
         if not calgebra.passed(calgebra.check_ca(model)):
             continue
         for proof in corpus.values():
-            if any(not ok for _, ok, _ in mll.check_soundness(proof, model)):
+            if not calgebra.passed(mll.check_soundness(proof, model)):
                 sound = False
     rows.append(("mll-corpus-soundness", sound, ""))
 
@@ -355,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_nu)
 
     p = sub.add_parser("fusion", help="fusion operations")
-    p.add_argument("op", choices=sorted(_FUSION_ARITY))
+    p.add_argument("op", choices=_FUSION_OPS)
     p.add_argument("args", nargs=2)
     p.set_defaults(func=_cmd_fusion)
 

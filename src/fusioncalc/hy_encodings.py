@@ -13,7 +13,7 @@ from __future__ import annotations
 from .config import DEFAULT, Config
 from .fusion import DELTA
 from .process import NIL, Act, Par
-from .pwf import Pwf, equal_pwf, par
+from .pwf import UNIT, Pwf, equal_pwf, par
 from .reduction import step
 
 
@@ -65,16 +65,15 @@ def check_hy_reductions(config: Config = DEFAULT
                         ) -> list[tuple[str, str, str]]:
     """One (label, verdict, detail) entry per combinator; verdicts are
     'pass', 'fail', or 'not-encodable'."""
-    unit = Pwf(NIL, DELTA)
     report: list[tuple[str, str, str]] = []
 
     ok = _reduces_to(par(encode("M", (0, 1)), encode("K", (0,)), config),
-                     unit, config)
+                     UNIT, config)
     report.append(("M", "pass" if ok else "fail",
                    "M(0,1) | K(0) steps to the terminated process"))
 
     ok = _reduces_to(par(encode("K", (0,)), encode("M", (0, 2)), config),
-                     unit, config)
+                     UNIT, config)
     report.append(("K", "pass" if ok else "fail",
                    "K(0) | M(0,x) steps to the terminated process"))
 

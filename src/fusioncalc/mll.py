@@ -18,9 +18,9 @@ from importlib import resources
 from typing import Optional, Union
 
 from .calgebra import Element, FinModel
-from .fusion import DELTA
-from .process import NIL
-from .pwf import Pwf, as_pwf, realizer_catalog, star
+from .config import DEFAULT, Config
+from .process import SearchBudgetError
+from .pwf import UNIT, Pwf, as_pwf, realizer_catalog, star
 
 
 class MllError(Exception):
@@ -427,18 +427,24 @@ def interpret_sequent(seq: Sequent, m: FinModel,
     return out
 
 
-def check_soundness(p: Proof, m: FinModel,
-                    max_assignments: int = 4096) -> list[tuple[str, bool, str]]:
+# assignments one soundness check may enumerate: 3 variables over 2^4
+MAX_ASSIGNMENTS = 4096
+
+
+def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
     """Conclusion interpretation lies in the separator for every
-    assignment over the carrier (exhaustive up to the cap)."""
+    assignment over the carrier, one report row per assignment.  Raises
+    `SearchBudgetError` when there are more than MAX_ASSIGNMENTS."""
     conclusion = check_proof(p)
     vars_ = sorted(set().union(*(free_vars(f) for f in conclusion))
                    if conclusion else set())
+    count = len(m.carrier) ** len(vars_)
+    if count > MAX_ASSIGNMENTS:
+        raise SearchBudgetError(
+            f"soundness check needs {count} assignments, budget "
+            f"{MAX_ASSIGNMENTS}")
     report: list[tuple[str, bool, str]] = []
-    assignments = itertools.product(m.carrier, repeat=len(vars_))
-    for count, values in enumerate(assignments):
-        if count >= max_assignments:
-            break
+    for values in itertools.product(m.carrier, repeat=len(vars_)):
         assign = dict(zip(vars_, values))
         value = interpret_sequent(conclusion, m, assign)
         ok = value in m.separator
@@ -520,15 +526,21 @@ def _extract(p: Proof) -> RealizerExpr:
     return Star1(out, _extract(p.sub))
 
 
-def evaluate_realizer(r: RealizerExpr) -> Pwf:
-    if isinstance(r, Const):
-        if r.label == "UNIT":
-            return Pwf(NIL, DELTA)
-        try:
-            return as_pwf(realizer_catalog()[r.label])
-        except KeyError:
-            raise MllError(f"unknown realizer constant {r.label}") from None
-    return star(1, evaluate_realizer(r.func), evaluate_realizer(r.arg))
+def evaluate_realizer(r: RealizerExpr, config: Config = DEFAULT) -> Pwf:
+    catalog = realizer_catalog()
+
+    def value(e: RealizerExpr) -> Pwf:
+        if isinstance(e, Const):
+            if e.label == "UNIT":
+                return UNIT
+            try:
+                return as_pwf(catalog[e.label])
+            except KeyError:
+                raise MllError(f"unknown realizer constant {e.label}") \
+                    from None
+        return star(1, value(e.func), value(e.arg), config)
+
+    return value(r)
 
 
 # ---------------------------------------------------------------------------

@@ -35,15 +35,14 @@ from __future__ import annotations
 import random
 from typing import Callable, Iterable, Optional
 
+from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
                       substitute)
-from .pwf import (Pwf, PwfError, bullet, equal_pwf, normalize, nu_all, par,
-                  star)
+from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, normalize, nu_all,
+                  par, star)
 from .reduction import _reduces_within
-
-UNIT_PWF = Pwf(NIL, DELTA)
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -70,8 +69,8 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
         key = (start, q.fus)
         if key not in cache:
             if config not in goals:
-                goals[config] = normalize(UNIT_PWF, config).proc
-            cache[key] = _reduces_within(q, UNIT_PWF, k, config, start,
+                goals[config] = normalize(UNIT, config).proc
+            cache[key] = _reduces_within(q, UNIT, k, config, start,
                                          goals[config])
         return cache[key]
 
@@ -322,9 +321,6 @@ class Universe:
     def biorthogonal_mask(self, mask: int) -> int:
         return self.orthogonal_mask(self.orthogonal_mask(mask))
 
-    def biorthogonal(self, subset: Iterable[Pwf]) -> list[Pwf]:
-        return self.subset_of(self.biorthogonal_mask(self.mask_of(subset)))
-
     def is_behaviour(self, subset: Iterable[Pwf]) -> bool:
         mask = self.mask_of(subset)
         return self.biorthogonal_mask(mask) == mask
@@ -391,7 +387,7 @@ class Universe:
             mask_a, self.orthogonal_mask(mask_b)))
 
     def op_one(self) -> int:
-        return self.biorthogonal_mask(self.clip([UNIT_PWF]))
+        return self.biorthogonal_mask(self.clip([UNIT]))
 
     def op_join(self, masks: Iterable[int]) -> int:
         union = 0
@@ -401,10 +397,12 @@ class Universe:
 
 
 def check_laws(u: Universe, samples: int = 24, seed: int = 0,
-               family_size: int = 3) -> list[tuple[str, bool, str]]:
+               family_size: int = 3) -> Report:
     """Evaluate the quantified laws over sampled subsets.  Returns
     (law, passed, witness-or-empty) triples; the report is
-    universe-relative by construction."""
+    universe-relative by construction.  Each law is a generator of
+    witnesses that draws its samples from the shared rng as it checks
+    them, so a law stops drawing at its first witness."""
     rng = random.Random(seed)
     n = len(u.members)
     full = u.full_mask
@@ -412,60 +410,52 @@ def check_laws(u: Universe, samples: int = 24, seed: int = 0,
     def rand_mask() -> int:
         return rng.getrandbits(n) & full
 
-    report: list[tuple[str, bool, str]] = []
+    def behaviour() -> int:
+        return u.biorthogonal_mask(rand_mask())
 
-    def law(name: str, witness: Optional[str]) -> None:
-        report.append((name, witness is None, witness or ""))
+    def union(masks: list[int]) -> int:
+        out = 0
+        for m in masks:
+            out |= m
+        return out
 
-    w = None
-    for _ in range(samples):
-        a = rand_mask()
-        if not (a & u.biorthogonal_mask(a)) == a:
-            w = f"A not within its biorthogonal: {bin(a)}"
-            break
-    law("subset-of-biorthogonal", w)
+    def subset_of_biorthogonal():
+        for _ in range(samples):
+            a = rand_mask()
+            if a & u.biorthogonal_mask(a) != a:
+                yield f"A not within its biorthogonal: {bin(a)}"
 
-    w = None
-    for _ in range(samples):
-        a = rand_mask()
-        if u.orthogonal_mask(a) != u.biorthogonal_mask(u.orthogonal_mask(a)):
-            w = f"triple orthogonal differs: {bin(a)}"
-            break
-    law("triple-orthogonal-collapse", w)
+    def triple_orthogonal():
+        for _ in range(samples):
+            a = rand_mask()
+            if u.orthogonal_mask(a) != \
+                    u.biorthogonal_mask(u.orthogonal_mask(a)):
+                yield f"triple orthogonal differs: {bin(a)}"
 
-    w = None
-    for _ in range(samples):
-        a = rand_mask()
-        b = a | rand_mask()
-        if u.orthogonal_mask(b) & u.orthogonal_mask(a) != u.orthogonal_mask(b):
-            w = f"orthogonal not antitone: {bin(a)} vs {bin(b)}"
-            break
-    law("orthogonal-antitone", w)
+    def antitone():
+        for _ in range(samples):
+            a = rand_mask()
+            b = a | rand_mask()
+            if u.orthogonal_mask(b) & u.orthogonal_mask(a) != \
+                    u.orthogonal_mask(b):
+                yield f"orthogonal not antitone: {bin(a)} vs {bin(b)}"
 
-    w = None
-    for _ in range(samples):
-        family = [rand_mask() for _ in range(family_size)]
-        union = 0
-        inter = full
-        for m in family:
-            union |= m
-            inter &= u.orthogonal_mask(m)
-        if u.orthogonal_mask(union) != inter:
-            w = "orthogonal of union differs from intersection"
-            break
-    law("union-orthogonal-is-intersection", w)
+    def orthogonal_of_union():
+        for _ in range(samples):
+            family = [rand_mask() for _ in range(family_size)]
+            inter = full
+            for m in family:
+                inter &= u.orthogonal_mask(m)
+            if u.orthogonal_mask(union(family)) != inter:
+                yield "orthogonal of union differs from intersection"
 
-    w = None
-    for _ in range(samples):
-        a = u.biorthogonal_mask(rand_mask())
-        family = [u.biorthogonal_mask(rand_mask())
-                  for _ in range(family_size)]
-        lhs = u.op_tensor(a, u.op_join(family))
-        rhs = u.op_join([u.op_tensor(a, b) for b in family])
-        if lhs != rhs:
-            w = "tensor does not distribute over join"
-            break
-    law("tensor-over-join", w)
+    def tensor_over_join():
+        for _ in range(samples):
+            a = behaviour()
+            family = [behaviour() for _ in range(family_size)]
+            if u.op_tensor(a, u.op_join(family)) != \
+                    u.op_join([u.op_tensor(a, b) for b in family]):
+                yield "tensor does not distribute over join"
 
     # Parallel/join compatibility at the union level: the join of the
     # componentwise parallel images is the closure of the parallel image
@@ -473,31 +463,30 @@ def check_laws(u: Universe, samples: int = 24, seed: int = 0,
     # inclusion that starts from the closed join needs composition
     # witnesses the finite member list cannot supply, so it is not a
     # universe-relative law.
-    w = None
-    for _ in range(samples):
-        a = rand_mask()
-        family = [rand_mask() for _ in range(family_size)]
-        union = 0
-        for m in family:
-            union |= m
-        image = u.op_par(union, a)
-        joined = u.op_join([u.op_par(b, a) for b in family])
-        if joined != u.biorthogonal_mask(image) or image & joined != image:
-            w = "join of parallel images is not the closed union image"
-            break
-    law("parallel-join-compatibility", w)
+    def parallel_join():
+        for _ in range(samples):
+            a = rand_mask()
+            family = [rand_mask() for _ in range(family_size)]
+            image = u.op_par(union(family), a)
+            joined = u.op_join([u.op_par(b, a) for b in family])
+            if joined != u.biorthogonal_mask(image) or \
+                    image & joined != image:
+                yield "join of parallel images is not the closed union image"
 
-    w = None
-    for _ in range(samples):
-        a = u.biorthogonal_mask(rand_mask())
-        b = u.biorthogonal_mask(rand_mask())
-        c = u.biorthogonal_mask(rand_mask())
-        left = u.op_star(1, c, a) & b == u.op_star(1, c, a)
-        right = c & u.op_arrow(a, b) == c
-        if left != right:
-            w = (f"adjunction mismatch on sampled behaviours "
-                 f"{bin(a)},{bin(b)},{bin(c)}")
-            break
-    law("star-arrow-adjunction", w)
+    def star_arrow():
+        for _ in range(samples):
+            a, b, c = behaviour(), behaviour(), behaviour()
+            applied = u.op_star(1, c, a)
+            if (applied & b == applied) != (c & u.op_arrow(a, b) == c):
+                yield (f"adjunction mismatch on sampled behaviours "
+                       f"{bin(a)},{bin(b)},{bin(c)}")
 
-    return report
+    return [
+        first_witness("subset-of-biorthogonal", subset_of_biorthogonal()),
+        first_witness("triple-orthogonal-collapse", triple_orthogonal()),
+        first_witness("orthogonal-antitone", antitone()),
+        first_witness("union-orthogonal-is-intersection",
+                      orthogonal_of_union()),
+        first_witness("tensor-over-join", tensor_over_join()),
+        first_witness("parallel-join-compatibility", parallel_join()),
+        first_witness("star-arrow-adjunction", star_arrow())]

@@ -38,9 +38,6 @@ class Substitution:
                         f"overlapping remap domains {word_str(u)} / {word_str(u2)}")
         object.__setattr__(self, "word_remaps", remaps)
 
-    def as_dict(self) -> dict[Name, Name]:
-        return dict(self._table)
-
     def apply(self, x: Name) -> Name:
         if x in self._table:
             return self._table[x]
@@ -52,13 +49,6 @@ class Substitution:
 
     def __call__(self, x: Name) -> Name:
         return self.apply(x)
-
-    def is_identity_on(self, x: Name) -> bool:
-        return self.apply(x) == x
-
-    def support_hint(self) -> frozenset[Name]:
-        """The finite-map keys; word remaps act beyond this set."""
-        return frozenset(k for k, _ in self.finite_map)
 
     def __str__(self) -> str:
         fin = ", ".join(f"{k}:={v}" for k, v in self.finite_map)

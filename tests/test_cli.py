@@ -149,3 +149,20 @@ def test_pole_laws_header_states_the_sample(capsys):
     code, out, _ = run(capsys, "pole-laws", "--universe", "limit=20",
                        "--samples", "3")
     assert code == 0 and "# sampled laws: samples=3 seed=0" in out
+
+
+def test_mll_extract_honours_the_config(capsys):
+    code, out, err = run(capsys, "--set", "class_budget=1", "mll", "extract",
+                         "(tensor (ax X) (ax Y))")
+    assert code == 2 and "error:" in err
+    assert out.splitlines()[0].startswith("((((COMP *1 ASSOC_R)")
+
+
+def test_mll_sound_over_the_assignment_budget_is_undecided(capsys):
+    proof = "(ax X1)"
+    for i in range(2, 8):
+        proof = f"(tensor {proof} (ax X{i}))"
+    code, out, _ = run(capsys, "mll", "sound", proof)
+    assert code == 3
+    assert out.splitlines()[-1] == (
+        "undecided: soundness check needs 16384 assignments, budget 4096")

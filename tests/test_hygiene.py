@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is used by that module."""
+"""Source hygiene: every name a module imports is used by that module,
+and every function, method and module constant of the package is
+referenced from the package, its tests or the benchmark."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,9 @@ import fusioncalc
 
 PACKAGE = Path(fusioncalc.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "perfbench")
+                 for p in (ROOT / d).rglob("*.py"))
 
 
 def _exported(tree: ast.Module) -> set[str]:
@@ -55,3 +60,65 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions, methods (as Class.name) and module-level
+    assigned names, dunders left out."""
+    out: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out.append(node.name)
+        elif isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            out += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in out
+            if not (name.split(".")[-1].startswith("__")
+                    and name.endswith("__"))]
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names read, attributes, imported names, and the identifiers in
+    string constants (the benchmark names the entry points it wraps)."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out |= {word for word in node.value.replace(".", " ").split()
+                    if word.isidentifier()}
+    return out
+
+
+def unreferenced(source: str, used: set[str]) -> list[str]:
+    return [name for name in definitions(ast.parse(source))
+            if name.split(".")[-1] not in used]
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    module = ("LIMIT = 3\n"
+              "def used(): return LIMIT\n"
+              "def unused(): pass\n"
+              "class C:\n"
+              "    def __init__(self): pass\n"
+              "    def method(self): pass\n"
+              "    def spanned(self): pass\n")
+    caller = "from m import used\nused()\nNAMES = ('C.spanned',)\n"
+    used = references(ast.parse(module)) | references(ast.parse(caller))
+    assert unreferenced(module, used) == ["unused", "C.method"]
+
+
+def test_every_definition_is_referenced():
+    assert len(SOURCES) > len(MODULES)
+    used = set().union(*(references(ast.parse(p.read_text()))
+                         for p in SOURCES))
+    assert {path.name: unreferenced(path.read_text(), used)
+            for path in MODULES} == {path.name: [] for path in MODULES}

@@ -1,15 +1,16 @@
 import pytest
 
 from fusioncalc.calgebra import load_model
-from fusioncalc.fusion import DELTA, identity_I
-from fusioncalc.mll import (Ax, Const, Cut, Exists, Join, MllError, One,
-                            OneIntro, Perp, ProofError, Star1, Tensor, Var,
-                            check_proof, check_soundness, evaluate_realizer,
-                            extract_realizer, formula_str, free_vars,
-                            interpret, interpret_sequent, load_corpus,
-                            parse_formula, parse_proof, sequent_str,
-                            subst_formula)
-from fusioncalc.process import NIL, struct_eq
+from fusioncalc.config import DEFAULT
+from fusioncalc.fusion import DELTA, FusionError, identity_I
+from fusioncalc.mll import (MAX_ASSIGNMENTS, Ax, Const, Cut, Exists, Join,
+                            MllError, One, OneIntro, Perp, ProofError, Star1,
+                            Tensor, Var, check_proof, check_soundness,
+                            evaluate_realizer, extract_realizer, formula_str,
+                            free_vars, interpret, interpret_sequent,
+                            load_corpus, parse_formula, parse_proof,
+                            sequent_str, subst_formula)
+from fusioncalc.process import NIL, SearchBudgetError, struct_eq
 from fusioncalc.pwf import Pwf, as_pwf, equal_pwf
 
 
@@ -138,3 +139,29 @@ def test_extraction_total_deterministic_and_pure():
 def test_extraction_requires_valid_proof():
     with pytest.raises(ProofError):
         extract_realizer(parse_proof("(cut (ax X) (ax Y) X)"))
+
+
+def axioms_tensor(k):
+    """A proof whose conclusion has k formula variables, X1..Xk."""
+    proof = "(ax X1)"
+    for i in range(2, k + 1):
+        proof = f"(tensor {proof} (ax X{i}))"
+    return parse_proof(proof)
+
+
+def test_soundness_decides_up_to_the_assignment_budget():
+    m = load_model("boolean4")
+    report = check_soundness(axioms_tensor(6), m)
+    assert len(report) == 4 ** 6 == MAX_ASSIGNMENTS
+    assert all(ok for _, ok, _ in report)
+    with pytest.raises(SearchBudgetError,
+                       match="needs 16384 assignments, budget 4096"):
+        check_soundness(axioms_tensor(7), m)
+
+
+def test_evaluate_realizer_honours_the_config():
+    expr = extract_realizer(parse_proof("(tensor (ax X) (ax Y))"))
+    assert equal_pwf(evaluate_realizer(expr),
+                     evaluate_realizer(expr, DEFAULT))
+    with pytest.raises(FusionError):
+        evaluate_realizer(expr, DEFAULT.with_options(class_budget=1))

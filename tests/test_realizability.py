@@ -9,11 +9,10 @@ from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (DELTA, InvalidFusionError, canonical_subst,
                                identity_I, parse_fusion)
 from fusioncalc.process import NIL, Act, Nu, Par, canonical, substitute
-from fusioncalc.pwf import (Pwf, PwfError, bullet, equal_pwf, nu_all, par,
-                            parse_pwf, star)
-from fusioncalc.realizability import (UNIT_PWF, Universe, check_laws,
-                                      default_universe, make_pole_done,
-                                      parse_pole, pole_always)
+from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
+                            par, parse_pwf, star)
+from fusioncalc.realizability import (Universe, check_laws, default_universe,
+                                      make_pole_done, parse_pole, pole_always)
 from fusioncalc.reduction import pole_regular_on, reduces_within
 
 
@@ -36,7 +35,7 @@ def test_default_universe_is_deterministic_and_deduplicated():
 def test_parse_pole():
     assert parse_pole("always") is pole_always
     pole = parse_pole("done:2")
-    assert pole(UNIT_PWF)
+    assert pole(UNIT)
     assert not pole(parse_pwf("<0!() ; {}>"))
     with pytest.raises(ValueError):
         parse_pole("sometimes")
@@ -64,13 +63,13 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
     assert pole(q)
     # the cache key, then the target; the start of the search reuses
     # the key
-    assert calls[:2] == [q.proc, UNIT_PWF.proc]
+    assert calls[:2] == [q.proc, UNIT.proc]
     assert calls.count(q.proc) == 1
     # the goal form is kept per pole and config: later cache misses do
     # not canonicalise NIL again
     assert pole(parse_pwf("<1!() | 1?() ; {}>"))
     assert pole(parse_pwf("<new 2. 2!() | 2?() ; {}>"))
-    assert calls.count(UNIT_PWF.proc) == 1
+    assert calls.count(UNIT.proc) == 1
 
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
@@ -99,7 +98,7 @@ def test_orthogonal_of_empty_is_everything():
 
 def test_orthogonal_is_antitone():
     u = small_universe(make_pole_done(4), 30)
-    some = u.clip([parse_pwf("<0!() ; {}>"), UNIT_PWF])
+    some = u.clip([parse_pwf("<0!() ; {}>"), UNIT])
     assert u.orthogonal_mask(u.full_mask) & u.orthogonal_mask(some) == \
         u.orthogonal_mask(u.full_mask)
 
@@ -124,7 +123,7 @@ def test_biorthogonal_closure_properties():
 
 def test_one_contains_unit():
     u = small_universe(make_pole_done(4), 30)
-    assert u.op_one() & u.clip([UNIT_PWF]) == u.clip([UNIT_PWF])
+    assert u.op_one() & u.clip([UNIT]) == u.clip([UNIT])
 
 
 def test_tensor_monotone_under_argument_closure():
@@ -137,6 +136,20 @@ def test_tensor_monotone_under_argument_closure():
         b = rng.getrandbits(len(u.members)) & u.full_mask
         closed = u.op_tensor(u.biorthogonal_mask(a), u.biorthogonal_mask(b))
         assert u.op_tensor(a, b) & closed == u.op_tensor(a, b)
+
+
+def test_parr_is_the_dual_of_tensor():
+    # on single members, where the orthogonals are large enough for the
+    # images to vary
+    u = small_universe(make_pole_done(4), 30)
+    orth = u.orthogonal_mask
+    images = set()
+    for i in range(len(u.members)):
+        for j in range(len(u.members)):
+            a, b = 1 << i, 1 << j
+            images.add(u.op_parr(a, b))
+            assert u.op_parr(a, b) == orth(u.op_tensor(orth(a), orth(b)))
+    assert len(images) > 2
 
 
 def test_arrow_star_adjunction_on_behaviours():
@@ -345,7 +358,7 @@ def test_done_pole_is_empty_off_balanced_small_terms(k):
     for i, a in enumerate(members):
         for b in members[i:]:
             q = nu_all(par(a, b))
-            verdict = reduces_within(q, UNIT_PWF, k)
+            verdict = reduces_within(q, UNIT, k)
             assert pole(q) == verdict, (a, b)
             if verdict:
                 inside += 1
@@ -372,7 +385,7 @@ def reference_orthogonal(members, k):
     pairs = set()
     for i, a in enumerate(members):
         for b in members[i:]:
-            if reduces_within(nu_all(par(a, b)), UNIT_PWF, k):
+            if reduces_within(nu_all(par(a, b)), UNIT, k):
                 pairs |= {(a, b), (b, a)}
     return pairs
 
