@@ -14,8 +14,9 @@ import sys
 
 from . import calgebra, hy_encodings, mll, realizability
 from .config import DEFAULT, Config, parse_config_text
-from .fusion import (DELTA, FusionError, class_of, equal, fusion_str, join,
-                     meet, parse_fusion, phi, remove, restrict)
+from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
+                     fusion_str, join, meet, parse_fusion, phi, remove,
+                     restrict)
 from .names import parse_nameset
 from .process import (ProcessError, SearchBudgetError, parse_process,
                       process_str)
@@ -39,7 +40,6 @@ def _config_from_args(args) -> Config:
 
 def _config_banner(config: Config) -> str:
     return (f"# config: class_budget={config.class_budget} "
-            f"sample_bound={config.sample_bound} "
             f"nu_closure={config.nu_closure} nu_seed={config.nu_seed}")
 
 
@@ -402,6 +402,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SearchBudgetError as exc:
         print(f"undecided: {exc}")
+        return 3
+    except ClassBudgetError as exc:
+        print(f"undecided: {exc} (class_budget={exc.budget})")
         return 3
     except _PARSE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

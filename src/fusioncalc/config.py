@@ -1,8 +1,11 @@
-"""Runtime knobs for the budgeted/sampled parts of the calculus.
+"""Runtime knobs of the calculus.
 
-Every approximate verdict in the package (class finiteness, family
-subsumption, the choice of nu semantics) is controlled from here so
-reports can state exactly which limits were in force.
+`class_budget` bounds every class walk: a class that reaches it may be
+infinite or only large, and the operation raises `ClassBudgetError`
+(undecided, exit 3 at the CLI).  Family subsumption, equality and meet
+are decided exactly and take no knob.  `nu_closure` and `nu_seed`
+choose the nu semantics.  Reports echo these values, so they state
+exactly which limits were in force.
 """
 
 from __future__ import annotations
@@ -13,13 +16,12 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Config:
     class_budget: int = 1024
-    sample_bound: int = 256
     nu_closure: str = "literal"  # or "class-closure"
     nu_seed: str = "fn"  # or "np"
 
     def __post_init__(self) -> None:
-        if self.class_budget < 1 or self.sample_bound < 1:
-            raise ValueError("config limits must be positive")
+        if self.class_budget < 1:
+            raise ValueError("class_budget must be positive")
         if self.nu_closure not in ("literal", "class-closure"):
             raise ValueError(f"unknown nu_closure {self.nu_closure!r}")
         if self.nu_seed not in ("fn", "np"):
@@ -43,7 +45,7 @@ def parse_config_text(text: str, base: Config = DEFAULT) -> Config:
             raise ValueError(f"bad config line: {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in ("class_budget", "sample_bound"):
+        if key == "class_budget":
             kw[key] = int(value)
         elif key in ("nu_closure", "nu_seed"):
             kw[key] = value

@@ -6,15 +6,42 @@ finite set of "family" generators (w1, w2), each denoting the pairs
 reflexive-symmetric-transitive closure.  Classes are walked by bounded
 BFS, each class once per operation (`_classes` remembers a walked class
 for all its members until the operation returns), with family steps done
-as affine arithmetic on names.  The family part can be re-expressed as a
-partition into parametric classes (a base residue plus the closed set of
-words reached from it), which is what makes restriction representable.
+as affine arithmetic on names.
+
+A family generator rewrites a low-order word suffix and keeps n, so the
+family part is a suffix-rewriting system on words.  A word v is stable
+when no family word has it as a proper suffix; then every generator
+applies to all of tag(., v) or to none of it, and if the words reached
+from v are stable too, the family class of tag(n, v) is
+{tag(n, u) | u in W} for every n, n = 0 included (`_word_class`).
+Splitting a word by its leading letters (`_regions`) reaches such words,
+and `family_partition` lists them for the whole family part.  For
+n >= 1, tag(n, .) is injective on words, and a class that holds none of
+the finitely many endpoints is a pure family class; only n = 0 can make
+two words of one region name the same name.  The operations are
+decided from this:
+
+- `validate`: the classes of the endpoints are walked and the family
+  partition is built; every other class is a family class of the
+  partition, so nothing else can exceed the budget.
+- `equal`: finite pairs are walked; a family generator (w1, w2) is
+  implied by the other side iff in every region r of w1, r + w2 lies in
+  the word class of r + w1.  Otherwise every tag(n, r + w1) whose class
+  holds no endpoint is a witness, and all but finitely many n are.
+- `meet`: its family part is the shared families.  In every region the
+  two word classes must meet in the shared one, or infinitely many pairs
+  lie outside it (`NotRepresentableError`); the finitely many classes
+  that still differ are the endpoint classes and the n = 0 names of the
+  regions, walked concretely.
+
+The family partition (base residues plus the closed sets of words
+reached from them) is also what makes restriction representable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
@@ -27,7 +54,16 @@ class FusionError(Exception):
 
 
 class InvalidFusionError(FusionError):
-    """A class exceeded the configured budget (infinite class suspected)."""
+    """The generators do not describe a fusion: some class is infinite."""
+
+
+class ClassBudgetError(InvalidFusionError):
+    """A class walk reached `class_budget` members.  The class may be
+    infinite or only larger than the budget, so the verdict is undecided."""
+
+    def __init__(self, message: str, budget: int) -> None:
+        super().__init__(message)
+        self.budget = budget
 
 
 class NotRepresentableError(FusionError):
@@ -147,8 +183,8 @@ def _classes(e: Fusion, config: Config = DEFAULT
             for z in neighbors:
                 if z not in seen:
                     if len(seen) >= budget:
-                        raise InvalidFusionError(
-                            f"class of {x} exceeds budget {budget}")
+                        raise ClassBudgetError(
+                            f"class of {x} exceeds budget {budget}", budget)
                     seen.add(z)
                     frontier.append(z)
         cls = frozenset(seen)
@@ -176,25 +212,39 @@ def second_rep(e: Fusion, x: Name, config: Config = DEFAULT) -> Name:
 
 
 def validate(e: Fusion, config: Config = DEFAULT) -> bool:
-    probes: set[Name] = set(e.endpoints())
-    for w1, w2 in e.families:
-        for n in range(config.sample_bound):
-            probes.add(tag(n, w1))
     try:
-        classes = _classes(e, config)
-        for p in sorted(probes):
-            classes(p)
-        family_partition(e.families, config)
+        _check(e, config)
     except InvalidFusionError:
         return False
     return True
 
 
+def _check(e: Fusion, config: Config) -> None:
+    """Raise InvalidFusionError unless every class of e is within budget.
+
+    A class that holds no endpoint is a family class of the partition,
+    which `family_partition` bounds, so only endpoint classes are walked."""
+    classes = _classes(e, config)
+    for x in sorted(e.endpoints()):
+        classes(x)
+    family_partition(e.families, config)
+
+
+def _valid(e: Fusion, config: Config, message: str) -> Fusion:
+    """e, or InvalidFusionError(message); an exhausted budget is raised
+    as itself, since it leaves the verdict undecided."""
+    try:
+        _check(e, config)
+    except ClassBudgetError:
+        raise
+    except InvalidFusionError:
+        raise InvalidFusionError(message) from None
+    return e
+
+
 def join(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
-    result = Fusion(e.pairs | f.pairs, e.families | f.families)
-    if not validate(result, config):
-        raise InvalidFusionError("join produced an infinite class")
-    return result
+    return _valid(Fusion(e.pairs | f.pairs, e.families | f.families), config,
+                  "join produced an infinite class")
 
 
 def join_all(fusions: Iterable[Fusion], config: Config = DEFAULT) -> Fusion:
@@ -203,43 +253,98 @@ def join_all(fusions: Iterable[Fusion], config: Config = DEFAULT) -> Fusion:
     for e in fusions:
         pairs |= e.pairs
         families |= e.families
-    result = Fusion(frozenset(pairs), frozenset(families))
-    if not validate(result, config):
-        raise InvalidFusionError("join produced an infinite class")
-    return result
+    return _valid(Fusion(frozenset(pairs), frozenset(families)), config,
+                  "join produced an infinite class")
 
 
 def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
-    """Lattice meet: the intersection of the two relations."""
+    """Lattice meet: the intersection of the two relations, presented as
+    the shared families plus finite pairs (see the module docstring)."""
     families = e.families & f.families
+    shared = _suffix_rules(families)
     e_cls, f_cls = _classes(e, config), _classes(f, config)
     shared_cls = _classes(Fusion(families=families), config)
-    support: set[Name] = set()
-    for x in set(e.endpoints()) | set(f.endpoints()):
-        support |= e_cls(x) | f_cls(x)
-    # family instances of one side that the other side also relates, and
-    # that the shared families do not already cover
-    extra: set[tuple[Name, Name]] = set()
-    for w1, w2 in (e.families | f.families) - families:
-        for n in range(config.sample_bound):
-            a, b = tag(n, w1), tag(n, w2)
-            if a != b and b in e_cls(a) and b in f_cls(a) \
-                    and b not in shared_cls(a):
-                extra.add(_name_pair(a, b))
-        if len(extra) > 4 * len(support) + 64:
-            raise NotRepresentableError(
-                "meet of family parts has no finite generator set")
-    pairs = set(extra)
-    support = sorted(support)
-    for i, a in enumerate(support):
-        for b in support[i + 1:]:
-            if b in e_cls(a) and b in f_cls(a):
-                pairs.add(_name_pair(a, b))
+    probes = {x for p in e.endpoints() for x in e_cls(p)}
+    probes |= {x for p in f.endpoints() for x in f_cls(p)}
+    for w in sorted({w for pair in e.families for w in pair}):
+        for r, e_words in _regions(e.families, w, config):
+            for s, f_words in _regions(f.families, r + w, config):
+                v = s + r + w
+                both = f_words.intersection(s + u for u in e_words)
+                if both != _word_class(shared, v, config.class_budget):
+                    raise NotRepresentableError(
+                        "meet of family parts has no finite generator set")
+                probes.add(tag(0, v))
+    pairs: set[tuple[Name, Name]] = set()
+    for x in probes:
+        cls = sorted(e_cls(x) & f_cls(x))
+        if len(cls) > len(shared_cls(x)):
+            pairs.update(zip(cls, cls[1:]))
     return Fusion(frozenset(pairs), families)
 
 
 # ---------------------------------------------------------------------------
 # parametric classes of the family part
+
+def _suffix_rules(families: frozenset[tuple[Word, Word]]) -> tuple:
+    """The family generators as suffix rewrites in both directions, by
+    left-hand word and by its length, and the unstable words: the proper
+    suffixes of family words, under which it depends on n which
+    generators apply to tag(n, v)."""
+    rules: dict[Word, list[Word]] = {}
+    for w1, w2 in families:
+        rules.setdefault(w1, []).append(w2)
+        rules.setdefault(w2, []).append(w1)
+    unstable = {w[k:] for w in rules for k in range(1, len(w) + 1)}
+    return rules, sorted({len(w) for w in rules}), unstable
+
+
+def _word_class(system: tuple, u: Word, budget: int
+                ) -> frozenset[Word] | None:
+    """The words reached from u by the rewrites of `system`
+    (`_suffix_rules`), or None when u or one of them is unstable."""
+    rules, lengths, unstable = system
+    if u in unstable:
+        return None
+    cls = {u}
+    frontier = [u]
+    while frontier:
+        v = frontier.pop()
+        for k in lengths:
+            if k > len(v):
+                break
+            stem = v[:len(v) - k]
+            for b in rules.get(v[len(v) - k:], ()):
+                nv = stem + b
+                if nv not in cls:
+                    if len(cls) >= budget:
+                        raise ClassBudgetError(
+                            f"family class of @{word_str(u)} exceeds "
+                            f"budget {budget}", budget)
+                    cls.add(nv)
+                    frontier.append(nv)
+    if not unstable.isdisjoint(cls):
+        return None
+    return frozenset(cls)
+
+
+def _regions(families: frozenset[tuple[Word, Word]], w: Word,
+             config: Config) -> Iterator[tuple[Word, frozenset[Word]]]:
+    """Split the names tag(n, w) into regions tag(m, r + w) whose family
+    class is uniform in m: yields each r with the word class of r + w."""
+    system = _suffix_rules(families)
+    max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
+    stack: list[Word] = [()]
+    while stack:
+        r = stack.pop()
+        if len(r + w) > max_base:
+            raise InvalidFusionError("family bases do not stabilize")
+        cls = _word_class(system, r + w, config.class_budget)
+        if cls is None:
+            stack += [(2,) + r, (1,) + r]
+        else:
+            yield r, cls
+
 
 def family_partition(families: frozenset[tuple[Word, Word]],
                      config: Config = DEFAULT
@@ -249,54 +354,15 @@ def family_partition(families: frozenset[tuple[Word, Word]],
     Each entry (u, W) says: for every n, the names {tag(n, w) | w in W}
     form one class of the family-only relation (u in W is the base the
     entry was grown from).  Bases are stable, i.e. no family word reaches
-    deeper than them, so the class shape is uniform in n.
+    deeper than them, so the class shape is uniform in n.  They are the
+    regions of the family words.
     """
     if not families:
         return []
-    fam_words = {w for pair in families for w in pair}
-    max_base = 2 * max(len(w) for w in fam_words) + 4
-
-    def unstable(v: Word) -> bool:
-        return any(is_suffix(v, f) and len(f) > len(v) for f in fam_words)
-
-    def rewrites(v: Word) -> set[Word]:
-        out = set()
-        for w1, w2 in families:
-            if is_suffix(w1, v):
-                out.add(v[:len(v) - len(w1)] + w2)
-            if is_suffix(w2, v):
-                out.add(v[:len(v) - len(w2)] + w1)
-        return out
-
-    bases: list[tuple[Word, tuple[Word, ...]]] = []
-    queue = sorted(fam_words, key=_word_key, reverse=True)
-    visited: set[Word] = set()
-    while queue:
-        u = queue.pop()
-        if u in visited:
-            continue
-        visited.add(u)
-        if len(u) > max_base:
-            raise InvalidFusionError("family bases do not stabilize")
-        if unstable(u):
-            queue.extend([(1,) + u, (2,) + u])
-            continue
-        cls = {u}
-        frontier = [u]
-        while frontier:
-            v = frontier.pop()
-            for nv in rewrites(v):
-                if nv not in cls:
-                    if len(cls) >= config.class_budget:
-                        raise InvalidFusionError(
-                            "family class exceeds budget")
-                    cls.add(nv)
-                    frontier.append(nv)
-        if any(unstable(v) for v in cls):
-            queue.extend([(1,) + u, (2,) + u])
-            continue
-        if len(cls) >= 2:
-            bases.append((u, tuple(sorted(cls, key=_word_key))))
+    bases = [(r + g, tuple(sorted(cls, key=_word_key)))
+             for g in sorted({w for pair in families for w in pair},
+                             key=_word_key)
+             for r, cls in _regions(families, g, config)]
     # drop bases covered by a suffix-smaller base, then duplicate classes
     kept: list[tuple[Word, tuple[Word, ...]]] = []
     seen_classes: set[tuple[Word, ...]] = set()
@@ -364,10 +430,8 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
                     ys = sorted(members[w] for w in in_x)
                     new_pairs.update(zip(ys, ys[1:]))
 
-    result = Fusion(frozenset(new_pairs), frozenset(new_fams))
-    if not validate(result, config):
-        raise InvalidFusionError("restriction produced an invalid fusion")
-    return result
+    return _valid(Fusion(frozenset(new_pairs), frozenset(new_fams)), config,
+                  "restriction produced an invalid fusion")
 
 
 def _region_inside(region: Word, N: NameSet) -> bool:
@@ -420,10 +484,8 @@ def map_fusion(e: Fusion, sigma: Substitution,
                         f"[{word_str(w1)} <-> {word_str(w2)}]")
         if images[0] != images[1]:
             fams.add(_fam_pair(images[0], images[1]))
-    result = Fusion(frozenset(pairs), frozenset(fams))
-    if not validate(result, config):
-        raise InvalidFusionError("substitution image is not a fusion")
-    return result
+    return _valid(Fusion(frozenset(pairs), frozenset(fams)), config,
+                  "substitution image is not a fusion")
 
 
 def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
@@ -459,16 +521,20 @@ def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
 
 
 def equal(e: Fusion, f: Fusion, config: Config = DEFAULT) -> bool:
-    for one, other in ((e, f), (f, e)):
+    return _implies(f, e, config) and _implies(e, f, config)
+
+
+def _implies(other: Fusion, one: Fusion, config: Config) -> bool:
+    """Whether every generator of `one` is related in `other`."""
+    if one.pairs:
         classes = _classes(other, config)
         for a, b in one.pairs:
             if b not in classes(a):
                 return False
-        for w1, w2 in one.families:
-            for n in range(config.sample_bound):
-                a, b = tag(n, w1), tag(n, w2)
-                if a != b and b not in classes(a):
-                    return False
+    for w1, w2 in one.families - other.families:
+        for r, cls in _regions(other.families, w1, config):
+            if r + w2 not in cls:
+                return False
     return True
 
 

@@ -21,10 +21,11 @@ listing: each reachable class is canonicalised once.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .config import DEFAULT, Config
-from .fusion import canonical_subst, equal, related
+from .fusion import _classes, canonical_subst, equal
+from .names import Name
 from .process import (Act, Nu, Par, Process, all_names, canonical, spine,
                       substitute)
 from .pwf import Pwf, normalize, nu_all, par
@@ -33,12 +34,16 @@ from .subst import finite_subst
 
 def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
     """All one-step reducts, deduplicated up to structural congruence."""
-    return [r for _, r in _keyed_reducts(p, config, {})]
+    return [r for _, r in _keyed_reducts(p, {}, _classes(p.fus, config))]
 
 
-def _keyed_reducts(p: Pwf, config: Config, keys: dict[Process, Process]):
+def _keyed_reducts(p: Pwf, keys: dict[Process, Process],
+                   classes: Optional[Callable[[Name], frozenset]] = None):
     """Yield (canonical process, reduct) once per congruence class.  `keys`
-    memoises `canonical` on the raw reduct terms."""
+    memoises `canonical` on the raw reduct terms.  `classes` is the
+    fusion's class function (`fusion._classes`), which matches distinct
+    free subjects; None when the free names are σ-representatives, which
+    are fused only when equal."""
     bound, comps = spine(p.proc)
     seen = set()
     for i, j in itertools.combinations(range(len(comps)), 2):
@@ -51,10 +56,8 @@ def _keyed_reducts(p: Pwf, config: Config, keys: dict[Process, Process]):
             if len(sender.bound) != len(receiver.bound):
                 continue
             u, v = sender.subject, receiver.subject
-            if u in bound or v in bound:
-                if u != v:
-                    continue
-            elif not related(p.fus, u, v, config):
+            if u != v and (classes is None or u in bound or v in bound
+                           or v not in classes(u)):
                 continue
             reduct = _fire(bound, comps, a, b, p)
             key = keys.get(reduct.proc)
@@ -107,7 +110,7 @@ def reach(p: Pwf, k: int, config: Config = DEFAULT,
     for _ in range(k):
         next_frontier = []
         for q in frontier:
-            for key, r in _keyed_reducts(q, config, keys):
+            for key, r in _keyed_reducts(q, keys):
                 if key not in seen:
                     seen.add(key)
                     next_frontier.append(r)

@@ -152,10 +152,14 @@ def test_pole_laws_header_states_the_sample(capsys):
 
 
 def test_mll_extract_honours_the_config(capsys):
-    code, out, err = run(capsys, "--set", "class_budget=1", "mll", "extract",
-                         "(tensor (ax X) (ax Y))")
-    assert code == 2 and "error:" in err
-    assert out.splitlines()[0].startswith("((((COMP *1 ASSOC_R)")
+    """The realizer's fusions exceed a tiny class budget: undecided."""
+    code, out, _ = run(capsys, "--set", "class_budget=1", "mll", "extract",
+                       "(tensor (ax X) (ax Y))")
+    assert code == 3
+    lines = out.splitlines()
+    assert lines[0].startswith("((((COMP *1 ASSOC_R)")
+    assert lines[-1].startswith("undecided: ")
+    assert lines[-1].endswith("exceeds budget 1 (class_budget=1)")
 
 
 def test_mll_sound_over_the_assignment_budget_is_undecided(capsys):
@@ -166,3 +170,26 @@ def test_mll_sound_over_the_assignment_budget_is_undecided(capsys):
     assert code == 3
     assert out.splitlines()[-1] == (
         "undecided: soundness check needs 16384 assignments, budget 4096")
+
+
+def test_family_equality_is_decided_past_the_old_sample(capsys):
+    """The 256 pairs 2n~2n+1, n < 256, agree with [1 <-> 2] on every
+    instance below 256; the instance n = 256 relates 513 and 512 on the
+    left only."""
+    pairs = "{" + ", ".join(f"{2 * n}~{2 * n + 1}" for n in range(256)) + "}"
+    code, out, _ = run(capsys, "fusion", "equal", "{[1 <-> 2]}", pairs)
+    assert code == 1 and out == "not equal\n"
+
+
+def test_sample_bound_is_no_longer_a_config_key(capsys):
+    code, _, err = run(capsys, "--set", "sample_bound=4", "fusion", "equal",
+                       "{[1 <-> 2]}", "{0~1}")
+    assert code == 2 and "unknown config key: sample_bound" in err
+
+
+def test_class_budget_overflow_is_undecided(capsys):
+    code, out, _ = run(capsys, "--set", "class_budget=2", "fusion", "join",
+                       "{0~1}", "{1~2}")
+    assert code == 3
+    assert out == ("undecided: class of 0 exceeds budget 2 "
+                   "(class_budget=2)\n")

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from fusioncalc import fusion
 from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
-    DELTA, Fusion, InvalidFusionError, NotRepresentableError, _affine,
+    DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
+    _affine,
     _classes, canonical_subst, class_of, delta, equal, fusion_str, identity_I,
     join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
     restrict, second_rep, sigma_tau, validate,
@@ -15,6 +16,9 @@ from fusioncalc.fusion import (
 from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
                               tag, untag)
 from fusioncalc.subst import compose, finite_subst, remap_subst
+
+from fusion_reference import (Unrepresentable, sampled_equal, sampled_meet,
+                              sampled_validate, sufficient_bound)
 
 
 @st.composite
@@ -214,8 +218,8 @@ def reference_class_of(e, x, config=DEFAULT):
         for z in neighbors:
             if z not in seen:
                 if len(seen) >= budget:
-                    raise InvalidFusionError(
-                        f"class of {x} exceeds budget {budget}")
+                    raise ClassBudgetError(
+                        f"class of {x} exceeds budget {budget}", budget)
                 seen.add(z)
                 frontier.append(z)
     return frozenset(seen)
@@ -261,8 +265,7 @@ def mixed_fusions(draw):
     return Fusion(frozenset(pairs), frozenset(families))
 
 
-configs = st.builds(Config, class_budget=st.sampled_from([2, 4, 1024, 1024]),
-                    sample_bound=st.sampled_from([8, 24]))
+configs = st.builds(Config, class_budget=st.sampled_from([2, 4, 1024, 1024]))
 
 
 @given(mixed_fusions(), configs, st.lists(st.integers(0, 80), max_size=30))
@@ -278,10 +281,26 @@ def test_classes_match_reference(e, config, xs):
 @given(mixed_fusions(), mixed_fusions(), configs)
 @settings(max_examples=150, deadline=None)
 def test_operations_match_reference(e, f, config):
-    for op, args in ((validate, (e, config)), (equal, (e, f, config)),
-                     (equal, (e, e, config)), (meet, (e, f, config)),
-                     (canonical_subst, (e, config))):
-        assert outcome(op, *args) == reference_outcome(op, *args)
+    """The decided operations against the sampled ones at a bound where
+    those decide (`fusion_reference`); equality and meet are compared on
+    fusions whose classes are within the budget, where they are defined."""
+    # the probes only fail where the endpoint walks or the partition do,
+    # so the sampled verdict is the same at every bound
+    assert validate(e, config) == sampled_validate(e, 256, config)
+    assert outcome(canonical_subst, e, config) == \
+        reference_outcome(canonical_subst, e, config)
+    if not (validate(e, config) and validate(f, config)):
+        return
+    bound = sufficient_bound(e, f, config)
+    assert equal(e, f, config) == sampled_equal(e, f, bound, config)
+    assert equal(e, e, config)
+    expected = outcome(sampled_meet, e, f, bound, config)
+    if expected[0] == "raised":
+        assert expected[1] is Unrepresentable
+        with pytest.raises(NotRepresentableError):
+            meet(e, f, config)
+    else:
+        assert meet(e, f, config) == expected[1]
 
 
 @given(mixed_fusions(), small_namesets(), configs)
@@ -303,10 +322,93 @@ def test_budget_error_names_the_queried_name():
 
 def test_equal_walks_no_class_for_a_coinciding_family_instance():
     """tag(0, ()) = tag(0, (2,)) = 0, so the instance n = 0 relates 0 to
-    itself; the class of 0 in f is infinite but is never walked."""
+    itself.  f's class of 0 is infinite, but the generator of e is one of
+    f's own and is never instantiated, and f's pair 0~1 is looked up in
+    e, where the class of 0 is {0}."""
     e = Fusion(families=frozenset({((), (2,))}))
     f = Fusion(frozenset({(0, 1)}), e.families)
-    assert not equal(e, f, Config(sample_bound=1))
+    walked = []
+
+    def recording_classes(g, config=DEFAULT):
+        classes = _classes(g, config)
+        return lambda x: walked.append((g, x)) or classes(x)
+
+    with mock.patch.object(fusion, "_classes", recording_classes):
+        assert not equal(e, f)
+        assert not equal(f, e)
+    assert walked == [(e, 0), (e, 0)]
+
+
+def test_equal_decides_instances_past_any_sample():
+    e = parse_fusion("{[1 <-> 2]}")
+    f = Fusion(frozenset((2 * n, 2 * n + 1) for n in range(256)))
+    assert not equal(e, f) and not equal(f, e)
+    assert related(e, 512, 513) and not related(f, 512, 513)
+    assert equal(join(e, f), e)
+
+
+def test_equal_compares_family_parts_by_region():
+    """A generator split by its leading letter, or implied by a longer
+    chain, is the same relation; dropping one half of the split is not."""
+    e = parse_fusion("{[1 <-> 2]}")
+    split = parse_fusion("{[1.1 <-> 1.2], [2.1 <-> 2.2]}")
+    assert equal(e, split)
+    assert not equal(e, parse_fusion("{[1.1 <-> 1.2]}"))
+    assert equal(phi(), parse_fusion("{[1 <-> 2.2], [1.2 <-> 2.2]}"))
+    # finite pairs that are family instances add nothing
+    assert equal(parse_fusion("{0~1, 4~5, [1 <-> 2]}"), e)
+
+
+def test_meet_relates_chains_that_are_no_single_instance():
+    """Both sides relate tag(n, 1.1) and tag(n, 2.1) for every n, through
+    different middle words, and share no family: no finite presentation
+    over the shared families exists."""
+    e = parse_fusion("{[1.1 <-> 1.2], [1.2 <-> 2.1]}")
+    f = parse_fusion("{[1.1 <-> 2.2], [2.2 <-> 2.1]}")
+    assert related(e, 3, 1) and related(f, 3, 1)
+    with pytest.raises(NotRepresentableError):
+        meet(e, f)
+    with pytest.raises(NotRepresentableError):
+        meet(parse_fusion("{[1 <-> 2]}"), f)
+
+
+def test_meet_keeps_finitely_many_exceptions():
+    """The shared family plus the endpoint pairs both sides relate."""
+    e = parse_fusion("{0~5, 3~4, [1.2 <-> 2.2]}")
+    f = parse_fusion("{0~5, 4~7, [1.2 <-> 2.2]}")
+    m = meet(e, f)
+    assert m.families == e.families
+    assert equal(m, parse_fusion("{0~5, [1.2 <-> 2.2]}"))
+    for x in range(40):
+        for y in range(40):
+            assert related(m, x, y) == (related(e, x, y) and related(f, x, y))
+
+
+def test_meet_walks_the_index_zero_names_of_each_region():
+    """e relates 2n+1 and 4n, f relates 4n+1 and 4n: the word classes
+    meet only in their own words, but at n = 0 both name 1 and 0."""
+    e, f = parse_fusion("{[1 <-> 2.2]}"), parse_fusion("{[2.1 <-> 2.2]}")
+    assert meet(e, f) == parse_fusion("{0~1}")
+
+
+def test_class_budget_errors_name_the_budget():
+    """An exhausted budget reaches the caller as ClassBudgetError, still an
+    InvalidFusionError, with its message; a decided invalid input keeps
+    the operation's message."""
+    tight = Config(class_budget=2)
+    chain = [parse_fusion("{0~1}"), parse_fusion("{1~2}")]
+    for op, args in ((join, (*chain, tight)), (join_all, (chain, tight)),
+                     (map_fusion, (parse_fusion("{0~1~2}"),
+                                   finite_subst({}), tight)),
+                     (restrict, (parse_fusion("{0~1~2}"), finite([0, 1, 2]),
+                                 tight))):
+        with pytest.raises(ClassBudgetError,
+                           match=r"^class of \d+ exceeds budget 2$") as info:
+            op(*args)
+        assert info.value.budget == 2
+    with pytest.raises(ClassBudgetError, match="^family class of @"):
+        join(identity_I(), psi(), Config(class_budget=2))
+    assert not validate(join(chain[0], chain[1]), tight)
 
 
 WORDS = [w for k in range(6) for w in itertools.product((1, 2), repeat=k)]

@@ -122,3 +122,24 @@ def test_every_definition_is_referenced():
                          for p in SOURCES))
     assert {path.name: unreferenced(path.read_text(), used)
             for path in MODULES} == {path.name: [] for path in MODULES}
+
+
+def test_every_config_knob_is_echoed_and_read():
+    """The banner echoes each `Config` field, and some module other than
+    `config.py` reads it, so no knob is dead."""
+    from dataclasses import fields
+
+    from fusioncalc.cli import _config_banner
+    from fusioncalc.config import DEFAULT
+
+    banner = _config_banner(DEFAULT)
+    read: set[str] = set()
+    for path in MODULES:
+        if path.name != "config.py":
+            tree = ast.parse(path.read_text())
+            read |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.ctx, ast.Load)}
+    for field in fields(DEFAULT):
+        assert f"{field.name}={getattr(DEFAULT, field.name)}" in banner
+        assert field.name in read, field.name

@@ -3,6 +3,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fusioncalc import fusion
 from fusioncalc.cli import main
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, canonical_subst, parse_fusion
@@ -140,6 +141,19 @@ def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
     # the start term and every distinct reduct, each once; the listing
     # reuses the search's keys
     assert len(calls) == len(set(calls)) == distinct
+
+
+def test_cli_reduce_walks_no_class_per_redex(monkeypatch, capsys):
+    """Inside `reach` the free subjects are σ-representatives, so a redex
+    is matched on equal subjects without walking the fusion's classes."""
+    walks = []
+    class_of = fusion.class_of
+    monkeypatch.setattr(fusion, "class_of", lambda *args: walks.append(
+        args[1]) or class_of(*args))
+    literal = ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
+               " ; {0~2, 1~3}>")
+    assert main(["reduce", literal, "--steps", "4"]) == 0
+    assert walks == []
 
 
 _FUSIONS = ("{}", "{0~1}", "{0~2, 1~3}", "{[1 <-> 2]}", "{0~1, [1 <-> 2]}")
