@@ -9,6 +9,7 @@ parse or validation errors, 3 when a valid input exceeds a search budget
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import sys
 
@@ -18,8 +19,8 @@ from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
                      fusion_str, join, meet, parse_fusion, phi, remove,
                      restrict)
 from .names import parse_nameset
-from .process import (ProcessError, SearchBudgetError, parse_process,
-                      process_str)
+from .process import (ProcessError, SearchBudgetError, canonical,
+                      parse_process, process_str)
 from .pwf import (Pwf, PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
                   parse_pwf, pwf_str, star)
 from .reduction import reach
@@ -91,7 +92,9 @@ def _cmd_reduce(args) -> int:
     config = _config_from_args(args)
     p = parse_pwf(args.pwf)
     reached = itertools.islice(reach(p, args.steps, config), 1, None)
-    for line in sorted(pwf_str(Pwf(form, p.fus)) for form, _ in reached):
+    # each listed class is canonicalised once, for its line only
+    for line in sorted(pwf_str(Pwf(canonical(q.proc), p.fus))
+                       for _, q in reached):
         print(line)
     return 0
 
@@ -313,7 +316,9 @@ def _cmd_laws(args) -> int:
 # -- argument parsing -------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="fusioncalc",
         description="workbench for processes with fusions")
@@ -396,8 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SearchBudgetError as exc:

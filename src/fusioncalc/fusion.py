@@ -40,6 +40,7 @@ reached from them) is also what makes restriction representable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -346,9 +347,10 @@ def _regions(families: frozenset[tuple[Word, Word]], w: Word,
             yield r, cls
 
 
+@functools.lru_cache(maxsize=256)
 def family_partition(families: frozenset[tuple[Word, Word]],
                      config: Config = DEFAULT
-                     ) -> list[tuple[Word, tuple[Word, ...]]]:
+                     ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     """Partition the family-generated relation into parametric classes.
 
     Each entry (u, W) says: for every n, the names {tag(n, w) | w in W}
@@ -356,9 +358,13 @@ def family_partition(families: frozenset[tuple[Word, Word]],
     entry was grown from).  Bases are stable, i.e. no family word reaches
     deeper than them, so the class shape is uniform in n.  They are the
     regions of the family words.
+
+    Remembered per (families, config), since every operation's result is
+    validated; a partition that exceeds the class budget is not
+    remembered, so it raises on every call.
     """
     if not families:
-        return []
+        return ()
     bases = [(r + g, tuple(sorted(cls, key=_word_key)))
              for g in sorted({w for pair in families for w in pair},
                              key=_word_key)
@@ -373,7 +379,7 @@ def family_partition(families: frozenset[tuple[Word, Word]],
             continue
         seen_classes.add(cls)
         kept.append((u, cls))
-    return kept
+    return tuple(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""The pi-term fragment: nil, parallel, binding actions, restriction.
+"""Printed forms of process terms, and their text grammar.
 
-Structural congruence is decided by canonicalization: one pass renames
-every binder apart and brings the term to a scope-maximal multiset form,
-bound names are then renumbered by traversal order while backtracking
-over orderings of structurally ambiguous parallel siblings, and the
-lexicographically least rendering wins.  A deterministic
-scope-minimization pass then shapes the result for printing.
+`canonical` is the printed form of a congruence class: bound names are
+renumbered by traversal order while backtracking over orderings of
+structurally ambiguous parallel siblings, the lexicographically least
+rendering wins, and a deterministic scope-minimization pass shapes the
+result.  Congruence itself is decided by `congruence_key` (in `terms`,
+re-exported here with the term classes and substitution); `canonical`
+runs only where a form is printed.
 
 The multiset form is a private tuple representation; `spine` is its
 public view, the top-level restricted names and parallel components as
@@ -17,133 +18,22 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .names import Name, NameSet, parse_name
-from .subst import Substitution, finite_subst, restrict_away
+from .names import Name, parse_name
+from .terms import (_MAX_CANDIDATES, NIL, Act, Nil, Nu, Par, Process,
+                    ProcessError, SearchBudgetError, _fresh_names, _simplify,
+                    all_names, congruence_key, free_names, struct_eq,
+                    substitute)
 
-
-class ProcessError(Exception):
-    pass
-
-
-class SearchBudgetError(ProcessError):
-    """A valid term whose canonical search exceeds the candidate budget."""
-
-
-class Process:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Nil(Process):
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Par(Process):
-    left: Process
-    right: Process
-    __slots__ = ("left", "right")
-
-
-@dataclass(frozen=True)
-class Act(Process):
-    subject: Name
-    polarity: str  # "up" (output, !) or "down" (input, ?)
-    bound: tuple[Name, ...]
-    body: Process
-    __slots__ = ("subject", "polarity", "bound", "body")
-
-    def __post_init__(self) -> None:
-        if self.polarity not in ("up", "down"):
-            raise ProcessError(f"bad polarity {self.polarity!r}")
-        if len(set(self.bound)) != len(self.bound):
-            raise ProcessError("bound vector has duplicates")
-
-
-@dataclass(frozen=True)
-class Nu(Process):
-    name: Name
-    body: Process
-    __slots__ = ("name", "body")
-
-
-NIL = Nil()
-
-
-def free_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        return free_names(p.left) | free_names(p.right)
-    if isinstance(p, Act):
-        return (free_names(p.body) - frozenset(p.bound)) | {p.subject}
-    if isinstance(p, Nu):
-        return free_names(p.body) - {p.name}
-    raise ProcessError(f"unknown process node {p!r}")
-
-
-def all_names(p: Process) -> frozenset[Name]:
-    if isinstance(p, Nil):
-        return frozenset()
-    if isinstance(p, Par):
-        return all_names(p.left) | all_names(p.right)
-    if isinstance(p, Act):
-        return all_names(p.body) | frozenset(p.bound) | {p.subject}
-    if isinstance(p, Nu):
-        return all_names(p.body) | {p.name}
-    raise ProcessError(f"unknown process node {p!r}")
-
-
-def _fresh_names(avoid: set[Name], count: int) -> list[Name]:
-    out: list[Name] = []
-    candidate = 0
-    while len(out) < count:
-        if candidate not in avoid:
-            out.append(candidate)
-        candidate += 1
-    return out
-
-
-def substitute(p: Process, sigma: Substitution) -> Process:
-    if isinstance(p, Nil):
-        return p
-    if isinstance(p, Par):
-        return Par(substitute(p.left, sigma), substitute(p.right, sigma))
-    if isinstance(p, Act):
-        body, bound = _avoid_capture(p.body, p.bound, sigma)
-        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
-        return Act(sigma.apply(p.subject), p.polarity, bound,
-                   substitute(body, inner))
-    if isinstance(p, Nu):
-        body, bound = _avoid_capture(p.body, (p.name,), sigma)
-        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
-        return Nu(bound[0], substitute(body, inner))
-    raise ProcessError(f"unknown process node {p!r}")
-
-
-def _avoid_capture(body: Process, bound: tuple[Name, ...],
-                   sigma: Substitution) -> tuple[Process, tuple[Name, ...]]:
-    outer_free = free_names(body) - set(bound)
-    images = {sigma.apply(x) for x in outer_free}
-    if not images & set(bound):
-        return body, bound
-    avoid = set(images) | set(outer_free) | set(bound) | all_names(body)
-    fresh = _fresh_names(avoid, len(bound))
-    renamed = substitute(body, finite_subst(dict(zip(bound, fresh))))
-    return renamed, tuple(fresh)
+__all__ = ["NIL", "Act", "Nil", "Nu", "Par", "Process", "ProcessError",
+           "SearchBudgetError", "all_names", "canonical", "congruence_key",
+           "free_names", "parse_process", "process_str", "spine",
+           "struct_eq", "substitute", "tidy"]
 
 
 # ---------------------------------------------------------------------------
 # canonicalization
-#
-# Internal nodes: ("nil",) | ("act", subj, pol, bound, node)
-#                | ("par", (nodes...)) | ("nu", frozenset, node)
-
-_MAX_CANDIDATES = 40320
-_NIL_NODE = ("nil",)
 
 
 def _node_free(node) -> frozenset[Name]:
@@ -160,58 +50,6 @@ def _node_free(node) -> frozenset[Name]:
         return out
     _, names, body = node
     return _node_free(body) - names
-
-
-def _simplify(p: Process, env: dict[Name, Name], counter: Iterator[Name]):
-    """Scope-maximal multiset form with every binder renamed apart, and
-    its free names.
-
-    Binders take the next counter name in pre-order; `env` maps the
-    binders in scope to their new names, so free names stay as they are."""
-    if isinstance(p, Nil):
-        return _NIL_NODE, frozenset()
-    if isinstance(p, Act):
-        fresh = tuple(next(counter) for _ in p.bound)
-        inner = {**env, **dict(zip(p.bound, fresh))} if fresh else env
-        subject = env.get(p.subject, p.subject)
-        body, free = _simplify(p.body, inner, counter)
-        return (("act", subject, p.polarity, fresh, body),
-                free.difference(fresh) | {subject})
-    if isinstance(p, Nu):
-        fresh = next(counter)
-        body, free = _simplify(p.body, {**env, p.name: fresh}, counter)
-        names = {fresh}
-        if body[0] == "nu":
-            # the unwrapped binders are free in the inner body
-            names |= body[1]
-            free |= body[1]
-            body = body[2]
-        names &= free
-        if not names:
-            return body, free
-        return ("nu", frozenset(names), body), free - names
-    if isinstance(p, Par):
-        comps: list = []
-        names: set[Name] = set()
-        free: frozenset[Name] = frozenset()
-        for side in (p.left, p.right):
-            node, side_free = _simplify(side, env, counter)
-            free |= side_free
-            if node[0] == "nu":
-                names |= node[1]
-                free |= node[1]
-                node = node[2]
-            if node[0] == "par":
-                comps.extend(node[1])
-            elif node[0] != "nil":
-                comps.append(node)
-        if not comps:
-            return _NIL_NODE, frozenset()
-        inner = comps[0] if len(comps) == 1 else ("par", tuple(comps))
-        if names:
-            return ("nu", frozenset(names), inner), free - names
-        return inner, free
-    raise ProcessError(f"unknown process node {p!r}")
 
 
 def _simplify_apart(p: Process):
@@ -438,10 +276,6 @@ def canonical(p: Process) -> Process:
             best_assign = assign
     renamed = _apply_assignment(best_node, best_assign)
     return _to_process(_minimize(renamed))
-
-
-def struct_eq(p: Process, q: Process) -> bool:
-    return canonical(p) == canonical(q)
 
 
 def tidy(p: Process) -> Process:

@@ -17,8 +17,9 @@ from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
                      equal, fusion_str, join, map_fusion, parse_fusion,
                      remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
-from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
-                      parse_process, process_str, substitute, tidy)
+from .process import (NIL, Act, Nu, Par, Process, canonical, congruence_key,
+                      free_names, parse_process, process_str, substitute,
+                      tidy)
 from .subst import Substitution, compose, finite_subst, remap_subst
 
 
@@ -56,19 +57,24 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
     return frozenset(out)
 
 
+def sigma_process(p: Pwf, config: Config = DEFAULT) -> Process:
+    """p's process with each free name replaced by the representative of
+    its class (`canonical_subst`, σ).  Two PWFs with equal fusions are
+    equal exactly when these processes are congruent."""
+    return substitute(p.proc, canonical_subst(p.fus, config))
+
+
 def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
-    """The σ-normal form of p: its process with each free name replaced
-    by the representative of its class (`canonical_subst`, σ), then
-    canonicalised.  Two PWFs with equal fusions are equal exactly when
-    their σ-normal processes are."""
-    return Pwf(canonical(substitute(p.proc, canonical_subst(p.fus, config))),
-               p.fus)
+    """The σ-normal form of p, for printing: `sigma_process`
+    canonicalised."""
+    return Pwf(canonical(sigma_process(p, config)), p.fus)
 
 
 def equal_pwf(p: Pwf, q: Pwf, config: Config = DEFAULT) -> bool:
     if not equal(p.fus, q.fus, config):
         return False
-    return normalize(p, config).proc == normalize(q, config).proc
+    return congruence_key(sigma_process(p, config)) == \
+        congruence_key(sigma_process(q, config))
 
 
 def par(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:

@@ -13,7 +13,7 @@ cells.
 Every member carries one invariant, the multiset of its action prefixes
 by (polarity, arity).  Congruence, substitution, relabelling, `nu_set`
 and `unrelabel` keep it, and composition adds it up.  Three filters read
-it before any term is canonicalised, the last two before the term is
+it before any term is keyed, the last two before the term is
 even built, and each is exact:
 
 - `clip` rejects an image whose invariant, fusion classes and free
@@ -23,7 +23,7 @@ even built, and each is exact:
   inv(a) + inv(b) is no member's invariant, since that is the invariant
   of the image; the fusion half of the operation still runs once per
   pair of member fusions, so a `FusionError` raises as before;
-- the `done:k` pole is false, before canonicalising anything, on a
+- the `done:k` pole is false, before keying anything, on a
   term whose up and down actions do not pair off per arity or that has
   more than 2k actions, since each step consumes one up and one down
   action of equal arity and `<NIL ; Δ>` has none; the matrix applies
@@ -38,10 +38,10 @@ from typing import Callable, Iterable, Optional
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
-from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
-                      substitute)
-from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, normalize, nu_all,
-                  par, star)
+from .process import (NIL, Act, Nu, Par, Process, congruence_key,
+                      free_names, substitute)
+from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
+                  sigma_process, star)
 from .reduction import _reduces_within
 
 # op tables by (member tuple, config), shared by every Universe on them;
@@ -65,11 +65,11 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         if not _may_reach_unit(_invariant(q.proc), k):
             return False
-        start = canonical(q.proc)
+        start = congruence_key(q.proc)
         key = (start, q.fus)
         if key not in cache:
             if config not in goals:
-                goals[config] = normalize(UNIT, config).proc
+                goals[config] = congruence_key(sigma_process(UNIT, config))
             cache[key] = _reduces_within(q, UNIT, k, config, start,
                                          goals[config])
         return cache[key]
@@ -116,7 +116,7 @@ def default_universe(max_actions: int = 3, names: int = 4,
     for fus in fusions:
         for proc in procs:
             p = Pwf(proc, fus)
-            key = (canonical(proc), fus)
+            key = (congruence_key(proc), fus)
             if key not in seen:
                 seen.add(key)
                 members.append(p)
@@ -273,10 +273,11 @@ class Universe:
         return (invariant, classes, free), sigma
 
     def _member_key(self, p: Pwf, signature, sigma):
-        """Equality-respecting lookup key: the canonical form of the
+        """Equality-respecting lookup key: the congruence key of the
         process under σ, the signature (which holds the fusion's finite
         partition) and the fusion's family generators."""
-        return canonical(substitute(p.proc, sigma)), signature, p.fus.families
+        return (congruence_key(substitute(p.proc, sigma)), signature,
+                p.fus.families)
 
     def clip(self, pwfs: Iterable[Pwf]) -> int:
         """Mask of the members equal to one of the given PWF."""

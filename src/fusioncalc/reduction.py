@@ -12,10 +12,11 @@ components of `process.spine`, whose binders are renamed apart.
 of the fusion's classes (`canonical_subst`, σ) into the start term once;
 σ fixes every representative, so σ(σ(x)) = σ(x).  Fused subjects then
 have equal representatives, and a reduct's free names are among the
-start's, which σ already fixes.  So `canonical` of a reduct is at once
-the search's dedup key, the reduct's form up to the fusion (what
-`pwf.normalize` computes) and its line in the `fusioncalc reduce`
-listing: each reachable class is canonicalised once.
+start's, which σ already fixes.  So `congruence_key` of a reduct is at
+once the search's dedup key and its key up to the fusion (the key of
+`pwf.sigma_process`), and `canonical` of the term is its line in the
+`fusioncalc reduce` listing.  The search computes no printed form: the
+listing canonicalises each class it prints, once.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ import itertools
 from typing import Callable, Iterator, Optional
 
 from .config import DEFAULT, Config
-from .fusion import _classes, canonical_subst, equal
+from .fusion import _classes, equal
 from .names import Name
-from .process import (Act, Nu, Par, Process, all_names, canonical, spine,
-                      substitute)
-from .pwf import Pwf, normalize, nu_all, par
+from .process import (Act, Nu, Par, Process, all_names, congruence_key,
+                      spine, substitute)
+from .pwf import Pwf, nu_all, par, sigma_process
 from .subst import finite_subst
 
 
@@ -37,10 +38,10 @@ def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
     return [r for _, r in _keyed_reducts(p, {}, _classes(p.fus, config))]
 
 
-def _keyed_reducts(p: Pwf, keys: dict[Process, Process],
+def _keyed_reducts(p: Pwf, keys: dict[Process, tuple],
                    classes: Optional[Callable[[Name], frozenset]] = None):
-    """Yield (canonical process, reduct) once per congruence class.  `keys`
-    memoises `canonical` on the raw reduct terms.  `classes` is the
+    """Yield (congruence key, reduct) once per congruence class.  `keys`
+    memoises `congruence_key` on the raw reduct terms.  `classes` is the
     fusion's class function (`fusion._classes`), which matches distinct
     free subjects; None when the free names are σ-representatives, which
     are fused only when equal."""
@@ -62,7 +63,7 @@ def _keyed_reducts(p: Pwf, keys: dict[Process, Process],
             reduct = _fire(bound, comps, a, b, p)
             key = keys.get(reduct.proc)
             if key is None:
-                key = keys[reduct.proc] = canonical(reduct.proc)
+                key = keys[reduct.proc] = congruence_key(reduct.proc)
             if key not in seen:
                 seen.add(key)
                 yield key, reduct
@@ -70,19 +71,20 @@ def _keyed_reducts(p: Pwf, keys: dict[Process, Process],
 
 def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
     sender, receiver = comps[a], comps[b]
-    avoid = set(bound)
-    for c in comps:
-        avoid |= all_names(c)
-    candidate = max(avoid | {0}) + 1
-    fresh = list(range(candidate, candidate + len(sender.bound)))
-    left = substitute(sender.body,
-                      finite_subst(dict(zip(sender.bound, fresh))))
-    right = substitute(receiver.body,
-                       finite_subst(dict(zip(receiver.bound, fresh))))
-    merged: Process = Par(left, right)
+    left, right = sender.body, receiver.body
+    fresh: list = []
+    if sender.bound:
+        avoid = set(bound)
+        for c in comps:
+            avoid |= all_names(c)
+        candidate = max(avoid | {0}) + 1
+        fresh = list(range(candidate, candidate + len(sender.bound)))
+        left = substitute(left, finite_subst(dict(zip(sender.bound, fresh))))
+        right = substitute(right,
+                           finite_subst(dict(zip(receiver.bound, fresh))))
+    out: Process = Par(left, right)
     for x in reversed(fresh):
-        merged = Nu(x, merged)
-    out = merged
+        out = Nu(x, out)
     for k, q in enumerate(comps):
         if k not in (a, b):
             out = Par(out, q)
@@ -92,17 +94,20 @@ def _fire(bound, comps: list[Process], a: int, b: int, p: Pwf) -> Pwf:
 
 
 def reach(p: Pwf, k: int, config: Config = DEFAULT,
-          start: Optional[Process] = None) -> Iterator[tuple[Process, Pwf]]:
+          start: Optional[tuple] = None) -> Iterator[tuple[tuple, Pwf]]:
     """Each congruence class reachable from p in at most k steps, once,
-    as (σ-normal form, term), in breadth-first order starting with p's.
+    as (congruence key, term), in breadth-first order starting with p's.
+    The terms are in σ-normal form: `canonical` of one is the class's
+    form up to the fusion.
 
-    Under Δ, `start = canonical(p.proc)` may be passed when the caller has
-    already computed it; under any other fusion it is ignored."""
+    Under Δ, `start = congruence_key(p.proc)` may be passed when the
+    caller has already computed it; under any other fusion it is
+    ignored."""
     if not p.fus.is_delta():
-        p = Pwf(substitute(p.proc, canonical_subst(p.fus, config)), p.fus)
+        p = Pwf(sigma_process(p, config), p.fus)
         start = None
     if start is None:
-        start = canonical(p.proc)
+        start = congruence_key(p.proc)
     yield start, p
     frontier = [p]
     seen = {start}
@@ -123,21 +128,21 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     """Whether p reaches a PWF equal to the target in at most k steps.
 
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
-    is decided once, and the target's σ-normal form is computed once."""
+    is decided once, and the target's key is computed once."""
     return _reduces_within(p, target, k, config)
 
 
 def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
-                    start: Optional[Process] = None,
-                    goal: Optional[Process] = None) -> bool:
-    """`reduces_within`, given `start = canonical(p.proc)` (used under Δ
-    only) and `goal = normalize(target, config).proc` when the caller has
-    already computed them."""
+                    start: Optional[tuple] = None,
+                    goal: Optional[tuple] = None) -> bool:
+    """`reduces_within`, given `start = congruence_key(p.proc)` (used
+    under Δ only) and `goal = congruence_key(sigma_process(target,
+    config))` when the caller has already computed them."""
     if not equal(p.fus, target.fus, config):
         return False
     if goal is None:
-        goal = normalize(target, config).proc
-    return any(form == goal for form, _ in reach(p, k, config, start))
+        goal = congruence_key(sigma_process(target, config))
+    return any(key == goal for key, _ in reach(p, k, config, start))
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

@@ -1,3 +1,4 @@
+from fusioncalc import cli
 from fusioncalc.cli import main
 
 
@@ -14,6 +15,22 @@ def test_parse_echoes_and_rejects(capsys):
     assert code == 0 and out.strip() == "{0~1, 2~3}"
     code, _, err = run(capsys, "parse", "garbage")
     assert code == 2 and "error:" in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    """Options given to one call do not leak into the next."""
+    assert cli._build_parser() is cli._build_parser()
+    fusions = ("fusion", "join", "{0~1}", "{1~2}")
+    code, out, _ = run(capsys, "--set", "class_budget=2", *fusions)
+    assert code == 3 and "(class_budget=2)" in out
+    code, out, _ = run(capsys, *fusions)
+    assert (code, out) == (0, "{0~1~2}\n")
+    laws = ("pole-laws", "--universe", "limit=4", "--samples", "1")
+    code, out, _ = run(capsys, "--set", "nu_seed=np", "--format", "tsv", *laws)
+    assert code == 0 and "# config" not in out
+    code, out, _ = run(capsys, *laws)
+    assert out.startswith("# config: class_budget=1024 nu_closure=literal "
+                          "nu_seed=fn")
 
 
 def test_normalize_and_equal(capsys):
@@ -137,8 +154,15 @@ def test_config_file_is_honoured(capsys, tmp_path):
 
 def test_search_budget_is_undecided_not_a_parse_error(capsys):
     names = " ".join(str(x) for x in range(1, 10))
+    # nine separately restricted outputs share no name: no search at all
     outputs = " | ".join(f"{x}!()" for x in range(1, 10))
     literal = f"<new {names}. ({outputs}) ; {{}}>"
+    code, out, _ = run(capsys, "equal", literal, literal)
+    assert (code, out) == (0, "equal\n")
+    # nine siblings of one skeleton around one shared restricted name:
+    # one connected group whose orders exceed the budget
+    star = " | ".join(f"{x}!().0?()" for x in range(1, 10))
+    literal = f"<new 0 {names}. ({star}) ; {{}}>"
     code, out, _ = run(capsys, "equal", literal, literal)
     assert code == 3
     assert out.startswith("undecided: canonicalization search space too large")

@@ -9,8 +9,8 @@ from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
     DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
     _affine,
-    _classes, canonical_subst, class_of, delta, equal, fusion_str, identity_I,
-    join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
+    _classes, canonical_subst, class_of, delta, equal, family_partition,
+    fusion_str, identity_I, join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
     restrict, second_rep, sigma_tau, validate,
 )
 from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
@@ -440,3 +440,15 @@ def test_class_memo_does_not_outlive_the_call():
     meet(e, f)
     restrict(e, parse_nameset("{0,1,5}"))
     assert vars(e) == before
+
+
+def test_family_partition_is_remembered_and_failures_raise_each_time():
+    families = parse_fusion("{[1.1 <-> 1.2], [2.1 <-> 2.2]}").families
+    tight = Config(class_budget=1)
+    for _ in range(2):
+        with pytest.raises(ClassBudgetError,
+                           match=r"^family class of @1\.1 exceeds budget 1$"):
+            family_partition(families, tight)
+    first = family_partition(families, DEFAULT)
+    assert family_partition(families, DEFAULT) is first
+    assert first == (((1, 1), ((1, 1), (1, 2))), ((2, 1), ((2, 1), (2, 2))))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -253,3 +255,141 @@ def test_oracle_agreement_small_universe():
             alpha_key(p))
     assert set(map(frozenset, partition_canon.values())) == \
         set(map(frozenset, partition_oracle.values()))
+
+
+# -- the congruence key ------------------------------------------------------
+
+def _keyed_processes():
+    """Terms over names 0..5, restrictions binding 3..5 and prefixes
+    binding 4 and 5: restrictions shared by siblings or private to one,
+    nested restrictions, input binders, and identical siblings."""
+    names = st.integers(0, 5)
+    pol = st.sampled_from(["up", "down"])
+    leaf = st.just(NIL) | st.builds(Act, names, pol, st.just(()),
+                                    st.just(NIL))
+    return st.recursive(
+        leaf,
+        lambda inner: st.builds(Par, inner, inner)
+        | inner.map(lambda p: Par(p, p))
+        | st.builds(Nu, st.integers(3, 5), inner)
+        | st.builds(Act, names, pol, st.sampled_from([(), (4,), (4, 5)]),
+                    inner),
+        max_leaves=7,
+    )
+
+
+def _congruent_copy(rng, p, fresh=None):
+    """A term congruent to p: parallel components commuted and
+    reassociated, bound names renamed, restrictions moved across
+    components that do not use them, unit components added."""
+    fresh = fresh or itertools.count(100)
+    if isinstance(p, Par):
+        left = _congruent_copy(rng, p.left, fresh)
+        right = _congruent_copy(rng, p.right, fresh)
+        if rng.random() < 0.5:
+            left, right = right, left
+        if isinstance(left, Par) and rng.random() < 0.5:
+            return Par(left.left, Par(left.right, right))
+        if isinstance(left, Nu) and left.name not in free_names(right) \
+                and rng.random() < 0.5:
+            return Nu(left.name, Par(left.body, right))
+        return Par(left, right)
+    if isinstance(p, Nu):
+        x = next(fresh)
+        body = _congruent_copy(
+            rng, substitute(p.body, finite_subst({p.name: x})), fresh)
+        if isinstance(body, Par) and x not in free_names(body.left) \
+                and rng.random() < 0.5:
+            return Par(body.left, Nu(x, body.right))
+        if rng.random() < 0.2:
+            return Par(NIL, Nu(x, body))
+        return Nu(x, body)
+    if isinstance(p, Act):
+        xs = tuple(next(fresh) for _ in p.bound)
+        body = substitute(p.body, finite_subst(dict(zip(p.bound, xs))))
+        return Act(p.subject, p.polarity, xs,
+                   _congruent_copy(rng, body, fresh))
+    return p
+
+
+@given(_keyed_processes(), _keyed_processes(), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_congruence_key_and_canonical_induce_one_equivalence(p, r, fuse,
+                                                             rng):
+    terms = [p, _congruent_copy(rng, p), r, _congruent_copy(rng, r)]
+    if fuse:
+        # fused subjects under σ: 1 and 2 get the representative 0
+        sigma = finite_subst({1: 0, 2: 0})
+        terms += [substitute(t, sigma) for t in terms]
+    keys = [process.congruence_key(t) for t in terms]
+    forms = [canonical(t) for t in terms]
+    assert keys[0] == keys[1] and keys[2] == keys[3]
+    for i, key in enumerate(keys):
+        for j in range(i):
+            assert (key == keys[j]) == (forms[i] == forms[j]), \
+                (process_str(terms[i]), process_str(terms[j]))
+
+
+# Pairs that pin the parts of the key: a restriction under a prefix
+# against one at the top (the group's name count); a name first met
+# inside a sibling's continuation, which later siblings must see (the
+# labels an inner search hands back); siblings that hold names the
+# enclosing search has yet to number (one search for all of them).
+@pytest.mark.parametrize("left, right, congruent", [
+    ("new 1. 1!().(new 2. 2!().1!())", "new 1 2. 1!().2!().1!()", False),
+    ("new 1 2. (0?().(1!() | 2?()) | 1?())",
+     "new 1 2. (0?().(1!() | 2?()) | 2?())", False),
+    ("new 1 2 3. (3?().(1?() | 2!()) | 2!().1?())",
+     "new 4 5 6. (5!().4?() | 6?().(5!() | 4?()))", True),
+    ("new 1 2 3. (3?().(1?() | 2!()) | 2!().1?())",
+     "new 1 2 3. (3?().(1?() | 2!()) | 1!().2?())", False),
+])
+def test_congruence_key_on_names_met_inside_siblings(left, right, congruent):
+    p, q = parse_process(left), parse_process(right)
+    assert (canonical(p) == canonical(q)) is congruent
+    assert struct_eq(p, q) is congruent
+
+
+def _nine(pattern):
+    names = " ".join(str(x) for x in range(1, 10))
+    return parse_process(f"new 0 {names}. (" + " | ".join(
+        pattern.format(x=x, y=x % 9 + 1) for x in range(1, 10)) + ")")
+
+
+@pytest.mark.parametrize("term, decided", [
+    # siblings that share no restricted name are placed by their codes
+    (_nine("{x}!()"), True),
+    (_nine("{x}!().{x}?()"), True),
+    # one connected group, whose least orders are found one by one
+    (_nine("{x}!().{y}?()"), True),
+    (_nine("{x}!().{y}!()"), True),
+    # one connected group whose orders all tie: over the budget
+    (_nine("{x}!().0?()"), False),
+])
+def test_congruence_key_exceeds_the_budget_only_where_canonical_does(
+        term, decided):
+    with pytest.raises(process.SearchBudgetError):
+        canonical(term)
+    if decided:
+        assert process.congruence_key(term) == process.congruence_key(
+            Par(NIL, term))
+    else:
+        with pytest.raises(process.SearchBudgetError,
+                           match="budget 40320"):
+            process.congruence_key(term)
+
+
+def test_oracle_agreement_through_struct_eq():
+    """Criterion 06 decided by `struct_eq`: members of one oracle class
+    are congruent, and representatives of distinct classes have
+    distinct keys."""
+    classes: dict = {}
+    for p in enumerate_universe(max_actions=3, names=range(4)):
+        classes.setdefault(congruence_key(p), []).append(p)
+    for members in classes.values():
+        for a, b in zip(members, members[1:]):
+            assert struct_eq(a, b)
+    keys = {process.congruence_key(members[0])
+            for members in classes.values()}
+    assert len(keys) == len(classes)

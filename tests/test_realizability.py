@@ -47,17 +47,24 @@ def test_done_pole_cache_keys_on_the_fusion():
     assert pole(parse_pwf("<0!() | 0?() ; {}>"))
 
 
-def test_done_pole_canonicalises_a_term_once(monkeypatch):
-    from fusioncalc import process, pwf, reduction
+def _count_keys(monkeypatch) -> list:
+    """Record the argument of every `congruence_key` call, in every
+    module that binds it."""
+    from fusioncalc import process, reduction
     calls = []
-    original = process.canonical
+    original = process.congruence_key
 
     def counting(p):
         calls.append(p)
         return original(p)
 
     for module in (process, pwf, reduction, realizability):
-        monkeypatch.setattr(module, "canonical", counting)
+        monkeypatch.setattr(module, "congruence_key", counting)
+    return calls
+
+
+def test_done_pole_canonicalises_a_term_once(monkeypatch):
+    calls = _count_keys(monkeypatch)
     q = parse_pwf("<0!() | 0?() ; {}>")
     pole = make_pole_done(1)
     assert pole(q)
@@ -65,8 +72,8 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
     # the key
     assert calls[:2] == [q.proc, UNIT.proc]
     assert calls.count(q.proc) == 1
-    # the goal form is kept per pole and config: later cache misses do
-    # not canonicalise NIL again
+    # the goal key is kept per pole and config: later cache misses do
+    # not key NIL again
     assert pole(parse_pwf("<1!() | 1?() ; {}>"))
     assert pole(parse_pwf("<new 2. 2!() | 2?() ; {}>"))
     assert calls.count(UNIT.proc) == 1
@@ -74,16 +81,7 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
         monkeypatch):
-    from fusioncalc import process, pwf, reduction
-    calls = []
-    original = process.canonical
-
-    def counting(p):
-        calls.append(p)
-        return original(p)
-
-    for module in (process, pwf, reduction, realizability):
-        monkeypatch.setattr(module, "canonical", counting)
+    calls = _count_keys(monkeypatch)
     pole = make_pole_done(1)
     for text in ("<0!() | 0!() ; {}>", "<0!() | 0?(1) ; {}>",
                  "<0!().0?() | 0?().0!() ; {}>"):

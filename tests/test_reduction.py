@@ -7,7 +7,8 @@ from fusioncalc import fusion
 from fusioncalc.cli import main
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, canonical_subst, parse_fusion
-from fusioncalc.process import NIL, Act, Nu, Par, canonical, free_names
+from fusioncalc.process import (NIL, Act, Nu, Par, canonical, congruence_key,
+                                free_names)
 from fusioncalc.pwf import Pwf, equal_pwf, normalize, nu_all, parse_pwf, pwf_str
 from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
                                   reduces_within, step)
@@ -103,30 +104,35 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
     assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
 
 
-def _count_canonical(monkeypatch) -> list:
-    """Record the argument of every `canonical` call, in every module
-    that binds it."""
-    from fusioncalc import process, pwf, realizability, reduction
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record the argument of every call of `process.<name>`, in every
+    module that binds it."""
+    from fusioncalc import cli, process, pwf, realizability, reduction
     calls = []
-    original = process.canonical
+    original = getattr(process, name)
 
     def counting(p):
         calls.append(p)
         return original(p)
 
-    for module in (process, pwf, realizability, reduction):
-        monkeypatch.setattr(module, "canonical", counting)
+    for module in (cli, process, pwf, realizability, reduction):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
     return calls
 
 
 def test_reduces_within_canonicalises_each_term_once(monkeypatch):
-    calls = _count_canonical(monkeypatch)
+    """The search decides equality on congruence keys: it keys each
+    term once and prints nothing, so it makes no `canonical` call."""
+    printed = _count_calls(monkeypatch, "canonical")
+    keyed = _count_calls(monkeypatch, "congruence_key")
     p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
                          " ; {0~2, 1~3}>"))
     assert reduces_within(p, UNIT, 4)
     # the start term, the target and 27 distinct reducts, each once
-    assert len(calls) == len(set(calls)) == 29
-    assert calls[:2] == [UNIT.proc, p.proc]
+    assert len(keyed) == len(set(keyed)) == 29
+    assert keyed[:2] == [UNIT.proc, p.proc]
+    assert printed == []
 
 
 @pytest.mark.parametrize("literal, steps, distinct", [
@@ -136,11 +142,14 @@ def test_reduces_within_canonicalises_each_term_once(monkeypatch):
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
-    calls = _count_canonical(monkeypatch)
+    printed = _count_calls(monkeypatch, "canonical")
+    keyed = _count_calls(monkeypatch, "congruence_key")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
-    # the start term and every distinct reduct, each once; the listing
-    # reuses the search's keys
-    assert len(calls) == len(set(calls)) == distinct
+    lines = capsys.readouterr().out.splitlines()
+    # the search keys the start term and every distinct reduct, each
+    # once; the listing canonicalises one term per printed line
+    assert len(keyed) == len(set(keyed)) == distinct
+    assert len(printed) == len(set(printed)) == len(lines) > 0
 
 
 def test_cli_reduce_walks_no_class_per_redex(monkeypatch, capsys):
@@ -198,13 +207,16 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
     for x in free_names(p.proc):
         assert sigma.apply(sigma.apply(x)) == sigma.apply(x)
     found = list(reach(p, k))
-    forms = [form for form, _ in found]
-    assert len(set(forms)) == len(forms)
-    # each key is its term's form up to the fusion
-    assert forms[0] == normalize(p).proc
-    for form, q in found:
-        assert normalize(q).proc == form
-    listing = sorted(pwf_str(Pwf(form, p.fus)) for form in forms[1:])
+    keys = [key for key, _ in found]
+    assert len(set(keys)) == len(keys)
+    # each key is its term's key up to the fusion, and each term is in
+    # σ-normal form: canonical gives the form that normalize prints
+    assert keys[0] == congruence_key(normalize(p).proc)
+    for key, q in found:
+        assert congruence_key(normalize(q).proc) == key
+        assert canonical(q.proc) == normalize(q).proc
+    listing = sorted(pwf_str(Pwf(canonical(q.proc), p.fus))
+                     for _, q in found[1:])
     assert listing == reference_listing(p, k)
     targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA)] + step(p)[:2]
     for target in targets:
@@ -213,4 +225,4 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
             assert reduces_within(p, target, j) == expected
             # a precomputed start is the σ-form under Δ only
             assert _reduces_within(p, target, j, DEFAULT,
-                                   canonical(p.proc)) == expected
+                                   congruence_key(p.proc)) == expected
