@@ -7,10 +7,6 @@ rendering wins, and a deterministic scope-minimization pass shapes the
 result.  Congruence itself is decided by `congruence_key` (in `terms`,
 re-exported here with the term classes and substitution); `canonical`
 runs only where a form is printed.
-
-The multiset form is a private tuple representation; `spine` is its
-public view, the top-level restricted names and parallel components as
-ordinary process terms.
 """
 
 from __future__ import annotations
@@ -23,13 +19,13 @@ from typing import Iterator, Optional
 from .names import Name, parse_name
 from .terms import (_MAX_CANDIDATES, NIL, Act, Nil, Nu, Par, Process,
                     ProcessError, SearchBudgetError, _fresh_names, _simplify,
-                    all_names, congruence_key, free_names, struct_eq,
-                    substitute)
+                    _to_process, all_names, congruence_key, free_names,
+                    struct_eq, substitute)
 
 __all__ = ["NIL", "Act", "Nil", "Nu", "Par", "Process", "ProcessError",
            "SearchBudgetError", "all_names", "canonical", "congruence_key",
-           "free_names", "parse_process", "process_str", "spine",
-           "struct_eq", "substitute", "tidy"]
+           "free_names", "parse_process", "process_str", "struct_eq",
+           "substitute", "tidy"]
 
 
 # ---------------------------------------------------------------------------
@@ -50,26 +46,6 @@ def _node_free(node) -> frozenset[Name]:
         return out
     _, names, body = node
     return _node_free(body) - names
-
-
-def _simplify_apart(p: Process):
-    """`_simplify` with fresh names above every name of p, and the number
-    of binders renamed."""
-    start = max(all_names(p) | {0}) + 1
-    counter = itertools.count(start)
-    node, _ = _simplify(p, {}, counter)
-    return node, next(counter) - start
-
-
-def spine(p: Process) -> tuple[frozenset[Name], list[Process]]:
-    """The top-level restricted names and parallel components of the
-    scope-maximal form of p, with all binders renamed apart."""
-    node, _ = _simplify_apart(p)
-    bound: frozenset[Name] = frozenset()
-    if node[0] == "nu":
-        _, bound, node = node
-    comps = node[1] if node[0] == "par" else (node,)
-    return bound, [_to_process(c) for c in comps]
 
 
 def _skeleton(node, bound: frozenset[Name]):
@@ -242,28 +218,10 @@ def _minimize(node):
     return _minimize(inner)
 
 
-def _to_process(node) -> Process:
-    kind = node[0]
-    if kind == "nil":
-        return NIL
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        return Act(subj, pol, bnd, _to_process(body))
-    if kind == "par":
-        out = _to_process(node[1][0])
-        for child in node[1][1:]:
-            out = Par(out, _to_process(child))
-        return out
-    _, names, body = node
-    out = _to_process(body)
-    for x in sorted(names, reverse=True):
-        out = Nu(x, out)
-    return out
-
-
 def canonical(p: Process) -> Process:
-    node, binders = _simplify_apart(p)
-    pool_template = _fresh_names(set(free_names(p)), binders)
+    counter = itertools.count(-1, -1)
+    node, free = _simplify(p, {}, counter)
+    pool_template = _fresh_names(set(free), ~next(counter))
     best: Optional[tuple] = None
     best_node = None
     best_assign = None

@@ -43,6 +43,7 @@ from .process import (NIL, Act, Nu, Par, Process, congruence_key,
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                   sigma_process, star)
 from .reduction import _reduces_within
+from .terms import multiset_form, node_key
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -65,12 +66,13 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         if not _may_reach_unit(_invariant(q.proc), k):
             return False
-        start = congruence_key(q.proc)
+        node = multiset_form(q.proc)[0]
+        start = node_key(node)
         key = (start, q.fus)
         if key not in cache:
             if config not in goals:
                 goals[config] = congruence_key(sigma_process(UNIT, config))
-            cache[key] = _reduces_within(q, UNIT, k, config, start,
+            cache[key] = _reduces_within(q, UNIT, k, config, (node, start),
                                          goals[config])
         return cache[key]
 

@@ -7,9 +7,11 @@ every binder apart and brings the term to scope-maximal form, with the
 restrictions of each level gathered into one set and its parallel
 components into one tuple.  `congruence_key` labels that form bottom-up
 (sorted subtree codes, Aho-Hopcroft-Ullman), searching sibling orders
-only where siblings share a restricted name.  The printed form of a
-term, `process.canonical`, is computed apart from the key, only for
-output.
+only where siblings share a restricted name.  The reduction search
+works on that form too (`multiset_form`) and keys its nodes directly
+(`node_key`), without building a `Process` per reduct.  The printed
+form of a term, `process.canonical`, is computed apart from the key,
+only for output.
 """
 
 from __future__ import annotations
@@ -210,6 +212,37 @@ def _simplify(p: Process, env: dict[Name, Name], counter: Iterator[Name]):
     raise ProcessError(f"unknown process node {p!r}")
 
 
+def multiset_form(p: Process):
+    """`_simplify` of p with negative binders, the form that the key and
+    the reduction search work on, and its free names."""
+    return _simplify(p, {}, itertools.count(-1, -1))
+
+
+def _to_process(node, base: Name = 0) -> Process:
+    """The term of a multiset-form node.  A negative (bound) name x
+    becomes base + ~x; a base above every free name keeps them apart."""
+    kind = node[0]
+    if kind == "nil":
+        return NIL
+    if kind == "act":
+        _, subj, pol, bnd, body = node
+        if subj < 0:
+            subj = base + ~subj
+        return Act(subj, pol, tuple(base + ~x if x < 0 else x for x in bnd),
+                   _to_process(body, base))
+    if kind == "par":
+        out = _to_process(node[1][0], base)
+        for child in node[1][1:]:
+            out = Par(out, _to_process(child, base))
+        return out
+    _, names, body = node
+    out = _to_process(body, base)
+    for x in sorted((base + ~x if x < 0 else x for x in names),
+                    reverse=True):
+        out = Nu(x, out)
+    return out
+
+
 def struct_eq(p: Process, q: Process) -> bool:
     return congruence_key(p) == congruence_key(q)
 
@@ -241,7 +274,12 @@ def congruence_key(p: Process) -> tuple:
     are least so far.  Raises `SearchBudgetError` when one search holds
     more than `_MAX_CANDIDATES` orders; `canonical` exceeds that budget
     on such a term too."""
-    node, _ = _simplify(p, {}, itertools.count(-1, -1))
+    return node_key(multiset_form(p)[0])
+
+
+def node_key(node) -> tuple:
+    """`congruence_key` of a `multiset_form` node: binders negative and
+    pairwise distinct, free names natural."""
     return _KeySearch().level(node, 0, {})[0]
 
 

@@ -8,6 +8,7 @@ appears, with a small size slack so detours through larger terms are
 covered.
 """
 
+from functools import lru_cache
 from itertools import product
 
 from fusioncalc.process import (
@@ -200,3 +201,14 @@ def enumerate_universe(max_actions=3, names=range(4)):
     for p, q, r in product(ones, repeat=3):
         add(Par(Par(p, q), r))
     return list(universe.values())
+
+
+@lru_cache(maxsize=None)
+def oracle_partition(max_actions=3, names=range(4)):
+    """The members of `enumerate_universe(max_actions, names)` grouped by
+    the oracle's `congruence_key`, in first-occurrence order: computed
+    once per session for every test that checks against it."""
+    classes: dict = {}
+    for p in enumerate_universe(max_actions, names):
+        classes.setdefault(congruence_key(p), []).append(p)
+    return tuple(map(tuple, classes.values()))

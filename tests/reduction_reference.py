@@ -1,9 +1,12 @@
-"""Reference searches over raw reducts, for differential tests of
-`reduction.reach`.
+"""Reference reduction over `Process` terms, for differential tests of
+`reduction.step` and `reduction.reach`.
 
-Both expand the terms that `step` returns as they are, without first
-substituting the fusion's representatives, and both compute a term's
-form up to the fusion separately from its dedup key:
+`reference_step` finds redexes on `Process` components and fires them
+with capture-avoiding substitution into fresh names, as the library did
+before its search moved onto the multiset form.  The two searches
+expand the terms that `reference_step` returns as they are, without
+first substituting the fusion's representatives, and both compute a
+term's form up to the fusion separately from its dedup key:
 
 - `reference_listing` is a breadth-first search keyed by each raw
   reduct's printed normal form, the listing of `fusioncalc reduce`;
@@ -11,11 +14,74 @@ form up to the fusion separately from its dedup key:
   compares the form up to the fusion with the target's at each level.
 """
 
+import itertools
+
 from fusioncalc.config import DEFAULT
-from fusioncalc.fusion import canonical_subst, equal
-from fusioncalc.process import canonical, substitute
+from fusioncalc.fusion import _classes, canonical_subst, equal
+from fusioncalc.process import (Act, Nu, Par, _simplify, all_names,
+                                canonical, congruence_key, substitute)
 from fusioncalc.pwf import Pwf, pwf_str
-from fusioncalc.reduction import step
+from fusioncalc.subst import finite_subst
+from fusioncalc.terms import _to_process
+
+
+def _spine(p):
+    """The top-level restricted names and parallel components of the
+    scope-maximal form of p, with all binders renamed apart."""
+    node, _ = _simplify(p, {}, itertools.count(max(all_names(p) | {0}) + 1))
+    bound = frozenset()
+    if node[0] == "nu":
+        _, bound, node = node
+    comps = node[1] if node[0] == "par" else (node,)
+    return bound, [_to_process(c) for c in comps]
+
+
+def _fire(bound, comps, a, b, p):
+    sender, receiver = comps[a], comps[b]
+    avoid = set(bound)
+    for c in comps:
+        avoid |= all_names(c)
+    candidate = max(avoid | {0}) + 1
+    fresh = list(range(candidate, candidate + len(sender.bound)))
+    out = Par(substitute(sender.body,
+                         finite_subst(dict(zip(sender.bound, fresh)))),
+              substitute(receiver.body,
+                         finite_subst(dict(zip(receiver.bound, fresh)))))
+    for x in reversed(fresh):
+        out = Nu(x, out)
+    for k, q in enumerate(comps):
+        if k not in (a, b):
+            out = Par(out, q)
+    for x in sorted(bound, reverse=True):
+        out = Nu(x, out)
+    return Pwf(out, p.fus)
+
+
+def reference_step(p: Pwf, config=DEFAULT) -> list[Pwf]:
+    """All one-step reducts, deduplicated up to structural congruence."""
+    classes = _classes(p.fus, config)
+    bound, comps = _spine(p.proc)
+    seen = set()
+    out = []
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        for a, b in ((i, j), (j, i)):
+            sender, receiver = comps[a], comps[b]
+            if not (isinstance(sender, Act) and isinstance(receiver, Act)):
+                continue
+            if sender.polarity != "up" or receiver.polarity != "down":
+                continue
+            if len(sender.bound) != len(receiver.bound):
+                continue
+            u, v = sender.subject, receiver.subject
+            if u != v and (u in bound or v in bound
+                           or v not in classes(u)):
+                continue
+            reduct = _fire(bound, comps, a, b, p)
+            key = congruence_key(reduct.proc)
+            if key not in seen:
+                seen.add(key)
+                out.append(reduct)
+    return out
 
 
 def _form(p: Pwf, config):
@@ -33,7 +99,7 @@ def reference_listing(p: Pwf, k: int, config=DEFAULT) -> list[str]:
     for _ in range(k):
         next_frontier = []
         for q in frontier:
-            for r in step(q, config):
+            for r in reference_step(q, config):
                 r_key = key(r)
                 if r_key not in seen:
                     seen.add(r_key)
@@ -57,7 +123,7 @@ def reference_reduces_within(p: Pwf, target: Pwf, k: int,
         for q in frontier:
             if canonical(substitute(q.proc, sigma)) == goal:
                 return True
-            for r in step(q, config):
+            for r in reference_step(q, config):
                 r_key = canonical(r.proc)
                 if r_key not in seen:
                     seen.add(r_key)

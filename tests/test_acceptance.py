@@ -6,7 +6,7 @@ verdict lines as they are produced.
 import itertools
 import random
 
-from congruence_oracle import alpha_key, congruence_key, enumerate_universe
+from congruence_oracle import alpha_key, enumerate_universe, oracle_partition
 
 from fusioncalc import calgebra, hy_encodings, mll, realizability
 from fusioncalc.config import DEFAULT
@@ -185,14 +185,12 @@ def test_criterion_05_catalog_restriction_chains():
 def test_criterion_06_congruence_oracle_agreement():
     universe = enumerate_universe(max_actions=3, names=range(4))
     partition_canon: dict = {}
-    partition_oracle: dict = {}
     for p in universe:
         partition_canon.setdefault(alpha_key(canonical(p)), set()).add(
             alpha_key(p))
-        partition_oracle.setdefault(congruence_key(p), set()).add(
-            alpha_key(p))
-    ok = set(map(frozenset, partition_canon.values())) == \
-        set(map(frozenset, partition_oracle.values()))
+    partition_oracle = {frozenset(map(alpha_key, members))
+                        for members in oracle_partition(3, range(4))}
+    ok = set(map(frozenset, partition_canon.values())) == partition_oracle
     _verdict("criterion 06 congruence-oracle-agreement", ok)
 
 

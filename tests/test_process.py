@@ -5,16 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from congruence_oracle import (
     alpha_key, congruence_key, count_actions, enumerate_universe,
+    oracle_partition,
 )
 from fusioncalc.process import (
     NIL, Act, Nu, Par, ProcessError, canonical, free_names, parse_process,
-    process_str, spine, struct_eq, substitute,
+    process_str, struct_eq, substitute,
 )
 from fusioncalc import process
 from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import finite_subst, remap_subst
+from fusioncalc.terms import multiset_form
 
 
 def test_parse_basic_forms():
@@ -182,7 +184,7 @@ def test_mixed_sibling_groups(text, expected):
     ("new 5 6. (5!() | 6!() | 5!() | 6!() | 5!() | 6!() | 0!() | 0!())", 20),
 ])
 def test_one_candidate_per_distinct_order(text, candidates):
-    node, _ = process._simplify_apart(parse_process(text))
+    node, _ = multiset_form(parse_process(text))
     assert sum(1 for _ in process._orderings(node, frozenset())) == \
         candidates
 
@@ -195,12 +197,6 @@ def test_candidate_budget_is_counted_before_enumerating():
         " | ".join(f"{x}!().{x % 9 + 1}!()" for x in names) + ")"
     with pytest.raises(ProcessError, match="search space too large"):
         canonical(parse_process(text))
-
-
-def test_spine_renames_apart_and_keeps_component_order():
-    bound, comps = spine(parse_process("new 3.(3!() | 0?().1!()) | 2!()"))
-    assert bound == {4}
-    assert comps == [parse_process(t) for t in ("4!()", "0?().1!()", "2!()")]
 
 
 def _processes(max_depth=3):
@@ -384,12 +380,9 @@ def test_oracle_agreement_through_struct_eq():
     """Criterion 06 decided by `struct_eq`: members of one oracle class
     are congruent, and representatives of distinct classes have
     distinct keys."""
-    classes: dict = {}
-    for p in enumerate_universe(max_actions=3, names=range(4)):
-        classes.setdefault(congruence_key(p), []).append(p)
-    for members in classes.values():
+    classes = oracle_partition(3, range(4))
+    for members in classes:
         for a, b in zip(members, members[1:]):
             assert struct_eq(a, b)
-    keys = {process.congruence_key(members[0])
-            for members in classes.values()}
+    keys = {process.congruence_key(members[0]) for members in classes}
     assert len(keys) == len(classes)

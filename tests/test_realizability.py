@@ -14,6 +14,7 @@ from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
 from fusioncalc.realizability import (Universe, check_laws, default_universe,
                                       make_pole_done, parse_pole, pole_always)
 from fusioncalc.reduction import pole_regular_on, reduces_within
+from fusioncalc.terms import multiset_form
 
 
 def small_universe(pole=pole_always, n=40):
@@ -48,35 +49,37 @@ def test_done_pole_cache_keys_on_the_fusion():
 
 
 def _count_keys(monkeypatch) -> list:
-    """Record the argument of every `congruence_key` call, in every
-    module that binds it."""
-    from fusioncalc import process, reduction
+    """Record the argument of every `node_key` call, in every module
+    that binds it: each congruence key is computed through it."""
+    from fusioncalc import reduction, terms
     calls = []
-    original = process.congruence_key
+    original = terms.node_key
 
-    def counting(p):
-        calls.append(p)
-        return original(p)
+    def counting(node):
+        calls.append(node)
+        return original(node)
 
-    for module in (process, pwf, reduction, realizability):
-        monkeypatch.setattr(module, "congruence_key", counting)
+    for module in (terms, reduction, realizability):
+        monkeypatch.setattr(module, "node_key", counting)
     return calls
 
 
 def test_done_pole_canonicalises_a_term_once(monkeypatch):
     calls = _count_keys(monkeypatch)
-    q = parse_pwf("<0!() | 0?() ; {}>")
+    q, q2, q3 = (parse_pwf(t) for t in (
+        "<0!() | 0?() ; {}>", "<1!() | 1?() ; {}>",
+        "<new 2. 2!() | 2?() ; {}>"))
     pole = make_pole_done(1)
-    assert pole(q)
-    # the cache key, then the target; the start of the search reuses
-    # the key
-    assert calls[:2] == [q.proc, UNIT.proc]
-    assert calls.count(q.proc) == 1
-    # the goal key is kept per pole and config: later cache misses do
-    # not key NIL again
-    assert pole(parse_pwf("<1!() | 1?() ; {}>"))
-    assert pole(parse_pwf("<new 2. 2!() | 2?() ; {}>"))
-    assert calls.count(UNIT.proc) == 1
+    for composite in (q, q2, q3):
+        assert pole(composite)
+    composite, goal = (multiset_form(t.proc)[0] for t in (q, UNIT))
+    # the composite is keyed once, for the cache key and as the start
+    # of the search; the goal key is kept per pole and config, so only
+    # the first cache miss keys NIL as the goal; each search then keys
+    # its one reduct, NIL
+    assert calls[:3] == [composite, goal, ("nil",)]
+    assert calls[3:] == [multiset_form(q2.proc)[0], ("nil",),
+                         multiset_form(q3.proc)[0], ("nil",)]
 
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(

@@ -1,3 +1,4 @@
+from collections import Counter
 from functools import reduce
 
 import pytest
@@ -9,10 +10,13 @@ from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, canonical_subst, parse_fusion
 from fusioncalc.process import (NIL, Act, Nu, Par, canonical, congruence_key,
                                 free_names)
-from fusioncalc.pwf import Pwf, equal_pwf, normalize, nu_all, parse_pwf, pwf_str
+from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
+                            pwf_str, sigma_process)
 from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
                                   reduces_within, step)
-from reduction_reference import reference_listing, reference_reduces_within
+from fusioncalc.terms import multiset_form, node_key
+from reduction_reference import (reference_listing, reference_reduces_within,
+                                 reference_step)
 
 UNIT = parse_pwf("<1 ; {}>")
 
@@ -44,6 +48,9 @@ def test_step_under_restriction():
 def test_bound_subjects_match_only_themselves():
     # 3 is restriction-bound: the ambient fusion must not identify it
     assert step(parse_pwf("<new 3.(3!() | 0?()) ; {0~3}>")) == []
+    # nor may a family identify two bound subjects, whatever their names
+    assert step(parse_pwf("<new 3 4.(3!() | 4?()) ; {[1 <-> 2]}>")) == []
+    assert step(parse_pwf("<new 2 3.(2!() | 3?()) ; {[1 <-> 2]}>")) == []
 
 
 def test_step_not_under_prefix():
@@ -105,17 +112,17 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
 
 
 def _count_calls(monkeypatch, name: str) -> list:
-    """Record the argument of every call of `process.<name>`, in every
-    module that binds it."""
-    from fusioncalc import cli, process, pwf, realizability, reduction
+    """Record the argument of every call of `terms.<name>` or
+    `process.<name>`, in every module that binds it."""
+    from fusioncalc import cli, process, pwf, realizability, reduction, terms
     calls = []
-    original = getattr(process, name)
+    original = getattr(terms, name, None) or getattr(process, name)
 
     def counting(p):
         calls.append(p)
         return original(p)
 
-    for module in (cli, process, pwf, realizability, reduction):
+    for module in (cli, process, pwf, realizability, reduction, terms):
         if getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counting)
     return calls
@@ -123,32 +130,37 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 def test_reduces_within_canonicalises_each_term_once(monkeypatch):
     """The search decides equality on congruence keys: it keys each
-    term once and prints nothing, so it makes no `canonical` call."""
+    term once, as a multiset-form node, and prints nothing, so it makes
+    no `canonical` call."""
     printed = _count_calls(monkeypatch, "canonical")
-    keyed = _count_calls(monkeypatch, "congruence_key")
+    keyed = _count_calls(monkeypatch, "node_key")
     p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
                          " ; {0~2, 1~3}>"))
     assert reduces_within(p, UNIT, 4)
-    # the start term, the target and 27 distinct reducts, each once
-    assert len(keyed) == len(set(keyed)) == 29
-    assert keyed[:2] == [UNIT.proc, p.proc]
+    # the target, then the start term and 13 distinct reducts, each
+    # once; the last reduct is NIL, the target's own node
+    assert keyed[:2] == [multiset_form(UNIT.proc)[0],
+                         multiset_form(p.proc)[0]]
+    assert len(keyed) - 1 == len(set(keyed[1:])) == 14
+    assert keyed[-1] == keyed[0]
     assert printed == []
 
 
 @pytest.mark.parametrize("literal, steps, distinct", [
     ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?() ; {0~2, 1~3}>",
-     4, 27),
-    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 7),
+     4, 14),
+    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 6),
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
     printed = _count_calls(monkeypatch, "canonical")
-    keyed = _count_calls(monkeypatch, "congruence_key")
+    keyed = _count_calls(monkeypatch, "node_key")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
     lines = capsys.readouterr().out.splitlines()
     # the search keys the start term and every distinct reduct, each
-    # once; the listing canonicalises one term per printed line
-    assert len(keyed) == len(set(keyed)) == distinct
+    # once: here each keyed reduct is a listed class; the listing
+    # canonicalises one term per printed line
+    assert len(keyed) == len(set(keyed)) == distinct == len(lines) + 1
     assert len(printed) == len(set(printed)) == len(lines) > 0
 
 
@@ -169,16 +181,21 @@ _FUSIONS = ("{}", "{0~1}", "{0~2, 1~3}", "{[1 <-> 2]}", "{0~1, [1 <-> 2]}")
 
 
 @st.composite
-def _pwfs(draw):
+def _pwfs(draw, scoped=False):
     """One or two action chains over subjects 0..3, each possibly with a
     partner of opposite polarity and equal arity on a subject that some
     fusion relates to it.  A prefix may bind 5, which the continuation may
     use as its subject (a bound output); chains and the whole term may sit
-    under a restriction."""
+    under a restriction.  With `scoped`, a continuation may also be two
+    parallel actions, possibly under a restriction of 6."""
     subject = st.integers(0, 3)
     polarity = st.sampled_from(["up", "down"])
-    tail = st.just(NIL) | st.builds(Act, st.integers(0, 5), polarity,
-                                    st.just(()), st.just(NIL))
+    tail = st.just(NIL) | st.builds(Act, st.integers(0, 6 if scoped else 5),
+                                    polarity, st.just(()), st.just(NIL))
+    if scoped:
+        pair = st.builds(Par, st.builds(Act, st.just(6), polarity,
+                                        st.just(()), tail), tail)
+        tail = tail | pair | st.builds(Nu, st.just(6), pair)
     comps = []
     for _ in range(draw(st.integers(1, 2))):
         act = draw(st.builds(Act, subject, polarity,
@@ -200,7 +217,7 @@ def _pwfs(draw):
     return Pwf(term, parse_fusion(draw(st.sampled_from(_FUSIONS))))
 
 
-@given(_pwfs(), st.integers(1, 3))
+@given(_pwfs(scoped=True), st.integers(1, 3))
 @settings(max_examples=150, deadline=None)
 def test_reach_matches_the_raw_reduct_searches(p, k):
     sigma = canonical_subst(p.fus)
@@ -224,5 +241,17 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
             expected = reference_reduces_within(p, target, j)
             assert reduces_within(p, target, j) == expected
             # a precomputed start is the σ-form under Δ only
+            node = multiset_form(p.proc)[0]
             assert _reduces_within(p, target, j, DEFAULT,
-                                   congruence_key(p.proc)) == expected
+                                   (node, node_key(node))) == expected
+
+
+@given(_pwfs(scoped=True))
+@settings(max_examples=200, deadline=None)
+def test_step_matches_the_process_level_reference(p):
+    """Firing on the multiset form gives the reducts that firing on
+    `Process` terms with capture-avoiding substitution gives."""
+    def keys(reducts):
+        return Counter(congruence_key(sigma_process(r)) for r in reducts)
+
+    assert keys(step(p)) == keys(reference_step(p))
