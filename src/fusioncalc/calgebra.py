@@ -5,37 +5,54 @@ a join table), a tensor table, an involutive antitone orthogonal map, an
 optional parallel-composition table, and an optional name-indexed
 injection M restricted to a finite name window.
 
-Each model builds its lattice tables once: the up-set and down-set of
-every element as a bitmask over the carrier, bottom and top, and a memo
-of binary joins (bit-vector encoding as in Ait-Kaci, Boyer, Lincoln and
-Nasr, "Efficient Implementation of Lattice Operations", TOPLAS 1989).
-A binary join is the element whose up-set contains the intersection of
-the two up-sets; a meet folds joins over its lower bounds, the
-intersection of the down-sets.  All quantified axioms are checked by
-exhaustive enumeration (par/join compatibility on the empty and the
-two-element joins, which imply it for every finite join), so every
-verdict is decided for the model at hand.
+A model numbers its elements by their position in `carrier`, and keeps
+its order as the up-set and down-set of every position, a bitmask over
+positions, with bottom and top (bit-vector encoding as in Ait-Kaci,
+Boyer, Lincoln and Nasr, "Efficient Implementation of Lattice
+Operations", TOPLAS 1989).  Its operations are dense tables over
+positions, each built once, on first use: `perp`, `tensor` and `par`;
+the derived `parr` and `arrow`; binary join and meet; `rhd` and `star`;
+and separator membership.  A binary join is the element whose up-set
+contains the intersection of the two up-sets (None where there is
+none).  A meet, `rhd` and `star` fold joins from bottom over a set of
+positions in carrier order (a meet over its lower bounds, the
+intersection of the down-sets); their cells are None where the fold
+meets a missing join or bottom.  The element-level methods read the same
+tables, so each operation has one implementation; where a cell is None
+they fold again, which raises the fold's ModelError.
+
+All quantified axioms are checked by exhaustive enumeration over
+positions (par/join compatibility on the empty and the two-element
+joins, which imply it for every finite join), so every verdict is
+decided for the model at hand.
 
 Each law is a lazy sequence of its counterexamples, and a failing row
-reports the first: the first in carrier order, with the quantifiers
-nested as the law states them and the separator, too, walked in carrier
-order.  `first_witness` turns a sequence into a row and computes no
-counterexample beyond the first.
+reports the first: the first in carrier order (position order is
+carrier order), with the quantifiers nested as the law states them and
+the separator, too, walked in carrier order.  A witness is formatted
+from carrier names only when it is yielded.  `first_witness` turns a
+sequence into a row and computes no counterexample beyond the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Iterable, Optional
 
 Element = str
 Report = list[tuple[str, bool, str]]
+Table = list[list[Optional[int]]]
 
 
 class ModelError(Exception):
     pass
+
+
+def _no_join(a: Element, b: Element) -> ModelError:
+    return ModelError(f"join of {a} and {b} does not exist")
 
 
 @dataclass
@@ -52,23 +69,148 @@ class FinModel:
 
     def __post_init__(self) -> None:
         # Lattice tables (not fields, built from `carrier` and `leq` as
-        # they are at construction): the up-set and down-set of each
-        # element as a bitmask over carrier positions, the join memo, and
-        # bottom/top (None when absent).  The relation is encoded as
-        # given, so on a non-lattice the operations fail as a carrier
-        # scan would, with the same messages.
-        bit = {c: 1 << i for i, c in enumerate(self.carrier)}
-        self._up = dict.fromkeys(self.carrier, 0)
-        self._down = dict.fromkeys(self.carrier, 0)
+        # they are at construction): the position of each element, the
+        # up-set and down-set of each position as a bitmask over
+        # positions, and the positions of bottom and top (None when
+        # absent).  The relation is encoded as given, so on a non-lattice
+        # the operations fail as a carrier scan would, with the same
+        # messages.
+        self._pos = {c: i for i, c in enumerate(self.carrier)}
+        n = len(self.carrier)
+        self._up = [0] * n
+        self._down = [0] * n
         for a, b in self.leq:
-            self._up[a] = self._up.get(a, 0) | bit.get(b, 0)
-            self._down[b] = self._down.get(b, 0) | bit.get(a, 0)
-        self._joins: dict[tuple[Element, Element], Optional[Element]] = {}
-        full = (1 << len(self.carrier)) - 1
-        self._bottom = next((c for c in self.carrier
-                             if self._up[c] == full), None)
-        self._top = next((c for c in self.carrier
-                          if self._down[c] == full), None)
+            i, j = self._pos.get(a), self._pos.get(b)
+            if i is not None and j is not None:
+                self._up[i] |= 1 << j
+                self._down[j] |= 1 << i
+        self._full = (1 << n) - 1
+        self._bottom = next((i for i in range(n)
+                             if self._up[i] == self._full), None)
+        self._top = next((i for i in range(n)
+                          if self._down[i] == self._full), None)
+
+    # -- operation tables over positions, each built on first use -----
+    #
+    # Fields are not watched: a model whose fields are edited in place
+    # keeps the tables it has built.  `dataclasses.replace` builds a new
+    # model, with tables of its own.
+
+    @cached_property
+    def _join(self) -> Table:
+        up, n = self._up, range(len(self.carrier))
+
+        def least(uppers: int) -> Optional[int]:
+            found = [k for k in n
+                     if uppers >> k & 1 and up[k] & uppers == uppers]
+            return found[0] if len(found) == 1 else None
+
+        return [[least(up[i] & up[j]) for j in n] for i in n]
+
+    @cached_property
+    def _meet(self) -> Table:
+        down, n = self._down, range(len(self.carrier))
+        return self._joins_of([[down[i] & down[j] for j in n] for i in n])
+
+    @cached_property
+    def _perp(self) -> list[int]:
+        return [self._pos[self.perp[c]] for c in self.carrier]
+
+    @cached_property
+    def _tensor(self) -> list[list[int]]:
+        return self._binary(self.tensor)
+
+    @cached_property
+    def _par(self) -> Optional[list[list[int]]]:
+        return None if self.parcomp is None else self._binary(self.parcomp)
+
+    @cached_property
+    def _parr(self) -> list[list[int]]:
+        perp, tensor = self._perp, self._tensor
+        return [[perp[tensor[pa][pb]] for pb in perp] for pa in perp]
+
+    @cached_property
+    def _arrow(self) -> list[list[int]]:
+        perp = self._perp
+        return [[perp[row[pb]] for pb in perp] for row in self._tensor]
+
+    @cached_property
+    def _star(self) -> Table:
+        n = range(len(self.carrier))
+        return self._joins_of([[self._star_lowers(self._up[i], j) for j in n]
+                               for i in n])
+
+    @cached_property
+    def _rhd(self) -> Table:
+        n = range(len(self.carrier))
+        return self._joins_of([[self._rhd_set(j, self._down[k]) for k in n]
+                               for j in n])
+
+    @cached_property
+    def _sep(self) -> list[bool]:
+        return [c in self.separator for c in self.carrier]
+
+    def _binary(self, table: dict[tuple[Element, Element], Element]
+                ) -> list[list[int]]:
+        pos = self._pos
+        return [[pos[table[a, b]] for b in self.carrier]
+                for a in self.carrier]
+
+    def _star_lowers(self, up_a: int, j: int) -> int:
+        """The lower bounds of the c with a <= arrow(b, c), for the
+        up-set `up_a` of a and the position `j` of b."""
+        lowers, down = self._full, self._down
+        for c, x in enumerate(self._arrow[j]):
+            if up_a >> x & 1:
+                lowers &= down[c]
+        return lowers
+
+    def _rhd_set(self, j: int, down_c: int) -> int:
+        """The x with par(x, b) <= c, for the position `j` of b and the
+        down-set `down_c` of c."""
+        out = 0
+        for x, row in enumerate(self._par):
+            if down_c >> row[j] & 1:
+                out |= 1 << x
+        return out
+
+    def _fold(self, mask: int) -> int:
+        """The position of the join of the positions in `mask`, folded
+        from bottom in carrier order; raises where `join` would."""
+        out = self._pos[self.bottom()]
+        join, j = self._join, 0
+        while mask:
+            if mask & 1:
+                nxt = join[out][j]
+                if nxt is None:
+                    raise _no_join(self.carrier[out], self.carrier[j])
+                out = nxt
+            mask >>= 1
+            j += 1
+        return out
+
+    def _joins_of(self, masks: list[list[int]]) -> Table:
+        """The table of `_fold` over a table of masks, None where it
+        raises."""
+        done: dict[int, Optional[int]] = {}
+
+        def fold(mask: int) -> Optional[int]:
+            if mask not in done:
+                try:
+                    done[mask] = self._fold(mask)
+                except ModelError:
+                    done[mask] = None
+            return done[mask]
+
+        return [[fold(mask) for mask in row] for row in masks]
+
+    def _meet_of(self, positions: Iterable[Optional[int]]) -> Element:
+        """The meet of the elements at `positions` (None: an element
+        outside the carrier, which is above nothing)."""
+        lowers, down = self._full, self._down
+        for i in positions:
+            lowers &= 0 if i is None else down[i]
+        return self.carrier[self._fold(lowers)]
 
     # -- lattice ------------------------------------------------------
 
@@ -76,16 +218,11 @@ class FinModel:
         return (a, b) in self.leq
 
     def join2(self, a: Element, b: Element) -> Element:
-        try:
-            out = self._joins[a, b]
-        except KeyError:
-            uppers = self._up.get(a, 0) & self._up.get(b, 0)
-            least = [c for i, c in enumerate(self.carrier)
-                     if uppers >> i & 1 and self._up[c] & uppers == uppers]
-            out = self._joins[a, b] = least[0] if len(least) == 1 else None
+        i, j = self._pos.get(a), self._pos.get(b)
+        out = None if i is None or j is None else self._join[i][j]
         if out is None:
-            raise ModelError(f"join of {a} and {b} does not exist")
-        return out
+            raise _no_join(a, b)
+        return self.carrier[out]
 
     def join(self, elems: Iterable[Element]) -> Element:
         out = self.bottom()
@@ -94,39 +231,45 @@ class FinModel:
         return out
 
     def meet(self, elems: Iterable[Element]) -> Element:
-        lowers = (1 << len(self.carrier)) - 1
-        for e in elems:
-            lowers &= self._down.get(e, 0)
-        return self.join(c for i, c in enumerate(self.carrier)
-                         if lowers >> i & 1)
+        return self._meet_of(self._pos.get(e) for e in elems)
 
     def bottom(self) -> Element:
         if self._bottom is None:
             raise ModelError("carrier has no bottom element")
-        return self._bottom
+        return self.carrier[self._bottom]
 
     def top(self) -> Element:
         if self._top is None:
             raise ModelError("carrier has no top element")
-        return self._top
+        return self.carrier[self._top]
 
     # -- derived operators --------------------------------------------
 
     def parr(self, a: Element, b: Element) -> Element:
-        return self.perp[self.tensor[self.perp[a], self.perp[b]]]
+        return self.carrier[self._parr[self._pos[a]][self._pos[b]]]
 
     def arrow(self, a: Element, b: Element) -> Element:
-        return self.perp[self.tensor[a, self.perp[b]]]
+        return self.carrier[self._arrow[self._pos[a]][self._pos[b]]]
 
     def star(self, a: Element, b: Element) -> Element:
-        return self.meet(c for c in self.carrier
-                         if self.le(a, self.arrow(b, c)))
+        j, i = self._pos[b], self._pos.get(a)
+        out = None if i is None else self._star[i][j]
+        if out is None:  # a is above nothing, or the fold raises
+            out = self._fold(self._star_lowers(
+                0 if i is None else self._up[i], j))
+        return self.carrier[out]
 
     def rhd(self, b: Element, c: Element) -> Element:
         if self.parcomp is None:
             raise ModelError("model has no parallel composition")
-        return self.join(x for x in self.carrier
-                         if self.le(self.parcomp[x, b], c))
+        bottom = self.bottom()  # the join over no x, and the fold's start
+        j, k = self._pos[b], self._pos.get(c)
+        if k is None:  # nothing is below c
+            return bottom
+        out = self._rhd[j][k]
+        if out is None:
+            out = self._fold(self._rhd_set(j, self._down[k]))
+        return self.carrier[out]
 
     def exists(self, f) -> Element:
         return self.join(f(a) for a in self.carrier)
@@ -134,30 +277,29 @@ class FinModel:
     # -- combinators --------------------------------------------------
 
     def s3(self) -> Element:
-        return self.meet(self.arrow(self.tensor[a, b], self.tensor[b, a])
-                         for a in self.carrier for b in self.carrier)
+        t, arrow, n = self._tensor, self._arrow, range(len(self.carrier))
+        return self._meet_of(arrow[t[a][b]][t[b][a]] for a in n for b in n)
 
     def s4(self) -> Element:
-        return self.meet(
-            self.arrow(self.arrow(a, b),
-                       self.arrow(self.arrow(b, c), self.arrow(a, c)))
-            for a in self.carrier for b in self.carrier
-            for c in self.carrier)
+        arrow, n = self._arrow, range(len(self.carrier))
+        return self._meet_of(
+            arrow[arrow[a][b]][arrow[arrow[b][c]][arrow[a][c]]]
+            for a in n for b in n for c in n)
 
     def s5(self) -> Element:
-        return self.meet(
-            self.arrow(self.tensor[self.tensor[a, b], c],
-                       self.tensor[a, self.tensor[b, c]])
-            for a in self.carrier for b in self.carrier
-            for c in self.carrier)
+        t, arrow, n = self._tensor, self._arrow, range(len(self.carrier))
+        return self._meet_of(arrow[t[t[a][b]][c]][t[a][t[b][c]]]
+                             for a in n for b in n for c in n)
 
     def s6(self) -> Element:
-        return self.meet(self.arrow(a, self.tensor[self.unit, a])
-                         for a in self.carrier)
+        t, arrow, u = self._tensor, self._arrow, self._pos[self.unit]
+        return self._meet_of(arrow[a][t[u][a]]
+                             for a in range(len(self.carrier)))
 
     def s7(self) -> Element:
-        return self.meet(self.arrow(self.tensor[self.unit, a], a)
-                         for a in self.carrier)
+        t, arrow, u = self._tensor, self._arrow, self._pos[self.unit]
+        return self._meet_of(arrow[t[u][a]][a]
+                             for a in range(len(self.carrier)))
 
     def combinators(self) -> dict[str, Element]:
         return {"S3": self.s3(), "S4": self.s4(), "S5": self.s5(),
@@ -331,6 +473,12 @@ def parse_model(text: str) -> FinModel:
 # specializing interpreter on a loop's backward jump, and the filter of a
 # generator expression jumps back without it, so on their first calls the
 # checkers ran about a tenth slower in that form.
+#
+# The laws quantify over positions and read the model's tables; `up[a] >>
+# b & 1` is `a <= b`.  A lookup that does not depend on an inner
+# quantifier is made once, outside its loop.  Where a table cell may be
+# None (no join, meet or star there) the law calls the element-level
+# method, which raises the ModelError the fold raises.
 
 
 def first_witness(name: str, witnesses: Iterable[str]
@@ -345,23 +493,34 @@ def passed(report: Report) -> bool:
     return all(ok for _, ok, _ in report)
 
 
+def _at(m: FinModel, *positions: int) -> str:
+    """The elements at `positions`, as a witness lists them."""
+    return ", ".join(m.carrier[i] for i in positions)
+
+
 def check_cs(m: FinModel) -> Report:
+    E, R, up = m.carrier, range(len(m.carrier)), m._up
+
     def partial_order():
-        for a, b in product(m.carrier, repeat=2):
-            if m.le(a, b) and m.le(b, a) and a != b:
-                yield f"antisymmetry fails on {a}, {b}"
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.le(a, b) and m.le(b, c) and not m.le(a, c):
-                yield f"transitivity fails on {a} <= {b} <= {c}"
-        for a in m.carrier:
-            if not m.le(a, a):
-                yield f"reflexivity fails at {a}"
+        for a, b in product(R, repeat=2):
+            if up[a] >> b & 1 and up[b] >> a & 1 and a != b:
+                yield f"antisymmetry fails on {_at(m, a, b)}"
+        for a, b in product(R, repeat=2):
+            if up[a] >> b & 1:
+                for c in R:
+                    if up[b] >> c & 1 and not up[a] >> c & 1:
+                        yield (f"transitivity fails on {E[a]} <= {E[b]} "
+                               f"<= {E[c]}")
+        for a in R:
+            if not up[a] >> a & 1:
+                yield f"reflexivity fails at {E[a]}"
 
     def joins():
         try:
             m.bottom()
-            for a, b in product(m.carrier, repeat=2):
-                m.join2(a, b)
+            for a, b in product(R, repeat=2):
+                if m._join[a][b] is None:
+                    m.join2(E[a], E[b])
         except ModelError as exc:
             yield str(exc)
 
@@ -369,42 +528,47 @@ def check_cs(m: FinModel) -> Report:
               first_witness("all-joins-exist", joins())]
     if not report[-1][1]:
         return report
-    bot = m.bottom()
+    bot, join, t, perp = m._bottom, m._join, m._tensor, m._perp
 
     def tensor_monotone():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.le(a, b):
-                if not m.le(m.tensor[a, c], m.tensor[b, c]) or \
-                        not m.le(m.tensor[c, a], m.tensor[c, b]):
-                    yield f"tensor not monotone at {a} <= {b} with {c}"
+        for a, b in product(R, repeat=2):
+            if up[a] >> b & 1:
+                ta, tb = t[a], t[b]
+                for c in R:
+                    if not up[ta[c]] >> tb[c] & 1 or \
+                            not up[t[c][a]] >> t[c][b] & 1:
+                        yield (f"tensor not monotone at {E[a]} <= {E[b]} "
+                               f"with {E[c]}")
 
     def tensor_distributive():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.tensor[a, m.join2(b, c)] != \
-                    m.join2(m.tensor[a, b], m.tensor[a, c]) or \
-                    m.tensor[m.join2(b, c), a] != \
-                    m.join2(m.tensor[b, a], m.tensor[c, a]):
-                yield f"tensor/join distributivity fails at {a}, {b}, {c}"
-        for a in m.carrier:
-            if m.tensor[a, bot] != bot or m.tensor[bot, a] != bot:
-                yield f"tensor does not absorb the empty join at {a}"
+        for a, b in product(R, repeat=2):
+            ta, jb = t[a], join[b]
+            for c in R:
+                if ta[jb[c]] != join[ta[b]][ta[c]] or \
+                        t[jb[c]][a] != join[t[b][a]][t[c][a]]:
+                    yield ("tensor/join distributivity fails at "
+                           f"{_at(m, a, b, c)}")
+        for a in R:
+            if t[a][bot] != bot or t[bot][a] != bot:
+                yield f"tensor does not absorb the empty join at {E[a]}"
 
     def perp_involutive():
-        for a in m.carrier:
-            if m.perp[m.perp[a]] != a:
-                yield f"perp not involutive at {a}"
+        for a in R:
+            if perp[perp[a]] != a:
+                yield f"perp not involutive at {E[a]}"
 
     def perp_antitone():
-        for a, b in product(m.carrier, repeat=2):
-            if m.le(a, b) and not m.le(m.perp[b], m.perp[a]):
-                yield f"perp not antitone at {a} <= {b}"
+        for a, b in product(R, repeat=2):
+            if up[a] >> b & 1 and not up[perp[b]] >> perp[a] & 1:
+                yield f"perp not antitone at {E[a]} <= {E[b]}"
 
     def de_morgan():
-        for a, b in product(m.carrier, repeat=2):
-            if m.perp[m.join2(a, b)] != m.meet([m.perp[a], m.perp[b]]):
-                yield (f"perp(join({a},{b})) = {m.perp[m.join2(a, b)]} but "
-                       f"meet of perps = {m.meet([m.perp[a], m.perp[b]])}")
-        if m.perp[bot] != m.top():
+        meet = m._meet
+        for a, b in product(R, repeat=2):
+            if perp[join[a][b]] != meet[perp[a]][perp[b]]:
+                yield (f"perp(join({E[a]},{E[b]})) = {E[perp[join[a][b]]]}"
+                       f" but meet of perps = {E[meet[perp[a]][perp[b]]]}")
+        if E[perp[bot]] != m.top():
             yield "perp of bottom is not top"
 
     return report + [
@@ -416,76 +580,88 @@ def check_cs(m: FinModel) -> Report:
 
 
 def _check_separator_rules(m: FinModel, report: Report) -> None:
-    sep = m.separator
+    E, R, up, sep = m.carrier, range(len(m.carrier)), m._up, m._sep
+    arrow, t, perp = m._arrow, m._tensor, m._perp
     combs = m.combinators()
 
     def ax():
         for name, value in combs.items():
-            if value not in sep:
+            if value not in m.separator:
                 yield f"(ax): {name} = {value} is outside the separator"
 
     def upc():
-        for a in m.carrier:
-            if a in sep:
-                for b in m.carrier:
-                    if m.le(a, b) and b not in sep:
-                        yield f"(upc): {a} <= {b} but {b} outside"
+        for a in R:
+            if sep[a]:
+                for b in R:
+                    if up[a] >> b & 1 and not sep[b]:
+                        yield f"(upc): {E[a]} <= {E[b]} but {E[b]} outside"
 
     def mp():
-        for a, b in product(m.carrier, repeat=2):
-            if m.arrow(a, b) in sep and a in sep and b not in sep:
-                yield f"(mp): {a} -> {b} and {a} inside but {b} outside"
+        for a, b in product(R, repeat=2):
+            if sep[arrow[a][b]] and sep[a] and not sep[b]:
+                yield (f"(mp): {E[a]} -> {E[b]} and {E[a]} inside but "
+                       f"{E[b]} outside")
 
     def ctx():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.arrow(a, b) in sep and \
-                    m.arrow(m.tensor[a, c], m.tensor[b, c]) not in sep:
-                yield f"(ctx) fails at {a}, {b}, {c}"
+        for a, b in product(R, repeat=2):
+            if sep[arrow[a][b]]:
+                ta, tb = t[a], t[b]
+                for c in R:
+                    if not sep[arrow[ta[c]][tb[c]]]:
+                        yield f"(ctx) fails at {_at(m, a, b, c)}"
 
     def ctr():
-        for a, b in product(m.carrier, repeat=2):
-            if m.arrow(a, b) in sep and \
-                    m.arrow(m.perp[b], m.perp[a]) not in sep:
-                yield f"(ctr) fails at {a}, {b}"
+        for a, b in product(R, repeat=2):
+            if sep[arrow[a][b]] and not sep[arrow[perp[b]][perp[a]]]:
+                yield f"(ctr) fails at {_at(m, a, b)}"
 
     report += [first_witness("separator-ax", ax()),
                first_witness("separator-upc", upc()),
                first_witness("separator-mp", mp()),
                first_witness("separator-ctx", ctx()),
                first_witness("separator-ctr", ctr()),
-               first_witness("separator-unit", [] if m.unit in sep
+               first_witness("separator-unit", [] if m.unit in m.separator
                              else ["1 is outside the separator"])]
 
 
 def _check_parcomp(m: FinModel, report: Report) -> None:
-    p = m.parcomp
+    p = m._par
     if p is None:
         report.append(first_witness("parcomp-present",
                                     ["model has no [par] section"]))
         return
+    E, R, up = m.carrier, range(len(m.carrier)), m._up
 
     def abelian_monoid():
-        for a, b, c in product(m.carrier, repeat=3):
-            if p[p[a, b], c] != p[a, p[b, c]]:
-                yield f"par not associative at {a}, {b}, {c}"
-        for a, b in product(m.carrier, repeat=2):
-            if p[a, b] != p[b, a]:
-                yield f"par not commutative at {a}, {b}"
-        for a in m.carrier:
-            if p[a, m.unit] != a:
-                yield f"par unit fails at {a}"
+        for a, b in product(R, repeat=2):
+            pa, pab = p[a], p[p[a][b]]
+            for c in R:
+                if pab[c] != pa[p[b][c]]:
+                    yield f"par not associative at {_at(m, a, b, c)}"
+        for a, b in product(R, repeat=2):
+            if p[a][b] != p[b][a]:
+                yield f"par not commutative at {_at(m, a, b)}"
+        u = m._pos[m.unit]
+        for a in R:
+            if p[a][u] != a:
+                yield f"par unit fails at {E[a]}"
 
     # In a lattice the empty and the two-element joins imply the law for
     # every finite join, by induction on the fold (a one-element join is
-    # trivial), so the empty set and the pairs decide it.
+    # trivial), so the empty set and the pairs decide it.  check_ca runs
+    # this law on lattices only (check_cs has passed), where the join of
+    # a pair is one lookup, whatever the order of the fold.
     def join_compatible():
-        for subset in chain([()], combinations(m.carrier, 2)):
-            joined = m.join(subset)
-            for a in m.carrier:
-                rhs = m.join(p[b, a] for b in subset)
-                if not m.le(p[joined, a], rhs):
-                    yield (f"par/join compatibility fails for {subset} "
-                           f"with {a}")
+        join, bot = m._join, m._fold(0)
+        for a in R:
+            if not up[p[bot][a]] >> bot & 1:
+                yield f"par/join compatibility fails for () with {E[a]}"
+        for x, y in combinations(R, 2):
+            pj, px, py = p[join[x][y]], p[x], p[y]
+            for a in R:
+                if not up[pj[a]] >> join[px[a]][py[a]] & 1:
+                    yield (f"par/join compatibility fails for "
+                           f"{(E[x], E[y])} with {E[a]}")
 
     report += [first_witness("parcomp-abelian-monoid", abelian_monoid()),
                first_witness("parcomp-join-compatible", join_compatible())]
@@ -504,11 +680,14 @@ def check_cpa(m: FinModel) -> Report:
     report = check_ca(m)
     if not passed(report):
         return report
+    R, up, p, rhd = range(len(m.carrier)), m._up, m._par, m._rhd
 
     def rhd_adjunction():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.le(m.parcomp[a, b], c) != m.le(a, m.rhd(b, c)):
-                yield f"rhd adjunction fails at {a}, {b}, {c}"
+        for a, b in product(R, repeat=2):
+            ua, upab, rb = up[a], up[p[a][b]], rhd[b]
+            for c in R:
+                if (upab >> c & 1) != (ua >> rb[c] & 1):
+                    yield f"rhd adjunction fails at {_at(m, a, b, c)}"
 
     report.append(first_witness("rhd-adjunction", rhd_adjunction()))
     return report
@@ -546,24 +725,30 @@ def check_ccpa(m: FinModel) -> Report:
                 if value not in m.separator:
                     yield f"{label}{args} = {value} is outside the separator"
 
+    # m-injective-on-window holds, so M is defined on the whole window.
+    w, pos, up, p = m.window, m._pos, m._up, m._par
+    mm = {(a, x): pos[m.m(a, x)] for a, x in product(w, repeat=2)}
+    K, F, Bl, Br, D, S = ({args: pos[v] for args, v in hy[label].items()}
+                          for label in ("K", "F", "Bl", "Br", "D", "S"))
+    unit = pos[m.unit]
+
     def hy_reductions():
-        p, mm = m.parcomp, m.m
-        for a, x in product(m.window, repeat=2):
-            if not m.le(p[hy["K"][a,], mm(a, x)], m.unit):
+        for a, x in product(w, repeat=2):
+            pax = mm[a, x]
+            if not up[p[K[a,]][pax]] >> unit & 1:
                 yield f"K({a})|M({a},{x}) exceeds 1"
-            for b in m.window:
-                if not m.le(p[hy["F"][a, b], mm(a, x)], mm(b, x)):
+            for b in w:
+                if not up[p[F[a, b]][pax]] >> mm[b, x] & 1:
                     yield f"F({a},{b})|M({a},{x}) exceeds M({b},{x})"
-                if not m.le(p[hy["Bl"][a, b], mm(a, x)], hy["F"][x, b]):
+                if not up[p[Bl[a, b]][pax]] >> F[x, b] & 1:
                     yield f"Bl({a},{b})|M({a},{x}) exceeds F({x},{b})"
-                if not m.le(p[hy["Br"][a, b], mm(a, x)], hy["F"][b, x]):
+                if not up[p[Br[a, b]][pax]] >> F[b, x] & 1:
                     yield f"Br({a},{b})|M({a},{x}) exceeds F({b},{x})"
-                for c in m.window:
-                    if not m.le(p[hy["D"][a, b, c], mm(a, x)],
-                                p[mm(b, x), mm(c, x)]):
+                for c in w:
+                    if not up[p[D[a, b, c]][pax]] >> \
+                            p[mm[b, x]][mm[c, x]] & 1:
                         yield f"D({a},{b},{c})|M({a},{x}) exceeds M|M"
-                    if not m.le(p[hy["S"][a, b, c], mm(a, x)],
-                                hy["F"][b, c]):
+                    if not up[p[S[a, b, c]][pax]] >> F[b, c] & 1:
                         yield (f"S({a},{b},{c})|M({a},{x}) exceeds "
                                f"F({b},{c})")
 
@@ -573,76 +758,108 @@ def check_ccpa(m: FinModel) -> Report:
 
 
 def check_derived_props(m: FinModel) -> Report:
-    sep = m.separator
+    E, R, up, sep = m.carrier, range(len(m.carrier)), m._up, m._sep
+    t, perp, parr, arrow = m._tensor, m._perp, m._parr, m._arrow
 
     def dual_de_morgan():
-        for a, b in product(m.carrier, repeat=2):
-            if m.perp[m.meet([a, b])] != m.join2(m.perp[a], m.perp[b]):
-                yield f"dual De Morgan fails at {a}, {b}"
+        join, meet = m._join, m._meet
+        for a, b in product(R, repeat=2):
+            if meet[a][b] is None:
+                m.meet([E[a], E[b]])
+            if join[perp[a]][perp[b]] is None:
+                m.join2(E[perp[a]], E[perp[b]])
+            if perp[meet[a][b]] != join[perp[a]][perp[b]]:
+                yield f"dual De Morgan fails at {_at(m, a, b)}"
 
     def arrow_meet():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.arrow(a, m.meet([b, c])) != \
-                    m.meet([m.arrow(a, b), m.arrow(a, c)]):
-                yield f"arrow/meet distributivity fails at {a}, {b}, {c}"
+        meet = m._meet
+        for a, b in product(R, repeat=2):
+            aa, mb = arrow[a], meet[b]
+            for c in R:
+                if mb[c] is None:
+                    m.meet([E[b], E[c]])
+                if meet[aa[b]][aa[c]] is None:
+                    m.meet([E[aa[b]], E[aa[c]]])
+                if aa[mb[c]] != meet[aa[b]][aa[c]]:
+                    yield ("arrow/meet distributivity fails at "
+                           f"{_at(m, a, b, c)}")
 
     def monotonicity():
-        for a, b in product(m.carrier, repeat=2):
-            if not m.le(a, b):
+        for a, b in product(R, repeat=2):
+            if not up[a] >> b & 1:
                 continue
-            for g in m.carrier:
-                if not m.le(m.parr(g, a), m.parr(g, b)) or \
-                        not m.le(m.parr(a, g), m.parr(b, g)):
-                    yield f"parr not monotone at {a} <= {b} with {g}"
-            for g in m.carrier:
-                if not m.le(m.arrow(g, a), m.arrow(g, b)) or \
-                        not m.le(m.arrow(b, g), m.arrow(a, g)):
-                    yield f"arrow variance fails at {a} <= {b} with {g}"
+            for g in R:
+                if not up[parr[g][a]] >> parr[g][b] & 1 or \
+                        not up[parr[a][g]] >> parr[b][g] & 1:
+                    yield f"parr not monotone at {E[a]} <= {E[b]} with {E[g]}"
+            for g in R:
+                if not up[arrow[g][a]] >> arrow[g][b] & 1 or \
+                        not up[arrow[b][g]] >> arrow[a][g] & 1:
+                    yield (f"arrow variance fails at {E[a]} <= {E[b]} with "
+                           f"{E[g]}")
 
     def arrow_as_parr():
-        for a, b in product(m.carrier, repeat=2):
-            if m.arrow(a, b) != m.parr(m.perp[a], b):
-                yield f"arrow is not perp-parr at {a}, {b}"
+        for a, b in product(R, repeat=2):
+            if arrow[a][b] != parr[perp[a]][b]:
+                yield f"arrow is not perp-parr at {_at(m, a, b)}"
 
     def unit_counit():
-        for a, b in product(m.carrier, repeat=2):
-            if not m.le(m.star(m.arrow(a, b), a), b) or \
-                    not m.le(a, m.arrow(b, m.star(a, b))):
-                yield f"star/arrow unit-counit fails at {a}, {b}"
+        star = m._star
+        for a, b in product(R, repeat=2):
+            if star[arrow[a][b]][a] is None:
+                m.star(E[arrow[a][b]], E[a])
+            if up[star[arrow[a][b]][a]] >> b & 1:
+                if star[a][b] is None:
+                    m.star(E[a], E[b])
+                if up[a] >> arrow[b][star[a][b]] & 1:
+                    continue
+            yield f"star/arrow unit-counit fails at {_at(m, a, b)}"
 
     def star_closed():
-        inside = [a for a in m.carrier if a in sep]
+        star = m._star
+        inside = [a for a in R if sep[a]]
         for a, b in product(inside, repeat=2):
-            if m.star(a, b) not in sep:
-                yield f"separator not closed under star at {a}, {b}"
+            if star[a][b] is None:
+                m.star(E[a], E[b])
+            if not sep[star[a][b]]:
+                yield f"separator not closed under star at {_at(m, a, b)}"
 
     def identities():
-        for a in m.carrier:
-            if m.arrow(a, a) not in sep:
-                yield f"{a} -> {a} is outside the separator"
+        for a in R:
+            if not sep[arrow[a][a]]:
+                yield f"{E[a]} -> {E[a]} is outside the separator"
 
     def join_upcast():
-        for g, a, b in product(m.carrier, repeat=3):
-            if not m.le(m.parr(g, a), m.parr(g, m.join2(a, b))):
-                yield f"parr/join upcast fails at {g}, {a}, {b}"
+        join = m._join
+        for g, a in product(R, repeat=2):
+            pg, ja = parr[g], join[a]
+            for b in R:
+                if ja[b] is None:
+                    m.join2(E[a], E[b])
+                if not up[pg[a]] >> pg[ja[b]] & 1:
+                    yield f"parr/join upcast fails at {_at(m, g, a, b)}"
 
     def perp_commutation():
-        for a, b in product(m.carrier, repeat=2):
-            if m.arrow(m.perp[m.tensor[a, b]], m.perp[m.tensor[b, a]]) \
-                    not in sep:
-                yield f"perp-commutation realizer missing at {a}, {b}"
+        for a, b in product(R, repeat=2):
+            if not sep[arrow[perp[t[a][b]]][perp[t[b][a]]]]:
+                yield f"perp-commutation realizer missing at {_at(m, a, b)}"
 
     def semi_distribution():
-        for a, b, c in product(m.carrier, repeat=3):
-            if m.arrow(m.tensor[m.parr(a, b), c],
-                       m.parr(a, m.tensor[b, c])) not in sep:
-                yield f"semi-distribution realizer missing at {a}, {b}, {c}"
+        for a, b in product(R, repeat=2):
+            pa, tab, tb = parr[a], t[parr[a][b]], t[b]
+            for c in R:
+                if not sep[arrow[tab[c]][pa[tb[c]]]]:
+                    yield ("semi-distribution realizer missing at "
+                           f"{_at(m, a, b, c)}")
 
     def cut_scheme():
-        for g, a, b, d in product(m.carrier, repeat=4):
-            if m.arrow(m.tensor[m.parr(g, a), m.parr(b, d)],
-                       m.parr(g, m.parr(m.tensor[a, b], d))) not in sep:
-                yield f"cut realizer missing at {g}, {a}, {b}, {d}"
+        for g, a in product(R, repeat=2):
+            pg, tga, ta = parr[g], t[parr[g][a]], t[a]
+            for b in R:
+                pb, pab = parr[b], parr[ta[b]]
+                for d in R:
+                    if not sep[arrow[tga[pb[d]]][pg[pab[d]]]]:
+                        yield f"cut realizer missing at {_at(m, g, a, b, d)}"
 
     return [
         first_witness("dual-de-morgan", dual_de_morgan()),

@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import calgebra_reference as reference
 from fusioncalc.calgebra import (FinModel, ModelError, _check_parcomp,
                                  check_ca, check_ccpa, check_cpa, check_cs,
                                  check_derived_props, hom_compose, load_model,
@@ -142,10 +144,11 @@ def test_hy_reduction_inequalities_hold_where_defined(boolean4):
                 assert m.le(m.parcomp[hy["F"][a, b], m.m(a, x)], m.m(b, x))
 
 
-# -- lattice tables against carrier scans -----------------------------------
+# -- operation tables against carrier scans ---------------------------------
 #
 # The reference operations scan the carrier with `le`, as FinModel did
-# before it kept lattice tables.
+# before it kept lattice tables, and compute `parr`, `arrow`, `star` and
+# `rhd` by their defining formulas over the model's dicts.
 
 
 def reference_join2(m, a, b):
@@ -182,6 +185,27 @@ def reference_meet(m, elems):
     return reference_join(m, lowers)
 
 
+def reference_parr(m, a, b):
+    return m.perp[m.tensor[m.perp[a], m.perp[b]]]
+
+
+def reference_arrow(m, a, b):
+    return m.perp[m.tensor[a, m.perp[b]]]
+
+
+def reference_star(m, a, b):
+    return reference_meet(m, [c for c in m.carrier
+                              if m.le(a, reference_arrow(m, b, c))])
+
+
+def reference_rhd(m, b, c):
+    if m.parcomp is None:
+        raise ModelError("model has no parallel composition")
+    # a join starts from bottom before it reads its elements
+    return reference_join(m, (x for x in m.carrier
+                              if m.le(m.parcomp[x, b], c)))
+
+
 def reference_join_compatible(m):
     """The parcomp-join-compatible row by the earlier subset enumeration:
     every subset by size up to 12 elements, 2,048 sampled ones above."""
@@ -216,6 +240,8 @@ def outcome(f, *args):
         return f(*args)
     except ModelError as exc:
         return "ModelError", str(exc)
+    except KeyError:  # an element outside the carrier, or a missing row
+        return "KeyError"
 
 
 def order_model(carrier, leq, parcomp=None):
@@ -271,23 +297,39 @@ def finite_orders(draw):
     return carrier, leq
 
 
+def drawn_table(rng, carrier, arity):
+    return {key if arity > 1 else key[0]: rng.choice(carrier)
+            for key in itertools.product(carrier, repeat=arity)}
+
+
 @given(finite_orders(), st.data())
 @settings(max_examples=200, deadline=None)
 def test_lattice_tables_match_carrier_scans(order, data):
     carrier, leq = order
-    m = order_model(carrier, leq)
+    rng = data.draw(st.randoms(use_true_random=False))
+    m = FinModel(carrier=tuple(carrier), leq=frozenset(leq),
+                 tensor=drawn_table(rng, carrier, 2),
+                 perp=drawn_table(rng, carrier, 1), unit=carrier[-1],
+                 parcomp=drawn_table(rng, carrier, 2)
+                 if rng.random() < 0.7 else None)
     probes = carrier + ["outside"]
     assert outcome(m.bottom) == outcome(reference_bottom, m)
     assert outcome(m.top) == outcome(reference_top, m)
-    for _ in range(2):  # the second pass reads the join memo
-        for a, b in itertools.product(probes, repeat=2):
-            assert outcome(m.join2, a, b) == outcome(reference_join2, m, a, b)
+    for a, b in itertools.product(probes, repeat=2):
+        assert outcome(m.join2, a, b) == outcome(reference_join2, m, a, b)
+        assert outcome(m.parr, a, b) == outcome(reference_parr, m, a, b)
+        assert outcome(m.arrow, a, b) == outcome(reference_arrow, m, a, b)
     for _ in range(5):
         elems = data.draw(st.lists(st.sampled_from(probes), max_size=4))
         assert outcome(m.join, elems) == outcome(reference_join, m, elems)
         assert outcome(m.meet, elems) == outcome(reference_meet, m, elems)
         assert outcome(m.meet, iter(elems)) == \
             outcome(reference_meet, m, elems)
+    # the scans behind star and rhd are slow: a drawn sample of pairs
+    for _ in range(8):
+        a, b = (data.draw(st.sampled_from(probes)) for _ in range(2))
+        assert outcome(m.star, a, b) == outcome(reference_star, m, a, b)
+        assert outcome(m.rhd, a, b) == outcome(reference_rhd, m, a, b)
 
 
 @given(closure_lattices(), st.data())
@@ -306,6 +348,91 @@ def test_pair_check_matches_subset_enumeration(lattice, data):
         par = {(a, b): data.draw(elem) for a in carrier for b in carrier}
     m = order_model(carrier, leq, par)
     assert join_compatible_row(m) == reference_join_compatible(m)
+
+
+def redrawn(rng, table, carrier):
+    """`table` with a cell redrawn, with a cell and its mirror set to one
+    drawn value (a commutative table stays commutative), or drawn
+    whole."""
+    roll = rng.random()
+    if roll < 0.8:
+        key = rng.choice(sorted(table))
+        mirror = key[::-1] if roll < 0.4 and isinstance(key, tuple) else key
+        value = rng.choice(carrier)
+        return {**table, key: value, mirror: value}
+    return {key: rng.choice(carrier) for key in table}
+
+
+@st.composite
+def drawn_models(draw):
+    """Boolean algebras (tensor and par the meet, perp the complement),
+    closure lattices and finite_orders (tensor and par the meet where
+    every pair has one, perp drawn), with one of the tables or none
+    redrawn (`redrawn`), par sometimes absent, a drawn separator, and a
+    window with M (injective, not, or missing a row) or none."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["boolean", "boolean", "lattice", "order"]))
+    if kind == "boolean":
+        full = frozenset(range(rng.randint(1, 3)))
+        sets = [frozenset(x for x in full if i >> x & 1)
+                for i in range(2 ** len(full))]
+        rng.shuffle(sets)
+        name = {a: "s" + "".join(map(str, sorted(a))) for a in sets}
+        carrier = [name[a] for a in sets]
+        leq = {(name[a], name[b]) for a in sets for b in sets if a <= b}
+        meet = {(name[a], name[b]): name[a & b] for a in sets for b in sets}
+        perp = {name[a]: name[full - a] for a in sets}
+        unit = name[full]
+    else:
+        carrier, leq = draw(closure_lattices(max_size=8) if kind == "lattice"
+                            else finite_orders())
+        order = order_model(carrier, leq)
+        try:
+            meet = {(a, b): order.meet([a, b])
+                    for a in carrier for b in carrier}
+        except ModelError:
+            meet = drawn_table(rng, carrier, 2)
+        perp = drawn_table(rng, carrier, 1)
+        unit = rng.choice(carrier)
+    tables = {"tensor": meet, "perp": perp, "par": meet}
+    broken = rng.choice([None, None, "tensor", "perp", "par"])
+    if broken:
+        tables[broken] = redrawn(rng, tables[broken], carrier)
+    if rng.random() < 0.15:
+        tables["par"] = None
+    separator = rng.choice([
+        {unit}, {c for c in carrier if (unit, c) in leq}, set(carrier),
+        {c for c in carrier if rng.random() < 0.5}])
+    window, m_table = (), {}
+    if rng.random() < 0.7:
+        window = tuple(range(rng.randint(1, 3)))
+        pairs = list(itertools.product(window, repeat=2))
+        images = (rng.sample(carrier, len(pairs))
+                  if len(pairs) <= len(carrier) and rng.random() < 0.8
+                  else [rng.choice(carrier) for _ in pairs])
+        m_table = dict(zip(pairs, images))
+        if rng.random() < 0.15:
+            del m_table[rng.choice(pairs)]
+    return FinModel(carrier=tuple(carrier), leq=frozenset(leq),
+                    tensor=tables["tensor"], perp=tables["perp"], unit=unit,
+                    parcomp=tables["par"], window=window, m_table=m_table,
+                    separator=frozenset(separator))
+
+
+@given(drawn_models())
+@settings(max_examples=150, deadline=None)
+def test_checkers_match_the_element_level_reference(m):
+    """Every level, row by row (name, verdict, witness text), or the same
+    ModelError, against the checkers over carrier elements; each level
+    on a copy of the model that has built no table yet."""
+    for check, expected in ((check_cs, reference.check_cs),
+                            (check_ca, reference.check_ca),
+                            (check_cpa, reference.check_cpa),
+                            (check_ccpa, reference.check_ccpa),
+                            (check_derived_props,
+                             reference.check_derived_props)):
+        assert outcome(check, replace(m)) == outcome(expected, m), \
+            check.__name__
 
 
 def test_cyclic_join_order_is_not_partial():

@@ -138,6 +138,7 @@ def test_hy_check_gated_behind_flag(capsys):
 def test_laws_suite(capsys):
     code, out, _ = run(capsys, "laws")
     assert code == 0 and "fail" not in out
+    assert out.splitlines()[1] == "# sampled laws: samples=6 seed=0"
     assert "fusion-semi-distributivity-counterexample" in out
     assert "realizability-laws" in out and "mll-corpus-soundness" in out
 
