@@ -19,11 +19,12 @@ from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
                      fusion_str, join, meet, parse_fusion, phi, remove,
                      restrict)
 from .names import parse_nameset
-from .process import (ProcessError, SearchBudgetError, canonical,
+from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
-from .pwf import (Pwf, PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
+from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
                   parse_pwf, pwf_str, star)
 from .reduction import reach
+from .terms import canonical_form
 
 _PARSE_ERRORS = (FusionError, PwfError, ProcessError, mll.MllError,
                  calgebra.ModelError, OSError, ValueError)
@@ -92,9 +93,10 @@ def _cmd_reduce(args) -> int:
     config = _config_from_args(args)
     p = parse_pwf(args.pwf)
     reached = itertools.islice(reach(p, args.steps, config), 1, None)
-    # each listed class is canonicalised once, for its line only
-    for line in sorted(pwf_str(Pwf(canonical(q.proc), p.fus))
-                       for _, q in reached):
+    fus = fusion_str(p.fus)
+    # each listed class is printed from its node, once
+    for line in sorted(f"<{form_str(canonical_form(node))} ; {fus}>"
+                       for _, node in reached):
         print(line)
     return 0
 

@@ -1,239 +1,35 @@
 """Printed forms of process terms, and their text grammar.
 
-`canonical` is the printed form of a congruence class: bound names are
-renumbered by traversal order while backtracking over orderings of
-structurally ambiguous parallel siblings, the lexicographically least
-rendering wins, and a deterministic scope-minimization pass shapes the
-result.  Congruence itself is decided by `congruence_key` (in `terms`,
-re-exported here with the term classes and substitution); `canonical`
-runs only where a form is printed.
+`canonical` is the printed form of a congruence class,
+`terms.canonical_form` of the term's multiset form: the least rendering
+over the orders of equal-skeleton siblings, found by the sibling-order
+search that the congruence key uses.  `form_str` writes such a form
+from its node.  Congruence itself is decided by `congruence_key` (in
+`terms`, re-exported here with the term classes and substitution).
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections import Counter
-from typing import Iterator, Optional
-
 from .names import Name, parse_name
-from .terms import (_MAX_CANDIDATES, NIL, Act, Nil, Nu, Par, Process,
-                    ProcessError, SearchBudgetError, _fresh_names, _simplify,
-                    _to_process, all_names, congruence_key, free_names,
-                    struct_eq, substitute)
+from .terms import (NIL, Act, Nil, Nu, Par, Process, ProcessError,
+                    SearchBudgetError, _to_process, all_names, canonical_form,
+                    congruence_key, free_names, multiset_form, struct_eq,
+                    substitute)
 
 __all__ = ["NIL", "Act", "Nil", "Nu", "Par", "Process", "ProcessError",
            "SearchBudgetError", "all_names", "canonical", "congruence_key",
-           "free_names", "parse_process", "process_str", "struct_eq",
-           "substitute", "tidy"]
+           "form_str", "free_names", "parse_process", "process_str",
+           "struct_eq", "substitute", "tidy"]
 
 
 # ---------------------------------------------------------------------------
-# canonicalization
-
-
-def _node_free(node) -> frozenset[Name]:
-    kind = node[0]
-    if kind == "nil":
-        return frozenset()
-    if kind == "act":
-        _, subj, _, bound, body = node
-        return (_node_free(body) - frozenset(bound)) | {subj}
-    if kind == "par":
-        out: frozenset[Name] = frozenset()
-        for child in node[1]:
-            out |= _node_free(child)
-        return out
-    _, names, body = node
-    return _node_free(body) - names
-
-
-def _skeleton(node, bound: frozenset[Name]):
-    """Erase bound names, keep free ones: the ordering invariant."""
-    kind = node[0]
-    if kind == "nil":
-        return ("nil",)
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        subj_part = ("bound",) if subj in bound else ("free", subj)
-        return ("act", subj_part, pol, len(bnd),
-                _skeleton(body, bound | frozenset(bnd)))
-    if kind == "par":
-        return ("par", tuple(sorted(_skeleton(c, bound) for c in node[1])))
-    _, names, body = node
-    return ("nu", len(names), _skeleton(body, bound | names))
-
-
-def _orderings(node, bound: frozenset[Name]):
-    """All admissible ordered variants (permuting ambiguous par siblings)."""
-    kind = node[0]
-    if kind == "nil":
-        yield node
-        return
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        for b in _orderings(body, bound | frozenset(bnd)):
-            yield ("act", subj, pol, bnd, b)
-        return
-    if kind == "nu":
-        _, names, body = node
-        for b in _orderings(body, bound | names):
-            yield ("nu", names, b)
-        return
-    _, children = node
-    variants = {c: list(_orderings(c, bound)) for c in set(children)}
-    keyed = sorted(children, key=lambda c: _skeleton(c, bound))
-    groups: list[list] = []
-    for c in keyed:
-        if groups and _skeleton(groups[-1][0], bound) == _skeleton(c, bound):
-            groups[-1].append(c)
-        else:
-            groups.append([c])
-    # identical siblings are interchangeable, so each group is arranged
-    # as a multiset: len(g)! / prod(multiplicity!) distinct orders
-    count = 1
-    for g in groups:
-        count *= math.factorial(len(g))
-        for multiplicity in Counter(g).values():
-            count //= math.factorial(multiplicity)
-    for c in children:
-        count *= len(variants[c])
-    if count > _MAX_CANDIDATES:
-        raise SearchBudgetError(
-            f"canonicalization search space too large: {count} candidate "
-            f"orders, budget {_MAX_CANDIDATES}")
-    group_orders = [list(_distinct_orders(g)) for g in groups]
-    for arrangement in itertools.product(*group_orders):
-        order = [c for grp in arrangement for c in grp]
-        for choice in itertools.product(*(variants[c] for c in order)):
-            yield ("par", tuple(choice))
-
-
-def _distinct_orders(nodes: list) -> Iterator[tuple]:
-    """Each distinct sequence of the multiset `nodes` once, in the order
-    in which itertools.permutations first reaches it."""
-    if not nodes:
-        yield ()
-        return
-    tried = set()
-    for i, c in enumerate(nodes):
-        if c not in tried:
-            tried.add(c)
-            for rest in _distinct_orders(nodes[:i] + nodes[i + 1:]):
-                yield (c,) + rest
-
-
-def _render(node, assign: dict[Name, Name], fresh: list[Name],
-            bound: frozenset[Name]) -> tuple:
-    """Token stream with bound names numbered by first occurrence."""
-    def name_token(x: Name) -> tuple:
-        if x in bound:
-            if x not in assign:
-                assign[x] = fresh.pop(0)
-            return ("name", assign[x])
-        return ("name", x)
-
-    kind = node[0]
-    if kind == "nil":
-        return (("sym", "1"),)
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        toks = [name_token(subj), ("sym", "!" if pol == "up" else "?"),
-                ("sym", "(")]
-        inner_bound = bound | frozenset(bnd)
-        for x in bnd:
-            if x not in assign:
-                assign[x] = fresh.pop(0)
-            toks.append(("name", assign[x]))
-        toks.append(("sym", ")"))
-        toks.extend(_render(body, assign, fresh, inner_bound))
-        return tuple(toks)
-    if kind == "par":
-        toks = []
-        for i, child in enumerate(node[1]):
-            if i:
-                toks.append(("sym", "|"))
-            toks.extend(_render(child, assign, fresh, bound))
-        return tuple(toks)
-    _, names, body = node
-    body_toks = _render(body, assign, fresh, bound | names)
-    binder = sorted(assign[x] for x in names)
-    toks = [("sym", "new")]
-    toks.extend(("name", v) for v in binder)
-    toks.append(("sym", "."))
-    toks.extend(body_toks)
-    return tuple(toks)
-
-
-def _apply_assignment(node, assign: dict[Name, Name]):
-    kind = node[0]
-    if kind == "nil":
-        return node
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        return ("act", assign.get(subj, subj), pol,
-                tuple(assign.get(x, x) for x in bnd),
-                _apply_assignment(body, assign))
-    if kind == "par":
-        return ("par", tuple(_apply_assignment(c, assign) for c in node[1]))
-    _, names, body = node
-    return ("nu", frozenset(assign.get(x, x) for x in names),
-            _apply_assignment(body, assign))
-
-
-def _minimize(node):
-    """Push nu binders onto the sub-multisets that use them."""
-    kind = node[0]
-    if kind in ("nil",):
-        return node
-    if kind == "act":
-        _, subj, pol, bnd, body = node
-        return ("act", subj, pol, bnd, _minimize(body))
-    if kind == "par":
-        return ("par", tuple(_minimize(c) for c in node[1]))
-    _, names, body = node
-    if body[0] != "par":
-        return ("nu", names, _minimize(body))
-    comps = list(body[1])
-    for x in sorted(names):
-        users = [c for c in comps if x in _node_free(c)]
-        if len(users) == len(comps):
-            continue
-        kept = []
-        used = []
-        remaining = list(users)
-        for c in comps:
-            if c in remaining:
-                remaining.remove(c)
-                used.append(c)
-            else:
-                kept.append(c)
-        sub = used[0] if len(used) == 1 else ("par", tuple(used))
-        kept.append(("nu", frozenset({x}), sub))
-        names = names - {x}
-        comps = kept
-    inner = comps[0] if len(comps) == 1 else ("par", tuple(comps))
-    if names:
-        return ("nu", names, _minimize(inner))
-    return _minimize(inner)
+# printed forms
 
 
 def canonical(p: Process) -> Process:
-    counter = itertools.count(-1, -1)
-    node, free = _simplify(p, {}, counter)
-    pool_template = _fresh_names(set(free), ~next(counter))
-    best: Optional[tuple] = None
-    best_node = None
-    best_assign = None
-    for candidate in _orderings(node, frozenset()):
-        assign: dict[Name, Name] = {}
-        toks = _render(candidate, assign, list(pool_template), frozenset())
-        if best is None or toks < best:
-            best = toks
-            best_node = candidate
-            best_assign = assign
-    renamed = _apply_assignment(best_node, best_assign)
-    return _to_process(_minimize(renamed))
+    """The printed form of p's congruence class (`terms.canonical_form`
+    of its multiset form)."""
+    return _to_process(canonical_form(multiset_form(p)[0]))
 
 
 def tidy(p: Process) -> Process:
@@ -291,6 +87,32 @@ def process_str(p: Process) -> str:
             body = body.body
         return f"new {' '.join(str(x) for x in binders)}. {process_str(body)}"
     raise ProcessError(f"unknown process node {p!r}")
+
+
+def form_str(node) -> str:
+    """`process_str` of the term of a node with natural names, such as a
+    `canonical_form`, written from the node."""
+    kind = node[0]
+    if kind == "nil":
+        return "1"
+    if kind == "par":
+        return " | ".join(f"({form_str(c)})" if c[0] in ("par", "nu")
+                          else form_str(c) for c in node[1])
+    if kind == "act":
+        _, subj, pol, bound, body = node
+        head = f"{subj}{'!' if pol == 'up' else '?'}" \
+               f"({','.join(str(x) for x in bound)})"
+        if body[0] == "nil":
+            return head
+        text = form_str(body)
+        return f"{head}.({text})" if body[0] in ("par", "nu") \
+            else f"{head}.{text}"
+    names = sorted(node[1])
+    body = node[2]
+    while body[0] == "nu":
+        names += sorted(body[1])
+        body = body[2]
+    return f"new {' '.join(str(x) for x in names)}. {form_str(body)}"
 
 
 def _par_list(p: Process) -> list[Process]:

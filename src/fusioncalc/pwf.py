@@ -17,8 +17,8 @@ from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
                      equal, fusion_str, join, map_fusion, parse_fusion,
                      remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
-from .process import (NIL, Act, Nu, Par, Process, canonical, congruence_key,
-                      free_names, parse_process, process_str, substitute,
+from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
+                      parse_process, process_str, struct_eq, substitute,
                       tidy)
 from .subst import Substitution, compose, finite_subst, remap_subst
 
@@ -71,10 +71,8 @@ def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
 
 
 def equal_pwf(p: Pwf, q: Pwf, config: Config = DEFAULT) -> bool:
-    if not equal(p.fus, q.fus, config):
-        return False
-    return congruence_key(sigma_process(p, config)) == \
-        congruence_key(sigma_process(q, config))
+    return equal(p.fus, q.fus, config) and \
+        struct_eq(sigma_process(p, config), sigma_process(q, config))
 
 
 def par(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:

@@ -10,24 +10,20 @@ the member list and the config, so universes that share both (one per
 pole, say) share one set of tables; each row keeps only its member
 cells.
 
-Every member carries one invariant, the multiset of its action prefixes
-by (polarity, arity).  Congruence, substitution, relabelling, `nu_set`
-and `unrelabel` keep it, and composition adds it up.  Three filters read
-it before any term is keyed, the last two before the term is
-even built, and each is exact:
+Every member carries one invariant, `terms.invariant`: the multiset of
+its action prefixes by (polarity, arity).  Congruence, substitution,
+relabelling, `nu_set` and `unrelabel` keep it, and composition adds it
+up.  Three exact filters read it before any term is keyed:
 
 - `clip` rejects an image whose invariant, fusion classes and free
-  names (under the fusion's representatives) match no member, since
-  equal PWFs agree on all three;
+  names (under the fusion's representatives) match no member;
 - an op-table cell (a, b) is empty without applying the operation when
-  inv(a) + inv(b) is no member's invariant, since that is the invariant
-  of the image; the fusion half of the operation still runs once per
-  pair of member fusions, so a `FusionError` raises as before;
-- the `done:k` pole is false, before keying anything, on a
-  term whose up and down actions do not pair off per arity or that has
-  more than 2k actions, since each step consumes one up and one down
-  action of equal arity and `<NIL ; Δ>` has none; the matrix applies
-  the same test to inv(a) + inv(b) and builds no such composite.
+  inv(a) + inv(b) is no member's invariant; the fusion half of the
+  operation still runs once per pair of member fusions, so a
+  `FusionError` raises as before;
+- the `done:k` pole is false on a term that cannot consume its actions
+  in k steps (`reduction._may_reach`), and the matrix builds no
+  composite whose summed invariant fails that test.
 """
 
 from __future__ import annotations
@@ -38,12 +34,12 @@ from typing import Callable, Iterable, Optional
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
-from .process import (NIL, Act, Nu, Par, Process, congruence_key,
+from .process import (NIL, Act, Par, Process, congruence_key,
                       free_names, substitute)
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                   sigma_process, star)
-from .reduction import _reduces_within
-from .terms import multiset_form, node_key
+from .reduction import _may_reach, _reduces_within
+from .terms import invariant, multiset_form, node_key
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -64,9 +60,9 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     goals: dict = {}
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
-        if not _may_reach_unit(_invariant(q.proc), k):
-            return False
         node = multiset_form(q.proc)[0]
+        if not _may_reach(invariant(node), (), k):
+            return False
         start = node_key(node)
         key = (start, q.fus)
         if key not in cache:
@@ -127,40 +123,11 @@ def default_universe(max_actions: int = 3, names: int = 4,
     return members
 
 
-def _invariant(p: Process) -> tuple:
-    """The multiset of p's action prefixes by (polarity, arity), as the
-    sorted ((polarity, arity), count) items."""
-    counts: dict = {}
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if isinstance(q, Act):
-            key = (q.polarity, len(q.bound))
-            counts[key] = counts.get(key, 0) + 1
-            stack.append(q.body)
-        elif isinstance(q, Par):
-            stack += (q.left, q.right)
-        elif isinstance(q, Nu):
-            stack.append(q.body)
-    return tuple(sorted(counts.items()))
-
-
 def _add(inv_a: tuple, inv_b: tuple) -> tuple:
     counts = dict(inv_a)
     for key, count in inv_b:
         counts[key] = counts.get(key, 0) + count
     return tuple(sorted(counts.items()))
-
-
-def _may_reach_unit(inv: tuple, k: int) -> bool:
-    """Whether a term with this invariant can reach <NIL ; Δ> in k steps:
-    a step consumes one up and one down action of equal arity, so the
-    counts must pair off per arity, at most k pairs."""
-    ups = {arity: count for (polarity, arity), count in inv
-           if polarity == "up"}
-    downs = {arity: count for (polarity, arity), count in inv
-             if polarity == "down"}
-    return ups == downs and sum(ups.values()) <= k
 
 
 def _pair_memo(values: list, fn) -> Callable[[int, int], object]:
@@ -191,7 +158,8 @@ class Universe:
         self._matrix = None
         self._keyed: Optional[dict] = None
         self._signatures: set = set()
-        self._invariants = [_invariant(m.proc) for m in self.members]
+        self._invariants = [invariant(multiset_form(m.proc)[0])
+                            for m in self.members]
         key = (self.members, config)
         if key not in _TABLES and len(_TABLES) >= _SHARED_LISTS:
             del _TABLES[next(iter(_TABLES))]
@@ -212,7 +180,7 @@ class Universe:
             k = getattr(self.pole, "k", None)
             reachable = _pair_memo(
                 self._invariants,
-                lambda a, b: k is None or _may_reach_unit(_add(a, b), k))
+                lambda a, b: k is None or _may_reach(_add(a, b), (), k))
             fusion_half = self._fusion_half(
                 lambda p, q, config: nu_all(par(p, q, config), config))
             rows = [0] * n
@@ -292,7 +260,8 @@ class Universe:
                 self._keyed.setdefault(key, i)
         mask = 0
         for p in pwfs:
-            signature, sigma = self._signature(p, _invariant(p.proc))
+            signature, sigma = self._signature(
+                p, invariant(multiset_form(p.proc)[0]))
             if not p.fus.families and signature not in self._signatures:
                 continue
             i = self._keyed.get(self._member_key(p, signature, sigma))

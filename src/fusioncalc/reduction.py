@@ -2,25 +2,21 @@
 
 A redex is a pair of parallel components, possibly under restriction
 binders but never under a prefix, with opposite polarities, equal
-communication arities, and subjects identified by the ambient fusion
-(restriction-bound subjects only match themselves).  Firing rewrites
-the pair to the communicated continuation under a shared bound vector;
-the fusion component is untouched.  Redexes are found and fired on the
-multiset form (`terms.multiset_form`), not on `Process` terms: there is
-no replication, so firing only consumes prefixes, and binders renamed
-apart once stay apart for the whole search.  Each reduct is keyed by
-`terms.node_key`; a `Process` is built only for what `step` and `reach`
-return.
+arities, and subjects identified by the ambient fusion (restricted
+subjects only match themselves).  Firing rewrites the pair to its
+continuations under a shared bound vector; the fusion is untouched.
+Redexes are found and fired on the multiset form (`terms.multiset_form`):
+there is no replication, so firing only consumes prefixes, and binders
+renamed apart once stay apart for the whole search.
 
-`reach` searches in σ-normal form.  It substitutes the representatives
-of the fusion's classes (`canonical_subst`, σ) into the start term once;
-σ fixes every representative, so σ(σ(x)) = σ(x).  Fused subjects then
-have equal representatives, and a reduct's free names are among the
-start's, which σ already fixes.  So the key of a reduct is at once the
-search's dedup key and its key up to the fusion (the key of
-`pwf.sigma_process`), and `canonical` of the term is its line in the
-`fusioncalc reduce` listing.  The search computes no printed form: the
-listing canonicalises each class it prints, once.
+`reach` searches in σ-normal form: the representatives of the fusion's
+classes (`canonical_subst`, σ) are substituted into the start once, and
+σ fixes every name of every reduct.  So a reduct's `terms.node_key` is
+both the search's dedup key and its key up to the fusion, and
+`terms.canonical_form` of its node is its line in the `fusioncalc
+reduce` listing, printed from the node without building a `Process`.
+`reduces_within` first compares action invariants (`_may_reach`), so a
+target whose actions p cannot consume down to is rejected unsearched.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from .config import DEFAULT, Config
 from .fusion import _classes, equal
 from .names import Name
 from .pwf import Pwf, nu_all, par, sigma_process
-from .terms import (_NIL_NODE, _to_process, all_names, congruence_key,
+from .terms import (_NIL_NODE, _relabel, _to_process, all_names, invariant,
                     multiset_form, node_key)
 
 
@@ -55,8 +51,8 @@ def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
             (_, _, _, xs, left), (_, _, _, ys, right) = comps[a], comps[b]
             # negative names that _to_process numbers fresh, fresh + 1, ...
             vector = [base + ~fresh - i for i in range(len(xs))]
-            pair = ("par", (_rename(left, dict(zip(xs, vector))),
-                            _rename(right, dict(zip(ys, vector)))))
+            pair = ("par", (_relabel(left, dict(zip(xs, vector))),
+                            _relabel(right, dict(zip(ys, vector)))))
             rest = (c for k, c in enumerate(comps) if k != a and k != b)
             reduct = ("nu", names, ("par", (
                 ("nu", frozenset(vector), pair), *rest)))
@@ -92,7 +88,7 @@ def _reducts(names: frozenset, comps: tuple,
                                 or v not in classes(u))):
                 continue
             if xs:
-                right = _rename(right, dict(zip(ys, xs)))
+                right = _relabel(right, dict(zip(ys, xs)))
             top = set(names).union(xs)
             out: list = []
             for part in (left, right):
@@ -126,21 +122,6 @@ def _occurs(x: Name, node) -> bool:
     return kind == "nu" and _occurs(x, node[2])
 
 
-def _rename(node, names: dict):
-    """node with the subjects in `names` renamed; binders are apart, so
-    no renaming can be captured."""
-    kind = node[0]
-    if kind == "act":
-        _, subj, pol, bound, body = node
-        return ("act", names.get(subj, subj), pol, bound,
-                _rename(body, names))
-    if kind == "par":
-        return ("par", tuple(_rename(c, names) for c in node[1]))
-    if kind == "nu":
-        return ("nu", node[1], _rename(node[2], names))
-    return node
-
-
 def _search(node, key: tuple, k: int) -> Iterator[tuple[tuple, tuple]]:
     """(key, node) of each class reachable from a σ-normal node in at
     most k steps, once, breadth first from the start's.  `keys`
@@ -170,15 +151,14 @@ def _start(p: Pwf, config: Config):
 
 
 def reach(p: Pwf, k: int, config: Config = DEFAULT
-          ) -> Iterator[tuple[tuple, Pwf]]:
+          ) -> Iterator[tuple[tuple, tuple]]:
     """Each congruence class reachable from p in at most k steps, once,
-    as (congruence key, term), in breadth-first order starting with p's.
-    The terms are in σ-normal form: `canonical` of one is the class's
+    as (congruence key, node), in breadth-first order starting with p's.
+    The nodes are in σ-normal multiset form (binders negative, free names
+    σ-representatives): `terms.canonical_form` of one is the class's
     form up to the fusion."""
-    node, free = _start(p, config)
-    base = max(free, default=-1) + 1
-    for key, r in _search(node, node_key(node), k):
-        yield key, Pwf(_to_process(r, base), p.fus)
+    node = _start(p, config)[0]
+    return _search(node, node_key(node), k)
 
 
 def reduces_within(p: Pwf, target: Pwf, k: int,
@@ -190,21 +170,44 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     return _reduces_within(p, target, k, config)
 
 
+def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
+    """Whether a term with the action invariant `inv` (`terms.invariant`)
+    can reach one with the invariant `goal` in k steps: a step consumes
+    one up and one down action of equal arity, so for every arity the up
+    and down counts must drop by one number d, and the d add up to at
+    most k."""
+    drop: dict = {}
+    for (polarity, arity), count in inv:
+        drop[polarity, arity] = count
+    for key, count in goal:
+        drop[key] = drop.get(key, 0) - count
+    steps = 0
+    for (polarity, arity), d in drop.items():
+        if d < 0 or drop.get(("down" if polarity == "up" else "up",
+                              arity), 0) != d:
+            return False
+        steps += d
+    return steps <= 2 * k
+
+
 def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
                     start: Optional[tuple] = None,
                     goal: Optional[tuple] = None) -> bool:
     """`reduces_within`, given `start = (node, node_key(node))` for
     `node = multiset_form(p.proc)[0]` (used under Δ only) and
     `goal = congruence_key(sigma_process(target, config))` when the
-    caller has already computed them."""
+    caller has already computed them and checked `_may_reach`."""
     if not equal(p.fus, target.fus, config):
         return False
+    node, key = start if start is not None and p.fus.is_delta() else \
+        (_start(p, config)[0], None)
     if goal is None:
-        goal = congruence_key(sigma_process(target, config))
-    if start is None or not p.fus.is_delta():
-        node = _start(p, config)[0]
-        start = node, node_key(node)
-    return any(key == goal for key, _ in _search(*start, k))
+        target_node = _start(target, config)[0]
+        if not _may_reach(invariant(node), invariant(target_node), k):
+            return False
+        goal = node_key(target_node)
+    return any(r == goal for r, _ in
+               _search(node, node_key(node) if key is None else key, k))
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

@@ -5,18 +5,17 @@ congruence.
 Congruence is decided on a multiset form: one pass (`_simplify`) renames
 every binder apart and brings the term to scope-maximal form, with the
 restrictions of each level gathered into one set and its parallel
-components into one tuple.  `congruence_key` labels that form bottom-up
-(sorted subtree codes, Aho-Hopcroft-Ullman), searching sibling orders
-only where siblings share a restricted name.  The reduction search
-works on that form too (`multiset_form`) and keys its nodes directly
-(`node_key`), without building a `Process` per reduct.  The printed
-form of a term, `process.canonical`, is computed apart from the key,
-only for output.
+components into one tuple.  The reduction search works on that form too
+(`multiset_form`).  One sibling-order search, with colour refinement
+and swap pruning, serves both the exact equality key (`node_key`, AHU
+codes) and the printed form (`canonical_form`, a least-prefix search);
+terms whose action invariants differ are told apart before either.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -243,62 +242,75 @@ def _to_process(node, base: Name = 0) -> Process:
     return out
 
 
+def _relabel(node, ids: dict):
+    """node with every name in `ids` renamed, binders included; binders
+    are apart, so no renaming can be captured."""
+    kind = node[0]
+    if kind == "act":
+        _, subj, pol, bound, body = node
+        return ("act", ids.get(subj, subj), pol,
+                tuple(ids.get(x, x) for x in bound), _relabel(body, ids))
+    if kind == "par":
+        return ("par", tuple(_relabel(c, ids) for c in node[1]))
+    if kind == "nu":
+        return ("nu", frozenset(ids.get(x, x) for x in node[1]),
+                _relabel(node[2], ids))
+    return node
+
+
+def _nodes(node) -> Iterator[tuple]:
+    """The nodes of a multiset-form node."""
+    stack = [node]
+    while stack:
+        q = stack.pop()
+        yield q
+        if q[0] == "act":
+            stack.append(q[4])
+        elif q[0] == "par":
+            stack.extend(q[1])
+        elif q[0] == "nu":
+            stack.append(q[2])
+
+
+def invariant(node) -> tuple:
+    """The multiset of a multiset-form node's action prefixes by
+    (polarity, arity), as sorted ((polarity, arity), count) items.
+    Congruence and substitution keep it."""
+    counts = Counter((q[2], len(q[3])) for q in _nodes(node)
+                     if q[0] == "act")
+    return tuple(sorted(counts.items()))
+
+
 def struct_eq(p: Process, q: Process) -> bool:
-    return congruence_key(p) == congruence_key(q)
+    p_node, q_node = multiset_form(p)[0], multiset_form(q)[0]
+    return invariant(p_node) == invariant(q_node) and \
+        node_key(p_node) == node_key(q_node)
 
 
 # ---------------------------------------------------------------------------
-# congruence key
+# the sibling-order search
 #
-# Codes:  level = sorted tuple of group codes
-#         group = (m, tuple of act codes): m restricted names and the
-#                 siblings that share them
-#         act   = (subject label, is output, arity, level code of body)
-# A free name x is labelled ~x.  A bound name is labelled by its position
-# among the names bound on the path from the root (a de Bruijn level):
-# input-bound names by their place in the prefix, restricted names by
-# first occurrence in their group's least code.  Sibling subtrees reuse
-# positions, but never share a name.
+# Both the key and the printed form place the siblings of a level in
+# skeleton order (bound names erased) and try, position by position,
+# every sibling of the current skeleton class in every state kept so
+# far.  A sibling is not tried when an interchangeable one was: one
+# equal up to the names it binds itself, or one that a swap of two
+# unnumbered names of the level turns into it, where the swap maps the
+# siblings onto themselves (a checked automorphism; McKay and Piperno,
+# "Practical graph isomorphism II", 2014).  A search holding more than
+# _MAX_CANDIDATES states raises `SearchBudgetError`; each state is a
+# distinct prefix of one order, so there are never more states than
+# orders.
 
 
-def congruence_key(p: Process) -> tuple:
-    """An exact invariant: `congruence_key(p) == congruence_key(q)`
-    exactly when `canonical(p) == canonical(q)`.
-
-    It works on the `_simplify` multiset form.  Siblings that share no
-    restricted name, and share no name that an enclosing search has yet
-    to number, are placed by their codes alone.  Only the siblings of
-    one such connected group are searched: ordered by skeleton (bound
-    names erased) as `canonical` orders them, trying every order of equal
-    skeletons position by position and keeping the orders whose codes
-    are least so far.  Raises `SearchBudgetError` when one search holds
-    more than `_MAX_CANDIDATES` orders; `canonical` exceeds that budget
-    on such a term too."""
-    return node_key(multiset_form(p)[0])
-
-
-def node_key(node) -> tuple:
-    """`congruence_key` of a `multiset_form` node: binders negative and
-    pairwise distinct, free names natural."""
-    return _KeySearch().level(node, 0, {})[0]
-
-
-_NO_HOLES = ((),)
-
-
-class _KeySearch:
-    """The state of one `congruence_key` call.  `dom` maps each name of
-    a group under search to (the group's names, its first position).
-    Bound names are negative, free ones natural (see `congruence_key`).
-
-    `level` and `act` return (code, outcomes): each outcome is a tuple
-    of (name, label) pairs, the labels that the least code gives to
-    names that enclosing searches have not numbered yet."""
+class _Search:
+    """Memos over the nodes of one term, by node identity, and the
+    sibling-order search.  Bound names are negative, free ones natural."""
 
     def __init__(self) -> None:
-        self.dom: dict = {}
         self.frees: dict = {}
-        self.shapes: dict = {}
+        self.skeletons: dict = {}
+        self.alphas: dict = {}
 
     def free(self, node) -> frozenset:
         """The bound names of enclosing scopes that occur in node."""
@@ -319,20 +331,207 @@ class _KeySearch:
             self.frees[id(node)] = out
         return out
 
-    def shape(self, node) -> tuple:
-        """The skeleton of an act node: its code with bound names erased."""
-        out = self.shapes.get(id(node))
+    def skeleton(self, node) -> tuple:
+        """node with its bound names erased."""
+        out = self.skeletons.get(id(node))
         if out is None:
-            _, subj, pol, bound, body = node
-            names = 0
-            if body[0] == "nu":
-                names, body = len(body[1]), body[2]
-            kids = body[1] if body[0] == "par" else \
-                () if body[0] == "nil" else (body,)
-            out = (~subj if subj >= 0 else 0, pol == "up", len(bound),
-                   names, tuple(sorted(map(self.shape, kids))))
-            self.shapes[id(node)] = out
+            kind = node[0]
+            if kind == "act":
+                _, subj, pol, bound, body = node
+                out = ("act", ("bound",) if subj < 0 else ("free", subj),
+                       pol, len(bound), self.skeleton(body))
+            elif kind == "par":
+                out = ("par", tuple(sorted(map(self.skeleton, node[1]))))
+            elif kind == "nu":
+                out = ("nu", len(node[1]), self.skeleton(node[2]))
+            else:
+                out = node
+            self.skeletons[id(node)] = out
         return out
+
+    @staticmethod
+    def bound(node) -> set:
+        """Every bound name in node, binders included."""
+        out = set()
+        for q in _nodes(node):
+            if q[0] == "act":
+                out.update(x for x in (q[1], *q[3]) if x < 0)
+            elif q[0] == "nu":
+                out |= q[1]
+        return out
+
+    def alpha(self, node):
+        """node with the names it binds itself numbered by first
+        occurrence."""
+        out = self.alphas.get(id(node))
+        if out is None:
+            inner = self.bound(node) - self.free(node)
+            ids: dict = {}
+            for q in _nodes(node):
+                if q[0] == "act":
+                    for x in (q[1], *q[3]):
+                        if x in inner and x not in ids:
+                            ids[x] = ("#", len(ids))
+            out = self.alphas[id(node)] = _relabel(node, ids)
+        return out
+
+    def twins(self, kids, j: int, i: int, known, own: frozenset,
+              memo: dict) -> bool:
+        """Whether kids[i] is kids[j] with two names of `own` swapped that
+        are not in `known` (so occur in no placed sibling), by a swap
+        that maps the siblings onto themselves."""
+        pair = memo.get((j, i), ())
+        if pair == ():
+            a, b = self.free(kids[j]), self.free(kids[i])
+            pair = memo[j, i] = None
+            if len(a - b) == 1 and len(b - a) == 1 and (a ^ b) <= own:
+                (x,), (y,) = a - b, b - a
+                swap = {x: y, y: x}
+                if (x, y) not in memo:
+                    moved = [self.alpha(c) for c in kids
+                             if x in self.free(c) or y in self.free(c)]
+                    memo[x, y] = memo[y, x] = Counter(
+                        _relabel(c, swap) for c in moved) == Counter(moved)
+                if memo[x, y] and _relabel(self.alpha(kids[j]), swap) == \
+                        self.alpha(kids[i]):
+                    pair = memo[j, i] = (x, y)
+        return pair is not None and pair[0] not in known and \
+            pair[1] not in known
+
+    def arrange(self, kids, states: list, own: frozenset, place, keep):
+        """The states after placing every sibling.  A state is a tuple
+        whose first item holds the names numbered so far;
+        `place(kid, state)` lists the states after placing kid, and
+        `keep(found, same)` the ones to go on with, each found state
+        ending with the positions still to place."""
+        ids: dict = {}
+        same = [ids.setdefault(self.alpha(c), len(ids)) for c in kids]
+        shapes = [self.skeleton(c) for c in kids]
+        order = sorted(range(len(kids)), key=shapes.__getitem__)
+        memo: dict = {}
+        while order:
+            cls = tuple(i for i in order if shapes[i] == shapes[order[0]])
+            order = order[len(cls):]
+            pending = [(*state, cls) for state in states]
+            for _ in cls:
+                found: list = []
+                for state in pending:
+                    rest, state = state[-1], state[:-1]
+                    tried: list = []
+                    for pos, i in enumerate(rest):
+                        if any(same[i] == same[j] or
+                               self.twins(kids, j, i, state[0], own, memo)
+                               for j in tried):
+                            continue
+                        tried.append(i)
+                        left = rest[:pos] + rest[pos + 1:]
+                        found += [new + (left,)
+                                  for new in place(kids[i], state)]
+                pending = keep(found, same)
+                if len(pending) > _MAX_CANDIDATES:
+                    raise SearchBudgetError(
+                        f"canonicalization search space too large: "
+                        f"{len(pending)} candidate orders, budget "
+                        f"{_MAX_CANDIDATES}")
+            states = [state[:-1] for state in pending]
+        return states
+
+
+# ---------------------------------------------------------------------------
+# congruence key
+#
+# Codes:  level = sorted tuple of group codes
+#         group = (m, tuple of act codes): m restricted names and the
+#                 siblings that share them
+#         act   = (subject label, is output, arity, level code of body)
+# A free name x is labelled ~x.  A bound name is labelled by its position
+# among the names bound on the path from the root (a de Bruijn level):
+# input-bound names by their place in the prefix, a group's restricted
+# names by the rank of their colour, and names that share a colour by
+# first occurrence in the group's least code.  Sibling subtrees reuse
+# positions, but never share a name.
+
+
+def congruence_key(p: Process) -> tuple:
+    """An exact invariant: `congruence_key(p) == congruence_key(q)`
+    exactly when `canonical(p) == canonical(q)`.
+
+    It works on the `_simplify` multiset form.  Siblings that share no
+    restricted name, and hold no name that an enclosing search has yet
+    to number, are placed by their codes alone.  The restricted names of
+    a connected group are numbered by one round of colour refinement: a
+    name's colour is the multiset of the skeleton paths from the
+    siblings it occurs in down to each occurrence, and a name whose
+    colour is unique is labelled by the colour's rank.  A group whose
+    names are all labelled so is placed by its codes too; the others are
+    searched (see above), keeping the orders whose codes are least so
+    far."""
+    return node_key(multiset_form(p)[0])
+
+
+def node_key(node) -> tuple:
+    """`congruence_key` of a `multiset_form` node: binders negative and
+    pairwise distinct, free names natural."""
+    return _KeySearch().level(node, 0, {})[0]
+
+
+_NO_HOLES = ((),)
+
+
+class _KeySearch(_Search):
+    """The state of one `congruence_key` call.  `dom` maps each tied
+    name of a group under search to (its colour class, the class's first
+    label).
+
+    `level` and `act` return (code, outcomes): each outcome is a tuple
+    of (name, label) pairs, the labels that the least code gives to
+    names that enclosing searches have not numbered yet."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.dom: dict = {}
+        self.paths: dict = {}
+
+    def occurrences(self, node) -> list:
+        """(name, path) for each bound subject in an act node: the path is
+        the skeletons of the acts from node down to the occurrence."""
+        out = self.paths.get(id(node))
+        if out is None:
+            _, subj, _, _, body = node
+            here = (self.skeleton(node),)
+            out = [(subj, here)] if subj < 0 else []
+            if body[0] == "nu":
+                body = body[2]
+            for c in body[1] if body[0] == "par" else \
+                    () if body[0] == "nil" else (body,):
+                out += [(x, here + path) for x, path in self.occurrences(c)]
+            self.paths[id(node)] = out
+        return out
+
+    def refine(self, kids, names: frozenset, base: int, lab: dict):
+        """Label each restricted name of a group whose colour is unique by
+        the colour's rank; a tied name maps to (its class, the first label
+        of the class) for the search to number."""
+        if len(names) < 2:
+            return {**lab, **dict.fromkeys(names, base)}, {}
+        paths: dict = {x: [] for x in names}
+        for c in kids:
+            for x, path in self.occurrences(c):
+                if x in paths:
+                    paths[x].append(path)
+        colour = {x: sorted(p) for x, p in paths.items()}
+        lab = dict(lab)
+        tied: dict = {}
+        start = base
+        for _, cls in itertools.groupby(sorted(names, key=colour.get),
+                                        key=colour.get):
+            cls = frozenset(cls)
+            if len(cls) == 1:
+                lab.update(dict.fromkeys(cls, start))
+            else:
+                tied.update(dict.fromkeys(cls, (cls, start)))
+            start += len(cls)
+        return lab, tied
 
     def act(self, node, base: int, lab: dict):
         _, subj, pol, bound, body = node
@@ -369,6 +568,12 @@ class _KeySearch:
         if not holes:
             return tuple(sorted((0, (self.act(c, base, lab)[0],))
                                 for c in kids)), _NO_HOLES
+        if len(kids) == 1 and not names:
+            # a lone sibling: its outcomes are the level's
+            code, outs = self.act(kids[0], base, lab)
+            outs = set(outs)
+            return ((0, (code,)),), (_NO_HOLES if outs == {()}
+                                     else sorted(outs))
         # connected groups: siblings sharing a restricted name of this
         # level, and every sibling holding a name still to be numbered
         watch = frozenset(holes)
@@ -389,71 +594,213 @@ class _KeySearch:
         codes = []
         outcomes = _NO_HOLES
         for group in members.values():
-            own = frozenset().union(*(uses[i] for i in group)) & names
-            for x in own:
-                self.dom[x] = (own, base)
-            code, found = self.search([kids[i] for i in group],
-                                      base + len(own), lab, own)
-            for x in own:
-                del self.dom[x]
+            used = frozenset().union(*(uses[i] for i in group))
+            own = used & names
+            group = [kids[i] for i in group]
+            glab, tied = self.refine(group, own, base, lab)
+            if used <= own and not tied:
+                code = tuple(sorted(self.act(c, base + len(own), glab)[0]
+                                    for c in group))
+            else:
+                self.dom.update(tied)
+                code, found = self.search(group, base + len(own), glab,
+                                          frozenset(tied))
+                for x in tied:
+                    del self.dom[x]
+                if found is not _NO_HOLES:
+                    outcomes = found
             codes.append((len(own), code))
-            if found is not _NO_HOLES:
-                outcomes = found
         return tuple(sorted(codes)), outcomes
 
     def search(self, kids: list, base: int, lab: dict, own: frozenset):
         """The least code of the sibling sequence over the orders of
         equal skeletons, and its outcomes on the names outside `own`."""
-        shapes = [self.shape(c) for c in kids]
-        order = sorted(range(len(kids)), key=shapes.__getitem__)
-        classes = [[order[0]]]
-        for i in order[1:]:
-            if shapes[i] == shapes[classes[-1][0]]:
-                classes[-1].append(i)
-            else:
-                classes.append([i])
-        ident: dict = {}
-        same = [ident.setdefault(c, len(ident)) for c in kids]
-        codes = []
-        states = [(lab, ())]
-        for cls in classes:
-            pending = [(lab_, acc, tuple(cls)) for lab_, acc in states]
-            for _ in cls:
-                best = None
-                states_next: list = []
-                seen = set()
-                for lab_, acc, rest in pending:
-                    tried = set()
-                    for pos, i in enumerate(rest):
-                        if same[i] in tried:
-                            continue
-                        tried.add(same[i])
-                        code, outs = self.act(kids[i], base, lab_)
-                        if code != best:
-                            if best is not None and best < code:
-                                continue
-                            best = code
-                            states_next = []
-                            seen = set()
-                        left = rest[:pos] + rest[pos + 1:]
-                        for o in outs:
-                            key = (frozenset(acc + o),
-                                   tuple(sorted(same[j] for j in left)))
-                            if key not in seen:
-                                seen.add(key)
-                                states_next.append(
-                                    ({**lab_, **dict(o)} if o else lab_,
-                                     acc + o, left))
-                if len(states_next) > _MAX_CANDIDATES:
-                    raise SearchBudgetError(
-                        f"canonicalization search space too large: "
-                        f"{len(states_next)} candidate orders, budget "
-                        f"{_MAX_CANDIDATES}")
-                codes.append(best)
-                pending = states_next
-            states = [(lab_, acc) for lab_, acc, _ in pending]
+        def place(kid, state):
+            lab_, acc, codes = state
+            code, outs = self.act(kid, base, lab_)
+            return [({**lab_, **dict(o)} if o else lab_, acc + o,
+                     codes + (code,)) for o in outs]
+
+        def keep(found, same):
+            best = min(state[2][-1] for state in found)
+            seen: dict = {}
+            for state in found:
+                if state[2][-1] == best:
+                    seen.setdefault((frozenset(state[1]), tuple(
+                        sorted(same[j] for j in state[3]))), state)
+            return list(seen.values())
+
+        states = self.arrange(kids, [(lab, (), ())], own, place, keep)
         outcomes = {tuple(pair for pair in acc if pair[0] not in own)
-                    for _, acc in states}
-        return tuple(codes), (_NO_HOLES if outcomes == {()}
+                    for _, acc, _ in states}
+        return states[0][2], (_NO_HOLES if outcomes == {()}
                               else sorted(outcomes))
 
+
+# ---------------------------------------------------------------------------
+# printed form
+#
+# The printed form renders a term with its bound names numbered by first
+# occurrence, from the least natural numbers that are not free names, and
+# picks the order of equal-skeleton siblings whose rendering is least.  A
+# `new` lists its numbers before its body but gets them from the body's
+# first occurrences, so a search state is compared first on the numbers
+# the open `new`s have got (their binder tuples), then on the numbers it
+# has printed.
+
+
+def canonical_form(node):
+    """The printed form of a `multiset_form` node's congruence class, as
+    a node with natural names: the least rendering over the orders of
+    equal-skeleton siblings, then the binders pushed onto the
+    sub-multisets that use them (`_minimize`)."""
+    if all(q[1] >= 0 and not q[3] for q in _nodes(node) if q[0] == "act"):
+        # no bound name: each level is its siblings in skeleton order,
+        # which on such nodes is the order of the nodes themselves
+        return _sorted(node)
+    assign, _, _, ordered = _FormSearch(node).level(node, {}, 0, (), ())[0]
+    return _minimize(_relabel(ordered, assign))
+
+
+def _sorted(node):
+    if node[0] == "act":
+        return node[:4] + (_sorted(node[4]),)
+    if node[0] == "par":
+        return ("par", tuple(sorted(map(_sorted, node[1]))))
+    return node
+
+
+class _FormSearch(_Search):
+    """The least-prefix search of one `canonical_form` call.
+
+    A state is (assign, k, toks, node): the numbers given to bound
+    names, how many were given, the numbers printed so far with the
+    binder tuples of closed `new`s in place (free names and symbols sit
+    at the same places in every order, so they never decide), and the
+    ordered node of what the call rendered.  `open_` lists the (names,
+    position) of the enclosing `new`s whose binder tuples are open."""
+
+    def __init__(self, node) -> None:
+        super().__init__()
+        # the numbers for bound names: the least that are not free names
+        self.pool = _fresh_names({q[1] for q in _nodes(node)
+                                  if q[0] == "act" and q[1] >= 0},
+                                 len(self.bound(node)))
+
+    def act(self, node, assign: dict, k: int, toks: tuple, open_: tuple):
+        _, subj, pol, bound, body = node
+        if subj < 0:
+            n = assign.get(subj)
+            if n is None:
+                n = self.pool[k]
+                k += 1
+                assign = {**assign, subj: n}
+            toks += (n,)
+        if bound:
+            assign = dict(assign)
+            for x in bound:
+                assign[x] = n = self.pool[k]
+                k += 1
+                toks += (n,)
+        if body is _NIL_NODE:
+            return [(assign, k, toks, node)]
+        return [(a, k_, t, ("act", subj, pol, bound, b))
+                for a, k_, t, b in self.level(body, assign, k, toks, open_)]
+
+    def level(self, node, assign: dict, k: int, toks: tuple, open_: tuple):
+        names: frozenset = frozenset()
+        if node[0] == "nu":
+            _, names, node = node
+            open_ += ((names, len(toks)),)
+        if node[0] == "act":
+            out = self.act(node, assign, k, toks, open_)
+        elif node[0] == "nil":
+            out = [(assign, k, toks, node)]
+        else:
+            # this level's binder tuple is known as soon as its siblings
+            # hold no bound name but its own and numbered ones: the
+            # unnumbered ones come next, in turn
+            plain = names and all(x in names or x in assign
+                                  for x in self.bound(node))
+
+            def place(kid, state):
+                return [(*new[:3], state[3] + (new[3],)) for new in
+                        self.act(kid, *state[:3], open_)]
+
+            out = [(a, k_, t, ("par", chosen)) for a, k_, t, chosen in
+                   self.arrange(node[1], [(assign, k, toks, ())], names,
+                                place, lambda found, same: self.select(
+                                    found, same, open_,
+                                    names if plain else None))]
+        if not names:
+            return out
+        at = open_[-1][1]
+        return [(a, k_, t[:at] + tuple(sorted(a[x] for x in names)) + t[at:],
+                 ("nu", names, b)) for a, k_, t, b in out]
+
+    def select(self, found: list, same: list, open_: tuple, plain):
+        """The states that may still begin the least rendering.
+
+        States with the same numbered names and the same siblings left
+        have the same continuations, so their open binder tuples compare
+        on their numbers so far, and then their printed numbers: only
+        the least are kept.  Across such groups a state is dropped only
+        when the open binder tuples of both are known (all their names
+        numbered or, for a `plain` level, the next numbers in turn) and
+        the other is less."""
+        groups: dict = {}
+        for state in found:
+            assign, k = state[0], state[1]
+            tuples, known = [], True
+            for names, _ in open_:
+                nums = sorted(assign[x] for x in names if x in assign)
+                missing = len(names) - len(nums)
+                known = known and (not missing or names is plain)
+                tuples.append(tuple(nums + self.pool[k:k + missing]))
+            sig = (frozenset(assign), tuple(sorted(same[i] for i in state[4])))
+            groups.setdefault(sig, []).append(
+                ((tuple(tuples), state[2]), known, state))
+        kept: dict = {}
+        for sig, members in groups.items():
+            low = min(rank for rank, _, _ in members)
+            for rank, known, state in members:
+                if rank == low:
+                    kept.setdefault((sig, frozenset(state[0].items())),
+                                    (rank, known, state))
+        low = min((rank for rank, known, _ in kept.values() if known),
+                  default=None)
+        return [state for rank, known, state in kept.values()
+                if not known or rank == low]
+
+
+# ---------------------------------------------------------------------------
+# scope minimization
+
+
+def _minimize(node):
+    """Push nu binders onto the sub-multisets that use them.  node has
+    natural names, each bound one bound once, so a restricted name is
+    free in a component exactly when it is a subject there."""
+    kind = node[0]
+    if kind == "act":
+        return node[:4] + (_minimize(node[4]),)
+    if kind == "par":
+        return ("par", tuple(_minimize(c) for c in node[1]))
+    if kind == "nil":
+        return node
+    _, names, body = node
+    if body[0] != "par":
+        return ("nu", names, _minimize(body))
+    comps = list(body[1])
+    for x in sorted(names):
+        uses = [any(q[0] == "act" and q[1] == x for q in _nodes(c))
+                for c in comps]
+        if all(uses):
+            continue
+        used = [c for c, u in zip(comps, uses) if u]
+        comps = [c for c, u in zip(comps, uses) if not u]
+        comps.append(("nu", frozenset({x}),
+                      used[0] if len(used) == 1 else ("par", tuple(used))))
+        names = names - {x}
+    inner = comps[0] if len(comps) == 1 else ("par", tuple(comps))
+    return ("nu", names, _minimize(inner)) if names else _minimize(inner)

@@ -18,11 +18,11 @@ import itertools
 
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, canonical_subst, equal
-from fusioncalc.process import (Act, Nu, Par, _simplify, all_names,
-                                canonical, congruence_key, substitute)
+from fusioncalc.process import (Act, Nu, Par, all_names, canonical,
+                                congruence_key, substitute)
 from fusioncalc.pwf import Pwf, pwf_str
 from fusioncalc.subst import finite_subst
-from fusioncalc.terms import _to_process
+from fusioncalc.terms import _simplify, _to_process
 
 
 def _spine(p):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
+
 from fusioncalc import cli
 from fusioncalc.cli import main
 
@@ -113,6 +119,21 @@ def test_algebra_check(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_algebra_check_reports_a_non_lattice(capsys, tmp_path):
+    """The derived level reports the missing joins as the `cs` level
+    does, instead of exiting as on a parse error."""
+    model = tmp_path / "antichain.model"
+    text = (resources.files("fusioncalc") / "models" /
+            "boolean2.model").read_text(encoding="utf-8")
+    model.write_text(text.replace("0 <= 1", "1 <= 1"), encoding="utf-8")
+    for level in ("cs", "derived"):
+        code, out, _ = run(capsys, "algebra-check", str(model),
+                           "--level", level)
+        assert code == 1
+        assert "fail  all-joins-exist  [carrier has no bottom element]" \
+            in out.splitlines()
+
+
 def test_mll_commands(capsys):
     code, out, _ = run(capsys, "mll", "check", "(tensor (ax X) (ax Y))")
     assert code == 0 and out.strip() == "|- X^, X * Y^, Y"
@@ -160,14 +181,46 @@ def test_search_budget_is_undecided_not_a_parse_error(capsys):
     literal = f"<new {names}. ({outputs}) ; {{}}>"
     code, out, _ = run(capsys, "equal", literal, literal)
     assert (code, out) == (0, "equal\n")
-    # nine siblings of one skeleton around one shared restricted name:
-    # one connected group whose orders exceed the budget
+    # nine siblings of one skeleton around one shared restricted name,
+    # each another's with two pairs of names swapped: no single swap
+    # maps them onto themselves, and their orders exceed the budget
+    pairs = " ".join(str(x) for x in range(11, 20))
+    star = " | ".join(f"{x}!().0?().{x + 10}?()" for x in range(1, 10))
+    literal = f"<new 0 {names} {pairs}. ({star}) ; {{}}>"
+    for argv in (("equal", literal, literal), ("normalize", literal)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 3
+        assert out.startswith(
+            "undecided: canonicalization search space too large")
+        assert "budget 40320" in out
+
+
+def test_normalize_decides_the_symmetric_stars(capsys):
+    names = " ".join(str(x) for x in range(1, 10))
+    outputs = " | ".join(f"{x}!()" for x in range(1, 10))
+    code, out, _ = run(capsys, "normalize", f"<new {names}. ({outputs}) ; {{}}>")
+    assert (code, out) == (0, "<" + " | ".join(
+        f"(new {x}. {x}!())" for x in range(9)) + " ; {}>\n")
+    # the two sides differ in their actions: no key is computed, and
+    # each normal form is found by swap pruning
     star = " | ".join(f"{x}!().0?()" for x in range(1, 10))
-    literal = f"<new 0 {names}. ({star}) ; {{}}>"
-    code, out, _ = run(capsys, "equal", literal, literal)
-    assert code == 3
-    assert out.startswith("undecided: canonicalization search space too large")
-    assert "budget 40320" in out
+    code, out, _ = run(capsys, "equal", f"<new 0 {names}. ({star}) ; {{}}>",
+                       "<1 ; {}>")
+    assert code == 1
+    assert out.splitlines() == [
+        "not equal",
+        "  left  normal form: <new 1. " + " | ".join(
+            f"(new {x}. {x}!().1?())" for x in (0, *range(2, 10))) + " ; {}>",
+        "  right normal form: <1 ; {}>"]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "fusioncalc", "parse",
+                           "--kind", "process", "0!()"], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "0!()\n")
 
 
 def test_pole_laws_header_states_the_sample(capsys):

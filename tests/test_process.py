@@ -1,8 +1,13 @@
 import itertools
+import random
+from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import canonical_reference
+from canonical_reference import _orderings, reference_canonical, reference_key
 from congruence_oracle import (
     alpha_key, congruence_key, count_actions, enumerate_universe,
     oracle_partition,
@@ -185,18 +190,7 @@ def test_mixed_sibling_groups(text, expected):
 ])
 def test_one_candidate_per_distinct_order(text, candidates):
     node, _ = multiset_form(parse_process(text))
-    assert sum(1 for _ in process._orderings(node, frozenset())) == \
-        candidates
-
-
-def test_candidate_budget_is_counted_before_enumerating():
-    # nine distinct siblings of one skeleton, linked in a cycle of
-    # restricted names: 9! orders, over the budget
-    names = range(1, 10)
-    text = "new " + " ".join(map(str, names)) + ". (" + \
-        " | ".join(f"{x}!().{x % 9 + 1}!()" for x in names) + ")"
-    with pytest.raises(ProcessError, match="search space too large"):
-        canonical(parse_process(text))
+    assert sum(1 for _ in _orderings(node, frozenset())) == candidates
 
 
 def _processes(max_depth=3):
@@ -327,6 +321,52 @@ def test_congruence_key_and_canonical_induce_one_equivalence(p, r, fuse,
                 (process_str(terms[i]), process_str(terms[j]))
 
 
+def _printed_processes():
+    """Terms over names 0..7: `new`s of one to three names out of 3..7,
+    prefixes binding vectors 6 and 6, 7 that the continuation may use as
+    subjects, nested parallels and identical siblings."""
+    names = st.integers(0, 7)
+    pol = st.sampled_from(["up", "down"])
+    leaf = st.builds(Act, names, pol, st.just(()), st.just(NIL))
+    return st.recursive(
+        leaf,
+        lambda inner: st.builds(Par, inner, inner)
+        | inner.map(lambda p: Par(p, p))
+        | st.builds(lambda xs, p: reduce(lambda q, x: Nu(x, q), xs, p),
+                    st.lists(st.integers(3, 7), min_size=1, max_size=3),
+                    inner)
+        | st.builds(Act, names, pol, st.sampled_from([(), (6,), (6, 7)]),
+                    inner),
+        max_leaves=9,
+    )
+
+
+@given(_printed_processes())
+@settings(max_examples=300, deadline=None)
+def test_canonical_matches_the_enumerating_reference(p):
+    """On every term whose orders the reference enumerates within 7!
+    candidates (eight siblings equal up to their own binders take it 2 s
+    to enumerate at the full budget, and the search 1 ms)."""
+    with mock.patch.object(canonical_reference, "_MAX_CANDIDATES", 5040):
+        try:
+            expected = reference_canonical(p)
+        except process.SearchBudgetError:
+            return
+    assert canonical(p) == expected
+
+
+@given(_printed_processes(), _printed_processes(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_key_and_reference_key_induce_one_equivalence(p, r, rng):
+    terms = [p, _congruent_copy(rng, p), r, _congruent_copy(rng, r)]
+    keys = [process.congruence_key(t) for t in terms]
+    references = [reference_key(t) for t in terms]
+    for i in range(len(terms)):
+        for j in range(i):
+            assert (keys[i] == keys[j]) == (references[i] == references[j])
+
+
 # Pairs that pin the parts of the key: a restriction under a prefix
 # against one at the top (the group's name count); a name first met
 # inside a sibling's continuation, which later siblings must see (the
@@ -347,33 +387,39 @@ def test_congruence_key_on_names_met_inside_siblings(left, right, congruent):
     assert struct_eq(p, q) is congruent
 
 
-def _nine(pattern):
+def _nine(pattern, extra=""):
     names = " ".join(str(x) for x in range(1, 10))
-    return parse_process(f"new 0 {names}. (" + " | ".join(
-        pattern.format(x=x, y=x % 9 + 1) for x in range(1, 10)) + ")")
+    return parse_process(f"new 0 {names}{extra}. (" + " | ".join(
+        pattern.format(x=x, y=x % 9 + 1, z=x + 10)
+        for x in range(1, 10)) + ")")
 
 
+# Terms on which enumerating the orders of equal-skeleton siblings gives
+# up (9! orders).  Swap pruning and colour refinement decide the first
+# four.  In the last one every x!().0?().z?() is another's with two
+# pairs of names swapped, and no single swap maps the siblings onto
+# themselves, so both searches hold 9 * 8 * 7 * 6 * 5 * 4 = 60,480 orders.
 @pytest.mark.parametrize("term, decided", [
-    # siblings that share no restricted name are placed by their codes
     (_nine("{x}!()"), True),
     (_nine("{x}!().{x}?()"), True),
-    # one connected group, whose least orders are found one by one
     (_nine("{x}!().{y}?()"), True),
     (_nine("{x}!().{y}!()"), True),
-    # one connected group whose orders all tie: over the budget
-    (_nine("{x}!().0?()"), False),
+    (_nine("{x}!().0?().{z}?()",
+           "".join(f" {x}" for x in range(11, 20))), False),
 ])
 def test_congruence_key_exceeds_the_budget_only_where_canonical_does(
         term, decided):
-    with pytest.raises(process.SearchBudgetError):
-        canonical(term)
+    with pytest.raises(process.SearchBudgetError, match="budget 40320"):
+        reference_canonical(term)
     if decided:
-        assert process.congruence_key(term) == process.congruence_key(
-            Par(NIL, term))
+        copy = _congruent_copy(random.Random(0), term)
+        assert canonical(term) == canonical(copy)
+        assert process.congruence_key(term) == process.congruence_key(copy)
     else:
-        with pytest.raises(process.SearchBudgetError,
-                           match="budget 40320"):
-            process.congruence_key(term)
+        for search in (canonical, process.congruence_key):
+            with pytest.raises(process.SearchBudgetError,
+                               match="budget 40320"):
+                search(term)
 
 
 def test_oracle_agreement_through_struct_eq():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc import pwf, realizability
+from fusioncalc import pwf, realizability, terms
 from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (DELTA, InvalidFusionError, canonical_subst,
                                identity_I, parse_fusion)
@@ -328,7 +328,8 @@ def test_images_have_the_summed_invariant(a, b, label):
     for p in (image.proc, canonical(image.proc), substitute(image.proc, sigma),
               nu_all(image).proc):
         assert invariant(p) == expected
-        assert realizability._invariant(p) == tuple(sorted(expected.items()))
+        assert terms.invariant(multiset_form(p)[0]) == \
+            tuple(sorted(expected.items()))
 
 
 def test_done_matrix_builds_only_balanced_composites(monkeypatch):

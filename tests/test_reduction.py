@@ -7,14 +7,16 @@ from hypothesis import given, settings, strategies as st
 from fusioncalc import fusion
 from fusioncalc.cli import main
 from fusioncalc.config import DEFAULT
-from fusioncalc.fusion import DELTA, canonical_subst, parse_fusion
-from fusioncalc.process import (NIL, Act, Nu, Par, canonical, congruence_key,
-                                free_names)
+from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
+                               parse_fusion)
+from fusioncalc.process import (NIL, Act, Nu, Par, congruence_key, form_str,
+                                free_names, process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
-                            pwf_str, sigma_process)
+                            sigma_process)
 from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
                                   reduces_within, step)
-from fusioncalc.terms import multiset_form, node_key
+from fusioncalc.terms import (_nodes, _to_process, canonical_form,
+                             multiset_form, node_key)
 from reduction_reference import (reference_listing, reference_reduces_within,
                                  reference_step)
 
@@ -118,9 +120,9 @@ def _count_calls(monkeypatch, name: str) -> list:
     calls = []
     original = getattr(terms, name, None) or getattr(process, name)
 
-    def counting(p):
+    def counting(p, *args):
         calls.append(p)
-        return original(p)
+        return original(p, *args)
 
     for module in (cli, process, pwf, realizability, reduction, terms):
         if getattr(module, name, None) is original:
@@ -153,15 +155,19 @@ def test_reduces_within_canonicalises_each_term_once(monkeypatch):
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
-    printed = _count_calls(monkeypatch, "canonical")
+    printed = _count_calls(monkeypatch, "canonical_form")
     keyed = _count_calls(monkeypatch, "node_key")
+    rebuilt = _count_calls(monkeypatch, "_to_process")
+    canonicalised = _count_calls(monkeypatch, "canonical")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
     lines = capsys.readouterr().out.splitlines()
     # the search keys the start term and every distinct reduct, each
-    # once: here each keyed reduct is a listed class; the listing
-    # canonicalises one term per printed line
+    # once: here each keyed reduct is a listed class; the listing prints
+    # one node per line, and builds no Process for it
     assert len(keyed) == len(set(keyed)) == distinct == len(lines) + 1
     assert len(printed) == len(set(printed)) == len(lines) > 0
+    assert set(printed) <= set(keyed)
+    assert rebuilt == canonicalised == []
 
 
 def test_cli_reduce_walks_no_class_per_redex(monkeypatch, capsys):
@@ -226,14 +232,17 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
     found = list(reach(p, k))
     keys = [key for key, _ in found]
     assert len(set(keys)) == len(keys)
-    # each key is its term's key up to the fusion, and each term is in
-    # σ-normal form: canonical gives the form that normalize prints
+    # each key is its node's key up to the fusion, and each node is in
+    # σ-normal form: its printed form is the one normalize prints
     assert keys[0] == congruence_key(normalize(p).proc)
-    for key, q in found:
-        assert congruence_key(normalize(q).proc) == key
-        assert canonical(q.proc) == normalize(q).proc
-    listing = sorted(pwf_str(Pwf(canonical(q.proc), p.fus))
-                     for _, q in found[1:])
+    for key, node in found:
+        base = max((q[1] for q in _nodes(node) if q[0] == "act"),
+                   default=0) + 1
+        q = Pwf(_to_process(node, base), p.fus)
+        assert congruence_key(normalize(q).proc) == key == node_key(node)
+        assert form_str(canonical_form(node)) == process_str(normalize(q).proc)
+    listing = sorted(f"<{form_str(canonical_form(node))} ; "
+                     f"{fusion_str(p.fus)}>" for _, node in found[1:])
     assert listing == reference_listing(p, k)
     targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA)] + step(p)[:2]
     for target in targets:

@@ -91,13 +91,6 @@ def rows(pinned):
     return [tuple(row) for row in pinned]
 
 
-def derived_outcome(m):
-    try:
-        return check_derived_props(m)
-    except ModelError as exc:
-        return {"error": str(exc)}
-
-
 @pytest.mark.parametrize("label", sorted(models()))
 def test_reports_match_the_pins(label):
     m = models()[label]
@@ -107,18 +100,14 @@ def test_reports_match_the_pins(label):
     for level, check in (("cs", check_cs), ("ca", check_ca),
                          ("cpa", check_cpa)):
         assert check(m) == ccpa[:pinned["levels"][level]], level
-    derived = pinned["derived_props"]
-    expected = derived if isinstance(derived, dict) else rows(derived)
-    assert derived_outcome(m) == expected
+    assert check_derived_props(m) == rows(pinned["derived_props"])
 
 
 def test_every_law_but_one_fails_in_some_pinned_model():
     assert set(PINNED) == set(models())
     seen, failed = set(), set()
     for pinned in PINNED.values():
-        derived = pinned["derived_props"]
-        for name, ok, _ in pinned["ccpa"] + (
-                derived if isinstance(derived, list) else []):
+        for name, ok, _ in pinned["ccpa"] + pinned["derived_props"]:
             seen.add(name)
             if not ok:
                 failed.add(name)
