@@ -22,6 +22,7 @@ target whose actions p cannot consume down to is rejected unsearched.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from typing import Callable, Iterator, Optional
 
 from .config import DEFAULT, Config
@@ -174,20 +175,13 @@ def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
     """Whether a term with the action invariant `inv` (`terms.invariant`)
     can reach one with the invariant `goal` in k steps: a step consumes
     one up and one down action of equal arity, so for every arity the up
-    and down counts must drop by one number d, and the d add up to at
-    most k."""
-    drop: dict = {}
-    for (polarity, arity), count in inv:
-        drop[polarity, arity] = count
-    for key, count in goal:
-        drop[key] = drop.get(key, 0) - count
-    steps = 0
-    for (polarity, arity), d in drop.items():
-        if d < 0 or drop.get(("down" if polarity == "up" else "up",
-                              arity), 0) != d:
-            return False
-        steps += d
-    return steps <= 2 * k
+    and down counts must drop by one number d >= 0, and the d add up to
+    at most k."""
+    drop = Counter(dict(inv))
+    drop.subtract(dict(goal))
+    return sum(drop.values()) <= 2 * k and all(
+        d >= 0 and drop["down" if polarity == "up" else "up", arity] == d
+        for (polarity, arity), d in list(drop.items()))
 
 
 def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,

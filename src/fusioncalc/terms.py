@@ -380,21 +380,20 @@ class _Search:
         """Whether kids[i] is kids[j] with two names of `own` swapped that
         are not in `known` (so occur in no placed sibling), by a swap
         that maps the siblings onto themselves."""
-        pair = memo.get((j, i), ())
-        if pair == ():
+        if (j, i) not in memo:
             a, b = self.free(kids[j]), self.free(kids[i])
-            pair = memo[j, i] = None
-            if len(a - b) == 1 and len(b - a) == 1 and (a ^ b) <= own:
+            memo[j, i] = None
+            if len(a - b) == len(b - a) == 1 and (a ^ b) <= own:
                 (x,), (y,) = a - b, b - a
                 swap = {x: y, y: x}
-                if (x, y) not in memo:
-                    moved = [self.alpha(c) for c in kids
-                             if x in self.free(c) or y in self.free(c)]
-                    memo[x, y] = memo[y, x] = Counter(
-                        _relabel(c, swap) for c in moved) == Counter(moved)
-                if memo[x, y] and _relabel(self.alpha(kids[j]), swap) == \
-                        self.alpha(kids[i]):
-                    pair = memo[j, i] = (x, y)
+                moved = [self.alpha(c) for c in kids
+                         if x in self.free(c) or y in self.free(c)]
+                if _relabel(self.alpha(kids[j]), swap) == \
+                        self.alpha(kids[i]) and Counter(
+                            _relabel(c, swap) for c in moved) == \
+                        Counter(moved):
+                    memo[j, i] = (x, y)
+        pair = memo[j, i]
         return pair is not None and pair[0] not in known and \
             pair[1] not in known
 
@@ -577,23 +576,17 @@ class _KeySearch(_Search):
         # connected groups: siblings sharing a restricted name of this
         # level, and every sibling holding a name still to be numbered
         watch = frozenset(holes)
-        root: dict = {}
-
-        def find(x):
-            while root.setdefault(x, x) != x:
-                x = root[x]
-            return x
-
         uses = [self.free(c) & watch for c in kids]
+        groups: list = []
         for i, used in enumerate(uses):
-            for x in used:
-                root[find(x if x in names else "hole")] = find(i)
-        members: dict = {}
-        for i in range(len(kids)):
-            members.setdefault(find(i), []).append(i)
+            keys = {x if x in names else "hole" for x in used}
+            joined = [g for g in groups if g[0] & keys]
+            groups = [g for g in groups if not g[0] & keys]
+            groups.append((keys.union(*(g[0] for g in joined)),
+                           [j for g in joined for j in g[1]] + [i]))
         codes = []
         outcomes = _NO_HOLES
-        for group in members.values():
+        for _, group in groups:
             used = frozenset().union(*(uses[i] for i in group))
             own = used & names
             group = [kids[i] for i in group]

@@ -23,8 +23,8 @@ from pathlib import Path
 import pytest
 
 import fusioncalc
-from fusioncalc.calgebra import (ModelError, check_ca, check_ccpa, check_cpa,
-                                 check_cs, check_derived_props, load_model)
+from fusioncalc.calgebra import (check_ca, check_ccpa, check_cpa, check_cs,
+                                 check_derived_props, load_model)
 from fusioncalc.realizability import check_laws
 
 PINNED = json.loads((Path(__file__).parent / "witness_reports.json")
