@@ -193,6 +193,18 @@ def test_one_candidate_per_distinct_order(text, candidates):
     assert sum(1 for _ in _orderings(node, frozenset())) == candidates
 
 
+def test_candidate_budget_is_counted_before_enumerating():
+    # nine siblings x!().0?().z?() that no single swap maps onto
+    # themselves: the search gives up once its states pass the budget,
+    # long before all 9! orders are listed
+    term = _nine("{x}!().0?().{z}?()",
+                 "".join(f" {x}" for x in range(11, 20)))
+    with pytest.raises(ProcessError, match="search space too large") as err:
+        canonical(term)
+    held = int(str(err.value).split(": ")[1].split()[0])
+    assert 40320 < held < 362880
+
+
 def _processes(max_depth=3):
     names = st.integers(0, 4)
     return st.recursive(
