@@ -17,10 +17,11 @@ from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
                      equal, fusion_str, join, map_fusion, parse_fusion,
                      remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
-from .process import (NIL, Act, Nu, Par, Process, canonical, free_names,
-                      parse_process, process_str, struct_eq, substitute,
-                      tidy)
-from .subst import Substitution, compose, finite_subst, remap_subst
+from .process import (NIL, Act, Nu, Par, Process, free_names,
+                      parse_process, process_str, substitute, tidy)
+from .subst import Substitution, finite_subst, remap_subst
+from .terms import (_relabel, _to_process, canonical_form, invariant,
+                    multiset_form, node_key)
 
 
 class PwfError(Exception):
@@ -57,22 +58,29 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
     return frozenset(out)
 
 
-def sigma_process(p: Pwf, config: Config = DEFAULT) -> Process:
-    """p's process with each free name replaced by the representative of
-    its class (`canonical_subst`, σ).  Two PWFs with equal fusions are
-    equal exactly when these processes are congruent."""
-    return substitute(p.proc, canonical_subst(p.fus, config))
+def sigma_node(p: Pwf, config: Config = DEFAULT, form=None) -> tuple:
+    """The multiset form of p's process (`form`, when given, is its
+    `multiset_form`) with each free name replaced by the representative
+    of its class (`canonical_subst`, σ); its binders are negative, so
+    none captures.  Two PWFs with equal fusions are equal exactly when
+    these nodes have equal keys."""
+    node, free = multiset_form(p.proc) if form is None else form
+    if p.fus.is_delta():
+        return node
+    sigma = canonical_subst(p.fus, config)
+    return _relabel(node, {x: sigma.apply(x) for x in free})
 
 
 def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
-    """The σ-normal form of p, for printing: `sigma_process`
-    canonicalised."""
-    return Pwf(canonical(sigma_process(p, config)), p.fus)
+    """The σ-normal form of p, for printing: `sigma_node` canonicalised."""
+    return Pwf(_to_process(canonical_form(sigma_node(p, config))), p.fus)
 
 
 def equal_pwf(p: Pwf, q: Pwf, config: Config = DEFAULT) -> bool:
-    return equal(p.fus, q.fus, config) and \
-        struct_eq(sigma_process(p, config), sigma_process(q, config))
+    if not equal(p.fus, q.fus, config):
+        return False
+    a, b = sigma_node(p, config), sigma_node(q, config)
+    return invariant(a) == invariant(b) and node_key(a) == node_key(b)
 
 
 def par(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:
@@ -129,10 +137,12 @@ def hereditary_closure(X: NameSet, p: Pwf, config: Config = DEFAULT
         if grown == current:
             break
         current = grown
-    sigma = Substitution()
-    for s, t in zip(sorted(current), _closure_step(current, classes)):
-        sigma = compose(finite_subst({s: t}), sigma)
-    return current, sigma
+    # ts is the steps of the closed set; σ applies them in turn
+    sigma: dict = {}
+    for s, t in zip(sorted(current), ts):
+        sigma = {x: t if y == s else y for x, y in sigma.items()}
+        sigma[s] = t
+    return current, finite_subst(sigma)
 
 
 def _closure_step(S: frozenset[Name], classes) -> list[Name]:

@@ -34,10 +34,9 @@ from typing import Callable, Iterable, Optional
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
-from .process import (NIL, Act, Par, Process, congruence_key,
-                      free_names, substitute)
+from .process import NIL, Act, Par, Process, congruence_key
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
-                  sigma_process, star)
+                  sigma_node, star)
 from .reduction import _may_reach, _reduces_within
 from .terms import invariant, multiset_form, node_key
 
@@ -67,7 +66,7 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
         key = (start, q.fus)
         if key not in cache:
             if config not in goals:
-                goals[config] = congruence_key(sigma_process(UNIT, config))
+                goals[config] = node_key(sigma_node(UNIT, config))
             cache[key] = _reduces_within(q, UNIT, k, config, (node, start),
                                          goals[config])
         return cache[key]
@@ -158,8 +157,8 @@ class Universe:
         self._matrix = None
         self._keyed: Optional[dict] = None
         self._signatures: set = set()
-        self._invariants = [invariant(multiset_form(m.proc)[0])
-                            for m in self.members]
+        self._forms = [multiset_form(m.proc) for m in self.members]
+        self._invariants = [invariant(node) for node, _ in self._forms]
         key = (self.members, config)
         if key not in _TABLES and len(_TABLES) >= _SHARED_LISTS:
             del _TABLES[next(iter(_TABLES))]
@@ -230,41 +229,43 @@ class Universe:
             raise ValueError("PWF is not a universe member")
         return mask.bit_length() - 1
 
-    def _signature(self, p: Pwf, invariant: tuple):
-        """Cheap invariants of the member key, and the fusion's
-        representative substitution σ: the action invariant, the classes
-        of the fusion endpoints and σ(fn P).  Congruence and substitution
-        keep the action invariant, and fn(σP) = σ(fn P), so PWFs with
-        equal keys have equal signatures."""
+    def _signature(self, p: Pwf, form: tuple) -> tuple:
+        """Cheap invariants of the member key, from p's `multiset_form`
+        (node, fn P): the action invariant, the classes of the fusion
+        endpoints and σ(fn P), σ the fusion's representative
+        substitution.  Congruence and substitution keep the action
+        invariant, and fn(σP) = σ(fn P), so PWFs with equal keys have
+        equal signatures."""
         class_of = _classes(p.fus, self.config)
         classes = frozenset(class_of(x) for x in p.fus.endpoints())
         sigma = canonical_subst(p.fus, self.config)
-        free = frozenset(sigma.apply(x) for x in free_names(p.proc))
-        return (invariant, classes, free), sigma
+        return (invariant(form[0]), classes,
+                frozenset(sigma.apply(x) for x in form[1]))
 
-    def _member_key(self, p: Pwf, signature, sigma):
-        """Equality-respecting lookup key: the congruence key of the
-        process under σ, the signature (which holds the fusion's finite
-        partition) and the fusion's family generators."""
-        return (congruence_key(substitute(p.proc, sigma)), signature,
+    def _member_key(self, p: Pwf, signature: tuple, form: tuple):
+        """Equality-respecting lookup key: the key of p's σ-node
+        (`sigma_node` of its `multiset_form`), the signature (which holds
+        the fusion's finite partition) and the fusion's family
+        generators."""
+        return (node_key(sigma_node(p, self.config, form)), signature,
                 p.fus.families)
 
     def clip(self, pwfs: Iterable[Pwf]) -> int:
         """Mask of the members equal to one of the given PWF."""
         if self._keyed is None:
             self._keyed = {}
-            for i, m in enumerate(self.members):
-                signature, sigma = self._signature(m, self._invariants[i])
+            for i, (m, form) in enumerate(zip(self.members, self._forms)):
+                signature = self._signature(m, form)
                 self._signatures.add(signature)
-                key = self._member_key(m, signature, sigma)
-                self._keyed.setdefault(key, i)
+                self._keyed.setdefault(
+                    self._member_key(m, signature, form), i)
         mask = 0
         for p in pwfs:
-            signature, sigma = self._signature(
-                p, invariant(multiset_form(p.proc)[0]))
+            form = multiset_form(p.proc)
+            signature = self._signature(p, form)
             if not p.fus.families and signature not in self._signatures:
                 continue
-            i = self._keyed.get(self._member_key(p, signature, sigma))
+            i = self._keyed.get(self._member_key(p, signature, form))
             if i is None and p.fus.families:
                 # family generators can subsume finite pairs, so the
                 # partition signature may differ between equal fusions

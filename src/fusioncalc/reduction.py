@@ -10,11 +10,12 @@ there is no replication, so firing only consumes prefixes, and binders
 renamed apart once stay apart for the whole search.
 
 `reach` searches in σ-normal form: the representatives of the fusion's
-classes (`canonical_subst`, σ) are substituted into the start once, and
-σ fixes every name of every reduct.  So a reduct's `terms.node_key` is
-both the search's dedup key and its key up to the fusion, and
-`terms.canonical_form` of its node is its line in the `fusioncalc
-reduce` listing, printed from the node without building a `Process`.
+classes (`canonical_subst`, σ) replace the free names of the start's
+multiset form once (`pwf.sigma_node`), and σ fixes every name of every
+reduct.  So a reduct's `terms.node_key` is both the search's dedup key
+and its key up to the fusion, and `terms.canonical_form` of its node is
+its line in the `fusioncalc reduce` listing, printed from the node
+without building a `Process`.
 `reduces_within` first compares action invariants (`_may_reach`), so a
 target whose actions p cannot consume down to is rejected unsearched.
 """
@@ -28,7 +29,7 @@ from typing import Callable, Iterator, Optional
 from .config import DEFAULT, Config
 from .fusion import _classes, equal
 from .names import Name
-from .pwf import Pwf, nu_all, par, sigma_process
+from .pwf import Pwf, nu_all, par, sigma_node
 from .terms import (_NIL_NODE, _relabel, _to_process, all_names, invariant,
                     multiset_form, node_key)
 
@@ -145,12 +146,6 @@ def _search(node, key: tuple, k: int) -> Iterator[tuple[tuple, tuple]]:
         frontier = next_frontier
 
 
-def _start(p: Pwf, config: Config):
-    """The multiset form of p's σ-normal process, and its free names."""
-    return multiset_form(p.proc if p.fus.is_delta()
-                         else sigma_process(p, config))
-
-
 def reach(p: Pwf, k: int, config: Config = DEFAULT
           ) -> Iterator[tuple[tuple, tuple]]:
     """Each congruence class reachable from p in at most k steps, once,
@@ -158,7 +153,7 @@ def reach(p: Pwf, k: int, config: Config = DEFAULT
     The nodes are in σ-normal multiset form (binders negative, free names
     σ-representatives): `terms.canonical_form` of one is the class's
     form up to the fusion."""
-    node = _start(p, config)[0]
+    node = sigma_node(p, config)
     return _search(node, node_key(node), k)
 
 
@@ -188,15 +183,15 @@ def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
                     start: Optional[tuple] = None,
                     goal: Optional[tuple] = None) -> bool:
     """`reduces_within`, given `start = (node, node_key(node))` for
-    `node = multiset_form(p.proc)[0]` (used under Δ only) and
-    `goal = congruence_key(sigma_process(target, config))` when the
-    caller has already computed them and checked `_may_reach`."""
+    `node = multiset_form(p.proc)[0]` (used under Δ only) and `goal =
+    node_key(sigma_node(target, config))` when the caller has already
+    computed them and checked `_may_reach`."""
     if not equal(p.fus, target.fus, config):
         return False
     node, key = start if start is not None and p.fus.is_delta() else \
-        (_start(p, config)[0], None)
+        (sigma_node(p, config), None)
     if goal is None:
-        target_node = _start(target, config)[0]
+        target_node = sigma_node(target, config)
         if not _may_reach(invariant(node), invariant(target_node), k):
             return False
         goal = node_key(target_node)

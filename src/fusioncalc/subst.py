@@ -2,8 +2,8 @@
 
 A word remap (u -> v) sends tag(n, u) to tag(n, v) for every n and is
 identity elsewhere.  The finite map takes precedence over remaps, which
-is what lets restriction and canonical substitutions override a remap on
-finitely many names (an entry x -> x pins the identity there).
+is what lets canonical substitutions override a remap on finitely many
+names (an entry x -> x pins the identity there).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .names import (Name, NameSet, Word, is_suffix, parse_name, tag, untag,
+from .names import (Name, Word, is_suffix, parse_name, tag, untag,
                     word, word_str)
 
 
@@ -133,48 +133,6 @@ def compose(sigma: Substitution, tau: Substitution) -> Substitution:
     for x in dict(tau.finite_map):
         fm.setdefault(x, sigma.apply(tau.apply(x)))
     return Substitution(tuple(fm.items()), frozenset(remaps))
-
-
-def restrict_away(sigma: Substitution, X: NameSet) -> Substitution:
-    """Identity on X, sigma elsewhere."""
-    fm = {x: y for x, y in sigma.finite_map if not X.member(x)}
-    remaps: set[tuple[Word, Word]] = set()
-    work = list(sigma.word_remaps)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 4096:
-            raise SubstitutionError("restriction does not stabilize")
-        u, v = work.pop()
-        idx = _residue_vs_set(u, X)
-        if idx == "inside":
-            # excluded names fall outside X, so they keep their image
-            for x in X.excluded:
-                n = untag(x, u)
-                if n is not None:
-                    fm.setdefault(x, tag(n, v))
-            continue
-        if idx == "split":
-            work.extend(_split_remap((u, v)))
-            continue
-        remaps.add((u, v))
-        # finitely many singleton hits inside the kept domain are pinned
-        for x in X.singletons:
-            if untag(x, u) is not None:
-                fm.setdefault(x, x)
-    return Substitution(tuple(fm.items()), frozenset(remaps))
-
-
-def _residue_vs_set(u: Word, X: NameSet) -> str:
-    """Classify residue(u) against X's residue/universal part:
-    'inside', 'outside' (only finite singleton hits possible), 'split'."""
-    if X.universal:
-        return "inside"
-    if any(is_suffix(r, u) for r in X.residues):
-        return "inside"
-    if any(is_suffix(u, r) and len(r) > len(u) for r in X.residues):
-        return "split"
-    return "outside"
 
 
 def equivalent_via(sigma: Substitution, tau: Substitution,

@@ -2,6 +2,11 @@
 restriction), free names, capture-avoiding substitution, and structural
 congruence.
 
+Substitution is one pass that applies σ once to each free name; the
+binders in scope map to themselves.  Only a binder holding the image of
+a moved name can capture, so only there is its body scanned, and renamed
+apart (`_rename_apart`) when a free name of it moves onto the binder.
+
 Congruence is decided on a multiset form: one pass (`_simplify`) renames
 every binder apart and brings the term to scope-maximal form, with the
 restrictions of each level gathered into one set and its parallel
@@ -19,8 +24,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .names import Name, NameSet
-from .subst import Substitution, finite_subst, restrict_away
+from .names import Name
+from .subst import Substitution
 
 
 class ProcessError(Exception):
@@ -108,32 +113,58 @@ def _fresh_names(avoid: set[Name], count: int) -> list[Name]:
 
 
 def substitute(p: Process, sigma: Substitution) -> Process:
-    if isinstance(p, Nil):
+    """p with each free name x replaced by sigma(x), in one pass (see
+    above); p itself when none moves."""
+    moved = {}
+    for x in free_names(p):
+        y = sigma.apply(x)
+        if y != x:
+            moved[x] = y
+    if not moved:
         return p
-    if isinstance(p, Par):
-        return Par(substitute(p.left, sigma), substitute(p.right, sigma))
-    if isinstance(p, Act):
-        body, bound = _avoid_capture(p.body, p.bound, sigma)
-        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
-        return Act(sigma.apply(p.subject), p.polarity, bound,
-                   substitute(body, inner))
-    if isinstance(p, Nu):
-        body, bound = _avoid_capture(p.body, (p.name,), sigma)
-        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
-        return Nu(bound[0], substitute(body, inner))
-    raise ProcessError(f"unknown process node {p!r}")
+    return _substitute(p, moved, frozenset(moved.values()), frozenset())
 
 
-def _avoid_capture(body: Process, bound: tuple[Name, ...],
-                   sigma: Substitution) -> tuple[Process, tuple[Name, ...]]:
+def _substitute(p: Process, moved: dict, images: frozenset,
+                hidden: frozenset) -> Process:
+    """p with each name of `moved` (whose values are `images`) replaced
+    where it is free, but not where `hidden`, the moved names bound in
+    scope, holds it; unchanged subterms are kept as they are."""
+    kind = type(p)
+    if kind is Par:
+        left = _substitute(p.left, moved, images, hidden)
+        right = _substitute(p.right, moved, images, hidden)
+        return p if left is p.left and right is p.right else Par(left, right)
+    if kind is Nil:
+        return p
+    bound, body = p.bound if kind is Act else (p.name,), p.body
+    if not images.isdisjoint(bound):
+        body, bound = _rename_apart(body, bound, moved, hidden)
+    body = _substitute(body, moved, images,
+                       hidden.union(x for x in bound if x in moved))
+    if kind is Nu:
+        return p if body is p.body and bound[0] == p.name else \
+            Nu(bound[0], body)
+    subject = p.subject if p.subject in hidden else \
+        moved.get(p.subject, p.subject)
+    return p if subject == p.subject and bound is p.bound and \
+        body is p.body else Act(subject, p.polarity, bound, body)
+
+
+def _rename_apart(body: Process, bound: tuple[Name, ...], moved: dict,
+                  hidden: frozenset) -> tuple[Process, tuple[Name, ...]]:
+    """(body, bound), with the binders renamed when a free name of body
+    moves onto one of them: to the least names that are no free name of
+    body, no image of one and no name in body, renaming body first."""
     outer_free = free_names(body) - set(bound)
-    images = {sigma.apply(x) for x in outer_free}
-    if not images & set(bound):
+    images = {x if x in hidden else moved.get(x, x) for x in outer_free}
+    if images.isdisjoint(bound):
         return body, bound
-    avoid = set(images) | set(outer_free) | set(bound) | all_names(body)
-    fresh = _fresh_names(avoid, len(bound))
-    renamed = substitute(body, finite_subst(dict(zip(bound, fresh))))
-    return renamed, tuple(fresh)
+    avoid = images | outer_free | set(bound) | all_names(body)
+    fresh = tuple(_fresh_names(avoid, len(bound)))
+    # fresh names occur nowhere in body, so renaming to them captures none
+    return _substitute(body, dict(zip(bound, fresh)), frozenset(fresh),
+                       frozenset()), fresh
 
 
 # ---------------------------------------------------------------------------

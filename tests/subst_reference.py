@@ -1,0 +1,114 @@
+"""Reference capture-avoiding substitution on `Process` terms, for
+differential tests of `terms.substitute`.
+
+`reference_substitute` is the substitution the library used before it
+became one pass: at every binder it rescans the body's free names for a
+capture (`_avoid_capture`) and carries on under a new `Substitution`
+that is the identity on the binder's names (`restrict_away`, with its
+helper `_residue_vs_set`).  `scoped_processes` draws the terms that
+the differential tests substitute into.
+"""
+
+from hypothesis import strategies as st
+
+from fusioncalc.names import NameSet, is_suffix, tag, untag
+from fusioncalc.subst import (Substitution, SubstitutionError, _split_remap,
+                              finite_subst)
+from fusioncalc.terms import (NIL, Act, Nil, Nu, Par, ProcessError,
+                              _fresh_names, all_names, free_names)
+
+
+def reference_substitute(p, sigma: Substitution):
+    if isinstance(p, Nil):
+        return p
+    if isinstance(p, Par):
+        return Par(reference_substitute(p.left, sigma),
+                   reference_substitute(p.right, sigma))
+    if isinstance(p, Act):
+        body, bound = _avoid_capture(p.body, p.bound, sigma)
+        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
+        return Act(sigma.apply(p.subject), p.polarity, bound,
+                   reference_substitute(body, inner))
+    if isinstance(p, Nu):
+        body, bound = _avoid_capture(p.body, (p.name,), sigma)
+        inner = restrict_away(sigma, NameSet(singletons=frozenset(bound)))
+        return Nu(bound[0], reference_substitute(body, inner))
+    raise ProcessError(f"unknown process node {p!r}")
+
+
+def scoped_processes(max_leaves=6):
+    """Terms over names 0..5 whose binders reuse those names: binders
+    shadow one another and free names, so a substitution that moves a
+    free name onto a binder name often meets a capture."""
+    names = st.integers(0, 5)
+    polarity = st.sampled_from(["up", "down"])
+    vectors = st.lists(names, unique=True, max_size=2).map(tuple)
+
+    def chain(prefixes):
+        out = NIL
+        for subject, pol, bound, nu in reversed(prefixes):
+            out = Act(subject, pol, bound, out)
+            if nu is not None:
+                out = Nu(nu, out)
+        return out
+
+    prefix = st.tuples(names, polarity, vectors, st.none() | names)
+    return st.recursive(
+        st.lists(prefix, min_size=1, max_size=3).map(chain),
+        lambda inner: st.builds(Par, inner, inner)
+        | st.builds(Nu, names, inner)
+        | st.builds(Act, names, polarity, vectors, inner),
+        max_leaves=max_leaves)
+
+
+def _avoid_capture(body, bound, sigma: Substitution):
+    outer_free = free_names(body) - set(bound)
+    images = {sigma.apply(x) for x in outer_free}
+    if not images & set(bound):
+        return body, bound
+    avoid = set(images) | set(outer_free) | set(bound) | all_names(body)
+    fresh = _fresh_names(avoid, len(bound))
+    renamed = reference_substitute(body, finite_subst(dict(zip(bound, fresh))))
+    return renamed, tuple(fresh)
+
+
+def restrict_away(sigma: Substitution, X: NameSet) -> Substitution:
+    """Identity on X, sigma elsewhere."""
+    fm = {x: y for x, y in sigma.finite_map if not X.member(x)}
+    remaps = set()
+    work = list(sigma.word_remaps)
+    guard = 0
+    while work:
+        guard += 1
+        if guard > 4096:
+            raise SubstitutionError("restriction does not stabilize")
+        u, v = work.pop()
+        idx = _residue_vs_set(u, X)
+        if idx == "inside":
+            # excluded names fall outside X, so they keep their image
+            for x in X.excluded:
+                n = untag(x, u)
+                if n is not None:
+                    fm.setdefault(x, tag(n, v))
+            continue
+        if idx == "split":
+            work.extend(_split_remap((u, v)))
+            continue
+        remaps.add((u, v))
+        # finitely many singleton hits inside the kept domain are pinned
+        for x in X.singletons:
+            if untag(x, u) is not None:
+                fm.setdefault(x, x)
+    return Substitution(tuple(fm.items()), frozenset(remaps))
+
+
+def _residue_vs_set(u, X: NameSet) -> str:
+    """Classify residue(u) against X's residue/universal part:
+    'inside', 'outside' (only finite singleton hits possible), 'split'."""
+    if X.universal:
+        return "inside"
+    if any(is_suffix(r, u) for r in X.residues):
+        return "inside"
+    if any(is_suffix(u, r) and len(r) > len(u) for r in X.residues):
+        return "split"
+    return "outside"

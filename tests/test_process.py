@@ -13,15 +13,16 @@ from congruence_oracle import (
     oracle_partition,
 )
 from fusioncalc.process import (
-    NIL, Act, Nu, Par, ProcessError, canonical, free_names, parse_process,
-    process_str, struct_eq, substitute,
+    NIL, Act, Nu, Par, ProcessError, all_names, canonical, free_names,
+    parse_process, process_str, struct_eq, substitute,
 )
 from fusioncalc import process
 from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
-from fusioncalc.subst import finite_subst, remap_subst
+from fusioncalc.subst import Substitution, finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
+from subst_reference import reference_substitute, scoped_processes
 
 
 def test_parse_basic_forms():
@@ -63,6 +64,69 @@ def test_substitute_word_remap():
     p = parse_process("0!() | 1?().2!()")
     q = substitute(p, remap_subst([((), (1,))]))
     assert q == parse_process("1!() | 3?().5!()")
+
+
+def _substitutions(p):
+    """Finite maps from free names of p to names of p, most of them
+    binders, alone and beside the word remaps that `relabel_word`
+    (epsilon -> w) and `unrelabel` (i -> epsilon) build, and a pair of
+    remaps."""
+    remaps = st.sampled_from([
+        (), (((), (1,)),), (((), (2, 1)),), (((1,), ()),), (((2,), ()),),
+        (((1,), (2,)), ((2,), (1, 1)))])
+    return st.builds(
+        lambda fm, rm: Substitution(tuple(fm.items()), frozenset(rm)),
+        st.dictionaries(st.sampled_from(sorted(free_names(p) | {0})),
+                        st.sampled_from(sorted(all_names(p) | {0})),
+                        min_size=1, max_size=3),
+        remaps)
+
+
+@given(scoped_processes(), st.data())
+@settings(max_examples=500, deadline=None)
+def test_substitute_matches_the_reference(p, data):
+    """The one-pass substitution returns what the per-binder one did,
+    binder names included, on shadowed binders and forced and nested
+    captures."""
+    sigma = data.draw(_substitutions(p))
+    assert substitute(p, sigma) == reference_substitute(p, sigma)
+
+
+@pytest.mark.parametrize("text, mapping, renamed", [
+    # 0 moves onto the binder 1, and inside it onto the binder 2
+    ("new 1. 1!().0!().new 2. 2?(3).0!(1).1?()", {0: 1, 3: 2}, True),
+    ("0?(1).(1!() | 0!(2).2?().0!())", {0: 2}, True),
+    # the moved name is shadowed where its image is bound
+    ("0!().new 0. 0?(1).1!()", {0: 1}, False),
+])
+def test_captures_rename_as_the_reference_does(text, mapping, renamed):
+    def binders(p):
+        if isinstance(p, Par):
+            return binders(p.left) + binders(p.right)
+        if isinstance(p, Act):
+            return [p.bound] + binders(p.body)
+        if isinstance(p, Nu):
+            return [(p.name,)] + binders(p.body)
+        return []
+
+    p = parse_process(text)
+    sigma = finite_subst(mapping)
+    out = substitute(p, sigma)
+    assert out == reference_substitute(p, sigma)
+    assert (binders(out) != binders(p)) == renamed
+
+
+def test_substitute_without_a_capture_builds_no_substitution(monkeypatch):
+    p = parse_process("0!(1).1?().(new 2. 2!(3).0?()) | 4?(0).0!() | 1?()")
+    sigma, unmoved = finite_subst({0: 5, 1: 6, 4: 7}), finite_subst({9: 0})
+    expected = reference_substitute(p, sigma)
+    built = []
+    init = Substitution.__post_init__
+    monkeypatch.setattr(Substitution, "__post_init__",
+                        lambda self: built.append(self) or init(self))
+    assert substitute(p, sigma) == expected
+    assert substitute(p, unmoved) is p
+    assert built == []
 
 
 def test_struct_eq_laws():

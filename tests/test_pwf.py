@@ -1,20 +1,23 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusioncalc.config import DEFAULT
-from fusioncalc.fusion import (DELTA, Fusion, NotRepresentableError, equal,
-                               fusion_str, identity_I, join, parse_fusion,
-                               phi, sigma_tau)
+from fusioncalc.fusion import (DELTA, Fusion, NotRepresentableError, _classes,
+                               canonical_subst, equal, fusion_str, identity_I,
+                               join, parse_fusion, phi, sigma_tau)
 from fusioncalc.names import finite, parse_nameset, residue
 from fusioncalc.process import NIL, Act, parse_process, process_str
 from fusioncalc.pwf import (
     Pwf, PwfError, REALIZER_WORDS, as_pwf, bullet, equal_pwf, fn_contains,
     fn_finite_part, hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
     par, parse_pwf, prefix, pwf_str, realizer_catalog, relabel, relabel_word,
-    star, unrelabel)
-from fusioncalc.subst import remap_subst
+    sigma_node, star, unrelabel, _closure_step)
+from fusioncalc.subst import IDENTITY, compose, finite_subst, remap_subst
+from fusioncalc.terms import multiset_form
+from subst_reference import reference_substitute, scoped_processes
 
 
 def pwfs(max_actions=2, names=4):
@@ -105,6 +108,60 @@ def test_hereditary_closure_on_delta_is_identity():
                                   parse_pwf("<0!().2?().5!() ; {}>"))
     assert S == {0, 2}
     assert sigma.apply(0) == 0 and sigma.apply(2) == 2
+
+
+def _fusions():
+    """Fusions of up to three pairs of names 0..7, alone or with a
+    family generator."""
+    pair = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(
+        lambda ab: ab[0] != ab[1]).map(lambda ab: f"{ab[0]}~{ab[1]}")
+    family = st.sampled_from([[], ["[1 <-> 2]"], ["[1.1 <-> 2]"]])
+    return st.builds(lambda pairs, fam: parse_fusion(
+        "{" + ", ".join(pairs + fam) + "}"),
+        st.lists(pair, max_size=3), family)
+
+
+def _compose_chain(S, p):
+    """hereditary_closure's σ as one `compose` per step of S."""
+    sigma = IDENTITY
+    for s, t in zip(sorted(S), _closure_step(S, _classes(p.fus, DEFAULT))):
+        sigma = compose(finite_subst({s: t}), sigma)
+    return sigma
+
+
+@given(scoped_processes(), _fusions(), st.sampled_from(
+    ["all", "@1", "@2", "@1.2", "{0,2}", "{1,3,4} + @2.1"]))
+@settings(max_examples=200, deadline=None)
+def test_hereditary_closure_map_equals_the_compose_chain(proc, fus, X):
+    p = Pwf(proc, fus)
+    S, sigma = hereditary_closure(parse_nameset(X), p)
+    chain = _compose_chain(S, p)
+    for x in S | fus.endpoints() | set(range(64)):
+        assert sigma.apply(x) == chain.apply(x)
+
+
+def test_hereditary_closure_makes_no_compose_call(monkeypatch):
+    calls = []
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("fusioncalc") and \
+                getattr(module, "compose", None) is compose:
+            monkeypatch.setattr(module, "compose", lambda *args: calls.append(
+                args) or compose(*args))
+    S, sigma = hereditary_closure(
+        parse_nameset("all"), parse_pwf("<0!().2?() ; {0~1~2, 3~4, 5~6}>"))
+    assert S == {0, 1, 2} and sigma.apply(0) == sigma.apply(1) == 2
+    assert calls == []
+
+
+@given(scoped_processes(), _fusions())
+@settings(max_examples=200, deadline=None)
+def test_sigma_node_is_the_form_of_the_substituted_process(proc, fus):
+    """σ on the multiset form commutes with σ on the process."""
+    p = Pwf(proc, fus)
+    expected = multiset_form(
+        reference_substitute(proc, canonical_subst(fus)))[0]
+    assert sigma_node(p) == expected
+    assert sigma_node(p, DEFAULT, multiset_form(proc)) == expected
 
 
 def test_nu_set_goldens():

@@ -244,6 +244,24 @@ def test_fast_path_covers_fused_and_family_images():
         assert u.clip([image]) == 1 << (len(members) - 1)
 
 
+def test_clip_makes_one_multiset_form_per_image(monkeypatch):
+    """clip keys σ's image of the node that it builds for the invariant;
+    the members' nodes are built with the universe."""
+    from fusioncalc import reduction
+    u = Universe(mixed_members(), pole_always)
+    calls = []
+    original = terms.multiset_form
+    for module in (terms, pwf, realizability, reduction):
+        monkeypatch.setattr(module, "multiset_form",
+                            lambda p: calls.append(p) or original(p))
+    for text, member in (("<1!() ; {0~1}>", True), ("<0?() ; {}>", True),
+                         ("<1!().1!() ; {0~1}>", False)):
+        p = parse_pwf(text)
+        calls.clear()
+        assert bool(u.clip([p])) == member
+        assert calls == [p.proc]
+
+
 def invariant(p):
     """Action prefixes of a process counted by (polarity, arity)."""
     if isinstance(p, Act):

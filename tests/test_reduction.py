@@ -12,7 +12,7 @@ from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
 from fusioncalc.process import (NIL, Act, Nu, Par, congruence_key, form_str,
                                 free_names, process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
-                            sigma_process)
+                            sigma_node)
 from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
                                   reduces_within, step)
 from fusioncalc.terms import (_nodes, _to_process, canonical_form,
@@ -261,6 +261,6 @@ def test_step_matches_the_process_level_reference(p):
     """Firing on the multiset form gives the reducts that firing on
     `Process` terms with capture-avoiding substitution gives."""
     def keys(reducts):
-        return Counter(congruence_key(sigma_process(r)) for r in reducts)
+        return Counter(node_key(sigma_node(r)) for r in reducts)
 
     assert keys(step(p)) == keys(reference_step(p))
