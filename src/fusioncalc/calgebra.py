@@ -271,9 +271,6 @@ class FinModel:
             out = self._fold(self._rhd_set(j, self._down[k]))
         return self.carrier[out]
 
-    def exists(self, f) -> Element:
-        return self.join(f(a) for a in self.carrier)
-
     # -- combinators --------------------------------------------------
 
     def s3(self) -> Element:

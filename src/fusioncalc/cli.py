@@ -13,7 +13,6 @@ import functools
 import itertools
 import sys
 
-from . import calgebra, hy_encodings, mll, realizability
 from .config import DEFAULT, Config, parse_config_text
 from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
                      fusion_str, join, meet, parse_fusion, phi, remove,
@@ -26,8 +25,20 @@ from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
 from .reduction import reach
 from .terms import canonical_form
 
-_PARSE_ERRORS = (FusionError, PwfError, ProcessError, mll.MllError,
-                 calgebra.ModelError, OSError, ValueError)
+# calgebra, mll, hy_encodings and realizability are imported by the
+# commands that read them, so the others compile none of them.
+_PARSE_ERRORS = (FusionError, PwfError, ProcessError, OSError, ValueError)
+_LAZY_PARSE_ERRORS = (("fusioncalc.mll", "MllError"),
+                      ("fusioncalc.calgebra", "ModelError"))
+
+
+def _parse_errors() -> tuple[type[Exception], ...]:
+    """The errors reported as parse or validation errors (exit 2): those
+    of the modules imported so far, as a module never imported raised
+    none."""
+    return _PARSE_ERRORS + tuple(
+        getattr(sys.modules[module], name)
+        for module, name in _LAZY_PARSE_ERRORS if module in sys.modules)
 
 
 def _config_from_args(args) -> Config:
@@ -46,6 +57,7 @@ def _config_banner(config: Config) -> str:
 
 
 def _print_report(rows, fmt: str) -> bool:
+    from . import calgebra
     for name, ok, witness in rows:
         verdict = "pass" if ok else "fail"
         if fmt == "tsv":
@@ -144,6 +156,7 @@ def _cmd_star(args) -> int:
 
 
 def _parse_universe_spec(spec: str):
+    from . import realizability
     max_actions, names, limit = 2, 3, 160
     fusions = [DELTA, parse_fusion("{0~1}")]
     for part in filter(None, (s.strip() for s in spec.split(","))):
@@ -165,6 +178,7 @@ def _parse_universe_spec(spec: str):
 
 
 def _cmd_pole_laws(args) -> int:
+    from . import realizability
     config = _config_from_args(args)
     members = _parse_universe_spec(args.universe or "")
     pole = realizability.parse_pole(args.pole)
@@ -181,6 +195,7 @@ def _cmd_pole_laws(args) -> int:
 
 
 def _cmd_algebra_check(args) -> int:
+    from . import calgebra
     model = calgebra.load_model(args.model)
     checker = {"cs": calgebra.check_cs, "ca": calgebra.check_ca,
                "cpa": calgebra.check_cpa, "ccpa": calgebra.check_ccpa,
@@ -189,6 +204,7 @@ def _cmd_algebra_check(args) -> int:
 
 
 def _cmd_mll(args) -> int:
+    from . import calgebra, mll
     config = _config_from_args(args)
     if args.mll_op == "check":
         try:
@@ -202,6 +218,9 @@ def _cmd_mll(args) -> int:
         model = calgebra.load_model(args.model)
         assign = {}
         for item in filter(None, (args.assign or "").split(",")):
+            if "=" not in item:
+                raise mll.MllError(f"assignments look like X=element: "
+                                   f"{item!r}")
             key, value = item.split("=", 1)
             assign[key.strip()] = value.strip()
         print(mll.interpret(mll.parse_formula(args.formula), model, assign))
@@ -235,12 +254,14 @@ def _cmd_mll(args) -> int:
 
 
 def _realizer_str(expr) -> str:
+    from . import mll
     if isinstance(expr, mll.Const):
         return expr.label
     return f"({_realizer_str(expr.func)} *1 {_realizer_str(expr.arg)})"
 
 
 def _cmd_hy_check(args) -> int:
+    from . import hy_encodings
     if not args.experimental_hy:
         print("hy-check is experimental; rerun with --experimental-hy")
         return 2
@@ -254,6 +275,7 @@ def _cmd_hy_check(args) -> int:
 
 
 def _cmd_laws(args) -> int:
+    from . import calgebra, hy_encodings, mll, realizability
     config = _config_from_args(args)
     samples, seed = 6, 0
     if args.format != "tsv":
@@ -414,7 +436,7 @@ def main(argv=None) -> int:
     except ClassBudgetError as exc:
         print(f"undecided: {exc} (class_budget={exc.budget})")
         return 3
-    except _PARSE_ERRORS as exc:
+    except _parse_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,6 +8,12 @@ a pure fusion (a PWF whose process part is the terminated process);
 semantic membership in the infinite model is not claimed here — the
 constants' defining identities are checked at the process level, and
 soundness is checked against finite models.
+
+A formula is interpreted bottom-up, each subformula once, into a table
+over the carrier positions of its own free variables (as CTL model
+checking labels states: Clarke, Emerson and Sistla, TOPLAS 1986).  An
+existential folds joins from bottom over its variable's axis, in carrier
+order; errors are those of the per-assignment semantics.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
-from .calgebra import Element, FinModel
+from .calgebra import Element, FinModel, _no_join
 from .config import DEFAULT, Config
 from .process import SearchBudgetError
 from .pwf import UNIT, Pwf, as_pwf, realizer_catalog, star
@@ -396,35 +402,91 @@ def check_proof(p: Proof) -> Sequent:
 # ---------------------------------------------------------------------------
 # interpretation in finite models
 
+Scope = dict[str, Optional[int]]  # a position, or None: over the carrier
+Table = tuple[tuple[str, ...], list[int]]  # variables, value positions
+
+
+def _spread(vs: tuple[str, ...], cells: list[int], target: tuple[str, ...],
+            n: int) -> list[int]:
+    """The table `cells` over `vs`, indexed over `target`, a superset."""
+    if vs == target:
+        return cells
+    index = [0]
+    for v in target:
+        stride = n ** (len(vs) - 1 - vs.index(v)) if v in vs else 0
+        index = [i + p * stride for i in index for p in range(n)]
+    return [cells[i] for i in index]
+
+
+def _table(f: Formula, m: FinModel, scope: Scope) -> Table:
+    n = len(m.carrier)
+    if isinstance(f, One):
+        return (), [m._pos[m.unit]]
+    if isinstance(f, Var):
+        if f.name not in scope:
+            raise MllError(f"unbound formula variable {f.name}")
+        at = scope[f.name]
+        return ((), [at]) if at is not None else ((f.name,), list(range(n)))
+    if isinstance(f, Perp):
+        vs, cells = _table(f.body, m, scope)
+        return vs, [m._perp[c] for c in cells]
+    if isinstance(f, (Tensor, Join)):
+        lv, left = _table(f.left, m, scope)
+        rv, right = _table(f.right, m, scope)
+        vs = tuple(sorted({*lv, *rv}))
+        left, right = _spread(lv, left, vs, n), _spread(rv, right, vs, n)
+        op = m._join if isinstance(f, Join) else m._tensor
+        return vs, _cellwise(m, op, left, right)
+    bottom = m._pos[m.bottom()]  # raises before the body is evaluated
+    inner = {**scope, f.var: None}
+    if free_vars(f.body) - inner.keys():
+        inner[f.var] = 0  # the body raises, as at the first element
+    bv, body = _table(f.body, m, inner)
+    vs = tuple(sorted(set(bv) - {f.var}))
+    body, size = _spread(bv, body, (f.var,) + vs, n), n ** len(vs)
+    out = [bottom] * size
+    for k in range(0, len(body), size):  # f.var at each position in turn
+        out = _cellwise(m, m._join, out, body[k:k + size])
+    return vs, out
+
+
+def _cellwise(m: FinModel, op: list[list[Optional[int]]], left: list[int],
+              right: list[int]) -> list[int]:
+    out = [op[a][b] for a, b in zip(left, right)]
+    if None in out:  # a missing join
+        k = out.index(None)
+        raise _no_join(m.carrier[left[k]], m.carrier[right[k]])
+    return out
+
+
+def _sequent_table(seq: Sequent, m: FinModel, scope: Scope,
+                   vs: tuple[str, ...]) -> list[int]:
+    """The sequent's table over `vs`: its formulas' tables, the last
+    first, folded with par from the right."""
+    if not seq:
+        raise MllError("cannot interpret an empty sequent")
+    parr, out = m._parr, None
+    for f in reversed(seq):
+        cells = _spread(*_table(f, m, scope), vs, len(m.carrier))
+        out = cells if out is None else _cellwise(m, parr, cells, out)
+    return out
+
+
+def _positions(m: FinModel, assign: dict[str, Element]) -> Scope:
+    for var, value in assign.items():
+        if value not in m._pos:
+            raise MllError(f"value {value!r} of {var} is not in the carrier")
+    return {var: m._pos[value] for var, value in assign.items()}
+
 
 def interpret(f: Formula, m: FinModel,
               assign: dict[str, Element]) -> Element:
-    if isinstance(f, One):
-        return m.unit
-    if isinstance(f, Var):
-        try:
-            return assign[f.name]
-        except KeyError:
-            raise MllError(f"unbound formula variable {f.name}") from None
-    if isinstance(f, Perp):
-        return m.perp[interpret(f.body, m, assign)]
-    if isinstance(f, Tensor):
-        return m.tensor[interpret(f.left, m, assign),
-                        interpret(f.right, m, assign)]
-    if isinstance(f, Join):
-        return m.join2(interpret(f.left, m, assign),
-                       interpret(f.right, m, assign))
-    return m.exists(lambda b: interpret(f.body, m, {**assign, f.var: b}))
+    return m.carrier[_table(f, m, _positions(m, assign))[1][0]]
 
 
 def interpret_sequent(seq: Sequent, m: FinModel,
                       assign: dict[str, Element]) -> Element:
-    if not seq:
-        raise MllError("cannot interpret an empty sequent")
-    out = interpret(seq[-1], m, assign)
-    for f in reversed(seq[:-1]):
-        out = m.parr(interpret(f, m, assign), out)
-    return out
+    return m.carrier[_sequent_table(seq, m, _positions(m, assign), ())[0]]
 
 
 # assignments one soundness check may enumerate: 3 variables over 2^4
@@ -433,8 +495,9 @@ MAX_ASSIGNMENTS = 4096
 
 def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
     """Conclusion interpretation lies in the separator for every
-    assignment over the carrier, one report row per assignment.  Raises
-    `SearchBudgetError` when there are more than MAX_ASSIGNMENTS."""
+    assignment over the carrier, one report row per assignment, in
+    `itertools.product` order.  Raises `SearchBudgetError` when there are
+    more than MAX_ASSIGNMENTS."""
     conclusion = check_proof(p)
     vars_ = sorted(set().union(*(free_vars(f) for f in conclusion))
                    if conclusion else set())
@@ -443,15 +506,13 @@ def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
         raise SearchBudgetError(
             f"soundness check needs {count} assignments, budget "
             f"{MAX_ASSIGNMENTS}")
-    report: list[tuple[str, bool, str]] = []
-    for values in itertools.product(m.carrier, repeat=len(vars_)):
-        assign = dict(zip(vars_, values))
-        value = interpret_sequent(conclusion, m, assign)
-        ok = value in m.separator
-        report.append((f"assignment {assign}", ok,
-                       "" if ok else f"interpretation {value} outside the "
-                       "separator"))
-    return report
+    cells = _sequent_table(conclusion, m, dict.fromkeys(vars_), tuple(vars_))
+    E, sep = m.carrier, m._sep
+    # each row is named by the repr of its assignment, built from items
+    names = itertools.product(*([f"{v!r}: {e!r}" for e in E] for v in vars_))
+    return [(f"assignment {{{', '.join(name)}}}", sep[c], "" if sep[c] else
+             f"interpretation {E[c]} outside the separator")
+            for name, c in zip(names, cells)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ a surviving representative before the plain pi binder is applied.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
@@ -58,16 +59,18 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
     return frozenset(out)
 
 
-def sigma_node(p: Pwf, config: Config = DEFAULT, form=None) -> tuple:
+def sigma_node(p: Pwf, config: Config = DEFAULT, form=None,
+               sigma=None) -> tuple:
     """The multiset form of p's process (`form`, when given, is its
     `multiset_form`) with each free name replaced by the representative
-    of its class (`canonical_subst`, σ); its binders are negative, so
-    none captures.  Two PWFs with equal fusions are equal exactly when
-    these nodes have equal keys."""
+    of its class (`canonical_subst`, σ, unless given); its binders are
+    negative, so none captures.  Two PWFs with equal fusions are equal
+    exactly when these nodes have equal keys."""
     node, free = multiset_form(p.proc) if form is None else form
     if p.fus.is_delta():
         return node
-    sigma = canonical_subst(p.fus, config)
+    if sigma is None:
+        sigma = canonical_subst(p.fus, config)
     return _relabel(node, {x: sigma.apply(x) for x in free})
 
 
@@ -234,7 +237,10 @@ REALIZER_WORDS: dict[str, tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]] =
 }
 
 
+@functools.cache
 def realizer_catalog() -> dict[str, Fusion]:
+    """The realizer constants, built once per process on first use;
+    callers only read the dict."""
     return {label: sigma_tau(remap_subst(remaps))
             for label, remaps in REALIZER_WORDS.items()}
 

@@ -233,39 +233,42 @@ class Universe:
         """Cheap invariants of the member key, from p's `multiset_form`
         (node, fn P): the action invariant, the classes of the fusion
         endpoints and σ(fn P), σ the fusion's representative
-        substitution.  Congruence and substitution keep the action
+        substitution; and σ itself for the key (None under Δ, where σ is
+        the identity).  Congruence and substitution keep the action
         invariant, and fn(σP) = σ(fn P), so PWFs with equal keys have
         equal signatures."""
         class_of = _classes(p.fus, self.config)
         classes = frozenset(class_of(x) for x in p.fus.endpoints())
+        if p.fus.is_delta():
+            return (invariant(form[0]), classes, frozenset(form[1])), None
         sigma = canonical_subst(p.fus, self.config)
         return (invariant(form[0]), classes,
-                frozenset(sigma.apply(x) for x in form[1]))
+                frozenset(sigma.apply(x) for x in form[1])), sigma
 
-    def _member_key(self, p: Pwf, signature: tuple, form: tuple):
+    def _member_key(self, p: Pwf, signature: tuple, form: tuple, sigma):
         """Equality-respecting lookup key: the key of p's σ-node
         (`sigma_node` of its `multiset_form`), the signature (which holds
         the fusion's finite partition) and the fusion's family
         generators."""
-        return (node_key(sigma_node(p, self.config, form)), signature,
-                p.fus.families)
+        return (node_key(sigma_node(p, self.config, form, sigma)),
+                signature, p.fus.families)
 
     def clip(self, pwfs: Iterable[Pwf]) -> int:
         """Mask of the members equal to one of the given PWF."""
         if self._keyed is None:
             self._keyed = {}
             for i, (m, form) in enumerate(zip(self.members, self._forms)):
-                signature = self._signature(m, form)
+                signature, sigma = self._signature(m, form)
                 self._signatures.add(signature)
                 self._keyed.setdefault(
-                    self._member_key(m, signature, form), i)
+                    self._member_key(m, signature, form, sigma), i)
         mask = 0
         for p in pwfs:
             form = multiset_form(p.proc)
-            signature = self._signature(p, form)
+            signature, sigma = self._signature(p, form)
             if not p.fus.families and signature not in self._signatures:
                 continue
-            i = self._keyed.get(self._member_key(p, signature, form))
+            i = self._keyed.get(self._member_key(p, signature, form, sigma))
             if i is None and p.fus.families:
                 # family generators can subsume finite pairs, so the
                 # partition signature may differ between equal fusions

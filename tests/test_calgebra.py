@@ -77,11 +77,6 @@ def test_rhd_adjunction_all_triples(boolean4):
         assert m.le(m.parcomp[a, b], c) == m.le(a, m.rhd(b, c))
 
 
-def test_exists_is_join_over_carrier(boolean2):
-    assert boolean2.exists(lambda a: a) == "1"
-    assert boolean2.exists(lambda a: "0") == "0"
-
-
 @pytest.mark.parametrize("name", ["boolean2", "boolean4"])
 def test_boolean_models_are_conjunctive_algebras(name):
     m = load_model(name)

@@ -149,6 +149,18 @@ def test_mll_commands(capsys):
     assert code == 0 and "boolean2:<argument>" in out and "skipped" in out
 
 
+def test_mll_interpret_rejects_values_outside_the_carrier(capsys):
+    for formula in ("X^", "X"):
+        code, out, err = run(capsys, "mll", "interpret", formula,
+                             "--model", "boolean2", "--assign", "X=7")
+        assert (code, out) == (2, "")
+        assert err == "error: value '7' of X is not in the carrier\n"
+    code, out, err = run(capsys, "mll", "interpret", "X^",
+                         "--model", "boolean2", "--assign", "X")
+    assert (code, out) == (2, "")
+    assert err == "error: assignments look like X=element: 'X'\n"
+
+
 def test_hy_check_gated_behind_flag(capsys):
     code, out, _ = run(capsys, "hy-check")
     assert code == 2 and "--experimental-hy" in out
@@ -221,6 +233,40 @@ def test_python_dash_m_runs_the_cli():
                            "--kind", "process", "0!()"], capture_output=True,
                           text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout) == (0, "0!()\n")
+
+
+IMPORTS = """
+import sys
+from fusioncalc import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("fusioncalc.")))
+"""
+
+
+def modules_loaded(*argv):
+    """The exit code and the fusioncalc modules a fresh interpreter has
+    loaded after `cli.main(argv)`."""
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", IMPORTS, *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    code, *modules = done.stdout.splitlines()[-1].split()
+    return int(code), {m.split(".")[1] for m in modules}
+
+
+def test_cli_imports_only_what_a_command_reads(tmp_path):
+    code, loaded = modules_loaded("reduce", "<0!() | 0?() ; {}>")
+    assert code == 0
+    assert not loaded & {"calgebra", "mll", "hy_encodings", "realizability"}
+    # an error of a module imported on demand is still a parse error
+    code, loaded = modules_loaded("mll", "interpret", "X", "--model",
+                                  "boolean2", "--assign", "X=7")
+    assert code == 2 and {"calgebra", "mll"} <= loaded
+    model = tmp_path / "bad.model"
+    model.write_text("stray tokens\n")
+    code, loaded = modules_loaded("algebra-check", str(model))
+    assert code == 2 and "mll" not in loaded
 
 
 def test_pole_laws_header_states_the_sample(capsys):

@@ -262,6 +262,25 @@ def test_clip_makes_one_multiset_form_per_image(monkeypatch):
         assert calls == [p.proc]
 
 
+def test_clip_builds_sigma_once_per_image_and_none_under_delta(monkeypatch):
+    """σ is built once for a non-Δ image, for its signature and its key,
+    and not at all under Δ, where it is the identity."""
+    u = Universe(mixed_members(), pole_always)
+    u.clip([])  # the members' keys
+    calls = []
+    for module in (pwf, realizability):
+        monkeypatch.setattr(module, "canonical_subst",
+                            lambda e, config: calls.append(e) or
+                            canonical_subst(e, config))
+    for text, member, built in (("<1!() ; {0~1}>", True, 1),
+                                ("<0?() ; {}>", True, 0),
+                                ("<1!().1!() ; {0~1}>", False, 1),
+                                ("<1!().1!() ; {}>", False, 0)):
+        calls.clear()
+        assert bool(u.clip([parse_pwf(text)])) == member
+        assert len(calls) == built, text
+
+
 def invariant(p):
     """Action prefixes of a process counted by (polarity, arity)."""
     if isinstance(p, Act):
