@@ -11,9 +11,8 @@ soundness is checked against finite models.
 
 A formula is interpreted bottom-up, each subformula once, into a table
 over the carrier positions of its own free variables (as CTL model
-checking labels states: Clarke, Emerson and Sistla, TOPLAS 1986).  An
-existential folds joins from bottom over its variable's axis, in carrier
-order; errors are those of the per-assignment semantics.
+checking labels states).  An existential folds joins from bottom over
+its variable's axis, in carrier order.
 """
 
 from __future__ import annotations
@@ -402,91 +401,89 @@ def check_proof(p: Proof) -> Sequent:
 # ---------------------------------------------------------------------------
 # interpretation in finite models
 
-Scope = dict[str, Optional[int]]  # a position, or None: over the carrier
-Table = tuple[tuple[str, ...], list[int]]  # variables, value positions
+# a table: a formula's open free variables, sorted, and the position of
+# its value at each of their positions (the first variable slowest)
+Table = tuple[tuple[str, ...], list[int]]
 
 
-def _spread(vs: tuple[str, ...], cells: list[int], target: tuple[str, ...],
-            n: int) -> list[int]:
-    """The table `cells` over `vs`, indexed over `target`, a superset."""
-    if vs == target:
+def _spread(t: Table, vs: tuple[str, ...], n: int) -> list[int]:
+    """The cells of table t indexed over `vs`, a superset of its own."""
+    tv, cells = t
+    if tv == vs:
         return cells
     index = [0]
-    for v in target:
-        stride = n ** (len(vs) - 1 - vs.index(v)) if v in vs else 0
+    for v in vs:
+        stride = n ** (len(tv) - 1 - tv.index(v)) if v in tv else 0
         index = [i + p * stride for i in index for p in range(n)]
     return [cells[i] for i in index]
 
 
-def _table(f: Formula, m: FinModel, scope: Scope) -> Table:
-    n = len(m.carrier)
+def _combine(m: FinModel, op, left: Table, right: Table) -> Table:
+    """The table of `op`, cell by cell, over both tables' variables."""
+    n, vs = len(m.carrier), tuple(sorted({*left[0], *right[0]}))
+    a, b = _spread(left, vs, n), _spread(right, vs, n)
+    out = [op[i][j] for i, j in zip(a, b)]
+    if None in out:  # a missing join
+        k = out.index(None)
+        raise _no_join(m.carrier[a[k]], m.carrier[b[k]])
+    return vs, out
+
+
+def _table(f: Formula, m: FinModel, scope: dict[str, Optional[int]]
+           ) -> Table:
+    """f's table over the variables `scope` leaves open (None); the
+    others are at the positions it gives."""
     if isinstance(f, One):
         return (), [m._pos[m.unit]]
     if isinstance(f, Var):
         if f.name not in scope:
             raise MllError(f"unbound formula variable {f.name}")
-        at = scope[f.name]
+        at, n = scope[f.name], len(m.carrier)
         return ((), [at]) if at is not None else ((f.name,), list(range(n)))
     if isinstance(f, Perp):
         vs, cells = _table(f.body, m, scope)
         return vs, [m._perp[c] for c in cells]
     if isinstance(f, (Tensor, Join)):
-        lv, left = _table(f.left, m, scope)
-        rv, right = _table(f.right, m, scope)
-        vs = tuple(sorted({*lv, *rv}))
-        left, right = _spread(lv, left, vs, n), _spread(rv, right, vs, n)
         op = m._join if isinstance(f, Join) else m._tensor
-        return vs, _cellwise(m, op, left, right)
+        return _combine(m, op, _table(f.left, m, scope),
+                        _table(f.right, m, scope))
     bottom = m._pos[m.bottom()]  # raises before the body is evaluated
     inner = {**scope, f.var: None}
     if free_vars(f.body) - inner.keys():
         inner[f.var] = 0  # the body raises, as at the first element
-    bv, body = _table(f.body, m, inner)
-    vs = tuple(sorted(set(bv) - {f.var}))
-    body, size = _spread(bv, body, (f.var,) + vs, n), n ** len(vs)
-    out = [bottom] * size
-    for k in range(0, len(body), size):  # f.var at each position in turn
-        out = _cellwise(m, m._join, out, body[k:k + size])
-    return vs, out
-
-
-def _cellwise(m: FinModel, op: list[list[Optional[int]]], left: list[int],
-              right: list[int]) -> list[int]:
-    out = [op[a][b] for a, b in zip(left, right)]
-    if None in out:  # a missing join
-        k = out.index(None)
-        raise _no_join(m.carrier[left[k]], m.carrier[right[k]])
+    body = _table(f.body, m, inner)
+    vs = tuple(sorted(set(body[0]) - {f.var}))
+    cells = _spread(body, (f.var, *vs), len(m.carrier))
+    size = len(cells) // len(m.carrier)
+    out = vs, [bottom] * size
+    for k in range(0, len(cells), size):  # f.var at each position in turn
+        out = _combine(m, m._join, out, (vs, cells[k:k + size]))
     return out
 
 
-def _sequent_table(seq: Sequent, m: FinModel, scope: Scope,
-                   vs: tuple[str, ...]) -> list[int]:
-    """The sequent's table over `vs`: its formulas' tables, the last
-    first, folded with par from the right."""
+def _sequent_table(seq: Sequent, m: FinModel,
+                   scope: dict[str, Optional[int]]) -> Table:
+    """par folded from the right, the last formula evaluated first."""
     if not seq:
         raise MllError("cannot interpret an empty sequent")
-    parr, out = m._parr, None
-    for f in reversed(seq):
-        cells = _spread(*_table(f, m, scope), vs, len(m.carrier))
-        out = cells if out is None else _cellwise(m, parr, cells, out)
+    out = _table(seq[-1], m, scope)
+    for f in reversed(seq[:-1]):
+        out = _combine(m, m._parr, _table(f, m, scope), out)
     return out
-
-
-def _positions(m: FinModel, assign: dict[str, Element]) -> Scope:
-    for var, value in assign.items():
-        if value not in m._pos:
-            raise MllError(f"value {value!r} of {var} is not in the carrier")
-    return {var: m._pos[value] for var, value in assign.items()}
-
-
-def interpret(f: Formula, m: FinModel,
-              assign: dict[str, Element]) -> Element:
-    return m.carrier[_table(f, m, _positions(m, assign))[1][0]]
 
 
 def interpret_sequent(seq: Sequent, m: FinModel,
                       assign: dict[str, Element]) -> Element:
-    return m.carrier[_sequent_table(seq, m, _positions(m, assign), ())[0]]
+    for var, value in assign.items():
+        if value not in m._pos:
+            raise MllError(f"value {value!r} of {var} is not in the carrier")
+    scope = {var: m._pos[value] for var, value in assign.items()}
+    return m.carrier[_sequent_table(seq, m, scope)[1][0]]
+
+
+def interpret(f: Formula, m: FinModel,
+              assign: dict[str, Element]) -> Element:
+    return interpret_sequent((f,), m, assign)
 
 
 # assignments one soundness check may enumerate: 3 variables over 2^4
@@ -506,7 +503,7 @@ def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
         raise SearchBudgetError(
             f"soundness check needs {count} assignments, budget "
             f"{MAX_ASSIGNMENTS}")
-    cells = _sequent_table(conclusion, m, dict.fromkeys(vars_), tuple(vars_))
+    cells = _sequent_table(conclusion, m, dict.fromkeys(vars_))[1]
     E, sep = m.carrier, m._sep
     # each row is named by the repr of its assignment, built from items
     names = itertools.product(*([f"{v!r}: {e!r}" for e in E] for v in vars_))

@@ -264,24 +264,38 @@ def test_soundness_reports_match_the_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
 
 
-def lattice(carrier, order, unit):
+def lattice(carrier, order, unit, perp=None, tensor=None):
     """A model over `carrier` ordered by the pairs `order` (made
-    reflexive), with tensor a <- a, other pairs to the first element, an
-    identity perp and separator {unit}."""
+    reflexive), with the given perp and tensor (by default the identity,
+    and a <- a with other pairs to the first element) and separator
+    {unit}."""
     leq = frozenset(order) | {(a, a) for a in carrier}
-    tensor = {(a, b): a if a == b else carrier[0]
-              for a in carrier for b in carrier}
+    tensor = tensor or {(a, b): a if a == b else carrier[0]
+                        for a in carrier for b in carrier}
     return FinModel(carrier=tuple(carrier), leq=leq, tensor=tensor,
-                    perp={a: a for a in carrier}, unit=unit,
+                    perp=perp or {a: a for a in carrier}, unit=unit,
                     separator=frozenset({unit}))
 
 
-# a and b have no join; no bottom; both
+# b and c have no join, but a v b = d and d v c = e do; perp keeps 0, a,
+# b and c and sends the rest to 0; tensor is the left projection, so par
+# is not commutative
+JOIN_ORDER = lattice(
+    tuple("0abcdef"),
+    {("0", x) for x in "abcdef"} | {("a", "d"), ("b", "d"), ("d", "e"),
+                                    ("a", "e"), ("b", "e"), ("c", "e"),
+                                    ("b", "f"), ("c", "f")},
+    "e", perp={x: x if x in "0abc" else "0" for x in "0abcdef"},
+    tensor={(x, y): x for x in "0abcdef" for y in "0abcdef"})
+
+
+# a and b have no join; no bottom; both; joins that exist in carrier order
 MODELS = {name: load_model(name)
           for name in ("boolean2", "boolean4", "mutated_diamond")}
 MODELS["no join"] = lattice(("0", "a", "b"), {("0", "a"), ("0", "b")}, "a")
 MODELS["no bottom"] = lattice(("a", "b", "1"), {("a", "1"), ("b", "1")}, "1")
 MODELS["neither"] = lattice(("a", "b"), set(), "a")
+MODELS["join order"] = JOIN_ORDER
 ERROR_FORMS = (r"join of \S+ and \S+ does not exist|"
                r"carrier has no bottom element|unbound formula variable \w+")
 VARIABLES = ("X", "Y", "Z")
@@ -346,6 +360,14 @@ def test_soundness_matches_the_reference(name, proof):
     m = MODELS[name]
     assert_same(outcome(check_soundness, proof, m),
                 outcome(reference.check_soundness, proof, m))
+
+
+def test_exists_folds_in_carrier_order():
+    """Over X^ the fold meets a, then b (a v b = d), then c (d v c = e),
+    and never joins b with c, which it would in the reverse order."""
+    f = parse_formula("ex X. X^")
+    assert reference.interpret(f, JOIN_ORDER, {}) == "e"
+    assert interpret(f, JOIN_ORDER, {}) == "e"
 
 
 def test_an_unbound_variable_is_reached_at_the_first_element():
