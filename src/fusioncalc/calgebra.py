@@ -224,12 +224,6 @@ class FinModel:
             raise _no_join(a, b)
         return self.carrier[out]
 
-    def join(self, elems: Iterable[Element]) -> Element:
-        out = self.bottom()
-        for e in elems:
-            out = self.join2(out, e)
-        return out
-
     def meet(self, elems: Iterable[Element]) -> Element:
         return self._meet_of(self._pos.get(e) for e in elems)
 
@@ -244,9 +238,6 @@ class FinModel:
         return self.carrier[self._top]
 
     # -- derived operators --------------------------------------------
-
-    def parr(self, a: Element, b: Element) -> Element:
-        return self.carrier[self._parr[self._pos[a]][self._pos[b]]]
 
     def arrow(self, a: Element, b: Element) -> Element:
         return self.carrier[self._arrow[self._pos[a]][self._pos[b]]]

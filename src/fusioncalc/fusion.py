@@ -4,9 +4,19 @@ A fusion is a finite set of generator pairs on concrete names plus a
 finite set of "family" generators (w1, w2), each denoting the pairs
 (tag(n, w1), tag(n, w2)) for every n.  The relation itself is the
 reflexive-symmetric-transitive closure.  Classes are walked by bounded
-BFS, each class once per operation (`_classes` remembers a walked class
-for all its members until the operation returns), with family steps done
-as affine arithmetic on names.
+BFS, with family steps done as affine arithmetic on names.
+
+What the operations read of a fusion is computed once per value and
+class budget and kept in two module stores, each holding at most
+`_STORE_CAP` (128) analyses and dropping the oldest first:
+- `_ANALYSES`, keyed by (fusion, `class_budget`): the adjacency map, the
+  family steps, every class walked so far under each of its members,
+  and σ (`canonical_subst`);
+- `_FAMILY_ANALYSES`, keyed by (family set, `class_budget`): the suffix
+  rules, the region lists of its words and its `family_partition`.
+Equal values built by different calls share one analysis, and a fusion
+value is never changed.  A walk that exceeds the budget remembers
+nothing, so it raises on every call.
 
 A family generator rewrites a low-order word suffix and keeps n, so the
 family part is a suffix-rewriting system on words.  A word v is stable
@@ -40,14 +50,13 @@ reached from them) is also what makes restriction representable.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
                     parse_name, tag, untag, word, word_str)
-from .subst import Substitution, remap_subst
+from .subst import IDENTITY, Substitution, remap_subst
 
 
 class FusionError(Exception):
@@ -147,30 +156,51 @@ def _singleton(x: Name) -> frozenset[Name]:
     return frozenset((x,))
 
 
-def _classes(e: Fusion, config: Config = DEFAULT
-             ) -> Callable[[Name], frozenset[Name]]:
-    """x -> class_of(e, x, config), walking each class once.
+# ---------------------------------------------------------------------------
+# the store of analyses
 
-    The adjacency map and the family steps are built once; a walked class
-    is remembered for every member, for the lifetime of the returned
-    function only.  Δ needs neither: all its classes are singletons."""
-    if e.is_delta():
-        return _singleton
-    budget = config.class_budget
-    adj: dict[Name, list[Name]] = {}
-    for a, b in e.pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    steps = []
-    for w1, w2 in e.families:
-        steps.append(_affine(w1, w2))
-        steps.append(_affine(w2, w1))
-    memo: dict[Name, frozenset[Name]] = {}
+_STORE_CAP = 128
+_ANALYSES: dict = {}  # (Fusion, class_budget) -> _Analysis
+_FAMILY_ANALYSES: dict = {}  # (family set, class_budget) -> _FamilyAnalysis
 
-    def walk(x):
-        cls = memo.get(x)
+
+def _remembered(store: dict, kind: type, value, budget: int):
+    """kind(value, budget) from `store`, made on first use; a full store
+    drops its oldest analysis first."""
+    key = (value, budget)
+    analysis = store.get(key)
+    if analysis is None:
+        if len(store) >= _STORE_CAP:
+            del store[next(iter(store))]
+        analysis = store[key] = kind(value, budget)
+    return analysis
+
+
+class _Analysis:
+    """One fusion under one class budget: the adjacency map of its pairs,
+    its family steps, each class walked so far under every member, and σ
+    once `canonical_subst` has computed it."""
+
+    __slots__ = ("adj", "steps", "budget", "walked", "sigma")
+
+    def __init__(self, e: Fusion, budget: int) -> None:
+        self.adj: dict[Name, list[Name]] = {}
+        for a, b in e.pairs:
+            self.adj.setdefault(a, []).append(b)
+            self.adj.setdefault(b, []).append(a)
+        self.steps = []
+        for w1, w2 in e.families:
+            self.steps.append(_affine(w1, w2))
+            self.steps.append(_affine(w2, w1))
+        self.budget = budget
+        self.walked: dict[Name, frozenset[Name]] = {}
+        self.sigma: Substitution | None = None
+
+    def class_of(self, x: Name) -> frozenset[Name]:
+        cls = self.walked.get(x)
         if cls is not None:
             return cls
+        adj, steps, budget = self.adj, self.steps, self.budget
         seen = {x}
         frontier = [x]
         while frontier:
@@ -189,11 +219,26 @@ def _classes(e: Fusion, config: Config = DEFAULT
                     seen.add(z)
                     frontier.append(z)
         cls = frozenset(seen)
+        walked = self.walked
         for y in cls:
-            memo[y] = cls
+            walked[y] = cls
         return cls
 
-    return walk
+
+def _classes(e: Fusion, config: Config = DEFAULT
+             ) -> Callable[[Name], frozenset[Name]]:
+    """x -> class_of(e, x, config), each class walked once per analysis.
+
+    Reads e's analysis in `_ANALYSES`, keyed by (e, config.class_budget):
+    its adjacency map, its family steps and every class walked so far,
+    remembered for all members.  A class walked by one operation is read
+    by the next one on an equal value for as long as the analysis is
+    among the last `_STORE_CAP` (128) made.  A walk that exceeds the
+    budget raises ClassBudgetError naming the queried name and remembers
+    nothing.  Δ needs no analysis: all its classes are singletons."""
+    if e.is_delta():
+        return _singleton
+    return _remembered(_ANALYSES, _Analysis, e, config.class_budget).class_of
 
 
 def class_of(e: Fusion, x: Name, config: Config = DEFAULT) -> frozenset[Name]:
@@ -262,7 +307,8 @@ def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
     """Lattice meet: the intersection of the two relations, presented as
     the shared families plus finite pairs (see the module docstring)."""
     families = e.families & f.families
-    shared = _suffix_rules(families)
+    shared = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
+                         config.class_budget).system
     e_cls, f_cls = _classes(e, config), _classes(f, config)
     shared_cls = _classes(Fusion(families=families), config)
     probes = {x for p in e.endpoints() for x in e_cls(p)}
@@ -329,25 +375,52 @@ def _word_class(system: tuple, u: Word, budget: int
     return frozenset(cls)
 
 
+class _FamilyAnalysis:
+    """One family set under one class budget: its suffix rules
+    (`_suffix_rules`), the region list of each word whose `_regions` walk
+    reached its end, and its `family_partition` once built."""
+
+    __slots__ = ("system", "budget", "regions", "partition")
+
+    def __init__(self, families: frozenset[tuple[Word, Word]],
+                 budget: int) -> None:
+        self.system = _suffix_rules(families)
+        self.budget = budget
+        self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
+        self.partition: tuple | None = None
+
+
 def _regions(families: frozenset[tuple[Word, Word]], w: Word,
              config: Config) -> Iterator[tuple[Word, frozenset[Word]]]:
     """Split the names tag(n, w) into regions tag(m, r + w) whose family
-    class is uniform in m: yields each r with the word class of r + w."""
-    system = _suffix_rules(families)
+    class is uniform in m: yields each r with the word class of r + w.
+
+    Lazy, since `_implies` stops at the first region that fails; the list
+    is remembered in the family set's analysis only once the walk reaches
+    its end, so a walk stopped early or failed remembers nothing."""
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
+                           config.class_budget)
+    found = analysis.regions.get(w)
+    if found is not None:
+        yield from found
+        return
+    system = analysis.system
+    found = []
     max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
     stack: list[Word] = [()]
     while stack:
         r = stack.pop()
         if len(r + w) > max_base:
             raise InvalidFusionError("family bases do not stabilize")
-        cls = _word_class(system, r + w, config.class_budget)
+        cls = _word_class(system, r + w, analysis.budget)
         if cls is None:
             stack += [(2,) + r, (1,) + r]
         else:
+            found.append((r, cls))
             yield r, cls
+    analysis.regions[w] = found
 
 
-@functools.lru_cache(maxsize=256)
 def family_partition(families: frozenset[tuple[Word, Word]],
                      config: Config = DEFAULT
                      ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
@@ -359,12 +432,21 @@ def family_partition(families: frozenset[tuple[Word, Word]],
     deeper than them, so the class shape is uniform in n.  They are the
     regions of the family words.
 
-    Remembered per (families, config), since every operation's result is
-    validated; a partition that exceeds the class budget is not
+    Remembered in the family set's analysis, since every operation's
+    result is validated; a partition that exceeds the class budget is not
     remembered, so it raises on every call.
     """
     if not families:
         return ()
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
+                           config.class_budget)
+    if analysis.partition is None:
+        analysis.partition = _partition(families, config)
+    return analysis.partition
+
+
+def _partition(families: frozenset[tuple[Word, Word]], config: Config
+               ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     bases = [(r + g, tuple(sorted(cls, key=_word_key)))
              for g in sorted({w for pair in families for w in pair},
                              key=_word_key)
@@ -495,6 +577,18 @@ def map_fusion(e: Fusion, sigma: Substitution,
 
 
 def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
+    """σ: each name to the least member of its class, with word remaps
+    for the family classes.  Remembered in e's analysis; Δ has none, and
+    its σ is the identity."""
+    if e.is_delta():
+        return IDENTITY
+    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
+    if analysis.sigma is None:
+        analysis.sigma = _representatives(e, config)
+    return analysis.sigma
+
+
+def _representatives(e: Fusion, config: Config) -> Substitution:
     fm: dict[Name, Name] = {}
     concrete_seen: set[Name] = set()
     classes = _classes(e, config)

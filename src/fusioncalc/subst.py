@@ -135,27 +135,6 @@ def compose(sigma: Substitution, tau: Substitution) -> Substitution:
     return Substitution(tuple(fm.items()), frozenset(remaps))
 
 
-def equivalent_via(sigma: Substitution, tau: Substitution,
-                   rho: Mapping[Name, Name], probe_bound: int = 32) -> bool:
-    """Check sigma = rho^-1 . tau . rho on a sufficient probe set."""
-    rho = dict(rho)
-    inv = {v: k for k, v in rho.items()}
-    if len(inv) != len(rho):
-        raise SubstitutionError("rho is not a bijection on its support")
-
-    def rho_of(x: Name) -> Name:
-        return rho.get(x, x)
-
-    def rho_inv(x: Name) -> Name:
-        return inv.get(x, x)
-
-    probes: set[Name] = set(dict(sigma.finite_map)) | set(dict(tau.finite_map))
-    probes |= set(rho) | set(inv)
-    for u, _ in sigma.word_remaps | tau.word_remaps:
-        probes |= {tag(n, u) for n in range(probe_bound)}
-    return all(sigma.apply(x) == rho_inv(tau.apply(rho_of(x))) for x in probes)
-
-
 def parse_subst(text: str) -> Substitution:
     """Literal: `{0:=3, 1:=2 ; 1 -> 1.2}` (word remaps after `;`)."""
     text = text.strip()

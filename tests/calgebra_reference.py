@@ -4,8 +4,8 @@ the `calgebra` checkers.
 These are the law checkers as they stood before `FinModel` kept its
 operations as tables over carrier positions: every law quantifies over
 carrier elements and reads the model through its element-level methods
-(`le`, `join2`, `meet`, `parr`, `arrow`, `star`, `rhd`, ...) and its
-`tensor`, `perp` and `parcomp` dicts.  The witness of a failing row is
+(`le`, `join2`, `meet`, `arrow`, `star`, `rhd`, ...), the `parr` and
+`join` below, and its `tensor`, `perp` and `parcomp` dicts.  The witness of a failing row is
 the first counterexample in carrier order, with the quantifiers nested
 as each law states them.
 """
@@ -14,6 +14,19 @@ from itertools import chain, combinations, product
 
 from fusioncalc.calgebra import (Element, FinModel, ModelError, Report,
                                  first_witness, passed)
+
+
+def parr(m: FinModel, a: Element, b: Element) -> Element:
+    """a ⅋ b read from the model's position table, as `mll` reads it."""
+    return m.carrier[m._parr[m._pos[a]][m._pos[b]]]
+
+
+def join(m: FinModel, elems) -> Element:
+    """The join of `elems`, folded by `join2` from bottom."""
+    out = m.bottom()
+    for e in elems:
+        out = m.join2(out, e)
+    return out
 
 
 def check_cs(m: FinModel) -> Report:
@@ -151,9 +164,9 @@ def _check_parcomp(m: FinModel, report: Report) -> None:
     # trivial), so the empty set and the pairs decide it.
     def join_compatible():
         for subset in chain([()], combinations(m.carrier, 2)):
-            joined = m.join(subset)
+            joined = join(m, subset)
             for a in m.carrier:
-                rhs = m.join(p[b, a] for b in subset)
+                rhs = join(m, (p[b, a] for b in subset))
                 if not m.le(p[joined, a], rhs):
                     yield (f"par/join compatibility fails for {subset} "
                            f"with {a}")
@@ -262,8 +275,8 @@ def check_derived_props(m: FinModel) -> Report:
             if not m.le(a, b):
                 continue
             for g in m.carrier:
-                if not m.le(m.parr(g, a), m.parr(g, b)) or \
-                        not m.le(m.parr(a, g), m.parr(b, g)):
+                if not m.le(parr(m, g, a), parr(m, g, b)) or \
+                        not m.le(parr(m, a, g), parr(m, b, g)):
                     yield f"parr not monotone at {a} <= {b} with {g}"
             for g in m.carrier:
                 if not m.le(m.arrow(g, a), m.arrow(g, b)) or \
@@ -272,7 +285,7 @@ def check_derived_props(m: FinModel) -> Report:
 
     def arrow_as_parr():
         for a, b in product(m.carrier, repeat=2):
-            if m.arrow(a, b) != m.parr(m.perp[a], b):
+            if m.arrow(a, b) != parr(m, m.perp[a], b):
                 yield f"arrow is not perp-parr at {a}, {b}"
 
     def unit_counit():
@@ -294,7 +307,7 @@ def check_derived_props(m: FinModel) -> Report:
 
     def join_upcast():
         for g, a, b in product(m.carrier, repeat=3):
-            if not m.le(m.parr(g, a), m.parr(g, m.join2(a, b))):
+            if not m.le(parr(m, g, a), parr(m, g, m.join2(a, b))):
                 yield f"parr/join upcast fails at {g}, {a}, {b}"
 
     def perp_commutation():
@@ -305,14 +318,14 @@ def check_derived_props(m: FinModel) -> Report:
 
     def semi_distribution():
         for a, b, c in product(m.carrier, repeat=3):
-            if m.arrow(m.tensor[m.parr(a, b), c],
-                       m.parr(a, m.tensor[b, c])) not in sep:
+            if m.arrow(m.tensor[parr(m, a, b), c],
+                       parr(m, a, m.tensor[b, c])) not in sep:
                 yield f"semi-distribution realizer missing at {a}, {b}, {c}"
 
     def cut_scheme():
         for g, a, b, d in product(m.carrier, repeat=4):
-            if m.arrow(m.tensor[m.parr(g, a), m.parr(b, d)],
-                       m.parr(g, m.parr(m.tensor[a, b], d))) not in sep:
+            if m.arrow(m.tensor[parr(m, g, a), parr(m, b, d)],
+                       parr(m, g, parr(m, m.tensor[a, b], d))) not in sep:
                 yield f"cut realizer missing at {g}, {a}, {b}, {d}"
 
     return [

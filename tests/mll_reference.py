@@ -12,6 +12,7 @@ whole conclusion once per assignment, in `itertools.product` order.
 
 import itertools
 
+from calgebra_reference import join, parr
 from fusioncalc.calgebra import Element, FinModel
 from fusioncalc.mll import (MAX_ASSIGNMENTS, Formula, MllError, One, Perp,
                             Proof, Sequent, Tensor, Join, Var, check_proof,
@@ -36,8 +37,8 @@ def interpret(f: Formula, m: FinModel,
     if isinstance(f, Join):
         return m.join2(interpret(f.left, m, assign),
                        interpret(f.right, m, assign))
-    return m.join(interpret(f.body, m, {**assign, f.var: b})
-                  for b in m.carrier)
+    return join(m, (interpret(f.body, m, {**assign, f.var: b})
+                    for b in m.carrier))
 
 
 def interpret_sequent(seq: Sequent, m: FinModel,
@@ -46,7 +47,7 @@ def interpret_sequent(seq: Sequent, m: FinModel,
         raise MllError("cannot interpret an empty sequent")
     out = interpret(seq[-1], m, assign)
     for f in reversed(seq[:-1]):
-        out = m.parr(interpret(f, m, assign), out)
+        out = parr(m, interpret(f, m, assign), out)
     return out
 
 

@@ -6,7 +6,8 @@ became one pass: at every binder it rescans the body's free names for a
 capture (`_avoid_capture`) and carries on under a new `Substitution`
 that is the identity on the binder's names (`restrict_away`, with its
 helper `_residue_vs_set`).  `scoped_processes` draws the terms that
-the differential tests substitute into.
+the differential tests substitute into.  `equivalent_via` is a sampled
+check that two substitutions agree up to a renaming of names.
 """
 
 from hypothesis import strategies as st
@@ -112,3 +113,24 @@ def _residue_vs_set(u, X: NameSet) -> str:
     if any(is_suffix(u, r) and len(r) > len(u) for r in X.residues):
         return "split"
     return "outside"
+
+
+def equivalent_via(sigma: Substitution, tau: Substitution, rho,
+                   probe_bound: int = 32) -> bool:
+    """Check sigma = rho^-1 . tau . rho on a sampled probe set: the names
+    either map moves or renames, and the first `probe_bound` instances of
+    every remapped word."""
+    rho = dict(rho)
+    inv = {v: k for k, v in rho.items()}
+    if len(inv) != len(rho):
+        raise SubstitutionError("rho is not a bijection on its support")
+    probes = set(dict(sigma.finite_map)) | set(dict(tau.finite_map))
+    probes |= set(rho) | set(inv)
+    for u, _ in sigma.word_remaps | tau.word_remaps:
+        probes |= {tag(n, u) for n in range(probe_bound)}
+
+    def rho_inv(x):
+        return inv.get(x, x)
+
+    return all(sigma.apply(x) == rho_inv(tau.apply(rho.get(x, x)))
+               for x in probes)

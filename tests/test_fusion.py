@@ -2,7 +2,7 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fusioncalc import fusion
 from fusioncalc.config import DEFAULT, Config
@@ -237,9 +237,17 @@ def outcome(fn, *args):
         return "raised", type(exc), str(exc)
 
 
+def empty_stores():
+    """A context in which the stores of analyses start empty."""
+    return mock.patch.multiple(fusion, _ANALYSES={}, _FAMILY_ANALYSES={})
+
+
 def reference_outcome(fn, *args):
-    """outcome(fn, *args) with every class computed by the reference."""
-    with mock.patch.object(fusion, "_classes", reference_classes):
+    """outcome(fn, *args) with every class computed by the reference; the
+    stores start empty, so nothing remembered from an earlier call (σ)
+    stands in for the reference's walks."""
+    with empty_stores(), mock.patch.object(fusion, "_classes",
+                                           reference_classes):
         return outcome(fn, *args)
 
 
@@ -430,7 +438,7 @@ def test_affine_step_is_untag_then_tag():
                 assert (d >> shift_in << shift_out) + offset_out == tag(n, w2)
 
 
-def test_class_memo_does_not_outlive_the_call():
+def test_the_stores_leave_fusion_values_unchanged():
     e = join(parse_fusion("{0~1, 5~9}"), phi())
     f = join(parse_fusion("{0~1}"), identity_I())
     before = dict(vars(e))
@@ -439,6 +447,7 @@ def test_class_memo_does_not_outlive_the_call():
     equal(e, f)
     meet(e, f)
     restrict(e, parse_nameset("{0,1,5}"))
+    canonical_subst(e)
     assert vars(e) == before
 
 
@@ -452,3 +461,77 @@ def test_family_partition_is_remembered_and_failures_raise_each_time():
     first = family_partition(families, DEFAULT)
     assert family_partition(families, DEFAULT) is first
     assert first == (((1, 1), ((1, 1), (1, 2))), ((2, 1), ((2, 1), (2, 2))))
+
+
+# ---------------------------------------------------------------------------
+# the stores of analyses
+
+two_budgets = st.sampled_from([Config(class_budget=4), DEFAULT])
+
+
+@given(mixed_fusions(), mixed_fusions(), small_namesets(),
+       st.integers(0, 80), two_budgets)
+@example(parse_fusion("{[ <-> 1.1.1]}"), parse_fusion("{[2 <-> 1.2.2]}"),
+         NameSet(), 0, DEFAULT)
+@settings(max_examples=100, deadline=None)
+def test_remembered_analyses_give_the_outcome_of_empty_stores(e, f, X, x,
+                                                              config):
+    """Each operation as it comes out with empty stores, and again after
+    the others warmed the stores on the same values (the explicit
+    example is the next test's)."""
+    calls = [(validate, e, config), (equal, e, f, config),
+             (meet, e, f, config), (restrict, e, X, config),
+             (canonical_subst, e, config), (class_of, e, x, config)]
+    cold = []
+    for call in calls:
+        with empty_stores():
+            cold.append(outcome(*call))
+    for i, call in enumerate(calls):
+        with empty_stores():
+            for other in calls[i + 1:] + calls[:i]:
+                outcome(*other)
+            assert outcome(*call) == cold[i]
+            assert outcome(*call) == cold[i]
+
+
+def test_equal_stops_at_the_first_region_that_fails():
+    """f's regions at the empty word: the first one already fails e's
+    generator, and a later one exceeds the budget, on every walk of the
+    whole list.  `equal` is False before and after such walks."""
+    e, f = parse_fusion("{[ <-> 1.1.1]}"), parse_fusion("{[2 <-> 1.2.2]}")
+    with empty_stores():
+        assert not equal(e, f)
+        for _ in range(2):
+            with pytest.raises(ClassBudgetError,
+                               match="^family class of @1.2 "):
+                list(fusion._regions(f.families, (), DEFAULT))
+            with pytest.raises(ClassBudgetError):
+                family_partition(f.families)
+            with pytest.raises(ClassBudgetError):
+                meet(e, f)
+        assert not equal(e, f)
+
+
+def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
+    e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}))
+    tight = Config(class_budget=3)
+    with empty_stores():
+        assert class_of(e, 2) == {0, 1, 2, 3}
+        assert validate(e) and not validate(e, tight)
+        for _ in range(2):
+            for x in (2, 0):
+                with pytest.raises(ClassBudgetError,
+                                   match=f"^class of {x} exceeds budget 3$"):
+                    class_of(e, x, tight)
+            with pytest.raises(ClassBudgetError, match="^class of 0 "):
+                canonical_subst(e, tight)
+        assert class_of(e, 7, tight) == {7}
+        assert canonical_subst(e) is canonical_subst(Fusion(e.pairs))
+        for n in range(fusion._STORE_CAP + 10):
+            v = (2,) * n  # identity_I injected by 2.2...2
+            families = frozenset({((1,) + v, (2,) + v)})
+            assert validate(Fusion(frozenset({(n, n + 1)}), families))
+        assert len(fusion._ANALYSES) == fusion._STORE_CAP
+        assert len(fusion._FAMILY_ANALYSES) == fusion._STORE_CAP
+        assert (e, DEFAULT.class_budget) not in fusion._ANALYSES
+        assert class_of(e, 3) == {0, 1, 2, 3}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mll_reference as reference
+from calgebra_reference import parr
 from fusioncalc.calgebra import FinModel, ModelError, load_model, parse_model
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, FusionError, identity_I
@@ -118,8 +119,8 @@ def test_interpret_sequent_right_folds_parr():
     for x in m.carrier:
         for y in m.carrier:
             assign = {"X": x, "Y": y}
-            folded = m.parr(interpret(seq[0], m, assign),
-                            m.parr(interpret(seq[1], m, assign),
+            folded = parr(m, interpret(seq[0], m, assign),
+                            parr(m, interpret(seq[1], m, assign),
                                    interpret(seq[2], m, assign)))
             assert interpret_sequent(seq, m, assign) == folded
 
