@@ -55,7 +55,7 @@ from typing import Callable, Iterable, Iterator
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
-                    parse_name, tag, untag, word, word_str)
+                    parse_name, remember, tag, untag, word, word_str)
 from .subst import IDENTITY, Substitution, remap_subst
 
 
@@ -167,12 +167,10 @@ _FAMILY_ANALYSES: dict = {}  # (family set, class_budget) -> _FamilyAnalysis
 def _remembered(store: dict, kind: type, value, budget: int):
     """kind(value, budget) from `store`, made on first use; a full store
     drops its oldest analysis first."""
-    key = (value, budget)
-    analysis = store.get(key)
+    analysis = store.get((value, budget))
     if analysis is None:
-        if len(store) >= _STORE_CAP:
-            del store[next(iter(store))]
-        analysis = store[key] = kind(value, budget)
+        analysis = remember(store, (value, budget), kind(value, budget),
+                            _STORE_CAP)
     return analysis
 
 

@@ -7,6 +7,10 @@ residue classes (images of tag(., w)), optionally all of N, minus a
 finite excluded set.  The excluded part has no surface syntax; it only
 arises from complements, so that NameSets are closed under the boolean
 operations the fusion calculus needs.
+
+`remember` is the one eviction rule of the library's bounded stores
+(`fusion`'s analyses and restrictions, `terms.node_key`'s keys and the
+reduction search's reducts): a full store drops its oldest entry first.
 """
 
 from __future__ import annotations
@@ -18,6 +22,16 @@ Name = int
 Word = tuple[int, ...]
 
 EPSILON: Word = ()
+
+
+def remember(store: dict, key, value, cap: int):
+    """Put value into store under key, and return it.  A store that
+    already holds cap entries first drops its oldest one, so it never
+    holds more than cap."""
+    if len(store) >= cap:
+        del store[next(iter(store))]
+    store[key] = value
+    return value
 
 
 def word(text: str) -> Word:

@@ -37,6 +37,7 @@ from .fusion import DELTA, Fusion, _classes, canonical_subst
 from .process import NIL, Act, Par, Process, congruence_key
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                   sigma_node, star)
+from .names import remember
 from .reduction import _may_reach, _reduces_within
 from .terms import invariant, multiset_form, node_key
 
@@ -160,9 +161,9 @@ class Universe:
         self._forms = [multiset_form(m.proc) for m in self.members]
         self._invariants = [invariant(node) for node, _ in self._forms]
         key = (self.members, config)
-        if key not in _TABLES and len(_TABLES) >= _SHARED_LISTS:
-            del _TABLES[next(iter(_TABLES))]
-        self._tables: dict = _TABLES.setdefault(key, {})
+        tables = _TABLES.get(key)
+        self._tables: dict = tables if tables is not None else remember(
+            _TABLES, key, {}, _SHARED_LISTS)
 
     @property
     def full_mask(self) -> int:

@@ -18,6 +18,15 @@ its line in the `fusioncalc reduce` listing, printed from the node
 without building a `Process`.
 `reduces_within` first compares action invariants (`_may_reach`), so a
 target whose actions p cannot consume down to is rejected unsearched.
+
+With no replication, the reducts of a σ-normal node depend on the node
+alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
+nodes in `_REDUCTS`, keyed by the node, dropping the oldest first.  With
+`node_key`'s store of keys, a process that runs many searches (`laws`,
+`pole-laws`, library batches) keys and expands each node value once; a
+single `fusioncalc reduce` run already keys each class once.  `step`
+matches subjects through the fusion's classes and reads no store of
+reducts.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from typing import Callable, Iterator, Optional
 
 from .config import DEFAULT, Config
 from .fusion import _classes, equal
-from .names import Name
+from .names import Name, remember
 from .pwf import Pwf, nu_all, par, sigma_node
 from .terms import (_NIL_NODE, _relabel, _to_process, all_names, invariant,
                     multiset_form, node_key)
@@ -124,10 +133,30 @@ def _occurs(x: Name, node) -> bool:
     return kind == "nu" and _occurs(x, node[2])
 
 
+# σ-normal node -> its one-step reducts, for the last _REDUCT_CAP nodes
+# expanded
+_REDUCT_CAP = 1024
+_REDUCTS: dict = {}
+
+
+def _expand(q) -> tuple:
+    """The distinct reducts of a σ-normal node, in the order `_reducts`
+    first yields them.  With no replication they depend on the node
+    alone, so they are kept in `_REDUCTS`, keyed by the node, for as
+    long as it is among the last `_REDUCT_CAP` (1,024) expanded."""
+    out = _REDUCTS.get(q)
+    if out is None:
+        out = remember(_REDUCTS, q, tuple(dict.fromkeys(
+            r for _, _, r in _reducts(*_level(q)))), _REDUCT_CAP)
+    return out
+
+
 def _search(node, key: tuple, k: int) -> Iterator[tuple[tuple, tuple]]:
     """(key, node) of each class reachable from a σ-normal node in at
     most k steps, once, breadth first from the start's.  `keys`
-    memoises `node_key` on the node tuples."""
+    memoises `node_key` on the node tuples within the search; the
+    stores of `node_key` and `_expand` carry keys and reducts from one
+    search to the next."""
     yield key, node
     frontier = [node]
     seen = {key}
@@ -135,7 +164,7 @@ def _search(node, key: tuple, k: int) -> Iterator[tuple[tuple, tuple]]:
     for _ in range(k):
         next_frontier = []
         for q in frontier:
-            for _, _, r in _reducts(*_level(q)):
+            for r in _expand(q):
                 key = keys.get(r)
                 if key is None:
                     key = keys[r] = node_key(r)

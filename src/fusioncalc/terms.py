@@ -15,6 +15,9 @@ components into one tuple.  The reduction search works on that form too
 and swap pruning, serves both the exact equality key (`node_key`, AHU
 codes) and the printed form (`canonical_form`, a least-prefix search);
 terms whose action invariants differ are told apart before either.
+A node's key depends on the node value alone: `node_key` keeps the keys
+of the last `_KEY_CAP` nodes in `_KEYS`, keyed by the node, dropping
+the oldest first, and a search that exceeds the budget stores nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .names import Name
+from .names import Name, remember
 from .subst import Substitution
 
 
@@ -499,10 +502,24 @@ def congruence_key(p: Process) -> tuple:
     return node_key(multiset_form(p)[0])
 
 
+# node -> node_key(node), for the last _KEY_CAP nodes keyed
+_KEY_CAP = 1024
+_KEYS: dict = {}
+
+
 def node_key(node) -> tuple:
     """`congruence_key` of a `multiset_form` node: binders negative and
-    pairwise distinct, free names natural."""
-    return _KeySearch().level(node, 0, {})[0]
+    pairwise distinct, free names natural.
+
+    The key depends on the node value alone, so it is kept in `_KEYS`,
+    keyed by the node, for as long as the node is among the last
+    `_KEY_CAP` (1,024) keyed.  A search that exceeds the candidate
+    budget stores nothing, so it raises on every call."""
+    key = _KEYS.get(node)
+    if key is None:
+        key = remember(_KEYS, node, _KeySearch().level(node, 0, {})[0],
+                       _KEY_CAP)
+    return key
 
 
 _NO_HOLES = ((),)

@@ -50,8 +50,12 @@ def test_done_pole_cache_keys_on_the_fusion():
 
 def _count_keys(monkeypatch) -> list:
     """Record the argument of every `node_key` call, in every module
-    that binds it: each congruence key is computed through it."""
+    that binds it: each congruence key is computed through it.  The
+    node stores start empty, so the counts are those of a fresh
+    process."""
     from fusioncalc import reduction, terms
+    monkeypatch.setattr(terms, "_KEYS", {})
+    monkeypatch.setattr(reduction, "_REDUCTS", {})
     calls = []
     original = terms.node_key
 

@@ -1,10 +1,13 @@
+import contextlib
+import io
 from collections import Counter
 from functools import reduce
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc import fusion
+from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
@@ -12,11 +15,11 @@ from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
 from fusioncalc.process import (NIL, Act, Nu, Par, congruence_key, form_str,
                                 free_names, process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
-                            sigma_node)
+                            pwf_str, sigma_node)
 from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
                                   reduces_within, step)
-from fusioncalc.terms import (_nodes, _to_process, canonical_form,
-                             multiset_form, node_key)
+from fusioncalc.terms import (SearchBudgetError, _nodes, _to_process,
+                             canonical_form, multiset_form, node_key)
 from reduction_reference import (reference_listing, reference_reduces_within,
                                  reference_step)
 
@@ -113,10 +116,22 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
     assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
 
 
+@contextlib.contextmanager
+def empty_node_stores():
+    """A context in which the stores of `node_key` and of the search's
+    reducts start empty."""
+    with mock.patch.object(terms, "_KEYS", {}), \
+            mock.patch.object(reduction, "_REDUCTS", {}):
+        yield
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     """Record the argument of every call of `terms.<name>` or
-    `process.<name>`, in every module that binds it."""
-    from fusioncalc import cli, process, pwf, realizability, reduction, terms
+    `process.<name>`, in every module that binds it.  The node stores
+    start empty, so the counts are those of a fresh process."""
+    from fusioncalc import cli, process, pwf, realizability
+    monkeypatch.setattr(terms, "_KEYS", {})
+    monkeypatch.setattr(reduction, "_REDUCTS", {})
     calls = []
     original = getattr(terms, name, None) or getattr(process, name)
 
@@ -264,3 +279,54 @@ def test_step_matches_the_process_level_reference(p):
         return Counter(node_key(sigma_node(r)) for r in reducts)
 
     assert keys(step(p)) == keys(reference_step(p))
+
+
+def _outcomes(p: Pwf, k: int) -> tuple:
+    """What the search gives on p: `reach` in order, the `reduces_within`
+    verdicts of four targets at 0..k steps, and the `fusioncalc reduce`
+    listing."""
+    targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA), nu_all(p)] + step(p)[:1]
+    verdicts = [reduces_within(p, target, j)
+                for target in targets for j in range(k + 1)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["reduce", pwf_str(p), "--steps", str(k)])
+    return list(reach(p, k)), verdicts, code, out.getvalue()
+
+
+@given(_pwfs(scoped=True), st.lists(_pwfs(scoped=True), max_size=3),
+       st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_warm_node_stores_give_the_outcome_of_empty_ones(p, others, k):
+    """The stored keys and reducts depend on the node alone: searches
+    from other terms, and a deeper one from p, leave p's outcomes as
+    they are with empty stores."""
+    with empty_node_stores():
+        cold = _outcomes(p, k)
+    with empty_node_stores():
+        for q in others:
+            _outcomes(q, k)
+        list(reach(p, k + 1))
+        assert _outcomes(p, k) == cold
+        assert _outcomes(p, k) == cold
+
+
+def test_budget_errors_are_not_stored_and_the_node_stores_stay_bounded():
+    # the double-swap star: nine siblings x!().0?().z?(), each another's
+    # with two pairs of names swapped, whose orders exceed the candidate
+    # budget; lowered here, so that the search gives up at once
+    names = " ".join(str(x) for x in range(1, 20))
+    star = " | ".join(f"{x}!().0?().{x + 10}?()" for x in range(1, 10))
+    p = parse_pwf(f"<new 0 {names}. ({star}) ; {{}}>")
+    with empty_node_stores(), \
+            mock.patch.object(terms, "_MAX_CANDIDATES", 5040):
+        for _ in range(2):
+            with pytest.raises(SearchBudgetError, match="budget 5040$"):
+                list(reach(p, 1))
+            assert terms._KEYS == reduction._REDUCTS == {}
+        for x in range(max(terms._KEY_CAP, reduction._REDUCT_CAP) + 10):
+            assert reduces_within(parse_pwf(f"<{x}!() | {x}?() ; {{}}>"),
+                                  UNIT, 1)
+        assert len(terms._KEYS) == terms._KEY_CAP
+        assert len(reduction._REDUCTS) == reduction._REDUCT_CAP
+        assert reduces_within(parse_pwf("<0!() | 0?() ; {}>"), UNIT, 1)
