@@ -11,12 +11,16 @@ class budget and kept in two module stores, each holding at most
 `_STORE_CAP` (128) analyses and dropping the oldest first:
 - `_ANALYSES`, keyed by (fusion, `class_budget`): the adjacency map, the
   family steps, every class walked so far under each of its members,
-  and σ (`canonical_subst`);
+  σ (`canonical_subst`) and `restrict`'s result per name set;
 - `_FAMILY_ANALYSES`, keyed by (family set, `class_budget`): the suffix
-  rules, the region lists of its words and its `family_partition`.
-Equal values built by different calls share one analysis, and a fusion
-value is never changed.  A walk that exceeds the budget remembers
-nothing, so it raises on every call.
+  rules, the region lists of its words, its `family_partition` and the
+  family half of `restrict` per name set (`_family_restriction`).
+The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
+name sets, since a restriction binder makes a new set per name.  Equal
+values built by different calls share one analysis, and a fusion value
+is never changed.  A walk that exceeds the budget, and a restriction
+that raises, remembers nothing, so it raises on every call.  Every
+bounded store drops its oldest entry first (`names.remember`).
 
 A family generator rewrites a low-order word suffix and keeps n, so the
 family part is a suffix-rewriting system on words.  A word v is stable
@@ -160,6 +164,7 @@ def _singleton(x: Name) -> frozenset[Name]:
 # the store of analyses
 
 _STORE_CAP = 128
+_RESTRICT_CAP = 16  # restrictions kept per analysis
 _ANALYSES: dict = {}  # (Fusion, class_budget) -> _Analysis
 _FAMILY_ANALYSES: dict = {}  # (family set, class_budget) -> _FamilyAnalysis
 
@@ -179,7 +184,7 @@ class _Analysis:
     its family steps, each class walked so far under every member, and σ
     once `canonical_subst` has computed it."""
 
-    __slots__ = ("adj", "steps", "budget", "walked", "sigma")
+    __slots__ = ("adj", "steps", "budget", "walked", "sigma", "restricted")
 
     def __init__(self, e: Fusion, budget: int) -> None:
         self.adj: dict[Name, list[Name]] = {}
@@ -193,6 +198,7 @@ class _Analysis:
         self.budget = budget
         self.walked: dict[Name, frozenset[Name]] = {}
         self.sigma: Substitution | None = None
+        self.restricted: dict[NameSet, Fusion] = {}
 
     def class_of(self, x: Name) -> frozenset[Name]:
         cls = self.walked.get(x)
@@ -378,7 +384,7 @@ class _FamilyAnalysis:
     (`_suffix_rules`), the region list of each word whose `_regions` walk
     reached its end, and its `family_partition` once built."""
 
-    __slots__ = ("system", "budget", "regions", "partition")
+    __slots__ = ("system", "budget", "regions", "partition", "restricted")
 
     def __init__(self, families: frozenset[tuple[Word, Word]],
                  budget: int) -> None:
@@ -386,6 +392,7 @@ class _FamilyAnalysis:
         self.budget = budget
         self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
         self.partition: tuple | None = None
+        self.restricted: dict[NameSet, tuple] = {}
 
 
 def _regions(families: frozenset[tuple[Word, Word]], w: Word,
@@ -466,11 +473,25 @@ def _partition(families: frozenset[tuple[Word, Word]], config: Config
 # restriction
 
 def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
+    """e restricted to X: the pairs of e between members of X.
+
+    Remembered per X in e's analysis, for the last `_RESTRICT_CAP` sets
+    restricted to; the family half (`_family_restriction`) is kept per X
+    in the family set's analysis.  A restriction that raises remembers
+    nothing."""
     if X.is_all():
         return e
-    if X.is_empty_like():
+    if X.is_empty_like() or e.is_delta():
         return DELTA
+    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
+    found = analysis.restricted.get(X)
+    if found is None:
+        found = remember(analysis.restricted, X, _restrict(e, X, config),
+                         _RESTRICT_CAP)
+    return found
 
+
+def _restrict(e: Fusion, X: NameSet, config: Config) -> Fusion:
     new_pairs: set[tuple[Name, Name]] = set()
     concrete_seen: set[Name] = set()
     classes = _classes(e, config)
@@ -482,26 +503,13 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
                 kept = sorted(y for y in cls if X.member(y))
                 new_pairs.update(zip(kept, kept[1:]))
 
-    new_fams: set[tuple[Word, Word]] = set()
-    for u, W in family_partition(e.families, config):
-        idx_sets = {w: index_set(w, X) for w in W}
-        exceptional: set[Name] = set()
-        for w in W:
-            for y in concrete_seen:
-                n = untag(y, w)
-                if n is not None:
-                    exceptional.add(n)
-            exceptional |= set(idx_sets[w].singletons)
-            exceptional |= set(idx_sets[w].excluded)
-        depth = max((len(r) for N in idx_sets.values() for r in N.residues),
-                    default=0)
-        for region in _all_words(depth):
-            keep = [w for w in W if _region_inside(region, idx_sets[w])]
-            if len(keep) >= 2:
-                first = keep[0]
-                for w2 in keep[1:]:
-                    new_fams.add(_fam_pair(region + first, region + w2))
-            for n in sorted(exceptional):
+    entries, new_fams = _family_restriction(e.families, X, config)
+    for W, indices, regions in entries:
+        exceptional = sorted(indices.union(
+            n for w in W for y in concrete_seen
+            if (n := untag(y, w)) is not None))
+        for region, keep in regions:
+            for n in exceptional:
                 if untag(n, region) is None:
                     continue
                 members = {w: tag(n, w) for w in W}
@@ -516,8 +524,44 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
                     ys = sorted(members[w] for w in in_x)
                     new_pairs.update(zip(ys, ys[1:]))
 
-    return _valid(Fusion(frozenset(new_pairs), frozenset(new_fams)), config,
+    return _valid(Fusion(frozenset(new_pairs), new_fams), config,
                   "restriction produced an invalid fusion")
+
+
+def _family_restriction(families: frozenset[tuple[Word, Word]], X: NameSet,
+                        config: Config) -> tuple:
+    """The half of `restrict` that reads only the family part and X: per
+    entry (u, W) of the family partition, W, the indices n that X names
+    singly in some tag(., w), and each region with the words w of W whose
+    whole region tag(., region + w) lies in X (`keep`); and the families
+    that join the kept words.  Remembered per X in the family set's
+    analysis, for the last `_RESTRICT_CAP` sets."""
+    if not families:
+        return (), frozenset()
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
+                           config.class_budget)
+    found = analysis.restricted.get(X)
+    if found is not None:
+        return found
+    entries = []
+    new_fams: set[tuple[Word, Word]] = set()
+    for u, W in family_partition(families, config):
+        idx_sets = {w: index_set(w, X) for w in W}
+        indices = frozenset().union(*(N.singletons | N.excluded
+                                      for N in idx_sets.values()))
+        depth = max((len(r) for N in idx_sets.values() for r in N.residues),
+                    default=0)
+        regions = []
+        for region in _all_words(depth):
+            keep = [w for w in W if _region_inside(region, idx_sets[w])]
+            if len(keep) >= 2:
+                first = keep[0]
+                for w2 in keep[1:]:
+                    new_fams.add(_fam_pair(region + first, region + w2))
+            regions.append((region, tuple(keep)))
+        entries.append((W, indices, tuple(regions)))
+    return remember(analysis.restricted, X,
+                    (tuple(entries), frozenset(new_fams)), _RESTRICT_CAP)
 
 
 def _region_inside(region: Word, N: NameSet) -> bool:

@@ -9,7 +9,7 @@ from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
     DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
     _affine,
-    _classes, canonical_subst, class_of, delta, equal, family_partition,
+    _classes, canonical_subst, class_of, equal, family_partition,
     fusion_str, identity_I, join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
     restrict, second_rep, sigma_tau, validate,
 )
@@ -478,10 +478,12 @@ def test_remembered_analyses_give_the_outcome_of_empty_stores(e, f, X, x,
                                                               config):
     """Each operation as it comes out with empty stores, and again after
     the others warmed the stores on the same values (the explicit
-    example is the next test's)."""
+    example is the next test's).  X is finite plus residues, so
+    `remove` restricts to a complement with exclusions."""
     calls = [(validate, e, config), (equal, e, f, config),
              (meet, e, f, config), (restrict, e, X, config),
-             (canonical_subst, e, config), (class_of, e, x, config)]
+             (remove, e, X, config), (canonical_subst, e, config),
+             (class_of, e, x, config)]
     cold = []
     for call in calls:
         with empty_stores():
@@ -535,3 +537,29 @@ def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
         assert len(fusion._FAMILY_ANALYSES) == fusion._STORE_CAP
         assert (e, DEFAULT.class_budget) not in fusion._ANALYSES
         assert class_of(e, 3) == {0, 1, 2, 3}
+
+
+def test_restrictions_are_remembered_per_set_and_failures_raise_each_time():
+    # psi relates tag(n, 1) and tag(n, 1.2), so no multiple of 4 above
+    # e's concrete class is in a class of two
+    e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}), psi().families)
+    tight = Config(class_budget=3)
+    with empty_stores():
+        for _ in range(2):
+            with pytest.raises(ClassBudgetError, match="^class of 0 "):
+                restrict(e, finite([0, 1]), tight)
+            with pytest.raises(NotRepresentableError,
+                               match=r"single instances .*\(index 0\)$"):
+                remove(identity_I(), finite([1]))
+        assert fusion._ANALYSES[e, 3].restricted == {}
+        assert fusion._ANALYSES[identity_I(), DEFAULT.class_budget] \
+            .restricted == {}
+        first = remove(e, finite([8]))
+        assert remove(e, finite([8])) is first
+        for n in range(fusion._RESTRICT_CAP + 5):
+            remove(e, finite([4 * n + 12]))
+        analysis = fusion._ANALYSES[e, DEFAULT.class_budget]
+        family = fusion._FAMILY_ANALYSES[e.families, DEFAULT.class_budget]
+        assert len(analysis.restricted) == fusion._RESTRICT_CAP
+        assert len(family.restricted) == fusion._RESTRICT_CAP
+        assert remove(e, finite([8])) == first
