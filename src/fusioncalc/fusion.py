@@ -18,8 +18,8 @@ class budget and kept in two module stores, each holding at most
 The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
 name sets, since a restriction binder makes a new set per name.  Equal
 values built by different calls share one analysis, and a fusion value
-is never changed.  A walk that exceeds the budget, and a restriction
-that raises, remembers nothing, so it raises on every call.  Every
+is never changed.  A walk that exceeds the budget, or a restriction
+that raises, stores no result, so it raises on every call.  Every
 bounded store drops its oldest entry first (`names.remember`).
 
 A family generator rewrites a low-order word suffix and keeps n, so the
@@ -118,10 +118,6 @@ class Fusion:
 
 
 DELTA = Fusion()
-
-
-def delta() -> Fusion:
-    return DELTA
 
 
 def identity_I() -> Fusion:
@@ -477,8 +473,9 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
 
     Remembered per X in e's analysis, for the last `_RESTRICT_CAP` sets
     restricted to; the family half (`_family_restriction`) is kept per X
-    in the family set's analysis.  A restriction that raises remembers
-    nothing."""
+    in the family set's analysis.  A restriction that raises stores no
+    result, so it raises on every call; a family half it completed
+    before raising is kept, as it does not depend on e's pairs."""
     if X.is_all():
         return e
     if X.is_empty_like() or e.is_delta():

@@ -128,32 +128,6 @@ class NameSet:
         return NameSet(merged.singletons, merged.residues, merged.universal,
                        frozenset(excl))
 
-    def intersect(self, other: "NameSet") -> "NameSet":
-        if self.universal and not self.excluded:
-            return other
-        if other.universal and not other.excluded:
-            return self
-        if self.universal:
-            residues = set(other.residues)
-        elif other.universal:
-            residues = set(self.residues)
-        else:
-            residues = set()
-            for u in self.residues:
-                for v in other.residues:
-                    if is_suffix(u, v):
-                        residues.add(v)
-                    elif is_suffix(v, u):
-                        residues.add(u)
-        base = NameSet(frozenset(), frozenset(residues),
-                       self.universal and other.universal)
-        singles = {x for x in self.singletons | other.singletons
-                   if self.member(x) and other.member(x) and not base.member(x)}
-        excl = {x for x in self.excluded | other.excluded
-                if base.member(x) and not (self.member(x) and other.member(x))}
-        return NameSet(frozenset(singles), base.residues, base.universal,
-                       frozenset(excl))
-
     def complement(self) -> "NameSet":
         if self.universal:
             return NameSet(singletons=self.excluded)

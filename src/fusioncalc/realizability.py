@@ -298,10 +298,6 @@ class Universe:
     def biorthogonal_mask(self, mask: int) -> int:
         return self.orthogonal_mask(self.orthogonal_mask(mask))
 
-    def is_behaviour(self, subset: Iterable[Pwf]) -> bool:
-        mask = self.mask_of(subset)
-        return self.biorthogonal_mask(mask) == mask
-
     # -- truth-value operations ---------------------------------------
 
     def _table(self, label: str, op) -> list[list[tuple[int, int]]]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .names import (Name, Word, is_suffix, parse_name, tag, untag,
-                    word, word_str)
+from .names import Name, Word, is_suffix, tag, untag, word_str
 
 
 class SubstitutionError(Exception):
@@ -132,28 +131,4 @@ def compose(sigma: Substitution, tau: Substitution) -> Substitution:
     # sigma's remaps would otherwise move
     for x in dict(tau.finite_map):
         fm.setdefault(x, sigma.apply(tau.apply(x)))
-    return Substitution(tuple(fm.items()), frozenset(remaps))
-
-
-def parse_subst(text: str) -> Substitution:
-    """Literal: `{0:=3, 1:=2 ; 1 -> 1.2}` (word remaps after `;`)."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"substitution literal must be braced: {text!r}")
-    inner = text[1:-1]
-    fin_part, _, rem_part = inner.partition(";")
-    fm = {}
-    for item in fin_part.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        lhs, _, rhs = item.partition(":=")
-        fm[parse_name(lhs)] = parse_name(rhs)
-    remaps = set()
-    for item in rem_part.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        lhs, _, rhs = item.partition("->")
-        remaps.add((word(lhs), word(rhs)))
     return Substitution(tuple(fm.items()), frozenset(remaps))

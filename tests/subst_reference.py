@@ -8,11 +8,15 @@ that is the identity on the binder's names (`restrict_away`, with its
 helper `_residue_vs_set`).  `scoped_processes` draws the terms that
 the differential tests substitute into.  `equivalent_via` is a sampled
 check that two substitutions agree up to a renaming of names.
+
+`parse_subst` reads a substitution literal, the inverse of
+`Substitution.__str__`, and `intersect` is the intersection of two
+`NameSet`s; the library reads neither.
 """
 
 from hypothesis import strategies as st
 
-from fusioncalc.names import NameSet, is_suffix, tag, untag
+from fusioncalc.names import NameSet, is_suffix, parse_name, tag, untag, word
 from fusioncalc.subst import (Substitution, SubstitutionError, _split_remap,
                               finite_subst)
 from fusioncalc.terms import (NIL, Act, Nil, Nu, Par, ProcessError,
@@ -134,3 +138,55 @@ def equivalent_via(sigma: Substitution, tau: Substitution, rho,
 
     return all(sigma.apply(x) == rho_inv(tau.apply(rho.get(x, x)))
                for x in probes)
+
+
+def parse_subst(text: str) -> Substitution:
+    """Literal: `{0:=3, 1:=2 ; 1 -> 1.2}` (word remaps after `;`)."""
+    text = text.strip()
+    if not (text.startswith("{") and text.endswith("}")):
+        raise ValueError(f"substitution literal must be braced: {text!r}")
+    inner = text[1:-1]
+    fin_part, _, rem_part = inner.partition(";")
+    fm = {}
+    for item in fin_part.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        lhs, _, rhs = item.partition(":=")
+        fm[parse_name(lhs)] = parse_name(rhs)
+    remaps = set()
+    for item in rem_part.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        lhs, _, rhs = item.partition("->")
+        remaps.add((word(lhs), word(rhs)))
+    return Substitution(tuple(fm.items()), frozenset(remaps))
+
+
+def intersect(a: NameSet, b: NameSet) -> NameSet:
+    """The names in both sets."""
+    if a.universal and not a.excluded:
+        return b
+    if b.universal and not b.excluded:
+        return a
+    if a.universal:
+        residues = set(b.residues)
+    elif b.universal:
+        residues = set(a.residues)
+    else:
+        residues = set()
+        for u in a.residues:
+            for v in b.residues:
+                if is_suffix(u, v):
+                    residues.add(v)
+                elif is_suffix(v, u):
+                    residues.add(u)
+    base = NameSet(frozenset(), frozenset(residues),
+                   a.universal and b.universal)
+    singles = {x for x in a.singletons | b.singletons
+               if a.member(x) and b.member(x) and not base.member(x)}
+    excl = {x for x in a.excluded | b.excluded
+            if base.member(x) and not (a.member(x) and b.member(x))}
+    return NameSet(frozenset(singles), base.residues, base.universal,
+                   frozenset(excl))

@@ -299,13 +299,15 @@ def _outcomes(p: Pwf, k: int) -> tuple:
 @settings(max_examples=100, deadline=None)
 def test_warm_node_stores_give_the_outcome_of_empty_ones(p, others, k):
     """The stored keys and reducts depend on the node alone: searches
-    from other terms, and a deeper one from p, leave p's outcomes as
+    from other terms, from p beside each of them (nodes that share
+    components with p's), and a deeper one from p leave p's outcomes as
     they are with empty stores."""
     with empty_node_stores():
         cold = _outcomes(p, k)
     with empty_node_stores():
         for q in others:
             _outcomes(q, k)
+            list(reach(Pwf(Par(p.proc, q.proc), p.fus), k))
         list(reach(p, k + 1))
         assert _outcomes(p, k) == cold
         assert _outcomes(p, k) == cold
