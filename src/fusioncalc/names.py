@@ -9,8 +9,9 @@ arises from complements, so that NameSets are closed under the boolean
 operations the fusion calculus needs.
 
 `remember` is the one eviction rule of the library's bounded stores
-(`fusion`'s analyses and restrictions, `terms.node_key`'s keys and the
-reduction search's reducts): a full store drops its oldest entry first.
+(`fusion`'s analyses and restrictions, `realizability`'s shared op
+tables, `terms.node_key`'s keys and the reduction search's reducts): a
+full store drops its oldest entry first.
 """
 
 from __future__ import annotations

@@ -34,10 +34,10 @@ from typing import Callable, Iterable, Optional
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, canonical_subst
+from .names import remember
 from .process import NIL, Act, Par, Process, congruence_key
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                   sigma_node, star)
-from .names import remember
 from .reduction import _may_reach, _reduces_within
 from .terms import invariant, multiset_form, node_key
 
