@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import sys
 
 from .config import DEFAULT, Config, parse_config_text
@@ -104,11 +103,11 @@ def _cmd_equal(args) -> int:
 def _cmd_reduce(args) -> int:
     config = _config_from_args(args)
     p = parse_pwf(args.pwf)
-    reached = itertools.islice(reach(p, args.steps, config), 1, None)
     fus = fusion_str(p.fus)
-    # each listed class is printed from its node, once
+    # each listed class is printed from its node, once; p's own class is
+    # not reached, so it is neither keyed nor listed
     for line in sorted(f"<{form_str(canonical_form(node))} ; {fus}>"
-                       for _, node in reached):
+                       for _, node in reach(p, args.steps, config)):
         print(line)
     return 0
 
@@ -182,6 +181,8 @@ def _cmd_pole_laws(args) -> int:
     config = _config_from_args(args)
     members = _parse_universe_spec(args.universe or "")
     pole = realizability.parse_pole(args.pole)
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, not {args.samples}")
     universe = realizability.Universe(members, pole, config)
     seed = 0
     if args.format != "tsv":

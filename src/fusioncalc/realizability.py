@@ -23,7 +23,10 @@ up.  Three exact filters read it before any term is keyed:
   `FusionError` raises as before;
 - the `done:k` pole is false on a term that cannot consume its actions
   in k steps (`reduction._may_reach`), and the matrix builds no
-  composite whose summed invariant fails that test.
+  composite whose summed invariant fails that test.  The pole keys no
+  term: it caches its verdicts by (multiset form, fusion), and its
+  search (`reduction._reaches_nil`) keys only reducts, since the goal
+  NIL is the one action-free node.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ from typing import Callable, Iterable, Optional
 
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion, _classes, canonical_subst
+from .fusion import DELTA, Fusion, _classes, canonical_subst, equal
 from .names import remember
 from .process import NIL, Act, Par, Process, congruence_key
 from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
                   sigma_node, star)
-from .reduction import _may_reach, _reduces_within
+from .reduction import _may_reach, _reaches_nil
 from .terms import invariant, multiset_form, node_key
 
 # op tables by (member tuple, config), shared by every Universe on them;
@@ -55,21 +58,23 @@ def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
 def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     """The pole of terms that reach <NIL ; Δ> within k steps.  The pole
     carries its k, so `Universe.matrix` can skip composites that it
-    rejects on their invariant alone."""
+    rejects on their invariant alone.  Verdicts are cached by (multiset
+    form, fusion), the values that decide them; no term is keyed, since
+    the search keys only its reducts and the goal is action-free."""
+    if k < 0:
+        raise ValueError(f"pole done:{k} needs k >= 0")
     cache: dict = {}
-    goals: dict = {}
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         node = multiset_form(q.proc)[0]
         if not _may_reach(invariant(node), (), k):
             return False
-        start = node_key(node)
-        key = (start, q.fus)
+        key = (node, q.fus)
         if key not in cache:
-            if config not in goals:
-                goals[config] = node_key(sigma_node(UNIT, config))
-            cache[key] = _reduces_within(q, UNIT, k, config, (node, start),
-                                         goals[config])
+            # a fusion equal to Δ has the identity as σ, so node is the
+            # σ-normal start of the search
+            cache[key] = equal(q.fus, DELTA, config) and \
+                _reaches_nil(node, k)
         return cache[key]
 
     pole.__name__ = f"pole_done_{k}"
@@ -81,9 +86,10 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
     text = text.strip()
     if text == "always":
         return pole_always
-    if text.startswith("done:"):
+    if text.startswith("done:") and text[len("done:"):].isdecimal():
         return make_pole_done(int(text[len("done:"):]))
-    raise ValueError(f"unknown pole {text!r} (use 'always' or 'done:k')")
+    raise ValueError(f"unknown pole {text!r} (use 'always' or 'done:k', "
+                     f"k a natural number)")
 
 
 def default_universe(max_actions: int = 3, names: int = 4,
@@ -369,13 +375,19 @@ class Universe:
         return self.biorthogonal_mask(union)
 
 
-def check_laws(u: Universe, samples: int = 24, seed: int = 0,
-               family_size: int = 3) -> Report:
+# the number of subsets joined in each sample of a law over families
+_FAMILY_SIZE = 3
+
+
+def check_laws(u: Universe, samples: int = 24, seed: int = 0) -> Report:
     """Evaluate the quantified laws over sampled subsets.  Returns
     (law, passed, witness-or-empty) triples; the report is
     universe-relative by construction.  Each law is a generator of
     witnesses that draws its samples from the shared rng as it checks
-    them, so a law stops drawing at its first witness."""
+    them, so a law stops drawing at its first witness.  With no sample
+    no law would be checked, so `samples` must be at least 1."""
+    if samples < 1:
+        raise ValueError(f"check_laws needs samples >= 1, not {samples}")
     rng = random.Random(seed)
     n = len(u.members)
     full = u.full_mask
@@ -415,7 +427,7 @@ def check_laws(u: Universe, samples: int = 24, seed: int = 0,
 
     def orthogonal_of_union():
         for _ in range(samples):
-            family = [rand_mask() for _ in range(family_size)]
+            family = [rand_mask() for _ in range(_FAMILY_SIZE)]
             inter = full
             for m in family:
                 inter &= u.orthogonal_mask(m)
@@ -425,7 +437,7 @@ def check_laws(u: Universe, samples: int = 24, seed: int = 0,
     def tensor_over_join():
         for _ in range(samples):
             a = behaviour()
-            family = [behaviour() for _ in range(family_size)]
+            family = [behaviour() for _ in range(_FAMILY_SIZE)]
             if u.op_tensor(a, u.op_join(family)) != \
                     u.op_join([u.op_tensor(a, b) for b in family]):
                 yield "tensor does not distribute over join"
@@ -439,7 +451,7 @@ def check_laws(u: Universe, samples: int = 24, seed: int = 0,
     def parallel_join():
         for _ in range(samples):
             a = rand_mask()
-            family = [rand_mask() for _ in range(family_size)]
+            family = [rand_mask() for _ in range(_FAMILY_SIZE)]
             image = u.op_par(union(family), a)
             joined = u.op_join([u.op_par(b, a) for b in family])
             if joined != u.biorthogonal_mask(image) or \

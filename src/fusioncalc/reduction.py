@@ -16,8 +16,17 @@ reduct.  So a reduct's `terms.node_key` is both the search's dedup key
 and its key up to the fusion, and `terms.canonical_form` of its node is
 its line in the `fusioncalc reduce` listing, printed from the node
 without building a `Process`.
-`reduces_within` first compares action invariants (`_may_reach`), so a
-target whose actions p cannot consume down to is rejected unsearched.
+
+A search keys only the reducts.  A step consumes one up and one down
+prefix, so a reduct is never congruent to the start nor to a node of
+another level: keys are needed only to deduplicate a level, and the
+start is not keyed.  `reduces_within` first compares action invariants
+(`_may_reach`), so a target whose actions p cannot consume down to is
+rejected unsearched; it keys p only when p has the target's invariant,
+the one case where p itself can match.  An action-free target needs no
+key either: the multiset form of an action-free term is NIL, and so is
+every action-free reduct, so the search stops at the first NIL
+(`_reaches_nil`, which the `done:k` pole calls directly).
 
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
@@ -151,39 +160,39 @@ def _expand(q) -> tuple:
     return out
 
 
-def _search(node, key: tuple, k: int) -> Iterator[tuple[tuple, tuple]]:
-    """(key, node) of each class reachable from a σ-normal node in at
-    most k steps, once, breadth first from the start's.  `keys`
-    memoises `node_key` on the node tuples within the search; the
-    stores of `node_key` and `_expand` carry keys and reducts from one
-    search to the next."""
-    yield key, node
+def _search(node, k: int) -> Iterator[tuple[tuple, tuple]]:
+    """(key, node) of each class reachable from a σ-normal node in 1..k
+    steps, once, breadth first.  A step consumes one up and one down
+    action, so a reduct is congruent neither to the start nor to a node
+    of another level: the start is not keyed, and keys deduplicate the
+    nodes of one level.  They must: n identical siblings that bind names
+    reach C(n, j)² distinct nodes at level j, all of a few classes.
+    `keys` memoises `node_key` on the node tuples of a level; the stores
+    of `node_key` and `_expand` carry keys and reducts from one search
+    to the next."""
     frontier = [node]
-    seen = {key}
-    keys = {node: key}
     for _ in range(k):
-        next_frontier = []
+        level: dict = {}
+        keys: dict = {}
         for q in frontier:
             for r in _expand(q):
                 key = keys.get(r)
                 if key is None:
                     key = keys[r] = node_key(r)
-                if key not in seen:
-                    seen.add(key)
-                    next_frontier.append(r)
+                if key not in level:
+                    level[key] = r
                     yield key, r
-        frontier = next_frontier
+        frontier = list(level.values())
 
 
 def reach(p: Pwf, k: int, config: Config = DEFAULT
           ) -> Iterator[tuple[tuple, tuple]]:
-    """Each congruence class reachable from p in at most k steps, once,
-    as (congruence key, node), in breadth-first order starting with p's.
-    The nodes are in σ-normal multiset form (binders negative, free names
-    σ-representatives): `terms.canonical_form` of one is the class's
-    form up to the fusion."""
-    node = sigma_node(p, config)
-    return _search(node, node_key(node), k)
+    """Each congruence class reachable from p in 1..k steps, once, as
+    (congruence key, node), in breadth-first order; p's own class is
+    not among them.  The nodes are in σ-normal multiset form (binders
+    negative, free names σ-representatives): `terms.canonical_form` of
+    one is the class's form up to the fusion."""
+    return _search(sigma_node(p, config), k)
 
 
 def reduces_within(p: Pwf, target: Pwf, k: int,
@@ -191,8 +200,29 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     """Whether p reaches a PWF equal to the target in at most k steps.
 
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
-    is decided once, and the target's key is computed once."""
-    return _reduces_within(p, target, k, config)
+    is decided once.  A step consumes two actions, so only a term with
+    the target's action invariant can match, and at depth 0 only p
+    does: p is keyed only then.  An action-free target's node is NIL,
+    and the only action-free node is NIL, so that target needs no key;
+    any other target is keyed once."""
+    if not equal(p.fus, target.fus, config):
+        return False
+    node, goal = sigma_node(p, config), sigma_node(target, config)
+    inv, goal_inv = invariant(node), invariant(goal)
+    if not _may_reach(inv, goal_inv, k):
+        return False
+    if not goal_inv:
+        return _reaches_nil(node, k)
+    if inv == goal_inv:
+        return node_key(node) == node_key(goal)
+    goal = node_key(goal)
+    return any(key == goal for key, _ in _search(node, k))
+
+
+def _reaches_nil(node, k: int) -> bool:
+    """Whether a σ-normal node reaches NIL in at most k steps."""
+    return node == _NIL_NODE or any(
+        r == _NIL_NODE for _, r in _search(node, k))
 
 
 def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
@@ -206,26 +236,6 @@ def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
     return sum(drop.values()) <= 2 * k and all(
         d >= 0 and drop["down" if polarity == "up" else "up", arity] == d
         for (polarity, arity), d in list(drop.items()))
-
-
-def _reduces_within(p: Pwf, target: Pwf, k: int, config: Config,
-                    start: Optional[tuple] = None,
-                    goal: Optional[tuple] = None) -> bool:
-    """`reduces_within`, given `start = (node, node_key(node))` for
-    `node = multiset_form(p.proc)[0]` (used under Δ only) and `goal =
-    node_key(sigma_node(target, config))` when the caller has already
-    computed them and checked `_may_reach`."""
-    if not equal(p.fus, target.fus, config):
-        return False
-    node, key = start if start is not None and p.fus.is_delta() else \
-        (sigma_node(p, config), None)
-    if goal is None:
-        target_node = sigma_node(target, config)
-        if not _may_reach(invariant(node), invariant(target_node), k):
-            return False
-        goal = node_key(target_node)
-    return any(r == goal for r, _ in
-               _search(node, node_key(node) if key is None else key, k))
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

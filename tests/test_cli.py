@@ -102,6 +102,18 @@ def test_pole_laws_report(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_pole_laws_rejects_bounds_that_decide_nothing(capsys):
+    laws = ("pole-laws", "--universe", "limit=4")
+    for pole in ("done:-1", "done:x"):
+        code, out, err = run(capsys, *laws, "--pole", pole)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: unknown pole '{pole}'")
+    for samples in ("0", "-2"):
+        code, out, err = run(capsys, *laws, "--samples", samples)
+        assert (code, out) == (2, "")
+        assert err == f"error: --samples must be at least 1, not {samples}\n"
+
+
 def test_pole_laws_report_states_config(capsys):
     code, out, _ = run(capsys, "--set", "class_budget=2048", "pole-laws",
                        "--universe", "limit=20", "--samples", "2")

@@ -13,8 +13,9 @@ from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
                             par, parse_pwf, star)
 from fusioncalc.realizability import (Universe, check_laws, default_universe,
                                       make_pole_done, parse_pole, pole_always)
-from fusioncalc.reduction import pole_regular_on, reduces_within
+from fusioncalc.reduction import pole_regular_on
 from fusioncalc.terms import multiset_form
+from reduction_reference import reference_reduces_within
 
 
 def small_universe(pole=pole_always, n=40):
@@ -40,6 +41,22 @@ def test_parse_pole():
     assert not pole(parse_pwf("<0!() ; {}>"))
     with pytest.raises(ValueError):
         parse_pole("sometimes")
+
+
+def test_bounds_that_decide_nothing_are_rejected():
+    """A negative k would put even <1 ; Δ> outside the pole, and no
+    sample would check no law."""
+    for text in ("done:-1", "done:x", "done:", "done:1.5", "done:+2"):
+        with pytest.raises(ValueError, match="unknown pole"):
+            parse_pole(text)
+    with pytest.raises(ValueError, match="k >= 0"):
+        make_pole_done(-1)
+    assert make_pole_done(0)(UNIT)
+    u = small_universe(n=4)
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            check_laws(u, samples=samples)
+    assert [ok for _, ok, _ in check_laws(u, samples=1)] == [True] * 7
 
 
 def test_done_pole_cache_keys_on_the_fusion():
@@ -76,14 +93,13 @@ def test_done_pole_canonicalises_a_term_once(monkeypatch):
     pole = make_pole_done(1)
     for composite in (q, q2, q3):
         assert pole(composite)
-    composite, goal = (multiset_form(t.proc)[0] for t in (q, UNIT))
-    # the composite is keyed once, for the cache key and as the start
-    # of the search; the goal key is kept per pole and config, so only
-    # the first cache miss keys NIL as the goal; each search then keys
-    # its one reduct, NIL
-    assert calls[:3] == [composite, goal, ("nil",)]
-    assert calls[3:] == [multiset_form(q2.proc)[0], ("nil",),
-                         multiset_form(q3.proc)[0], ("nil",)]
+    # no composite and no goal is keyed: the cache is keyed on the
+    # multiset form and the fusion, and each search keys its one
+    # reduct, NIL; asking again hits the cache
+    assert calls == [("nil",)] * 3
+    for composite in (q, q2, q3):
+        assert pole(composite)
+    assert calls == [("nil",)] * 3
 
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
@@ -403,7 +419,7 @@ def test_done_pole_is_empty_off_balanced_small_terms(k):
     for i, a in enumerate(members):
         for b in members[i:]:
             q = nu_all(par(a, b))
-            verdict = reduces_within(q, UNIT, k)
+            verdict = reference_reduces_within(q, UNIT, k)
             assert pole(q) == verdict, (a, b)
             if verdict:
                 inside += 1
@@ -430,7 +446,7 @@ def reference_orthogonal(members, k):
     pairs = set()
     for i, a in enumerate(members):
         for b in members[i:]:
-            if reduces_within(nu_all(par(a, b)), UNIT, k):
+            if reference_reduces_within(nu_all(par(a, b)), UNIT, k):
                 pairs |= {(a, b), (b, a)}
     return pairs
 

@@ -9,17 +9,16 @@ from hypothesis import given, settings, strategies as st
 
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
                                parse_fusion)
 from fusioncalc.process import (NIL, Act, Nu, Par, congruence_key, form_str,
                                 free_names, process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
                             pwf_str, sigma_node)
-from fusioncalc.reduction import (_reduces_within, pole_regular_on, reach,
-                                  reduces_within, step)
-from fusioncalc.terms import (SearchBudgetError, _nodes, _to_process,
-                             canonical_form, multiset_form, node_key)
+from fusioncalc.reduction import pole_regular_on, reach, reduces_within, step
+from fusioncalc.terms import (_NIL_NODE, SearchBudgetError, _nodes,
+                             _to_process, canonical_form, invariant,
+                             multiset_form, node_key)
 from reduction_reference import (reference_listing, reference_reduces_within,
                                  reference_step)
 
@@ -154,19 +153,19 @@ def test_reduces_within_canonicalises_each_term_once(monkeypatch):
     p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
                          " ; {0~2, 1~3}>"))
     assert reduces_within(p, UNIT, 4)
-    # the target, then the start term and 13 distinct reducts, each
-    # once; the last reduct is NIL, the target's own node
-    assert keyed[:2] == [multiset_form(UNIT.proc)[0],
-                         multiset_form(p.proc)[0]]
-    assert len(keyed) - 1 == len(set(keyed[1:])) == 14
-    assert keyed[-1] == keyed[0]
+    # 13 distinct reducts, each once; the last is NIL, the first node
+    # of the target's class, where the search stops.  Neither the
+    # action-free target nor the start is keyed.
+    assert len(keyed) == len(set(keyed)) == 13
+    assert keyed[-1] == multiset_form(UNIT.proc)[0] == _NIL_NODE
+    assert multiset_form(p.proc)[0] not in keyed
     assert printed == []
 
 
 @pytest.mark.parametrize("literal, steps, distinct", [
     ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?() ; {0~2, 1~3}>",
-     4, 14),
-    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 6),
+     4, 13),
+    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 5),
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
@@ -176,12 +175,12 @@ def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
     canonicalised = _count_calls(monkeypatch, "canonical")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # the search keys the start term and every distinct reduct, each
-    # once: here each keyed reduct is a listed class; the listing prints
-    # one node per line, and builds no Process for it
-    assert len(keyed) == len(set(keyed)) == distinct == len(lines) + 1
+    # the search keys every distinct reduct, each once, and not the
+    # start term: here each keyed reduct is a listed class; the listing
+    # prints one node per line, and builds no Process for it
+    assert len(keyed) == len(set(keyed)) == distinct == len(lines)
     assert len(printed) == len(set(printed)) == len(lines) > 0
-    assert set(printed) <= set(keyed)
+    assert set(printed) == set(keyed)
     assert rebuilt == canonicalised == []
 
 
@@ -247,9 +246,10 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
     found = list(reach(p, k))
     keys = [key for key, _ in found]
     assert len(set(keys)) == len(keys)
+    # p's own class is not reached
+    assert congruence_key(normalize(p).proc) not in keys
     # each key is its node's key up to the fusion, and each node is in
     # σ-normal form: its printed form is the one normalize prints
-    assert keys[0] == congruence_key(normalize(p).proc)
     for key, node in found:
         base = max((q[1] for q in _nodes(node) if q[0] == "act"),
                    default=0) + 1
@@ -257,17 +257,32 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
         assert congruence_key(normalize(q).proc) == key == node_key(node)
         assert form_str(canonical_form(node)) == process_str(normalize(q).proc)
     listing = sorted(f"<{form_str(canonical_form(node))} ; "
-                     f"{fusion_str(p.fus)}>" for _, node in found[1:])
+                     f"{fusion_str(p.fus)}>" for _, node in found)
     assert listing == reference_listing(p, k)
-    targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA)] + step(p)[:2]
+    # the action-free targets include one that is not literally NIL and
+    # one under a fusion other than p's
+    targets = [Pwf(NIL, p.fus), Pwf(NIL, DELTA), Pwf(Nu(9, NIL), p.fus),
+               Pwf(Nu(9, Par(NIL, NIL)), parse_fusion("{2~3}"))] + step(p)[:2]
     for target in targets:
         for j in range(k + 1):
             expected = reference_reduces_within(p, target, j)
             assert reduces_within(p, target, j) == expected
-            # a precomputed start is the σ-form under Δ only
-            node = multiset_form(p.proc)[0]
-            assert _reduces_within(p, target, j, DEFAULT,
-                                   (node, node_key(node))) == expected
+
+
+_ACTION_FREE = st.recursive(
+    st.just(NIL), lambda t: st.builds(Par, t, t) | st.builds(
+        Nu, st.integers(0, 9), t), max_leaves=6)
+
+
+@given(_pwfs(scoped=True), st.integers(1, 3), _ACTION_FREE)
+@settings(max_examples=150, deadline=None)
+def test_the_only_action_free_node_is_nil(p, k, term):
+    """An action-free target is matched on NIL, unkeyed: the σ-form of
+    an action-free term is NIL, and so is every action-free node that
+    `reach` yields."""
+    assert sigma_node(Pwf(term, p.fus)) == _NIL_NODE
+    for _, node in reach(Pwf(Par(p.proc, term), p.fus), k):
+        assert invariant(node) or node == _NIL_NODE
 
 
 @given(_pwfs(scoped=True))
@@ -316,19 +331,53 @@ def test_warm_node_stores_give_the_outcome_of_empty_ones(p, others, k):
 def test_budget_errors_are_not_stored_and_the_node_stores_stay_bounded():
     # the double-swap star: nine siblings x!().0?().z?(), each another's
     # with two pairs of names swapped, whose orders exceed the candidate
-    # budget; lowered here, so that the search gives up at once
+    # budget; lowered here, so that the search gives up at once.  The
+    # start is not keyed, so the star is the reduct of one more pair.
     names = " ".join(str(x) for x in range(1, 20))
     star = " | ".join(f"{x}!().0?().{x + 10}?()" for x in range(1, 10))
-    p = parse_pwf(f"<new 0 {names}. ({star}) ; {{}}>")
+    p = parse_pwf(f"<new 0 {names}. ({star} | 30!() | 30?()) ; {{}}>")
     with empty_node_stores(), \
             mock.patch.object(terms, "_MAX_CANDIDATES", 5040):
         for _ in range(2):
             with pytest.raises(SearchBudgetError, match="budget 5040$"):
                 list(reach(p, 1))
-            assert terms._KEYS == reduction._REDUCTS == {}
+            # no key is stored; the one expansion stored is the start's,
+            # which completed before its reduct, the star, was keyed
+            assert terms._KEYS == {}
+            assert list(reduction._REDUCTS) == [sigma_node(p)]
+        # each search keys and expands a distinct node: x!()
         for x in range(max(terms._KEY_CAP, reduction._REDUCT_CAP) + 10):
-            assert reduces_within(parse_pwf(f"<{x}!() | {x}?() ; {{}}>"),
-                                  UNIT, 1)
+            assert reduces_within(parse_pwf(f"<{x}!().{x}!() | {x}?() ; {{}}>"),
+                                  parse_pwf(f"<{x}!() ; {{}}>"), 1)
         assert len(terms._KEYS) == terms._KEY_CAP
         assert len(reduction._REDUCTS) == reduction._REDUCT_CAP
         assert reduces_within(parse_pwf("<0!() | 0?() ; {}>"), UNIT, 1)
+
+
+def test_identical_binding_pairs_expand_one_node_per_class_and_level(
+        monkeypatch):
+    """n identical pairs that bind a name reach C(n, j)² distinct nodes
+    at level j, of only a few classes: the search deduplicates each level
+    by key, so it expands one node per class."""
+    n, k = 4, 3
+    p = parse_pwf("<" + " | ".join(["0!(1).1!()", "0?(2).2?()"] * n)
+                  + " ; {}>")
+    expanded = []
+    expand = reduction._expand
+    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    monkeypatch.setattr(reduction, "_expand",
+                        lambda q: expanded.append(q) or expand(q))
+    found = list(reach(p, k))
+
+    def level(node):
+        return (4 * n - sum(count for _, count in invariant(node))) // 2
+
+    start = sigma_node(p)
+    assert [level(q) for q in expanded] == sorted(level(q) for q in expanded)
+    assert expanded[0] == start
+    # every class of the levels below k, and nothing else, is expanded once
+    assert Counter(level(q) for q in expanded[1:]) == Counter(
+        level(node) for _, node in found if level(node) < k)
+    assert len({node_key(q) for q in expanded[1:]}) == len(expanded) - 1
+    # levels 1 and 2 hold 16 and 52 distinct nodes
+    assert Counter(level(q) for q in expanded) == {0: 1, 1: 1, 2: 2}
