@@ -20,12 +20,14 @@ without building a `Process`.
 A search keys only the reducts.  A step consumes one up and one down
 prefix, so a reduct is never congruent to the start nor to a node of
 another level: keys are needed only to deduplicate a level, and the
-start is not keyed.  `reduces_within` first compares action invariants
-(`_may_reach`), so a target whose actions p cannot consume down to is
-rejected unsearched; it keys p only when p has the target's invariant,
-the one case where p itself can match.  An action-free target needs no
-key either: the multiset form of an action-free term is NIL, and so is
-every action-free reduct, so the search stops at the first NIL
+start is not keyed.  A level does need them: n identical siblings that
+bind names reach C(n, j)² distinct nodes of a few classes at level j.
+`reduces_within` first compares action invariants (`_may_reach`), so a
+target whose actions p cannot consume down to is rejected unsearched;
+it keys p only when p has the target's invariant, the one case where p
+itself can match.  An action-free target needs no key either: the
+multiset form of an action-free term is NIL, and so is every
+action-free reduct, so the search stops at the first NIL
 (`_reaches_nil`, which the `done:k` pole calls directly).
 
 With no replication, the reducts of a σ-normal node depend on the node
@@ -162,14 +164,10 @@ def _expand(q) -> tuple:
 
 def _search(node, k: int) -> Iterator[tuple[tuple, tuple]]:
     """(key, node) of each class reachable from a σ-normal node in 1..k
-    steps, once, breadth first.  A step consumes one up and one down
-    action, so a reduct is congruent neither to the start nor to a node
-    of another level: the start is not keyed, and keys deduplicate the
-    nodes of one level.  They must: n identical siblings that bind names
-    reach C(n, j)² distinct nodes at level j, all of a few classes.
-    `keys` memoises `node_key` on the node tuples of a level; the stores
-    of `node_key` and `_expand` carry keys and reducts from one search
-    to the next."""
+    steps, once, breadth first.  The start is not keyed, and each level
+    is deduplicated on its own; `keys` memoises `node_key` on the node
+    tuples of a level.  The stores of `node_key` and `_expand` carry
+    keys and reducts from one search to the next."""
     frontier = [node]
     for _ in range(k):
         level: dict = {}
@@ -200,11 +198,8 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     """Whether p reaches a PWF equal to the target in at most k steps.
 
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
-    is decided once.  A step consumes two actions, so only a term with
-    the target's action invariant can match, and at depth 0 only p
-    does: p is keyed only then.  An action-free target's node is NIL,
-    and the only action-free node is NIL, so that target needs no key;
-    any other target is keyed once."""
+    is decided once.  p is keyed only when it has the target's action
+    invariant, and an action-free target (node NIL) is not keyed."""
     if not equal(p.fus, target.fus, config):
         return False
     node, goal = sigma_node(p, config), sigma_node(target, config)

@@ -44,8 +44,8 @@ def test_parse_pole():
 
 
 def test_bounds_that_decide_nothing_are_rejected():
-    """A negative k would put even <1 ; Δ> outside the pole, and no
-    sample would check no law."""
+    """A negative k would put even <1 ; Δ> outside the pole, and with
+    no sample no law would be checked."""
     for text in ("done:-1", "done:x", "done:", "done:1.5", "done:+2"):
         with pytest.raises(ValueError, match="unknown pole"):
             parse_pole(text)
