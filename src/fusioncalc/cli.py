@@ -154,7 +154,7 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _parse_universe_spec(spec: str):
+def _parse_universe_spec(spec: str, config: Config):
     from . import realizability
     max_actions, names, limit = 2, 3, 160
     fusions = [DELTA, parse_fusion("{0~1}")]
@@ -173,13 +173,14 @@ def _parse_universe_spec(spec: str):
             fusions = [parse_fusion(f) for f in value.split("|")]
         else:
             raise ValueError(f"unknown universe spec key {key!r}")
-    return realizability.default_universe(max_actions, names, fusions, limit)
+    return realizability.default_universe(max_actions, names, fusions, limit,
+                                          config)
 
 
 def _cmd_pole_laws(args) -> int:
     from . import realizability
     config = _config_from_args(args)
-    members = _parse_universe_spec(args.universe or "")
+    members = _parse_universe_spec(args.universe or "", config)
     pole = realizability.parse_pole(args.pole)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
@@ -305,7 +306,7 @@ def _cmd_laws(args) -> int:
                             parse_pwf("<1!() ; {1~3, 5~4}>"), config))
     rows.append(("nu-worked-example", golden == "<new 3. 3!() ; {}>", golden))
 
-    members = realizability.default_universe(2, 3, [DELTA], 60)
+    members = realizability.default_universe(2, 3, [DELTA], 60, config)
     universe = realizability.Universe(members,
                                       realizability.make_pole_done(8),
                                       config)

@@ -4,8 +4,9 @@
 `terms.canonical_form` of the term's multiset form: the least rendering
 over the orders of equal-skeleton siblings, found by the sibling-order
 search that the congruence key uses.  `form_str` writes such a form
-from its node.  Congruence itself is decided by `congruence_key` (in
-`terms`, re-exported here with the term classes and substitution).
+from its node.  Congruence itself is decided by `terms.node_key` of
+the multiset form; the term classes and substitution are re-exported
+here.
 """
 
 from __future__ import annotations
@@ -13,13 +14,12 @@ from __future__ import annotations
 from .names import Name, parse_name
 from .terms import (NIL, Act, Nil, Nu, Par, Process, ProcessError,
                     SearchBudgetError, _to_process, all_names, canonical_form,
-                    congruence_key, free_names, multiset_form, struct_eq,
-                    substitute)
+                    free_names, multiset_form, substitute)
 
 __all__ = ["NIL", "Act", "Nil", "Nu", "Par", "Process", "ProcessError",
-           "SearchBudgetError", "all_names", "canonical", "congruence_key",
-           "form_str", "free_names", "parse_process", "process_str",
-           "struct_eq", "substitute", "tidy"]
+           "SearchBudgetError", "all_names", "canonical", "form_str",
+           "free_names", "parse_process", "process_str", "substitute",
+           "tidy"]
 
 
 # ---------------------------------------------------------------------------

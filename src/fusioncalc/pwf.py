@@ -1,6 +1,9 @@
 """Processes with fusions: the pairs, their equivalence, the three
 restriction binders, relabelings, and the adjoint application operators.
 
+Which PWFs count as the same universe member is decided here alone, by
+`pwf_key`; `equal_pwf` decides equality in general.
+
 The set binder follows the hereditary-closure construction: starting
 from the free names inside the bound set, repeatedly pick replacement
 representatives outside the already-bound prefix until the set
@@ -59,19 +62,36 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
     return frozenset(out)
 
 
-def sigma_node(p: Pwf, config: Config = DEFAULT, form=None,
-               sigma=None) -> tuple:
-    """The multiset form of p's process (`form`, when given, is its
-    `multiset_form`) with each free name replaced by the representative
-    of its class (`canonical_subst`, σ, unless given); its binders are
-    negative, so none captures.  Two PWFs with equal fusions are equal
-    exactly when these nodes have equal keys."""
-    node, free = multiset_form(p.proc) if form is None else form
+def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
+    """The multiset form of p's process with each free name replaced by
+    the least member of its class (`canonical_subst`, σ); its binders are
+    negative, so none captures.  σ depends only on the relation, so two
+    PWFs with equal fusions are equal exactly when these nodes have equal
+    keys."""
+    node, free = multiset_form(p.proc)
     if p.fus.is_delta():
         return node
-    if sigma is None:
-        sigma = canonical_subst(p.fus, config)
+    sigma = canonical_subst(p.fus, config)
     return _relabel(node, {x: sigma.apply(x) for x in free})
+
+
+def pwf_key(p: Pwf, config: Config = DEFAULT) -> tuple:
+    """The one equality key of p = (P, e): e's family generators, the
+    classes of e that its finite pairs make larger than their classes
+    under those generators alone, and the key of p's σ-node.
+
+    Every class of e outside that set is a family-only class, so with
+    equal family sets the set depends only on the relation, as the
+    σ-node does.  Equal keys therefore imply `equal_pwf`, and equal PWFs
+    whose fusions have the same family generators have equal keys.
+    Equal fusions with different family sets (a redundant generator,
+    say) get different keys; `equal_pwf` still equates them."""
+    e = p.fus
+    classes = _classes(e, config)
+    family_classes = _classes(Fusion(families=e.families), config)
+    added = frozenset(classes(x) for x in e.endpoints()
+                      if len(classes(x)) > len(family_classes(x)))
+    return e.families, added, node_key(sigma_node(p, config))
 
 
 def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:

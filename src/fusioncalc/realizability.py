@@ -10,13 +10,16 @@ the member list and the config, so universes that share both (one per
 pole, say) share one set of tables; each row keeps only its member
 cells.
 
+`clip` maps a PWF to the member with the same `pwf.pwf_key`, one dict
+lookup per image; `default_universe` drops a PWF whose key an earlier
+one has.  The key equates exactly the equal PWFs whose fusions have the
+same family generators.
+
 Every member carries one invariant, `terms.invariant`: the multiset of
 its action prefixes by (polarity, arity).  Congruence, substitution,
 relabelling, `nu_set` and `unrelabel` keep it, and composition adds it
-up.  Three exact filters read it before any term is keyed:
+up.  Two exact filters read it before any image is built:
 
-- `clip` rejects an image whose invariant, fusion classes and free
-  names (under the fusion's representatives) match no member;
 - an op-table cell (a, b) is empty without applying the operation when
   inv(a) + inv(b) is no member's invariant; the fusion half of the
   operation still runs once per pair of member fusions, so a
@@ -36,13 +39,13 @@ from typing import Callable, Iterable, Optional
 
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion, _classes, canonical_subst, equal
+from .fusion import DELTA, Fusion, equal
 from .names import remember
-from .process import NIL, Act, Par, Process, congruence_key
-from .pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all, par,
-                  sigma_node, star)
+from .process import NIL, Act, Par, Process
+from .pwf import (UNIT, Pwf, PwfError, bullet, nu_all, par, pwf_key,
+                  star)
 from .reduction import _may_reach, _reaches_nil
-from .terms import invariant, multiset_form, node_key
+from .terms import invariant, multiset_form
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -94,10 +97,12 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
 
 def default_universe(max_actions: int = 3, names: int = 4,
                      fusions: Iterable[Fusion] = (DELTA,),
-                     limit: int = 400) -> list[Pwf]:
+                     limit: int = 400, config: Config = DEFAULT
+                     ) -> list[Pwf]:
     """Deterministic universe: action chains and two-component parallels
-    over the given names, combined with each supplied fusion, truncated
-    at the limit in generation order."""
+    over the given names, combined with each supplied fusion, keeping
+    the first PWF of each `pwf_key` and truncated at the limit in
+    generation order."""
     chains: list[Process] = [NIL]
     frontier = [NIL]
     depth = 0
@@ -120,7 +125,7 @@ def default_universe(max_actions: int = 3, names: int = 4,
     for fus in fusions:
         for proc in procs:
             p = Pwf(proc, fus)
-            key = (congruence_key(proc), fus)
+            key = pwf_key(p, config)
             if key not in seen:
                 seen.add(key)
                 members.append(p)
@@ -163,9 +168,8 @@ class Universe:
         self.config = config
         self._matrix = None
         self._keyed: Optional[dict] = None
-        self._signatures: set = set()
-        self._forms = [multiset_form(m.proc) for m in self.members]
-        self._invariants = [invariant(node) for node, _ in self._forms]
+        self._invariants = [invariant(multiset_form(m.proc)[0])
+                            for m in self.members]
         key = (self.members, config)
         tables = _TABLES.get(key)
         self._tables: dict = tables if tables is not None else remember(
@@ -236,54 +240,16 @@ class Universe:
             raise ValueError("PWF is not a universe member")
         return mask.bit_length() - 1
 
-    def _signature(self, p: Pwf, form: tuple) -> tuple:
-        """Cheap invariants of the member key, from p's `multiset_form`
-        (node, fn P): the action invariant, the classes of the fusion
-        endpoints and σ(fn P), σ the fusion's representative
-        substitution; and σ itself for the key (None under Δ, where σ is
-        the identity).  Congruence and substitution keep the action
-        invariant, and fn(σP) = σ(fn P), so PWFs with equal keys have
-        equal signatures."""
-        class_of = _classes(p.fus, self.config)
-        classes = frozenset(class_of(x) for x in p.fus.endpoints())
-        if p.fus.is_delta():
-            return (invariant(form[0]), classes, frozenset(form[1])), None
-        sigma = canonical_subst(p.fus, self.config)
-        return (invariant(form[0]), classes,
-                frozenset(sigma.apply(x) for x in form[1])), sigma
-
-    def _member_key(self, p: Pwf, signature: tuple, form: tuple, sigma):
-        """Equality-respecting lookup key: the key of p's σ-node
-        (`sigma_node` of its `multiset_form`), the signature (which holds
-        the fusion's finite partition) and the fusion's family
-        generators."""
-        return (node_key(sigma_node(p, self.config, form, sigma)),
-                signature, p.fus.families)
-
     def clip(self, pwfs: Iterable[Pwf]) -> int:
-        """Mask of the members equal to one of the given PWF."""
+        """Mask of the members equal to one of the given PWF, looked up
+        by `pwf_key`."""
         if self._keyed is None:
             self._keyed = {}
-            for i, (m, form) in enumerate(zip(self.members, self._forms)):
-                signature, sigma = self._signature(m, form)
-                self._signatures.add(signature)
-                self._keyed.setdefault(
-                    self._member_key(m, signature, form, sigma), i)
+            for i, m in enumerate(self.members):
+                self._keyed.setdefault(pwf_key(m, self.config), i)
         mask = 0
         for p in pwfs:
-            form = multiset_form(p.proc)
-            signature, sigma = self._signature(p, form)
-            if not p.fus.families and signature not in self._signatures:
-                continue
-            i = self._keyed.get(self._member_key(p, signature, form, sigma))
-            if i is None and p.fus.families:
-                # family generators can subsume finite pairs, so the
-                # partition signature may differ between equal fusions
-                for j, m in enumerate(self.members):
-                    if m.fus.families == p.fus.families and \
-                            equal_pwf(p, m, self.config):
-                        i = j
-                        break
+            i = self._keyed.get(pwf_key(p, self.config))
             if i is not None:
                 mask |= 1 << i
         return mask

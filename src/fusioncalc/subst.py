@@ -67,68 +67,3 @@ def finite_subst(mapping: Mapping[Name, Name]) -> Substitution:
 
 def remap_subst(remaps: Iterable[tuple[Word, Word]]) -> Substitution:
     return Substitution((), frozenset(remaps))
-
-
-def _split_remap(pair: tuple[Word, Word]) -> list[tuple[Word, Word]]:
-    u, v = pair
-    return [((1,) + u, (1,) + v), ((2,) + u, (2,) + v)]
-
-
-def compose(sigma: Substitution, tau: Substitution) -> Substitution:
-    """compose(sigma, tau) applies tau first: x |-> sigma(tau(x))."""
-    fm: dict[Name, Name] = {}
-    for x, y in tau.finite_map:
-        fm[x] = sigma.apply(y)
-    tau_dom_words = frozenset(u for u, _ in tau.word_remaps)
-    # names that tau remaps by word into sigma's finite domain need
-    # explicit entries, since the chained remap would miss the override
-    for z, _ in sigma.finite_map:
-        for u, v in tau.word_remaps:
-            n = untag(z, v)
-            if n is not None:
-                x = tag(n, u)
-                fm.setdefault(x, sigma.apply(z))
-        if z not in tau._table and not any(
-                untag(z, u) is not None for u in tau_dom_words):
-            fm.setdefault(z, sigma.apply(z))
-    remaps: set[tuple[Word, Word]] = set()
-    # chain tau's remaps through sigma's remaps, splitting when a remap
-    # of sigma reaches deeper than the image word
-    work = list(tau.word_remaps)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 4096:
-            raise SubstitutionError("remap composition does not stabilize")
-        u, v = work.pop()
-        deeper = [su for su, _ in sigma.word_remaps
-                  if is_suffix(v, su) and len(su) > len(v)]
-        if deeper:
-            work.extend(_split_remap((u, v)))
-            continue
-        image = v
-        for su, sv in sigma.word_remaps:
-            if is_suffix(su, v):
-                image = v[:len(v) - len(su)] + sv
-                break
-        remaps.add((u, image))
-    # sigma's remaps keep acting where tau is the identity; carve their
-    # domains away from tau's remap domains
-    work = list(sigma.word_remaps)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > 4096:
-            raise SubstitutionError("remap composition does not stabilize")
-        su, sv = work.pop()
-        if any(is_suffix(tu, su) for tu in tau_dom_words):
-            continue  # fully inside tau's domain: already chained
-        if any(is_suffix(su, tu) for tu in tau_dom_words):
-            work.extend(_split_remap((su, sv)))
-            continue
-        remaps.add((su, sv))
-    # finite-map keys of tau shadow any remap; identity entries pin names
-    # sigma's remaps would otherwise move
-    for x in dict(tau.finite_map):
-        fm.setdefault(x, sigma.apply(tau.apply(x)))
-    return Substitution(tuple(fm.items()), frozenset(remaps))

@@ -315,12 +315,6 @@ def invariant(node) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def struct_eq(p: Process, q: Process) -> bool:
-    p_node, q_node = multiset_form(p)[0], multiset_form(q)[0]
-    return invariant(p_node) == invariant(q_node) and \
-        node_key(p_node) == node_key(q_node)
-
-
 # ---------------------------------------------------------------------------
 # the sibling-order search
 #
@@ -485,31 +479,26 @@ class _Search:
 # positions, but never share a name.
 
 
-def congruence_key(p: Process) -> tuple:
-    """An exact invariant: `congruence_key(p) == congruence_key(q)`
-    exactly when `canonical(p) == canonical(q)`.
-
-    It works on the `_simplify` multiset form.  Siblings that share no
-    restricted name, and hold no name that an enclosing search has yet
-    to number, are placed by their codes alone.  The restricted names of
-    a connected group are numbered by one round of colour refinement: a
-    name's colour is the multiset of the skeleton paths from the
-    siblings it occurs in down to each occurrence, and a name whose
-    colour is unique is labelled by the colour's rank.  A group whose
-    names are all labelled so is placed by its codes too; the others are
-    searched (see above), keeping the orders whose codes are least so
-    far."""
-    return node_key(multiset_form(p)[0])
-
-
 # node -> node_key(node), for the last _KEY_CAP nodes keyed
 _KEY_CAP = 1024
 _KEYS: dict = {}
 
 
 def node_key(node) -> tuple:
-    """`congruence_key` of a `multiset_form` node: binders negative and
-    pairwise distinct, free names natural.
+    """The congruence key of a `multiset_form` node (binders negative and
+    pairwise distinct, free names natural): an exact invariant, equal
+    for the nodes of p and q exactly when `canonical(p) ==
+    canonical(q)`.
+
+    Siblings that share no restricted name, and hold no name that an
+    enclosing search has yet to number, are placed by their codes alone.
+    The restricted names of a connected group are numbered by one round
+    of colour refinement: a name's colour is the multiset of the
+    skeleton paths from the siblings it occurs in down to each
+    occurrence, and a name whose colour is unique is labelled by the
+    colour's rank.  A group whose names are all labelled so is placed by
+    its codes too; the others are searched (see above), keeping the
+    orders whose codes are least so far.
 
     The key depends on the node value alone, so it is kept in `_KEYS`,
     keyed by the node, for as long as the node is among the last
@@ -526,7 +515,7 @@ _NO_HOLES = ((),)
 
 
 class _KeySearch(_Search):
-    """The state of one `congruence_key` call.  `dom` maps each tied
+    """The state of one `node_key` search.  `dom` maps each tied
     name of a group under search to (its colour class, the class's first
     label).
 

@@ -17,6 +17,9 @@ code, found by trying every order of equal skeletons position by
 position (bound names negative, free names natural; a free name x is
 labelled ~x).  It induces the same equivalence as `node_key`, with other
 values.
+
+`congruence_key` and `struct_eq` are `node_key` read on `Process`
+terms, which only the tests need: the library keys multiset-form nodes.
 """
 
 import itertools
@@ -27,7 +30,21 @@ from typing import Iterator, Optional
 from fusioncalc.names import Name
 from fusioncalc.terms import (_MAX_CANDIDATES, _NIL_NODE, Process,
                               SearchBudgetError, _fresh_names, _simplify,
-                              _to_process, multiset_form)
+                              _to_process, invariant, multiset_form,
+                              node_key)
+
+
+def congruence_key(p: Process) -> tuple:
+    """`node_key` of p's multiset form: equal for p and q exactly when
+    `canonical(p) == canonical(q)`."""
+    return node_key(multiset_form(p)[0])
+
+
+def struct_eq(p: Process, q: Process) -> bool:
+    """Structural congruence: action invariants first, then the keys."""
+    p_node, q_node = multiset_form(p)[0], multiset_form(q)[0]
+    return invariant(p_node) == invariant(q_node) and \
+        node_key(p_node) == node_key(q_node)
 
 
 def reference_key(p: Process) -> tuple:

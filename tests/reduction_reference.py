@@ -16,10 +16,10 @@ term's form up to the fusion separately from its dedup key:
 
 import itertools
 
+from canonical_reference import congruence_key
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, canonical_subst, equal
-from fusioncalc.process import (Act, Nu, Par, all_names, canonical,
-                                congruence_key, substitute)
+from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
 from fusioncalc.pwf import Pwf, pwf_str
 from fusioncalc.subst import finite_subst
 from fusioncalc.terms import _simplify, _to_process

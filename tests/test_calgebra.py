@@ -2,7 +2,7 @@ import itertools
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import calgebra_reference as reference
 from fusioncalc.calgebra import (FinModel, ModelError, _check_parcomp,
@@ -433,6 +433,21 @@ def test_checkers_match_the_element_level_reference(m):
         if check is check_derived_props and want[0] == "ModelError":
             want = [("all-joins-exist", False, want[1])]
         assert outcome(check, replace(m)) == want, check.__name__
+
+
+@given(drawn_models())
+@example(load_model("boolean2"))
+@example(load_model("boolean4"))
+@settings(max_examples=150, deadline=None)
+def test_hy_reduction_inequalities_follow_from_rhd_adjunction(m):
+    """Wherever check_cpa passes and M is defined on the whole window
+    (injective or not), no reduction inequality fails, so check_ccpa
+    reports the row as a pass without evaluating it."""
+    if not (m.window and passed(check_cpa(m)) and all(
+            args in m.m_table
+            for args in itertools.product(m.window, repeat=2))):
+        return
+    assert list(reference.hy_reduction_failures(m)) == []
 
 
 def test_cyclic_join_order_is_not_partial():

@@ -15,10 +15,11 @@ from fusioncalc.fusion import (
 )
 from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
                               tag, untag)
-from fusioncalc.subst import compose, finite_subst, remap_subst
+from fusioncalc.subst import finite_subst, remap_subst
 
 from fusion_reference import (Unrepresentable, sampled_equal, sampled_meet,
                               sampled_validate, sufficient_bound)
+from subst_reference import compose
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is used by that module,
-and every function, method and module constant of the package is
-referenced from the package, its tests or the benchmark."""
+every function, method and module constant of the package is
+referenced from the package, its tests or the benchmark, and none but
+the documented API is referenced from the tests alone."""
 
 import ast
 from pathlib import Path
@@ -120,6 +121,59 @@ def test_every_definition_is_referenced():
     assert len(SOURCES) > len(MODULES)
     used = set().union(*(references(ast.parse(p.read_text()))
                          for p in SOURCES))
+    assert {path.name: unreferenced(path.read_text(), used)
+            for path in MODULES} == {path.name: [] for path in MODULES}
+
+
+def uses(tree: ast.Module) -> set[str]:
+    """Names read and attributes, as code reads them: an import, an
+    `__all__` entry or a name in a string (the benchmark wraps entry
+    points by name, and skips those that are gone) is no use."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+# The paper's operators and the package's documented API, which a
+# caller of the library reads although the package itself may not.
+DOCUMENTED_API = {
+    # fusions: the identity and ψ combinators, the relation, validity
+    # and the join of a family
+    "identity_I", "psi", "related", "validate", "join_all",
+    # processes with fusions: the guarded prefix, restriction by a
+    # finite set, free names
+    "prefix", "nu_finite", "fn_contains",
+    # the printed form of a congruence class, read by criterion 06
+    "canonical",
+    # the universe's orthogonal of a PWF list and the behaviour
+    # operations 1 and ⅋
+    "orthogonal", "op_one", "op_parr",
+    # composition of separator homomorphisms in a finite algebra
+    "hom_compose",
+}
+
+
+def test_scanner_flags_a_definition_only_tests_use():
+    module = ("def api(): pass\n"
+              "def helper(): pass\n"
+              "def inner(): pass\n"
+              "def outer(): return inner()\n")
+    caller = ("from m import helper, api\n"
+              "__all__ = ['helper']\n"
+              "NAMES = ('helper',)\n")
+    used = uses(ast.parse(module)) | uses(ast.parse(caller))
+    assert unreferenced(module, used | {"api"}) == ["helper", "outer"]
+
+
+def test_no_definition_is_used_by_the_tests_alone():
+    """Each definition of the package, outside the documented API, is
+    used by the package or the benchmark; helpers that only tests use
+    belong in the tests' reference modules."""
+    used = DOCUMENTED_API | set().union(*(
+        uses(ast.parse(p.read_text())) for p in SOURCES
+        if p.is_relative_to(ROOT / "src") or
+        p.is_relative_to(ROOT / "perfbench")))
     assert {path.name: unreferenced(path.read_text(), used)
             for path in MODULES} == {path.name: [] for path in MODULES}
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import mll_reference as reference
 from calgebra_reference import parr
+from canonical_reference import struct_eq
 from fusioncalc.calgebra import FinModel, ModelError, load_model, parse_model
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, FusionError, identity_I
@@ -20,7 +21,7 @@ from fusioncalc.mll import (MAX_ASSIGNMENTS, Ax, Const, Cut, Exists,
                             free_vars, interpret, interpret_sequent,
                             load_corpus, parse_formula, parse_proof,
                             sequent_str, subst_formula)
-from fusioncalc.process import NIL, SearchBudgetError, struct_eq
+from fusioncalc.process import NIL, SearchBudgetError
 from fusioncalc.pwf import Pwf, as_pwf, equal_pwf
 
 

@@ -15,9 +15,9 @@ from fusioncalc.pwf import (
     fn_finite_part, hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
     par, parse_pwf, prefix, pwf_str, realizer_catalog, relabel, relabel_word,
     sigma_node, star, unrelabel, _closure_step)
-from fusioncalc.subst import IDENTITY, compose, finite_subst, remap_subst
+from fusioncalc.subst import IDENTITY, finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
-from subst_reference import reference_substitute, scoped_processes
+from subst_reference import compose, reference_substitute, scoped_processes
 
 
 def pwfs(max_actions=2, names=4):
@@ -140,17 +140,14 @@ def test_hereditary_closure_map_equals_the_compose_chain(proc, fus, X):
         assert sigma.apply(x) == chain.apply(x)
 
 
-def test_hereditary_closure_makes_no_compose_call(monkeypatch):
-    calls = []
-    for module in list(sys.modules.values()):
-        if getattr(module, "__name__", "").startswith("fusioncalc") and \
-                getattr(module, "compose", None) is compose:
-            monkeypatch.setattr(module, "compose", lambda *args: calls.append(
-                args) or compose(*args))
+def test_hereditary_closure_makes_no_compose_call():
+    """σ is one finite map: the package has no `compose` to call."""
     S, sigma = hereditary_closure(
         parse_nameset("all"), parse_pwf("<0!().2?() ; {0~1~2, 3~4, 5~6}>"))
     assert S == {0, 1, 2} and sigma.apply(0) == sigma.apply(1) == 2
-    assert calls == []
+    assert not any(hasattr(module, "compose") for name, module
+                   in list(sys.modules.items())
+                   if name.startswith("fusioncalc"))
 
 
 @given(scoped_processes(), _fusions())
@@ -161,7 +158,6 @@ def test_sigma_node_is_the_form_of_the_substituted_process(proc, fus):
     expected = multiset_form(
         reference_substitute(proc, canonical_subst(fus)))[0]
     assert sigma_node(p) == expected
-    assert sigma_node(p, DEFAULT, multiset_form(proc)) == expected
 
 
 def test_nu_set_goldens():

@@ -32,6 +32,16 @@ def test_default_universe_is_deterministic_and_deduplicated():
     assert [str(p) for p in a] == [str(p) for p in b]
     u = Universe(a, pole_always)
     assert u.clip(a) == u.full_mask  # members are pairwise distinct
+    # under {0~1}, <1!() ; {0~1}> equals <0!() ; {0~1}>: one is kept
+    fused = parse_fusion("{0~1}")
+    for members in (default_universe(1, 2, [DELTA, fused], 30),
+                    default_universe(2, 3, [fused], 60)):
+        assert members[-1].fus == fused
+        for i, p in enumerate(members):
+            for q in members[:i]:
+                assert not equal_pwf(p, q), (p, q)
+        u = Universe(members, pole_always)
+        assert u.clip(members) == u.full_mask
 
 
 def test_parse_pole():
@@ -80,7 +90,7 @@ def _count_keys(monkeypatch) -> list:
         calls.append(node)
         return original(node)
 
-    for module in (terms, reduction, realizability):
+    for module in (terms, pwf, reduction):
         monkeypatch.setattr(module, "node_key", counting)
     return calls
 
@@ -267,10 +277,11 @@ def test_fast_path_covers_fused_and_family_images():
 
 
 def test_clip_makes_one_multiset_form_per_image(monkeypatch):
-    """clip keys σ's image of the node that it builds for the invariant;
-    the members' nodes are built with the universe."""
+    """Once the members are keyed, clip builds one node per image, whose
+    σ-image `pwf_key` keys."""
     from fusioncalc import reduction
     u = Universe(mixed_members(), pole_always)
+    u.clip([])  # the members' keys
     calls = []
     original = terms.multiset_form
     for module in (terms, pwf, realizability, reduction):
@@ -285,15 +296,14 @@ def test_clip_makes_one_multiset_form_per_image(monkeypatch):
 
 
 def test_clip_builds_sigma_once_per_image_and_none_under_delta(monkeypatch):
-    """σ is built once for a non-Δ image, for its signature and its key,
-    and not at all under Δ, where it is the identity."""
+    """σ is built once for a non-Δ image, for its key, and not at all
+    under Δ, where it is the identity."""
     u = Universe(mixed_members(), pole_always)
     u.clip([])  # the members' keys
     calls = []
-    for module in (pwf, realizability):
-        monkeypatch.setattr(module, "canonical_subst",
-                            lambda e, config: calls.append(e) or
-                            canonical_subst(e, config))
+    monkeypatch.setattr(pwf, "canonical_subst",
+                        lambda e, config: calls.append(e) or
+                        canonical_subst(e, config))
     for text, member, built in (("<1!() ; {0~1}>", True, 1),
                                 ("<0?() ; {}>", True, 0),
                                 ("<1!().1!() ; {0~1}>", False, 1),

@@ -7,12 +7,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
 from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
                                parse_fusion)
-from fusioncalc.process import (NIL, Act, Nu, Par, congruence_key, form_str,
-                                free_names, process_str)
+from fusioncalc.process import (NIL, Act, Nu, Par, form_str, free_names,
+                                process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
                             pwf_str, sigma_node)
 from fusioncalc.reduction import pole_regular_on, reach, reduces_within, step

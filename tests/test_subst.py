@@ -3,10 +3,9 @@ from hypothesis import given, strategies as st
 
 from fusioncalc.names import NameSet, finite, residue, tag, untag, word
 from fusioncalc.subst import (
-    IDENTITY, Substitution, SubstitutionError, compose,
-    finite_subst, remap_subst,
+    IDENTITY, Substitution, SubstitutionError, finite_subst, remap_subst,
 )
-from subst_reference import equivalent_via, parse_subst, restrict_away
+from subst_reference import compose, equivalent_via, parse_subst, restrict_away
 
 words = st.lists(st.sampled_from([1, 2]), min_size=0, max_size=3).map(tuple)
 
