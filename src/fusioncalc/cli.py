@@ -16,7 +16,7 @@ from .config import DEFAULT, Config, parse_config_text
 from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
                      fusion_str, join, meet, parse_fusion, phi, remove,
                      restrict)
-from .names import parse_nameset
+from .names import parse_name, parse_nameset
 from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
 from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
@@ -102,6 +102,8 @@ def _cmd_equal(args) -> int:
 
 def _cmd_reduce(args) -> int:
     config = _config_from_args(args)
+    if args.steps < 0:
+        raise ValueError(f"--steps must be at least 0, not {args.steps}")
     p = parse_pwf(args.pwf)
     fus = fusion_str(p.fus)
     # each listed class is printed from its node, once; p's own class is
@@ -131,7 +133,8 @@ def _cmd_fusion(args) -> int:
         print(fusion_str(remove(parse_fusion(args.args[0]),
                                 parse_nameset(args.args[1]), config)))
     elif args.op == "class":
-        cls = class_of(parse_fusion(args.args[0]), int(args.args[1]), config)
+        cls = class_of(parse_fusion(args.args[0]), parse_name(args.args[1]),
+                       config)
         print("{" + ",".join(str(x) for x in sorted(cls)) + "}")
     else:  # equal
         if equal(parse_fusion(args.args[0]), parse_fusion(args.args[1]),

@@ -11,10 +11,10 @@ class budget and kept in two module stores, each holding at most
 `_STORE_CAP` (128) analyses and dropping the oldest first:
 - `_ANALYSES`, keyed by (fusion, `class_budget`): the adjacency map, the
   family steps, every class walked so far under each of its members,
-  σ (`canonical_subst`) and `restrict`'s result per name set;
+  σ, the `presentation` and `restrict`'s result per name set;
 - `_FAMILY_ANALYSES`, keyed by (family set, `class_budget`): the suffix
-  rules, the region lists of its words, its `family_partition` and the
-  family half of `restrict` per name set (`_family_restriction`).
+  rules, its own classes, the region lists of its words, the partition
+  and the family half of `restrict` per set (`_family_restriction`).
 The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
 name sets, since a restriction binder makes a new set per name.  Equal
 values built by different calls share one analysis, and a fusion value
@@ -38,15 +38,14 @@ decided from this:
 - `validate`: the classes of the endpoints are walked and the family
   partition is built; every other class is a family class of the
   partition, so nothing else can exceed the budget.
-- `equal`: finite pairs are walked; a family generator (w1, w2) is
-  implied by the other side iff in every region r of w1, r + w2 lies in
-  the word class of r + w1.  Otherwise every tag(n, r + w1) whose class
-  holds no endpoint is a witness, and all but finitely many n are.
-- `meet`: its family part is the shared families.  In every region the
-  two word classes must meet in the shared one, or infinitely many pairs
-  lie outside it (`NotRepresentableError`); the finitely many classes
-  that still differ are the endpoint classes and the n = 0 names of the
-  regions, walked concretely.
+- `presentation`, which `equal` compares: the partition's word classes,
+  each two halves (1,) + V and (2,) + V (tag(2m + b, w) =
+  tag(m, (b,) + w)) merged into V, and the classes that the pairs make
+  larger, each holding an endpoint.  Equal relations agree past their
+  endpoints, so their word classes agree once split to a common depth,
+  and the merge of a split set is unique.
+- `meet`: in every region, the intersection of the two word classes;
+  the endpoint classes and the n = 0 names of the regions are walked.
 
 The family partition (base residues plus the closed sets of words
 reached from them) is also what makes restriction representable.
@@ -55,7 +54,7 @@ reached from them) is also what makes restriction representable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
@@ -178,9 +177,10 @@ def _remembered(store: dict, kind: type, value, budget: int):
 class _Analysis:
     """One fusion under one class budget: the adjacency map of its pairs,
     its family steps, each class walked so far under every member, and σ
-    once `canonical_subst` has computed it."""
+    and the presentation once computed."""
 
-    __slots__ = ("adj", "steps", "budget", "walked", "sigma", "restricted")
+    __slots__ = ("adj", "steps", "budget", "walked", "sigma", "restricted",
+                 "presentation")
 
     def __init__(self, e: Fusion, budget: int) -> None:
         self.adj: dict[Name, list[Name]] = {}
@@ -195,6 +195,7 @@ class _Analysis:
         self.walked: dict[Name, frozenset[Name]] = {}
         self.sigma: Substitution | None = None
         self.restricted: dict[NameSet, Fusion] = {}
+        self.presentation: tuple | None = None
 
     def class_of(self, x: Name) -> frozenset[Name]:
         cls = self.walked.get(x)
@@ -305,27 +306,25 @@ def join_all(fusions: Iterable[Fusion], config: Config = DEFAULT) -> Fusion:
 
 def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
     """Lattice meet: the intersection of the two relations, presented as
-    the shared families plus finite pairs (see the module docstring)."""
-    families = e.families & f.families
-    shared = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                         config.class_budget).system
+    the per-region intersections of the word classes plus finite pairs
+    (see the module docstring)."""
     e_cls, f_cls = _classes(e, config), _classes(f, config)
-    shared_cls = _classes(Fusion(families=families), config)
     probes = {x for p in e.endpoints() for x in e_cls(p)}
     probes |= {x for p in f.endpoints() for x in f_cls(p)}
+    families: set[tuple[Word, Word]] = set()
     for w in sorted({w for pair in e.families for w in pair}):
         for r, e_words in _regions(e.families, w, config):
             for s, f_words in _regions(f.families, r + w, config):
-                v = s + r + w
-                both = f_words.intersection(s + u for u in e_words)
-                if both != _word_class(shared, v, config.class_budget):
-                    raise NotRepresentableError(
-                        "meet of family parts has no finite generator set")
-                probes.add(tag(0, v))
+                both = sorted(f_words.intersection(s + u for u in e_words))
+                families.update(zip(both, both[1:]))
+                probes.add(tag(0, s + r + w))
+    families = frozenset(families)
+    family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
+                             config.class_budget).classes.class_of
     pairs: set[tuple[Name, Name]] = set()
     for x in probes:
         cls = sorted(e_cls(x) & f_cls(x))
-        if len(cls) > len(shared_cls(x)):
+        if len(cls) > len(family_cls(x)):
             pairs.update(zip(cls, cls[1:]))
     return Fusion(frozenset(pairs), families)
 
@@ -377,14 +376,17 @@ def _word_class(system: tuple, u: Word, budget: int
 
 class _FamilyAnalysis:
     """One family set under one class budget: its suffix rules
-    (`_suffix_rules`), the region list of each word whose `_regions` walk
-    reached its end, and its `family_partition` once built."""
+    (`_suffix_rules`), the analysis that walks its classes, the region
+    list of each word that `_regions` walked, and its `family_partition`
+    once built."""
 
-    __slots__ = ("system", "budget", "regions", "partition", "restricted")
+    __slots__ = ("system", "classes", "budget", "regions", "partition",
+                 "restricted")
 
     def __init__(self, families: frozenset[tuple[Word, Word]],
                  budget: int) -> None:
         self.system = _suffix_rules(families)
+        self.classes = _Analysis(Fusion(families=families), budget)
         self.budget = budget
         self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
         self.partition: tuple | None = None
@@ -392,34 +394,31 @@ class _FamilyAnalysis:
 
 
 def _regions(families: frozenset[tuple[Word, Word]], w: Word,
-             config: Config) -> Iterator[tuple[Word, frozenset[Word]]]:
+             config: Config) -> list[tuple[Word, frozenset[Word]]]:
     """Split the names tag(n, w) into regions tag(m, r + w) whose family
-    class is uniform in m: yields each r with the word class of r + w.
+    class is uniform in m: each r with the word class of r + w.
 
-    Lazy, since `_implies` stops at the first region that fails; the list
-    is remembered in the family set's analysis only once the walk reaches
-    its end, so a walk stopped early or failed remembers nothing."""
+    Remembered in the family set's analysis; a walk that fails
+    remembers nothing."""
     analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
                            config.class_budget)
     found = analysis.regions.get(w)
-    if found is not None:
-        yield from found
-        return
-    system = analysis.system
-    found = []
-    max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
-    stack: list[Word] = [()]
-    while stack:
-        r = stack.pop()
-        if len(r + w) > max_base:
-            raise InvalidFusionError("family bases do not stabilize")
-        cls = _word_class(system, r + w, analysis.budget)
-        if cls is None:
-            stack += [(2,) + r, (1,) + r]
-        else:
-            found.append((r, cls))
-            yield r, cls
-    analysis.regions[w] = found
+    if found is None:
+        system = analysis.system
+        found = []
+        max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
+        stack: list[Word] = [()]
+        while stack:
+            r = stack.pop()
+            if len(r + w) > max_base:
+                raise InvalidFusionError("family bases do not stabilize")
+            cls = _word_class(system, r + w, analysis.budget)
+            if cls is None:
+                stack += [(2,) + r, (1,) + r]
+            else:
+                found.append((r, cls))
+        analysis.regions[w] = found
+    return found
 
 
 def family_partition(families: frozenset[tuple[Word, Word]],
@@ -659,22 +658,41 @@ def _representatives(e: Fusion, config: Config) -> Substitution:
     return Substitution(tuple(fm.items()), frozenset(remaps))
 
 
+def presentation(e: Fusion, config: Config = DEFAULT) -> tuple:
+    """The normal form of e's relation (see the module docstring): its
+    merged family word classes and the classes its pairs make larger
+    than their family-only class.  Remembered in e's analysis."""
+    if e.is_delta():
+        return frozenset(), frozenset()
+    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
+    if analysis.presentation is None:
+        classes = _classes(e, config)
+        family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, e.families,
+                                 config.class_budget).classes.class_of
+        added = {classes(x) for x in sorted(e.endpoints())}
+        analysis.presentation = _merged(e.families, config), frozenset(
+            c for c in added if len(c) > len(family_cls(next(iter(c)))))
+    return analysis.presentation
+
+
+def _merged(families: frozenset[tuple[Word, Word]], config: Config
+            ) -> frozenset[frozenset[Word]]:
+    """The partition's word classes, each (1,) + V and (2,) + V as V."""
+    merged = {frozenset(W) for _, W in family_partition(families, config)}
+    work = list(merged)
+    while work:
+        W = work.pop()
+        if W in merged and {w[:1] for w in W} in ({(1,)}, {(2,)}):
+            twin = frozenset((3 - w[0],) + w[1:] for w in W)
+            if twin in merged:
+                merged -= {W, twin}
+                work.append(frozenset(w[1:] for w in W))
+                merged.add(work[-1])
+    return frozenset(merged)
+
+
 def equal(e: Fusion, f: Fusion, config: Config = DEFAULT) -> bool:
-    return _implies(f, e, config) and _implies(e, f, config)
-
-
-def _implies(other: Fusion, one: Fusion, config: Config) -> bool:
-    """Whether every generator of `one` is related in `other`."""
-    if one.pairs:
-        classes = _classes(other, config)
-        for a, b in one.pairs:
-            if b not in classes(a):
-                return False
-    for w1, w2 in one.families - other.families:
-        for r, cls in _regions(other.families, w1, config):
-            if r + w2 not in cls:
-                return False
-    return True
+    return e == f or presentation(e, config) == presentation(f, config)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +718,7 @@ def parse_fusion(text: str) -> Fusion:
                 raise ValueError(f"family literal needs '<->': {item!r}")
             families.add(_fam_pair(word(lhs), word(rhs)))
         else:
-            chain = [parse_name(part) for part in item.split("~")]
+            chain = [parse_name(part.strip()) for part in item.split("~")]
             if len(chain) < 2:
                 raise ValueError(f"chain needs at least two names: {item!r}")
             pairs.update(_name_pair(a, b) for a, b in zip(chain, chain[1:]))

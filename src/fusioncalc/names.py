@@ -40,10 +40,10 @@ def word(text: str) -> Word:
     text = text.strip()
     if not text:
         return EPSILON
-    letters = tuple(int(part) for part in text.split("."))
-    if any(letter not in (1, 2) for letter in letters):
+    letters = text.split(".")
+    if any(letter not in ("1", "2") for letter in letters):
         raise ValueError(f"word letters must be 1 or 2: {text!r}")
-    return letters
+    return tuple(map(int, letters))
 
 
 def word_str(w: Word) -> str:
@@ -76,12 +76,12 @@ def is_suffix(u: Word, w: Word) -> bool:
 
 
 def parse_name(text: str) -> Name:
-    """A decimal natural or dotted sugar n.w, e.g. "1.1.2" = tag(1, "1.2")."""
-    text = text.strip()
-    if "." not in text:
-        return int(text)
-    head, rest = text.split(".", 1)
-    return tag(int(head), word(rest))
+    """A decimal natural or dotted sugar n.w, e.g. "1.1.2" = tag(1, "1.2").
+    Only ASCII digits: no sign, space or other numeral."""
+    head, dot, rest = text.partition(".")
+    if not (head.isascii() and head.isdigit()):
+        raise ValueError(f"a name is a decimal natural: {text!r}")
+    return tag(int(head), word(rest)) if dot else int(head)
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,8 @@ def parse_nameset(text: str) -> NameSet:
             part = residue(word(chunk[1:]))
         elif chunk.startswith("{") and chunk.endswith("}"):
             inner = chunk[1:-1].strip()
-            names = [parse_name(p) for p in inner.split(",")] if inner else []
-            part = finite(names)
+            part = finite(parse_name(p.strip()) for p in inner.split(",")
+                          if inner)
         else:
             raise ValueError(f"bad name-set component: {chunk!r}")
         result = result.union(part)

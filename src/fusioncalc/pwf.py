@@ -1,8 +1,8 @@
 """Processes with fusions: the pairs, their equivalence, the three
 restriction binders, relabelings, and the adjoint application operators.
 
-Which PWFs count as the same universe member is decided here alone, by
-`pwf_key`; `equal_pwf` decides equality in general.
+PWF equality is decided here alone, by `pwf_key`, which equates exactly
+the equal PWFs; `equal_pwf` compares two keys.
 
 The set binder follows the hereditary-closure construction: starting
 from the free names inside the bound set, repeatedly pick replacement
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
-                     equal, fusion_str, join, map_fusion, parse_fusion,
-                     remove, second_rep, sigma_tau)
+                     fusion_str, join, map_fusion, parse_fusion,
+                     presentation, remove, second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names,
                       parse_process, process_str, substitute, tidy)
@@ -76,22 +76,10 @@ def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
 
 
 def pwf_key(p: Pwf, config: Config = DEFAULT) -> tuple:
-    """The one equality key of p = (P, e): e's family generators, the
-    classes of e that its finite pairs make larger than their classes
-    under those generators alone, and the key of p's σ-node.
-
-    Every class of e outside that set is a family-only class, so with
-    equal family sets the set depends only on the relation, as the
-    σ-node does.  Equal keys therefore imply `equal_pwf`, and equal PWFs
-    whose fusions have the same family generators have equal keys.
-    Equal fusions with different family sets (a redundant generator,
-    say) get different keys; `equal_pwf` still equates them."""
-    e = p.fus
-    classes = _classes(e, config)
-    family_classes = _classes(Fusion(families=e.families), config)
-    added = frozenset(classes(x) for x in e.endpoints()
-                      if len(classes(x)) > len(family_classes(x)))
-    return e.families, added, node_key(sigma_node(p, config))
+    """The one equality key of p = (P, e): the `presentation` of e and
+    the key of p's σ-node.  Both depend only on e's relation, so the key
+    equates exactly the equal PWFs."""
+    return presentation(p.fus, config), node_key(sigma_node(p, config))
 
 
 def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
@@ -100,7 +88,9 @@ def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
 
 
 def equal_pwf(p: Pwf, q: Pwf, config: Config = DEFAULT) -> bool:
-    if not equal(p.fus, q.fus, config):
+    """Whether p and q have equal `pwf_key`s; σ-nodes with different
+    action invariants are told apart before any node is keyed."""
+    if presentation(p.fus, config) != presentation(q.fus, config):
         return False
     a, b = sigma_node(p, config), sigma_node(q, config)
     return invariant(a) == invariant(b) and node_key(a) == node_key(b)

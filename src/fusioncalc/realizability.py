@@ -12,8 +12,7 @@ cells.
 
 `clip` maps a PWF to the member with the same `pwf.pwf_key`, one dict
 lookup per image; `default_universe` drops a PWF whose key an earlier
-one has.  The key equates exactly the equal PWFs whose fusions have the
-same family generators.
+one has.  The key equates exactly the equal PWFs.
 
 Every member carries one invariant, `terms.invariant`: the multiset of
 its action prefixes by (polarity, arity).  Congruence, substitution,
@@ -39,7 +38,7 @@ from typing import Callable, Iterable, Optional
 
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion, equal
+from .fusion import DELTA, Fusion
 from .names import remember
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, bullet, nu_all, par, pwf_key,
@@ -74,10 +73,9 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
             return False
         key = (node, q.fus)
         if key not in cache:
-            # a fusion equal to Δ has the identity as σ, so node is the
-            # σ-normal start of the search
-            cache[key] = equal(q.fus, DELTA, config) and \
-                _reaches_nil(node, k)
+            # every other fusion value relates two names, and Δ has the
+            # identity as σ, so node is the σ-normal start of the search
+            cache[key] = q.fus.is_delta() and _reaches_nil(node, k)
         return cache[key]
 
     pole.__name__ = f"pole_done_{k}"

@@ -64,6 +64,29 @@ def test_reduce_lists_reducts_in_order(capsys):
     assert code == 0 and out == ""
 
 
+def test_reduce_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "reduce", "<0!().1|0?().1 ; {}>",
+                         "--steps", "-1")
+    assert code == 2 and out == "" and "--steps" in err
+
+
+def test_negative_names_are_rejected(capsys):
+    """A negative free name would read as a binder of the multiset form."""
+    for argv in (("equal", "<2!() ; {-1~2}>", "<2!() ; {-1~2}>"),
+                 ("normalize", "<2!() ; {-1~2}>"),
+                 ("fusion", "class", "{0~1}", "-1"),
+                 ("fusion", "class", "{0~1}", "+1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and "decimal natural" in err
+
+
+def test_fusion_equal_on_invalid_fusions_is_undecided(capsys):
+    for left, right in (("{[ <-> 2]}", "{0~1, [ <-> 2]}"),
+                        ("{[ <-> 1.1.1]}", "{[2 <-> 1.2.2]}")):
+        code, out, _ = run(capsys, "fusion", "equal", left, right)
+        assert code == 3 and out.startswith("undecided: ")
+
+
 def test_nu_worked_example(capsys):
     code, out, _ = run(capsys, "nu", "@1", "<1!() ; {1~3, 5~4}>")
     assert code == 0 and out.strip() == "<new 3. 3!() ; {}>"
@@ -73,6 +96,8 @@ def test_fusion_subcommands(capsys):
     code, out, _ = run(capsys, "fusion", "class",
                        "{[1 <-> 1.2],[1.2 <-> 2.2]}", "1")
     assert code == 0 and out.strip() == "{0,1,2}"
+    code, out, _ = run(capsys, "fusion", "class", "{0~1.1}", "0.2")
+    assert code == 0 and out.strip() == "{0,3}"
     code, out, _ = run(capsys, "fusion", "join", "{0~1}", "{1~2}")
     assert code == 0 and out.strip() == "{0~1~2}"
     code, out, _ = run(capsys, "fusion", "remove", "{0~1, 2~3}", "{0}")

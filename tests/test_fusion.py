@@ -10,15 +10,16 @@ from fusioncalc.fusion import (
     DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
     _affine,
     _classes, canonical_subst, class_of, equal, family_partition,
-    fusion_str, identity_I, join, join_all, map_fusion, meet, parse_fusion, phi, psi, related, remove,
-    restrict, second_rep, sigma_tau, validate,
+    fusion_str, identity_I, join, join_all, map_fusion, meet, parse_fusion, phi,
+    presentation, psi, related, remove, restrict, second_rep, sigma_tau,
+    validate,
 )
 from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
                               tag, untag)
 from fusioncalc.subst import finite_subst, remap_subst
 
-from fusion_reference import (Unrepresentable, sampled_equal, sampled_meet,
-                              sampled_validate, sufficient_bound)
+from fusion_reference import (sampled_equal, sampled_meet, sampled_validate,
+                              sufficient_bound)
 from subst_reference import compose
 
 
@@ -292,7 +293,9 @@ def test_classes_match_reference(e, config, xs):
 def test_operations_match_reference(e, f, config):
     """The decided operations against the sampled ones at a bound where
     those decide (`fusion_reference`); equality and meet are compared on
-    fusions whose classes are within the budget, where they are defined."""
+    fusions whose classes are within the budget, where they are defined.
+    The meet is compared by relation, below a bound that also covers its
+    own words."""
     # the probes only fail where the endpoint walks or the partition do,
     # so the sampled verdict is the same at every bound
     assert validate(e, config) == sampled_validate(e, 256, config)
@@ -300,16 +303,63 @@ def test_operations_match_reference(e, f, config):
         reference_outcome(canonical_subst, e, config)
     if not (validate(e, config) and validate(f, config)):
         return
-    bound = sufficient_bound(e, f, config)
+    bound = sufficient_bound(e, f, config=config)
     assert equal(e, f, config) == sampled_equal(e, f, bound, config)
     assert equal(e, e, config)
-    expected = outcome(sampled_meet, e, f, bound, config)
-    if expected[0] == "raised":
-        assert expected[1] is Unrepresentable
-        with pytest.raises(NotRepresentableError):
-            meet(e, f, config)
-    else:
-        assert meet(e, f, config) == expected[1]
+    m = meet(e, f, config)
+    assert validate(m, config)
+    bound = sufficient_bound(e, f, m, config=config)
+    assert [class_of(m, x, config) for x in range(bound)] == \
+        sampled_meet(e, f, bound, config)
+
+
+@st.composite
+def re_presentations(draw, e):
+    """e's relation under other generators: one to three rewrites, each
+    of which splits a family generator by its leading letter, adds the
+    generator implied by a chain of two, or adds a family instance as a
+    pair."""
+    pairs, families = set(e.pairs), set(e.families)
+    for _ in range(draw(st.integers(1, 3))):
+        if not families:
+            break
+        w1, w2 = gen = draw(st.sampled_from(sorted(families)))
+        move = draw(st.integers(0, 2))
+        if move == 0:
+            families.discard(gen)
+            families |= {((b,) + w1, (b,) + w2) for b in (1, 2)}
+        elif move == 1:
+            ends = set(gen) ^ set(draw(st.sampled_from(sorted(families))))
+            if len(ends) == 2:
+                families.add(tuple(ends))
+        else:
+            n = draw(st.integers(0, 9))
+            pairs.add((tag(n, w1), tag(n, w2)))
+    return Fusion(frozenset(pairs), frozenset(families))
+
+
+@given(mixed_fusions(), mixed_fusions(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_presentation_is_a_normal_form(e, g, data):
+    """A re-presentation of e has e's presentation, and presentations
+    are equal exactly when the relations are, by the sampled test."""
+    if not validate(e):
+        return
+    f = data.draw(re_presentations(e))
+    assert presentation(f) == presentation(e)
+    assert sampled_equal(e, f, sufficient_bound(e, f))
+    if validate(g):
+        assert (presentation(e) == presentation(g)) == \
+            sampled_equal(e, g, sufficient_bound(e, g))
+
+
+@given(mixed_fusions(), mixed_fusions(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_meet_of_re_presentations_is_the_meet(e, f, data):
+    if not (validate(e) and validate(f)):
+        return
+    g, h = data.draw(re_presentations(e)), data.draw(re_presentations(f))
+    assert equal(meet(g, h), meet(e, f))
 
 
 @given(mixed_fusions(), small_namesets(), configs)
@@ -331,9 +381,9 @@ def test_budget_error_names_the_queried_name():
 
 def test_equal_walks_no_class_for_a_coinciding_family_instance():
     """tag(0, ()) = tag(0, (2,)) = 0, so the instance n = 0 relates 0 to
-    itself.  f's class of 0 is infinite, but the generator of e is one of
-    f's own and is never instantiated, and f's pair 0~1 is looked up in
-    e, where the class of 0 is {0}."""
+    itself, but every other class of e is infinite.  Equal values are
+    equal without a walk; otherwise e's presentation is built, and it
+    exceeds the budget, as `validate` does."""
     e = Fusion(families=frozenset({((), (2,))}))
     f = Fusion(frozenset({(0, 1)}), e.families)
     walked = []
@@ -343,9 +393,12 @@ def test_equal_walks_no_class_for_a_coinciding_family_instance():
         return lambda x: walked.append((g, x)) or classes(x)
 
     with mock.patch.object(fusion, "_classes", recording_classes):
-        assert not equal(e, f)
-        assert not equal(f, e)
-    assert walked == [(e, 0), (e, 0)]
+        assert equal(e, Fusion(families=e.families))
+    assert walked == []
+    assert not validate(e) and not validate(f)
+    for left, right in ((e, f), (f, e)):
+        with pytest.raises(ClassBudgetError):
+            equal(left, right)
 
 
 def test_equal_decides_instances_past_any_sample():
@@ -370,15 +423,21 @@ def test_equal_compares_family_parts_by_region():
 
 def test_meet_relates_chains_that_are_no_single_instance():
     """Both sides relate tag(n, 1.1) and tag(n, 2.1) for every n, through
-    different middle words, and share no family: no finite presentation
-    over the shared families exists."""
+    different middle words, and share no family: the meet's family part
+    is the intersection of the word classes, which no shared family
+    presents."""
     e = parse_fusion("{[1.1 <-> 1.2], [1.2 <-> 2.1]}")
     f = parse_fusion("{[1.1 <-> 2.2], [2.2 <-> 2.1]}")
     assert related(e, 3, 1) and related(f, 3, 1)
-    with pytest.raises(NotRepresentableError):
-        meet(e, f)
-    with pytest.raises(NotRepresentableError):
-        meet(parse_fusion("{[1 <-> 2]}"), f)
+    for left, right, expected in (
+            (e, f, "{[1.1 <-> 2.1]}"),
+            (parse_fusion("{[1 <-> 2]}"), f, "{[2.1 <-> 2.2]}")):
+        m = meet(left, right)
+        assert equal(m, parse_fusion(expected))
+        for x in range(64):
+            for y in range(64):
+                assert related(m, x, y) == \
+                    (related(left, x, y) and related(right, x, y))
 
 
 def test_meet_keeps_finitely_many_exceptions():
@@ -498,21 +557,23 @@ def test_remembered_analyses_give_the_outcome_of_empty_stores(e, f, X, x,
 
 
 def test_equal_stops_at_the_first_region_that_fails():
-    """f's regions at the empty word: the first one already fails e's
-    generator, and a later one exceeds the budget, on every walk of the
-    whole list.  `equal` is False before and after such walks."""
+    """Neither side is a fusion: a region of each family part exceeds the
+    budget, on every walk.  `equal` raises as `validate` rejects, before
+    and after such walks, since a failed walk is not remembered."""
     e, f = parse_fusion("{[ <-> 1.1.1]}"), parse_fusion("{[2 <-> 1.2.2]}")
     with empty_stores():
-        assert not equal(e, f)
+        assert not validate(e) and not validate(f)
         for _ in range(2):
+            for left, right in ((e, f), (f, e)):
+                with pytest.raises(ClassBudgetError):
+                    equal(left, right)
             with pytest.raises(ClassBudgetError,
                                match="^family class of @1.2 "):
-                list(fusion._regions(f.families, (), DEFAULT))
+                fusion._regions(f.families, (), DEFAULT)
             with pytest.raises(ClassBudgetError):
                 family_partition(f.families)
             with pytest.raises(ClassBudgetError):
                 meet(e, f)
-        assert not equal(e, f)
 
 
 def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():

@@ -51,6 +51,15 @@ def test_parse_name_dotted_sugar():
     assert parse_name("0.2") == 0
 
 
+@pytest.mark.parametrize("text", ["-1", "+3", " 4", "4 ", "\u0663", "1.-1",
+                                  "1.\uff12", "", "x"])
+def test_parse_name_takes_only_ascii_naturals(text):
+    """Bound names are negative in the multiset form, so a sign must not
+    make a free name; int() would also take spaces and other numerals."""
+    with pytest.raises(ValueError):
+        parse_name(text)
+
+
 @given(small_namesets(), small_namesets(),
        st.integers(min_value=0, max_value=255))
 def test_union_membership(a, b, x):

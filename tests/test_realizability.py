@@ -34,14 +34,19 @@ def test_default_universe_is_deterministic_and_deduplicated():
     assert u.clip(a) == u.full_mask  # members are pairwise distinct
     # under {0~1}, <1!() ; {0~1}> equals <0!() ; {0~1}>: one is kept
     fused = parse_fusion("{0~1}")
-    for members in (default_universe(1, 2, [DELTA, fused], 30),
-                    default_universe(2, 3, [fused], 60)):
-        assert members[-1].fus == fused
+    # two family sets of one relation: the second fusion adds nothing
+    split = [parse_fusion("{[1 <-> 2]}"),
+             parse_fusion("{[1.1 <-> 1.2], [2.1 <-> 2.2]}")]
+    for members, last in ((default_universe(1, 2, [DELTA, fused], 30), fused),
+                          (default_universe(2, 3, [fused], 60), fused),
+                          (default_universe(1, 1, split, 100), split[0])):
+        assert members[-1].fus == last
         for i, p in enumerate(members):
             for q in members[:i]:
                 assert not equal_pwf(p, q), (p, q)
         u = Universe(members, pole_always)
         assert u.clip(members) == u.full_mask
+    assert len(default_universe(1, 1, split, 100)) == 6
 
 
 def test_parse_pole():
