@@ -11,10 +11,11 @@ class budget and kept in two module stores, each holding at most
 `_STORE_CAP` (128) analyses and dropping the oldest first:
 - `_ANALYSES`, keyed by (fusion, `class_budget`): the adjacency map, the
   family steps, every class walked so far under each of its members,
-  σ, the `presentation` and `restrict`'s result per name set;
+  the `presentation` and `restrict`'s result per name set;
 - `_FAMILY_ANALYSES`, keyed by (family set, `class_budget`): the suffix
-  rules, its own classes, the region lists of its words, the partition
-  and the family half of `restrict` per set (`_family_restriction`).
+  rules, its own classes (walked only once something reads them), the
+  region lists of its words, the partition and the family half of
+  `restrict` per set (`_family_restriction`).
 The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
 name sets, since a restriction binder makes a new set per name.  Equal
 values built by different calls share one analysis, and a fusion value
@@ -59,7 +60,7 @@ from typing import Callable, Iterable
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
                     parse_name, remember, tag, untag, word, word_str)
-from .subst import IDENTITY, Substitution, remap_subst
+from .subst import Substitution, remap_subst
 
 
 class FusionError(Exception):
@@ -176,10 +177,10 @@ def _remembered(store: dict, kind: type, value, budget: int):
 
 class _Analysis:
     """One fusion under one class budget: the adjacency map of its pairs,
-    its family steps, each class walked so far under every member, and σ
-    and the presentation once computed."""
+    its family steps, each class walked so far under every member, and
+    the presentation once computed."""
 
-    __slots__ = ("adj", "steps", "budget", "walked", "sigma", "restricted",
+    __slots__ = ("adj", "steps", "budget", "walked", "restricted",
                  "presentation")
 
     def __init__(self, e: Fusion, budget: int) -> None:
@@ -193,7 +194,6 @@ class _Analysis:
             self.steps.append(_affine(w2, w1))
         self.budget = budget
         self.walked: dict[Name, frozenset[Name]] = {}
-        self.sigma: Substitution | None = None
         self.restricted: dict[NameSet, Fusion] = {}
         self.presentation: tuple | None = None
 
@@ -320,7 +320,7 @@ def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
                 probes.add(tag(0, s + r + w))
     families = frozenset(families)
     family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                             config.class_budget).classes.class_of
+                             config.class_budget).class_of
     pairs: set[tuple[Name, Name]] = set()
     for x in probes:
         cls = sorted(e_cls(x) & f_cls(x))
@@ -376,21 +376,29 @@ def _word_class(system: tuple, u: Word, budget: int
 
 class _FamilyAnalysis:
     """One family set under one class budget: its suffix rules
-    (`_suffix_rules`), the analysis that walks its classes, the region
-    list of each word that `_regions` walked, and its `family_partition`
-    once built."""
+    (`_suffix_rules`), the analysis that walks its classes once one is
+    read (`class_of`), the region list of each word that `_regions`
+    walked, and its `family_partition` once built."""
 
-    __slots__ = ("system", "classes", "budget", "regions", "partition",
-                 "restricted")
+    __slots__ = ("families", "system", "walks", "budget", "regions",
+                 "partition", "restricted")
 
     def __init__(self, families: frozenset[tuple[Word, Word]],
                  budget: int) -> None:
+        self.families = families
         self.system = _suffix_rules(families)
-        self.classes = _Analysis(Fusion(families=families), budget)
+        self.walks: _Analysis | None = None
         self.budget = budget
         self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
         self.partition: tuple | None = None
         self.restricted: dict[NameSet, tuple] = {}
+
+    def class_of(self, x: Name) -> frozenset[Name]:
+        """x's class in the family-only relation."""
+        if self.walks is None:
+            self.walks = _Analysis(Fusion(families=self.families),
+                                   self.budget)
+        return self.walks.class_of(x)
 
 
 def _regions(families: frozenset[tuple[Word, Word]], w: Word,
@@ -571,7 +579,7 @@ def remove(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
 
 
 # ---------------------------------------------------------------------------
-# substitution action and canonical substitution
+# substitution action and the normal form
 
 def map_fusion(e: Fusion, sigma: Substitution,
                config: Config = DEFAULT) -> Fusion:
@@ -614,50 +622,6 @@ def map_fusion(e: Fusion, sigma: Substitution,
                   "substitution image is not a fusion")
 
 
-def canonical_subst(e: Fusion, config: Config = DEFAULT) -> Substitution:
-    """σ: each name to the least member of its class, with word remaps
-    for the family classes.  Remembered in e's analysis; Δ has none, and
-    its σ is the identity."""
-    if e.is_delta():
-        return IDENTITY
-    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
-    if analysis.sigma is None:
-        analysis.sigma = _representatives(e, config)
-    return analysis.sigma
-
-
-def _representatives(e: Fusion, config: Config) -> Substitution:
-    fm: dict[Name, Name] = {}
-    concrete_seen: set[Name] = set()
-    classes = _classes(e, config)
-    for a, b in sorted(e.pairs):
-        for x in (a, b):
-            if x not in concrete_seen:
-                cls = classes(x)
-                concrete_seen |= cls
-                m = min(cls)
-                for y in cls:
-                    fm[y] = m
-    remaps: set[tuple[Word, Word]] = set()
-    for u, W in family_partition(e.families, config):
-        max_c = max(tag(0, w) for w in W)
-        wm = min(W, key=lambda w: (len(w), tag(0, w)))
-        for w in W:
-            if w != wm:
-                remaps.add((w, wm))
-        # small indices where the minimum member is not tag(n, wm), and
-        # indices merged into a concrete class, get explicit entries
-        for n in range(max_c + 1):
-            members = {tag(n, w) for w in W}
-            if members & concrete_seen:
-                continue
-            m = min(members)
-            if m != tag(n, wm):
-                for y in members:
-                    fm[y] = m
-    return Substitution(tuple(fm.items()), frozenset(remaps))
-
-
 def presentation(e: Fusion, config: Config = DEFAULT) -> tuple:
     """The normal form of e's relation (see the module docstring): its
     merged family word classes and the classes its pairs make larger
@@ -668,7 +632,7 @@ def presentation(e: Fusion, config: Config = DEFAULT) -> tuple:
     if analysis.presentation is None:
         classes = _classes(e, config)
         family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, e.families,
-                                 config.class_budget).classes.class_of
+                                 config.class_budget).class_of
         added = {classes(x) for x in sorted(e.endpoints())}
         analysis.presentation = _merged(e.families, config), frozenset(
             c for c in added if len(c) > len(family_cls(next(iter(c)))))

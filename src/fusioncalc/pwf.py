@@ -17,9 +17,9 @@ import functools
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
-from .fusion import (DELTA, Fusion, _classes, canonical_subst, class_of,
-                     fusion_str, join, map_fusion, parse_fusion,
-                     presentation, remove, second_rep, sigma_tau)
+from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
+                     map_fusion, parse_fusion, presentation, remove,
+                     second_rep, sigma_tau)
 from .names import ALL, Name, NameSet, finite, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names,
                       parse_process, process_str, substitute, tidy)
@@ -63,16 +63,21 @@ def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
 
 
 def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
-    """The multiset form of p's process with each free name replaced by
-    the least member of its class (`canonical_subst`, σ); its binders are
-    negative, so none captures.  σ depends only on the relation, so two
-    PWFs with equal fusions are equal exactly when these nodes have equal
-    keys."""
+    """The multiset form of p's process with each free name x replaced by
+    σ(x), the least member of its class; its binders are negative, so
+    none captures.  σ depends only on the relation, so two PWFs with
+    equal fusions are equal exactly when these nodes have equal keys.
+
+    Only the free names' classes are walked, and an infinite class need
+    not hold one, so the whole fusion is checked first: its
+    `presentation` walks every endpoint class and the family partition,
+    and raises as `validate` rejects."""
     node, free = multiset_form(p.proc)
     if p.fus.is_delta():
         return node
-    sigma = canonical_subst(p.fus, config)
-    return _relabel(node, {x: sigma.apply(x) for x in free})
+    presentation(p.fus, config)
+    classes = _classes(p.fus, config)
+    return _relabel(node, {x: min(classes(x)) for x in free})
 
 
 def pwf_key(p: Pwf, config: Config = DEFAULT) -> tuple:

@@ -51,6 +51,9 @@ from .terms import invariant, multiset_form
 # process keeps a bounded number of tables alive
 _TABLES: dict = {}
 _SHARED_LISTS = 4
+# verdicts a `done:k` pole keeps, as many as the node stores of
+# `terms.node_key` and `reduction._expand`; the oldest is dropped first
+_VERDICT_CAP = 1024
 
 
 def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
@@ -61,8 +64,9 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     """The pole of terms that reach <NIL ; Δ> within k steps.  The pole
     carries its k, so `Universe.matrix` can skip composites that it
     rejects on their invariant alone.  Verdicts are cached by (multiset
-    form, fusion), the values that decide them; no term is keyed, since
-    the search keys only its reducts and the goal is action-free."""
+    form, fusion), the values that decide them, for the last
+    `_VERDICT_CAP` (1,024) terms decided; no term is keyed, since the
+    search keys only its reducts and the goal is action-free."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
     cache: dict = {}
@@ -72,11 +76,14 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
         if not _may_reach(invariant(node), (), k):
             return False
         key = (node, q.fus)
-        if key not in cache:
-            # every other fusion value relates two names, and Δ has the
-            # identity as σ, so node is the σ-normal start of the search
-            cache[key] = q.fus.is_delta() and _reaches_nil(node, k)
-        return cache[key]
+        verdict = cache.get(key)
+        if verdict is None:
+            # every other fusion value relates two names, and under Δ
+            # each name is its class's least member, so node is the
+            # σ-normal start of the search
+            verdict = remember(cache, key, q.fus.is_delta()
+                               and _reaches_nil(node, k), _VERDICT_CAP)
+        return verdict
 
     pole.__name__ = f"pole_done_{k}"
     pole.k = k

@@ -9,9 +9,9 @@ Redexes are found and fired on the multiset form (`terms.multiset_form`):
 there is no replication, so firing only consumes prefixes, and binders
 renamed apart once stay apart for the whole search.
 
-`reach` searches in σ-normal form: the representatives of the fusion's
-classes (`canonical_subst`, σ) replace the free names of the start's
-multiset form once (`pwf.sigma_node`), and σ fixes every name of every
+`reach` searches in σ-normal form: each free name of the start's
+multiset form is replaced once by σ of it, the least member of its
+class in the fusion (`pwf.sigma_node`), and σ fixes every name of every
 reduct.  So a reduct's `terms.node_key` is both the search's dedup key
 and its key up to the fusion, and `terms.canonical_form` of its node is
 its line in the `fusioncalc reduce` listing, printed from the node

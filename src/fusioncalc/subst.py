@@ -1,9 +1,9 @@
 """Representable substitutions on names: a finite map plus word remaps.
 
 A word remap (u -> v) sends tag(n, u) to tag(n, v) for every n and is
-identity elsewhere.  The finite map takes precedence over remaps, which
-is what lets canonical substitutions override a remap on finitely many
-names (an entry x -> x pins the identity there).
+identity elsewhere.  The finite map takes precedence over remaps, so
+a mixed substitution overrides a remap on finitely many names (an entry
+x -> x pins the identity there).
 """
 
 from __future__ import annotations
@@ -56,9 +56,6 @@ class Substitution:
         if rem:
             return "{" + fin + " ; " + rem + "}"
         return "{" + fin + "}"
-
-
-IDENTITY = Substitution()
 
 
 def finite_subst(mapping: Mapping[Name, Name]) -> Substitution:

@@ -1,5 +1,5 @@
 """Sampled fusion operations, for differential tests of `fusion.validate`,
-`equal` and `meet`.
+`equal` and `meet`, and σ built as a `Substitution`.
 
 `sampled_validate` and `sampled_equal` are the operations as they were
 before they were decided: they probe the family instances tag(n, w) for
@@ -34,12 +34,21 @@ a bound that also covers m's own endpoints and words decides whether
 every class of m is the intersection of the classes of e and f: past
 (M + 1) * 2**L the classes of all three are family classes, uniform in
 the index, and the names below it hold the finitely many others.
+
+`canonical_subst` is σ, each name to the least member of its class, as
+the library once built it: one `Substitution` whose word remaps send
+each word of a family class to its shortest, least word, and whose
+finite entries cover the concrete classes and the small indices where
+that word's name is not the least.  `pwf.sigma_node` reads the least
+member of each class instead, and the tests compare the two.
 """
 
+from fusioncalc import fusion
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (Fusion, InvalidFusionError, _classes,
                                family_partition)
 from fusioncalc.names import tag
+from fusioncalc.subst import Substitution
 
 
 def sufficient_bound(*fusions: Fusion, config=DEFAULT) -> int:
@@ -86,3 +95,39 @@ def sampled_meet(e: Fusion, f: Fusion, bound: int, config=DEFAULT
     two relations."""
     e_cls, f_cls = _classes(e, config), _classes(f, config)
     return [e_cls(x) & f_cls(x) for x in range(bound)]
+
+
+def canonical_subst(e: Fusion, config=DEFAULT) -> Substitution:
+    """σ of e; it walks the classes of every endpoint and builds the
+    family partition, so it raises as `fusion.validate` rejects.  Classes
+    are read through `fusion._classes` at call time, so a test that
+    patches that function builds σ from its classes."""
+    if e.is_delta():
+        return Substitution()
+    fm: dict[int, int] = {}
+    concrete_seen: set[int] = set()
+    classes = fusion._classes(e, config)
+    for a, b in sorted(e.pairs):
+        for x in (a, b):
+            if x not in concrete_seen:
+                cls = classes(x)
+                concrete_seen |= cls
+                m = min(cls)
+                for y in cls:
+                    fm[y] = m
+    remaps = set()
+    for u, W in family_partition(e.families, config):
+        max_c = max(tag(0, w) for w in W)
+        wm = min(W, key=lambda w: (len(w), tag(0, w)))
+        remaps.update((w, wm) for w in W if w != wm)
+        # small indices where the least member is not tag(n, wm), and
+        # indices merged into a concrete class, get explicit entries
+        for n in range(max_c + 1):
+            members = {tag(n, w) for w in W}
+            if members & concrete_seen:
+                continue
+            m = min(members)
+            if m != tag(n, wm):
+                for y in members:
+                    fm[y] = m
+    return Substitution(tuple(fm.items()), frozenset(remaps))

@@ -17,8 +17,9 @@ term's form up to the fusion separately from its dedup key:
 import itertools
 
 from canonical_reference import congruence_key
+from fusion_reference import canonical_subst
 from fusioncalc.config import DEFAULT
-from fusioncalc.fusion import _classes, canonical_subst, equal
+from fusioncalc.fusion import _classes, equal
 from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
 from fusioncalc.pwf import Pwf, pwf_str
 from fusioncalc.subst import finite_subst

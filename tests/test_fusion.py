@@ -2,24 +2,27 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fusioncalc import fusion
 from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
     DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
     _affine,
-    _classes, canonical_subst, class_of, equal, family_partition,
+    _classes, class_of, equal, family_partition,
     fusion_str, identity_I, join, join_all, map_fusion, meet, parse_fusion, phi,
     presentation, psi, related, remove, restrict, second_rep, sigma_tau,
     validate,
 )
 from fusioncalc.names import (ALL, NameSet, finite, parse_nameset, residue,
                               tag, untag)
+from fusioncalc.process import NIL, Act
+from fusioncalc.pwf import Pwf, realizer_catalog, sigma_node
 from fusioncalc.subst import finite_subst, remap_subst
+from fusioncalc.terms import multiset_form
 
-from fusion_reference import (sampled_equal, sampled_meet, sampled_validate,
-                              sufficient_bound)
+from fusion_reference import (canonical_subst, sampled_equal, sampled_meet,
+                              sampled_validate, sufficient_bound)
 from subst_reference import compose
 
 
@@ -299,8 +302,8 @@ def test_operations_match_reference(e, f, config):
     # the probes only fail where the endpoint walks or the partition do,
     # so the sampled verdict is the same at every bound
     assert validate(e, config) == sampled_validate(e, 256, config)
-    assert outcome(canonical_subst, e, config) == \
-        reference_outcome(canonical_subst, e, config)
+    for fn in (canonical_subst, presentation):
+        assert outcome(fn, e, config) == reference_outcome(fn, e, config)
     if not (validate(e, config) and validate(f, config)):
         return
     bound = sufficient_bound(e, f, config=config)
@@ -311,6 +314,37 @@ def test_operations_match_reference(e, f, config):
     bound = sufficient_bound(e, f, m, config=config)
     assert [class_of(m, x, config) for x in range(bound)] == \
         sampled_meet(e, f, bound, config)
+
+
+def assert_sigma_node_reads_the_reference_sigma(e):
+    """`sigma_node` of a one-action term on x against the σ that the
+    reference builds as a `Substitution`.  The names probed are those
+    below 64, the endpoints, and for each class W of the family
+    partition every tag(n, w), w in W, with n up to the largest
+    tag(0, w): where the reference has its explicit entries."""
+    sigma = canonical_subst(e)
+    names = set(range(64)) | e.endpoints()
+    for _, W in family_partition(e.families):
+        top = max(tag(0, w) for w in W)
+        names |= {tag(n, w) for w in W for n in range(top + 1)}
+    for x in sorted(names):
+        assert sigma_node(Pwf(Act(x, "up", (), NIL), e)) == \
+            multiset_form(Act(sigma.apply(x), "up", (), NIL))[0], x
+
+
+@given(mixed_fusions())
+@settings(max_examples=100, deadline=None)
+def test_sigma_node_matches_the_reference_sigma(e):
+    assume(validate(e))
+    assert_sigma_node_reads_the_reference_sigma(e)
+
+
+@pytest.mark.parametrize("label", sorted(realizer_catalog()))
+def test_sigma_node_matches_the_reference_sigma_on_the_catalog(label):
+    e = realizer_catalog()[label]
+    assert_sigma_node_reads_the_reference_sigma(e)
+    assert_sigma_node_reads_the_reference_sigma(
+        join(e, parse_fusion("{0~5, 3~12}")))
 
 
 @st.composite
@@ -507,7 +541,7 @@ def test_the_stores_leave_fusion_values_unchanged():
     equal(e, f)
     meet(e, f)
     restrict(e, parse_nameset("{0,1,5}"))
-    canonical_subst(e)
+    presentation(e)
     assert vars(e) == before
 
 
@@ -542,7 +576,7 @@ def test_remembered_analyses_give_the_outcome_of_empty_stores(e, f, X, x,
     `remove` restricts to a complement with exclusions."""
     calls = [(validate, e, config), (equal, e, f, config),
              (meet, e, f, config), (restrict, e, X, config),
-             (remove, e, X, config), (canonical_subst, e, config),
+             (remove, e, X, config), (presentation, e, config),
              (class_of, e, x, config)]
     cold = []
     for call in calls:
@@ -588,9 +622,9 @@ def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
                                    match=f"^class of {x} exceeds budget 3$"):
                     class_of(e, x, tight)
             with pytest.raises(ClassBudgetError, match="^class of 0 "):
-                canonical_subst(e, tight)
+                presentation(e, tight)
         assert class_of(e, 7, tight) == {7}
-        assert canonical_subst(e) is canonical_subst(Fusion(e.pairs))
+        assert presentation(e) is presentation(Fusion(e.pairs))
         for n in range(fusion._STORE_CAP + 10):
             v = (2,) * n  # identity_I injected by 2.2...2
             families = frozenset({((1,) + v, (2,) + v)})

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (DELTA, Fusion, NotRepresentableError, _classes,
-                               canonical_subst, equal, fusion_str, identity_I,
-                               join, parse_fusion, phi, sigma_tau)
+                               equal, fusion_str, identity_I, join,
+                               parse_fusion, phi, sigma_tau)
 from fusioncalc.names import finite, parse_nameset, residue
 from fusioncalc.process import NIL, Act, parse_process, process_str
 from fusioncalc.pwf import (
@@ -15,8 +15,9 @@ from fusioncalc.pwf import (
     fn_finite_part, hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
     par, parse_pwf, prefix, pwf_str, realizer_catalog, relabel, relabel_word,
     sigma_node, star, unrelabel, _closure_step)
-from fusioncalc.subst import IDENTITY, finite_subst, remap_subst
+from fusioncalc.subst import Substitution, finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
+from fusion_reference import canonical_subst
 from subst_reference import compose, reference_substitute, scoped_processes
 
 
@@ -123,7 +124,7 @@ def _fusions():
 
 def _compose_chain(S, p):
     """hereditary_closure's σ as one `compose` per step of S."""
-    sigma = IDENTITY
+    sigma = Substitution()
     for s, t in zip(sorted(S), _closure_step(S, _classes(p.fus, DEFAULT))):
         sigma = compose(finite_subst({s: t}), sigma)
     return sigma

@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import Counter
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fusioncalc import pwf, realizability, terms
 from fusioncalc.config import DEFAULT, Config
-from fusioncalc.fusion import (DELTA, InvalidFusionError, canonical_subst,
-                               identity_I, parse_fusion)
+from fusioncalc.fusion import (DELTA, InvalidFusionError, identity_I,
+                               parse_fusion)
 from fusioncalc.process import NIL, Act, Nu, Par, canonical, substitute
 from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
                             par, parse_pwf, star)
@@ -15,6 +16,7 @@ from fusioncalc.realizability import (Universe, check_laws, default_universe,
                                       make_pole_done, parse_pole, pole_always)
 from fusioncalc.reduction import pole_regular_on
 from fusioncalc.terms import multiset_form
+from fusion_reference import canonical_subst
 from reduction_reference import reference_reduces_within
 
 
@@ -78,6 +80,30 @@ def test_done_pole_cache_keys_on_the_fusion():
     pole = make_pole_done(1)
     assert not pole(parse_pwf("<0!() | 0?() ; {0~1}>"))
     assert pole(parse_pwf("<0!() | 0?() ; {}>"))
+
+
+def test_done_pole_keeps_a_bounded_verdict_cache(monkeypatch):
+    """The pole keeps the verdicts of its last `_VERDICT_CAP` terms; a
+    term whose verdict was dropped is searched again, to the same
+    verdict, and a kept one is not."""
+    monkeypatch.setattr(realizability, "_VERDICT_CAP", 4)
+    searched = []
+    reaches_nil = realizability._reaches_nil
+    monkeypatch.setattr(realizability, "_reaches_nil",
+                        lambda node, k: searched.append(node)
+                        or reaches_nil(node, k))
+    pole = make_pole_done(1)
+    cache = inspect.getclosurevars(pole).nonlocals["cache"]
+    stuck = parse_pwf("<0!() | 1?() ; {}>")
+    assert not pole(stuck)
+    for x in range(10):
+        assert pole(parse_pwf(f"<{x}!() | {x}?() ; {{}}>"))
+        assert len(cache) <= 4
+    assert len(cache) == 4 and len(searched) == 11
+    assert pole(parse_pwf("<9!() | 9?() ; {}>")) and len(searched) == 11
+    assert not pole(stuck)
+    assert searched[-1] == multiset_form(stuck.proc)[0]
+    assert len(searched) == 12 and len(cache) == 4
 
 
 def _count_keys(monkeypatch) -> list:
@@ -300,22 +326,25 @@ def test_clip_makes_one_multiset_form_per_image(monkeypatch):
         assert calls == [p.proc]
 
 
-def test_clip_builds_sigma_once_per_image_and_none_under_delta(monkeypatch):
-    """σ is built once for a non-Δ image, for its key, and not at all
-    under Δ, where it is the identity."""
+def test_clip_reads_one_class_function_per_image_and_none_under_delta(
+        monkeypatch):
+    """σ of a non-Δ image, for its key, reads the fusion's class
+    function once; under Δ, where every name is its class's least
+    member, σ reads none."""
     u = Universe(mixed_members(), pole_always)
     u.clip([])  # the members' keys
     calls = []
-    monkeypatch.setattr(pwf, "canonical_subst",
+    classes = pwf._classes
+    monkeypatch.setattr(pwf, "_classes",
                         lambda e, config: calls.append(e) or
-                        canonical_subst(e, config))
-    for text, member, built in (("<1!() ; {0~1}>", True, 1),
-                                ("<0?() ; {}>", True, 0),
-                                ("<1!().1!() ; {0~1}>", False, 1),
-                                ("<1!().1!() ; {}>", False, 0)):
+                        classes(e, config))
+    for text, member, read in (("<1!() ; {0~1}>", True, 1),
+                               ("<0?() ; {}>", True, 0),
+                               ("<1!().1!() ; {0~1}>", False, 1),
+                               ("<1!().1!() ; {}>", False, 0)):
         calls.clear()
         assert bool(u.clip([parse_pwf(text)])) == member
-        assert len(calls) == built, text
+        assert len(calls) == read, text
 
 
 def invariant(p):

@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
-from fusioncalc.fusion import (DELTA, canonical_subst, fusion_str,
-                               parse_fusion)
+from fusioncalc.fusion import DELTA, fusion_str, parse_fusion
 from fusioncalc.process import (NIL, Act, Nu, Par, form_str, free_names,
                                 process_str)
 from fusioncalc.pwf import (Pwf, equal_pwf, normalize, nu_all, parse_pwf,
@@ -20,6 +19,7 @@ from fusioncalc.reduction import pole_regular_on, reach, reduces_within, step
 from fusioncalc.terms import (_NIL_NODE, SearchBudgetError, _nodes,
                              _to_process, canonical_form, invariant,
                              multiset_form, node_key)
+from fusion_reference import canonical_subst
 from reduction_reference import (reference_listing, reference_reduces_within,
                                  reference_step)
 
@@ -327,6 +327,25 @@ def test_warm_node_stores_give_the_outcome_of_empty_ones(p, others, k):
         list(reach(p, k + 1))
         assert _outcomes(p, k) == cold
         assert _outcomes(p, k) == cold
+
+
+def test_an_infinite_class_no_free_name_is_in_is_undecided(capsys):
+    """[1 <-> 2.1] and [2.1 <-> 2.2.2.1] make an infinite class, while
+    the free name 4 is alone in its class: σ reads only the free names'
+    classes, so the fusion is checked as a whole first.  On
+    `reduces_within(p, p, 1)` the two fusions are one value, which
+    `equal` takes as equal unwalked."""
+    text = "<4!() ; {[1 <-> 2.1], [2.1 <-> 2.2.2.1]}>"
+    p = parse_pwf(text)
+    assert fusion.class_of(p.fus, 4) == {4}
+    for command in ("normalize", "reduce"):
+        assert main([command, text]) == 3
+        out = capsys.readouterr().out
+        assert out.startswith("undecided: ") and "class_budget" in out
+    for call in (lambda: sigma_node(p), lambda: list(reach(p, 1)),
+                 lambda: reduces_within(p, p, 1)):
+        with pytest.raises(fusion.ClassBudgetError):
+            call()
 
 
 def test_budget_errors_are_not_stored_and_the_node_stores_stay_bounded():

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from fusioncalc.names import NameSet, finite, residue, tag, untag, word
 from fusioncalc.subst import (
-    IDENTITY, Substitution, SubstitutionError, finite_subst, remap_subst,
+    Substitution, SubstitutionError, finite_subst, remap_subst,
 )
 from subst_reference import compose, equivalent_via, parse_subst, restrict_away
 
@@ -50,8 +50,9 @@ def test_compose_is_pointwise_composition(sigma, tau, x):
 
 @given(substs(), probes)
 def test_compose_identity(sigma, x):
-    assert compose(sigma, IDENTITY).apply(x) == sigma.apply(x)
-    assert compose(IDENTITY, sigma).apply(x) == sigma.apply(x)
+    identity = Substitution()
+    assert compose(sigma, identity).apply(x) == sigma.apply(x)
+    assert compose(identity, sigma).apply(x) == sigma.apply(x)
 
 
 @st.composite
