@@ -459,11 +459,13 @@ def _partition(families: frozenset[tuple[Word, Word]], config: Config
              for g in sorted({w for pair in families for w in pair},
                              key=_word_key)
              for r, cls in _regions(families, g, config)]
-    # drop bases covered by a suffix-smaller base, then duplicate classes
+    # drop bases covered by a base that is a proper suffix of them, then
+    # duplicate classes
+    words = {u for u, _ in bases}
     kept: list[tuple[Word, tuple[Word, ...]]] = []
     seen_classes: set[tuple[Word, ...]] = set()
     for u, cls in sorted(bases, key=lambda item: _word_key(item[0])):
-        if any(u != u2 and is_suffix(u2, u) for u2, _ in bases):
+        if any(u[k:] in words for k in range(1, len(u) + 1)):
             continue
         if cls in seen_classes:
             continue

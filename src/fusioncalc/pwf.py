@@ -66,25 +66,37 @@ def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
     """The multiset form of p's process with each free name x replaced by
     σ(x), the least member of its class; its binders are negative, so
     none captures.  σ depends only on the relation, so two PWFs with
-    equal fusions are equal exactly when these nodes have equal keys.
+    equal fusions are equal exactly when these nodes have equal keys."""
+    return sigma_form(multiset_form(p.proc), p.fus, config)[0]
+
+
+def sigma_form(form: tuple, e: Fusion, config: Config = DEFAULT) -> tuple:
+    """σ of a multiset form (node, free names) under e: the node with
+    each free name x replaced by σ(x), and those σ(x).
 
     Only the free names' classes are walked, and an infinite class need
     not hold one, so the whole fusion is checked first: its
     `presentation` walks every endpoint class and the family partition,
     and raises as `validate` rejects."""
-    node, free = multiset_form(p.proc)
-    if p.fus.is_delta():
-        return node
-    presentation(p.fus, config)
-    classes = _classes(p.fus, config)
-    return _relabel(node, {x: min(classes(x)) for x in free})
+    node, free = form
+    if e.is_delta():
+        return form
+    presentation(e, config)
+    classes = _classes(e, config)
+    ids = {x: min(classes(x)) for x in free}
+    return _relabel(node, ids), frozenset(ids.values())
 
 
 def pwf_key(p: Pwf, config: Config = DEFAULT) -> tuple:
     """The one equality key of p = (P, e): the `presentation` of e and
     the key of p's σ-node.  Both depend only on e's relation, so the key
     equates exactly the equal PWFs."""
-    return presentation(p.fus, config), node_key(sigma_node(p, config))
+    return sigma_key(p.fus, sigma_node(p, config), config)
+
+
+def sigma_key(e: Fusion, node: tuple, config: Config = DEFAULT) -> tuple:
+    """`pwf_key` of the PWF with fusion e and σ-node node."""
+    return presentation(e, config), node_key(node)
 
 
 def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:

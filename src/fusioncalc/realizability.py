@@ -14,21 +14,33 @@ cells.
 lookup per image; `default_universe` drops a PWF whose key an earlier
 one has.  The key equates exactly the equal PWFs.
 
+A `Universe` takes each member's σ-node (`pwf.sigma_form`) once and
+builds no `Process` for a pair: every op image and matrix composite is
+two member σ-nodes merged (`_merge`) in the locally nameless style
+(Charguéraud, "The Locally Nameless Representation", JAR 2012), each
+free name renamed through its class in the join of the two member
+fusions (`Universe._images`).  An image is keyed as `pwf_key` keys a
+PWF (`pwf.sigma_key`), by the fusion that the operation's fusion half
+computes on the member fusions alone, so fusion errors raise as the
+operation raises them.
+
 Every member carries one invariant, `terms.invariant`: the multiset of
 its action prefixes by (polarity, arity).  Congruence, substitution,
 relabelling, `nu_set` and `unrelabel` keep it, and composition adds it
 up.  Two exact filters read it before any image is built:
 
-- an op-table cell (a, b) is empty without applying the operation when
+- an op-table cell (a, b) is empty without building its image when
   inv(a) + inv(b) is no member's invariant; the fusion half of the
   operation still runs once per pair of member fusions, so a
   `FusionError` raises as before;
 - the `done:k` pole is false on a term that cannot consume its actions
   in k steps (`reduction._may_reach`), and the matrix builds no
   composite whose summed invariant fails that test.  The pole keys no
-  term: it caches its verdicts by (multiset form, fusion), and its
-  search (`reduction._reaches_nil`) keys only reducts, since the goal
-  NIL is the one action-free node.
+  term: it caches its verdicts by multiset form, and its search
+  (`reduction._reaches_nil`) keys only reducts, since the goal NIL is
+  the one action-free node.  Its node entry, `pole.node`, decides a
+  closed node under Δ, the matrix composite, with no `Pwf`; any other
+  pole gets the composite as a `Pwf`.
 """
 
 from __future__ import annotations
@@ -38,13 +50,15 @@ from typing import Callable, Iterable, Optional
 
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion
-from .names import remember
+from .fusion import DELTA, Fusion, _classes, join
+from .names import (ALL, EMPTY, NameSet, Word, remember, residue, tag,
+                    untag)
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, bullet, nu_all, par, pwf_key,
-                  star)
+                  relabel_word, sigma_form, sigma_key, star)
 from .reduction import _may_reach, _reaches_nil
-from .terms import invariant, multiset_form
+from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
+                    multiset_form)
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -63,30 +77,34 @@ def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
 def make_pole_done(k: int) -> Callable[[Pwf], bool]:
     """The pole of terms that reach <NIL ; Δ> within k steps.  The pole
     carries its k, so `Universe.matrix` can skip composites that it
-    rejects on their invariant alone.  Verdicts are cached by (multiset
-    form, fusion), the values that decide them, for the last
-    `_VERDICT_CAP` (1,024) terms decided; no term is keyed, since the
-    search keys only its reducts and the goal is action-free."""
+    rejects on their invariant alone, and its node entry `pole.node`,
+    which decides a closed node under Δ without the invariant test.
+    Reduction keeps the fusion, so a term under any other fusion is
+    outside.  Verdicts are cached by multiset form, the value that
+    decides them under Δ, for the last `_VERDICT_CAP` (1,024) nodes
+    decided; no term is keyed, since the search keys only its reducts
+    and the goal is action-free."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
     cache: dict = {}
 
+    def closed(node) -> bool:
+        # under Δ each name is its class's least member, so node is the
+        # σ-normal start of the search
+        verdict = cache.get(node)
+        if verdict is None:
+            verdict = remember(cache, node, _reaches_nil(node, k),
+                               _VERDICT_CAP)
+        return verdict
+
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         node = multiset_form(q.proc)[0]
-        if not _may_reach(invariant(node), (), k):
-            return False
-        key = (node, q.fus)
-        verdict = cache.get(key)
-        if verdict is None:
-            # every other fusion value relates two names, and under Δ
-            # each name is its class's least member, so node is the
-            # σ-normal start of the search
-            verdict = remember(cache, key, q.fus.is_delta()
-                               and _reaches_nil(node, k), _VERDICT_CAP)
-        return verdict
+        return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
+            and closed(node)
 
     pole.__name__ = f"pole_done_{k}"
     pole.k = k
+    pole.node = closed
     return pole
 
 
@@ -163,6 +181,37 @@ def _pair_memo(values: list, fn) -> Callable[[int, int], object]:
     return at
 
 
+def _binders(node) -> frozenset:
+    """The names a multiset-form node binds: its restricted names and
+    its bound vectors."""
+    return frozenset(x for q in _nodes(node) if q[0] in ("act", "nu")
+                     for x in q[3 if q[0] == "act" else 1])
+
+
+def _merge(left, left_ids: dict, right, right_ids: dict,
+           bound: Iterable) -> tuple:
+    """The multiset form of left | right, each node renamed by its map
+    (the right one shifts its binders below the left's), with the names
+    of `bound` restricted at the top: the restricted names joined and
+    the components concatenated, as `terms.multiset_form` of a parallel
+    gathers its sides."""
+    names = set(bound)
+    comps: list = []
+    for node, ids in ((left, left_ids), (right, right_ids)):
+        if any(x != y for x, y in ids.items()):
+            node = _relabel(node, ids)
+        if node[0] == "nu":
+            names |= node[1]
+            node = node[2]
+        if node[0] == "par":
+            comps.extend(node[1])
+        elif node[0] != "nil":
+            comps.append(node)
+    inner = _NIL_NODE if not comps else comps[0] if len(comps) == 1 \
+        else ("par", tuple(comps))
+    return ("nu", frozenset(names), inner) if names else inner
+
+
 class Universe:
     """A finite member list with a pole; computes orthogonality once and
     exposes the behaviour operations as bitmask transformers."""
@@ -173,8 +222,13 @@ class Universe:
         self.config = config
         self._matrix = None
         self._keyed: Optional[dict] = None
-        self._invariants = [invariant(multiset_form(m.proc)[0])
-                            for m in self.members]
+        # each member's σ-node, its free names and its binders: the one
+        # multiset form that the invariants, the keys and the images read
+        self._nodes = []
+        for m in self.members:
+            node, free = sigma_form(multiset_form(m.proc), m.fus, config)
+            self._nodes.append((node, free, _binders(node)))
+        self._invariants = [invariant(node) for node, _, _ in self._nodes]
         key = (self.members, config)
         tables = _TABLES.get(key)
         self._tables: dict = tables if tables is not None else remember(
@@ -193,40 +247,92 @@ class Universe:
                 self._matrix = [self.full_mask] * n
                 return self._matrix
             k = getattr(self.pole, "k", None)
+            on_node = getattr(self.pole, "node", None)
             reachable = _pair_memo(
                 self._invariants,
                 lambda a, b: k is None or _may_reach(_add(a, b), (), k))
-            fusion_half = self._fusion_half(
-                lambda p, q, config: nu_all(par(p, q, config), config))
+            # a pair outside the pole on its invariant is not built, but
+            # the composite's fusion steps still run, so their errors
+            # are not lost
+            composite = self._images(
+                reachable, lambda p, q, config: nu_all(par(p, q, config),
+                                                       config),
+                (), (), ALL)
             rows = [0] * n
             for i in range(n):
                 for j in range(i, n):
-                    if not reachable(i, j):
-                        # outside the pole; the composite's fusion steps
-                        # still run, so their errors are not lost
-                        fusion_half(i, j)
+                    image = composite(i, j)
+                    if image is None:
                         continue
-                    q = nu_all(par(self.members[i], self.members[j],
-                                   self.config), self.config)
-                    if self.pole(q):
+                    fus, node = image
+                    if on_node(node) if on_node is not None else \
+                            self.pole(Pwf(_to_process(node), fus)):
                         rows[i] |= 1 << j
                         rows[j] |= 1 << i
             self._matrix = rows
         return self._matrix
 
-    def _fusion_half(self, op) -> Callable[[int, int], Optional[Pwf]]:
-        """(i, j) -> op on the fusions of members i and j with NIL as
-        their processes, or None where that raises `PwfError`.  With no
-        process to act on, op runs exactly its fusion steps (joins,
-        relabellings, removals and the unrelabel fusion check), so it
-        raises what op raises on those fusions."""
-        def half(e: Fusion, f: Fusion) -> Optional[Pwf]:
+    def _images(self, keep: Callable[[int, int], bool], op, left: Word,
+                right: Word, bind: NameSet = EMPTY, out: Word = ()
+                ) -> Callable[[int, int], Optional[tuple]]:
+        """(i, j) -> (fusion, σ-node) of op(member i, member j), built
+        from the two members' σ-nodes with no `Process`, or None where
+        `keep(i, j)` is false or op's fusion half raises `PwfError`.
+
+        The fusion half is op on the two member fusions with NIL as
+        their processes, run for every pair and once per pair of
+        distinct fusions.  With no process to act on, op runs exactly
+        its fusion steps (joins, relabellings, removals and the
+        unrelabel fusion check), so it raises what op raises on those
+        fusions, and its fusion is the image's.
+
+        The node is `_merge` of node i with its free names tagged by
+        `left` and node j with them tagged by `right`, each free name
+        renamed through its class C in the join of the member fusions so
+        tagged: to one binder per class when C lies inside `bind`, else
+        to untag(min(C - bind), out), σ of the image's fusion.  So `par`
+        renames x to min(C); `bullet` does so after tagging the sides by
+        1 and 2; `star i` tags the right side by i, binds the classes
+        inside residue(i) and untags the rest by 3 - i; the matrix
+        composite ν(p | q) binds every class, and its fusion is Δ."""
+        config, nodes = self.config, self._nodes
+        fusions = [m.fus for m in self.members]
+
+        def fusion_half(e: Fusion, f: Fusion) -> Optional[Pwf]:
             try:
-                return op(Pwf(NIL, e), Pwf(NIL, f), self.config)
+                return op(Pwf(NIL, e), Pwf(NIL, f), config)
             except PwfError:
                 return None
 
-        return _pair_memo([m.fus for m in self.members], half)
+        half = _pair_memo(fusions, fusion_half)
+        joined = _pair_memo(fusions, lambda e, f: join(
+            relabel_word(Pwf(NIL, e), left, config).fus,
+            relabel_word(Pwf(NIL, f), right, config).fus, config))
+
+        def image(i: int, j: int) -> Optional[tuple]:
+            fused = half(i, j)
+            if fused is None or not keep(i, j):
+                return None
+            classes = _classes(joined(i, j), config)
+            (a, free_a, bound_a), (b, free_b, bound_b) = nodes[i], nodes[j]
+            shift = min(bound_a, default=0)
+            low = shift + min(bound_b, default=0) - 1
+            binders: dict = {}  # least class member -> the class's binder
+
+            def rename(x: int, w: Word) -> int:
+                cls = classes(tag(x, w))
+                outside = [y for y in cls if not bind.member(y)]
+                if outside:
+                    return untag(min(outside), out)
+                return binders.setdefault(min(cls), low - len(binders))
+
+            left_ids = {x: rename(x, left) for x in free_a}
+            right_ids = {x: rename(x, right) for x in free_b}
+            right_ids.update((y, y + shift) for y in bound_b)
+            return fused.fus, _merge(a, left_ids, b, right_ids,
+                                     binders.values())
+
+        return image
 
     # -- mask plumbing ------------------------------------------------
 
@@ -248,16 +354,24 @@ class Universe:
     def clip(self, pwfs: Iterable[Pwf]) -> int:
         """Mask of the members equal to one of the given PWF, looked up
         by `pwf_key`."""
-        if self._keyed is None:
-            self._keyed = {}
-            for i, m in enumerate(self.members):
-                self._keyed.setdefault(pwf_key(m, self.config), i)
+        keyed = self._member_keys()
         mask = 0
         for p in pwfs:
-            i = self._keyed.get(pwf_key(p, self.config))
+            i = keyed.get(pwf_key(p, self.config))
             if i is not None:
                 mask |= 1 << i
         return mask
+
+    def _member_keys(self) -> dict:
+        """`pwf_key` of each member -> the first member index with it,
+        read from the members' σ-nodes."""
+        if self._keyed is None:
+            self._keyed = {}
+            for i, (m, (node, _, _)) in enumerate(zip(self.members,
+                                                      self._nodes)):
+                self._keyed.setdefault(sigma_key(m.fus, node, self.config),
+                                       i)
+        return self._keyed
 
     # -- orthogonality ------------------------------------------------
 
@@ -277,29 +391,29 @@ class Universe:
 
     # -- truth-value operations ---------------------------------------
 
-    def _table(self, label: str, op) -> list[list[tuple[int, int]]]:
+    def _table(self, label: str, op: tuple) -> list[list[tuple[int, int]]]:
         """Per member i, the (bit of j, bit of the image) of every j whose
-        clipped image op(i, j) is a member.  Only pairs whose invariants
-        sum to a member's invariant, and whose fusion half succeeds, are
-        applied and clipped."""
+        image op(i, j) is a member.  op is the operation on PWFs and the
+        shape of its images (`_images`'s arguments after it).  Only
+        pairs whose invariants sum to a member's invariant, and whose
+        fusion half succeeds, get an image (`sigma_key`)."""
         if label not in self._tables:
-            members, config = self.members, self.config
             possible = set(self._invariants)
-            fits = _pair_memo(self._invariants,
-                              lambda a, b: _add(a, b) in possible)
-            fusion_half = self._fusion_half(op)
+            image = self._images(
+                _pair_memo(self._invariants,
+                           lambda a, b: _add(a, b) in possible), *op)
+            keyed, config = self._member_keys(), self.config
+            n = len(self.members)
             rows: list[list[tuple[int, int]]] = []
-            for i, a in enumerate(members):
+            for i in range(n):
                 row: list[tuple[int, int]] = []
-                for j, b in enumerate(members):
-                    if fusion_half(i, j) is None or not fits(i, j):
+                for j in range(n):
+                    found = image(i, j)
+                    if found is None:
                         continue
-                    try:
-                        image = self.clip([op(a, b, config)])
-                    except PwfError:
-                        continue
-                    if image:
-                        row.append((1 << j, image))
+                    k = keyed.get(sigma_key(*found, config))
+                    if k is not None:
+                        row.append((1 << j, 1 << k))
                 rows.append(row)
             self._tables[label] = rows
         return self._tables[label]
@@ -315,15 +429,19 @@ class Universe:
         return out
 
     def op_par(self, mask_a: int, mask_b: int) -> int:
-        return self._image(self._table("par", par), mask_a, mask_b)
+        return self._image(self._table("par", (par, (), ())),
+                           mask_a, mask_b)
 
     def op_bullet(self, mask_a: int, mask_b: int) -> int:
-        return self._image(self._table("bullet", bullet), mask_a, mask_b)
+        return self._image(self._table("bullet", (bullet, (1,), (2,))),
+                           mask_a, mask_b)
 
     def op_star(self, i: int, mask_a: int, mask_b: int) -> int:
         def apply(a, b, config):
             return star(i, a, b, config)
-        return self._image(self._table(f"star{i}", apply), mask_a, mask_b)
+        return self._image(
+            self._table(f"star{i}", (apply, (), (i,), residue((i,)),
+                                     (3 - i,))), mask_a, mask_b)
 
     def op_tensor(self, mask_a: int, mask_b: int) -> int:
         return self.biorthogonal_mask(self.op_bullet(mask_a, mask_b))

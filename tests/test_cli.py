@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -125,6 +126,24 @@ def test_pole_laws_report(capsys):
     code, _, err = run(capsys, "pole-laws", "--universe", "limit=20",
                        "--pole", "sometimes")
     assert code == 2 and "error:" in err
+
+
+LAW_REPORT_DIGESTS = {
+    # sha256 of the stdout of each command, recorded at commit c60c93d
+    ("laws",):
+        "3e2c5a4108aa5790c618403c9d1847c26e2f79469785d32db7fb0d21d7249cf5",
+    ("pole-laws", "--universe", "limit=60", "--pole", "done:8"):
+        "ce9163a9fd9e7f30ef26e2cd9a2626585a8d5b899aee6904cae52ef508e41ac0",
+}
+
+
+def test_law_reports_match_their_recorded_digests(capsys):
+    """Regression goldens: the law reports print byte for byte what
+    they printed before the universe built its images from nodes."""
+    for argv, expected in LAW_REPORT_DIGESTS.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
 
 
 def test_pole_laws_rejects_bounds_that_decide_nothing(capsys):

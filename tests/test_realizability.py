@@ -93,7 +93,7 @@ def test_done_pole_keeps_a_bounded_verdict_cache(monkeypatch):
                         lambda node, k: searched.append(node)
                         or reaches_nil(node, k))
     pole = make_pole_done(1)
-    cache = inspect.getclosurevars(pole).nonlocals["cache"]
+    cache = inspect.getclosurevars(pole.node).nonlocals["cache"]
     stuck = parse_pwf("<0!() | 1?() ; {}>")
     assert not pole(stuck)
     for x in range(10):
@@ -308,16 +308,21 @@ def test_fast_path_covers_fused_and_family_images():
 
 
 def test_clip_makes_one_multiset_form_per_image(monkeypatch):
-    """Once the members are keyed, clip builds one node per image, whose
-    σ-image `pwf_key` keys."""
+    """Building and keying a universe makes one multiset form per
+    member, which its invariant, its key and its images all read; once
+    the members are keyed, clip builds one node per image, whose σ-image
+    `pwf_key` keys."""
     from fusioncalc import reduction
-    u = Universe(mixed_members(), pole_always)
-    u.clip([])  # the members' keys
     calls = []
     original = terms.multiset_form
     for module in (terms, pwf, realizability, reduction):
         monkeypatch.setattr(module, "multiset_form",
                             lambda p: calls.append(p) or original(p))
+    members = mixed_members()
+    calls.clear()
+    u = Universe(members, pole_always)
+    u.clip([])  # the members' keys
+    assert calls == [m.proc for m in members]
     for text, member in (("<1!() ; {0~1}>", True), ("<0?() ; {}>", True),
                          ("<1!().1!() ; {0~1}>", False)):
         p = parse_pwf(text)
@@ -365,15 +370,30 @@ def reaches_nil_possibly(counts, k):
     return ups == downs and sum(ups.values()) <= k
 
 
+def _record_merges(monkeypatch) -> list:
+    """The node of every image and composite a universe builds: each is
+    one `_merge` of two member nodes."""
+    built = []
+    merge = realizability._merge
+
+    def recording(*args):
+        built.append(merge(*args))
+        return built[-1]
+
+    monkeypatch.setattr(realizability, "_merge", recording)
+    return built
+
+
 def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     monkeypatch.setattr(realizability, "_TABLES", {})
-    calls = []
+    halves = []
 
     def counting_par(p, q, config=DEFAULT):
-        calls.append(config)
+        halves.append(config)
         return par(p, q, config)
 
     monkeypatch.setattr(realizability, "par", counting_par)
+    built = _record_merges(monkeypatch)
     members = default_universe(1, 2, [DELTA], 10)
     n = len(members)
     full = (1 << n) - 1
@@ -381,15 +401,16 @@ def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     fitting = sum(1 for a in members for b in members
                   if invariant(a.proc) + invariant(b.proc) in possible)
     assert 0 < fitting < n * n
-    # the fitting pairs, and one fusion half for the one pair of fusions
-    built = fitting + 1
+    # each fitting pair's image built once, and one fusion half for the
+    # one pair of fusions
     images = []
     for pole in (pole_always, make_pole_done(2)):
         images.append(Universe(members, pole).op_par(full, full))
-        assert len(calls) == built
+        assert len(built) == fitting and len(halves) == 1
     other = Config(class_budget=2048)
     images.append(Universe(members, pole_always, other).op_par(full, full))
-    assert len(calls) == 2 * built and calls[-1] is other
+    assert len(built) == 2 * fitting
+    assert len(halves) == 2 and halves[-1] is other
     assert images[0] == images[1] == images[2]
     for limit in range(2, 9):
         Universe(default_universe(1, 2, [DELTA], limit), pole_always)
@@ -436,23 +457,25 @@ def test_images_have_the_summed_invariant(a, b, label):
 
 
 def test_done_matrix_builds_only_balanced_composites(monkeypatch):
-    built = []
+    halves = []
 
     def recording_nu_all(p, config=DEFAULT):
-        built.append(p)
+        halves.append(p)
         return nu_all(p, config)
 
     monkeypatch.setattr(realizability, "nu_all", recording_nu_all)
+    built = _record_merges(monkeypatch)
     members = sandbox_members()
     Universe(members, make_pole_done(2)).matrix()
     balanced = sum(1 for i, a in enumerate(members) for b in members[i:]
                    if reaches_nil_possibly(invariant(Par(a.proc, b.proc)), 2))
-    # each balanced pair once, and one NIL stand-in for the fusion half of
-    # the skipped pairs: all 48 members are under Δ
+    # each balanced pair's composite once, and one fusion half on NIL
+    # stand-ins for every pair: all 48 members are under Δ
     assert {m.fus for m in members} == {DELTA}
-    assert len(built) == balanced + 1
+    assert len(built) == balanced and len(halves) == 1
     assert balanced < len(members) ** 2 // 4
-    assert all(reaches_nil_possibly(invariant(p.proc), 2) for p in built)
+    assert all(reaches_nil_possibly(invariant(terms._to_process(node)), 2)
+               for node in built)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
@@ -554,3 +577,81 @@ def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
         Universe(members, pole_always).op_par(7, 7)
     with pytest.raises(InvalidFusionError):
         Universe(members, make_pole_done(1)).matrix()
+
+
+def test_matrix_and_tables_build_no_process_for_a_pair(monkeypatch):
+    """The PWF operations run only as fusion halves, on NIL stand-ins,
+    once per distinct pair of member fusions in each table and in the
+    matrix; no pair's term is put through `multiset_form`."""
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    members = mixed_members()
+    u = Universe(members, make_pole_done(8))
+    calls = []
+
+    def recording(name, op):
+        def run(*args):
+            calls.append((name, args))
+            return op(*args)
+        return run
+
+    for name in ("par", "bullet", "star", "nu_all"):
+        monkeypatch.setattr(realizability, name,
+                            recording(name, getattr(realizability, name)))
+    monkeypatch.setattr(realizability, "multiset_form",
+                        lambda p: pytest.fail("a pair's term was walked"))
+    u.matrix()
+    for label, (op_mask, _) in TABLE_OPS.items():
+        op_mask(u, u.full_mask, u.full_mask)
+    ordered = {(a.fus, b.fus) for a in members for b in members}
+    upper = {(a.fus, b.fus) for i, a in enumerate(members)
+             for b in members[i:]}
+    assert len(ordered) > len(upper) > 1
+    counts = Counter(name for name, _ in calls)
+    # par: its table and the matrix; star: star1 and star2
+    assert counts == {"par": len(ordered) + len(upper),
+                      "bullet": len(ordered), "star": 2 * len(ordered),
+                      "nu_all": len(upper)}
+    for name, args in calls:
+        pwfs = [x for x in args if isinstance(x, Pwf)]
+        assert pwfs and all(p.proc == NIL or name == "nu_all" and
+                            p.proc == Par(NIL, NIL) for p in pwfs), name
+
+
+CONFIGS = [Config(nu_seed=seed, nu_closure=closure)
+           for seed in ("fn", "np") for closure in ("literal", "class-closure")]
+CONFIG_OPS = {"par": par, "bullet": bullet,
+              "star1": lambda p, q, config: star(1, p, q, config),
+              "star2": lambda p, q, config: star(2, p, q, config)}
+
+
+@given(st.sampled_from(INVARIANT_POOL), st.sampled_from(INVARIANT_POOL),
+       st.sampled_from(CONFIGS), st.sampled_from(sorted(CONFIG_OPS)))
+@settings(max_examples=200, deadline=None)
+def test_node_images_and_composites_match_the_process_terms(a, b, config,
+                                                            label):
+    """A universe holding a, b and op(a, b) maps the pair to op(a, b)'s
+    member, as `clip` of the term built as a `Process` does; its matrix
+    cell is the pole's verdict on ν(a | b) built as a `Process`, for the
+    `done:k` poles and for a plain callable that hides the node entry."""
+    try:
+        image = CONFIG_OPS[label](a, b, config)
+    except PwfError:
+        image = None
+    # a member equal to an earlier one is harmless: clip maps it to the
+    # earlier one
+    members = [a, b] + ([image] if image is not None else [])
+    u = Universe(members, pole_always, config)
+    bit_a, bit_b = u.clip([a]), u.clip([b])
+    op_mask, _ = TABLE_OPS[label]
+    expected = u.clip([image]) if image is not None else 0
+    assert op_mask(u, bit_a, bit_b) == expected
+    composite = nu_all(par(a, b, config), config)
+    row = bit_a.bit_length() - 1
+    for k in (2, 8):
+        pole = make_pole_done(k)
+        rows = Universe(members, pole, config).matrix()
+        assert bool(rows[row] & bit_b) == pole(composite), k
+        if k == 8:
+            def plain(q, config=DEFAULT):
+                return pole(q)
+            assert Universe(members, plain, config).matrix() == rows
