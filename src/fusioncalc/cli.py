@@ -396,8 +396,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("pole-laws", help="finite-universe law report")
-    p.add_argument("--universe", help="key=value spec: max_actions, names, "
-                   "limit, fusions (|-separated literals)")
+    p.add_argument("--universe", help="key=value spec: max_actions (0..2), "
+                   "names (>= 0), limit (>= 1), fusions (|-separated "
+                   "literals)")
     p.add_argument("--pole", default="always")
     p.add_argument("--samples", type=int, default=12)
     p.set_defaults(func=_cmd_pole_laws)

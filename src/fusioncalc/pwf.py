@@ -20,7 +20,7 @@ from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
                      map_fusion, parse_fusion, presentation, remove,
                      second_rep, sigma_tau)
-from .names import ALL, Name, NameSet, finite, residue
+from .names import ALL, Name, NameSet, Word, finite, is_suffix, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names,
                       parse_process, process_str, substitute, tidy)
 from .subst import Substitution, finite_subst, remap_subst
@@ -215,14 +215,22 @@ def unrelabel(p: Pwf, i: int, config: Config = DEFAULT) -> Pwf:
     for x in free_names(p.proc):
         if not target.member(x):
             raise PwfError(f"free name {x} outside the image of injection {i}")
-    for a, b in p.fus.pairs:
+    fus = untag_fusion(p.fus, (i,), config)
+    return Pwf(substitute(p.proc, remap_subst([((i,), ())])), fus)
+
+
+def untag_fusion(e: Fusion, w: Word, config: Config = DEFAULT) -> Fusion:
+    """The fusion half of `unrelabel` by the injection tag(., w): e with
+    each tag(x, w) renamed to x, or PwfError where a pair or a family of
+    e leaves the injection's image."""
+    target = residue(w)
+    for a, b in e.pairs:
         if not (target.member(a) and target.member(b)):
             raise PwfError("fusion pair outside the image of the injection")
-    for w1, w2 in p.fus.families:
-        if not (w1 and w2 and w1[-1] == i and w2[-1] == i):
+    for w1, w2 in e.families:
+        if not (is_suffix(w, w1) and is_suffix(w, w2)):
             raise PwfError("fusion family outside the image of the injection")
-    sigma = remap_subst([((i,), ())])
-    return Pwf(substitute(p.proc, sigma), map_fusion(p.fus, sigma, config))
+    return map_fusion(e, remap_subst([(w, ())]), config)
 
 
 def bullet(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:

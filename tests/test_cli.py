@@ -158,6 +158,21 @@ def test_pole_laws_rejects_bounds_that_decide_nothing(capsys):
         assert err == f"error: --samples must be at least 1, not {samples}\n"
 
 
+def test_pole_laws_rejects_a_universe_spec_out_of_bounds(capsys):
+    """A universe of one member, or with max_actions capped silently,
+    would report on a universe the spec did not ask for."""
+    for spec, message in (("limit=0", "limit must be at least 1, not 0"),
+                          ("limit=-5", "limit must be at least 1, not -5"),
+                          ("names=-1", "names must be at least 0, not -1"),
+                          ("max_actions=3",
+                           "max_actions must be 0, 1 or 2, not 3"),
+                          ("max_actions=-1",
+                           "max_actions must be 0, 1 or 2, not -1")):
+        code, out, err = run(capsys, "pole-laws", "--universe", spec)
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: {message}\n", spec
+
+
 def test_pole_laws_report_states_config(capsys):
     code, out, _ = run(capsys, "--set", "class_budget=2048", "pole-laws",
                        "--universe", "limit=20", "--samples", "2")

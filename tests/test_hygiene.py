@@ -142,8 +142,9 @@ DOCUMENTED_API = {
     # and the join of a family
     "identity_I", "psi", "related", "validate", "join_all",
     # processes with fusions: the guarded prefix, restriction by a
-    # finite set, free names
-    "prefix", "nu_finite", "fn_contains",
+    # finite set, free names, and the tensor-style composition `bullet`,
+    # the reference that the universe's node images are checked against
+    "prefix", "nu_finite", "fn_contains", "bullet",
     # the printed form of a congruence class, read by criterion 06
     "canonical",
     # the universe's orthogonal of a PWF list and the behaviour

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fusioncalc import pwf, realizability, terms
 from fusioncalc.config import DEFAULT, Config
-from fusioncalc.fusion import (DELTA, InvalidFusionError, identity_I,
+from fusioncalc.fusion import (DELTA, InvalidFusionError, identity_I, join,
                                parse_fusion)
 from fusioncalc.process import NIL, Act, Nu, Par, canonical, substitute
 from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
@@ -49,6 +49,22 @@ def test_default_universe_is_deterministic_and_deduplicated():
         u = Universe(members, pole_always)
         assert u.clip(members) == u.full_mask
     assert len(default_universe(1, 1, split, 100)) == 6
+
+
+def test_default_universe_rejects_bounds_out_of_range():
+    """limit 0 or below would still return a member, and max_actions
+    above 2 was capped at 2 without a word."""
+    for kwargs, message in (({"limit": 0}, "limit must be at least 1"),
+                            ({"limit": -5}, "limit must be at least 1"),
+                            ({"names": -1}, "names must be at least 0"),
+                            ({"max_actions": 3}, "max_actions must be 0, 1"),
+                            ({"max_actions": -1}, "max_actions must be 0, 1")):
+        with pytest.raises(ValueError, match=message):
+            default_universe(**kwargs)
+    assert default_universe(limit=1) == [UNIT]
+    assert default_universe(0, 4, [DELTA, identity_I()]) == \
+        [UNIT, Pwf(NIL, identity_I())]
+    assert default_universe(2, 0) == [UNIT]
 
 
 def test_parse_pole():
@@ -225,6 +241,10 @@ def test_arrow_star_adjunction_on_behaviours():
         c = u.biorthogonal_mask(rng.getrandbits(len(u.members)) & u.full_mask)
         applied = u.op_star(1, c, a)
         assert (applied & b == applied) == (c & u.op_arrow(a, b) == c)
+    # as `pwf.star`, the table rejects an index that names no injection
+    for index in (0, 3):
+        with pytest.raises(PwfError, match="star index"):
+            u.op_star(index, u.full_mask, u.full_mask)
 
 
 @pytest.mark.parametrize("pole_text", ["always", "done:6"])
@@ -384,15 +404,22 @@ def _record_merges(monkeypatch) -> list:
     return built
 
 
+def _count_joins(monkeypatch) -> list:
+    """The config of every fusion join a universe computes: one per pair
+    of member fusions in each op table and in the matrix."""
+    joins = []
+
+    def counting(e, f, config=DEFAULT):
+        joins.append(config)
+        return join(e, f, config)
+
+    monkeypatch.setattr(realizability, "join", counting)
+    return joins
+
+
 def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     monkeypatch.setattr(realizability, "_TABLES", {})
-    halves = []
-
-    def counting_par(p, q, config=DEFAULT):
-        halves.append(config)
-        return par(p, q, config)
-
-    monkeypatch.setattr(realizability, "par", counting_par)
+    joins = _count_joins(monkeypatch)
     built = _record_merges(monkeypatch)
     members = default_universe(1, 2, [DELTA], 10)
     n = len(members)
@@ -401,16 +428,16 @@ def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     fitting = sum(1 for a in members for b in members
                   if invariant(a.proc) + invariant(b.proc) in possible)
     assert 0 < fitting < n * n
-    # each fitting pair's image built once, and one fusion half for the
-    # one pair of fusions
+    # each fitting pair's image built once, and one join for the one
+    # pair of fusions
     images = []
     for pole in (pole_always, make_pole_done(2)):
         images.append(Universe(members, pole).op_par(full, full))
-        assert len(built) == fitting and len(halves) == 1
+        assert len(built) == fitting and len(joins) == 1
     other = Config(class_budget=2048)
     images.append(Universe(members, pole_always, other).op_par(full, full))
     assert len(built) == 2 * fitting
-    assert len(halves) == 2 and halves[-1] is other
+    assert len(joins) == 2 and joins[-1] is other
     assert images[0] == images[1] == images[2]
     for limit in range(2, 9):
         Universe(default_universe(1, 2, [DELTA], limit), pole_always)
@@ -457,22 +484,16 @@ def test_images_have_the_summed_invariant(a, b, label):
 
 
 def test_done_matrix_builds_only_balanced_composites(monkeypatch):
-    halves = []
-
-    def recording_nu_all(p, config=DEFAULT):
-        halves.append(p)
-        return nu_all(p, config)
-
-    monkeypatch.setattr(realizability, "nu_all", recording_nu_all)
+    joins = _count_joins(monkeypatch)
     built = _record_merges(monkeypatch)
     members = sandbox_members()
     Universe(members, make_pole_done(2)).matrix()
     balanced = sum(1 for i, a in enumerate(members) for b in members[i:]
                    if reaches_nil_possibly(invariant(Par(a.proc, b.proc)), 2))
-    # each balanced pair's composite once, and one fusion half on NIL
-    # stand-ins for every pair: all 48 members are under Δ
+    # each balanced pair's composite once, and one join for every pair:
+    # all 48 members are under Δ
     assert {m.fus for m in members} == {DELTA}
-    assert len(built) == balanced and len(halves) == 1
+    assert len(built) == balanced and len(joins) == 1
     assert balanced < len(members) ** 2 // 4
     assert all(reaches_nil_possibly(invariant(terms._to_process(node)), 2)
                for node in built)
@@ -558,6 +579,23 @@ def test_tables_and_matrix_match_the_all_pairs_loops(universe):
                                   if (a, b) in orthogonal)
 
 
+def test_matrix_on_interleaved_fusions_matches_the_all_pairs_loop():
+    """Members of different fusions interleaved, so that one pair of
+    fusion groups holds member pairs in both index orders."""
+    members = mixed_members()
+    orthogonal = reference_orthogonal(members, 8)
+    order = reordered(members, 13)
+    fusions = [m.fus for m in order]
+    assert any(fusions.index(a.fus) > fusions.index(b.fus)
+               for i, a in enumerate(order) for b in order[i + 1:]
+               if (a, b) in orthogonal)
+    index = {m: 1 << i for i, m in enumerate(order)}
+    rows = Universe(order, make_pole_done(8)).matrix()
+    for i, a in enumerate(order):
+        assert rows[i] == sum(index[b] for b in order
+                              if (a, b) in orthogonal), a
+
+
 def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
         monkeypatch):
     monkeypatch.setattr(realizability, "_TABLES", {})
@@ -572,7 +610,7 @@ def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
         raise InvalidFusionError("join produced an infinite class")
 
     monkeypatch.setattr(realizability, "_TABLES", {})
-    monkeypatch.setattr(pwf, "join", failing_join)
+    monkeypatch.setattr(realizability, "join", failing_join)
     with pytest.raises(InvalidFusionError):
         Universe(members, pole_always).op_par(7, 7)
     with pytest.raises(InvalidFusionError):
@@ -580,41 +618,28 @@ def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
 
 
 def test_matrix_and_tables_build_no_process_for_a_pair(monkeypatch):
-    """The PWF operations run only as fusion halves, on NIL stand-ins,
-    once per distinct pair of member fusions in each table and in the
-    matrix; no pair's term is put through `multiset_form`."""
+    """No PWF operator runs: each table and the matrix read their image
+    fusions from the operation's shape, with one join per pair of member
+    fusions (ordered for a table, unordered for the matrix), and no
+    pair's term is put through `multiset_form`."""
     monkeypatch.setattr(realizability, "_TABLES", {})
     members = mixed_members()
     u = Universe(members, make_pole_done(8))
-    calls = []
-
-    def recording(name, op):
-        def run(*args):
-            calls.append((name, args))
-            return op(*args)
-        return run
-
-    for name in ("par", "bullet", "star", "nu_all"):
-        monkeypatch.setattr(realizability, name,
-                            recording(name, getattr(realizability, name)))
+    joins = _count_joins(monkeypatch)
+    for name in ("par", "bullet", "star", "nu_all", "nu_set", "relabel_word",
+                 "unrelabel"):
+        assert not hasattr(realizability, name), name
+        monkeypatch.setattr(pwf, name, lambda *args, name=name:
+                            pytest.fail(f"pwf.{name} ran"))
     monkeypatch.setattr(realizability, "multiset_form",
                         lambda p: pytest.fail("a pair's term was walked"))
     u.matrix()
     for label, (op_mask, _) in TABLE_OPS.items():
         op_mask(u, u.full_mask, u.full_mask)
-    ordered = {(a.fus, b.fus) for a in members for b in members}
-    upper = {(a.fus, b.fus) for i, a in enumerate(members)
-             for b in members[i:]}
-    assert len(ordered) > len(upper) > 1
-    counts = Counter(name for name, _ in calls)
-    # par: its table and the matrix; star: star1 and star2
-    assert counts == {"par": len(ordered) + len(upper),
-                      "bullet": len(ordered), "star": 2 * len(ordered),
-                      "nu_all": len(upper)}
-    for name, args in calls:
-        pwfs = [x for x in args if isinstance(x, Pwf)]
-        assert pwfs and all(p.proc == NIL or name == "nu_all" and
-                            p.proc == Par(NIL, NIL) for p in pwfs), name
+    fusions = len({m.fus for m in members})
+    assert fusions > 1
+    assert len(joins) == len(TABLE_OPS) * fusions ** 2 + \
+        fusions * (fusions + 1) // 2
 
 
 CONFIGS = [Config(nu_seed=seed, nu_closure=closure)
