@@ -10,25 +10,28 @@ exactly which limits were in force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Config:
-    class_budget: int = 1024
-    nu_closure: str = "literal"  # or "class-closure"
-    nu_seed: str = "fn"  # or "np"
+class Config(Record):
+    __slots__ = ("class_budget", "nu_closure", "nu_seed")
 
-    def __post_init__(self) -> None:
-        if self.class_budget < 1:
+    def __init__(self, class_budget: int = 1024,
+                 nu_closure: str = "literal",  # or "class-closure"
+                 nu_seed: str = "fn") -> None:  # or "np"
+        if class_budget < 1:
             raise ValueError("class_budget must be positive")
-        if self.nu_closure not in ("literal", "class-closure"):
-            raise ValueError(f"unknown nu_closure {self.nu_closure!r}")
-        if self.nu_seed not in ("fn", "np"):
-            raise ValueError(f"unknown nu_seed {self.nu_seed!r}")
+        if nu_closure not in ("literal", "class-closure"):
+            raise ValueError(f"unknown nu_closure {nu_closure!r}")
+        if nu_seed not in ("fn", "np"):
+            raise ValueError(f"unknown nu_seed {nu_seed!r}")
+        object.__setattr__(self, "class_budget", class_budget)
+        object.__setattr__(self, "nu_closure", nu_closure)
+        object.__setattr__(self, "nu_seed", nu_seed)
 
     def with_options(self, **kw) -> "Config":
-        return replace(self, **kw)
+        return Config(**{name: getattr(self, name) for name in self._fields}
+                      | kw)
 
 
 DEFAULT = Config()

@@ -54,12 +54,12 @@ reached from them) is also what makes restriction representable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
                     parse_name, remember, tag, untag, word, word_str)
+from .record import Record
 from .subst import Substitution, remap_subst
 
 
@@ -96,16 +96,15 @@ def _name_pair(a: Name, b: Name) -> tuple[Name, Name]:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class Fusion:
-    pairs: frozenset[tuple[Name, Name]] = frozenset()
-    families: frozenset[tuple[Word, Word]] = frozenset()
+class Fusion(Record):
+    __slots__ = ("pairs", "families")
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: Iterable[tuple[Name, Name]] = frozenset(),
+                 families: Iterable[tuple[Word, Word]] = frozenset()) -> None:
         object.__setattr__(self, "pairs", frozenset(
-            _name_pair(a, b) for a, b in self.pairs if a != b))
+            _name_pair(a, b) for a, b in pairs if a != b))
         object.__setattr__(self, "families", frozenset(
-            _fam_pair(u, v) for u, v in self.families if u != v))
+            _fam_pair(u, v) for u, v in families if u != v))
 
     def endpoints(self) -> frozenset[Name]:
         return frozenset(x for pair in self.pairs for x in pair)

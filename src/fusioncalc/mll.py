@@ -18,7 +18,6 @@ its variable's axis, in carrier order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
 
@@ -26,6 +25,7 @@ from .calgebra import Element, FinModel, _no_join
 from .config import DEFAULT, Config
 from .process import SearchBudgetError
 from .pwf import UNIT, Pwf, as_pwf, realizer_catalog, star
+from .record import Record
 
 
 class MllError(Exception):
@@ -40,37 +40,28 @@ class ProofError(MllError):
 # formulas
 
 
-@dataclass(frozen=True)
-class One:
-    pass
+class One(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)  # str
 
 
-@dataclass(frozen=True)
-class Perp:
-    body: "Formula"
+class Perp(Record):
+    __slots__ = ("body",)  # Formula
 
 
-@dataclass(frozen=True)
-class Tensor:
-    left: "Formula"
-    right: "Formula"
+class Tensor(Record):
+    __slots__ = ("left", "right")  # Formula, Formula
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "Formula"
-    right: "Formula"
+class Join(Record):
+    __slots__ = ("left", "right")  # Formula, Formula
 
 
-@dataclass(frozen=True)
-class Exists:
-    var: str
-    body: "Formula"
+class Exists(Record):
+    __slots__ = ("var", "body")  # str, Formula
 
 
 Formula = Union[One, Var, Perp, Tensor, Join, Exists]
@@ -263,47 +254,33 @@ def parse_formula(text: str) -> Formula:
 # proofs
 
 
-@dataclass(frozen=True)
-class Ax:
-    formula: Formula
+class Ax(Record):
+    __slots__ = ("formula",)  # Formula
 
 
-@dataclass(frozen=True)
-class Ex:
-    perm: tuple[int, ...]
-    sub: "Proof"
+class Ex(Record):
+    __slots__ = ("perm", "sub")  # tuple[int, ...], Proof
 
 
-@dataclass(frozen=True)
-class SubRule:
-    sub: "Proof"
-    extension: Formula
+class SubRule(Record):
+    __slots__ = ("sub", "extension")  # Proof, Formula
 
 
-@dataclass(frozen=True)
-class Cut:
-    left: "Proof"
-    right: "Proof"
-    formula: Formula
+class Cut(Record):
+    __slots__ = ("left", "right", "formula")  # Proof, Proof, Formula
 
 
-@dataclass(frozen=True)
-class OneIntro:
-    pass
+class OneIntro(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TensorIntro:
-    left: "Proof"
-    right: "Proof"
+class TensorIntro(Record):
+    __slots__ = ("left", "right")  # Proof, Proof
 
 
-@dataclass(frozen=True)
-class ExistsIntro:
-    sub: "Proof"
-    var: str
-    body: Formula
-    witness: Formula
+class ExistsIntro(Record):
+    __slots__ = ("sub", "var", "body",
+                 "witness")  # Proof, str, Formula, Formula
 
 
 Proof = Union[Ax, Ex, SubRule, Cut, OneIntro, TensorIntro, ExistsIntro]
@@ -516,15 +493,12 @@ def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
 # realizer extraction
 
 
-@dataclass(frozen=True)
-class Const:
-    label: str  # a realizer-catalog label, or "UNIT" for (1, Delta)
+class Const(Record):
+    __slots__ = ("label",)  # a realizer-catalog label, or "UNIT" (1, Δ)
 
 
-@dataclass(frozen=True)
-class Star1:
-    func: "RealizerExpr"
-    arg: "RealizerExpr"
+class Star1(Record):
+    __slots__ = ("func", "arg")  # RealizerExpr, RealizerExpr
 
 
 RealizerExpr = Union[Const, Star1]

@@ -16,8 +16,9 @@ full store drops its oldest entry first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
+
+from .record import Record
 
 Name = int
 Word = tuple[int, ...]
@@ -84,26 +85,26 @@ def parse_name(text: str) -> Name:
     return tag(int(head), word(rest)) if dot else int(head)
 
 
-@dataclass(frozen=True)
-class NameSet:
-    singletons: frozenset[Name] = frozenset()
-    residues: frozenset[Word] = frozenset()
-    universal: bool = False
-    excluded: frozenset[Name] = frozenset()
+class NameSet(Record):
+    __slots__ = ("singletons", "residues", "universal", "excluded")
 
-    def __post_init__(self) -> None:
+    def __init__(self, singletons: frozenset[Name] = frozenset(),
+                 residues: frozenset[Word] = frozenset(),
+                 universal: bool = False,
+                 excluded: frozenset[Name] = frozenset()) -> None:
         # normalize: excluded names that would not be members anyway are
         # dropped, and members listed as singletons are never excluded
-        base_sing = frozenset(self.singletons - self.excluded)
         excl = frozenset(
-            x for x in self.excluded
-            if self.universal or any(untag(x, w) is not None for w in self.residues)
+            x for x in excluded
+            if universal or any(untag(x, w) is not None for w in residues)
         )
-        object.__setattr__(self, "singletons", base_sing)
+        if universal:
+            singletons = residues = frozenset()
+        object.__setattr__(self, "singletons",
+                           frozenset(singletons - excluded))
+        object.__setattr__(self, "residues", residues)
+        object.__setattr__(self, "universal", universal)
         object.__setattr__(self, "excluded", excl)
-        if self.universal:
-            object.__setattr__(self, "residues", frozenset())
-            object.__setattr__(self, "singletons", frozenset())
 
     def member(self, x: Name) -> bool:
         if x in self.excluded:

@@ -153,6 +153,8 @@ class _Parser:
     def name(self) -> Name:
         self.skip()
         start = self.pos
+        if not self.text[start:start + 1].isdigit():
+            raise self.error("expected a name")
         while self.pos < len(self.text):
             ch = self.text[self.pos]
             if ch.isdigit():
@@ -162,9 +164,11 @@ class _Parser:
                 self.pos += 2
             else:
                 break
-        if start == self.pos:
-            raise self.error("expected a name")
-        return parse_name(self.text[start:self.pos])
+        try:
+            return parse_name(self.text[start:self.pos])
+        except ValueError as exc:
+            self.pos = start
+            raise self.error(str(exc)) from None
 
     def parse(self) -> Process:
         p = self.process()
@@ -201,12 +205,13 @@ class _Parser:
         return self.action()
 
     def _looks_like_action(self) -> bool:
+        """At a "1": whether a name and then "!" or "?" follow, or the "1"
+        is nil.  A bad name raises, since nil is followed by no name
+        characters either."""
         save = self.pos
         try:
             self.name()
             return self.peek() in ("!", "?")
-        except ProcessError:
-            return False
         finally:
             self.pos = save
 

@@ -14,7 +14,6 @@ a surviving representative before the plain pi binder is applied.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
@@ -23,6 +22,7 @@ from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
 from .names import ALL, Name, NameSet, Word, finite, is_suffix, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names,
                       parse_process, process_str, substitute, tidy)
+from .record import Record
 from .subst import Substitution, finite_subst, remap_subst
 from .terms import (_relabel, _to_process, canonical_form, invariant,
                     multiset_form, node_key)
@@ -32,10 +32,12 @@ class PwfError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Pwf:
-    proc: Process
-    fus: Fusion
+class Pwf(Record):
+    __slots__ = ("proc", "fus")
+
+    def __init__(self, proc: Process, fus: Fusion) -> None:
+        object.__setattr__(self, "proc", proc)
+        object.__setattr__(self, "fus", fus)
 
 
 UNIT = Pwf(NIL, DELTA)

@@ -8,34 +8,34 @@ x -> x pins the identity there).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .names import Name, Word, is_suffix, tag, untag, word_str
+from .record import Record
 
 
 class SubstitutionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Substitution:
-    finite_map: tuple[tuple[Name, Name], ...] = ()
-    word_remaps: frozenset[tuple[Word, Word]] = frozenset()
+class Substitution(Record):
+    # `_table` is the lookup table of apply; not a field, so equality and
+    # hashing still read finite_map alone
+    __slots__ = ("finite_map", "word_remaps", "_table")
 
-    def __post_init__(self) -> None:
-        table = dict(self.finite_map)
-        object.__setattr__(self, "finite_map", tuple(sorted(table.items())))
-        # lookup table for apply; not a field, so equality and hashing
-        # still read finite_map alone
-        object.__setattr__(self, "_table", table)
-        remaps = frozenset((u, v) for u, v in self.word_remaps if u != v)
+    def __init__(self, finite_map: Iterable[tuple[Name, Name]] = (),
+                 word_remaps: Iterable[tuple[Word, Word]] = frozenset()
+                 ) -> None:
+        table = dict(finite_map)
+        remaps = frozenset((u, v) for u, v in word_remaps if u != v)
         for u, v in remaps:
             for u2, _ in remaps:
                 if u != u2 and (is_suffix(u, u2) or is_suffix(u2, u)):
                     raise SubstitutionError(
                         f"overlapping remap domains {word_str(u)} / {word_str(u2)}")
+        object.__setattr__(self, "finite_map", tuple(sorted(table.items())))
         object.__setattr__(self, "word_remaps", remaps)
+        object.__setattr__(self, "_table", table)
 
     def apply(self, x: Name) -> Name:
         if x in self._table:

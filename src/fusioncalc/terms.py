@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterator
 
 from .names import Name, remember
+from .record import Record
 from .subst import Substitution
 
 
@@ -40,42 +40,44 @@ class SearchBudgetError(ProcessError):
     budget."""
 
 
-class Process:
+class Process(Record):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Nil(Process):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Par(Process):
-    left: Process
-    right: Process
     __slots__ = ("left", "right")
 
+    def __init__(self, left: Process, right: Process) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
-@dataclass(frozen=True)
+
 class Act(Process):
-    subject: Name
-    polarity: str  # "up" (output, !) or "down" (input, ?)
-    bound: tuple[Name, ...]
-    body: Process
     __slots__ = ("subject", "polarity", "bound", "body")
 
-    def __post_init__(self) -> None:
-        if self.polarity not in ("up", "down"):
-            raise ProcessError(f"bad polarity {self.polarity!r}")
-        if len(set(self.bound)) != len(self.bound):
+    def __init__(self, subject: Name, polarity: str, bound: tuple[Name, ...],
+                 body: Process) -> None:
+        # polarity: "up" (output, !) or "down" (input, ?)
+        if polarity not in ("up", "down"):
+            raise ProcessError(f"bad polarity {polarity!r}")
+        if len(set(bound)) != len(bound):
             raise ProcessError("bound vector has duplicates")
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "polarity", polarity)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True)
 class Nu(Process):
-    name: Name
-    body: Process
     __slots__ = ("name", "body")
+
+    def __init__(self, name: Name, body: Process) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "body", body)
 
 
 NIL = Nil()

@@ -24,6 +24,23 @@ def test_parse_echoes_and_rejects(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_parse_reports_a_bad_name_with_its_position(capsys):
+    """A name starts with a digit, and a name `parse_name` rejects keeps
+    its message and gains the position of the name."""
+    for text, message in [
+            ("<new .1 ; {}>", "expected a name at position 4"),
+            ("<0.3!() ; {}>",
+             "word letters must be 1 or 2: '3' at position 0 in '0.3!() '"),
+            ("<1.3!() ; {}>", "word letters must be 1 or 2: '3' at position 0"),
+            ("<0!(1.2, 2.3) ; {}>",
+             "word letters must be 1 or 2: '3' at position 8"),
+            ("<0!() | ٣?() ; {}>",
+             "a name is a decimal natural: '٣' at position 7")]:
+        code, out, err = run(capsys, "parse", text)
+        assert (code, out) == (2, ""), text
+        assert message in err, (text, err)
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     """Options given to one call do not leak into the next."""
     assert cli._build_parser() is cli._build_parser()

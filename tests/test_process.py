@@ -122,9 +122,9 @@ def test_substitute_without_a_capture_builds_no_substitution(monkeypatch):
     sigma, unmoved = finite_subst({0: 5, 1: 6, 4: 7}), finite_subst({9: 0})
     expected = reference_substitute(p, sigma)
     built = []
-    init = Substitution.__post_init__
-    monkeypatch.setattr(Substitution, "__post_init__",
-                        lambda self: built.append(self) or init(self))
+    init = Substitution.__init__
+    monkeypatch.setattr(Substitution, "__init__", lambda self, *a, **kw:
+                        built.append(self) or init(self, *a, **kw))
     assert substitute(p, sigma) == expected
     assert substitute(p, unmoved) is p
     assert built == []
