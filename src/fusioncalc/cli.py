@@ -51,8 +51,7 @@ def _config_from_args(args) -> Config:
 
 
 def _config_banner(config: Config) -> str:
-    return (f"# config: class_budget={config.class_budget} "
-            f"nu_closure={config.nu_closure} nu_seed={config.nu_seed}")
+    return f"# config: class_budget={config.class_budget}"
 
 
 def _print_report(rows, fmt: str) -> bool:
@@ -396,9 +395,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_star)
 
     p = sub.add_parser("pole-laws", help="finite-universe law report")
-    p.add_argument("--universe", help="key=value spec: max_actions (0..2), "
-                   "names (>= 0), limit (>= 1), fusions (|-separated "
-                   "literals)")
+    p.add_argument("--universe", help="key=value spec: max_actions (0..2, "
+                   "default 2), names (>= 0, default 3), limit (>= 1, "
+                   "default 160), fusions (|-separated, default {}|{0~1}, "
+                   "but a limit <= 946 holds only {} members)")
     p.add_argument("--pole", default="always")
     p.add_argument("--samples", type=int, default=12)
     p.set_defaults(func=_cmd_pole_laws)

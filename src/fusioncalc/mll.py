@@ -579,9 +579,9 @@ def evaluate_realizer(r: RealizerExpr, config: Config = DEFAULT) -> Pwf:
 # shipped proof corpus
 
 
-def load_corpus(name: str = "corpus") -> dict[str, Proof]:
-    root = resources.files("fusioncalc") / "proofs"
-    text = (root / f"{name}.proofs").read_text(encoding="utf-8")
+def load_corpus() -> dict[str, Proof]:
+    path = resources.files("fusioncalc") / "proofs" / "corpus.proofs"
+    text = path.read_text(encoding="utf-8")
     out: dict[str, Proof] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()

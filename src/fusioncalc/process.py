@@ -11,6 +11,8 @@ here.
 
 from __future__ import annotations
 
+import re
+
 from .names import Name, parse_name
 from .terms import (NIL, Act, Nil, Nu, Par, Process, ProcessError,
                     SearchBudgetError, _to_process, all_names, canonical_form,
@@ -121,6 +123,9 @@ def _par_list(p: Process) -> list[Process]:
     return [p]
 
 
+_NAME_TEXT = re.compile(r"\d+(?:\.\d+)*")
+
+
 class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
@@ -150,22 +155,29 @@ class _Parser:
             return True
         return False
 
-    def name(self) -> Name:
+    def name(self, binder: bool = False) -> Name:
+        """A name, read greedily.  A `binder` that neither "." nor another
+        binder follows also read the body's subject, as in `new 0.1!()`:
+        it ends at its last "." with a name before it (a longer subject
+        meets the same input after it, so no other split parses)."""
         self.skip()
         start = self.pos
-        if not self.text[start:start + 1].isdigit():
+        match = _NAME_TEXT.match(self.text, start)
+        if not match:
             raise self.error("expected a name")
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch.isdigit():
-                self.pos += 1
-            elif ch == "." and self.pos + 1 < len(self.text) and \
-                    self.text[self.pos + 1].isdigit():
-                self.pos += 2
-            else:
-                break
+        end = self.pos = match.end()
+        if binder and self.peek() != "." and not self.peek().isdigit():
+            dot = self.text.rfind(".", start, end)
+            while dot > start:
+                try:
+                    x = parse_name(self.text[start:dot])
+                except ValueError:
+                    dot = self.text.rfind(".", start, dot)
+                    continue
+                self.pos = dot
+                return x
         try:
-            return parse_name(self.text[start:self.pos])
+            return parse_name(self.text[start:end])
         except ValueError as exc:
             self.pos = start
             raise self.error(str(exc)) from None
@@ -191,9 +203,9 @@ class _Parser:
             return inner
         if self.text.startswith("new", self.pos):
             self.pos += 3
-            binders = [self.name()]
+            binders = [self.name(binder=True)]
             while self.peek().isdigit():
-                binders.append(self.name())
+                binders.append(self.name(binder=True))
             self.eat(".")
             body = self.process()
             for x in reversed(binders):

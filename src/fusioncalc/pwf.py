@@ -51,19 +51,6 @@ def fn_contains(p: Pwf, x: Name, config: Config = DEFAULT) -> bool:
     return bool(cls & free_names(p.proc))
 
 
-def fn_finite_part(p: Pwf, config: Config = DEFAULT) -> frozenset[Name]:
-    """The finitely enumerable free names: classes of the free process
-    names plus the finite-pair endpoints of the fusion.  Family-generated
-    names are reported through fn_contains instead."""
-    out: set[Name] = set()
-    classes = _classes(p.fus, config)
-    for x in free_names(p.proc):
-        out |= classes(x)
-    for a, b in p.fus.pairs:
-        out |= {a, b}
-    return frozenset(out)
-
-
 def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
     """The multiset form of p's process with each free name x replaced by
     σ(x), the least member of its class; its binders are negative, so
@@ -135,33 +122,25 @@ def nu_name(x: Name, p: Pwf, config: Config = DEFAULT) -> Pwf:
     return Pwf(Nu(x, body), remove(p.fus, finite([x]), config))
 
 
-def nu_finite(X: frozenset[Name], p: Pwf, config: Config = DEFAULT) -> Pwf:
-    if config.nu_closure == "class-closure":
-        closure: set[Name] = set()
+def nu_finite(X: frozenset[Name], p: Pwf, config: Config = DEFAULT, *,
+              class_closure: bool = False) -> Pwf:
+    """ν of each name of X in turn; with class_closure, of each name of
+    the classes of X's free process names, and then X is removed from e."""
+    bound = X
+    if class_closure:
         classes = _classes(p.fus, config)
-        for x in free_names(p.proc) & X:
-            closure |= classes(x)
-        inner = _nu_finite_literal(frozenset(closure), p, config)
-        return Pwf(inner.proc, remove(inner.fus, finite(X), config))
-    return _nu_finite_literal(frozenset(X), p, config)
-
-
-def _nu_finite_literal(X: frozenset[Name], p: Pwf,
-                       config: Config = DEFAULT) -> Pwf:
+        bound = set().union(*map(classes, free_names(p.proc) & X))
     out = p
-    for x in sorted(X):
+    for x in sorted(bound):
         out = nu_name(x, out, config)
+    if class_closure:
+        out = Pwf(out.proc, remove(out.fus, finite(X), config))
     return out
 
 
 def hereditary_closure(X: NameSet, p: Pwf, config: Config = DEFAULT
                        ) -> tuple[frozenset[Name], Substitution]:
-    if config.nu_seed == "np":
-        seed = {x for x in fn_finite_part(p, config) if X.member(x)}
-        seed |= {x for x in free_names(p.proc) if X.member(x)}
-    else:
-        seed = {x for x in free_names(p.proc) if X.member(x)}
-    current = frozenset(seed)
+    current = frozenset(x for x in free_names(p.proc) if X.member(x))
     classes = _classes(p.fus, config)
     while True:
         ts = _closure_step(current, classes)
@@ -208,8 +187,13 @@ def relabel_word(p: Pwf, w: tuple[int, ...],
     """Apply the injection x -> tag(x, w) to process and fusion."""
     if not w:
         return p
-    sigma = remap_subst([((), w)])
-    return Pwf(substitute(p.proc, sigma), map_fusion(p.fus, sigma, config))
+    return Pwf(substitute(p.proc, remap_subst([((), w)])),
+               tag_fusion(p.fus, w, config))
+
+
+def tag_fusion(e: Fusion, w: Word, config: Config = DEFAULT) -> Fusion:
+    """The fusion half of `relabel_word`: e under x -> tag(x, w)."""
+    return map_fusion(e, remap_subst([((), w)]), config) if w else e
 
 
 def unrelabel(p: Pwf, i: int, config: Config = DEFAULT) -> Pwf:

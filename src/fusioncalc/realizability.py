@@ -17,16 +17,16 @@ sample is the top behaviour (200 of 200 draws on 48 members, under
 `always` and `done:8`), so those two rows test little.
 
 A universe operation is one shape (left, right, bind, out): tag the
-sides by the injections `left` and `right`, compose them under the join
-J of the tagged fusions, restrict `bind` and untag by `out`.  `par` is
-((), (), ∅, ()), `bullet` ((1,), (2,), ∅, ()), `star i` ((), (i,),
-residue(i), (3 - i,)) and the matrix composite ν(p | q) ((), (), all,
-()).  The image fusion is remove(J, bind) untagged by `out`
-(`pwf.untag_fusion`; a `PwfError` there leaves no image).  The image
-node is the two member σ-nodes (`pwf.sigma_form`, once per member)
-merged in the locally nameless style (Charguéraud, "The Locally
-Nameless Representation", JAR 2012), each free name renamed through
-its class in J (`_merge`); no pair builds a `Process`.
+sides by the injections `left` and `right` (`pwf.tag_fusion`), compose
+them under the join J of the tagged fusions, restrict `bind` and untag
+by `out`.  `par` is ((), (), ∅, ()), `bullet` ((1,), (2,), ∅, ()),
+`star i` ((), (i,), residue(i), (3 - i,)) and the matrix composite
+ν(p | q) ((), (), all, ()).  The image fusion is remove(J, bind)
+untagged by `out` (`pwf.untag_fusion`; a `PwfError` there leaves no
+image).  The image node is the two member σ-nodes (`pwf.sigma_form`,
+once per member) merged in the locally nameless style (Charguéraud,
+"The Locally Nameless Representation", JAR 2012), each free name
+renamed through its class in J (`_merge`); no pair builds a `Process`.
 
 Each member carries one invariant, `terms.invariant`: the multiset of
 its action prefixes by (polarity, arity), which congruence,
@@ -53,13 +53,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .calgebra import Report, first_witness
 from .config import DEFAULT, Config
-from .fusion import DELTA, Fusion, _classes, join, map_fusion, remove
+from .fusion import DELTA, Fusion, _classes, join, remove
 from .names import ALL, EMPTY, Word, remember, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
-                  untag_fusion)
+                  tag_fusion, untag_fusion)
 from .reduction import _may_reach, _reaches_nil
-from .subst import remap_subst
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
                     multiset_form)
 
@@ -170,12 +169,6 @@ def _add(inv_a: tuple, inv_b: tuple) -> tuple:
     for key, count in inv_b:
         counts[key] = counts.get(key, 0) + count
     return tuple(sorted(counts.items()))
-
-
-def _tagged(e: Fusion, w: Word, config: Config) -> Fusion:
-    """e under the injection x -> tag(x, w), as `pwf.relabel_word` maps
-    a PWF's fusion."""
-    return map_fusion(e, remap_subst([((), w)]), config) if w else e
 
 
 def _binders(node) -> frozenset:
@@ -293,8 +286,8 @@ class Universe:
             for h, (f, cells_b) in enumerate(groups):
                 if unordered and h < g:
                     continue
-                joined = join(_tagged(e, left, config),
-                              _tagged(f, right, config), config)
+                joined = join(tag_fusion(e, left, config),
+                              tag_fusion(f, right, config), config)
                 fus = remove(joined, bind, config)
                 try:
                     fus = untag_fusion(fus, out, config) if out else fus

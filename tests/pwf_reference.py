@@ -1,0 +1,68 @@
+"""The set binder ν with the `np` seed, for a differential test of
+`pwf.hereditary_closure`.
+
+The library seeds the hereditary closure of a bound set X with the free
+process names inside X.  The `np` seed, once a choice of the library's
+config, also seeds it with the names of X in the classes of those free
+names and at the endpoints of the fusion's finite pairs
+(`np_finite_part`).  The closure then binds more names, but the extra
+ones are vacuous or fused away, so both seeds give equal PWFs; this
+module keeps the `np` seed so that a test can check that.
+"""
+
+from fusioncalc.config import DEFAULT
+from fusioncalc.fusion import _classes, remove
+from fusioncalc.names import ALL, residue
+from fusioncalc.process import Nu, free_names, substitute
+from fusioncalc.pwf import Pwf, PwfError, _closure_step, par, relabel, unrelabel
+from fusioncalc.subst import finite_subst
+
+
+def np_finite_part(p, config=DEFAULT):
+    """The classes of p's free process names and the endpoints of its
+    fusion's finite pairs."""
+    out = set()
+    classes = _classes(p.fus, config)
+    for x in free_names(p.proc):
+        out |= classes(x)
+    for a, b in p.fus.pairs:
+        out |= {a, b}
+    return frozenset(out)
+
+
+def np_hereditary_closure(X, p, config=DEFAULT):
+    """`pwf.hereditary_closure` seeded with `np_finite_part` inside X."""
+    seed = np_finite_part(p, config) | free_names(p.proc)
+    current = frozenset(x for x in seed if X.member(x))
+    classes = _classes(p.fus, config)
+    while True:
+        ts = _closure_step(current, classes)
+        grown = current | {t for t in ts if X.member(t)}
+        if grown == current:
+            break
+        current = grown
+    sigma = {}
+    for s, t in zip(sorted(current), ts):
+        sigma = {x: t if y == s else y for x, y in sigma.items()}
+        sigma[s] = t
+    return current, finite_subst(sigma)
+
+
+def np_nu_set(X, p, config=DEFAULT):
+    bound, sigma = np_hereditary_closure(X, p, config)
+    proc = substitute(p.proc, sigma)
+    for x in sorted(bound, reverse=True):
+        proc = Nu(x, proc)
+    return Pwf(proc, remove(p.fus, X, config))
+
+
+def np_nu_all(p, config=DEFAULT):
+    return np_nu_set(ALL, p, config)
+
+
+def np_star(i, p, q, config=DEFAULT):
+    if i not in (1, 2):
+        raise PwfError("star index must be 1 or 2")
+    inner = par(p, relabel(q, i, config), config)
+    restricted = np_nu_set(residue((i,)), inner, config)
+    return unrelabel(restricted, 3 - i, config)

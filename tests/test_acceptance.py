@@ -9,7 +9,6 @@ import random
 from congruence_oracle import alpha_key, enumerate_universe, oracle_partition
 
 from fusioncalc import calgebra, hy_encodings, mll, realizability
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (DELTA, Fusion, class_of, equal, identity_I,
                                join, join_all, map_fusion, meet, parse_fusion,
                                phi, related, remove, sigma_tau)
@@ -114,9 +113,9 @@ def test_criterion_03_nu_goldens_and_commutation():
     out = nu_set(parse_nameset("@1"), parse_pwf("<1!() ; {1~3, 5~4}>"))
     ok = pwf_str(out) == "<new 3. 3!() ; {}>"
 
-    config = DEFAULT.with_options(nu_closure="class-closure")
     closed = nu_finite(frozenset({0, 3}),
-                       parse_pwf("<0!().1?() ; {0~1~2, 3~4}>"), config)
+                       parse_pwf("<0!().1?() ; {0~1~2, 3~4}>"),
+                       class_closure=True)
     ok = ok and equal_pwf(closed, parse_pwf("<new 2. 2!().2?() ; {}>"))
     ok = ok and closed.fus == DELTA
 

@@ -41,6 +41,25 @@ def test_parse_reports_a_bad_name_with_its_position(capsys):
         assert message in err, (text, err)
 
 
+def test_parse_reads_a_new_binder_followed_at_once_by_a_digit(capsys):
+    """A binder read greedily takes the body's subject as its last
+    dotted segment; where no "." follows, the segment goes back to the
+    body."""
+    for text, printed in [("<new 1.1!() ; {}>", "<new 1. 1!() ; {}>"),
+                          ("<new 0.0!() ; {}>", "<new 0. 0!() ; {}>"),
+                          ("<new 0.1!() ; {}>", "<1!() ; {}>"),
+                          ("<new 1.1.2!() | 3?() ; {}>",
+                           "<new 3. 2!() | 3?() ; {}>"),
+                          ("<new 5 1.1 | 5?() ; {}>", "<new 5. 5?() ; {}>"),
+                          ("<new 1.1. 3!() ; {}>", "<new 3. 3!() ; {}>")]:
+        code, out, _ = run(capsys, "parse", text)
+        assert (code, out) == (0, printed + "\n"), text
+        code, again, _ = run(capsys, "parse", printed)
+        assert (code, again) == (0, out), printed
+    code, out, err = run(capsys, "parse", "<new 1.2 | 3!() ; {}>")
+    assert (code, out) == (2, "") and "expected '!' or '?'" in err
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     """Options given to one call do not leak into the next."""
     assert cli._build_parser() is cli._build_parser()
@@ -50,11 +69,11 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     code, out, _ = run(capsys, *fusions)
     assert (code, out) == (0, "{0~1~2}\n")
     laws = ("pole-laws", "--universe", "limit=4", "--samples", "1")
-    code, out, _ = run(capsys, "--set", "nu_seed=np", "--format", "tsv", *laws)
+    code, out, _ = run(capsys, "--set", "class_budget=2048", "--format",
+                       "tsv", *laws)
     assert code == 0 and "# config" not in out
     code, out, _ = run(capsys, *laws)
-    assert out.startswith("# config: class_budget=1024 nu_closure=literal "
-                          "nu_seed=fn")
+    assert out.startswith("# config: class_budget=1024\n")
 
 
 def test_normalize_and_equal(capsys):
@@ -146,11 +165,13 @@ def test_pole_laws_report(capsys):
 
 
 LAW_REPORT_DIGESTS = {
-    # sha256 of the stdout of each command, recorded at commit c60c93d
+    # sha256 of the stdout of each command, recorded at commit c60c93d;
+    # re-recorded when the config banner became `class_budget=1024`
+    # alone, the only line that changed
     ("laws",):
-        "3e2c5a4108aa5790c618403c9d1847c26e2f79469785d32db7fb0d21d7249cf5",
+        "66294a0aa8c141ccf826cec404b311f4c4f86c0087ce2d89784785128420410f",
     ("pole-laws", "--universe", "limit=60", "--pole", "done:8"):
-        "ce9163a9fd9e7f30ef26e2cd9a2626585a8d5b899aee6904cae52ef508e41ac0",
+        "ce4d78451f93bcaf4a87aa47a82db5dd485f14394d75c13ee4f675d558c9e813",
 }
 
 
@@ -266,10 +287,10 @@ def test_laws_suite(capsys):
 
 def test_config_file_is_honoured(capsys, tmp_path):
     cfg = tmp_path / "opts.cfg"
-    cfg.write_text("# a larger class budget\nclass_budget = 2048\n"
-                   "nu_seed = np\n")
+    cfg.write_text("# a larger class budget\nclass_budget = 4096\n"
+                   "class-budget = 2048\n")
     code, out, _ = run(capsys, "--config", str(cfg), "laws")
-    assert code == 0 and "class_budget=2048" in out and "nu_seed=np" in out
+    assert code == 0 and out.startswith("# config: class_budget=2048\n")
     code, _, err = run(capsys, "--set", "bogus=1", "laws")
     assert code == 2 and "error:" in err
 

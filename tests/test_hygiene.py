@@ -179,20 +179,34 @@ def test_no_definition_is_used_by_the_tests_alone():
             for path in MODULES} == {path.name: [] for path in MODULES}
 
 
-def test_every_config_knob_is_echoed_and_read():
-    """The banner echoes each `Config` field, and some module other than
-    `config.py` reads it, so no knob is dead."""
-    from fusioncalc.cli import _config_banner
-    from fusioncalc.config import DEFAULT, Config
+def test_every_config_knob_is_echoed_and_read(capsys):
+    """The banner echoes exactly the `Config` fields, the config text
+    accepts exactly them as keys, and some module other than `config.py`
+    and `cli.py` reads each as an attribute, so no knob is dead."""
+    from fusioncalc.cli import _config_banner, main
+    from fusioncalc.config import DEFAULT, Config, parse_config_text
 
     banner = _config_banner(DEFAULT)
+    assert banner.startswith("# config: ")
+    echoed = [item.split("=", 1) for item in banner.split()[2:]]
+    assert [key for key, _ in echoed] == list(Config._fields)
+    assert echoed == [[name, str(getattr(DEFAULT, name))]
+                      for name in Config._fields]
+    for name in Config._fields:
+        assert parse_config_text(f"{name} = {getattr(DEFAULT, name)}") \
+            == DEFAULT
+    for key in ("nu_seed", "nu_closure", "bogus"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            parse_config_text(f"{key} = 1")
+    assert main(["--set", "nu_seed=np", "laws"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown config key" in captured.err
     read: set[str] = set()
     for path in MODULES:
-        if path.name != "config.py":
+        if path.name not in ("config.py", "cli.py"):
             tree = ast.parse(path.read_text())
             read |= {node.attr for node in ast.walk(tree)
                      if isinstance(node, ast.Attribute)
                      and isinstance(node.ctx, ast.Load)}
     for name in Config._fields:
-        assert f"{name}={getattr(DEFAULT, name)}" in banner
         assert name in read, name

@@ -11,7 +11,7 @@ import mll_reference as reference
 from calgebra_reference import parr
 from canonical_reference import struct_eq
 from fusioncalc.calgebra import FinModel, ModelError, load_model, parse_model
-from fusioncalc.config import DEFAULT
+from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import DELTA, FusionError, identity_I
 from fusioncalc.mll import (MAX_ASSIGNMENTS, Ax, Const, Cut, Exists,
                             ExistsIntro, Join, MllError, One, OneIntro, Perp,
@@ -206,7 +206,7 @@ def test_evaluate_realizer_honours_the_config():
     assert equal_pwf(evaluate_realizer(expr),
                      evaluate_realizer(expr, DEFAULT))
     with pytest.raises(FusionError):
-        evaluate_realizer(expr, DEFAULT.with_options(class_budget=1))
+        evaluate_realizer(expr, Config(class_budget=1))
 
 
 def boolean_model(rng, n, mutant=False):

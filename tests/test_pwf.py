@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusioncalc.config import DEFAULT
-from fusioncalc.fusion import (DELTA, Fusion, NotRepresentableError, _classes,
-                               equal, fusion_str, identity_I, join,
-                               parse_fusion, phi, sigma_tau)
+from fusioncalc.fusion import (DELTA, Fusion, FusionError,
+                               NotRepresentableError, _classes, equal,
+                               fusion_str, identity_I, join, parse_fusion,
+                               phi, sigma_tau)
 from fusioncalc.names import finite, parse_nameset, residue
 from fusioncalc.process import NIL, Act, parse_process, process_str
 from fusioncalc.pwf import (
     Pwf, PwfError, REALIZER_WORDS, as_pwf, bullet, equal_pwf, fn_contains,
-    fn_finite_part, hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
+    hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
     par, parse_pwf, prefix, pwf_str, realizer_catalog, relabel, relabel_word,
     sigma_node, star, unrelabel, _closure_step)
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
 from fusion_reference import canonical_subst
+from pwf_reference import np_nu_all, np_nu_set, np_star
 from subst_reference import compose, reference_substitute, scoped_processes
 
 
@@ -40,11 +42,6 @@ def test_fn_contains():
     assert not fn_contains(parse_pwf("<1 ; {}>"), 0)
     assert fn_contains(parse_pwf("<0!() ; {0~5}>"), 5)
     assert fn_contains(parse_pwf("<1 ; {[1 <-> 2]}>"), 7)
-
-
-def test_fn_finite_part():
-    part = fn_finite_part(parse_pwf("<0!() ; {0~5, 2~3}>"))
-    assert part == {0, 5, 2, 3}
 
 
 def test_equal_pwf_identifies_fused_subjects():
@@ -88,9 +85,8 @@ def test_nu_finite_order_is_immaterial():
 
 
 def test_nu_finite_class_closure_example():
-    config = DEFAULT.with_options(nu_closure="class-closure")
     p = parse_pwf("<0!().1?() ; {0~1~2, 3~4}>")
-    result = nu_finite(frozenset({0, 3}), p, config)
+    result = nu_finite(frozenset({0, 3}), p, class_closure=True)
     assert equal_pwf(result, parse_pwf("<new 2. 2!().2?() ; {}>"))
     # the literal default keeps the unbound class remnants
     literal = nu_finite(frozenset({0, 3}), p)
@@ -159,6 +155,49 @@ def test_sigma_node_is_the_form_of_the_substituted_process(proc, fus):
     expected = multiset_form(
         reference_substitute(proc, canonical_subst(fus)))[0]
     assert sigma_node(p) == expected
+
+
+NAME_SETS = ["all", "@1", "@2", "@1.2", "{0,2}", "{1,3,4}", "{5,7}",
+             "{1,3,4} + @2.1"]
+
+
+def _outcome(op, *args):
+    """op(*args), or the class of the fusion or PWF error it raises."""
+    try:
+        return op(*args)
+    except (FusionError, PwfError) as exc:
+        return type(exc)
+
+
+@given(scoped_processes(), _fusions(), st.sampled_from(NAME_SETS))
+@settings(max_examples=300, deadline=None)
+def test_the_np_seed_changes_no_nu_set(proc, fus, X):
+    """Seeding the hereditary closure with the classes of the free names
+    and the pair endpoints inside X (`pwf_reference`) gives the PWF, or
+    the error, that the library's seed gives, printed alike."""
+    p, names = Pwf(proc, fus), parse_nameset(X)
+    for ours, ref in ((_outcome(nu_set, names, p),
+                       _outcome(np_nu_set, names, p)),
+                      (_outcome(nu_all, p), _outcome(np_nu_all, p))):
+        if isinstance(ours, type):
+            assert ref is ours
+        else:
+            assert equal_pwf(ours, ref)
+            assert pwf_str(ours) == pwf_str(ref)
+
+
+@given(scoped_processes(max_leaves=4), _fusions(),
+       scoped_processes(max_leaves=4), _fusions(), st.sampled_from([1, 2]))
+@settings(max_examples=300, deadline=None)
+def test_the_np_seed_changes_no_star(p_proc, p_fus, q_proc, q_fus, i):
+    """The same for `star i`, whose restriction is a ν of a region; the
+    two may print α-variants, so only `equal_pwf` is compared."""
+    p, q = Pwf(p_proc, p_fus), Pwf(q_proc, q_fus)
+    ours, ref = _outcome(star, i, p, q), _outcome(np_star, i, p, q)
+    if isinstance(ours, type):
+        assert ref is ours
+    else:
+        assert equal_pwf(ours, ref)
 
 
 def test_nu_set_goldens():

@@ -34,7 +34,7 @@ FIELDS = {
     NameSet: ("singletons", "residues", "universal", "excluded"),
     Substitution: ("finite_map", "word_remaps"),
     Fusion: ("pairs", "families"), Pwf: ("proc", "fus"),
-    Config: ("class_budget", "nu_closure", "nu_seed"),
+    Config: ("class_budget",),
     mll.One: (), mll.Var: ("name",), mll.Perp: ("body",),
     mll.Tensor: ("left", "right"), mll.Join: ("left", "right"),
     mll.Exists: ("var", "body"), mll.Ax: ("formula",),
@@ -82,7 +82,7 @@ def test_values_hash_as_their_field_tuples():
     values = [*realizer_catalog().values(), parse_nameset("{0, 3, 1.2}"),
               NameSet(universal=True, excluded=frozenset({3})), NameSet(),
               finite_subst({3: 1, 1: 2}), remap_subst([((1,), (2,))]),
-              DEFAULT, Config(7, "class-closure", "np"), Pwf(NIL, DELTA),
+              DEFAULT, Config(7), Pwf(NIL, DELTA),
               parse_pwf("<0!(1) ; {0~1, [1 <-> 2.1]}>")]
     for proof in mll.load_corpus().values():
         values += [*nodes(proof), *nodes(mll.extract_realizer(proof))]
@@ -106,8 +106,7 @@ def test_repr_names_the_class_and_each_field():
         "universal=False, excluded=frozenset())")
     assert repr(finite_subst({3: 1, 1: 2})) == (
         "Substitution(finite_map=((1, 2), (3, 1)), word_remaps=frozenset())")
-    assert repr(DEFAULT) == (
-        "Config(class_budget=1024, nu_closure='literal', nu_seed='fn')")
+    assert repr(DEFAULT) == "Config(class_budget=1024)"
     assert repr(mll.parse_formula("ex X. X * Y v 1 ^")) == (
         "Exists(var='X', body=Join(left=Tensor(left=Var(name='X'), "
         "right=Var(name='Y')), right=Perp(body=One())))")
