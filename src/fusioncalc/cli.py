@@ -3,7 +3,9 @@
 Exit codes: 0 when the command succeeds (and any checked property
 holds), 1 when a checked property fails (a witness is printed), 2 for
 parse or validation errors, 3 when a valid input exceeds a search budget
-(the verdict is undecided; the message names the budget).
+(the verdict is undecided; the message names the budget), 4 when the
+result of a valid input has no finite presentation (a ν or adjoint whose
+fusion the generators cannot express).
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import functools
 import sys
 
 from .config import DEFAULT, Config, parse_config_text
-from .fusion import (DELTA, ClassBudgetError, FusionError, class_of, equal,
-                     fusion_str, join, meet, parse_fusion, phi, remove,
-                     restrict)
+from .fusion import (DELTA, ClassBudgetError, FusionError,
+                     NotRepresentableError, class_of, equal, fusion_str,
+                     join, meet, parse_fusion, phi, remove, restrict)
 from .names import parse_name, parse_nameset
 from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
@@ -190,8 +192,9 @@ def _cmd_pole_laws(args) -> int:
     seed = 0
     if args.format != "tsv":
         print(_config_banner(config))
+        exact = " (exact)" if getattr(pole, "k", 0) == float("inf") else ""
         print(f"# universe-relative report: {len(members)} members, "
-              f"pole {args.pole}")
+              f"pole {args.pole}{exact}")
         print(f"# sampled laws: samples={args.samples} seed={seed}")
     rows = realizability.check_laws(universe, samples=args.samples,
                                     seed=seed)
@@ -399,7 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    "default 2), names (>= 0, default 3), limit (>= 1, "
                    "default 160), fusions (|-separated, default {}|{0~1}, "
                    "but a limit <= 946 holds only {} members)")
-    p.add_argument("--pole", default="always")
+    p.add_argument("--pole", default="always", help="always; done, the "
+                   "terms that reach NIL (exact); or done:k, those that "
+                   "reach it within k steps")
     p.add_argument("--samples", type=int, default=12)
     p.set_defaults(func=_cmd_pole_laws)
 
@@ -442,6 +447,10 @@ def main(argv=None) -> int:
     except ClassBudgetError as exc:
         print(f"undecided: {exc} (class_budget={exc.budget})")
         return 3
+    except NotRepresentableError as exc:
+        print(f"not representable: {exc}; the result has no finite "
+              f"presentation")
+        return 4
     except _parse_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

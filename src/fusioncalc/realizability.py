@@ -3,8 +3,10 @@ the truth-value operations, with law checkers.
 
 All results are universe-relative: operations clip to the member set,
 and subsets are bitmasks over the member list.  The orthogonality
-matrix is computed once (the `always` pole builds no composite).  The
-op tables depend only on the member list and the config, so universes
+matrix is computed once (the `always` pole builds no composite), and
+each universe keeps the orthogonals of its last `_ORTHOGONAL_CAP` masks
+(`check_laws` asks 720 times for 261 distinct masks on the 48 `sandbox`
+members).  The op tables depend only on the member list and the config, so universes
 that share both share one set of tables; each row keeps only its member
 cells.  `clip` maps a PWF to the member with the same `pwf.pwf_key`,
 which equates exactly the equal PWFs; `default_universe` drops a PWF
@@ -23,10 +25,16 @@ by `out`.  `par` is ((), (), ∅, ()), `bullet` ((1,), (2,), ∅, ()),
 `star i` ((), (i,), residue(i), (3 - i,)) and the matrix composite
 ν(p | q) ((), (), all, ()).  The image fusion is remove(J, bind)
 untagged by `out` (`pwf.untag_fusion`; a `PwfError` there leaves no
-image).  The image node is the two member σ-nodes (`pwf.sigma_form`,
-once per member) merged in the locally nameless style (Charguéraud,
-"The Locally Nameless Representation", JAR 2012), each free name
-renamed through its class in J (`_merge`); no pair builds a `Process`.
+image).  The image node is two member σ-nodes (`pwf.sigma_form`, once
+per member) merged in the locally nameless style (Charguéraud, "The
+Locally Nameless Representation", JAR 2012).  The renaming depends on
+a member, its side and J alone, so each member is renamed once per side
+per pair of fusion groups (`_sides`): each free name through its class
+in J, to one binder per class for the whole group pair, and the
+member's own binders to a band no other side uses.  A pair then only
+joins the two sides' restricted names and components (`_merge`), and
+no pair builds a `Process`.  Image nodes of α-equal terms may differ in
+their binders, but `node_key` and the pole's verdict do not.
 
 Each member carries one invariant, `terms.invariant`: the multiset of
 its action prefixes by (polarity, arity), which congruence,
@@ -40,14 +48,17 @@ of invariants, and a merge once per fitting member pair:
 - an op-table cell (a, b) is empty when inv(a) + inv(b) is no member's
   invariant;
 - the `done:k` pole is false on a term that cannot consume its actions
-  in k steps (`reduction._may_reach`).  It caches its verdicts by
-  multiset form, and its search (`reduction._reaches_nil`) keys only
-  reducts.  Its node entry `pole.node` decides the matrix composite, a
-  closed node under Δ; any other pole gets the composite as a `Pwf`.
+  in k steps (`reduction._may_reach`); the exact pole `done` has k = ∞.
+  It caches its verdicts by multiset form, and its search
+  (`reduction._reaches_nil`) runs depth first to the first NIL, keying
+  reducts only where the term's actions pass vectors.  Its node entry
+  `pole.node` decides the matrix composite, a closed node under Δ; any
+  other pole gets the composite as a `Pwf`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -70,24 +81,31 @@ _SHARED_LISTS = 4
 # verdicts a `done:k` pole keeps, as many as the node stores of
 # `terms.node_key` and `reduction._expand`; the oldest is dropped first
 _VERDICT_CAP = 1024
+# orthogonals a Universe keeps, by mask; the oldest is dropped first
+_ORTHOGONAL_CAP = 1024
 
 
 def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
     return True
 
 
-def make_pole_done(k: int) -> Callable[[Pwf], bool]:
-    """The pole of terms that reach <NIL ; Δ> within k steps.  The pole
-    carries its k, so `Universe.matrix` can skip composites that it
-    rejects on their invariant alone, and its node entry `pole.node`,
-    which decides a closed node under Δ without the invariant test.
-    Reduction keeps the fusion, so a term under any other fusion is
-    outside.  Verdicts are cached by multiset form, the value that
-    decides them under Δ, for the last `_VERDICT_CAP` (1,024) nodes
-    decided; no term is keyed, since the search keys only its reducts
-    and the goal is action-free."""
-    if k < 0:
+def make_pole_done(k: Optional[int] = None) -> Callable[[Pwf], bool]:
+    """The pole of terms that reach <NIL ; Δ> within k steps; with no k,
+    the exact pole `done` of terms that reach it at all.  A step
+    consumes two prefixes and nothing replicates, so a term with n
+    prefixes reaches NIL, if at all, in exactly n/2 steps: the exact
+    pole searches each term to that depth, and so does `done:k` for
+    2k >= n.  The pole carries its k (∞ when exact), so
+    `Universe.matrix` can skip composites that it rejects on their
+    invariant alone, and its node entry `pole.node`, which decides a
+    closed node under Δ without the invariant test.  Reduction keeps
+    the fusion, so a term under any other fusion is outside.  Verdicts
+    are cached by multiset form, the value that decides them under Δ,
+    for the last `_VERDICT_CAP` (1,024) nodes decided; no term is keyed,
+    and a search from one whose actions pass no vector keys nothing."""
+    if k is not None and k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
+    bound = math.inf if k is None else k
     cache: dict = {}
 
     def closed(node) -> bool:
@@ -95,17 +113,17 @@ def make_pole_done(k: int) -> Callable[[Pwf], bool]:
         # σ-normal start of the search
         verdict = cache.get(node)
         if verdict is None:
-            verdict = remember(cache, node, _reaches_nil(node, k),
+            verdict = remember(cache, node, _reaches_nil(node, bound),
                                _VERDICT_CAP)
         return verdict
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         node = multiset_form(q.proc)[0]
-        return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
+        return q.fus.is_delta() and _may_reach(invariant(node), (), bound) \
             and closed(node)
 
-    pole.__name__ = f"pole_done_{k}"
-    pole.k = k
+    pole.__name__ = "pole_done" if k is None else f"pole_done_{k}"
+    pole.k = bound
     pole.node = closed
     return pole
 
@@ -114,10 +132,12 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
     text = text.strip()
     if text == "always":
         return pole_always
+    if text == "done":
+        return make_pole_done()
     if text.startswith("done:") and text[len("done:"):].isdecimal():
         return make_pole_done(int(text[len("done:"):]))
-    raise ValueError(f"unknown pole {text!r} (use 'always' or 'done:k', "
-                     f"k a natural number)")
+    raise ValueError(f"unknown pole {text!r} (use 'always', 'done' or "
+                     f"'done:k', k a natural number)")
 
 
 def default_universe(max_actions: int = 2, names: int = 4,
@@ -178,44 +198,64 @@ def _binders(node) -> frozenset:
                      for x in q[3 if q[0] == "act" else 1])
 
 
-def _merge(a: tuple, b: tuple, classes, shape: tuple) -> tuple:
-    """The σ-node of the image of the σ-forms a and b (node, free names,
-    binders) under `shape`, given J's classes: a free name of a tagged
-    by `left`, or of b by `right`, with class C goes to one binder per C
-    inside `bind`, else to untag(min(C - bind), out), and b's binders
-    shift below a's; restricted names joined and components
-    concatenated, as `terms.multiset_form` gathers a parallel."""
-    left, right, bind, out = shape
-    (node_a, free_a, bound_a), (node_b, free_b, bound_b) = a, b
-    shift = min(bound_a, default=0)
-    low = shift + min(bound_b, default=0) - 1
+def _sides(nodes: list, classes, shape: tuple) -> Callable[[int, int], tuple]:
+    """The member nodes renamed for one pair of fusion groups under
+    `shape`, given J's classes: `side(i, s)` is member i as the left
+    (s = 0) or right (s = 1) operand, as (restricted names, components),
+    renamed on first use and kept for the group pair.  A free name
+    tagged by its side's injection, with class C, goes to C's binder
+    inside `bind`, else to untag(min(C - bind), out); the member's own
+    binders move to a band of their own.  One descending counter hands
+    out the bands and the class binders (one per class for the group
+    pair), so no two sides share a binder, not even a member's two."""
+    bind, out = shape[2], shape[3]
     binders: dict = {}  # least class member -> the class's binder
+    renamed: tuple = ({}, {})
+    low = 0  # every binder handed out so far is at or above low
 
     def rename(x: int, w: Word) -> int:
+        nonlocal low
         cls = classes(tag(x, w))
         outside = [y for y in cls if not bind.member(y)]
         if outside:
             return untag(min(outside), out)
-        return binders.setdefault(min(cls), low - len(binders))
+        least = min(cls)
+        if least not in binders:
+            low -= 1
+            binders[least] = low
+        return binders[least]
 
-    ids_a = {x: rename(x, left) for x in free_a}
-    ids_b = {x: rename(x, right) for x in free_b}
-    ids_b.update((y, y + shift) for y in bound_b)
-    names = set(binders.values())
-    comps: list = []
-    for node, ids in ((node_a, ids_a), (node_b, ids_b)):
+    def side(i: int, s: int) -> tuple:
+        nonlocal low
+        found = renamed[s].get(i)
+        if found is not None:
+            return found
+        node, free, bound = nodes[i]
+        ids = {y: y + low for y in bound}
+        low += min(bound, default=0)
+        ids.update((x, rename(x, shape[s])) for x in free)
         if any(x != y for x, y in ids.items()):
             node = _relabel(node, ids)
+        names = frozenset(ids[x] for x in free if ids[x] < 0)
         if node[0] == "nu":
             names |= node[1]
             node = node[2]
-        if node[0] == "par":
-            comps.extend(node[1])
-        elif node[0] != "nil":
-            comps.append(node)
+        comps = node[1] if node[0] == "par" else () if node[0] == "nil" \
+            else (node,)
+        renamed[s][i] = found = (names, comps)
+        return found
+
+    return side
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """The σ-node of an image from its two renamed sides (`_sides`):
+    restricted names joined and components concatenated, as
+    `terms.multiset_form` gathers a parallel."""
+    names, comps = a[0] | b[0], a[1] + b[1]
     inner = _NIL_NODE if not comps else comps[0] if len(comps) == 1 \
-        else ("par", tuple(comps))
-    return ("nu", frozenset(names), inner) if names else inner
+        else ("par", comps)
+    return ("nu", names, inner) if names else inner
 
 
 class Universe:
@@ -228,6 +268,7 @@ class Universe:
         self.config = config
         self._matrix = None
         self._keyed: Optional[dict] = None
+        self._orthogonals: dict = {}
         # each member's σ-node, its free names and its binders: the one
         # multiset form that the invariants, the keys and the images
         # read; and the member indices grouped by fusion, then invariant
@@ -293,16 +334,16 @@ class Universe:
                     fus = untag_fusion(fus, out, config) if out else fus
                 except PwfError:
                     continue
-                classes = _classes(joined, config)
+                side = _sides(nodes, _classes(joined, config), shape)
                 for inv_a, rows in cells_a.items():
                     for inv_b, cols in cells_b.items():
                         if (inv_a, inv_b) not in fitting:
                             continue
                         for i in rows:
+                            a = side(i, 0)
                             for j in cols:
                                 if not (unordered and g == h and j < i):
-                                    yield i, j, fus, _merge(
-                                        nodes[i], nodes[j], classes, shape)
+                                    yield i, j, fus, _merge(a, side(j, 1))
 
     # -- mask plumbing ------------------------------------------------
 
@@ -346,11 +387,15 @@ class Universe:
     # -- orthogonality ------------------------------------------------
 
     def orthogonal_mask(self, mask: int) -> int:
-        rows = self.matrix()
-        out = 0
-        for i in range(len(self.members)):
-            if rows[i] & mask == mask:
-                out |= 1 << i
+        """Bitmask of the members orthogonal to every member of mask,
+        kept for the last `_ORTHOGONAL_CAP` masks asked."""
+        out = self._orthogonals.get(mask)
+        if out is None:
+            out = 0
+            for i, row in enumerate(self.matrix()):
+                if row & mask == mask:
+                    out |= 1 << i
+            remember(self._orthogonals, mask, out, _ORTHOGONAL_CAP)
         return out
 
     def orthogonal(self, subset: Iterable[Pwf]) -> list[Pwf]:

@@ -25,10 +25,19 @@ bind names reach C(n, j)² distinct nodes of a few classes at level j.
 `reduces_within` first compares action invariants (`_may_reach`), so a
 target whose actions p cannot consume down to is rejected unsearched;
 it keys p only when p has the target's invariant, the one case where p
-itself can match.  An action-free target needs no key either: the
-multiset form of an action-free term is NIL, and so is every
-action-free reduct, so the search stops at the first NIL
-(`_reaches_nil`, which the `done:k` pole calls directly).
+itself can match.
+
+An action-free target needs no key and no level: the multiset form of
+an action-free term is NIL, and so is every action-free reduct, and a
+term reaches NIL, if at all, at the one depth where all its prefixes are
+consumed.  So `_reaches_nil`, which the `done` poles call directly,
+searches depth first and stops at the first NIL, as explicit-state
+model checkers search for a deadlock (Holzmann, "The Model Checker
+SPIN", IEEE TSE 1997).  It deduplicates by node value where no action
+of the start passes a vector, since reducts then only drop components
+and restricted names; elsewhere it also keys each distinct reduct once,
+as the binding siblings above need.  `reach`, which lists every class,
+keeps its level search.
 
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
@@ -144,6 +153,17 @@ def _occurs(x: Name, node) -> bool:
     return kind == "nu" and _occurs(x, node[2])
 
 
+def _passes_vectors(node) -> bool:
+    """Whether some action of node has a bound vector, so that a step
+    from it can pass one."""
+    kind = node[0]
+    if kind == "act":
+        return bool(node[3]) or _passes_vectors(node[4])
+    if kind == "par":
+        return any(map(_passes_vectors, node[1]))
+    return kind == "nu" and _passes_vectors(node[2])
+
+
 # σ-normal node -> its one-step reducts, for the last _REDUCT_CAP nodes
 # expanded
 _REDUCT_CAP = 1024
@@ -214,10 +234,39 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
     return any(key == goal for key, _ in _search(node, k))
 
 
-def _reaches_nil(node, k: int) -> bool:
-    """Whether a σ-normal node reaches NIL in at most k steps."""
-    return node == _NIL_NODE or any(
-        r == _NIL_NODE for _, r in _search(node, k))
+def _reaches_nil(node, k) -> bool:
+    """Whether a σ-normal node reaches NIL in at most k steps (k may be
+    `math.inf`), searched depth first up to the first NIL.  A node's
+    depth is fixed by its prefixes, so a node seen once is not expanded
+    again.  When every action of the start has arity 0, no vector is
+    ever passed and the search deduplicates by node value; otherwise it
+    also deduplicates by `node_key`, each distinct reduct keyed once, as
+    bound names make α-variants that the node values tell apart."""
+    if node == _NIL_NODE:
+        return True
+    if k < 1:
+        return False
+    keyed = _passes_vectors(node)
+    seen, keys = {node}, set()
+    stack = [(node, k)]
+    while stack:
+        q, left = stack.pop()
+        reducts = _expand(q)
+        if _NIL_NODE in reducts:
+            return True
+        if left == 1:
+            continue
+        for r in reducts:
+            if r in seen:
+                continue
+            seen.add(r)
+            if keyed:
+                key = node_key(r)
+                if key in keys:
+                    continue
+                keys.add(key)
+            stack.append((r, left - 1))
+    return False
 
 
 def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:

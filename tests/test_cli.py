@@ -184,6 +184,35 @@ def test_law_reports_match_their_recorded_digests(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
 
 
+def test_exact_done_pole_prints_the_rows_of_done_8(capsys):
+    """No member of the default universe has more than 16 prefixes, so
+    `done:8` never binds there and the exact pole gives the same rows;
+    only the header differs, and it says the pole is exact."""
+    laws = ("pole-laws", "--universe", "limit=160")
+    code, exact, _ = run(capsys, *laws, "--pole", "done")
+    assert code == 0
+    code, bounded, _ = run(capsys, *laws, "--pole", "done:8")
+    assert code == 0
+    exact, bounded = exact.splitlines(), bounded.splitlines()
+    assert exact[1] == "# universe-relative report: 160 members, " \
+        "pole done (exact)"
+    assert bounded[1].endswith("pole done:8")
+    assert exact[:1] + exact[2:] == bounded[:1] + bounded[2:]
+
+
+def test_a_result_with_no_finite_presentation_has_its_own_exit_code(capsys):
+    """ν of a valid PWF can remove single instances of a family: the
+    input parses and the verdict is decided, so the exit code is
+    neither a parse error's (2) nor an undecided verdict's (3)."""
+    code, out, err = run(capsys, "nu", "{0,2}", "<0!() ; {[1 <-> 2]}>")
+    assert (code, err) == (4, "")
+    assert out == ("not representable: restriction removes single "
+                   "instances of a family (index 0); the result has no "
+                   "finite presentation\n")
+    code, out, err = run(capsys, "nu", "{0,2}", "<0!() ; {[1 <-> 3]}>")
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_pole_laws_rejects_bounds_that_decide_nothing(capsys):
     laws = ("pole-laws", "--universe", "limit=4")
     for pole in ("done:-1", "done:x"):

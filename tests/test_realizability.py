@@ -72,6 +72,12 @@ def test_parse_pole():
     pole = parse_pole("done:2")
     assert pole(UNIT)
     assert not pole(parse_pwf("<0!() ; {}>"))
+    # the exact pole searches each term to its last step
+    exact = parse_pole("done")
+    deep = parse_pwf("<" + " | ".join(f"{x}!().{x}?() | {x}?().{x}!()"
+                                      for x in range(5)) + " ; {}>")
+    assert exact(deep) and not pole(deep)
+    assert exact(UNIT) and not exact(parse_pwf("<0!() | 1?() ; {}>"))
     with pytest.raises(ValueError):
         parse_pole("sometimes")
 
@@ -143,20 +149,30 @@ def _count_keys(monkeypatch) -> list:
 
 
 def test_done_pole_canonicalises_a_term_once(monkeypatch):
+    """The pole keys no composite, the goal NIL is matched unkeyed, and
+    a search from a term whose actions pass no vector keys nothing; one
+    that passes vectors keys each distinct reduct at most once."""
     calls = _count_keys(monkeypatch)
     q, q2, q3 = (parse_pwf(t) for t in (
         "<0!() | 0?() ; {}>", "<1!() | 1?() ; {}>",
-        "<new 2. 2!() | 2?() ; {}>"))
-    pole = make_pole_done(1)
-    for composite in (q, q2, q3):
-        assert pole(composite)
-    # no composite and no goal is keyed: the cache is keyed on the
-    # multiset form and the fusion, and each search keys its one
-    # reduct, NIL; asking again hits the cache
-    assert calls == [("nil",)] * 3
-    for composite in (q, q2, q3):
-        assert pole(composite)
-    assert calls == [("nil",)] * 3
+        "<new 2. 2!().2?() | 2?().2!() ; {}>"))
+    poles = (make_pole_done(5), make_pole_done())
+    for pole in poles:
+        for composite in (q, q2, q3):
+            assert pole(composite)
+    assert calls == []
+    bound = parse_pwf("<new 0. (0!(1).1!().0!() | 0?(2).2?().0?()"
+                      " | 0!(3).3?() | 0?(4).4!()) ; {}>")
+    for pole in poles:
+        calls.clear()
+        assert pole(bound)
+        assert calls and len(calls) == len(set(calls))
+        assert ("nil",) not in calls
+    # asking again hits the cache
+    calls.clear()
+    for pole in poles:
+        assert pole(bound)
+    assert calls == []
 
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(
@@ -678,3 +694,89 @@ def test_node_images_and_composites_match_the_process_terms(a, b, label):
             def plain(q, config=DEFAULT):
                 return pole(q)
             assert Universe(members, plain, config).matrix() == rows
+
+
+def reference_orthogonal_mask(rows, mask):
+    """The row scan: member i is orthogonal to mask when row i holds
+    every bit of mask."""
+    out = 0
+    for i, row in enumerate(rows):
+        if row & mask == mask:
+            out |= 1 << i
+    return out
+
+
+@pytest.mark.parametrize("pole_text", ["always", "done:2", "done:8"])
+@pytest.mark.parametrize("universe", ["sandbox", "mixed"])
+def test_orthogonal_mask_matches_the_row_scan(universe, pole_text):
+    """Computed and stored orthogonals alike equal the row scan, on
+    random masks, singletons, the empty and the full mask."""
+    members = sandbox_members() if universe == "sandbox" else mixed_members()
+    u = Universe(members, parse_pole(pole_text))
+    rows, n = u.matrix(), len(members)
+    rng = random.Random(n)
+    masks = [0, u.full_mask] + [1 << i for i in range(n)] + [
+        rng.getrandbits(n) & rng.getrandbits(n) for _ in range(100)] + [
+        rng.getrandbits(n) for _ in range(100)]
+    for mask in masks + masks[::-1]:
+        assert u.orthogonal_mask(mask) == \
+            reference_orthogonal_mask(rows, mask), mask
+
+
+def test_orthogonal_store_is_bounded(monkeypatch):
+    """A universe keeps the orthogonals of its last `_ORTHOGONAL_CAP`
+    masks; a kept one is not computed again, a dropped one is, to the
+    same mask."""
+    monkeypatch.setattr(realizability, "_ORTHOGONAL_CAP", 8)
+    u = small_universe(make_pole_done(8))
+    rows = u.matrix()
+    scans = []
+    matrix = Universe.matrix
+    monkeypatch.setattr(Universe, "matrix",
+                        lambda self: scans.append(1) or matrix(self))
+    for mask in range(1, 41):
+        assert u.orthogonal_mask(mask) == reference_orthogonal_mask(rows, mask)
+        assert len(u._orthogonals) <= 8
+    assert len(scans) == 40 and len(u._orthogonals) == 8
+    for mask in range(33, 41):
+        assert u.orthogonal_mask(mask) == reference_orthogonal_mask(rows, mask)
+    assert len(scans) == 40
+    assert u.orthogonal_mask(1) == reference_orthogonal_mask(rows, 1)
+    assert len(scans) == 41 and len(u._orthogonals) == 8
+
+
+@pytest.mark.parametrize("universe", ["sandbox", "mixed"])
+def test_each_member_is_renamed_once_per_side_and_fusion_group_pair(
+        monkeypatch, universe):
+    """A table or the matrix renames a member's node at most once as
+    the left operand and once as the right one for each pair of fusion
+    groups, however many pairs it joins, and merges each fitting pair
+    from the two renamed sides."""
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    members = sandbox_members() if universe == "sandbox" else mixed_members()
+    u = Universe(members, make_pole_done(8))
+    renamed, current, group_pairs = [], [], []
+    sides, relabel = realizability._sides, realizability._relabel
+
+    def counting_sides(nodes, classes, shape):
+        side = sides(nodes, classes, shape)
+        group_pairs.append(shape)
+        pair = len(group_pairs)
+
+        def counted(i, s):
+            current[:] = [(pair, i, s)]
+            return side(i, s)
+        return counted
+
+    monkeypatch.setattr(realizability, "_sides", counting_sides)
+    monkeypatch.setattr(realizability, "_relabel", lambda node, ids:
+                        renamed.append(current[0]) or relabel(node, ids))
+    built = _record_merges(monkeypatch)
+    groups = len({m.fus for m in members})
+    for label, (op_mask, _) in TABLE_OPS.items():
+        op_mask(u, u.full_mask, u.full_mask)
+    u.matrix()
+    assert len(group_pairs) == len(TABLE_OPS) * groups ** 2 + \
+        groups * (groups + 1) // 2
+    assert renamed and len(renamed) == len(set(renamed))
+    assert len(renamed) < len(built)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 from collections import Counter
 from functools import reduce
 from unittest import mock
@@ -146,21 +147,43 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_reduces_within_canonicalises_each_term_once(monkeypatch):
-    """The search decides equality on congruence keys: it keys each
-    term once, as a multiset-form node, and prints nothing, so it makes
-    no `canonical` call."""
+    """The search to an action-free target matches NIL unkeyed and
+    prints nothing, so it makes no `canonical` call.  From a term whose
+    actions pass no vector it keys nothing at all; from one that passes
+    vectors it keys each distinct reduct at most once, and neither the
+    start nor NIL."""
     printed = _count_calls(monkeypatch, "canonical")
     keyed = _count_calls(monkeypatch, "node_key")
     p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
                          " ; {0~2, 1~3}>"))
     assert reduces_within(p, UNIT, 4)
-    # 13 distinct reducts, each once; the last is NIL, the first node
-    # of the target's class, where the search stops.  Neither the
-    # action-free target nor the start is keyed.
-    assert len(keyed) == len(set(keyed)) == 13
-    assert keyed[-1] == multiset_form(UNIT.proc)[0] == _NIL_NODE
-    assert multiset_form(p.proc)[0] not in keyed
+    assert keyed == []
+    q = nu_all(parse_pwf("<0!(5).5?() | 2?(6).6!() | 1!(7).7!() | 3?(8).8?()"
+                         " ; {0~2, 1~3}>"))
+    assert reduces_within(q, UNIT, 4)
+    assert keyed and len(keyed) == len(set(keyed))
+    assert _NIL_NODE not in keyed and sigma_node(q) not in keyed
     assert printed == []
+
+
+def test_binding_siblings_search_keys_its_nodes(monkeypatch):
+    """Seven identical senders that each bind a name, beside seven
+    identical receivers, reach C(7, j)² distinct nodes at depth j, all
+    of one class: the NIL search keys the nodes of a term whose actions
+    pass vectors, so it expands one node per depth.  By node value alone
+    it would expand C(14, 7) = 3,432."""
+    p = parse_pwf("<new 0. (" + " | ".join(["0!(5).5!()"] * 7
+                                           + ["0?(6).7?()"] * 7) + ") ; {}>")
+    expanded = []
+    expand = reduction._expand
+    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    monkeypatch.setattr(reduction, "_expand",
+                        lambda q: expanded.append(q) or expand(q))
+    assert not reduces_within(p, UNIT, 14)
+    assert len(expanded) == 8
+    expanded.clear()
+    assert not reduction._reaches_nil(sigma_node(p), math.inf)
+    assert len(expanded) == 8
 
 
 @pytest.mark.parametrize("literal, steps, distinct", [
@@ -284,6 +307,67 @@ def test_the_only_action_free_node_is_nil(p, k, term):
     assert sigma_node(Pwf(term, p.fus)) == _NIL_NODE
     for _, node in reach(Pwf(Par(p.proc, term), p.fus), k):
         assert invariant(node) or node == _NIL_NODE
+
+
+def _without_vectors(p):
+    """p with every bound vector dropped; the names it bound are free."""
+    if isinstance(p, Act):
+        return Act(p.subject, p.polarity, (), _without_vectors(p.body))
+    if isinstance(p, Par):
+        return Par(_without_vectors(p.left), _without_vectors(p.right))
+    if isinstance(p, Nu):
+        return Nu(p.name, _without_vectors(p.body))
+    return p
+
+
+@st.composite
+def _dual_pairs(draw):
+    """One to three chains of one to three actions over subjects 0..2,
+    each beside its dual, the chain with every polarity flipped, and
+    possibly one action left over; so that many terms reach NIL, some
+    only by firing in the right order, at depth half their prefixes.  A
+    prefix may pass a name, which the next action of its chain then has
+    as its subject."""
+    spec = st.lists(st.tuples(st.integers(0, 2), st.booleans(),
+                              st.booleans()), min_size=1, max_size=3)
+
+    def chain(actions, flip, offset):
+        body = NIL
+        for t in reversed(range(len(actions))):
+            subject, up, passes = actions[t]
+            if t and actions[t - 1][2]:
+                subject = offset + t - 1
+            body = Act(subject, "up" if up != flip else "down",
+                       (offset + t,) if passes else (), body)
+        return body
+
+    comps = []
+    for c, actions in enumerate(draw(st.lists(spec, min_size=1,
+                                              max_size=3))):
+        comps += [chain(actions, False, 10 * c + 10),
+                  chain(actions, True, 10 * c + 15)]
+    if draw(st.booleans()):
+        comps.append(Act(draw(st.integers(0, 2)), "up", (), NIL))
+    return Pwf(reduce(Par, draw(st.permutations(comps))), DELTA)
+
+
+@given(_pwfs(scoped=True) | _dual_pairs(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+def test_depth_first_nil_search_matches_the_reference(p, k):
+    """The depth-first NIL search on closed terms, with their bound
+    vectors (keyed) and without them (deduplicated by value), at depth
+    k and unbounded, agrees with the level-by-level reference search
+    on `Process` terms, which the unbounded search matches at half the
+    term's prefix count."""
+    for term in (p.proc, _without_vectors(p.proc)):
+        closed = nu_all(Pwf(term, p.fus))
+        node = sigma_node(closed)
+        with empty_node_stores():
+            assert reduction._reaches_nil(node, k) == \
+                reference_reduces_within(closed, UNIT, k)
+            prefixes = sum(count for _, count in invariant(node))
+            assert reduction._reaches_nil(node, math.inf) == \
+                reference_reduces_within(closed, UNIT, prefixes // 2)
 
 
 @given(_pwfs(scoped=True))
