@@ -192,7 +192,7 @@ def _cmd_pole_laws(args) -> int:
     seed = 0
     if args.format != "tsv":
         print(_config_banner(config))
-        exact = " (exact)" if getattr(pole, "k", 0) == float("inf") else ""
+        exact = " (exact)" if args.pole.strip() == "done" else ""
         print(f"# universe-relative report: {len(members)} members, "
               f"pole {args.pole}{exact}")
         print(f"# sampled laws: samples={args.samples} seed={seed}")

@@ -50,8 +50,8 @@ of invariants, and a merge once per fitting member pair:
 - the `done:k` pole is false on a term that cannot consume its actions
   in k steps (`reduction._may_reach`); the exact pole `done` has k = ∞.
   It caches its verdicts by multiset form, and its search
-  (`reduction._reaches_nil`) runs depth first to the first NIL, keying
-  reducts only where the term's actions pass vectors.  Its node entry
+  (`reduction._reaches_nil`) runs depth first to the first NIL and
+  deduplicates reducts by key.  Its node entry
   `pole.node` decides the matrix composite, a closed node under Δ; any
   other pole gets the composite as a `Pwf`.
 """
@@ -89,23 +89,21 @@ def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
     return True
 
 
-def make_pole_done(k: Optional[int] = None) -> Callable[[Pwf], bool]:
-    """The pole of terms that reach <NIL ; Δ> within k steps; with no k,
-    the exact pole `done` of terms that reach it at all.  A step
-    consumes two prefixes and nothing replicates, so a term with n
+def make_pole_done(k) -> Callable[[Pwf], bool]:
+    """The pole of terms that reach <NIL ; Δ> within k steps; k may be
+    `math.inf`, the exact pole `done` of terms that reach it at all.  A
+    step consumes two prefixes and nothing replicates, so a term with n
     prefixes reaches NIL, if at all, in exactly n/2 steps: the exact
     pole searches each term to that depth, and so does `done:k` for
-    2k >= n.  The pole carries its k (∞ when exact), so
-    `Universe.matrix` can skip composites that it rejects on their
-    invariant alone, and its node entry `pole.node`, which decides a
-    closed node under Δ without the invariant test.  Reduction keeps
-    the fusion, so a term under any other fusion is outside.  Verdicts
-    are cached by multiset form, the value that decides them under Δ,
-    for the last `_VERDICT_CAP` (1,024) nodes decided; no term is keyed,
-    and a search from one whose actions pass no vector keys nothing."""
-    if k is not None and k < 0:
+    2k >= n.  The pole carries its k, so `Universe.matrix` can skip
+    composites that it rejects on their invariant alone, and its node
+    entry `pole.node`, which decides a closed node under Δ without the
+    invariant test.  Reduction keeps the fusion, so a term under any
+    other fusion is outside.  Verdicts are cached by multiset form, the
+    value that decides them under Δ, for the last `_VERDICT_CAP` (1,024)
+    nodes decided; no term is keyed, only the search's reducts."""
+    if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
-    bound = math.inf if k is None else k
     cache: dict = {}
 
     def closed(node) -> bool:
@@ -113,17 +111,17 @@ def make_pole_done(k: Optional[int] = None) -> Callable[[Pwf], bool]:
         # σ-normal start of the search
         verdict = cache.get(node)
         if verdict is None:
-            verdict = remember(cache, node, _reaches_nil(node, bound),
+            verdict = remember(cache, node, _reaches_nil(node, k),
                                _VERDICT_CAP)
         return verdict
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
         node = multiset_form(q.proc)[0]
-        return q.fus.is_delta() and _may_reach(invariant(node), (), bound) \
+        return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
             and closed(node)
 
-    pole.__name__ = "pole_done" if k is None else f"pole_done_{k}"
-    pole.k = bound
+    pole.__name__ = f"pole_done_{k}"
+    pole.k = k
     pole.node = closed
     return pole
 
@@ -133,7 +131,7 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
     if text == "always":
         return pole_always
     if text == "done":
-        return make_pole_done()
+        return make_pole_done(math.inf)
     if text.startswith("done:") and text[len("done:"):].isdecimal():
         return make_pole_done(int(text[len("done:"):]))
     raise ValueError(f"unknown pole {text!r} (use 'always', 'done' or "

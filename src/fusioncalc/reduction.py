@@ -33,11 +33,11 @@ term reaches NIL, if at all, at the one depth where all its prefixes are
 consumed.  So `_reaches_nil`, which the `done` poles call directly,
 searches depth first and stops at the first NIL, as explicit-state
 model checkers search for a deadlock (Holzmann, "The Model Checker
-SPIN", IEEE TSE 1997).  It deduplicates by node value where no action
-of the start passes a vector, since reducts then only drop components
-and restricted names; elsewhere it also keys each distinct reduct once,
-as the binding siblings above need.  `reach`, which lists every class,
-keeps its level search.
+SPIN", IEEE TSE 1997).  It deduplicates reducts by key, as the
+binding siblings above need, and so do copies of one term each under
+its own restriction: `multiset_form` gives each copy its own binder, so
+firing j of n copies reaches C(n, j) node values of one class.  `reach`,
+which lists every class, keeps its level search.
 
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
@@ -153,17 +153,6 @@ def _occurs(x: Name, node) -> bool:
     return kind == "nu" and _occurs(x, node[2])
 
 
-def _passes_vectors(node) -> bool:
-    """Whether some action of node has a bound vector, so that a step
-    from it can pass one."""
-    kind = node[0]
-    if kind == "act":
-        return bool(node[3]) or _passes_vectors(node[4])
-    if kind == "par":
-        return any(map(_passes_vectors, node[1]))
-    return kind == "nu" and _passes_vectors(node[2])
-
-
 # σ-normal node -> its one-step reducts, for the last _REDUCT_CAP nodes
 # expanded
 _REDUCT_CAP = 1024
@@ -237,17 +226,15 @@ def reduces_within(p: Pwf, target: Pwf, k: int,
 def _reaches_nil(node, k) -> bool:
     """Whether a σ-normal node reaches NIL in at most k steps (k may be
     `math.inf`), searched depth first up to the first NIL.  A node's
-    depth is fixed by its prefixes, so a node seen once is not expanded
-    again.  When every action of the start has arity 0, no vector is
-    ever passed and the search deduplicates by node value; otherwise it
-    also deduplicates by `node_key`, each distinct reduct keyed once, as
-    bound names make α-variants that the node values tell apart."""
+    depth is fixed by its prefixes, so a class seen once is not expanded
+    again: reducts are deduplicated by `node_key`, as separately
+    restricted or bound names make α-variants that node values tell
+    apart.  Neither the start nor NIL is keyed."""
     if node == _NIL_NODE:
         return True
     if k < 1:
         return False
-    keyed = _passes_vectors(node)
-    seen, keys = {node}, set()
+    seen = set()
     stack = [(node, k)]
     while stack:
         q, left = stack.pop()
@@ -257,15 +244,10 @@ def _reaches_nil(node, k) -> bool:
         if left == 1:
             continue
         for r in reducts:
-            if r in seen:
-                continue
-            seen.add(r)
-            if keyed:
-                key = node_key(r)
-                if key in keys:
-                    continue
-                keys.add(key)
-            stack.append((r, left - 1))
+            key = node_key(r)
+            if key not in seen:
+                seen.add(key)
+                stack.append((r, left - 1))
     return False
 
 

@@ -185,9 +185,10 @@ def test_law_reports_match_their_recorded_digests(capsys):
 
 
 def test_exact_done_pole_prints_the_rows_of_done_8(capsys):
-    """No member of the default universe has more than 16 prefixes, so
-    `done:8` never binds there and the exact pole gives the same rows;
-    only the header differs, and it says the pole is exact."""
+    """Members of the default universe have at most 4 prefixes, so a
+    composite has at most 8, and `done:8`, which decides every term
+    with at most 16 prefixes, matches the exact pole: the rows are the
+    same, and only the header differs, saying the pole is exact."""
     laws = ("pole-laws", "--universe", "limit=160")
     code, exact, _ = run(capsys, *laws, "--pole", "done")
     assert code == 0

@@ -1,4 +1,5 @@
 import inspect
+import math
 import random
 from collections import Counter
 
@@ -149,30 +150,31 @@ def _count_keys(monkeypatch) -> list:
 
 
 def test_done_pole_canonicalises_a_term_once(monkeypatch):
-    """The pole keys no composite, the goal NIL is matched unkeyed, and
-    a search from a term whose actions pass no vector keys nothing; one
-    that passes vectors keys each distinct reduct at most once."""
+    """The pole keys no composite and matches the goal NIL unkeyed, so a
+    term one step from NIL keys nothing; a longer search keys each
+    distinct reduct at most once, with or without bound vectors."""
     calls = _count_keys(monkeypatch)
-    q, q2, q3 = (parse_pwf(t) for t in (
-        "<0!() | 0?() ; {}>", "<1!() | 1?() ; {}>",
-        "<new 2. 2!().2?() | 2?().2!() ; {}>"))
-    poles = (make_pole_done(5), make_pole_done())
+    poles = (make_pole_done(5), make_pole_done(math.inf))
     for pole in poles:
-        for composite in (q, q2, q3):
+        for composite in ("<0!() | 0?() ; {}>", "<1!() | 1?() ; {}>",
+                          "<new 2. 2!() | 2?() ; {}>"):
+            assert pole(parse_pwf(composite))
+    assert calls == []
+    for composite in ("<new 2. 2!().2?() | 2?().2!() ; {}>",
+                      "<new 0. (0!(1).1!().0!() | 0?(2).2?().0?()"
+                      " | 0!(3).3?() | 0?(4).4!()) ; {}>"):
+        composite = parse_pwf(composite)
+        for pole in poles:
+            calls.clear()
             assert pole(composite)
-    assert calls == []
-    bound = parse_pwf("<new 0. (0!(1).1!().0!() | 0?(2).2?().0?()"
-                      " | 0!(3).3?() | 0?(4).4!()) ; {}>")
-    for pole in poles:
+            assert calls and len(calls) == len(set(calls))
+            assert ("nil",) not in calls
+            assert multiset_form(composite.proc)[0] not in calls
+        # asking again hits the cache
         calls.clear()
-        assert pole(bound)
-        assert calls and len(calls) == len(set(calls))
-        assert ("nil",) not in calls
-    # asking again hits the cache
-    calls.clear()
-    for pole in poles:
-        assert pole(bound)
-    assert calls == []
+        for pole in poles:
+            assert pole(composite)
+        assert calls == []
 
 
 def test_done_pole_rejects_unbalanced_terms_without_canonicalising(

@@ -147,43 +147,51 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_reduces_within_canonicalises_each_term_once(monkeypatch):
-    """The search to an action-free target matches NIL unkeyed and
-    prints nothing, so it makes no `canonical` call.  From a term whose
-    actions pass no vector it keys nothing at all; from one that passes
-    vectors it keys each distinct reduct at most once, and neither the
-    start nor NIL."""
+    """The search to an action-free target keys each distinct reduct at
+    most once, keys neither the start nor NIL, which it matches unkeyed,
+    and prints nothing, so it makes no `canonical` call; with or without
+    bound vectors."""
     printed = _count_calls(monkeypatch, "canonical")
     keyed = _count_calls(monkeypatch, "node_key")
-    p = nu_all(parse_pwf("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
-                         " ; {0~2, 1~3}>"))
-    assert reduces_within(p, UNIT, 4)
-    assert keyed == []
-    q = nu_all(parse_pwf("<0!(5).5?() | 2?(6).6!() | 1!(7).7!() | 3?(8).8?()"
-                         " ; {0~2, 1~3}>"))
-    assert reduces_within(q, UNIT, 4)
-    assert keyed and len(keyed) == len(set(keyed))
-    assert _NIL_NODE not in keyed and sigma_node(q) not in keyed
+    for literal in ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?()"
+                    " ; {0~2, 1~3}>",
+                    "<0!(5).5?() | 2?(6).6!() | 1!(7).7!() | 3?(8).8?()"
+                    " ; {0~2, 1~3}>"):
+        p = nu_all(parse_pwf(literal))
+        keyed.clear()
+        assert reduces_within(p, UNIT, 4)
+        assert keyed and len(keyed) == len(set(keyed))
+        assert _NIL_NODE not in keyed and sigma_node(p) not in keyed
     assert printed == []
 
 
-def test_binding_siblings_search_keys_its_nodes(monkeypatch):
-    """Seven identical senders that each bind a name, beside seven
-    identical receivers, reach C(7, j)² distinct nodes at depth j, all
-    of one class: the NIL search keys the nodes of a term whose actions
-    pass vectors, so it expands one node per depth.  By node value alone
-    it would expand C(14, 7) = 3,432."""
-    p = parse_pwf("<new 0. (" + " | ".join(["0!(5).5!()"] * 7
-                                           + ["0?(6).7?()"] * 7) + ") ; {}>")
+@pytest.mark.parametrize("literal, depth, nodes", [
+    # seven identical senders that each bind a name, beside seven
+    # identical receivers: C(7, j)² node values at depth j, and
+    # C(14, 7) = 3,432 expanded by value
+    ("<new 0. (" + " | ".join(["0!(5).5!()"] * 7 + ["0?(6).7?()"] * 7)
+     + ") ; {}>", 7, 8),
+    # twelve copies of one pair, each under its own restriction, with no
+    # vector: the multiset form gives each copy its own binder, so
+    # C(12, j) node values at depth j, and 2^12 = 4,096 expanded by value
+    ("<" + " | ".join(f"new {x}. ({x}!().0!() | {x}?().1?())"
+                      for x in range(5, 17)) + " ; {}>", 12, 13),
+], ids=["binding", "restricted"])
+def test_sibling_search_keys_its_nodes(monkeypatch, literal, depth, nodes):
+    """Siblings that do not reach NIL reach many node values of one
+    class at each depth: the NIL search keys its nodes, so it expands
+    one node per depth, to the given bound and unbounded."""
+    p = parse_pwf(literal)
     expanded = []
     expand = reduction._expand
     monkeypatch.setattr(reduction, "_REDUCTS", {})
     monkeypatch.setattr(reduction, "_expand",
                         lambda q: expanded.append(q) or expand(q))
-    assert not reduces_within(p, UNIT, 14)
-    assert len(expanded) == 8
+    assert not reduces_within(p, UNIT, 2 * depth)
+    assert len(expanded) == nodes
     expanded.clear()
     assert not reduction._reaches_nil(sigma_node(p), math.inf)
-    assert len(expanded) == 8
+    assert len(expanded) == nodes
 
 
 @pytest.mark.parametrize("literal, steps, distinct", [
@@ -355,10 +363,9 @@ def _dual_pairs(draw):
 @settings(max_examples=200, deadline=None)
 def test_depth_first_nil_search_matches_the_reference(p, k):
     """The depth-first NIL search on closed terms, with their bound
-    vectors (keyed) and without them (deduplicated by value), at depth
-    k and unbounded, agrees with the level-by-level reference search
-    on `Process` terms, which the unbounded search matches at half the
-    term's prefix count."""
+    vectors and without them, at depth k and unbounded, agrees with the
+    level-by-level reference search on `Process` terms, which the
+    unbounded search matches at half the term's prefix count."""
     for term in (p.proc, _without_vectors(p.proc)):
         closed = nu_all(Pwf(term, p.fus))
         node = sigma_node(closed)
