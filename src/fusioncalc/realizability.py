@@ -49,11 +49,28 @@ of invariants, and a merge once per fitting member pair:
   invariant;
 - the `done:k` pole is false on a term that cannot consume its actions
   in k steps (`reduction._may_reach`); the exact pole `done` has k = ∞.
-  It caches its verdicts by multiset form, and its search
-  (`reduction._reaches_nil`) runs depth first to the first NIL and
-  deduplicates reducts by key.  Its node entry
-  `pole.node` decides the matrix composite, a closed node under Δ; any
-  other pole gets the composite as a `Pwf`.
+
+Two more exact tests run on each built node, before its expensive step:
+
+- an op-table image is keyed (`sigma_key`) only when its skeleton
+  (`terms.skeleton`: bound names erased, siblings sorted, each level's
+  restricted names counted) is some member's.  Congruent nodes differ
+  only in their binders' numbers and their siblings' order, so an
+  image of any other skeleton is no member (167 of the 524 images on
+  the 48 `sandbox` members are keyed);
+- the `done` poles reject a node on which some name that no vector
+  binds has unequal up and down prefix counts of one arity
+  (`reduction._balanced`), before their verdict cache: a step consumes
+  one up and one down prefix on one name and renames only vector names,
+  binders on both sides, so every other name keeps its counts, and NIL
+  has none.  Such a node is neither searched nor cached (the `done:8`
+  matrix on the `sandbox` members searches 72 of its 348 composites).
+
+The pole caches its other verdicts by multiset form, and its search
+(`reduction._reaches_nil`) runs depth first to the first NIL and
+deduplicates reducts by key.  Its node entry `pole.node` decides the
+matrix composite, a closed node under Δ; any other pole gets the
+composite as a `Pwf`.
 """
 
 from __future__ import annotations
@@ -69,9 +86,9 @@ from .names import ALL, EMPTY, Word, remember, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
-from .reduction import _may_reach, _reaches_nil
+from .reduction import _balanced, _may_reach, _reaches_nil
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
-                    multiset_form)
+                    multiset_form, skeleton)
 
 # op tables by (member tuple, config), shared by every Universe on them;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -99,8 +116,9 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
     composites that it rejects on their invariant alone, and its node
     entry `pole.node`, which decides a closed node under Δ without the
     invariant test.  Reduction keeps the fusion, so a term under any
-    other fusion is outside.  Verdicts are cached by multiset form, the
-    value that decides them under Δ, for the last `_VERDICT_CAP` (1,024)
+    other fusion is outside.  A node that is not `_balanced` is false
+    at once; the other verdicts are cached by multiset form, the value
+    that decides them under Δ, for the last `_VERDICT_CAP` (1,024)
     nodes decided; no term is keyed, only the search's reducts."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
@@ -108,7 +126,10 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
 
     def closed(node) -> bool:
         # under Δ each name is its class's least member, so node is the
-        # σ-normal start of the search
+        # σ-normal start of the search; an unbalanced node is neither
+        # searched nor cached
+        if not _balanced(node):
+            return False
         verdict = cache.get(node)
         if verdict is None:
             verdict = remember(cache, node, _reaches_nil(node, k),
@@ -409,14 +430,18 @@ class Universe:
         """Per member i, the (bit of j, bit of the image) of every j whose
         image under the operation of `shape` (see `_images`) is a
         member.  Only pairs whose invariants sum to a member's invariant
-        get an image (`sigma_key`)."""
+        get an image, and only an image with a member's skeleton is
+        keyed (`sigma_key`)."""
         if label not in self._tables:
             possible = {inv for cells in self._groups.values()
                         for inv in cells}
+            skeletons = {skeleton(node, {}) for node, _, _ in self._nodes}
             keyed, config = self._member_keys(), self.config
             rows: list[list[tuple[int, int]]] = [[] for _ in self.members]
             for i, j, fus, node in self._images(
                     shape, lambda a, b: _add(a, b) in possible):
+                if skeleton(node, {}) not in skeletons:
+                    continue
                 k = keyed.get(sigma_key(fus, node, config))
                 if k is not None:
                     rows[i].append((1 << j, 1 << k))

@@ -39,6 +39,17 @@ its own restriction: `multiset_form` gives each copy its own binder, so
 firing j of n copies reaches C(n, j) node values of one class.  `reach`,
 which lists every class, keeps its level search.
 
+The `done` poles ask `_balanced` before they search: a node reaches NIL
+only if every name that no bound vector binds has, for each arity, as
+many up prefixes as down ones.  The test rejects no node that reaches
+NIL.  A step consumes one up and one down prefix of equal arity on one
+name, and it renames only vector names: the paper's emissions and
+receptions both bind the names they pass, so the receiver's vector,
+a binder, is renamed onto the sender's, a binder too.  So every other
+name keeps its counts through every step, as a place of a Petri net
+keeps an invariant (Murata, "Petri nets: properties, analysis and
+applications", Proc. IEEE 1989), and NIL has no prefix.
+
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
 nodes in `_REDUCTS`, keyed by the node, dropping the oldest first.  With
@@ -59,8 +70,8 @@ from .config import DEFAULT, Config
 from .fusion import _classes, equal
 from .names import Name, remember
 from .pwf import Pwf, nu_all, par, sigma_node
-from .terms import (_NIL_NODE, _relabel, _to_process, all_names, invariant,
-                    multiset_form, node_key)
+from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, all_names,
+                    invariant, multiset_form, node_key)
 
 
 def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
@@ -262,6 +273,23 @@ def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
     return sum(drop.values()) <= 2 * k and all(
         d >= 0 and drop["down" if polarity == "up" else "up", arity] == d
         for (polarity, arity), d in list(drop.items()))
+
+
+def _balanced(node) -> bool:
+    """Whether every name of a σ-normal node that no bound vector binds
+    has, for each arity, as many up prefixes as down ones, as every
+    node that reaches NIL must have: a step consumes one up and one
+    down prefix of equal arity on one name, and it renames only vector
+    names, so every other name keeps its counts, and NIL has none."""
+    vectors: set = set()
+    counts: dict = {}
+    for q in _nodes(node):
+        if q[0] == "act":
+            _, subject, polarity, bound, _ = q
+            vectors.update(bound)
+            key = subject, len(bound)
+            counts[key] = counts.get(key, 0) + (1 if polarity == "up" else -1)
+    return all(not d for (x, _), d in counts.items() if x not in vectors)
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:

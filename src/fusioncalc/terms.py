@@ -317,6 +317,29 @@ def invariant(node) -> tuple:
     return tuple(sorted(counts.items()))
 
 
+def skeleton(node, memo: dict) -> tuple:
+    """A multiset-form node with its bound names erased, the siblings of
+    each level sorted and the restricted names of each level counted: a
+    congruence invariant, since congruent nodes differ only in the
+    numbers of their binders and the order of their siblings.  `memo`
+    holds the skeletons of the nodes of one term, by node identity."""
+    out = memo.get(id(node))
+    if out is None:
+        kind = node[0]
+        if kind == "act":
+            _, subj, pol, bound, body = node
+            out = ("act", ("bound",) if subj < 0 else ("free", subj),
+                   pol, len(bound), skeleton(body, memo))
+        elif kind == "par":
+            out = ("par", tuple(sorted(skeleton(c, memo) for c in node[1])))
+        elif kind == "nu":
+            out = ("nu", len(node[1]), skeleton(node[2], memo))
+        else:
+            out = node
+        memo[id(node)] = out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the sibling-order search
 #
@@ -359,24 +382,6 @@ class _Search:
             else:
                 out = self.free(node[2]) - node[1]
             self.frees[id(node)] = out
-        return out
-
-    def skeleton(self, node) -> tuple:
-        """node with its bound names erased."""
-        out = self.skeletons.get(id(node))
-        if out is None:
-            kind = node[0]
-            if kind == "act":
-                _, subj, pol, bound, body = node
-                out = ("act", ("bound",) if subj < 0 else ("free", subj),
-                       pol, len(bound), self.skeleton(body))
-            elif kind == "par":
-                out = ("par", tuple(sorted(map(self.skeleton, node[1]))))
-            elif kind == "nu":
-                out = ("nu", len(node[1]), self.skeleton(node[2]))
-            else:
-                out = node
-            self.skeletons[id(node)] = out
         return out
 
     @staticmethod
@@ -435,7 +440,7 @@ class _Search:
         ending with the positions still to place."""
         ids: dict = {}
         same = [ids.setdefault(self.alpha(c), len(ids)) for c in kids]
-        shapes = [self.skeleton(c) for c in kids]
+        shapes = [skeleton(c, self.skeletons) for c in kids]
         order = sorted(range(len(kids)), key=shapes.__getitem__)
         memo: dict = {}
         while order:
@@ -536,7 +541,7 @@ class _KeySearch(_Search):
         out = self.paths.get(id(node))
         if out is None:
             _, subj, _, _, body = node
-            here = (self.skeleton(node),)
+            here = (skeleton(node, self.skeletons),)
             out = [(subj, here)] if subj < 0 else []
             if body[0] == "nu":
                 body = body[2]

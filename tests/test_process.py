@@ -10,8 +10,8 @@ import canonical_reference
 from canonical_reference import (_orderings, reference_canonical,
                                  reference_key, struct_eq)
 from congruence_oracle import (
-    alpha_key, congruence_key, count_actions, enumerate_universe,
-    oracle_partition,
+    _all_rewrites, alpha_key, congruence_key, count_actions,
+    enumerate_universe, oracle_partition,
 )
 from fusioncalc.process import (
     NIL, Act, Nu, Par, ProcessError, all_names, canonical, free_names,
@@ -22,7 +22,7 @@ from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
-from fusioncalc.terms import multiset_form
+from fusioncalc.terms import multiset_form, node_key, skeleton
 from subst_reference import reference_substitute, scoped_processes
 
 
@@ -416,6 +416,38 @@ def _printed_processes():
                     inner),
         max_leaves=9,
     )
+
+
+def _rewritten(rng, p, steps=6):
+    """p after up to `steps` rewrites, each drawn from those that the
+    congruence oracle's rules allow on the current term."""
+    for _ in range(steps):
+        options = list(_all_rewrites(p, range(8)))
+        if not options:
+            break
+        p = rng.choice(options)
+    return p
+
+
+@given(_keyed_processes() | _printed_processes(),
+       _keyed_processes() | _printed_processes(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_nodes_with_one_key_have_one_skeleton(p, r, rng):
+    """The skeleton (`terms.skeleton`) is a congruence invariant: nodes
+    with equal `node_key`s have equal skeletons, on random terms, on
+    their copies with components commuted and reassociated, bound names
+    renamed and restrictions moved, and on terms that the oracle's rules
+    rewrite them to."""
+    family = [t for q in (p, r)
+              for t in (q, _congruent_copy(rng, q), _rewritten(rng, q))]
+    nodes = [multiset_form(t)[0] for t in family]
+    keys = [node_key(node) for node in nodes]
+    assert len(set(keys[:3])) == len(set(keys[3:])) == 1
+    for i, j in itertools.combinations(range(len(nodes)), 2):
+        if keys[i] == keys[j]:
+            assert skeleton(nodes[i], {}) == skeleton(nodes[j], {}), \
+                (process_str(family[i]), process_str(family[j]))
 
 
 @given(_printed_processes())

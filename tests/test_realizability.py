@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc import pwf, realizability, terms
+from fusioncalc import pwf, realizability, reduction, terms
 from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (DELTA, InvalidFusionError, identity_I, join,
                                parse_fusion)
@@ -115,9 +115,10 @@ def test_done_pole_keeps_a_bounded_verdict_cache(monkeypatch):
     monkeypatch.setattr(realizability, "_reaches_nil",
                         lambda node, k: searched.append(node)
                         or reaches_nil(node, k))
-    pole = make_pole_done(1)
+    pole = make_pole_done(2)
     cache = inspect.getclosurevars(pole.node).nonlocals["cache"]
-    stuck = parse_pwf("<0!() | 1?() ; {}>")
+    # balanced, so searched: each prefix waits for the other's partner
+    stuck = parse_pwf("<0!().1!() | 1?().0?() ; {}>")
     assert not pole(stuck)
     for x in range(10):
         assert pole(parse_pwf(f"<{x}!() | {x}?() ; {{}}>"))
@@ -127,6 +128,34 @@ def test_done_pole_keeps_a_bounded_verdict_cache(monkeypatch):
     assert not pole(stuck)
     assert searched[-1] == multiset_form(stuck.proc)[0]
     assert len(searched) == 12 and len(cache) == 4
+
+
+def test_done_pole_searches_and_caches_no_unbalanced_composite(
+        monkeypatch):
+    """A composite in which some name that no vector binds has more up
+    than down prefixes of one arity, or fewer, is rejected before the
+    verdict cache, even where its invariant would pass, and never enters
+    the cache; vector names are not counted."""
+    searched = []
+    reaches_nil = realizability._reaches_nil
+    monkeypatch.setattr(realizability, "_reaches_nil",
+                        lambda node, k: searched.append(node)
+                        or reaches_nil(node, k))
+    for pole in (make_pole_done(2), make_pole_done(math.inf)):
+        cache = inspect.getclosurevars(pole.node).nonlocals["cache"]
+        for text in ("<0!() | 1?() ; {}>",
+                     "<new 2. (2!() | 2?().0!()) | 1?() ; {}>",
+                     "<0!(5).5!() | 0?(6).1?() ; {}>"):
+            unbalanced = parse_pwf(text)
+            for _ in range(2):
+                assert not pole(unbalanced)
+        assert searched == [] and cache == {}
+        # 5 and 6 become one name in the step, so only 0 is counted
+        passing = parse_pwf("<0!(5).5!() | 0?(6).6?() ; {}>")
+        assert pole(passing)
+        assert searched == [multiset_form(passing.proc)[0]]
+        assert len(cache) == 1
+        searched.clear()
 
 
 def _count_keys(monkeypatch) -> list:
@@ -515,6 +544,51 @@ def test_done_matrix_builds_only_balanced_composites(monkeypatch):
     assert balanced < len(members) ** 2 // 4
     assert all(reaches_nil_possibly(invariant(terms._to_process(node)), 2)
                for node in built)
+
+
+def test_tables_key_only_images_of_a_member_skeleton(monkeypatch):
+    """An op-table image is keyed only when its skeleton is a member's:
+    congruent nodes have one skeleton, so no other image can be a
+    member."""
+    monkeypatch.setattr(realizability, "_TABLES", {})
+    members = sandbox_members()
+    u = Universe(members, pole_always)
+    u.clip([])  # the members' keys
+    keyed = []
+    sigma_key = realizability.sigma_key
+    monkeypatch.setattr(realizability, "sigma_key", lambda e, node, config:
+                        keyed.append(node) or sigma_key(e, node, config))
+    built = _record_merges(monkeypatch)
+    for op_mask, _ in TABLE_OPS.values():
+        op_mask(u, u.full_mask, u.full_mask)
+    skeletons = {terms.skeleton(pwf.sigma_node(m), {}) for m in members}
+    matching = [node for node in built
+                if terms.skeleton(node, {}) in skeletons]
+    assert keyed == matching
+    assert (len(keyed), len(built)) == (167, 524)
+
+
+def test_done_matrix_searches_only_balanced_composites(monkeypatch):
+    """The `done:8` matrix searches a composite only when every name that
+    no vector binds is balanced (`reduction._balanced`); the composites
+    it does not search are outside the pole by the reference search."""
+    searched = []
+    reaches_nil = realizability._reaches_nil
+    monkeypatch.setattr(realizability, "_reaches_nil",
+                        lambda node, k: searched.append(node)
+                        or reaches_nil(node, k))
+    built = _record_merges(monkeypatch)
+    members = sandbox_members()
+    Universe(members, make_pole_done(8)).matrix()
+    # the verdict cache holds every node value, so each is searched once
+    balanced = list(dict.fromkeys(
+        node for node in built if reduction._balanced(node)))
+    assert searched == balanced
+    assert (len(searched), len(built)) == (72, 348)
+    for node in built:
+        if not reduction._balanced(node):
+            assert not reference_reduces_within(
+                Pwf(terms._to_process(node), DELTA), UNIT, 8)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])

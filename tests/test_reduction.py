@@ -377,6 +377,23 @@ def test_depth_first_nil_search_matches_the_reference(p, k):
                 reference_reduces_within(closed, UNIT, prefixes // 2)
 
 
+@given(_pwfs(scoped=True) | _dual_pairs())
+@settings(max_examples=150, deadline=None)
+def test_an_unbalanced_term_reaches_nil_in_no_number_of_steps(p):
+    """Where some name that no vector binds has unequal up and down
+    prefix counts of one arity (`reduction._balanced` false), the
+    reference search does not reach NIL under the term's fusion (<1 ; Δ>
+    for a term under Δ) in 4 steps, nor in half the term's prefix count,
+    where every search from it ends; so in no number of steps."""
+    for term in (p.proc, _without_vectors(p.proc)):
+        closed = nu_all(Pwf(term, p.fus))
+        node = sigma_node(closed)
+        if not reduction._balanced(node):
+            prefixes = sum(count for _, count in invariant(node))
+            assert not reference_reduces_within(
+                closed, Pwf(NIL, p.fus), max(4, prefixes // 2))
+
+
 @given(_pwfs(scoped=True))
 @settings(max_examples=200, deadline=None)
 def test_step_matches_the_process_level_reference(p):
