@@ -50,7 +50,7 @@ of invariants, and a merge once per fitting member pair:
 - the `done:k` pole is false on a term that cannot consume its actions
   in k steps (`reduction._may_reach`); the exact pole `done` has k = ∞.
 
-Two more exact tests run on each built node, before its expensive step:
+Two more exact tests run before a node's expensive step:
 
 - an op-table image is keyed (`sigma_key`) only when its skeleton
   (`terms.skeleton`: bound names erased, siblings sorted, each level's
@@ -63,14 +63,26 @@ Two more exact tests run on each built node, before its expensive step:
   (`reduction._balanced`), before their verdict cache: a step consumes
   one up and one down prefix on one name and renames only vector names,
   binders on both sides, so every other name keeps its counts, and NIL
-  has none.  Such a node is neither searched nor cached (the `done:8`
-  matrix on the `sandbox` members searches 72 of its 348 composites).
+  has none.  Such a node is neither searched nor cached.  The matrix
+  does not build one either: two renamed sides share no vector name,
+  so a composite's counts (`reduction._signature`) are the sums of its
+  sides', and under a pole with a node entry `_images` pairs a left
+  side only with the right sides of the negated signature, found by one
+  lookup per side (the `done:8` matrix on the `sandbox` members merges
+  73 of the 348 pairs whose invariants fit).
 
 The pole caches its other verdicts by multiset form, and its search
 (`reduction._reaches_nil`) runs depth first to the first NIL and
 deduplicates reducts by key.  Its node entry `pole.node` decides the
 matrix composite, a closed node under Δ; any other pole gets the
-composite as a `Pwf`.
+composite as a `Pwf`, and every pair whose invariants fit.
+
+`Universe.regular` decides `reduction.pole_regular_on` on the same
+nodes.  Each member that steps, and each σ-reduct of its σ-node
+(`reduction._expand`), is a left operand of the matrix composite under
+the member's fusion, renamed by the group pair's `_sides` like the
+members, so its binders take a band from the same counter; the rows of
+members that do not step are never built.
 """
 
 from __future__ import annotations
@@ -86,7 +98,8 @@ from .names import ALL, EMPTY, Word, remember, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
-from .reduction import _balanced, _may_reach, _reaches_nil
+from .reduction import (_balanced, _expand, _may_reach, _negated,
+                        _reaches_nil, _signature)
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
                     multiset_form, skeleton)
 
@@ -115,11 +128,13 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
     2k >= n.  The pole carries its k, so `Universe.matrix` can skip
     composites that it rejects on their invariant alone, and its node
     entry `pole.node`, which decides a closed node under Δ without the
-    invariant test.  Reduction keeps the fusion, so a term under any
-    other fusion is outside.  A node that is not `_balanced` is false
-    at once; the other verdicts are cached by multiset form, the value
-    that decides them under Δ, for the last `_VERDICT_CAP` (1,024)
-    nodes decided; no term is keyed, only the search's reducts."""
+    invariant test and rejects every unbalanced one, so the matrix
+    builds no pair whose balance signatures do not cancel.  Reduction
+    keeps the fusion, so a term under any other fusion is outside.  A
+    node that is not `_balanced` is false at once; the other verdicts
+    are cached by multiset form, the value that decides them under Δ,
+    for the last `_VERDICT_CAP` (1,024) nodes decided; no term is
+    keyed, only the search's reducts."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
     cache: dict = {}
@@ -210,11 +225,18 @@ def _add(inv_a: tuple, inv_b: tuple) -> tuple:
     return tuple(sorted(counts.items()))
 
 
-def _binders(node) -> frozenset:
-    """The names a multiset-form node binds: its restricted names and
-    its bound vectors."""
-    return frozenset(x for q in _nodes(node) if q[0] in ("act", "nu")
-                     for x in q[3 if q[0] == "act" else 1])
+def _names(node) -> tuple[frozenset, frozenset]:
+    """The free names of a multiset-form node, and the names it binds:
+    its restricted names and its bound vectors."""
+    subjects: set = set()
+    bound: set = set()
+    for q in _nodes(node):
+        if q[0] == "act":
+            subjects.add(q[1])
+            bound.update(q[3])
+        elif q[0] == "nu":
+            bound.update(q[1])
+    return frozenset(subjects - bound), frozenset(bound)
 
 
 def _sides(nodes: list, classes, shape: tuple) -> Callable[[int, int], tuple]:
@@ -295,7 +317,7 @@ class Universe:
         self._groups: dict = {}
         for i, m in enumerate(self.members):
             node, free = sigma_form(multiset_form(m.proc), m.fus, config)
-            self._nodes.append((node, free, _binders(node)))
+            self._nodes.append((node, free, _names(node)[1]))
             self._groups.setdefault(m.fus, {}).setdefault(
                 invariant(node), []).append(i)
         key = (self.members, config)
@@ -315,34 +337,77 @@ class Universe:
                 # every composite is in the pole; build none of them
                 self._matrix = [self.full_mask] * n
                 return self._matrix
-            k = getattr(self.pole, "k", None)
-            on_node = getattr(self.pole, "node", None)
             rows = [0] * n
-            # a pair outside the pole on its invariant is not built
-            for i, j, fus, node in self._images(
-                    ((), (), ALL, ()), lambda a, b: k is None or
-                    _may_reach(_add(a, b), (), k), unordered=True):
-                if on_node(node) if on_node is not None else \
-                        self.pole(Pwf(_to_process(node), fus)):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
+            for i, j in self._in_pole(unordered=True):
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
             self._matrix = rows
         return self._matrix
 
+    def regular(self) -> bool:
+        """Whether the pole is closed under anti-reduction on the
+        members: whenever p steps to q, every member r with ν(q | r) in
+        the pole has ν(p | r) in it.  Only the rows of members that step
+        and of their σ-reducts are built (see the module docstring)."""
+        nodes = list(self._nodes)
+        lefts: dict = {}
+        owner = {}  # index of a reduct in nodes -> its member's
+        for i, (m, (node, _, _)) in enumerate(zip(self.members,
+                                                  self._nodes)):
+            reducts = _expand(node)
+            if reducts:
+                cells = lefts.setdefault(m.fus, {})
+                cells.setdefault(invariant(node), []).append(i)
+                for q in reducts:
+                    owner[len(nodes)] = i
+                    cells.setdefault(invariant(q), []).append(len(nodes))
+                    nodes.append((q, *_names(q)))
+        rows: dict = {}
+        for i, j in self._in_pole(lefts=lefts, nodes=nodes):
+            rows[i] = rows.get(i, 0) | 1 << j
+        return all(not rows.get(q, 0) & ~rows.get(i, 0)
+                   for q, i in owner.items())
+
+    def _in_pole(self, unordered: bool = False, lefts: Optional[dict] = None,
+                 nodes: Optional[list] = None) -> Iterator[tuple[int, int]]:
+        """(i, j) of each composite ν(i | j) in the pole, i a left
+        operand and j a member (see `_images`).  A pair outside the pole
+        on its invariant is not built, and under a pole with a node
+        entry, which rejects every unbalanced node, neither is a pair
+        whose two balance signatures do not cancel."""
+        k = getattr(self.pole, "k", None)
+        on_node = getattr(self.pole, "node", None)
+        for i, j, fus, node in self._images(
+                ((), (), ALL, ()), lambda a, b: k is None or
+                _may_reach(_add(a, b), (), k), unordered,
+                on_node is not None, lefts, nodes):
+            if on_node(node) if on_node is not None else \
+                    self.pole(Pwf(_to_process(node), fus)):
+                yield i, j
+
     def _images(self, shape: tuple, fits: Callable[[tuple, tuple], bool],
-                unordered: bool = False) -> Iterator[tuple]:
+                unordered: bool = False, balanced: bool = False,
+                lefts: Optional[dict] = None, nodes: Optional[list] = None
+                ) -> Iterator[tuple]:
         """(i, j, fusion, σ-node) of the image of each member pair (i, j)
         whose invariants `fits`, under the operation of `shape` (see the
         module docstring); with `unordered`, for a shape that tags its
-        sides alike, each unordered pair once.  A `PwfError` in the
+        sides alike, each unordered pair once; with `balanced`, only the
+        pairs whose sides' balance signatures cancel
+        (`reduction._signature`), looked up by signature.  `lefts`
+        groups the left operands by fusion, then invariant, as
+        `_groups` groups the members, and indexes them in `nodes`, a
+        list that starts with the members' nodes.  A `PwfError` in the
         image fusion leaves that pair of member fusions without images."""
         left, right, bind, out = shape
-        config, nodes = self.config, self._nodes
+        config = self.config
+        nodes = self._nodes if nodes is None else nodes
         groups = list(self._groups.items())
-        invariants = {inv for _, cells in groups for inv in cells}
+        rows_of = groups if lefts is None else list(lefts.items())
+        invariants = {inv for _, cells in rows_of + groups for inv in cells}
         fitting = {(a, b) for a in invariants for b in invariants
                    if fits(a, b)}
-        for g, (e, cells_a) in enumerate(groups):
+        for g, (e, cells_a) in enumerate(rows_of):
             for h, (f, cells_b) in enumerate(groups):
                 if unordered and h < g:
                     continue
@@ -354,13 +419,25 @@ class Universe:
                 except PwfError:
                     continue
                 side = _sides(nodes, _classes(joined, config), shape)
+                # the left operands' signatures, and per right invariant
+                # its members by negated signature
+                signatures: dict = {}
+                partners: dict = {}
                 for inv_a, rows in cells_a.items():
                     for inv_b, cols in cells_b.items():
                         if (inv_a, inv_b) not in fitting:
                             continue
+                        if balanced and inv_b not in partners:
+                            partners[inv_b] = by_signature = {}
+                            for j in cols:
+                                by_signature.setdefault(_negated(_signature(
+                                    ("par", side(j, 1)[1]))), []).append(j)
                         for i in rows:
                             a = side(i, 0)
-                            for j in cols:
+                            if balanced and i not in signatures:
+                                signatures[i] = _signature(("par", a[1]))
+                            for j in partners[inv_b].get(signatures[i], ()) \
+                                    if balanced else cols:
                                 if not (unordered and g == h and j < i):
                                     yield i, j, fus, _merge(a, side(j, 1))
 

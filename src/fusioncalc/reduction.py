@@ -48,7 +48,17 @@ receptions both bind the names they pass, so the receiver's vector,
 a binder, is renamed onto the sender's, a binder too.  So every other
 name keeps its counts through every step, as a place of a Petri net
 keeps an invariant (Murata, "Petri nets: properties, analysis and
-applications", Proc. IEEE 1989), and NIL has no prefix.
+applications", Proc. IEEE 1989), and NIL has no prefix.  The nonzero
+counts form a node's `_signature`; nodes that share no vector name add
+their signatures when put in parallel, so `realizability.Universe`
+pairs two renamed members only when their signatures cancel, without
+building the composite.
+
+`pole_regular_on` asks whether ν(q | r) in the pole implies ν(p | r) in
+it, for every member p, reduct q of p and member r.  It builds a
+`realizability.Universe` on the members and reads the σ-reducts of each
+member's σ-node from `_expand`: only the members that step get rows,
+and no composite is a `Process` when the pole decides nodes.
 
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
@@ -69,7 +79,7 @@ from typing import Callable, Iterator, Optional
 from .config import DEFAULT, Config
 from .fusion import _classes, equal
 from .names import Name, remember
-from .pwf import Pwf, nu_all, par, sigma_node
+from .pwf import Pwf, sigma_node
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, all_names,
                     invariant, multiset_form, node_key)
 
@@ -275,12 +285,12 @@ def _may_reach(inv: tuple, goal: tuple, k: int) -> bool:
         for (polarity, arity), d in list(drop.items()))
 
 
-def _balanced(node) -> bool:
-    """Whether every name of a σ-normal node that no bound vector binds
-    has, for each arity, as many up prefixes as down ones, as every
-    node that reaches NIL must have: a step consumes one up and one
-    down prefix of equal arity on one name, and it renames only vector
-    names, so every other name keeps its counts, and NIL has none."""
+def _signature(node) -> frozenset:
+    """The balance signature of a node: ((name, arity), up - down) for
+    each name that no bound vector binds and each arity at which its up
+    and down prefix counts differ.  Two nodes that share no vector name
+    add their counts when put in parallel, so their composite's
+    signature is empty exactly when the two cancel (`_negated`)."""
     vectors: set = set()
     counts: dict = {}
     for q in _nodes(node):
@@ -289,17 +299,29 @@ def _balanced(node) -> bool:
             vectors.update(bound)
             key = subject, len(bound)
             counts[key] = counts.get(key, 0) + (1 if polarity == "up" else -1)
-    return all(not d for (x, _), d in counts.items() if x not in vectors)
+    return frozenset(item for item in counts.items()
+                     if item[1] and item[0][0] not in vectors)
+
+
+def _negated(signature: frozenset) -> frozenset:
+    return frozenset((key, -d) for key, d in signature)
+
+
+def _balanced(node) -> bool:
+    """Whether every name of a σ-normal node that no bound vector binds
+    has, for each arity, as many up prefixes as down ones (an empty
+    `_signature`), as every node that reaches NIL must have: a step
+    consumes one up and one down prefix of equal arity on one name, and
+    it renames only vector names, so every other name keeps its counts,
+    and NIL has none."""
+    return not _signature(node)
 
 
 def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:
     """Anti-reduction closure of singleton orthogonals, checked over the
     given finite universe: whenever p steps to q, everything orthogonal
-    to q is orthogonal to p."""
-    for p in universe:
-        for q in step(p, config):
-            for r in universe:
-                if pole(nu_all(par(q, r, config), config)) and \
-                        not pole(nu_all(par(p, r, config), config)):
-                    return False
-    return True
+    to q is orthogonal to p.  Decided on the members' σ-nodes by
+    `realizability.Universe.regular`."""
+    # realizability imports this module
+    from .realizability import Universe
+    return Universe(universe, pole, config).regular()

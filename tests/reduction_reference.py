@@ -12,6 +12,10 @@ term's form up to the fusion separately from its dedup key:
   reduct's printed normal form, the listing of `fusioncalc reduce`;
 - `reference_reduces_within` dedups on the raw canonical process and
   compares the form up to the fusion with the target's at each level.
+
+`reference_pole_regular_on` is the anti-reduction check as a loop over
+`Process` terms: every reduct of every member against every member,
+each composite built with `pwf.nu_all` and `pwf.par`.
 """
 
 import itertools
@@ -21,7 +25,8 @@ from fusion_reference import canonical_subst
 from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, equal
 from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
-from fusioncalc.pwf import Pwf, pwf_str
+from fusioncalc.pwf import Pwf, nu_all, par, pwf_str
+from fusioncalc.reduction import step
 from fusioncalc.subst import finite_subst
 from fusioncalc.terms import _simplify, _to_process
 
@@ -133,3 +138,15 @@ def reference_reduces_within(p: Pwf, target: Pwf, k: int,
             return False
         frontier = next_frontier
     return False
+
+
+def reference_pole_regular_on(pole, universe, config=DEFAULT) -> bool:
+    """Whenever p steps to q, everything orthogonal to q is orthogonal
+    to p, over the given members."""
+    for p in universe:
+        for q in step(p, config):
+            for r in universe:
+                if pole(nu_all(par(q, r, config), config)) and \
+                        not pole(nu_all(par(p, r, config), config)):
+                    return False
+    return True

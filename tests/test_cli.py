@@ -172,6 +172,10 @@ LAW_REPORT_DIGESTS = {
         "66294a0aa8c141ccf826cec404b311f4c4f86c0087ce2d89784785128420410f",
     ("pole-laws", "--universe", "limit=60", "--pole", "done:8"):
         "ce4d78451f93bcaf4a87aa47a82db5dd485f14394d75c13ee4f675d558c9e813",
+    # recorded at commit efe531b, before the matrix paired composites by
+    # balance signature
+    ("pole-laws", "--universe", "limit=400", "--pole", "done:8"):
+        "dbcac4af6950488acd31434ea50b7759f026dd6f20e04f6eb0706d68c9dfd70d",
 }
 
 

@@ -8,17 +8,20 @@ from hypothesis import given, settings, strategies as st
 
 from fusioncalc import pwf, realizability, reduction, terms
 from fusioncalc.config import DEFAULT, Config
-from fusioncalc.fusion import (DELTA, InvalidFusionError, identity_I, join,
-                               parse_fusion)
+from fusioncalc.fusion import (DELTA, InvalidFusionError, _classes,
+                               identity_I, join, parse_fusion)
+from fusioncalc.names import ALL
 from fusioncalc.process import NIL, Act, Nu, Par, canonical, substitute
 from fusioncalc.pwf import (UNIT, Pwf, PwfError, bullet, equal_pwf, nu_all,
                             par, parse_pwf, star)
 from fusioncalc.realizability import (Universe, check_laws, default_universe,
                                       make_pole_done, parse_pole, pole_always)
-from fusioncalc.reduction import pole_regular_on
+from fusioncalc.reduction import pole_regular_on, reduces_within
 from fusioncalc.terms import multiset_form
 from fusion_reference import canonical_subst
-from reduction_reference import reference_reduces_within
+from reduction_reference import (reference_pole_regular_on,
+                                 reference_reduces_within)
+from test_reduction import _small_universe
 
 
 def small_universe(pole=pole_always, n=40):
@@ -506,6 +509,95 @@ def sandbox_members():
     return default_universe(2, 3, [DELTA, parse_fusion("{0~1}")], 48)
 
 
+def fused_first_members():
+    """{0~1} members before Δ ones, so that the first fusion group is a
+    fused one."""
+    return default_universe(1, 2, [parse_fusion("{0~1}"), DELTA], 40)
+
+
+def binding_members():
+    """Members whose reducts keep restricted names, and a vector that
+    becomes one: a reduct that reused its member's binders, or some
+    other side's, would fuse them with a partner's names."""
+    return [parse_pwf("<0?() ; {}>"), parse_pwf("<0!() ; {}>"),
+            parse_pwf("<new 5. (5!() | 5?().5!()) ; {}>"),
+            parse_pwf("<0!(5).5!() | 0?(6).6?() ; {}>"),
+            parse_pwf("<0!(5).5!() | 0?(6).0!() ; {}>"),
+            parse_pwf("<0!().1?(6).6?() | 0?() | 1!(5).5!() ; {}>"),
+            parse_pwf("<5?() ; {}>"), UNIT, *BINDING_MEMBERS]
+
+
+REGULAR_UNIVERSES = {"sandbox": sandbox_members, "mixed": mixed_members,
+                     "small": _small_universe,
+                     "fused-first": fused_first_members,
+                     "binding": binding_members}
+REGULAR_POLES = {"true": lambda q: True,
+                 "reduces": lambda q: reduces_within(q, UNIT, 8),
+                 "unit": lambda q: equal_pwf(q, UNIT)}
+
+
+@pytest.mark.parametrize("pole_text", ["always", "done:1", "done:2",
+                                       "done:8", "done", *REGULAR_POLES])
+@pytest.mark.parametrize("universe", sorted(REGULAR_UNIVERSES))
+def test_pole_regular_on_matches_the_reference_loop(universe, pole_text):
+    """The node check gives the verdict of the loop over `Process`
+    terms, under poles with a node entry and under plain callables."""
+    members = REGULAR_UNIVERSES[universe]()
+    pole = REGULAR_POLES.get(pole_text) or parse_pole(pole_text)
+    assert pole_regular_on(pole, members) == \
+        reference_pole_regular_on(pole, members)
+
+
+def _recorded(monkeypatch, method: str) -> list:
+    """Each item that the `Universe` generator `method` yields."""
+    out = []
+    original = getattr(Universe, method)
+
+    def recording(self, *args, **kwargs):
+        for item in original(self, *args, **kwargs):
+            out.append(item)
+            yield item
+
+    monkeypatch.setattr(Universe, method, recording)
+    return out
+
+
+@pytest.mark.parametrize("universe", sorted(REGULAR_UNIVERSES))
+def test_pole_regular_on_builds_only_the_rows_of_members_that_step(
+        monkeypatch, universe):
+    """Under a pole with a node entry, `pole_regular_on` merges only
+    composites whose left operand is a member that steps or a σ-reduct
+    of its node, and none becomes a `Process`.  Each row it builds holds
+    exactly the members r for which the pole holds of ν(left | r) built
+    as a `Process`."""
+    members = REGULAR_UNIVERSES[universe]()
+    pole = make_pole_done(8)
+    expected = reference_pole_regular_on(pole, members)
+    lefts, stepping = list(members), set()
+    for i, m in enumerate(members):
+        for q in reduction._expand(pwf.sigma_node(m)):
+            stepping.add(i)
+            base = max(realizability._names(q)[0], default=0) + 1
+            lefts.append(Pwf(terms._to_process(q, base), m.fus))
+    assert 0 < len(stepping) < len(members)
+    rows = [(i, j) for i, left in enumerate(lefts)
+            if i in stepping or i >= len(members)
+            for j, r in enumerate(members) if pole(nu_all(par(left, r)))]
+    images = _recorded(monkeypatch, "_images")
+    in_pole = _recorded(monkeypatch, "_in_pole")
+    built = _record_merges(monkeypatch)
+    monkeypatch.setattr(realizability, "_to_process", lambda *args:
+                        pytest.fail("a composite became a Process"))
+    for name in ("nu_all", "par"):
+        monkeypatch.setattr(pwf, name, lambda *args, name=name:
+                            pytest.fail(f"pwf.{name} ran"))
+    assert pole_regular_on(make_pole_done(8), members) == expected
+    assert len(built) == len(images) > 0
+    assert {i for i, *_ in images if i < len(members)} <= stepping
+    assert all(i < len(lefts) for i, *_ in images)
+    assert sorted(in_pole) == rows
+
+
 BINDING_MEMBERS = [parse_pwf("<0?(5).5!() ; {}>"),
                    parse_pwf("<new 2. 2!(3) | 1?(4).4?() ; {0~1}>")]
 INVARIANT_POOL = (default_universe(2, 3, [DELTA, parse_fusion("{0~1}")], 160)
@@ -530,20 +622,67 @@ def test_images_have_the_summed_invariant(a, b, label):
             tuple(sorted(expected.items()))
 
 
-def test_done_matrix_builds_only_balanced_composites(monkeypatch):
+def without_node(pole):
+    """The pole with its k but without its node entry: the matrix then
+    builds every pair whose invariants fit, as before the signature
+    lookup, and hands each composite to the pole as a `Pwf`."""
+    def plain(q, config=DEFAULT):
+        return pole(q, config)
+    plain.k = pole.k
+    return plain
+
+
+def _matrix_composites(monkeypatch, members, pole) -> list:
+    """(i, j, node) of every composite that the matrix of a universe on
+    the members builds under the pole."""
+    with monkeypatch.context() as patch:
+        images = _recorded(patch, "_images")
+        Universe(members, pole).matrix()
+    return [(i, j, node) for i, j, _, node in images]
+
+
+def _merged_exactly_the_balanced_pairs(monkeypatch, members, k) -> list:
+    """Under `done:k`, the matrix merges a pair exactly when its
+    invariants fit and its composite is `reduction._balanced`, once
+    each, with one join per pair of member fusions, and searches each
+    merged node value once (the verdict cache holds them all); every
+    other pair whose invariants fit is outside the pole by the
+    reference search.  Returns the merged nodes."""
+    fitting = _matrix_composites(monkeypatch, members,
+                                 without_node(make_pole_done(k)))
     joins = _count_joins(monkeypatch)
     built = _record_merges(monkeypatch)
+    searched = []
+    reaches_nil = realizability._reaches_nil
+    monkeypatch.setattr(realizability, "_reaches_nil",
+                        lambda node, k: searched.append(node)
+                        or reaches_nil(node, k))
+    merged = _matrix_composites(monkeypatch, members, make_pole_done(k))
+    assert len(built) == len(merged)
+    assert searched == list(dict.fromkeys(built))
+    fusions = len({m.fus for m in members})
+    assert len(joins) == fusions * (fusions + 1) // 2
+    assert sorted((i, j) for i, j, _ in merged) == sorted(
+        (i, j) for i, j, node in fitting if reduction._balanced(node))
+    assert 0 < len(merged) < len(fitting)
+    for i, j, node in fitting:
+        if not reduction._balanced(node):
+            assert not reference_reduces_within(
+                nu_all(par(members[i], members[j])), UNIT, k), (i, j)
+    return built
+
+
+def test_done_matrix_builds_only_balanced_composites(monkeypatch):
+    """The pairs of the `done:2` matrix whose invariants fit are those
+    whose actions can pair off in two steps; of these, only the pairs
+    whose composite is balanced are merged."""
     members = sandbox_members()
-    Universe(members, make_pole_done(2)).matrix()
-    balanced = sum(1 for i, a in enumerate(members) for b in members[i:]
-                   if reaches_nil_possibly(invariant(Par(a.proc, b.proc)), 2))
-    # each balanced pair's composite once, and one join for every pair:
-    # all 48 members are under Δ
-    assert {m.fus for m in members} == {DELTA}
-    assert len(built) == balanced and len(joins) == 1
-    assert balanced < len(members) ** 2 // 4
-    assert all(reaches_nil_possibly(invariant(terms._to_process(node)), 2)
-               for node in built)
+    fitting = _matrix_composites(monkeypatch, members,
+                                 without_node(make_pole_done(2)))
+    assert sorted((i, j) for i, j, _ in fitting) == [
+        (i, j) for i, a in enumerate(members) for j in range(i, len(members))
+        if reaches_nil_possibly(invariant(Par(a.proc, members[j].proc)), 2)]
+    _merged_exactly_the_balanced_pairs(monkeypatch, members, 2)
 
 
 def test_tables_key_only_images_of_a_member_skeleton(monkeypatch):
@@ -569,26 +708,31 @@ def test_tables_key_only_images_of_a_member_skeleton(monkeypatch):
 
 
 def test_done_matrix_searches_only_balanced_composites(monkeypatch):
-    """The `done:8` matrix searches a composite only when every name that
-    no vector binds is balanced (`reduction._balanced`); the composites
-    it does not search are outside the pole by the reference search."""
-    searched = []
-    reaches_nil = realizability._reaches_nil
-    monkeypatch.setattr(realizability, "_reaches_nil",
-                        lambda node, k: searched.append(node)
-                        or reaches_nil(node, k))
-    built = _record_merges(monkeypatch)
-    members = sandbox_members()
-    Universe(members, make_pole_done(8)).matrix()
-    # the verdict cache holds every node value, so each is searched once
-    balanced = list(dict.fromkeys(
-        node for node in built if reduction._balanced(node)))
-    assert searched == balanced
-    assert (len(searched), len(built)) == (72, 348)
-    for node in built:
-        if not reduction._balanced(node):
-            assert not reference_reduces_within(
-                Pwf(terms._to_process(node), DELTA), UNIT, 8)
+    """As under `done:2`, on the `sandbox` members and on members of
+    several fusions, whose pairs of fusion groups rename each side
+    through J's classes."""
+    for members in (sandbox_members(), mixed_members()):
+        with monkeypatch.context() as patch:
+            _merged_exactly_the_balanced_pairs(patch, members, 8)
+
+
+@given(st.sampled_from(INVARIANT_POOL), st.sampled_from(INVARIANT_POOL))
+@settings(max_examples=200, deadline=None)
+def test_side_signatures_cancel_exactly_on_balanced_composites(a, b):
+    """Two renamed sides share no vector name, so their balance
+    signatures add up in the composite: they cancel exactly when the
+    merged node is balanced, for two members and for one member on both
+    sides."""
+    u = Universe([a, b], pole_always)
+    joined = join(pwf.tag_fusion(a.fus, ()), pwf.tag_fusion(b.fus, ()))
+    side = realizability._sides(u._nodes, _classes(joined, DEFAULT),
+                                ((), (), ALL, ()))
+    for i, j in ((0, 1), (1, 0), (0, 0), (1, 1)):
+        left, right = side(i, 0), side(j, 1)
+        cancel = reduction._signature(("par", left[1])) == \
+            reduction._negated(reduction._signature(("par", right[1])))
+        assert cancel == \
+            reduction._balanced(realizability._merge(left, right)), (i, j)
 
 
 @pytest.mark.parametrize("k", [2, 4, 8])
