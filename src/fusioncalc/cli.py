@@ -107,10 +107,12 @@ def _cmd_reduce(args) -> int:
         raise ValueError(f"--steps must be at least 0, not {args.steps}")
     p = parse_pwf(args.pwf)
     fus = fusion_str(p.fus)
-    # each listed class is printed from its node, once; p's own class is
-    # not reached, so it is neither keyed nor listed
-    for line in sorted(f"<{form_str(canonical_form(node))} ; {fus}>"
-                       for _, node in reach(p, args.steps, config)):
+    # each listed class is printed once: a class that binds no name from
+    # its key, which is its printed form, any other from its node; p's
+    # own class is not reached, so it is neither keyed nor listed
+    forms = (key if isinstance(key, str) else form_str(canonical_form(node))
+             for key, node in reach(p, args.steps, config))
+    for line in sorted(f"<{form} ; {fus}>" for form in forms):
         print(line)
     return 0
 

@@ -3,10 +3,10 @@
 `canonical` is the printed form of a congruence class,
 `terms.canonical_form` of the term's multiset form: the least rendering
 over the orders of equal-skeleton siblings, found by the sibling-order
-search that the congruence key uses.  `form_str` writes such a form
-from its node.  Congruence itself is decided by `terms.node_key` of
-the multiset form; the term classes and substitution are re-exported
-here.
+search that the congruence key uses.  `terms.form_str` writes such a
+form from its node.  Congruence itself is decided by `terms.node_key`
+of the multiset form; the term classes, substitution and `form_str`
+are re-exported here.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import re
 from .names import Name, parse_name
 from .terms import (NIL, Act, Nil, Nu, Par, Process, ProcessError,
                     SearchBudgetError, _to_process, all_names, canonical_form,
-                    free_names, multiset_form, substitute)
+                    form_str, free_names, multiset_form, substitute)
 
 __all__ = ["NIL", "Act", "Nil", "Nu", "Par", "Process", "ProcessError",
            "SearchBudgetError", "all_names", "canonical", "form_str",
@@ -89,32 +89,6 @@ def process_str(p: Process) -> str:
             body = body.body
         return f"new {' '.join(str(x) for x in binders)}. {process_str(body)}"
     raise ProcessError(f"unknown process node {p!r}")
-
-
-def form_str(node) -> str:
-    """`process_str` of the term of a node with natural names, such as a
-    `canonical_form`, written from the node."""
-    kind = node[0]
-    if kind == "nil":
-        return "1"
-    if kind == "par":
-        return " | ".join(f"({form_str(c)})" if c[0] in ("par", "nu")
-                          else form_str(c) for c in node[1])
-    if kind == "act":
-        _, subj, pol, bound, body = node
-        head = f"{subj}{'!' if pol == 'up' else '?'}" \
-               f"({','.join(str(x) for x in bound)})"
-        if body[0] == "nil":
-            return head
-        text = form_str(body)
-        return f"{head}.({text})" if body[0] in ("par", "nu") \
-            else f"{head}.{text}"
-    names = sorted(node[1])
-    body = node[2]
-    while body[0] == "nu":
-        names += sorted(body[1])
-        body = body[2]
-    return f"new {' '.join(str(x) for x in names)}. {form_str(body)}"
 
 
 def _par_list(p: Process) -> list[Process]:

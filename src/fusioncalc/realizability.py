@@ -58,18 +58,19 @@ Two more exact tests run before a node's expensive step:
   only in their binders' numbers and their siblings' order, so an
   image of any other skeleton is no member (167 of the 524 images on
   the 48 `sandbox` members are keyed);
-- the `done` poles reject a node on which some name that no vector
-  binds has unequal up and down prefix counts of one arity
-  (`reduction._balanced`), before their verdict cache: a step consumes
+- a `done` pole's `Pwf` entry rejects a node on which some name that
+  no vector binds has unequal up and down prefix counts of one arity
+  (`reduction._balanced`), before its verdict cache: a step consumes
   one up and one down prefix on one name and renames only vector names,
   binders on both sides, so every other name keeps its counts, and NIL
   has none.  Such a node is neither searched nor cached.  The matrix
-  does not build one either: two renamed sides share no vector name,
-  so a composite's counts (`reduction._signature`) are the sums of its
-  sides', and under a pole with a node entry `_images` pairs a left
-  side only with the right sides of the negated signature, found by one
-  lookup per side (the `done:8` matrix on the `sandbox` members merges
-  73 of the 348 pairs whose invariants fit).
+  does not build one at all, so the node entry does not test it: two
+  renamed sides share no vector name, so a composite's counts
+  (`reduction._signature`) are the sums of its sides', and under a pole
+  with a node entry `_images` pairs a left side only with the right
+  sides of the negated signature, found by one lookup per side (the
+  `done:8` matrix on the `sandbox` members merges 73 of the 348 pairs
+  whose invariants fit).
 
 The pole caches its other verdicts by multiset form, and its search
 (`reduction._reaches_nil`) runs depth first to the first NIL and
@@ -127,24 +128,22 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
     pole searches each term to that depth, and so does `done:k` for
     2k >= n.  The pole carries its k, so `Universe.matrix` can skip
     composites that it rejects on their invariant alone, and its node
-    entry `pole.node`, which decides a closed node under Δ without the
-    invariant test and rejects every unbalanced one, so the matrix
-    builds no pair whose balance signatures do not cancel.  Reduction
-    keeps the fusion, so a term under any other fusion is outside.  A
-    node that is not `_balanced` is false at once; the other verdicts
-    are cached by multiset form, the value that decides them under Δ,
-    for the last `_VERDICT_CAP` (1,024) nodes decided; no term is
-    keyed, only the search's reducts."""
+    entry `pole.node`, which decides a closed node under Δ with neither
+    the invariant test nor the balance test: the matrix builds no pair
+    whose balance signatures do not cancel, so every node it hands over
+    is balanced.  Reduction keeps the fusion, so a term under any other
+    fusion is outside.  The `Pwf` entry rejects a node that is not
+    `_balanced` at once; the other verdicts are cached by multiset
+    form, the value that decides them under Δ, for the last
+    `_VERDICT_CAP` (1,024) nodes decided; no term is keyed, only the
+    search's reducts."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
     cache: dict = {}
 
     def closed(node) -> bool:
         # under Δ each name is its class's least member, so node is the
-        # σ-normal start of the search; an unbalanced node is neither
-        # searched nor cached
-        if not _balanced(node):
-            return False
+        # σ-normal start of the search
         verdict = cache.get(node)
         if verdict is None:
             verdict = remember(cache, node, _reaches_nil(node, k),
@@ -152,9 +151,10 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
         return verdict
 
     def pole(q: Pwf, config: Config = DEFAULT) -> bool:
+        # an unbalanced node is neither searched nor cached
         node = multiset_form(q.proc)[0]
         return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
-            and closed(node)
+            and _balanced(node) and closed(node)
 
     pole.__name__ = f"pole_done_{k}"
     pole.k = k
@@ -373,8 +373,9 @@ class Universe:
         """(i, j) of each composite ν(i | j) in the pole, i a left
         operand and j a member (see `_images`).  A pair outside the pole
         on its invariant is not built, and under a pole with a node
-        entry, which rejects every unbalanced node, neither is a pair
-        whose two balance signatures do not cancel."""
+        entry, a `done` pole that holds on no unbalanced node, neither
+        is a pair whose two balance signatures do not cancel: the node
+        entry only sees balanced composites, and does not test them."""
         k = getattr(self.pole, "k", None)
         on_node = getattr(self.pole, "node", None)
         for i, j, fus, node in self._images(

@@ -13,9 +13,10 @@ renamed apart once stay apart for the whole search.
 multiset form is replaced once by σ of it, the least member of its
 class in the fusion (`pwf.sigma_node`), and σ fixes every name of every
 reduct.  So a reduct's `terms.node_key` is both the search's dedup key
-and its key up to the fusion, and `terms.canonical_form` of its node is
-its line in the `fusioncalc reduce` listing, printed from the node
-without building a `Process`.
+and its key up to the fusion, and its class's line in the `fusioncalc
+reduce` listing is printed without building a `Process`: from the key
+itself when the node binds no name, as the key is then the printed
+form, and otherwise from `terms.canonical_form` of the node.
 
 A search keys only the reducts.  A step consumes one up and one down
 prefix, so a reduct is never congruent to the start nor to a node of
@@ -39,7 +40,8 @@ its own restriction: `multiset_form` gives each copy its own binder, so
 firing j of n copies reaches C(n, j) node values of one class.  `reach`,
 which lists every class, keeps its level search.
 
-The `done` poles ask `_balanced` before they search: a node reaches NIL
+A `done` pole asks `_balanced` of a `Pwf` before it searches, and
+searches no composite of the matrix that is not: a node reaches NIL
 only if every name that no bound vector binds has, for each arity, as
 many up prefixes as down ones.  The test rejects no node that reaches
 NIL.  A step consumes one up and one down prefix of equal arity on one
@@ -130,15 +132,23 @@ def _reducts(names: frozenset, comps: tuple,
     `classes` is the fusion's class function (`fusion._classes`), which
     matches distinct free subjects; None when the free names are
     σ-representatives, which are fused only when equal.  Bound
-    (negative) subjects match only themselves."""
+    (negative) subjects match only themselves.
+
+    Each (sender, receiver) pair of component values fires once, at its
+    first redex: equal components leave equal levels, and whether two
+    subjects match depends on the components alone (on one round of the
+    benchmark's `reduce` workload, 2,123 redexes have 909 such pairs)."""
+    fired = set()
     for i, j in itertools.combinations(range(len(comps)), 2):
         for a, b in ((i, j), (j, i)):
             _, u, pol, xs, left = comps[a]
             _, v, pol_b, ys, right = comps[b]
             if pol != "up" or pol_b != "down" or len(xs) != len(ys) or (
                     u != v and (classes is None or u < 0 or v < 0
-                                or v not in classes(u))):
+                                or v not in classes(u))) or \
+                    (comps[a], comps[b]) in fired:
                 continue
+            fired.add((comps[a], comps[b]))
             if xs:
                 right = _relabel(right, dict(zip(ys, xs)))
             top = set(names).union(xs)

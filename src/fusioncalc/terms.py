@@ -15,6 +15,8 @@ components into one tuple.  The reduction search works on that form too
 and swap pruning, serves both the exact equality key (`node_key`, AHU
 codes) and the printed form (`canonical_form`, a least-prefix search);
 terms whose action invariants differ are told apart before either.
+A node that binds no name needs no search: its siblings sorted are its
+printed form, and that text (`form_str`) is its key.
 A node's key depends on the node value alone: `node_key` keeps the keys
 of the last `_KEY_CAP` nodes in `_KEYS`, keyed by the node, dropping
 the oldest first, and a search that exceeds the budget stores nothing.
@@ -491,14 +493,22 @@ _KEY_CAP = 1024
 _KEYS: dict = {}
 
 
-def node_key(node) -> tuple:
+def node_key(node) -> tuple | str:
     """The congruence key of a `multiset_form` node (binders negative and
     pairwise distinct, free names natural): an exact invariant, equal
     for the nodes of p and q exactly when `canonical(p) ==
     canonical(q)`.
 
-    Siblings that share no restricted name, and hold no name that an
-    enclosing search has yet to number, are placed by their codes alone.
+    A node that binds no name (`_binds_nothing`) is keyed by its printed
+    form, the text `form_str(canonical_form(node))`.  With no binder,
+    congruence is equality of the sorted siblings at each level (the
+    tree code of Aho, Hopcroft and Ullman), and the printed form writes
+    that sorted node injectively, since the grammar reads it back.  A
+    text never equals a code tuple, so the two kinds of key are apart.
+
+    Any other node is keyed by a code tuple.  Siblings that share no
+    restricted name, and hold no name that an enclosing search has yet
+    to number, are placed by their codes alone.
     The restricted names of a connected group are numbered by one round
     of colour refinement: a name's colour is the multiset of the
     skeleton paths from the siblings it occurs in down to each
@@ -513,8 +523,9 @@ def node_key(node) -> tuple:
     budget stores nothing, so it raises on every call."""
     key = _KEYS.get(node)
     if key is None:
-        key = remember(_KEYS, node, _KeySearch().level(node, 0, {})[0],
-                       _KEY_CAP)
+        key = form_str(_sorted(node)) if _binds_nothing(node) else \
+            _KeySearch().level(node, 0, {})[0]
+        remember(_KEYS, node, key, _KEY_CAP)
     return key
 
 
@@ -691,20 +702,52 @@ def canonical_form(node):
     a node with natural names: the least rendering over the orders of
     equal-skeleton siblings, then the binders pushed onto the
     sub-multisets that use them (`_minimize`)."""
-    if all(q[1] >= 0 and not q[3] for q in _nodes(node) if q[0] == "act"):
-        # no bound name: each level is its siblings in skeleton order,
-        # which on such nodes is the order of the nodes themselves
+    if _binds_nothing(node):
         return _sorted(node)
     assign, _, _, ordered = _FormSearch(node).level(node, {}, 0, (), ())[0]
     return _minimize(_relabel(ordered, assign))
 
 
+def _binds_nothing(node) -> bool:
+    """Whether a multiset-form node has no bound name: every subject is
+    free and every vector empty, and so no restriction is left."""
+    return all(q[1] >= 0 and not q[3] for q in _nodes(node) if q[0] == "act")
+
+
 def _sorted(node):
+    """A node that binds nothing with each level's siblings sorted: their
+    skeleton order, which on such nodes is the order of the nodes."""
     if node[0] == "act":
         return node[:4] + (_sorted(node[4]),)
     if node[0] == "par":
         return ("par", tuple(sorted(map(_sorted, node[1]))))
     return node
+
+
+def form_str(node) -> str:
+    """`process.process_str` of the term of a node with natural names,
+    such as a `canonical_form`, written from the node."""
+    kind = node[0]
+    if kind == "nil":
+        return "1"
+    if kind == "par":
+        return " | ".join(f"({form_str(c)})" if c[0] in ("par", "nu")
+                          else form_str(c) for c in node[1])
+    if kind == "act":
+        _, subj, pol, bound, body = node
+        head = f"{subj}{'!' if pol == 'up' else '?'}" \
+               f"({','.join(str(x) for x in bound)})"
+        if body[0] == "nil":
+            return head
+        text = form_str(body)
+        return f"{head}.({text})" if body[0] in ("par", "nu") \
+            else f"{head}.{text}"
+    names = sorted(node[1])
+    body = node[2]
+    while body[0] == "nu":
+        names += sorted(body[1])
+        body = body[2]
+    return f"new {' '.join(str(x) for x in names)}. {form_str(body)}"
 
 
 class _FormSearch(_Search):

@@ -13,6 +13,10 @@ term's form up to the fusion separately from its dedup key:
 - `reference_reduces_within` dedups on the raw canonical process and
   compares the form up to the fusion with the target's at each level.
 
+`reference_reducts` is the redex loop of `reduction._reducts` as it was
+before each pair of component values fired once: every ordered pair of
+components is tried, and repeated pairs fire again.
+
 `reference_pole_regular_on` is the anti-reduction check as a loop over
 `Process` terms: every reduct of every member against every member,
 each composite built with `pwf.nu_all` and `pwf.par`.
@@ -26,9 +30,9 @@ from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, equal
 from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
 from fusioncalc.pwf import Pwf, nu_all, par, pwf_str
-from fusioncalc.reduction import step
+from fusioncalc.reduction import _occurs, step
 from fusioncalc.subst import finite_subst
-from fusioncalc.terms import _simplify, _to_process
+from fusioncalc.terms import _NIL_NODE, _relabel, _simplify, _to_process
 
 
 def _spine(p):
@@ -138,6 +142,37 @@ def reference_reduces_within(p: Pwf, target: Pwf, k: int,
             return False
         frontier = next_frontier
     return False
+
+
+def reference_reducts(names, comps, classes=None):
+    """(sender a, receiver b, level after the redex fires) for every
+    redex of the level (names, comps), repeats included."""
+    for i, j in itertools.combinations(range(len(comps)), 2):
+        for a, b in ((i, j), (j, i)):
+            _, u, pol, xs, left = comps[a]
+            _, v, pol_b, ys, right = comps[b]
+            if pol != "up" or pol_b != "down" or len(xs) != len(ys) or (
+                    u != v and (classes is None or u < 0 or v < 0
+                                or v not in classes(u))):
+                continue
+            if xs:
+                right = _relabel(right, dict(zip(ys, xs)))
+            top = set(names).union(xs)
+            out: list = []
+            for part in (left, right):
+                if part[0] == "nu":
+                    top |= part[1]
+                    part = part[2]
+                if part[0] == "par":
+                    out.extend(part[1])
+                elif part[0] == "act":
+                    out.append(part)
+            out += (c for k, c in enumerate(comps) if k != a and k != b)
+            top -= {x for x in {u, v, *xs} & top
+                    if not any(_occurs(x, c) for c in out)}
+            inner = _NIL_NODE if not out else out[0] if len(out) == 1 \
+                else ("par", tuple(sorted(out)))
+            yield a, b, ("nu", frozenset(top), inner) if top else inner
 
 
 def reference_pole_regular_on(pole, universe, config=DEFAULT) -> bool:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -105,6 +106,90 @@ def test_reduce_rejects_negative_steps(capsys):
     code, out, err = run(capsys, "reduce", "<0!().1|0?().1 ; {}>",
                          "--steps", "-1")
     assert code == 2 and out == "" and "--steps" in err
+
+
+# `fusioncalc reduce` listings, recorded at commit e4c69a6, before a
+# class that binds no name was printed from its key: the three anchors
+# of the benchmark's `reduce` workload, whose digests are its regression
+# goldens, and a term whose classes bind names and bind none.
+REDUCE_LISTINGS = [
+    ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?() ; {0~2, 1~3}>",
+     4, "{0~2, 1~3}", [
+        "0?() | 0!()",
+        "0?() | 0!() | 1?() | 1!()",
+        "0?() | 0!() | 1?() | 1?() | 1!() | 1!()",
+        "0?() | 0!().1?() | 1!()",
+        "0?() | 0!().1?() | 1?() | 1!() | 1!()",
+        "0?().1!() | 0!() | 1?()",
+        "0?().1!() | 0!() | 1?() | 1?() | 1!()",
+        "0?().1!() | 0!().1?()",
+        "0?().1!() | 0!().1?() | 1?() | 1!()",
+        "0?().1!() | 0?() | 0!().1?() | 0!()",
+        "1",
+        "1?() | 1!()",
+        "1?() | 1?() | 1!() | 1!()",
+    ]),
+    ("<3?().0!() | 1!().2?() | 0?().1!() | 2!().3?() | 1?() | 3!()"
+     " ; {0~2, 1~3}>", 5, "{0~2, 1~3}", [
+        "0!() | 1?() | 1!().0?()",
+        "0!() | 1?() | 1?() | 1!().0?() | 1!()",
+        "0!().1?() | 1!().0?()",
+        "0!().1?() | 1?() | 1!().0?() | 1!()",
+        "0?() | 0!()",
+        "0?() | 0!() | 1?() | 1!()",
+        "0?() | 0!() | 1?() | 1?() | 1!() | 1!()",
+        "0?() | 0!().1?() | 1!()",
+        "0?() | 0!().1?() | 1?() | 1!() | 1!()",
+        "0?() | 1?().0!() | 1!()",
+        "0?() | 1?().0!() | 1?() | 1!() | 1!()",
+        "0?().1!() | 0!() | 1?()",
+        "0?().1!() | 0!() | 1?() | 1?() | 1!()",
+        "0?().1!() | 0!().1?()",
+        "0?().1!() | 0!().1?() | 0!() | 1?() | 1!().0?()",
+        "0?().1!() | 0!().1?() | 1?() | 1!()",
+        "0?().1!() | 0!().1?() | 1?().0!() | 1!().0?()",
+        "0?().1!() | 0?() | 0!().1?() | 0!()",
+        "0?().1!() | 0?() | 0!().1?() | 0!() | 1?() | 1!()",
+        "0?().1!() | 0?() | 0!().1?() | 1?().0!() | 1!()",
+        "0?().1!() | 1?().0!()",
+        "0?().1!() | 1?().0!() | 1?() | 1!()",
+        "1",
+        "1?() | 1!()",
+        "1?() | 1?() | 1!() | 1!()",
+        "1?().0!() | 1!().0?()",
+        "1?().0!() | 1?() | 1!().0?() | 1!()",
+        "1?().0!() | 1?() | 1?() | 1!().0?() | 1!() | 1!()",
+    ]),
+    ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3,
+     "{0~2, 1~3}", [
+        "0?() | 0!() | 1?() | 1!() | 4!()",
+        "0?() | 0!() | 4!()",
+        "1?() | 1!() | 4!()",
+        "1?().1!() | 1!().1?() | 4!()",
+        "4!()",
+    ]),
+    ("<0!(1).1!() | 0?(2).2?() | 3!() | 3?() ; {}>", 3, "{}", [
+        "0?(1).1?() | 0!(2).2!()",
+        "1",
+        "3?() | 3!()",
+        "3?() | 3!() | (new 0. 0?() | 0!())",
+        "new 0. 0?() | 0!()",
+    ]),
+]
+
+
+def test_reduce_listings_are_pinned(capsys):
+    """The listings print byte for byte what they printed before, and
+    the anchors' digests are the benchmark's goldens."""
+    goldens = json.loads((Path(__file__).resolve().parent.parent /
+                          "perfbench" / "goldens.json").read_text())
+    digests = []
+    for literal, steps, fus, forms in REDUCE_LISTINGS:
+        code, out, _ = run(capsys, "reduce", literal, "--steps", str(steps))
+        assert code == 0
+        assert out == "".join(f"<{form} ; {fus}>\n" for form in forms)
+        digests.append(hashlib.sha256(out.encode()).hexdigest()[:16])
+    assert digests[:3] == goldens["reduce_listings"]
 
 
 def test_negative_names_are_rejected(capsys):

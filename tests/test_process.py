@@ -22,7 +22,7 @@ from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
-from fusioncalc.terms import multiset_form, node_key, skeleton
+from fusioncalc.terms import _KEYS, _nodes, multiset_form, node_key, skeleton
 from subst_reference import reference_substitute, scoped_processes
 
 
@@ -474,6 +474,51 @@ def test_key_and_reference_key_induce_one_equivalence(p, r, rng):
     for i in range(len(terms)):
         for j in range(i):
             assert (keys[i] == keys[j]) == (references[i] == references[j])
+
+
+def _bound_free_processes():
+    """Terms over names 0..3 with no restriction and no vector, so with
+    no bound name: nested parallels, continuations, units and identical
+    siblings."""
+    names = st.integers(0, 3)
+    pol = st.sampled_from(["up", "down"])
+    leaf = st.just(NIL) | st.builds(Act, names, pol, st.just(()),
+                                    st.just(NIL))
+    return st.recursive(
+        leaf,
+        lambda inner: st.builds(Par, inner, inner)
+        | inner.map(lambda p: Par(p, p))
+        | st.builds(Act, names, pol, st.just(()), inner),
+        max_leaves=8,
+    )
+
+
+@given(_bound_free_processes(), _bound_free_processes(),
+       _keyed_processes() | _printed_processes(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_a_term_that_binds_no_name_is_keyed_by_its_printed_form(p, r, other,
+                                                                rng):
+    """A term with no bound name is keyed by its printed form, the text
+    that `_KEYS` holds and that parses back to a term of the same key;
+    two such keys are equal exactly when the reference keys are.  A term
+    that binds a name is keyed by a code tuple, which equals no text."""
+    family = [p, _congruent_copy(rng, p), r, _congruent_copy(rng, r)]
+    nodes = [multiset_form(t)[0] for t in family]
+    keys = []
+    for t, node in zip(family, nodes):
+        key = node_key(node)
+        assert key == _KEYS[node] == process_str(canonical(t))
+        assert node_key(multiset_form(parse_process(key))[0]) == key
+        keys.append(key)
+    references = [reference_key(t) for t in family]
+    for i, j in itertools.combinations(range(len(family)), 2):
+        assert (keys[i] == keys[j]) == (references[i] == references[j])
+    node = multiset_form(other)[0]
+    binds = any(q[0] == "act" and (q[1] < 0 or q[3]) for q in _nodes(node))
+    assert isinstance(node_key(node), str) is not binds
+    if binds:
+        assert node_key(node) not in keys
 
 
 # Pairs that pin the parts of the key: a restriction under a prefix

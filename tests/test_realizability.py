@@ -716,6 +716,23 @@ def test_done_matrix_searches_only_balanced_composites(monkeypatch):
             _merged_exactly_the_balanced_pairs(patch, members, 8)
 
 
+@pytest.mark.parametrize("k", [2, 8, math.inf])
+def test_done_pole_node_entry_agrees_with_its_pwf_entry(monkeypatch, k):
+    """The node entry tests no balance, since the matrix hands it only
+    balanced composites; on every composite whose invariants fit, the
+    unbalanced ones too, it gives the verdict of the `Pwf` entry, which
+    rejects an unbalanced node unsearched."""
+    pole = make_pole_done(k)
+    with monkeypatch.context() as patch:
+        images = _recorded(patch, "_images")
+        Universe(mixed_members(), without_node(pole)).matrix()
+    verdicts = [pole.node(node) for _, _, _, node in images]
+    assert verdicts == [pole(Pwf(terms._to_process(node), fus))
+                        for _, _, fus, node in images]
+    assert any(verdicts) and not all(
+        reduction._balanced(node) for _, _, _, node in images)
+
+
 @given(st.sampled_from(INVARIANT_POOL), st.sampled_from(INVARIANT_POOL))
 @settings(max_examples=200, deadline=None)
 def test_side_signatures_cancel_exactly_on_balanced_composites(a, b):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
+from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, fusion_str, parse_fusion
 from fusioncalc.process import (NIL, Act, Nu, Par, form_str, free_names,
                                 process_str)
@@ -21,8 +22,8 @@ from fusioncalc.terms import (_NIL_NODE, SearchBudgetError, _nodes,
                              _to_process, canonical_form, invariant,
                              multiset_form, node_key)
 from fusion_reference import canonical_subst
-from reduction_reference import (reference_listing, reference_reduces_within,
-                                 reference_step)
+from reduction_reference import (reference_listing, reference_reducts,
+                                 reference_reduces_within, reference_step)
 
 UNIT = parse_pwf("<1 ; {}>")
 
@@ -194,25 +195,38 @@ def test_sibling_search_keys_its_nodes(monkeypatch, literal, depth, nodes):
     assert len(expanded) == nodes
 
 
+def _binds_no_name(node) -> bool:
+    return all(q[1] >= 0 and not q[3] for q in _nodes(node) if q[0] == "act")
+
+
 @pytest.mark.parametrize("literal, steps, distinct", [
     ("<0!().1?() | 2?().3!() | 1!() | 3?() | 2!() | 0?() ; {0~2, 1~3}>",
      4, 13),
     ("<0!() | 2?() | 1?().3!() | 3!().1?() | 4!() ; {0~2, 1~3}>", 3, 5),
+    ("<0!(1).1!() | 0?(2).2?() | 3!() | 3?() ; {}>", 3, 5),
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
+    """The search keys every distinct reduct once, and not the start
+    term; here each keyed reduct is a listed class.  Each line is
+    printed once: a class that binds no name from its key, which is its
+    printed form, with no `canonical_form` call, and any other class by
+    one `canonical_form` of its node.  No `Process` is built for a
+    line."""
     printed = _count_calls(monkeypatch, "canonical_form")
     keyed = _count_calls(monkeypatch, "node_key")
     rebuilt = _count_calls(monkeypatch, "_to_process")
     canonicalised = _count_calls(monkeypatch, "canonical")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # the search keys every distinct reduct, each once, and not the
-    # start term: here each keyed reduct is a listed class; the listing
-    # prints one node per line, and builds no Process for it
     assert len(keyed) == len(set(keyed)) == distinct == len(lines)
-    assert len(printed) == len(set(printed)) == len(lines) > 0
-    assert set(printed) == set(keyed)
+    binding = [node for node in keyed if not _binds_no_name(node)]
+    assert len(printed) == len(set(printed)) == len(binding)
+    assert set(printed) == set(binding)
+    fus = fusion_str(parse_pwf(literal).fus)
+    texts = {f"<{terms._KEYS[node]} ; {fus}>" for node in keyed
+             if _binds_no_name(node)}
+    assert texts <= set(lines) and len(texts) == len(lines) - len(binding)
     assert rebuilt == canonicalised == []
 
 
@@ -299,6 +313,34 @@ def test_reach_matches_the_raw_reduct_searches(p, k):
         for j in range(k + 1):
             expected = reference_reduces_within(p, target, j)
             assert reduces_within(p, target, j) == expected
+
+
+@given(_pwfs(scoped=True), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_reducts_fire_each_pair_of_component_values_once(p, doubled):
+    """The distinct reducts of a level are the all-pairs reference's, in
+    the order it first yields them: on σ-nodes (`_expand`), on the raw
+    multiset form through the fusion's classes, and in `step`, whose
+    reducts keep their values and order.  A `doubled` term has each of
+    its unrestricted components twice, so that pairs of component values
+    repeat."""
+    if doubled:
+        p = Pwf(Par(p.proc, p.proc), p.fus)
+
+    def distinct(found):
+        return tuple(dict.fromkeys(r for _, _, r in found))
+
+    node = sigma_node(p)
+    with empty_node_stores():
+        assert reduction._expand(node) == distinct(
+            reference_reducts(*reduction._level(node)))
+    level = reduction._level(multiset_form(p.proc)[0])
+    classes = fusion._classes(p.fus, DEFAULT)
+    assert distinct(reduction._reducts(*level, classes)) == distinct(
+        reference_reducts(*level, classes))
+    found = step(p)
+    with mock.patch.object(reduction, "_reducts", reference_reducts):
+        assert found == step(p)
 
 
 _ACTION_FREE = st.recursive(
