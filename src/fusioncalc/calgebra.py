@@ -42,8 +42,9 @@ from importlib import resources
 from itertools import combinations, product
 from typing import Iterable, Optional
 
+from .record import Report, first_witness, passed
+
 Element = str
-Report = list[tuple[str, bool, str]]
 Table = list[list[Optional[int]]]
 
 
@@ -474,18 +475,6 @@ def parse_model(text: str) -> FinModel:
 # quantifier is made once, outside its loop.  Where a table cell may be
 # None (no join, meet or star there) the law calls the element-level
 # method, which raises the ModelError the fold raises.
-
-
-def first_witness(name: str, witnesses: Iterable[str]
-                  ) -> tuple[str, bool, str]:
-    """The report row of law `name`: it passes when `witnesses` is empty
-    and otherwise fails with the first witness, the only one computed."""
-    w = next(iter(witnesses), None)
-    return (name, w is None, w or "")
-
-
-def passed(report: Report) -> bool:
-    return all(ok for _, ok, _ in report)
 
 
 def _at(m: FinModel, *positions: int) -> str:

@@ -5,7 +5,9 @@ holds), 1 when a checked property fails (a witness is printed), 2 for
 parse or validation errors, 3 when a valid input exceeds a search budget
 (the verdict is undecided; the message names the budget), 4 when the
 result of a valid input has no finite presentation (a ν or adjoint whose
-fusion the generators cannot express).
+fusion the generators cannot express).  Each budget is a constant of the
+module that searches (`fusion._CLASS_BUDGET`, `terms._MAX_CANDIDATES`,
+`mll.MAX_ASSIGNMENTS`), and no option changes one.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import functools
 import sys
 
-from .config import DEFAULT, Config, parse_config_text
 from .fusion import (DELTA, ClassBudgetError, FusionError,
                      NotRepresentableError, class_of, equal, fusion_str,
                      join, meet, parse_fusion, phi, remove, restrict)
@@ -23,6 +24,7 @@ from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
 from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
                   parse_pwf, pwf_str, star)
+from .record import first_witness, passed
 from .reduction import reach
 from .terms import canonical_form
 
@@ -42,22 +44,7 @@ def _parse_errors() -> tuple[type[Exception], ...]:
         for module, name in _LAZY_PARSE_ERRORS if module in sys.modules)
 
 
-def _config_from_args(args) -> Config:
-    config = DEFAULT
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as handle:
-            config = parse_config_text(handle.read(), config)
-    for item in getattr(args, "set", None) or []:
-        config = parse_config_text(item, config)
-    return config
-
-
-def _config_banner(config: Config) -> str:
-    return f"# config: class_budget={config.class_budget}"
-
-
 def _print_report(rows, fmt: str) -> bool:
-    from . import calgebra
     for name, ok, witness in rows:
         verdict = "pass" if ok else "fail"
         if fmt == "tsv":
@@ -65,7 +52,7 @@ def _print_report(rows, fmt: str) -> bool:
         else:
             suffix = f"  [{witness}]" if witness else ""
             print(f"{verdict:4s}  {name}{suffix}")
-    return calgebra.passed(rows)
+    return passed(rows)
 
 
 # -- commands ---------------------------------------------------------------
@@ -84,25 +71,22 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
-    config = _config_from_args(args)
-    print(pwf_str(normalize(parse_pwf(args.pwf), config)))
+    print(pwf_str(normalize(parse_pwf(args.pwf))))
     return 0
 
 
 def _cmd_equal(args) -> int:
-    config = _config_from_args(args)
     left, right = parse_pwf(args.left), parse_pwf(args.right)
-    if equal_pwf(left, right, config):
+    if equal_pwf(left, right):
         print("equal")
         return 0
     print("not equal")
-    print(f"  left  normal form: {pwf_str(normalize(left, config))}")
-    print(f"  right normal form: {pwf_str(normalize(right, config))}")
+    print(f"  left  normal form: {pwf_str(normalize(left))}")
+    print(f"  right normal form: {pwf_str(normalize(right))}")
     return 1
 
 
 def _cmd_reduce(args) -> int:
-    config = _config_from_args(args)
     if args.steps < 0:
         raise ValueError(f"--steps must be at least 0, not {args.steps}")
     p = parse_pwf(args.pwf)
@@ -111,37 +95,33 @@ def _cmd_reduce(args) -> int:
     # its key, which is its printed form, any other from its node; p's
     # own class is not reached, so it is neither keyed nor listed
     forms = (key if isinstance(key, str) else form_str(canonical_form(node))
-             for key, node in reach(p, args.steps, config))
+             for key, node in reach(p, args.steps))
     for line in sorted(f"<{form} ; {fus}>" for form in forms):
         print(line)
     return 0
 
 
 def _cmd_nu(args) -> int:
-    config = _config_from_args(args)
-    out = nu_set(parse_nameset(args.names), parse_pwf(args.pwf), config)
+    out = nu_set(parse_nameset(args.names), parse_pwf(args.pwf))
     print(pwf_str(out))
     return 0
 
 
 def _cmd_fusion(args) -> int:
-    config = _config_from_args(args)
     if args.op == "join":
         print(fusion_str(join(parse_fusion(args.args[0]),
-                              parse_fusion(args.args[1]), config)))
+                              parse_fusion(args.args[1]))))
     elif args.op == "restrict":
         print(fusion_str(restrict(parse_fusion(args.args[0]),
-                                  parse_nameset(args.args[1]), config)))
+                                  parse_nameset(args.args[1]))))
     elif args.op == "remove":
         print(fusion_str(remove(parse_fusion(args.args[0]),
-                                parse_nameset(args.args[1]), config)))
+                                parse_nameset(args.args[1]))))
     elif args.op == "class":
-        cls = class_of(parse_fusion(args.args[0]), parse_name(args.args[1]),
-                       config)
+        cls = class_of(parse_fusion(args.args[0]), parse_name(args.args[1]))
         print("{" + ",".join(str(x) for x in sorted(cls)) + "}")
     else:  # equal
-        if equal(parse_fusion(args.args[0]), parse_fusion(args.args[1]),
-                 config):
+        if equal(parse_fusion(args.args[0]), parse_fusion(args.args[1])):
             print("equal")
             return 0
         print("not equal")
@@ -153,18 +133,32 @@ _FUSION_OPS = ("class", "equal", "join", "remove", "restrict")
 
 
 def _cmd_star(args) -> int:
-    config = _config_from_args(args)
-    out = star(args.index, parse_pwf(args.left), parse_pwf(args.right),
-               config)
+    out = star(args.index, parse_pwf(args.left), parse_pwf(args.right))
     print(pwf_str(out))
     return 0
 
 
-def _parse_universe_spec(spec: str, config: Config):
+def _top_level_items(spec: str) -> list[str]:
+    """spec split at each comma outside {...} and [...], so that a fusion
+    literal keeps its items."""
+    items, depth, start = [], 0, 0
+    for i, ch in enumerate(spec):
+        if ch in "{[":
+            depth += 1
+        elif ch in "}]":
+            depth -= 1
+        elif ch == "," and not depth:
+            items.append(spec[start:i])
+            start = i + 1
+    items.append(spec[start:])
+    return items
+
+
+def _parse_universe_spec(spec: str):
     from . import realizability
     max_actions, names, limit = 2, 3, 160
     fusions = [DELTA, parse_fusion("{0~1}")]
-    for part in filter(None, (s.strip() for s in spec.split(","))):
+    for part in filter(None, (s.strip() for s in _top_level_items(spec))):
         if "=" not in part:
             raise ValueError(f"universe spec entries look like key=value:"
                              f" {part!r}")
@@ -179,21 +173,18 @@ def _parse_universe_spec(spec: str, config: Config):
             fusions = [parse_fusion(f) for f in value.split("|")]
         else:
             raise ValueError(f"unknown universe spec key {key!r}")
-    return realizability.default_universe(max_actions, names, fusions, limit,
-                                          config)
+    return realizability.default_universe(max_actions, names, fusions, limit)
 
 
 def _cmd_pole_laws(args) -> int:
     from . import realizability
-    config = _config_from_args(args)
-    members = _parse_universe_spec(args.universe or "", config)
+    members = _parse_universe_spec(args.universe or "")
     pole = realizability.parse_pole(args.pole)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, not {args.samples}")
-    universe = realizability.Universe(members, pole, config)
+    universe = realizability.Universe(members, pole)
     seed = 0
     if args.format != "tsv":
-        print(_config_banner(config))
         exact = " (exact)" if args.pole.strip() == "done" else ""
         print(f"# universe-relative report: {len(members)} members, "
               f"pole {args.pole}{exact}")
@@ -214,7 +205,6 @@ def _cmd_algebra_check(args) -> int:
 
 def _cmd_mll(args) -> int:
     from . import calgebra, mll
-    config = _config_from_args(args)
     if args.mll_op == "check":
         try:
             seq = mll.check_proof(mll.parse_proof(args.proof))
@@ -241,13 +231,13 @@ def _cmd_mll(args) -> int:
                   for name in calgebra.shipped_model_names()}
         rows = []
         for model_name, model in sorted(models.items()):
-            if not calgebra.passed(calgebra.check_ca(model)):
+            if not passed(calgebra.check_ca(model)):
                 rows.append((f"{model_name}", True,
                              "skipped: model is not a conjunctive algebra"))
                 continue
             for proof_name, proof in proofs.items():
                 report = mll.check_soundness(proof, model)
-                rows.append(calgebra.first_witness(
+                rows.append(first_witness(
                     f"{model_name}:{proof_name}",
                     (witness for _, ok, witness in report if not ok)))
         return 0 if _print_report(rows, args.format) else 1
@@ -258,7 +248,7 @@ def _cmd_mll(args) -> int:
         print(f"invalid proof: {exc}")
         return 1
     print(_realizer_str(expr))
-    print(pwf_str(mll.evaluate_realizer(expr, config)))
+    print(pwf_str(mll.evaluate_realizer(expr)))
     return 0
 
 
@@ -274,9 +264,8 @@ def _cmd_hy_check(args) -> int:
     if not args.experimental_hy:
         print("hy-check is experimental; rerun with --experimental-hy")
         return 2
-    config = _config_from_args(args)
     ok = True
-    for label, verdict, detail in hy_encodings.check_hy_reductions(config):
+    for label, verdict, detail in hy_encodings.check_hy_reductions():
         print(f"{label}\t{verdict}\t{detail}" if args.format == "tsv"
               else f"{verdict:14s}{label}: {detail}")
         ok = ok and verdict != "fail"
@@ -285,40 +274,35 @@ def _cmd_hy_check(args) -> int:
 
 def _cmd_laws(args) -> int:
     from . import calgebra, hy_encodings, mll, realizability
-    config = _config_from_args(args)
     samples, seed = 6, 0
     if args.format != "tsv":
-        print(_config_banner(config))
         print(f"# sampled laws: samples={samples} seed={seed}")
     rows = []
 
     e, f, g = (parse_fusion(t) for t in ("{0~1}", "{1~2}", "{0~2}"))
-    lattice_ok = (equal(join(e, f, config), join(f, e, config), config)
-                  and equal(meet(e, join(e, f, config), config), e, config)
-                  and equal(join(e, meet(e, f, config), config), e, config))
+    lattice_ok = (equal(join(e, f), join(f, e))
+                  and equal(meet(e, join(e, f)), e)
+                  and equal(join(e, meet(e, f)), e))
     rows.append(("fusion-lattice-laws", lattice_ok, ""))
-    lhs = meet(join(e, f, config), g, config)
-    rhs = join(meet(e, g, config), meet(f, g, config), config)
+    lhs = meet(join(e, f), g)
+    rhs = join(meet(e, g), meet(f, g))
     rows.append(("fusion-semi-distributivity-counterexample",
-                 not equal(lhs, rhs, config), "join/meet distribute"
-                 if equal(lhs, rhs, config) else ""))
+                 not equal(lhs, rhs), "join/meet distribute"
+                 if equal(lhs, rhs) else ""))
 
     p = parse_pwf("<0!().1 ; {}>")
     q = parse_pwf("<2?().1 ; {0~3}>")
-    adjoint_ok = equal_pwf(star(1, star(1, as_pwf(phi()), p, config), q,
-                                config), par(p, q, config), config)
+    adjoint_ok = equal_pwf(star(1, star(1, as_pwf(phi()), p), q), par(p, q))
     rows.append(("adjoint-parallel-factorization", adjoint_ok, ""))
 
     golden = pwf_str(nu_set(parse_nameset("@1"),
-                            parse_pwf("<1!() ; {1~3, 5~4}>"), config))
+                            parse_pwf("<1!() ; {1~3, 5~4}>")))
     rows.append(("nu-worked-example", golden == "<new 3. 3!() ; {}>", golden))
 
-    members = realizability.default_universe(2, 3, [DELTA], 60, config)
-    universe = realizability.Universe(members,
-                                      realizability.make_pole_done(8),
-                                      config)
+    members = realizability.default_universe(2, 3, [DELTA], 60)
+    universe = realizability.Universe(members, realizability.make_pole_done(8))
     law_rows = realizability.check_laws(universe, samples=samples, seed=seed)
-    rows.append(("realizability-laws", calgebra.passed(law_rows),
+    rows.append(("realizability-laws", passed(law_rows),
                  "; ".join(n for n, ok, _ in law_rows if not ok)))
 
     for name in calgebra.shipped_model_names():
@@ -326,22 +310,22 @@ def _cmd_laws(args) -> int:
         report = calgebra.check_cpa(model)
         expected_ok = name != "mutated_diamond"
         rows.append((f"algebra-{name}",
-                     calgebra.passed(report) == expected_ok,
-                     "" if calgebra.passed(report) == expected_ok else
+                     passed(report) == expected_ok,
+                     "" if passed(report) == expected_ok else
                      "unexpected verdict"))
 
     corpus = mll.load_corpus()
     sound = True
     for model_name in calgebra.shipped_model_names():
         model = calgebra.load_model(model_name)
-        if not calgebra.passed(calgebra.check_ca(model)):
+        if not passed(calgebra.check_ca(model)):
             continue
         for proof in corpus.values():
-            if not calgebra.passed(mll.check_soundness(proof, model)):
+            if not passed(mll.check_soundness(proof, model)):
                 sound = False
     rows.append(("mll-corpus-soundness", sound, ""))
 
-    hy_rows = hy_encodings.check_hy_reductions(config)
+    hy_rows = hy_encodings.check_hy_reductions()
     rows.append(("hy-reductions",
                  all(v != "fail" for _, v, _ in hy_rows), ""))
 
@@ -357,9 +341,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusioncalc",
         description="workbench for processes with fusions")
-    parser.add_argument("--config", help="key=value config file")
-    parser.add_argument("--set", action="append", metavar="KEY=VALUE",
-                        help="override one config entry (repeatable)")
     parser.add_argument("--format", choices=["text", "tsv"], default="text")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -6,16 +6,20 @@ finite set of "family" generators (w1, w2), each denoting the pairs
 reflexive-symmetric-transitive closure.  Classes are walked by bounded
 BFS, with family steps done as affine arithmetic on names.
 
+Every class walk is bounded by `_CLASS_BUDGET` (1,024) members: a
+class that reaches it may be infinite or only large, and the operation
+raises `ClassBudgetError` (undecided, exit 3 at the CLI).
+
 What the operations read of a fusion is computed once per value and
-class budget and kept in two module stores, each holding at most
-`_STORE_CAP` (128) analyses and dropping the oldest first:
-- `_ANALYSES`, keyed by (fusion, `class_budget`): the adjacency map, the
-  family steps, every class walked so far under each of its members,
-  the `presentation` and `restrict`'s result per name set;
-- `_FAMILY_ANALYSES`, keyed by (family set, `class_budget`): the suffix
-  rules, its own classes (walked only once something reads them), the
-  region lists of its words, the partition and the family half of
-  `restrict` per set (`_family_restriction`).
+kept in two module stores, each holding at most `_STORE_CAP` (128)
+analyses and dropping the oldest first:
+- `_ANALYSES`, keyed by the fusion: the adjacency map, the family
+  steps, every class walked so far under each of its members, the
+  `presentation` and `restrict`'s result per name set;
+- `_FAMILY_ANALYSES`, keyed by the family set: the suffix rules, its
+  own classes (walked only once something reads them), the region
+  lists of its words, the partition and the family half of `restrict`
+  per set (`_family_restriction`).
 The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
 name sets, since a restriction binder makes a new set per name.  Equal
 values built by different calls share one analysis, and a fusion value
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .config import DEFAULT, Config
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
                     parse_name, remember, tag, untag, word, word_str)
 from .record import Record
@@ -72,7 +75,7 @@ class InvalidFusionError(FusionError):
 
 
 class ClassBudgetError(InvalidFusionError):
-    """A class walk reached `class_budget` members.  The class may be
+    """A class walk reached `_CLASS_BUDGET` members.  The class may be
     infinite or only larger than the budget, so the verdict is undecided."""
 
     def __init__(self, message: str, budget: int) -> None:
@@ -159,30 +162,29 @@ def _singleton(x: Name) -> frozenset[Name]:
 # the store of analyses
 
 _STORE_CAP = 128
+_CLASS_BUDGET = 1024  # members one class walk may reach
 _RESTRICT_CAP = 16  # restrictions kept per analysis
-_ANALYSES: dict = {}  # (Fusion, class_budget) -> _Analysis
-_FAMILY_ANALYSES: dict = {}  # (family set, class_budget) -> _FamilyAnalysis
+_ANALYSES: dict = {}  # Fusion -> _Analysis
+_FAMILY_ANALYSES: dict = {}  # family set -> _FamilyAnalysis
 
 
-def _remembered(store: dict, kind: type, value, budget: int):
-    """kind(value, budget) from `store`, made on first use; a full store
-    drops its oldest analysis first."""
-    analysis = store.get((value, budget))
+def _remembered(store: dict, kind: type, value):
+    """kind(value) from `store`, made on first use; a full store drops
+    its oldest analysis first."""
+    analysis = store.get(value)
     if analysis is None:
-        analysis = remember(store, (value, budget), kind(value, budget),
-                            _STORE_CAP)
+        analysis = remember(store, value, kind(value), _STORE_CAP)
     return analysis
 
 
 class _Analysis:
-    """One fusion under one class budget: the adjacency map of its pairs,
-    its family steps, each class walked so far under every member, and
-    the presentation once computed."""
+    """One fusion: the adjacency map of its pairs, its family steps,
+    each class walked so far under every member, and the presentation
+    once computed."""
 
-    __slots__ = ("adj", "steps", "budget", "walked", "restricted",
-                 "presentation")
+    __slots__ = ("adj", "steps", "walked", "restricted", "presentation")
 
-    def __init__(self, e: Fusion, budget: int) -> None:
+    def __init__(self, e: Fusion) -> None:
         self.adj: dict[Name, list[Name]] = {}
         for a, b in e.pairs:
             self.adj.setdefault(a, []).append(b)
@@ -191,7 +193,6 @@ class _Analysis:
         for w1, w2 in e.families:
             self.steps.append(_affine(w1, w2))
             self.steps.append(_affine(w2, w1))
-        self.budget = budget
         self.walked: dict[Name, frozenset[Name]] = {}
         self.restricted: dict[NameSet, Fusion] = {}
         self.presentation: tuple | None = None
@@ -200,7 +201,7 @@ class _Analysis:
         cls = self.walked.get(x)
         if cls is not None:
             return cls
-        adj, steps, budget = self.adj, self.steps, self.budget
+        adj, steps, budget = self.adj, self.steps, _CLASS_BUDGET
         seen = {x}
         frontier = [x]
         while frontier:
@@ -225,62 +226,61 @@ class _Analysis:
         return cls
 
 
-def _classes(e: Fusion, config: Config = DEFAULT
-             ) -> Callable[[Name], frozenset[Name]]:
-    """x -> class_of(e, x, config), each class walked once per analysis.
+def _classes(e: Fusion) -> Callable[[Name], frozenset[Name]]:
+    """x -> class_of(e, x), each class walked once per analysis.
 
-    Reads e's analysis in `_ANALYSES`, keyed by (e, config.class_budget):
-    its adjacency map, its family steps and every class walked so far,
-    remembered for all members.  A class walked by one operation is read
-    by the next one on an equal value for as long as the analysis is
-    among the last `_STORE_CAP` (128) made.  A walk that exceeds the
-    budget raises ClassBudgetError naming the queried name and remembers
-    nothing.  Δ needs no analysis: all its classes are singletons."""
+    Reads e's analysis in `_ANALYSES`, keyed by e: its adjacency map,
+    its family steps and every class walked so far, remembered for all
+    members.  A class walked by one operation is read by the next one
+    on an equal value for as long as the analysis is among the last
+    `_STORE_CAP` (128) made.  A walk that exceeds the budget raises
+    ClassBudgetError naming the queried name and remembers nothing.  Δ
+    needs no analysis: all its classes are singletons."""
     if e.is_delta():
         return _singleton
-    return _remembered(_ANALYSES, _Analysis, e, config.class_budget).class_of
+    return _remembered(_ANALYSES, _Analysis, e).class_of
 
 
-def class_of(e: Fusion, x: Name, config: Config = DEFAULT) -> frozenset[Name]:
-    return _classes(e, config)(x)
+def class_of(e: Fusion, x: Name) -> frozenset[Name]:
+    return _classes(e)(x)
 
 
-def related(e: Fusion, x: Name, y: Name, config: Config = DEFAULT) -> bool:
+def related(e: Fusion, x: Name, y: Name) -> bool:
     if x == y:
         return True
-    return y in class_of(e, x, config)
+    return y in class_of(e, x)
 
 
-def second_rep(e: Fusion, x: Name, config: Config = DEFAULT) -> Name:
+def second_rep(e: Fusion, x: Name) -> Name:
     """x*: min([x] minus x), or x when that is empty."""
-    cls = class_of(e, x, config) - {x}
+    cls = class_of(e, x) - {x}
     return min(cls) if cls else x
 
 
-def validate(e: Fusion, config: Config = DEFAULT) -> bool:
+def validate(e: Fusion) -> bool:
     try:
-        _check(e, config)
+        _check(e)
     except InvalidFusionError:
         return False
     return True
 
 
-def _check(e: Fusion, config: Config) -> None:
+def _check(e: Fusion) -> None:
     """Raise InvalidFusionError unless every class of e is within budget.
 
     A class that holds no endpoint is a family class of the partition,
     which `family_partition` bounds, so only endpoint classes are walked."""
-    classes = _classes(e, config)
+    classes = _classes(e)
     for x in sorted(e.endpoints()):
         classes(x)
-    family_partition(e.families, config)
+    family_partition(e.families)
 
 
-def _valid(e: Fusion, config: Config, message: str) -> Fusion:
+def _valid(e: Fusion, message: str) -> Fusion:
     """e, or InvalidFusionError(message); an exhausted budget is raised
     as itself, since it leaves the verdict undecided."""
     try:
-        _check(e, config)
+        _check(e)
     except ClassBudgetError:
         raise
     except InvalidFusionError:
@@ -288,38 +288,38 @@ def _valid(e: Fusion, config: Config, message: str) -> Fusion:
     return e
 
 
-def join(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
-    return _valid(Fusion(e.pairs | f.pairs, e.families | f.families), config,
+def join(e: Fusion, f: Fusion) -> Fusion:
+    return _valid(Fusion(e.pairs | f.pairs, e.families | f.families),
                   "join produced an infinite class")
 
 
-def join_all(fusions: Iterable[Fusion], config: Config = DEFAULT) -> Fusion:
+def join_all(fusions: Iterable[Fusion]) -> Fusion:
     pairs: set = set()
     families: set = set()
     for e in fusions:
         pairs |= e.pairs
         families |= e.families
-    return _valid(Fusion(frozenset(pairs), frozenset(families)), config,
+    return _valid(Fusion(frozenset(pairs), frozenset(families)),
                   "join produced an infinite class")
 
 
-def meet(e: Fusion, f: Fusion, config: Config = DEFAULT) -> Fusion:
+def meet(e: Fusion, f: Fusion) -> Fusion:
     """Lattice meet: the intersection of the two relations, presented as
     the per-region intersections of the word classes plus finite pairs
     (see the module docstring)."""
-    e_cls, f_cls = _classes(e, config), _classes(f, config)
+    e_cls, f_cls = _classes(e), _classes(f)
     probes = {x for p in e.endpoints() for x in e_cls(p)}
     probes |= {x for p in f.endpoints() for x in f_cls(p)}
     families: set[tuple[Word, Word]] = set()
     for w in sorted({w for pair in e.families for w in pair}):
-        for r, e_words in _regions(e.families, w, config):
-            for s, f_words in _regions(f.families, r + w, config):
+        for r, e_words in _regions(e.families, w):
+            for s, f_words in _regions(f.families, r + w):
                 both = sorted(f_words.intersection(s + u for u in e_words))
                 families.update(zip(both, both[1:]))
                 probes.add(tag(0, s + r + w))
     families = frozenset(families)
-    family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                             config.class_budget).class_of
+    family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis,
+                             families).class_of
     pairs: set[tuple[Name, Name]] = set()
     for x in probes:
         cls = sorted(e_cls(x) & f_cls(x))
@@ -344,8 +344,7 @@ def _suffix_rules(families: frozenset[tuple[Word, Word]]) -> tuple:
     return rules, sorted({len(w) for w in rules}), unstable
 
 
-def _word_class(system: tuple, u: Word, budget: int
-                ) -> frozenset[Word] | None:
+def _word_class(system: tuple, u: Word) -> frozenset[Word] | None:
     """The words reached from u by the rewrites of `system`
     (`_suffix_rules`), or None when u or one of them is unstable."""
     rules, lengths, unstable = system
@@ -362,10 +361,10 @@ def _word_class(system: tuple, u: Word, budget: int
             for b in rules.get(v[len(v) - k:], ()):
                 nv = stem + b
                 if nv not in cls:
-                    if len(cls) >= budget:
+                    if len(cls) >= _CLASS_BUDGET:
                         raise ClassBudgetError(
                             f"family class of @{word_str(u)} exceeds "
-                            f"budget {budget}", budget)
+                            f"budget {_CLASS_BUDGET}", _CLASS_BUDGET)
                     cls.add(nv)
                     frontier.append(nv)
     if not unstable.isdisjoint(cls):
@@ -374,20 +373,18 @@ def _word_class(system: tuple, u: Word, budget: int
 
 
 class _FamilyAnalysis:
-    """One family set under one class budget: its suffix rules
+    """One family set: its suffix rules
     (`_suffix_rules`), the analysis that walks its classes once one is
     read (`class_of`), the region list of each word that `_regions`
     walked, and its `family_partition` once built."""
 
-    __slots__ = ("families", "system", "walks", "budget", "regions",
-                 "partition", "restricted")
+    __slots__ = ("families", "system", "walks", "regions", "partition",
+                 "restricted")
 
-    def __init__(self, families: frozenset[tuple[Word, Word]],
-                 budget: int) -> None:
+    def __init__(self, families: frozenset[tuple[Word, Word]]) -> None:
         self.families = families
         self.system = _suffix_rules(families)
         self.walks: _Analysis | None = None
-        self.budget = budget
         self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
         self.partition: tuple | None = None
         self.restricted: dict[NameSet, tuple] = {}
@@ -395,20 +392,18 @@ class _FamilyAnalysis:
     def class_of(self, x: Name) -> frozenset[Name]:
         """x's class in the family-only relation."""
         if self.walks is None:
-            self.walks = _Analysis(Fusion(families=self.families),
-                                   self.budget)
+            self.walks = _Analysis(Fusion(families=self.families))
         return self.walks.class_of(x)
 
 
-def _regions(families: frozenset[tuple[Word, Word]], w: Word,
-             config: Config) -> list[tuple[Word, frozenset[Word]]]:
+def _regions(families: frozenset[tuple[Word, Word]], w: Word
+             ) -> list[tuple[Word, frozenset[Word]]]:
     """Split the names tag(n, w) into regions tag(m, r + w) whose family
     class is uniform in m: each r with the word class of r + w.
 
     Remembered in the family set's analysis; a walk that fails
     remembers nothing."""
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                           config.class_budget)
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
     found = analysis.regions.get(w)
     if found is None:
         system = analysis.system
@@ -419,7 +414,7 @@ def _regions(families: frozenset[tuple[Word, Word]], w: Word,
             r = stack.pop()
             if len(r + w) > max_base:
                 raise InvalidFusionError("family bases do not stabilize")
-            cls = _word_class(system, r + w, analysis.budget)
+            cls = _word_class(system, r + w)
             if cls is None:
                 stack += [(2,) + r, (1,) + r]
             else:
@@ -428,8 +423,7 @@ def _regions(families: frozenset[tuple[Word, Word]], w: Word,
     return found
 
 
-def family_partition(families: frozenset[tuple[Word, Word]],
-                     config: Config = DEFAULT
+def family_partition(families: frozenset[tuple[Word, Word]]
                      ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     """Partition the family-generated relation into parametric classes.
 
@@ -445,19 +439,18 @@ def family_partition(families: frozenset[tuple[Word, Word]],
     """
     if not families:
         return ()
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                           config.class_budget)
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
     if analysis.partition is None:
-        analysis.partition = _partition(families, config)
+        analysis.partition = _partition(families)
     return analysis.partition
 
 
-def _partition(families: frozenset[tuple[Word, Word]], config: Config
+def _partition(families: frozenset[tuple[Word, Word]]
                ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     bases = [(r + g, tuple(sorted(cls, key=_word_key)))
              for g in sorted({w for pair in families for w in pair},
                              key=_word_key)
-             for r, cls in _regions(families, g, config)]
+             for r, cls in _regions(families, g)]
     # drop bases covered by a base that is a proper suffix of them, then
     # duplicate classes
     words = {u for u, _ in bases}
@@ -476,7 +469,7 @@ def _partition(families: frozenset[tuple[Word, Word]], config: Config
 # ---------------------------------------------------------------------------
 # restriction
 
-def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
+def restrict(e: Fusion, X: NameSet) -> Fusion:
     """e restricted to X: the pairs of e between members of X.
 
     Remembered per X in e's analysis, for the last `_RESTRICT_CAP` sets
@@ -488,18 +481,18 @@ def restrict(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
         return e
     if X.is_empty_like() or e.is_delta():
         return DELTA
-    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
+    analysis = _remembered(_ANALYSES, _Analysis, e)
     found = analysis.restricted.get(X)
     if found is None:
-        found = remember(analysis.restricted, X, _restrict(e, X, config),
+        found = remember(analysis.restricted, X, _restrict(e, X),
                          _RESTRICT_CAP)
     return found
 
 
-def _restrict(e: Fusion, X: NameSet, config: Config) -> Fusion:
+def _restrict(e: Fusion, X: NameSet) -> Fusion:
     new_pairs: set[tuple[Name, Name]] = set()
     concrete_seen: set[Name] = set()
-    classes = _classes(e, config)
+    classes = _classes(e)
     for a, b in sorted(e.pairs):
         for x in (a, b):
             if x not in concrete_seen:
@@ -508,7 +501,7 @@ def _restrict(e: Fusion, X: NameSet, config: Config) -> Fusion:
                 kept = sorted(y for y in cls if X.member(y))
                 new_pairs.update(zip(kept, kept[1:]))
 
-    entries, new_fams = _family_restriction(e.families, X, config)
+    entries, new_fams = _family_restriction(e.families, X)
     for W, indices, regions in entries:
         exceptional = sorted(indices.union(
             n for w in W for y in concrete_seen
@@ -529,12 +522,12 @@ def _restrict(e: Fusion, X: NameSet, config: Config) -> Fusion:
                     ys = sorted(members[w] for w in in_x)
                     new_pairs.update(zip(ys, ys[1:]))
 
-    return _valid(Fusion(frozenset(new_pairs), new_fams), config,
+    return _valid(Fusion(frozenset(new_pairs), new_fams),
                   "restriction produced an invalid fusion")
 
 
-def _family_restriction(families: frozenset[tuple[Word, Word]], X: NameSet,
-                        config: Config) -> tuple:
+def _family_restriction(families: frozenset[tuple[Word, Word]],
+                        X: NameSet) -> tuple:
     """The half of `restrict` that reads only the family part and X: per
     entry (u, W) of the family partition, W, the indices n that X names
     singly in some tag(., w), and each region with the words w of W whose
@@ -543,14 +536,13 @@ def _family_restriction(families: frozenset[tuple[Word, Word]], X: NameSet,
     analysis, for the last `_RESTRICT_CAP` sets."""
     if not families:
         return (), frozenset()
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families,
-                           config.class_budget)
+    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
     found = analysis.restricted.get(X)
     if found is not None:
         return found
     entries = []
     new_fams: set[tuple[Word, Word]] = set()
-    for u, W in family_partition(families, config):
+    for u, W in family_partition(families):
         idx_sets = {w: index_set(w, X) for w in W}
         indices = frozenset().union(*(N.singletons | N.excluded
                                       for N in idx_sets.values()))
@@ -575,15 +567,14 @@ def _region_inside(region: Word, N: NameSet) -> bool:
     return any(is_suffix(r, region) for r in N.residues)
 
 
-def remove(e: Fusion, X: NameSet, config: Config = DEFAULT) -> Fusion:
-    return restrict(e, X.complement(), config)
+def remove(e: Fusion, X: NameSet) -> Fusion:
+    return restrict(e, X.complement())
 
 
 # ---------------------------------------------------------------------------
 # substitution action and the normal form
 
-def map_fusion(e: Fusion, sigma: Substitution,
-               config: Config = DEFAULT) -> Fusion:
+def map_fusion(e: Fusion, sigma: Substitution) -> Fusion:
     pairs = {_name_pair(sigma(a), sigma(b))
              for a, b in e.pairs if sigma(a) != sigma(b)}
     fams: set[tuple[Word, Word]] = set()
@@ -619,31 +610,31 @@ def map_fusion(e: Fusion, sigma: Substitution,
                         f"[{word_str(w1)} <-> {word_str(w2)}]")
         if images[0] != images[1]:
             fams.add(_fam_pair(images[0], images[1]))
-    return _valid(Fusion(frozenset(pairs), frozenset(fams)), config,
+    return _valid(Fusion(frozenset(pairs), frozenset(fams)),
                   "substitution image is not a fusion")
 
 
-def presentation(e: Fusion, config: Config = DEFAULT) -> tuple:
+def presentation(e: Fusion) -> tuple:
     """The normal form of e's relation (see the module docstring): its
     merged family word classes and the classes its pairs make larger
     than their family-only class.  Remembered in e's analysis."""
     if e.is_delta():
         return frozenset(), frozenset()
-    analysis = _remembered(_ANALYSES, _Analysis, e, config.class_budget)
+    analysis = _remembered(_ANALYSES, _Analysis, e)
     if analysis.presentation is None:
-        classes = _classes(e, config)
-        family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, e.families,
-                                 config.class_budget).class_of
+        classes = _classes(e)
+        family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis,
+                                 e.families).class_of
         added = {classes(x) for x in sorted(e.endpoints())}
-        analysis.presentation = _merged(e.families, config), frozenset(
+        analysis.presentation = _merged(e.families), frozenset(
             c for c in added if len(c) > len(family_cls(next(iter(c)))))
     return analysis.presentation
 
 
-def _merged(families: frozenset[tuple[Word, Word]], config: Config
+def _merged(families: frozenset[tuple[Word, Word]]
             ) -> frozenset[frozenset[Word]]:
     """The partition's word classes, each (1,) + V and (2,) + V as V."""
-    merged = {frozenset(W) for _, W in family_partition(families, config)}
+    merged = {frozenset(W) for _, W in family_partition(families)}
     work = list(merged)
     while work:
         W = work.pop()
@@ -656,8 +647,8 @@ def _merged(families: frozenset[tuple[Word, Word]], config: Config
     return frozenset(merged)
 
 
-def equal(e: Fusion, f: Fusion, config: Config = DEFAULT) -> bool:
-    return e == f or presentation(e, config) == presentation(f, config)
+def equal(e: Fusion, f: Fusion) -> bool:
+    return e == f or presentation(e) == presentation(f)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ reports that finding instead of a verdict.
 
 from __future__ import annotations
 
-from .config import DEFAULT, Config
 from .fusion import DELTA
 from .process import NIL, Act, Par
 from .pwf import UNIT, Pwf, equal_pwf, par
@@ -57,34 +56,30 @@ def encode(label: str, params: tuple[int, ...]) -> Pwf:
     raise NotEncodableError(f"unknown combinator label {label!r}")
 
 
-def _reduces_to(p: Pwf, target: Pwf, config: Config) -> bool:
-    return any(equal_pwf(q, target, config) for q in step(p, config))
+def _reduces_to(p: Pwf, target: Pwf) -> bool:
+    return any(equal_pwf(q, target) for q in step(p))
 
 
-def check_hy_reductions(config: Config = DEFAULT
-                        ) -> list[tuple[str, str, str]]:
+def check_hy_reductions() -> list[tuple[str, str, str]]:
     """One (label, verdict, detail) entry per combinator; verdicts are
     'pass', 'fail', or 'not-encodable'."""
     report: list[tuple[str, str, str]] = []
 
-    ok = _reduces_to(par(encode("M", (0, 1)), encode("K", (0,)), config),
-                     UNIT, config)
+    ok = _reduces_to(par(encode("M", (0, 1)), encode("K", (0,))), UNIT)
     report.append(("M", "pass" if ok else "fail",
                    "M(0,1) | K(0) steps to the terminated process"))
 
-    ok = _reduces_to(par(encode("K", (0,)), encode("M", (0, 2)), config),
-                     UNIT, config)
+    ok = _reduces_to(par(encode("K", (0,)), encode("M", (0, 2))), UNIT)
     report.append(("K", "pass" if ok else "fail",
                    "K(0) | M(0,x) steps to the terminated process"))
 
-    ok = _reduces_to(par(encode("F", (0, 1)), encode("M", (0, 3)), config),
-                     encode("M", (1, 5)), config)
+    ok = _reduces_to(par(encode("F", (0, 1)), encode("M", (0, 3))),
+                     encode("M", (1, 5)))
     report.append(("F", "pass" if ok else "fail",
                    "F(0,1) | M(0,x) steps to M(1,y) up to renaming"))
 
-    ok = _reduces_to(par(encode("D", (0, 1, 2)), encode("M", (0, 4)), config),
-                     par(encode("M", (1, 7)), encode("M", (2, 8)), config),
-                     config)
+    ok = _reduces_to(par(encode("D", (0, 1, 2)), encode("M", (0, 4))),
+                     par(encode("M", (1, 7)), encode("M", (2, 8))))
     report.append(("D", "pass" if ok else "fail",
                    "D(0,1,2) | M(0,x) steps to M(1,y) | M(2,z)"))
 

@@ -22,10 +22,9 @@ from importlib import resources
 from typing import Optional, Union
 
 from .calgebra import Element, FinModel, _no_join
-from .config import DEFAULT, Config
 from .process import SearchBudgetError
 from .pwf import UNIT, Pwf, as_pwf, realizer_catalog, star
-from .record import Record
+from .record import Record, Report
 
 
 class MllError(Exception):
@@ -467,7 +466,7 @@ def interpret(f: Formula, m: FinModel,
 MAX_ASSIGNMENTS = 4096
 
 
-def check_soundness(p: Proof, m: FinModel) -> list[tuple[str, bool, str]]:
+def check_soundness(p: Proof, m: FinModel) -> Report:
     """Conclusion interpretation lies in the separator for every
     assignment over the carrier, one report row per assignment, in
     `itertools.product` order.  Raises `SearchBudgetError` when there are
@@ -558,7 +557,7 @@ def _extract(p: Proof) -> RealizerExpr:
     return Star1(out, _extract(p.sub))
 
 
-def evaluate_realizer(r: RealizerExpr, config: Config = DEFAULT) -> Pwf:
+def evaluate_realizer(r: RealizerExpr) -> Pwf:
     catalog = realizer_catalog()
 
     def value(e: RealizerExpr) -> Pwf:
@@ -570,7 +569,7 @@ def evaluate_realizer(r: RealizerExpr, config: Config = DEFAULT) -> Pwf:
             except KeyError:
                 raise MllError(f"unknown realizer constant {e.label}") \
                     from None
-        return star(1, value(e.func), value(e.arg), config)
+        return star(1, value(e.func), value(e.arg))
 
     return value(r)
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 
-from .config import DEFAULT, Config
 from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
                      map_fusion, parse_fusion, presentation, remove,
                      second_rep, sigma_tau)
@@ -43,23 +42,23 @@ class Pwf(Record):
 UNIT = Pwf(NIL, DELTA)
 
 
-def fn_contains(p: Pwf, x: Name, config: Config = DEFAULT) -> bool:
+def fn_contains(p: Pwf, x: Name) -> bool:
     """x is free: its class meets the free process names, or it is fused."""
-    cls = class_of(p.fus, x, config)
+    cls = class_of(p.fus, x)
     if len(cls) > 1:
         return True
     return bool(cls & free_names(p.proc))
 
 
-def sigma_node(p: Pwf, config: Config = DEFAULT) -> tuple:
+def sigma_node(p: Pwf) -> tuple:
     """The multiset form of p's process with each free name x replaced by
     σ(x), the least member of its class; its binders are negative, so
     none captures.  σ depends only on the relation, so two PWFs with
     equal fusions are equal exactly when these nodes have equal keys."""
-    return sigma_form(multiset_form(p.proc), p.fus, config)[0]
+    return sigma_form(multiset_form(p.proc), p.fus)[0]
 
 
-def sigma_form(form: tuple, e: Fusion, config: Config = DEFAULT) -> tuple:
+def sigma_form(form: tuple, e: Fusion) -> tuple:
     """σ of a multiset form (node, free names) under e: the node with
     each free name x replaced by σ(x), and those σ(x).
 
@@ -70,45 +69,44 @@ def sigma_form(form: tuple, e: Fusion, config: Config = DEFAULT) -> tuple:
     node, free = form
     if e.is_delta():
         return form
-    presentation(e, config)
-    classes = _classes(e, config)
+    presentation(e)
+    classes = _classes(e)
     ids = {x: min(classes(x)) for x in free}
     return _relabel(node, ids), frozenset(ids.values())
 
 
-def pwf_key(p: Pwf, config: Config = DEFAULT) -> tuple:
+def pwf_key(p: Pwf) -> tuple:
     """The one equality key of p = (P, e): the `presentation` of e and
     the key of p's σ-node.  Both depend only on e's relation, so the key
     equates exactly the equal PWFs."""
-    return sigma_key(p.fus, sigma_node(p, config), config)
+    return sigma_key(p.fus, sigma_node(p))
 
 
-def sigma_key(e: Fusion, node: tuple, config: Config = DEFAULT) -> tuple:
+def sigma_key(e: Fusion, node: tuple) -> tuple:
     """`pwf_key` of the PWF with fusion e and σ-node node."""
-    return presentation(e, config), node_key(node)
+    return presentation(e), node_key(node)
 
 
-def normalize(p: Pwf, config: Config = DEFAULT) -> Pwf:
+def normalize(p: Pwf) -> Pwf:
     """The σ-normal form of p, for printing: `sigma_node` canonicalised."""
-    return Pwf(_to_process(canonical_form(sigma_node(p, config))), p.fus)
+    return Pwf(_to_process(canonical_form(sigma_node(p))), p.fus)
 
 
-def equal_pwf(p: Pwf, q: Pwf, config: Config = DEFAULT) -> bool:
+def equal_pwf(p: Pwf, q: Pwf) -> bool:
     """Whether p and q have equal `pwf_key`s; σ-nodes with different
     action invariants are told apart before any node is keyed."""
-    if presentation(p.fus, config) != presentation(q.fus, config):
+    if presentation(p.fus) != presentation(q.fus):
         return False
-    a, b = sigma_node(p, config), sigma_node(q, config)
+    a, b = sigma_node(p), sigma_node(q)
     return invariant(a) == invariant(b) and node_key(a) == node_key(b)
 
 
-def par(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:
-    return Pwf(Par(p.proc, q.proc), join(p.fus, q.fus, config))
+def par(p: Pwf, q: Pwf) -> Pwf:
+    return Pwf(Par(p.proc, q.proc), join(p.fus, q.fus))
 
 
-def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf,
-           config: Config = DEFAULT) -> Pwf:
-    classes = _classes(p.fus, config)
+def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf) -> Pwf:
+    classes = _classes(p.fus)
     for x in xs:
         if classes(x) != {x}:
             raise PwfError(
@@ -116,32 +114,32 @@ def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf,
     return Pwf(Act(u, polarity, tuple(xs), p.proc), p.fus)
 
 
-def nu_name(x: Name, p: Pwf, config: Config = DEFAULT) -> Pwf:
-    star = second_rep(p.fus, x, config)
+def nu_name(x: Name, p: Pwf) -> Pwf:
+    star = second_rep(p.fus, x)
     body = substitute(p.proc, finite_subst({x: star}))
-    return Pwf(Nu(x, body), remove(p.fus, finite([x]), config))
+    return Pwf(Nu(x, body), remove(p.fus, finite([x])))
 
 
-def nu_finite(X: frozenset[Name], p: Pwf, config: Config = DEFAULT, *,
+def nu_finite(X: frozenset[Name], p: Pwf, *,
               class_closure: bool = False) -> Pwf:
     """ν of each name of X in turn; with class_closure, of each name of
     the classes of X's free process names, and then X is removed from e."""
     bound = X
     if class_closure:
-        classes = _classes(p.fus, config)
+        classes = _classes(p.fus)
         bound = set().union(*map(classes, free_names(p.proc) & X))
     out = p
     for x in sorted(bound):
-        out = nu_name(x, out, config)
+        out = nu_name(x, out)
     if class_closure:
-        out = Pwf(out.proc, remove(out.fus, finite(X), config))
+        out = Pwf(out.proc, remove(out.fus, finite(X)))
     return out
 
 
-def hereditary_closure(X: NameSet, p: Pwf, config: Config = DEFAULT
+def hereditary_closure(X: NameSet, p: Pwf
                        ) -> tuple[frozenset[Name], Substitution]:
     current = frozenset(x for x in free_names(p.proc) if X.member(x))
-    classes = _classes(p.fus, config)
+    classes = _classes(p.fus)
     while True:
         ts = _closure_step(current, classes)
         grown = current | {t for t in ts if X.member(t)}
@@ -166,46 +164,45 @@ def _closure_step(S: frozenset[Name], classes) -> list[Name]:
             for s in sorted(S)]
 
 
-def nu_set(X: NameSet, p: Pwf, config: Config = DEFAULT) -> Pwf:
-    bound, sigma = hereditary_closure(X, p, config)
+def nu_set(X: NameSet, p: Pwf) -> Pwf:
+    bound, sigma = hereditary_closure(X, p)
     proc = substitute(p.proc, sigma)
     for x in sorted(bound, reverse=True):
         proc = Nu(x, proc)
-    return Pwf(proc, remove(p.fus, X, config))
+    return Pwf(proc, remove(p.fus, X))
 
 
-def nu_all(p: Pwf, config: Config = DEFAULT) -> Pwf:
-    return nu_set(ALL, p, config)
+def nu_all(p: Pwf) -> Pwf:
+    return nu_set(ALL, p)
 
 
-def relabel(p: Pwf, i: int, config: Config = DEFAULT) -> Pwf:
-    return relabel_word(p, (i,), config)
+def relabel(p: Pwf, i: int) -> Pwf:
+    return relabel_word(p, (i,))
 
 
-def relabel_word(p: Pwf, w: tuple[int, ...],
-                 config: Config = DEFAULT) -> Pwf:
+def relabel_word(p: Pwf, w: tuple[int, ...]) -> Pwf:
     """Apply the injection x -> tag(x, w) to process and fusion."""
     if not w:
         return p
     return Pwf(substitute(p.proc, remap_subst([((), w)])),
-               tag_fusion(p.fus, w, config))
+               tag_fusion(p.fus, w))
 
 
-def tag_fusion(e: Fusion, w: Word, config: Config = DEFAULT) -> Fusion:
+def tag_fusion(e: Fusion, w: Word) -> Fusion:
     """The fusion half of `relabel_word`: e under x -> tag(x, w)."""
-    return map_fusion(e, remap_subst([((), w)]), config) if w else e
+    return map_fusion(e, remap_subst([((), w)])) if w else e
 
 
-def unrelabel(p: Pwf, i: int, config: Config = DEFAULT) -> Pwf:
+def unrelabel(p: Pwf, i: int) -> Pwf:
     target = residue((i,))
     for x in free_names(p.proc):
         if not target.member(x):
             raise PwfError(f"free name {x} outside the image of injection {i}")
-    fus = untag_fusion(p.fus, (i,), config)
+    fus = untag_fusion(p.fus, (i,))
     return Pwf(substitute(p.proc, remap_subst([((i,), ())])), fus)
 
 
-def untag_fusion(e: Fusion, w: Word, config: Config = DEFAULT) -> Fusion:
+def untag_fusion(e: Fusion, w: Word) -> Fusion:
     """The fusion half of `unrelabel` by the injection tag(., w): e with
     each tag(x, w) renamed to x, or PwfError where a pair or a family of
     e leaves the injection's image."""
@@ -216,19 +213,19 @@ def untag_fusion(e: Fusion, w: Word, config: Config = DEFAULT) -> Fusion:
     for w1, w2 in e.families:
         if not (is_suffix(w, w1) and is_suffix(w, w2)):
             raise PwfError("fusion family outside the image of the injection")
-    return map_fusion(e, remap_subst([(w, ())]), config)
+    return map_fusion(e, remap_subst([(w, ())]))
 
 
-def bullet(p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:
-    return par(relabel(p, 1, config), relabel(q, 2, config), config)
+def bullet(p: Pwf, q: Pwf) -> Pwf:
+    return par(relabel(p, 1), relabel(q, 2))
 
 
-def star(i: int, p: Pwf, q: Pwf, config: Config = DEFAULT) -> Pwf:
+def star(i: int, p: Pwf, q: Pwf) -> Pwf:
     if i not in (1, 2):
         raise PwfError("star index must be 1 or 2")
-    inner = par(p, relabel(q, i, config), config)
-    restricted = nu_set(residue((i,)), inner, config)
-    return unrelabel(restricted, 3 - i, config)
+    inner = par(p, relabel(q, i))
+    restricted = nu_set(residue((i,)), inner)
+    return unrelabel(restricted, 3 - i)
 
 
 def as_pwf(e: Fusion) -> Pwf:

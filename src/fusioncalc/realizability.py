@@ -6,11 +6,13 @@ and subsets are bitmasks over the member list.  The orthogonality
 matrix is computed once (the `always` pole builds no composite), and
 each universe keeps the orthogonals of its last `_ORTHOGONAL_CAP` masks
 (`check_laws` asks 720 times for 261 distinct masks on the 48 `sandbox`
-members).  The op tables depend only on the member list and the config, so universes
-that share both share one set of tables; each row keeps only its member
+members).  The op tables depend only on the member list, so universes
+that share it share one set of tables; each row keeps only its member
 cells.  `clip` maps a PWF to the member with the same `pwf.pwf_key`,
 which equates exactly the equal PWFs; `default_universe` drops a PWF
-whose key an earlier one has.
+whose key an earlier one has.  A pole is a predicate `pole(q)` on PWFs.
+`check_laws` returns a `record.Report`, so this module loads none of
+`calgebra`.
 
 Five rows of `check_laws` hold for any polarity matrix.  The other
 two, `tensor-over-join` and `star-arrow-adjunction`, are checked on
@@ -92,19 +94,18 @@ import math
 import random
 from typing import Callable, Iterable, Iterator, Optional
 
-from .calgebra import Report, first_witness
-from .config import DEFAULT, Config
 from .fusion import DELTA, Fusion, _classes, join, remove
 from .names import ALL, EMPTY, Word, remember, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
+from .record import Report, first_witness
 from .reduction import (_balanced, _expand, _may_reach, _negated,
                         _reaches_nil, _signature)
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
                     multiset_form, skeleton)
 
-# op tables by (member tuple, config), shared by every Universe on them;
+# op tables by member tuple, shared by every Universe on it;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
 # process keeps a bounded number of tables alive
 _TABLES: dict = {}
@@ -116,7 +117,7 @@ _VERDICT_CAP = 1024
 _ORTHOGONAL_CAP = 1024
 
 
-def pole_always(q: Pwf, config: Config = DEFAULT) -> bool:
+def pole_always(q: Pwf) -> bool:
     return True
 
 
@@ -150,7 +151,7 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
                                _VERDICT_CAP)
         return verdict
 
-    def pole(q: Pwf, config: Config = DEFAULT) -> bool:
+    def pole(q: Pwf) -> bool:
         # an unbalanced node is neither searched nor cached
         node = multiset_form(q.proc)[0]
         return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
@@ -176,8 +177,7 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
 
 def default_universe(max_actions: int = 2, names: int = 4,
                      fusions: Iterable[Fusion] = (DELTA,),
-                     limit: int = 400, config: Config = DEFAULT
-                     ) -> list[Pwf]:
+                     limit: int = 400) -> list[Pwf]:
     """Deterministic universe: action chains of up to `max_actions`
     (0..2) actions and two-component parallels of single actions over
     the given names, combined with each supplied fusion, keeping the
@@ -209,7 +209,7 @@ def default_universe(max_actions: int = 2, names: int = 4,
     for fus in fusions:
         for proc in procs:
             p = Pwf(proc, fus)
-            key = pwf_key(p, config)
+            key = pwf_key(p)
             if key not in seen:
                 seen.add(key)
                 members.append(p)
@@ -303,10 +303,9 @@ class Universe:
     """A finite member list with a pole; computes orthogonality once and
     exposes the behaviour operations as bitmask transformers."""
 
-    def __init__(self, members: Iterable[Pwf], pole, config: Config = DEFAULT):
+    def __init__(self, members: Iterable[Pwf], pole):
         self.members = tuple(members)
         self.pole = pole
-        self.config = config
         self._matrix = None
         self._keyed: Optional[dict] = None
         self._orthogonals: dict = {}
@@ -316,14 +315,13 @@ class Universe:
         self._nodes = []
         self._groups: dict = {}
         for i, m in enumerate(self.members):
-            node, free = sigma_form(multiset_form(m.proc), m.fus, config)
+            node, free = sigma_form(multiset_form(m.proc), m.fus)
             self._nodes.append((node, free, _names(node)[1]))
             self._groups.setdefault(m.fus, {}).setdefault(
                 invariant(node), []).append(i)
-        key = (self.members, config)
-        tables = _TABLES.get(key)
+        tables = _TABLES.get(self.members)
         self._tables: dict = tables if tables is not None else remember(
-            _TABLES, key, {}, _SHARED_LISTS)
+            _TABLES, self.members, {}, _SHARED_LISTS)
 
     @property
     def full_mask(self) -> int:
@@ -401,7 +399,6 @@ class Universe:
         list that starts with the members' nodes.  A `PwfError` in the
         image fusion leaves that pair of member fusions without images."""
         left, right, bind, out = shape
-        config = self.config
         nodes = self._nodes if nodes is None else nodes
         groups = list(self._groups.items())
         rows_of = groups if lefts is None else list(lefts.items())
@@ -412,14 +409,13 @@ class Universe:
             for h, (f, cells_b) in enumerate(groups):
                 if unordered and h < g:
                     continue
-                joined = join(tag_fusion(e, left, config),
-                              tag_fusion(f, right, config), config)
-                fus = remove(joined, bind, config)
+                joined = join(tag_fusion(e, left), tag_fusion(f, right))
+                fus = remove(joined, bind)
                 try:
-                    fus = untag_fusion(fus, out, config) if out else fus
+                    fus = untag_fusion(fus, out) if out else fus
                 except PwfError:
                     continue
-                side = _sides(nodes, _classes(joined, config), shape)
+                side = _sides(nodes, _classes(joined), shape)
                 # the left operands' signatures, and per right invariant
                 # its members by negated signature
                 signatures: dict = {}
@@ -465,7 +461,7 @@ class Universe:
         keyed = self._member_keys()
         mask = 0
         for p in pwfs:
-            i = keyed.get(pwf_key(p, self.config))
+            i = keyed.get(pwf_key(p))
             if i is not None:
                 mask |= 1 << i
         return mask
@@ -477,8 +473,7 @@ class Universe:
             self._keyed = {}
             for i, (m, (node, _, _)) in enumerate(zip(self.members,
                                                       self._nodes)):
-                self._keyed.setdefault(sigma_key(m.fus, node, self.config),
-                                       i)
+                self._keyed.setdefault(sigma_key(m.fus, node), i)
         return self._keyed
 
     # -- orthogonality ------------------------------------------------
@@ -514,13 +509,13 @@ class Universe:
             possible = {inv for cells in self._groups.values()
                         for inv in cells}
             skeletons = {skeleton(node, {}) for node, _, _ in self._nodes}
-            keyed, config = self._member_keys(), self.config
+            keyed = self._member_keys()
             rows: list[list[tuple[int, int]]] = [[] for _ in self.members]
             for i, j, fus, node in self._images(
                     shape, lambda a, b: _add(a, b) in possible):
                 if skeleton(node, {}) not in skeletons:
                     continue
-                k = keyed.get(sigma_key(fus, node, config))
+                k = keyed.get(sigma_key(fus, node))
                 if k is not None:
                     rows[i].append((1 << j, 1 << k))
             self._tables[label] = rows

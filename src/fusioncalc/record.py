@@ -1,4 +1,5 @@
-"""Immutable records, the value classes of the calculus.
+"""Immutable records, the value classes of the calculus, and the rows of
+the law reports.
 
 A record class names its fields in `__slots__`; a slot whose name starts
 with `_` holds a value derived from the fields and is no field.  Records
@@ -9,11 +10,18 @@ The positional `__init__` sets each field as given; a class that
 normalises or checks its fields writes its own, setting each field once
 with `object.__setattr__`.  Unlike a dataclass, a record class compiles
 no methods of its own, so declaring one costs no start-up time.
+
+A `Report` is a list of (law, passed, witness-or-empty) rows, as the
+`calgebra`, `realizability` and `mll` checkers return them; it lives
+here so that a module reading reports compiles none of the checkers.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Iterable
+
+Report = list[tuple[str, bool, str]]
 
 
 class Record:
@@ -58,3 +66,15 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def first_witness(name: str, witnesses: Iterable[str]
+                  ) -> tuple[str, bool, str]:
+    """The report row of law `name`: it passes when `witnesses` is empty
+    and otherwise fails with the first witness, the only one computed."""
+    w = next(iter(witnesses), None)
+    return (name, w is None, w or "")
+
+
+def passed(report: Report) -> bool:
+    return all(ok for _, ok, _ in report)

@@ -78,7 +78,6 @@ import itertools
 from collections import Counter
 from typing import Callable, Iterator, Optional
 
-from .config import DEFAULT, Config
 from .fusion import _classes, equal
 from .names import Name, remember
 from .pwf import Pwf, sigma_node
@@ -86,7 +85,7 @@ from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, all_names,
                     invariant, multiset_form, node_key)
 
 
-def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
+def step(p: Pwf) -> list[Pwf]:
     """All one-step reducts, deduplicated up to structural congruence.
 
     A reduct is the pair's continuations under the communicated vector,
@@ -98,7 +97,7 @@ def step(p: Pwf, config: Config = DEFAULT) -> list[Pwf]:
     fresh = max(all_names(_to_process(node, base)) | {0}) + 1
     seen = set()
     out = []
-    for a, b, r in _reducts(names, comps, _classes(p.fus, config)):
+    for a, b, r in _reducts(names, comps, _classes(p.fus)):
         key = node_key(r)
         if key not in seen:
             seen.add(key)
@@ -223,26 +222,24 @@ def _search(node, k: int) -> Iterator[tuple[tuple, tuple]]:
         frontier = list(level.values())
 
 
-def reach(p: Pwf, k: int, config: Config = DEFAULT
-          ) -> Iterator[tuple[tuple, tuple]]:
+def reach(p: Pwf, k: int) -> Iterator[tuple[tuple, tuple]]:
     """Each congruence class reachable from p in 1..k steps, once, as
     (congruence key, node), in breadth-first order; p's own class is
     not among them.  The nodes are in σ-normal multiset form (binders
     negative, free names σ-representatives): `terms.canonical_form` of
     one is the class's form up to the fusion."""
-    return _search(sigma_node(p, config), k)
+    return _search(sigma_node(p), k)
 
 
-def reduces_within(p: Pwf, target: Pwf, k: int,
-                   config: Config = DEFAULT) -> bool:
+def reduces_within(p: Pwf, target: Pwf, k: int) -> bool:
     """Whether p reaches a PWF equal to the target in at most k steps.
 
     Reduction never changes the fusion, so the fusion half of `equal_pwf`
     is decided once.  p is keyed only when it has the target's action
     invariant, and an action-free target (node NIL) is not keyed."""
-    if not equal(p.fus, target.fus, config):
+    if not equal(p.fus, target.fus):
         return False
-    node, goal = sigma_node(p, config), sigma_node(target, config)
+    node, goal = sigma_node(p), sigma_node(target)
     inv, goal_inv = invariant(node), invariant(goal)
     if not _may_reach(inv, goal_inv, k):
         return False
@@ -327,11 +324,11 @@ def _balanced(node) -> bool:
     return not _signature(node)
 
 
-def pole_regular_on(pole, universe, config: Config = DEFAULT) -> bool:
+def pole_regular_on(pole, universe) -> bool:
     """Anti-reduction closure of singleton orthogonals, checked over the
     given finite universe: whenever p steps to q, everything orthogonal
     to q is orthogonal to p.  Decided on the members' σ-nodes by
     `realizability.Universe.regular`."""
     # realizability imports this module
     from .realizability import Universe
-    return Universe(universe, pole, config).regular()
+    return Universe(universe, pole).regular()

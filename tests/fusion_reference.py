@@ -44,40 +44,39 @@ member of each class instead, and the tests compare the two.
 """
 
 from fusioncalc import fusion
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (Fusion, InvalidFusionError, _classes,
                                family_partition)
 from fusioncalc.names import tag
 from fusioncalc.subst import Substitution
 
 
-def sufficient_bound(*fusions: Fusion, config=DEFAULT) -> int:
+def sufficient_bound(*fusions: Fusion) -> int:
     top = max((x for g in fusions for x in g.endpoints()), default=0)
     words = [w for g in fusions for pair in g.families for w in pair]
     for g in fusions:
-        words += [w for _, cls in family_partition(g.families, config)
+        words += [w for _, cls in family_partition(g.families)
                   for w in cls]
     return (top + 2) << max(map(len, words), default=0)
 
 
-def sampled_validate(e: Fusion, bound: int, config=DEFAULT) -> bool:
+def sampled_validate(e: Fusion, bound: int) -> bool:
     probes = set(e.endpoints())
     for w1, w2 in e.families:
         for n in range(bound):
             probes.add(tag(n, w1))
     try:
-        classes = _classes(e, config)
+        classes = _classes(e)
         for p in sorted(probes):
             classes(p)
-        family_partition(e.families, config)
+        family_partition(e.families)
     except InvalidFusionError:
         return False
     return True
 
 
-def sampled_equal(e: Fusion, f: Fusion, bound: int, config=DEFAULT) -> bool:
+def sampled_equal(e: Fusion, f: Fusion, bound: int) -> bool:
     for one, other in ((e, f), (f, e)):
-        classes = _classes(other, config)
+        classes = _classes(other)
         for a, b in one.pairs:
             if b not in classes(a):
                 return False
@@ -89,15 +88,14 @@ def sampled_equal(e: Fusion, f: Fusion, bound: int, config=DEFAULT) -> bool:
     return True
 
 
-def sampled_meet(e: Fusion, f: Fusion, bound: int, config=DEFAULT
-                 ) -> list[frozenset[int]]:
+def sampled_meet(e: Fusion, f: Fusion, bound: int) -> list[frozenset[int]]:
     """The class of each name below `bound` in the intersection of the
     two relations."""
-    e_cls, f_cls = _classes(e, config), _classes(f, config)
+    e_cls, f_cls = _classes(e), _classes(f)
     return [e_cls(x) & f_cls(x) for x in range(bound)]
 
 
-def canonical_subst(e: Fusion, config=DEFAULT) -> Substitution:
+def canonical_subst(e: Fusion) -> Substitution:
     """σ of e; it walks the classes of every endpoint and builds the
     family partition, so it raises as `fusion.validate` rejects.  Classes
     are read through `fusion._classes` at call time, so a test that
@@ -106,7 +104,7 @@ def canonical_subst(e: Fusion, config=DEFAULT) -> Substitution:
         return Substitution()
     fm: dict[int, int] = {}
     concrete_seen: set[int] = set()
-    classes = fusion._classes(e, config)
+    classes = fusion._classes(e)
     for a, b in sorted(e.pairs):
         for x in (a, b):
             if x not in concrete_seen:
@@ -116,7 +114,7 @@ def canonical_subst(e: Fusion, config=DEFAULT) -> Substitution:
                 for y in cls:
                     fm[y] = m
     remaps = set()
-    for u, W in family_partition(e.families, config):
+    for u, W in family_partition(e.families):
         max_c = max(tag(0, w) for w in W)
         wm = min(W, key=lambda w: (len(w), tag(0, w)))
         remaps.update((w, wm) for w in W if w != wm)

@@ -10,7 +10,6 @@ ones are vacuous or fused away, so both seeds give equal PWFs; this
 module keeps the `np` seed so that a test can check that.
 """
 
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, remove
 from fusioncalc.names import ALL, residue
 from fusioncalc.process import Nu, free_names, substitute
@@ -18,11 +17,11 @@ from fusioncalc.pwf import Pwf, PwfError, _closure_step, par, relabel, unrelabel
 from fusioncalc.subst import finite_subst
 
 
-def np_finite_part(p, config=DEFAULT):
+def np_finite_part(p):
     """The classes of p's free process names and the endpoints of its
     fusion's finite pairs."""
     out = set()
-    classes = _classes(p.fus, config)
+    classes = _classes(p.fus)
     for x in free_names(p.proc):
         out |= classes(x)
     for a, b in p.fus.pairs:
@@ -30,11 +29,11 @@ def np_finite_part(p, config=DEFAULT):
     return frozenset(out)
 
 
-def np_hereditary_closure(X, p, config=DEFAULT):
+def np_hereditary_closure(X, p):
     """`pwf.hereditary_closure` seeded with `np_finite_part` inside X."""
-    seed = np_finite_part(p, config) | free_names(p.proc)
+    seed = np_finite_part(p) | free_names(p.proc)
     current = frozenset(x for x in seed if X.member(x))
-    classes = _classes(p.fus, config)
+    classes = _classes(p.fus)
     while True:
         ts = _closure_step(current, classes)
         grown = current | {t for t in ts if X.member(t)}
@@ -48,21 +47,21 @@ def np_hereditary_closure(X, p, config=DEFAULT):
     return current, finite_subst(sigma)
 
 
-def np_nu_set(X, p, config=DEFAULT):
-    bound, sigma = np_hereditary_closure(X, p, config)
+def np_nu_set(X, p):
+    bound, sigma = np_hereditary_closure(X, p)
     proc = substitute(p.proc, sigma)
     for x in sorted(bound, reverse=True):
         proc = Nu(x, proc)
-    return Pwf(proc, remove(p.fus, X, config))
+    return Pwf(proc, remove(p.fus, X))
 
 
-def np_nu_all(p, config=DEFAULT):
-    return np_nu_set(ALL, p, config)
+def np_nu_all(p):
+    return np_nu_set(ALL, p)
 
 
-def np_star(i, p, q, config=DEFAULT):
+def np_star(i, p, q):
     if i not in (1, 2):
         raise PwfError("star index must be 1 or 2")
-    inner = par(p, relabel(q, i, config), config)
-    restricted = np_nu_set(residue((i,)), inner, config)
-    return unrelabel(restricted, 3 - i, config)
+    inner = par(p, relabel(q, i))
+    restricted = np_nu_set(residue((i,)), inner)
+    return unrelabel(restricted, 3 - i)

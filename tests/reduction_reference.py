@@ -26,7 +26,6 @@ import itertools
 
 from canonical_reference import congruence_key
 from fusion_reference import canonical_subst
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import _classes, equal
 from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
 from fusioncalc.pwf import Pwf, nu_all, par, pwf_str
@@ -67,9 +66,9 @@ def _fire(bound, comps, a, b, p):
     return Pwf(out, p.fus)
 
 
-def reference_step(p: Pwf, config=DEFAULT) -> list[Pwf]:
+def reference_step(p: Pwf) -> list[Pwf]:
     """All one-step reducts, deduplicated up to structural congruence."""
-    classes = _classes(p.fus, config)
+    classes = _classes(p.fus)
     bound, comps = _spine(p.proc)
     seen = set()
     out = []
@@ -94,14 +93,14 @@ def reference_step(p: Pwf, config=DEFAULT) -> list[Pwf]:
     return out
 
 
-def _form(p: Pwf, config):
-    return canonical(substitute(p.proc, canonical_subst(p.fus, config)))
+def _form(p: Pwf):
+    return canonical(substitute(p.proc, canonical_subst(p.fus)))
 
 
-def reference_listing(p: Pwf, k: int, config=DEFAULT) -> list[str]:
+def reference_listing(p: Pwf, k: int) -> list[str]:
     """Sorted normal forms of the classes reached in 1..k steps."""
     def key(q: Pwf) -> str:
-        return pwf_str(Pwf(_form(q, config), q.fus))
+        return pwf_str(Pwf(_form(q), q.fus))
 
     frontier = [p]
     seen = {key(p)}
@@ -109,7 +108,7 @@ def reference_listing(p: Pwf, k: int, config=DEFAULT) -> list[str]:
     for _ in range(k):
         next_frontier = []
         for q in frontier:
-            for r in reference_step(q, config):
+            for r in reference_step(q):
                 r_key = key(r)
                 if r_key not in seen:
                     seen.add(r_key)
@@ -119,12 +118,11 @@ def reference_listing(p: Pwf, k: int, config=DEFAULT) -> list[str]:
     return sorted(reached)
 
 
-def reference_reduces_within(p: Pwf, target: Pwf, k: int,
-                             config=DEFAULT) -> bool:
-    if not equal(p.fus, target.fus, config):
+def reference_reduces_within(p: Pwf, target: Pwf, k: int) -> bool:
+    if not equal(p.fus, target.fus):
         return False
-    sigma = canonical_subst(p.fus, config)
-    goal = _form(target, config)
+    sigma = canonical_subst(p.fus)
+    goal = _form(target)
     start = canonical(p.proc)
     frontier = [p]
     seen = {start}
@@ -133,7 +131,7 @@ def reference_reduces_within(p: Pwf, target: Pwf, k: int,
         for q in frontier:
             if canonical(substitute(q.proc, sigma)) == goal:
                 return True
-            for r in reference_step(q, config):
+            for r in reference_step(q):
                 r_key = canonical(r.proc)
                 if r_key not in seen:
                     seen.add(r_key)
@@ -175,13 +173,12 @@ def reference_reducts(names, comps, classes=None):
             yield a, b, ("nu", frozenset(top), inner) if top else inner
 
 
-def reference_pole_regular_on(pole, universe, config=DEFAULT) -> bool:
+def reference_pole_regular_on(pole, universe) -> bool:
     """Whenever p steps to q, everything orthogonal to q is orthogonal
     to p, over the given members."""
     for p in universe:
-        for q in step(p, config):
+        for q in step(p):
             for r in universe:
-                if pole(nu_all(par(q, r, config), config)) and \
-                        not pole(nu_all(par(p, r, config), config)):
+                if pole(nu_all(par(q, r))) and not pole(nu_all(par(p, r))):
                     return False
     return True

@@ -6,8 +6,18 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import pytest
+
 from fusioncalc import cli
 from fusioncalc.cli import main
+from fusioncalc.fusion import parse_fusion
+
+from test_fusion import class_budget
+
+# two chains within the class budget of 1,024 names whose join is one
+# finite class of 1,100 names: undecided, although finite
+HALF_CHAINS = ("{" + "~".join(map(str, range(550))) + "}",
+               "{" + "~".join(map(str, range(549, 1100))) + "}")
 
 
 def run(capsys, *argv):
@@ -62,19 +72,18 @@ def test_parse_reads_a_new_binder_followed_at_once_by_a_digit(capsys):
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
-    """Options given to one call do not leak into the next."""
+    """Options given to one call do not leak into the next, nor does a
+    class walk that exceeded the budget."""
     assert cli._build_parser() is cli._build_parser()
-    fusions = ("fusion", "join", "{0~1}", "{1~2}")
-    code, out, _ = run(capsys, "--set", "class_budget=2", *fusions)
-    assert code == 3 and "(class_budget=2)" in out
-    code, out, _ = run(capsys, *fusions)
+    code, out, _ = run(capsys, "fusion", "join", *HALF_CHAINS)
+    assert code == 3 and "(class_budget=1024)" in out
+    code, out, _ = run(capsys, "fusion", "join", "{0~1}", "{1~2}")
     assert (code, out) == (0, "{0~1~2}\n")
     laws = ("pole-laws", "--universe", "limit=4", "--samples", "1")
-    code, out, _ = run(capsys, "--set", "class_budget=2048", "--format",
-                       "tsv", *laws)
-    assert code == 0 and "# config" not in out
+    code, out, _ = run(capsys, "--format", "tsv", *laws)
+    assert code == 0 and "#" not in out
     code, out, _ = run(capsys, *laws)
-    assert out.startswith("# config: class_budget=1024\n")
+    assert out.startswith("# universe-relative report: 4 members")
 
 
 def test_normalize_and_equal(capsys):
@@ -252,15 +261,17 @@ def test_pole_laws_report(capsys):
 LAW_REPORT_DIGESTS = {
     # sha256 of the stdout of each command, recorded at commit c60c93d;
     # re-recorded when the config banner became `class_budget=1024`
-    # alone, the only line that changed
+    # alone, and again when that banner line went, each time the only
+    # line that changed
     ("laws",):
-        "66294a0aa8c141ccf826cec404b311f4c4f86c0087ce2d89784785128420410f",
+        "54f4dc92fe155ea0e2be613b56c343f12198d96b2b73a2084769e7ff448c494c",
     ("pole-laws", "--universe", "limit=60", "--pole", "done:8"):
-        "ce4d78451f93bcaf4a87aa47a82db5dd485f14394d75c13ee4f675d558c9e813",
+        "11295605c68c1f74e5bea882d704b2adb40a9d952a60550ae4b731e820a4afb0",
     # recorded at commit efe531b, before the matrix paired composites by
-    # balance signature
+    # balance signature; re-recorded when the banner line went, the only
+    # line that changed
     ("pole-laws", "--universe", "limit=400", "--pole", "done:8"):
-        "dbcac4af6950488acd31434ea50b7759f026dd6f20e04f6eb0706d68c9dfd70d",
+        "c8751ec0f38bcac5ca1bc4bc70dda3a9bbbc61e9b6564e5630a68da247f197bd",
 }
 
 
@@ -284,10 +295,10 @@ def test_exact_done_pole_prints_the_rows_of_done_8(capsys):
     code, bounded, _ = run(capsys, *laws, "--pole", "done:8")
     assert code == 0
     exact, bounded = exact.splitlines(), bounded.splitlines()
-    assert exact[1] == "# universe-relative report: 160 members, " \
+    assert exact[0] == "# universe-relative report: 160 members, " \
         "pole done (exact)"
-    assert bounded[1].endswith("pole done:8")
-    assert exact[:1] + exact[2:] == bounded[:1] + bounded[2:]
+    assert bounded[0].endswith("pole done:8")
+    assert exact[1:] == bounded[1:]
 
 
 def test_a_result_with_no_finite_presentation_has_its_own_exit_code(capsys):
@@ -330,11 +341,26 @@ def test_pole_laws_rejects_a_universe_spec_out_of_bounds(capsys):
         assert err == f"error: {message}\n", spec
 
 
+def test_pole_laws_universe_spec_keeps_the_items_of_a_fusion(capsys):
+    """The spec splits only at commas outside {...} and [...]."""
+    spec = "max_actions=1, limit=100, fusions={0~1, 2~3}|{[1 <-> 2], 0~1}"
+    assert {m.fus for m in cli._parse_universe_spec(spec)} == {
+        parse_fusion("{0~1, 2~3}"), parse_fusion("{[1 <-> 2], 0~1}")}
+    code, out, _ = run(capsys, "pole-laws", "--universe",
+                       "limit=6,fusions={0~1, 2~3}|{[1 <-> 2], 0~1}")
+    assert code == 0
+    assert out.startswith("# universe-relative report: 6 members")
+
+
 def test_pole_laws_report_states_config(capsys):
-    code, out, _ = run(capsys, "--set", "class_budget=2048", "pole-laws",
-                       "--universe", "limit=20", "--samples", "2")
-    assert code == 0 and "class_budget=2048" in out
-    assert "universe-relative" in out
+    """The header states what the run was given: the universe size, the
+    pole and the sample."""
+    code, out, _ = run(capsys, "pole-laws", "--universe", "limit=20",
+                       "--pole", "done:2", "--samples", "2")
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "# universe-relative report: 20 members, pole done:2",
+        "# sampled laws: samples=2 seed=0"]
 
 
 def test_algebra_check(capsys):
@@ -399,19 +425,9 @@ def test_hy_check_gated_behind_flag(capsys):
 def test_laws_suite(capsys):
     code, out, _ = run(capsys, "laws")
     assert code == 0 and "fail" not in out
-    assert out.splitlines()[1] == "# sampled laws: samples=6 seed=0"
+    assert out.splitlines()[0] == "# sampled laws: samples=6 seed=0"
     assert "fusion-semi-distributivity-counterexample" in out
     assert "realizability-laws" in out and "mll-corpus-soundness" in out
-
-
-def test_config_file_is_honoured(capsys, tmp_path):
-    cfg = tmp_path / "opts.cfg"
-    cfg.write_text("# a larger class budget\nclass_budget = 4096\n"
-                   "class-budget = 2048\n")
-    code, out, _ = run(capsys, "--config", str(cfg), "laws")
-    assert code == 0 and out.startswith("# config: class_budget=2048\n")
-    code, _, err = run(capsys, "--set", "bogus=1", "laws")
-    assert code == 2 and "error:" in err
 
 
 def test_search_budget_is_undecided_not_a_parse_error(capsys):
@@ -503,10 +519,13 @@ def test_pole_laws_header_states_the_sample(capsys):
     assert code == 0 and "# sampled laws: samples=3 seed=0" in out
 
 
-def test_mll_extract_honours_the_config(capsys):
-    """The realizer's fusions exceed a tiny class budget: undecided."""
-    code, out, _ = run(capsys, "--set", "class_budget=1", "mll", "extract",
-                       "(tensor (ax X) (ax Y))")
+def test_mll_extract_past_the_class_budget_is_undecided(capsys):
+    """The realizer's fusions exceed a class budget of 1: undecided.  No
+    corpus proof has a realizer past the real budget of 1,024, nor had
+    any of 45,824 random proofs of depth at most 4, so the test lowers
+    the budget."""
+    with class_budget(1):
+        code, out, _ = run(capsys, "mll", "extract", "(tensor (ax X) (ax Y))")
     assert code == 3
     lines = out.splitlines()
     assert lines[0].startswith("((((COMP *1 ASSOC_R)")
@@ -534,14 +553,23 @@ def test_family_equality_is_decided_past_the_old_sample(capsys):
 
 
 def test_sample_bound_is_no_longer_a_config_key(capsys):
-    code, _, err = run(capsys, "--set", "sample_bound=4", "fusion", "equal",
-                       "{[1 <-> 2]}", "{0~1}")
-    assert code == 2 and "unknown config key: sample_bound" in err
+    """No key is: `--set` is no option, so argparse refuses it."""
+    with pytest.raises(SystemExit) as info:
+        main(["--set", "sample_bound=4", "fusion", "equal", "{[1 <-> 2]}",
+              "{0~1}"])
+    assert info.value.code == 2
+    assert "usage: fusioncalc" in capsys.readouterr().err
 
 
 def test_class_budget_overflow_is_undecided(capsys):
-    code, out, _ = run(capsys, "--set", "class_budget=2", "fusion", "join",
-                       "{0~1}", "{1~2}")
+    """A finite class past the budget and an infinite class are both
+    undecided, and the line names the budget."""
+    code, out, _ = run(capsys, "fusion", "join", *HALF_CHAINS)
     assert code == 3
-    assert out == ("undecided: class of 0 exceeds budget 2 "
-                   "(class_budget=2)\n")
+    assert out == ("undecided: class of 0 exceeds budget 1024 "
+                   "(class_budget=1024)\n")
+    code, out, _ = run(capsys, "fusion", "join", "{[1 <-> 2]}",
+                       "{[2 <-> 2.2.2.1]}")
+    assert code == 3
+    assert out == ("undecided: family class of @1.1 exceeds budget 1024 "
+                   "(class_budget=1024)\n")

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 from unittest import mock
 
@@ -5,7 +6,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from fusioncalc import fusion
-from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (
     DELTA, ClassBudgetError, Fusion, InvalidFusionError, NotRepresentableError,
     _affine,
@@ -200,10 +200,10 @@ def test_literal_roundtrip():
 # ---------------------------------------------------------------------------
 # class walks against the per-name reference
 
-def reference_class_of(e, x, config=DEFAULT):
+def reference_class_of(e, x):
     """The per-name BFS that `_classes` replaces: a fresh adjacency map on
     every call, and family steps through untag/tag."""
-    budget = config.class_budget
+    budget = fusion._CLASS_BUDGET
     adj: dict[int, set[int]] = {}
     for a, b in e.pairs:
         adj.setdefault(a, set()).add(b)
@@ -230,8 +230,8 @@ def reference_class_of(e, x, config=DEFAULT):
     return frozenset(seen)
 
 
-def reference_classes(e, config=DEFAULT):
-    return lambda x: reference_class_of(e, x, config)
+def reference_classes(e):
+    return lambda x: reference_class_of(e, x)
 
 
 def outcome(fn, *args):
@@ -245,6 +245,16 @@ def outcome(fn, *args):
 def empty_stores():
     """A context in which the stores of analyses start empty."""
     return mock.patch.multiple(fusion, _ANALYSES={}, _FAMILY_ANALYSES={})
+
+
+@contextlib.contextmanager
+def class_budget(budget):
+    """A context in which every class walk stops at `budget` members.  The
+    stores of analyses start empty in it, and what it stored is dropped
+    on exit, so no analysis walked under one budget is read under
+    another."""
+    with mock.patch.object(fusion, "_CLASS_BUDGET", budget), empty_stores():
+        yield
 
 
 def reference_outcome(fn, *args):
@@ -278,42 +288,44 @@ def mixed_fusions(draw):
     return Fusion(frozenset(pairs), frozenset(families))
 
 
-configs = st.builds(Config, class_budget=st.sampled_from([2, 4, 1024, 1024]))
+budgets = st.sampled_from([2, 4, 1024, 1024])
 
 
-@given(mixed_fusions(), configs, st.lists(st.integers(0, 80), max_size=30))
+@given(mixed_fusions(), budgets, st.lists(st.integers(0, 80), max_size=30))
 @settings(max_examples=150, deadline=None)
-def test_classes_match_reference(e, config, xs):
-    classes = _classes(e, config)
-    for x in xs:
-        expected = outcome(reference_class_of, e, x, config)
-        assert outcome(classes, x) == expected
-        assert outcome(class_of, e, x, config) == expected
+def test_classes_match_reference(e, budget, xs):
+    with class_budget(budget):
+        classes = _classes(e)
+        for x in xs:
+            expected = outcome(reference_class_of, e, x)
+            assert outcome(classes, x) == expected
+            assert outcome(class_of, e, x) == expected
 
 
-@given(mixed_fusions(), mixed_fusions(), configs)
+@given(mixed_fusions(), mixed_fusions(), budgets)
 @settings(max_examples=150, deadline=None)
-def test_operations_match_reference(e, f, config):
+def test_operations_match_reference(e, f, budget):
     """The decided operations against the sampled ones at a bound where
     those decide (`fusion_reference`); equality and meet are compared on
     fusions whose classes are within the budget, where they are defined.
     The meet is compared by relation, below a bound that also covers its
     own words."""
-    # the probes only fail where the endpoint walks or the partition do,
-    # so the sampled verdict is the same at every bound
-    assert validate(e, config) == sampled_validate(e, 256, config)
-    for fn in (canonical_subst, presentation):
-        assert outcome(fn, e, config) == reference_outcome(fn, e, config)
-    if not (validate(e, config) and validate(f, config)):
-        return
-    bound = sufficient_bound(e, f, config=config)
-    assert equal(e, f, config) == sampled_equal(e, f, bound, config)
-    assert equal(e, e, config)
-    m = meet(e, f, config)
-    assert validate(m, config)
-    bound = sufficient_bound(e, f, m, config=config)
-    assert [class_of(m, x, config) for x in range(bound)] == \
-        sampled_meet(e, f, bound, config)
+    with class_budget(budget):
+        # the probes only fail where the endpoint walks or the partition
+        # do, so the sampled verdict is the same at every bound
+        assert validate(e) == sampled_validate(e, 256)
+        for fn in (canonical_subst, presentation):
+            assert outcome(fn, e) == reference_outcome(fn, e)
+        if not (validate(e) and validate(f)):
+            return
+        bound = sufficient_bound(e, f)
+        assert equal(e, f) == sampled_equal(e, f, bound)
+        assert equal(e, e)
+        m = meet(e, f)
+        assert validate(m)
+        bound = sufficient_bound(e, f, m)
+        assert [class_of(m, x) for x in range(bound)] == \
+            sampled_meet(e, f, bound)
 
 
 def assert_sigma_node_reads_the_reference_sigma(e):
@@ -396,21 +408,22 @@ def test_meet_of_re_presentations_is_the_meet(e, f, data):
     assert equal(meet(g, h), meet(e, f))
 
 
-@given(mixed_fusions(), small_namesets(), configs)
+@given(mixed_fusions(), small_namesets(), budgets)
 @settings(max_examples=150, deadline=None)
-def test_restrict_matches_reference(e, X, config):
-    assert outcome(restrict, e, X, config) == \
-        reference_outcome(restrict, e, X, config)
+def test_restrict_matches_reference(e, X, budget):
+    with class_budget(budget):
+        assert outcome(restrict, e, X) == reference_outcome(restrict, e, X)
 
 
 def test_budget_error_names_the_queried_name():
     e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}))
-    classes = _classes(e, Config(class_budget=3))
-    for x in (2, 0):
-        with pytest.raises(InvalidFusionError,
-                           match=f"^class of {x} exceeds budget 3$"):
-            classes(x)
-    assert classes(7) == {7}
+    with class_budget(3):
+        classes = _classes(e)
+        for x in (2, 0):
+            with pytest.raises(InvalidFusionError,
+                               match=f"^class of {x} exceeds budget 3$"):
+                classes(x)
+        assert classes(7) == {7}
 
 
 def test_equal_walks_no_class_for_a_coinciding_family_instance():
@@ -422,8 +435,8 @@ def test_equal_walks_no_class_for_a_coinciding_family_instance():
     f = Fusion(frozenset({(0, 1)}), e.families)
     walked = []
 
-    def recording_classes(g, config=DEFAULT):
-        classes = _classes(g, config)
+    def recording_classes(g):
+        classes = _classes(g)
         return lambda x: walked.append((g, x)) or classes(x)
 
     with mock.patch.object(fusion, "_classes", recording_classes):
@@ -497,20 +510,21 @@ def test_class_budget_errors_name_the_budget():
     """An exhausted budget reaches the caller as ClassBudgetError, still an
     InvalidFusionError, with its message; a decided invalid input keeps
     the operation's message."""
-    tight = Config(class_budget=2)
     chain = [parse_fusion("{0~1}"), parse_fusion("{1~2}")]
-    for op, args in ((join, (*chain, tight)), (join_all, (chain, tight)),
-                     (map_fusion, (parse_fusion("{0~1~2}"),
-                                   finite_subst({}), tight)),
-                     (restrict, (parse_fusion("{0~1~2}"), finite([0, 1, 2]),
-                                 tight))):
-        with pytest.raises(ClassBudgetError,
-                           match=r"^class of \d+ exceeds budget 2$") as info:
-            op(*args)
-        assert info.value.budget == 2
-    with pytest.raises(ClassBudgetError, match="^family class of @"):
-        join(identity_I(), psi(), Config(class_budget=2))
-    assert not validate(join(chain[0], chain[1]), tight)
+    joined = join(*chain)
+    message = r"^class of \d+ exceeds budget 2$"
+    with class_budget(2):
+        for op, args in ((join, chain), (join_all, (chain,)),
+                         (map_fusion, (parse_fusion("{0~1~2}"),
+                                       finite_subst({}))),
+                         (restrict, (parse_fusion("{0~1~2}"),
+                                     finite([0, 1, 2])))):
+            with pytest.raises(ClassBudgetError, match=message) as info:
+                op(*args)
+            assert info.value.budget == 2
+        with pytest.raises(ClassBudgetError, match="^family class of @"):
+            join(identity_I(), psi())
+        assert not validate(joined)
 
 
 WORDS = [w for k in range(6) for w in itertools.product((1, 2), repeat=k)]
@@ -547,43 +561,42 @@ def test_the_stores_leave_fusion_values_unchanged():
 
 def test_family_partition_is_remembered_and_failures_raise_each_time():
     families = parse_fusion("{[1.1 <-> 1.2], [2.1 <-> 2.2]}").families
-    tight = Config(class_budget=1)
-    for _ in range(2):
-        with pytest.raises(ClassBudgetError,
-                           match=r"^family class of @1\.1 exceeds budget 1$"):
-            family_partition(families, tight)
-    first = family_partition(families, DEFAULT)
-    assert family_partition(families, DEFAULT) is first
+    with class_budget(1):
+        for _ in range(2):
+            with pytest.raises(
+                    ClassBudgetError,
+                    match=r"^family class of @1\.1 exceeds budget 1$"):
+                family_partition(families)
+    first = family_partition(families)
+    assert family_partition(families) is first
     assert first == (((1, 1), ((1, 1), (1, 2))), ((2, 1), ((2, 1), (2, 2))))
 
 
 # ---------------------------------------------------------------------------
 # the stores of analyses
 
-two_budgets = st.sampled_from([Config(class_budget=4), DEFAULT])
+two_budgets = st.sampled_from([4, 1024])
 
 
 @given(mixed_fusions(), mixed_fusions(), small_namesets(),
        st.integers(0, 80), two_budgets)
 @example(parse_fusion("{[ <-> 1.1.1]}"), parse_fusion("{[2 <-> 1.2.2]}"),
-         NameSet(), 0, DEFAULT)
+         NameSet(), 0, 1024)
 @settings(max_examples=100, deadline=None)
 def test_remembered_analyses_give_the_outcome_of_empty_stores(e, f, X, x,
-                                                              config):
+                                                              budget):
     """Each operation as it comes out with empty stores, and again after
     the others warmed the stores on the same values (the explicit
     example is the next test's).  X is finite plus residues, so
     `remove` restricts to a complement with exclusions."""
-    calls = [(validate, e, config), (equal, e, f, config),
-             (meet, e, f, config), (restrict, e, X, config),
-             (remove, e, X, config), (presentation, e, config),
-             (class_of, e, x, config)]
+    calls = [(validate, e), (equal, e, f), (meet, e, f), (restrict, e, X),
+             (remove, e, X), (presentation, e), (class_of, e, x)]
     cold = []
     for call in calls:
-        with empty_stores():
+        with class_budget(budget):
             cold.append(outcome(*call))
     for i, call in enumerate(calls):
-        with empty_stores():
+        with class_budget(budget):
             for other in calls[i + 1:] + calls[:i]:
                 outcome(*other)
             assert outcome(*call) == cold[i]
@@ -603,7 +616,7 @@ def test_equal_stops_at_the_first_region_that_fails():
                     equal(left, right)
             with pytest.raises(ClassBudgetError,
                                match="^family class of @1.2 "):
-                fusion._regions(f.families, (), DEFAULT)
+                fusion._regions(f.families, ())
             with pytest.raises(ClassBudgetError):
                 family_partition(f.families)
             with pytest.raises(ClassBudgetError):
@@ -612,18 +625,19 @@ def test_equal_stops_at_the_first_region_that_fails():
 
 def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
     e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}))
-    tight = Config(class_budget=3)
-    with empty_stores():
-        assert class_of(e, 2) == {0, 1, 2, 3}
-        assert validate(e) and not validate(e, tight)
+    with class_budget(3):
+        assert not validate(e)
         for _ in range(2):
             for x in (2, 0):
                 with pytest.raises(ClassBudgetError,
                                    match=f"^class of {x} exceeds budget 3$"):
-                    class_of(e, x, tight)
+                    class_of(e, x)
             with pytest.raises(ClassBudgetError, match="^class of 0 "):
-                presentation(e, tight)
-        assert class_of(e, 7, tight) == {7}
+                presentation(e)
+        assert class_of(e, 7) == {7}
+    with empty_stores():
+        assert class_of(e, 2) == {0, 1, 2, 3}
+        assert validate(e)
         assert presentation(e) is presentation(Fusion(e.pairs))
         for n in range(fusion._STORE_CAP + 10):
             v = (2,) * n  # identity_I injected by 2.2...2
@@ -631,7 +645,7 @@ def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
             assert validate(Fusion(frozenset({(n, n + 1)}), families))
         assert len(fusion._ANALYSES) == fusion._STORE_CAP
         assert len(fusion._FAMILY_ANALYSES) == fusion._STORE_CAP
-        assert (e, DEFAULT.class_budget) not in fusion._ANALYSES
+        assert e not in fusion._ANALYSES
         assert class_of(e, 3) == {0, 1, 2, 3}
 
 
@@ -639,23 +653,23 @@ def test_restrictions_are_remembered_per_set_and_failures_raise_each_time():
     # psi relates tag(n, 1) and tag(n, 1.2), so no multiple of 4 above
     # e's concrete class is in a class of two
     e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}), psi().families)
-    tight = Config(class_budget=3)
-    with empty_stores():
+    with class_budget(3):
         for _ in range(2):
             with pytest.raises(ClassBudgetError, match="^class of 0 "):
-                restrict(e, finite([0, 1]), tight)
+                restrict(e, finite([0, 1]))
+        assert fusion._ANALYSES[e].restricted == {}
+    with empty_stores():
+        for _ in range(2):
             with pytest.raises(NotRepresentableError,
                                match=r"single instances .*\(index 0\)$"):
                 remove(identity_I(), finite([1]))
-        assert fusion._ANALYSES[e, 3].restricted == {}
-        assert fusion._ANALYSES[identity_I(), DEFAULT.class_budget] \
-            .restricted == {}
+        assert fusion._ANALYSES[identity_I()].restricted == {}
         first = remove(e, finite([8]))
         assert remove(e, finite([8])) is first
         for n in range(fusion._RESTRICT_CAP + 5):
             remove(e, finite([4 * n + 12]))
-        analysis = fusion._ANALYSES[e, DEFAULT.class_budget]
-        family = fusion._FAMILY_ANALYSES[e.families, DEFAULT.class_budget]
+        analysis = fusion._ANALYSES[e]
+        family = fusion._FAMILY_ANALYSES[e.families]
         assert len(analysis.restricted) == fusion._RESTRICT_CAP
         assert len(family.restricted) == fusion._RESTRICT_CAP
         assert remove(e, finite([8])) == first

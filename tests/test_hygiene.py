@@ -179,34 +179,21 @@ def test_no_definition_is_used_by_the_tests_alone():
             for path in MODULES} == {path.name: [] for path in MODULES}
 
 
-def test_every_config_knob_is_echoed_and_read(capsys):
-    """The banner echoes exactly the `Config` fields, the config text
-    accepts exactly them as keys, and some module other than `config.py`
-    and `cli.py` reads each as an attribute, so no knob is dead."""
-    from fusioncalc.cli import _config_banner, main
-    from fusioncalc.config import DEFAULT, Config, parse_config_text
+def test_no_config_option_or_banner_returns(capsys, tmp_path):
+    """The class budget is a constant (`fusion._CLASS_BUDGET`): `--set`
+    and `--config` are usage errors, and no report opens with a
+    `# config` banner."""
+    from fusioncalc.cli import main
 
-    banner = _config_banner(DEFAULT)
-    assert banner.startswith("# config: ")
-    echoed = [item.split("=", 1) for item in banner.split()[2:]]
-    assert [key for key, _ in echoed] == list(Config._fields)
-    assert echoed == [[name, str(getattr(DEFAULT, name))]
-                      for name in Config._fields]
-    for name in Config._fields:
-        assert parse_config_text(f"{name} = {getattr(DEFAULT, name)}") \
-            == DEFAULT
-    for key in ("nu_seed", "nu_closure", "bogus"):
-        with pytest.raises(ValueError, match="unknown config key"):
-            parse_config_text(f"{key} = 1")
-    assert main(["--set", "nu_seed=np", "laws"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "unknown config key" in captured.err
-    read: set[str] = set()
-    for path in MODULES:
-        if path.name not in ("config.py", "cli.py"):
-            tree = ast.parse(path.read_text())
-            read |= {node.attr for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute)
-                     and isinstance(node.ctx, ast.Load)}
-    for name in Config._fields:
-        assert name in read, name
+    config = tmp_path / "opts.cfg"
+    config.write_text("class_budget = 2048\n")
+    for argv in (["--set", "class_budget=2", "laws"],
+                 ["--config", str(config), "laws"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2, argv
+        assert captured.out == "" and "usage: fusioncalc" in captured.err
+    for argv in (["laws"], ["pole-laws", "--universe", "limit=20"]):
+        assert main(argv) == 0
+        assert "# config" not in capsys.readouterr().out, argv

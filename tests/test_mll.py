@@ -11,7 +11,6 @@ import mll_reference as reference
 from calgebra_reference import parr
 from canonical_reference import struct_eq
 from fusioncalc.calgebra import FinModel, ModelError, load_model, parse_model
-from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import DELTA, FusionError, identity_I
 from fusioncalc.mll import (MAX_ASSIGNMENTS, Ax, Const, Cut, Exists,
                             ExistsIntro, Join, MllError, One, OneIntro, Perp,
@@ -199,14 +198,6 @@ def test_realizer_catalog_is_built_once(monkeypatch):
     assert equal_pwf(evaluate_realizer(expr), evaluate_realizer(expr))
     assert pwf.realizer_catalog() is pwf.realizer_catalog()
     assert len(calls) == len(pwf.REALIZER_WORDS)
-
-
-def test_evaluate_realizer_honours_the_config():
-    expr = extract_realizer(parse_proof("(tensor (ax X) (ax Y))"))
-    assert equal_pwf(evaluate_realizer(expr),
-                     evaluate_realizer(expr, DEFAULT))
-    with pytest.raises(FusionError):
-        evaluate_realizer(expr, Config(class_budget=1))
 
 
 def boolean_model(rng, n, mutant=False):

@@ -4,7 +4,6 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import (DELTA, Fusion, FusionError,
                                NotRepresentableError, _classes, equal,
                                fusion_str, identity_I, join, parse_fusion,
@@ -121,7 +120,7 @@ def _fusions():
 def _compose_chain(S, p):
     """hereditary_closure's σ as one `compose` per step of S."""
     sigma = Substitution()
-    for s, t in zip(sorted(S), _closure_step(S, _classes(p.fus, DEFAULT))):
+    for s, t in zip(sorted(S), _closure_step(S, _classes(p.fus))):
         sigma = compose(finite_subst({s: t}), sigma)
     return sigma
 

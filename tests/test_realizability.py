@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusioncalc import pwf, realizability, reduction, terms
-from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import (DELTA, InvalidFusionError, _classes,
                                identity_I, join, parse_fusion)
 from fusioncalc.names import ALL
@@ -411,8 +410,7 @@ def test_clip_reads_one_class_function_per_image_and_none_under_delta(
     calls = []
     classes = pwf._classes
     monkeypatch.setattr(pwf, "_classes",
-                        lambda e, config: calls.append(e) or
-                        classes(e, config))
+                        lambda e: calls.append(e) or classes(e))
     for text, member, read in (("<1!() ; {0~1}>", True, 1),
                                ("<0?() ; {}>", True, 0),
                                ("<1!().1!() ; {0~1}>", False, 1),
@@ -455,13 +453,13 @@ def _record_merges(monkeypatch) -> list:
 
 
 def _count_joins(monkeypatch) -> list:
-    """The config of every fusion join a universe computes: one per pair
-    of member fusions in each op table and in the matrix."""
+    """The operands of every fusion join a universe computes: one pair
+    per pair of member fusions in each op table and in the matrix."""
     joins = []
 
-    def counting(e, f, config=DEFAULT):
-        joins.append(config)
-        return join(e, f, config)
+    def counting(e, f):
+        joins.append((e, f))
+        return join(e, f)
 
     monkeypatch.setattr(realizability, "join", counting)
     return joins
@@ -484,11 +482,7 @@ def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     for pole in (pole_always, make_pole_done(2)):
         images.append(Universe(members, pole).op_par(full, full))
         assert len(built) == fitting and len(joins) == 1
-    other = Config(class_budget=2048)
-    images.append(Universe(members, pole_always, other).op_par(full, full))
-    assert len(built) == 2 * fitting
-    assert len(joins) == 2 and joins[-1] is other
-    assert images[0] == images[1] == images[2]
+    assert images[0] == images[1]
     for limit in range(2, 9):
         Universe(default_universe(1, 2, [DELTA], limit), pole_always)
     assert len(realizability._TABLES) == realizability._SHARED_LISTS
@@ -626,8 +620,8 @@ def without_node(pole):
     """The pole with its k but without its node entry: the matrix then
     builds every pair whose invariants fit, as before the signature
     lookup, and hands each composite to the pole as a `Pwf`."""
-    def plain(q, config=DEFAULT):
-        return pole(q, config)
+    def plain(q):
+        return pole(q)
     plain.k = pole.k
     return plain
 
@@ -695,8 +689,8 @@ def test_tables_key_only_images_of_a_member_skeleton(monkeypatch):
     u.clip([])  # the members' keys
     keyed = []
     sigma_key = realizability.sigma_key
-    monkeypatch.setattr(realizability, "sigma_key", lambda e, node, config:
-                        keyed.append(node) or sigma_key(e, node, config))
+    monkeypatch.setattr(realizability, "sigma_key", lambda e, node:
+                        keyed.append(node) or sigma_key(e, node))
     built = _record_merges(monkeypatch)
     for op_mask, _ in TABLE_OPS.values():
         op_mask(u, u.full_mask, u.full_mask)
@@ -742,8 +736,7 @@ def test_side_signatures_cancel_exactly_on_balanced_composites(a, b):
     sides."""
     u = Universe([a, b], pole_always)
     joined = join(pwf.tag_fusion(a.fus, ()), pwf.tag_fusion(b.fus, ()))
-    side = realizability._sides(u._nodes, _classes(joined, DEFAULT),
-                                ((), (), ALL, ()))
+    side = realizability._sides(u._nodes, _classes(joined), ((), (), ALL, ()))
     for i, j in ((0, 1), (1, 0), (0, 0), (1, 1)):
         left, right = side(i, 0), side(j, 1)
         cancel = reduction._signature(("par", left[1])) == \
@@ -859,7 +852,7 @@ def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
                    for a in members for b in members)
     assert Universe(members, pole_always).op_par(7, 7) == 0
 
-    def failing_join(e, f, config=DEFAULT):
+    def failing_join(e, f):
         raise InvalidFusionError("join produced an infinite class")
 
     monkeypatch.setattr(realizability, "_TABLES", {})
@@ -896,8 +889,8 @@ def test_matrix_and_tables_build_no_process_for_a_pair(monkeypatch):
 
 
 PWF_OPS = {"par": par, "bullet": bullet,
-           "star1": lambda p, q, config: star(1, p, q, config),
-           "star2": lambda p, q, config: star(2, p, q, config)}
+           "star1": lambda p, q: star(1, p, q),
+           "star2": lambda p, q: star(2, p, q)}
 
 
 @given(st.sampled_from(INVARIANT_POOL), st.sampled_from(INVARIANT_POOL),
@@ -908,29 +901,28 @@ def test_node_images_and_composites_match_the_process_terms(a, b, label):
     member, as `clip` of the term built as a `Process` does; its matrix
     cell is the pole's verdict on ν(a | b) built as a `Process`, for the
     `done:k` poles and for a plain callable that hides the node entry."""
-    config = DEFAULT
     try:
-        image = PWF_OPS[label](a, b, config)
+        image = PWF_OPS[label](a, b)
     except PwfError:
         image = None
     # a member equal to an earlier one is harmless: clip maps it to the
     # earlier one
     members = [a, b] + ([image] if image is not None else [])
-    u = Universe(members, pole_always, config)
+    u = Universe(members, pole_always)
     bit_a, bit_b = u.clip([a]), u.clip([b])
     op_mask, _ = TABLE_OPS[label]
     expected = u.clip([image]) if image is not None else 0
     assert op_mask(u, bit_a, bit_b) == expected
-    composite = nu_all(par(a, b, config), config)
+    composite = nu_all(par(a, b))
     row = bit_a.bit_length() - 1
     for k in (2, 8):
         pole = make_pole_done(k)
-        rows = Universe(members, pole, config).matrix()
+        rows = Universe(members, pole).matrix()
         assert bool(rows[row] & bit_b) == pole(composite), k
         if k == 8:
-            def plain(q, config=DEFAULT):
+            def plain(q):
                 return pole(q)
-            assert Universe(members, plain, config).matrix() == rows
+            assert Universe(members, plain).matrix() == rows
 
 
 def reference_orthogonal_mask(rows, mask):

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 import fusioncalc
 from fusioncalc import mll
-from fusioncalc.config import DEFAULT, Config
 from fusioncalc.fusion import DELTA, Fusion
 from fusioncalc.names import NameSet, parse_nameset
 from fusioncalc.process import NIL, Act, Nil, Nu, Par, parse_process
@@ -34,7 +33,6 @@ FIELDS = {
     NameSet: ("singletons", "residues", "universal", "excluded"),
     Substitution: ("finite_map", "word_remaps"),
     Fusion: ("pairs", "families"), Pwf: ("proc", "fus"),
-    Config: ("class_budget",),
     mll.One: (), mll.Var: ("name",), mll.Perp: ("body",),
     mll.Tensor: ("left", "right"), mll.Join: ("left", "right"),
     mll.Exists: ("var", "body"), mll.Ax: ("formula",),
@@ -82,7 +80,7 @@ def test_values_hash_as_their_field_tuples():
     values = [*realizer_catalog().values(), parse_nameset("{0, 3, 1.2}"),
               NameSet(universal=True, excluded=frozenset({3})), NameSet(),
               finite_subst({3: 1, 1: 2}), remap_subst([((1,), (2,))]),
-              DEFAULT, Config(7), Pwf(NIL, DELTA),
+              Pwf(NIL, DELTA),
               parse_pwf("<0!(1) ; {0~1, [1 <-> 2.1]}>")]
     for proof in mll.load_corpus().values():
         values += [*nodes(proof), *nodes(mll.extract_realizer(proof))]
@@ -106,7 +104,6 @@ def test_repr_names_the_class_and_each_field():
         "universal=False, excluded=frozenset())")
     assert repr(finite_subst({3: 1, 1: 2})) == (
         "Substitution(finite_map=((1, 2), (3, 1)), word_remaps=frozenset())")
-    assert repr(DEFAULT) == "Config(class_budget=1024)"
     assert repr(mll.parse_formula("ex X. X * Y v 1 ^")) == (
         "Exists(var='X', body=Join(left=Tensor(left=Var(name='X'), "
         "right=Var(name='Y')), right=Perp(body=One())))")
@@ -136,7 +133,7 @@ def test_records_of_different_classes_are_unequal():
 
 @pytest.mark.parametrize("record, name", [
     (DELTA, "pairs"), (NIL, "name"), (Par(NIL, NIL), "left"),
-    (DEFAULT, "class_budget"), (mll.Var("X"), "name"),
+    (Pwf(NIL, DELTA), "fus"), (mll.Var("X"), "name"),
     (finite_subst({1: 2}), "_table"), (NameSet(), "universal")])
 def test_records_refuse_assignment(record, name):
     with pytest.raises(AttributeError):
@@ -148,14 +145,14 @@ def test_records_refuse_assignment(record, name):
 def test_records_survive_pickle_and_copy():
     """A record is rebuilt from its field tuple, so the slotted classes,
     whose assignment raises, still round-trip."""
-    values = [parse_process("new 2. 0!(1).2?() | 1"), DEFAULT, DELTA,
+    values = [parse_process("new 2. 0!(1).2?() | 1"), DELTA,
               parse_pwf("<0!(1) ; {0~1, [1 <-> 2.1]}>"),
               finite_subst({3: 1, 1: 2}), parse_nameset("{0, 3, 1.2}"),
               mll.load_corpus()["cut_tensor"]]
     for r in values:
         for twin in (pickle.loads(pickle.dumps(r)), copy.deepcopy(r)):
             assert twin == r and repr(twin) == repr(r)
-    assert pickle.loads(pickle.dumps(values[4]))(3) == 1
+    assert pickle.loads(pickle.dumps(values[3]))(3) == 1
 
 
 def test_only_finmodel_is_a_dataclass():
@@ -171,10 +168,16 @@ def test_only_finmodel_is_a_dataclass():
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """Nor does importing `realizability` load the `calgebra` checkers:
+    the report rows it returns are `record.Report`s."""
     src = Path(fusioncalc.__file__).resolve().parent.parent
-    code = ("import sys, fusioncalc.cli; "
-            "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, timeout=60, check=True,
-                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert done.stdout.strip() == ""
+    for module, unloaded in (("fusioncalc.cli", {"dataclasses", "inspect"}),
+                             ("fusioncalc.realizability",
+                              {"fusioncalc.calgebra"})):
+        code = (f"import sys, {module}; "
+                f"print(*sorted({unloaded!r} & set(sys.modules)))")
+        done = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60,
+                              check=True,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "", module

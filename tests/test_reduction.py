@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
-from fusioncalc.config import DEFAULT
 from fusioncalc.fusion import DELTA, fusion_str, parse_fusion
 from fusioncalc.process import (NIL, Act, Nu, Par, form_str, free_names,
                                 process_str)
@@ -335,7 +334,7 @@ def test_reducts_fire_each_pair_of_component_values_once(p, doubled):
         assert reduction._expand(node) == distinct(
             reference_reducts(*reduction._level(node)))
     level = reduction._level(multiset_form(p.proc)[0])
-    classes = fusion._classes(p.fus, DEFAULT)
+    classes = fusion._classes(p.fus)
     assert distinct(reduction._reducts(*level, classes)) == distinct(
         reference_reducts(*level, classes))
     found = step(p)
