@@ -430,6 +430,21 @@ def test_laws_suite(capsys):
     assert "realizability-laws" in out and "mll-corpus-soundness" in out
 
 
+def test_config_option_is_a_usage_error(capsys, tmp_path):
+    """The class budget is a constant: `--config FILE` and `--set` are
+    unknown options, so argparse rejects them before any command runs."""
+    config = tmp_path / "opts.cfg"
+    config.write_text("class_budget = 2048\n")
+    for argv in (["--config", str(config), "laws"],
+                 ["--set", "class_budget=2", "laws"],
+                 ["--set", "bogus=1", "laws"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2, argv
+        assert captured.out == "" and "usage: fusioncalc" in captured.err
+
+
 def test_search_budget_is_undecided_not_a_parse_error(capsys):
     names = " ".join(str(x) for x in range(1, 10))
     # nine separately restricted outputs share no name: no search at all

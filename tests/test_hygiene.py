@@ -179,21 +179,20 @@ def test_no_definition_is_used_by_the_tests_alone():
             for path in MODULES} == {path.name: [] for path in MODULES}
 
 
-def test_no_config_option_or_banner_returns(capsys, tmp_path):
-    """The class budget is a constant (`fusion._CLASS_BUDGET`): `--set`
-    and `--config` are usage errors, and no report opens with a
-    `# config` banner."""
+def test_no_config_parameter_or_banner_returns(capsys):
+    """The class budget is a constant (`fusion._CLASS_BUDGET`): there is
+    no `config.py`, no function of the package takes a `config`
+    parameter, and no report opens with a `# config` banner."""
     from fusioncalc.cli import main
 
-    config = tmp_path / "opts.cfg"
-    config.write_text("class_budget = 2048\n")
-    for argv in (["--set", "class_budget=2", "laws"],
-                 ["--config", str(config), "laws"]):
-        with pytest.raises(SystemExit) as info:
-            main(argv)
-        captured = capsys.readouterr()
-        assert info.value.code == 2, argv
-        assert captured.out == "" and "usage: fusioncalc" in captured.err
+    assert "config.py" not in [path.name for path in MODULES]
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs)]
+                assert "config" not in names, (path.name, node.lineno)
     for argv in (["laws"], ["pole-laws", "--universe", "limit=20"]):
         assert main(argv) == 0
         assert "# config" not in capsys.readouterr().out, argv

@@ -23,6 +23,8 @@ from fusioncalc.mll import (MAX_ASSIGNMENTS, Ax, Const, Cut, Exists,
 from fusioncalc.process import NIL, SearchBudgetError
 from fusioncalc.pwf import Pwf, as_pwf, equal_pwf
 
+from test_fusion import class_budget
+
 
 def test_parse_formula_forms():
     assert parse_formula("1") == One()
@@ -198,6 +200,15 @@ def test_realizer_catalog_is_built_once(monkeypatch):
     assert equal_pwf(evaluate_realizer(expr), evaluate_realizer(expr))
     assert pwf.realizer_catalog() is pwf.realizer_catalog()
     assert len(calls) == len(pwf.REALIZER_WORDS)
+
+
+def test_evaluate_realizer_honours_the_class_budget():
+    expr = extract_realizer(parse_proof("(tensor (ax X) (ax Y))"))
+    value = evaluate_realizer(expr)
+    with class_budget(1024):
+        assert equal_pwf(evaluate_realizer(expr), value)
+    with class_budget(1), pytest.raises(FusionError):
+        evaluate_realizer(expr)
 
 
 def boolean_model(rng, n, mutant=False):
