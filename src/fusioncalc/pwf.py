@@ -1,5 +1,5 @@
-"""Processes with fusions: the pairs, their equivalence, the three
-restriction binders, relabelings, and the adjoint application operators.
+"""Processes with fusions: the pairs, their equivalence, the restriction
+binders, relabelings, and the adjoint application operators.
 
 PWF equality is decided here alone, by `pwf_key`, which equates exactly
 the equal PWFs; `equal_pwf` compares two keys.
@@ -17,7 +17,7 @@ import functools
 
 from .fusion import (DELTA, Fusion, _classes, class_of, fusion_str, join,
                      map_fusion, parse_fusion, presentation, remove,
-                     second_rep, sigma_tau)
+                     sigma_tau)
 from .names import ALL, Name, NameSet, Word, finite, is_suffix, residue
 from .process import (NIL, Act, Nu, Par, Process, free_names,
                       parse_process, process_str, substitute, tidy)
@@ -115,9 +115,9 @@ def prefix(u: Name, polarity: str, xs: tuple[Name, ...], p: Pwf) -> Pwf:
 
 
 def nu_name(x: Name, p: Pwf) -> Pwf:
-    star = second_rep(p.fus, x)
-    body = substitute(p.proc, finite_subst({x: star}))
-    return Pwf(Nu(x, body), remove(p.fus, finite([x])))
+    """ν of the one name x: `nu_set` of {x}, whose closure takes the one
+    step x -> x* (`fusion.second_rep`) and binds x if it is free."""
+    return nu_set(finite([x]), p)
 
 
 def nu_finite(X: frozenset[Name], p: Pwf, *,

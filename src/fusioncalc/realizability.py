@@ -62,10 +62,10 @@ Two more exact tests run before a node's expensive step:
   the 48 `sandbox` members are keyed);
 - a `done` pole's `Pwf` entry rejects a node on which some name that
   no vector binds has unequal up and down prefix counts of one arity
-  (`reduction._balanced`), before its verdict cache: a step consumes
-  one up and one down prefix on one name and renames only vector names,
+  (`reduction._balanced`), before it searches: a step consumes one up
+  and one down prefix on one name and renames only vector names,
   binders on both sides, so every other name keeps its counts, and NIL
-  has none.  Such a node is neither searched nor cached.  The matrix
+  has none.  Such a node is not searched.  The matrix
   does not build one at all, so the node entry does not test it: two
   renamed sides share no vector name, so a composite's counts
   (`reduction._signature`) are the sums of its sides', and under a pole
@@ -74,11 +74,12 @@ Two more exact tests run before a node's expensive step:
   `done:8` matrix on the `sandbox` members merges 73 of the 348 pairs
   whose invariants fit).
 
-The pole caches its other verdicts by multiset form, and its search
-(`reduction._reaches_nil`) runs depth first to the first NIL and
-deduplicates reducts by key.  Its node entry `pole.node` decides the
-matrix composite, a closed node under Δ; any other pole gets the
-composite as a `Pwf`, and every pair whose invariants fit.
+The pole keeps no verdicts: its search (`reduction._reaches_nil`) runs
+depth first to the first NIL, deduplicates reducts by key, and reads a
+repeated node's reducts and their keys from the node stores of
+`reduction._expand` and `terms.node_key`.  Its node entry `pole.node`
+decides the matrix composite, a closed node under Δ; any other pole
+gets the composite as a `Pwf`, and every pair whose invariants fit.
 
 `Universe.regular` decides `reduction.pole_regular_on` on the same
 nodes.  Each member that steps, and each σ-reduct of its σ-node
@@ -110,9 +111,6 @@ from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
 # process keeps a bounded number of tables alive
 _TABLES: dict = {}
 _SHARED_LISTS = 4
-# verdicts a `done:k` pole keeps, as many as the node stores of
-# `terms.node_key` and `reduction._expand`; the oldest is dropped first
-_VERDICT_CAP = 1024
 # orthogonals a Universe keeps, by mask; the oldest is dropped first
 _ORTHOGONAL_CAP = 1024
 
@@ -134,25 +132,18 @@ def make_pole_done(k) -> Callable[[Pwf], bool]:
     whose balance signatures do not cancel, so every node it hands over
     is balanced.  Reduction keeps the fusion, so a term under any other
     fusion is outside.  The `Pwf` entry rejects a node that is not
-    `_balanced` at once; the other verdicts are cached by multiset
-    form, the value that decides them under Δ, for the last
-    `_VERDICT_CAP` (1,024) nodes decided; no term is keyed, only the
-    search's reducts."""
+    `_balanced` at once.  No verdict is kept, and no term is keyed, only
+    the search's reducts."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
-    cache: dict = {}
 
     def closed(node) -> bool:
         # under Δ each name is its class's least member, so node is the
         # σ-normal start of the search
-        verdict = cache.get(node)
-        if verdict is None:
-            verdict = remember(cache, node, _reaches_nil(node, k),
-                               _VERDICT_CAP)
-        return verdict
+        return _reaches_nil(node, k)
 
     def pole(q: Pwf) -> bool:
-        # an unbalanced node is neither searched nor cached
+        # an unbalanced node is not searched
         node = multiset_form(q.proc)[0]
         return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
             and _balanced(node) and closed(node)
@@ -169,8 +160,9 @@ def parse_pole(text: str) -> Callable[[Pwf], bool]:
         return pole_always
     if text == "done":
         return make_pole_done(math.inf)
-    if text.startswith("done:") and text[len("done:"):].isdecimal():
-        return make_pole_done(int(text[len("done:"):]))
+    bound = text[len("done:"):]
+    if text.startswith("done:") and bound.isascii() and bound.isdigit():
+        return make_pole_done(int(bound))
     raise ValueError(f"unknown pole {text!r} (use 'always', 'done' or "
                      f"'done:k', k a natural number)")
 

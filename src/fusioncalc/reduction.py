@@ -68,49 +68,30 @@ nodes in `_REDUCTS`, keyed by the node, dropping the oldest first.  With
 `node_key`'s store of keys, a process that runs many searches (`laws`,
 `pole-laws`, library batches) keys and expands each node value once; a
 single `fusioncalc reduce` run already keys each class once.  `step`
-matches subjects through the fusion's classes and reads no store of
-reducts.
+is `reach` one level deep, each class printed as a term under p's
+fusion, so it reads both stores too.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from typing import Callable, Iterator, Optional
+from typing import Iterator
 
-from .fusion import _classes, equal
+from .fusion import equal
 from .names import Name, remember
-from .pwf import Pwf, sigma_node
-from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, all_names,
-                    invariant, multiset_form, node_key)
+from .pwf import Pwf, sigma_form, sigma_node
+from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
+                    multiset_form, node_key)
 
 
 def step(p: Pwf) -> list[Pwf]:
-    """All one-step reducts, deduplicated up to structural congruence.
-
-    A reduct is the pair's continuations under the communicated vector,
-    beside the other components, under p's top-level restrictions; the
-    binders are numbered apart above p's names, the vector above all."""
-    node = multiset_form(p.proc)[0]
-    names, comps = _level(node)
-    base = max(all_names(p.proc) | {0}) + 1
-    fresh = max(all_names(_to_process(node, base)) | {0}) + 1
-    seen = set()
-    out = []
-    for a, b, r in _reducts(names, comps, _classes(p.fus)):
-        key = node_key(r)
-        if key not in seen:
-            seen.add(key)
-            (_, _, _, xs, left), (_, _, _, ys, right) = comps[a], comps[b]
-            # negative names that _to_process numbers fresh, fresh + 1, ...
-            vector = [base + ~fresh - i for i in range(len(xs))]
-            pair = ("par", (_relabel(left, dict(zip(xs, vector))),
-                            _relabel(right, dict(zip(ys, vector)))))
-            rest = (c for k, c in enumerate(comps) if k != a and k != b)
-            reduct = ("nu", names, ("par", (
-                ("nu", frozenset(vector), pair), *rest)))
-            out.append(Pwf(_to_process(reduct, base), p.fus))
-    return out
+    """All one-step reducts, deduplicated up to structural congruence:
+    the classes `reach(p, 1)` yields, in its order, under p's fusion,
+    binders numbered from one above the σ-node's free names."""
+    node, free = sigma_form(multiset_form(p.proc), p.fus)
+    base = max(free, default=-1) + 1
+    return [Pwf(_to_process(r, base), p.fus) for _, r in _search(node, 1)]
 
 
 def _level(node) -> tuple[frozenset, tuple]:
@@ -122,16 +103,14 @@ def _level(node) -> tuple[frozenset, tuple]:
                    () if node[0] == "nil" else (node,))
 
 
-def _reducts(names: frozenset, comps: tuple,
-             classes: Optional[Callable[[Name], frozenset]] = None):
-    """Each redex (sender a, receiver b) of the level (names, comps), with
-    the multiset form of the level after it fires: the receiver's bound
-    names become the sender's, the continuations are spliced into the
-    level, and the level keeps the restricted names that still occur.
-    `classes` is the fusion's class function (`fusion._classes`), which
-    matches distinct free subjects; None when the free names are
-    σ-representatives, which are fused only when equal.  Bound
-    (negative) subjects match only themselves.
+def _reducts(names: frozenset, comps: tuple):
+    """Each redex (sender a, receiver b) of the σ-normal level (names,
+    comps), with the multiset form of the level after it fires: the
+    receiver's bound names become the sender's, the continuations are
+    spliced into the level, and the level keeps the restricted names
+    that still occur.  Subjects match only when equal: free names are
+    σ-representatives, fused only with themselves, and bound (negative)
+    names are apart.
 
     Each (sender, receiver) pair of component values fires once, at its
     first redex: equal components leave equal levels, and whether two
@@ -142,10 +121,8 @@ def _reducts(names: frozenset, comps: tuple,
         for a, b in ((i, j), (j, i)):
             _, u, pol, xs, left = comps[a]
             _, v, pol_b, ys, right = comps[b]
-            if pol != "up" or pol_b != "down" or len(xs) != len(ys) or (
-                    u != v and (classes is None or u < 0 or v < 0
-                                or v not in classes(u))) or \
-                    (comps[a], comps[b]) in fired:
+            if pol != "up" or pol_b != "down" or len(xs) != len(ys) or \
+                    u != v or (comps[a], comps[b]) in fired:
                 continue
             fired.add((comps[a], comps[b]))
             if xs:

@@ -8,10 +8,14 @@ names and at the endpoints of the fusion's finite pairs
 (`np_finite_part`).  The closure then binds more names, but the extra
 ones are vacuous or fused away, so both seeds give equal PWFs; this
 module keeps the `np` seed so that a test can check that.
+
+`reference_nu_name` is ν of one name as the library built it before
+`pwf.nu_name` became `nu_set` of {x}: x is bound, vacuously or not, and
+substituted by x* (`fusion.second_rep`).
 """
 
-from fusioncalc.fusion import _classes, remove
-from fusioncalc.names import ALL, residue
+from fusioncalc.fusion import _classes, remove, second_rep
+from fusioncalc.names import ALL, finite, residue
 from fusioncalc.process import Nu, free_names, substitute
 from fusioncalc.pwf import Pwf, PwfError, _closure_step, par, relabel, unrelabel
 from fusioncalc.subst import finite_subst
@@ -65,3 +69,9 @@ def np_star(i, p, q):
     inner = par(p, relabel(q, i))
     restricted = np_nu_set(residue((i,)), inner)
     return unrelabel(restricted, 3 - i)
+
+
+def reference_nu_name(x, p):
+    star = second_rep(p.fus, x)
+    body = substitute(p.proc, finite_subst({x: star}))
+    return Pwf(Nu(x, body), remove(p.fus, finite([x])))

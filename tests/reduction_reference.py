@@ -142,16 +142,15 @@ def reference_reduces_within(p: Pwf, target: Pwf, k: int) -> bool:
     return False
 
 
-def reference_reducts(names, comps, classes=None):
+def reference_reducts(names, comps):
     """(sender a, receiver b, level after the redex fires) for every
-    redex of the level (names, comps), repeats included."""
+    redex of the σ-normal level (names, comps), repeats included."""
     for i, j in itertools.combinations(range(len(comps)), 2):
         for a, b in ((i, j), (j, i)):
             _, u, pol, xs, left = comps[a]
             _, v, pol_b, ys, right = comps[b]
-            if pol != "up" or pol_b != "down" or len(xs) != len(ys) or (
-                    u != v and (classes is None or u < 0 or v < 0
-                                or v not in classes(u))):
+            if pol != "up" or pol_b != "down" or len(xs) != len(ys) \
+                    or u != v:
                 continue
             if xs:
                 right = _relabel(right, dict(zip(ys, xs)))

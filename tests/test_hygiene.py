@@ -138,9 +138,9 @@ def uses(tree: ast.Module) -> set[str]:
 # The paper's operators and the package's documented API, which a
 # caller of the library reads although the package itself may not.
 DOCUMENTED_API = {
-    # fusions: the identity and ψ combinators, the relation, validity
-    # and the join of a family
-    "identity_I", "psi", "related", "validate", "join_all",
+    # fusions: the identity and ψ combinators, the relation, validity,
+    # the join of a family and the paper's second representative x*
+    "identity_I", "psi", "related", "validate", "join_all", "second_rep",
     # processes with fusions: the guarded prefix, restriction by a
     # finite set, free names, and the tensor-style composition `bullet`,
     # the reference that the universe's node images are checked against

@@ -197,9 +197,14 @@ def _step_listing(text):
      "0?(2).2?() | 0?(3).3!() | 1!()"),
     (_canonical_str, "0?(1,2).(new 1. (1!(2) | 2?()) | 1?())",
      "0?(1,2).(2?() | (new 3. 3?() | 3!(4)))"),
-    # one communication of arity 2
+    # one communication of arity 2; a reduct is printed from its
+    # σ-normal node, binders numbered from one above its free names
     (_step_listing, "<0!(1,2).(1!() | 2?()) | 0?(3,4).4!().3?() | 1?() ; {}>",
-     ["<(new 9 10. 9!() | 10?() | 10!().9?()) | 1?() ; {}>"]),
+     ["<new 2 3. 3?() | 3!().2?() | 2!() | 1?() ; {}>"]),
+    # subjects fused by the fusion: σ renames 1 to 0 before the step,
+    # so the reduct's only free name is 0 and its binder is numbered 1
+    (_step_listing, "<0!(2).2!() | 1?(2).2?() ; {0~1}>",
+     ["<new 1. 1?() | 1!() ; {0~1}>"]),
 ])
 def test_exact_output(render, text, expected):
     assert render(text) == expected

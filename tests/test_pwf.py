@@ -18,7 +18,8 @@ from fusioncalc.pwf import (
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
 from fusion_reference import canonical_subst
-from pwf_reference import np_nu_all, np_nu_set, np_star
+from pwf_reference import (np_nu_all, np_nu_set, np_star,
+                           reference_nu_name)
 from subst_reference import compose, reference_substitute, scoped_processes
 
 
@@ -183,6 +184,20 @@ def test_the_np_seed_changes_no_nu_set(proc, fus, X):
         else:
             assert equal_pwf(ours, ref)
             assert pwf_str(ours) == pwf_str(ref)
+
+
+@given(scoped_processes(), _fusions(), st.integers(0, 15))
+@settings(max_examples=300, deadline=None)
+def test_nu_name_prints_as_the_direct_binder(proc, fus, x):
+    """`nu_name`, which is `nu_set` of {x}, prints the PWF, or raises the
+    error class, of binding x directly under x -> x* (`pwf_reference`):
+    the vacuous ν that `nu_set` leaves out is one `tidy` drops."""
+    p = Pwf(proc, fus)
+    ours, ref = _outcome(nu_name, x, p), _outcome(reference_nu_name, x, p)
+    if isinstance(ours, type):
+        assert ref is ours
+    else:
+        assert pwf_str(ours) == pwf_str(ref)
 
 
 @given(scoped_processes(max_leaves=4), _fusions(),
