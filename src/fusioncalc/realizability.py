@@ -10,7 +10,7 @@ members).  The op tables depend only on the member list, so universes
 that share it share one set of tables; each row keeps only its member
 cells.  `clip` maps a PWF to the member with the same `pwf.pwf_key`,
 which equates exactly the equal PWFs; `default_universe` drops a PWF
-whose key an earlier one has.  A pole is a predicate `pole(q)` on PWFs.
+whose key an earlier one has.
 `check_laws` returns a `record.Report`, so this module loads none of
 `calgebra`.
 
@@ -49,8 +49,9 @@ of invariants, and a merge once per fitting member pair:
 
 - an op-table cell (a, b) is empty when inv(a) + inv(b) is no member's
   invariant;
-- the `done:k` pole is false on a term that cannot consume its actions
-  in k steps (`reduction._may_reach`); the exact pole `done` has k = ∞.
+- a pole that carries its k, a `done:k` pole, is false on a term that
+  cannot consume its actions in k steps (`reduction._may_reach`); the
+  exact pole `done` has k = ∞.
 
 Two more exact tests run before a node's expensive step:
 
@@ -60,26 +61,28 @@ Two more exact tests run before a node's expensive step:
   only in their binders' numbers and their siblings' order, so an
   image of any other skeleton is no member (167 of the 524 images on
   the 48 `sandbox` members are keyed);
-- a `done` pole's `Pwf` entry rejects a node on which some name that
-  no vector binds has unequal up and down prefix counts of one arity
-  (`reduction._balanced`), before it searches: a step consumes one up
-  and one down prefix on one name and renames only vector names,
-  binders on both sides, so every other name keeps its counts, and NIL
-  has none.  Such a node is not searched.  The matrix
-  does not build one at all, so the node entry does not test it: two
-  renamed sides share no vector name, so a composite's counts
-  (`reduction._signature`) are the sums of its sides', and under a pole
-  with a node entry `_images` pairs a left side only with the right
-  sides of the negated signature, found by one lookup per side (the
-  `done:8` matrix on the `sandbox` members merges 73 of the 348 pairs
-  whose invariants fit).
+- under a pole that carries its k, the matrix builds no composite on
+  which some name that no vector binds has unequal up and down prefix
+  counts of one arity: a step consumes one up and one down prefix on
+  one name and renames only vector names, binders on both sides, so
+  every other name keeps its counts, and NIL has none.  Two renamed
+  sides share no vector name, so a composite's counts
+  (`reduction._signature`) are the sums of its sides', and `_images`
+  pairs a left side only with the right sides of the negated
+  signature, found by one lookup per side (the `done:8` matrix on the
+  `sandbox` members merges 73 of the 348 pairs whose invariants fit).
 
-The pole keeps no verdicts: its search (`reduction._reaches_nil`) runs
-depth first to the first NIL, deduplicates reducts by key, and reads a
-repeated node's reducts and their keys from the node stores of
-`reduction._expand` and `terms.node_key`.  Its node entry `pole.node`
-decides the matrix composite, a closed node under Δ; any other pole
-gets the composite as a `Pwf`, and every pair whose invariants fit.
+A pole is one callable on the σ-node of a closed composite ν(p | q),
+the only term that orthogonality asks it of: ν binds every name, so
+the node has no free name and the composite's fusion is Δ
+(remove(J, all) is Δ).  The pruning above lives in `Universe._in_pole`
+alone, and only under a pole with a `k`; any other callable gets every
+composite.  The `done` pole is `reduction._reaches_nil`, which is
+exact on any closed node, so it repeats neither test.  It keeps no
+verdicts: it runs depth first to the first NIL, deduplicates reducts
+by key, and reads a repeated node's reducts and their keys from the
+node stores of `reduction._expand` and `terms.node_key`.  No composite
+becomes a `Process`.
 
 `Universe.regular` decides `reduction.pole_regular_on` on the same
 nodes.  Each member that steps, and each σ-reduct of its σ-node
@@ -101,10 +104,10 @@ from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
 from .record import Report, first_witness
-from .reduction import (_balanced, _expand, _may_reach, _negated,
-                        _reaches_nil, _signature)
-from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
-                    multiset_form, skeleton)
+from .reduction import (_expand, _may_reach, _negated, _reaches_nil,
+                        _signature)
+from .terms import (_NIL_NODE, _nodes, _relabel, invariant, multiset_form,
+                    skeleton)
 
 # op tables by member tuple, shared by every Universe on it;
 # the oldest member list is dropped past _SHARED_LISTS, so a long-lived
@@ -115,46 +118,31 @@ _SHARED_LISTS = 4
 _ORTHOGONAL_CAP = 1024
 
 
-def pole_always(q: Pwf) -> bool:
+def pole_always(node) -> bool:
     return True
 
 
-def make_pole_done(k) -> Callable[[Pwf], bool]:
-    """The pole of terms that reach <NIL ; Δ> within k steps; k may be
-    `math.inf`, the exact pole `done` of terms that reach it at all.  A
-    step consumes two prefixes and nothing replicates, so a term with n
-    prefixes reaches NIL, if at all, in exactly n/2 steps: the exact
-    pole searches each term to that depth, and so does `done:k` for
-    2k >= n.  The pole carries its k, so `Universe.matrix` can skip
-    composites that it rejects on their invariant alone, and its node
-    entry `pole.node`, which decides a closed node under Δ with neither
-    the invariant test nor the balance test: the matrix builds no pair
-    whose balance signatures do not cancel, so every node it hands over
-    is balanced.  Reduction keeps the fusion, so a term under any other
-    fusion is outside.  The `Pwf` entry rejects a node that is not
-    `_balanced` at once.  No verdict is kept, and no term is keyed, only
-    the search's reducts."""
+def make_pole_done(k) -> Callable[[tuple], bool]:
+    """The pole of closed composites that reach NIL within k steps; k
+    may be `math.inf`, the exact pole `done` of those that reach it at
+    all.  A step consumes two prefixes and nothing replicates, so a term
+    with n prefixes reaches NIL, if at all, in exactly n/2 steps: the
+    exact pole searches each node to that depth, and so does `done:k`
+    for 2k >= n.  The pole carries its k, so that `Universe._in_pole`
+    builds no composite that it rejects on its invariant or its balance
+    signature alone.  It keeps no verdict and keys only the search's
+    reducts."""
     if k < 0:
         raise ValueError(f"pole done:{k} needs k >= 0")
 
-    def closed(node) -> bool:
-        # under Δ each name is its class's least member, so node is the
-        # σ-normal start of the search
+    def pole(node) -> bool:
         return _reaches_nil(node, k)
 
-    def pole(q: Pwf) -> bool:
-        # an unbalanced node is not searched
-        node = multiset_form(q.proc)[0]
-        return q.fus.is_delta() and _may_reach(invariant(node), (), k) \
-            and _balanced(node) and closed(node)
-
-    pole.__name__ = f"pole_done_{k}"
     pole.k = k
-    pole.node = closed
     return pole
 
 
-def parse_pole(text: str) -> Callable[[Pwf], bool]:
+def parse_pole(text: str) -> Callable[[tuple], bool]:
     text = text.strip()
     if text == "always":
         return pole_always
@@ -361,19 +349,16 @@ class Universe:
     def _in_pole(self, unordered: bool = False, lefts: Optional[dict] = None,
                  nodes: Optional[list] = None) -> Iterator[tuple[int, int]]:
         """(i, j) of each composite ν(i | j) in the pole, i a left
-        operand and j a member (see `_images`).  A pair outside the pole
-        on its invariant is not built, and under a pole with a node
-        entry, a `done` pole that holds on no unbalanced node, neither
-        is a pair whose two balance signatures do not cancel: the node
-        entry only sees balanced composites, and does not test them."""
+        operand and j a member (see `_images`), each decided on its
+        σ-node.  Under a pole that carries its k, a `done` pole, a pair
+        that cannot consume its prefixes in k steps, or whose two
+        balance signatures do not cancel, is outside and not built."""
         k = getattr(self.pole, "k", None)
-        on_node = getattr(self.pole, "node", None)
-        for i, j, fus, node in self._images(
+        for i, j, _, node in self._images(
                 ((), (), ALL, ()), lambda a, b: k is None or
-                _may_reach(_add(a, b), (), k), unordered,
-                on_node is not None, lefts, nodes):
-            if on_node(node) if on_node is not None else \
-                    self.pole(Pwf(_to_process(node), fus)):
+                _may_reach(_add(a, b), (), k), unordered, k is not None,
+                lefts, nodes):
+            if self.pole(node):
                 yield i, j
 
     def _images(self, shape: tuple, fits: Callable[[tuple, tuple], bool],

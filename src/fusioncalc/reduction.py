@@ -40,27 +40,25 @@ its own restriction: `multiset_form` gives each copy its own binder, so
 firing j of n copies reaches C(n, j) node values of one class.  `reach`,
 which lists every class, keeps its level search.
 
-A `done` pole asks `_balanced` of a `Pwf` before it searches, and
-searches no composite of the matrix that is not: a node reaches NIL
-only if every name that no bound vector binds has, for each arity, as
-many up prefixes as down ones.  The test rejects no node that reaches
-NIL.  A step consumes one up and one down prefix of equal arity on one
-name, and it renames only vector names: the paper's emissions and
-receptions both bind the names they pass, so the receiver's vector,
-a binder, is renamed onto the sender's, a binder too.  So every other
-name keeps its counts through every step, as a place of a Petri net
-keeps an invariant (Murata, "Petri nets: properties, analysis and
-applications", Proc. IEEE 1989), and NIL has no prefix.  The nonzero
-counts form a node's `_signature`; nodes that share no vector name add
-their signatures when put in parallel, so `realizability.Universe`
-pairs two renamed members only when their signatures cancel, without
-building the composite.
+A node reaches NIL only if every name that no bound vector binds has,
+for each arity, as many up prefixes as down ones.  A step consumes one
+up and one down prefix of equal arity on one name, and it renames only
+vector names: the paper's emissions and receptions both bind the names
+they pass, so the receiver's vector, a binder, is renamed onto the
+sender's, a binder too.  So every other name keeps its counts through
+every step, as a place of a Petri net keeps an invariant (Murata,
+"Petri nets: properties, analysis and applications", Proc. IEEE 1989),
+and NIL has no prefix.  The nonzero counts form a node's `_signature`;
+nodes that share no vector name add their signatures when put in
+parallel, so under a `done` pole `realizability.Universe` builds a
+composite only when its two members' signatures cancel.
+`_reaches_nil` is exact on any node and does not test the counts.
 
 `pole_regular_on` asks whether ν(q | r) in the pole implies ν(p | r) in
 it, for every member p, reduct q of p and member r.  It builds a
 `realizability.Universe` on the members and reads the σ-reducts of each
 member's σ-node from `_expand`: only the members that step get rows,
-and no composite is a `Process` when the pole decides nodes.
+and the pole decides each composite on its node, with no `Process`.
 
 With no replication, the reducts of a σ-normal node depend on the node
 alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
@@ -291,21 +289,12 @@ def _negated(signature: frozenset) -> frozenset:
     return frozenset((key, -d) for key, d in signature)
 
 
-def _balanced(node) -> bool:
-    """Whether every name of a σ-normal node that no bound vector binds
-    has, for each arity, as many up prefixes as down ones (an empty
-    `_signature`), as every node that reaches NIL must have: a step
-    consumes one up and one down prefix of equal arity on one name, and
-    it renames only vector names, so every other name keeps its counts,
-    and NIL has none."""
-    return not _signature(node)
-
-
 def pole_regular_on(pole, universe) -> bool:
     """Anti-reduction closure of singleton orthogonals, checked over the
     given finite universe: whenever p steps to q, everything orthogonal
-    to q is orthogonal to p.  Decided on the members' σ-nodes by
-    `realizability.Universe.regular`."""
+    to q is orthogonal to p.  The pole decides the σ-node of a closed
+    composite (see `realizability`).  Decided on the members' σ-nodes
+    by `realizability.Universe.regular`."""
     # realizability imports this module
     from .realizability import Universe
     return Universe(universe, pole).regular()

@@ -19,7 +19,8 @@ components is tried, and repeated pairs fire again.
 
 `reference_pole_regular_on` is the anti-reduction check as a loop over
 `Process` terms: every reduct of every member against every member,
-each composite built with `pwf.nu_all` and `pwf.par`.
+each composite built with `pwf.nu_all` and `pwf.par`, and handed to the
+pole as its σ-node (`pwf.sigma_node`) only at the end.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from canonical_reference import congruence_key
 from fusion_reference import canonical_subst
 from fusioncalc.fusion import _classes, equal
 from fusioncalc.process import Act, Nu, Par, all_names, canonical, substitute
-from fusioncalc.pwf import Pwf, nu_all, par, pwf_str
+from fusioncalc.pwf import Pwf, nu_all, par, pwf_str, sigma_node
 from fusioncalc.reduction import _occurs, step
 from fusioncalc.subst import finite_subst
 from fusioncalc.terms import _NIL_NODE, _relabel, _simplify, _to_process
@@ -67,8 +68,11 @@ def _fire(bound, comps, a, b, p):
 
 
 def reference_step(p: Pwf) -> list[Pwf]:
-    """All one-step reducts, deduplicated up to structural congruence."""
+    """All one-step reducts, deduplicated up to structural congruence
+    under p's fusion: two reducts whose terms differ only in names that
+    the fusion identifies are one PWF."""
     classes = _classes(p.fus)
+    sigma = canonical_subst(p.fus)
     bound, comps = _spine(p.proc)
     seen = set()
     out = []
@@ -86,7 +90,7 @@ def reference_step(p: Pwf) -> list[Pwf]:
                            or v not in classes(u)):
                 continue
             reduct = _fire(bound, comps, a, b, p)
-            key = congruence_key(reduct.proc)
+            key = congruence_key(substitute(reduct.proc, sigma))
             if key not in seen:
                 seen.add(key)
                 out.append(reduct)
@@ -178,6 +182,7 @@ def reference_pole_regular_on(pole, universe) -> bool:
     for p in universe:
         for q in step(p):
             for r in universe:
-                if pole(nu_all(par(q, r))) and not pole(nu_all(par(p, r))):
+                if pole(sigma_node(nu_all(par(q, r)))) and \
+                        not pole(sigma_node(nu_all(par(p, r)))):
                     return False
     return True

@@ -1,5 +1,6 @@
 import pytest
 
+from fusioncalc import hy_encodings
 from fusioncalc.hy_encodings import (NOT_ENCODABLE, NotEncodableError,
                                      check_hy_reductions, encode)
 from fusioncalc.pwf import equal_pwf, parse_pwf, par
@@ -52,3 +53,34 @@ def test_report():
     for label, verdict, detail in report:
         if verdict == "not-encodable":
             assert "not encodable in the fragment as defined" in detail
+
+
+def reference_reduces_to(p, target) -> bool:
+    """The check as it was: some one-step reduct equals the target."""
+    return any(equal_pwf(q, target) for q in step(p))
+
+
+def test_report_verdicts_match_the_one_step_reference(monkeypatch):
+    """Each check asks `reduces_within` for one step, and gets the
+    verdict of the loop over `step`'s reducts; so does each composite
+    against the other checks' targets, which it does not reach."""
+    asked = []
+    reduces_within = hy_encodings.reduces_within
+
+    def recording(p, target, k):
+        asked.append((p, target, k))
+        return reduces_within(p, target, k)
+
+    monkeypatch.setattr(hy_encodings, "reduces_within", recording)
+    report = check_hy_reductions()
+    assert len(asked) == 4 and {k for *_, k in asked} == {1}
+    verdicts = [verdict for _, verdict, _ in report[:4]]
+    assert verdicts == ["pass" if reference_reduces_to(p, target)
+                        else "fail" for p, target, _ in asked]
+    misses = 0
+    for p, _, _ in asked:
+        for _, target, _ in asked:
+            ok = reduces_within(p, target, 1)
+            assert ok == reference_reduces_to(p, target), (p, target)
+            misses += not ok
+    assert misses

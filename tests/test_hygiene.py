@@ -147,6 +147,8 @@ DOCUMENTED_API = {
     "prefix", "nu_finite", "fn_contains", "bullet",
     # the printed form of a congruence class, read by criterion 06
     "canonical",
+    # the paper's one-step reduction, whose reducts print as terms
+    "step",
     # the universe's orthogonal of a PWF list and the behaviour
     # operations 1 and ⅋
     "orthogonal", "op_one", "op_parr",

@@ -6,7 +6,7 @@ from functools import reduce
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
@@ -101,11 +101,14 @@ def _small_universe():
 
 
 def test_pole_regular_examples():
+    """A pole decides the σ-node of a closed composite, whose fusion is
+    Δ."""
     universe = _small_universe()
-    assert pole_regular_on(lambda q: True, universe)
-    assert pole_regular_on(lambda q: reduces_within(q, UNIT, 8), universe)
+    assert pole_regular_on(lambda node: True, universe)
+    assert pole_regular_on(lambda node: reduces_within(
+        Pwf(terms._to_process(node), DELTA), UNIT, 8), universe)
     # the bare singleton pole is not regular: a redex is not literally 1
-    assert not pole_regular_on(lambda q: equal_pwf(q, UNIT), universe)
+    assert not pole_regular_on(lambda node: node == _NIL_NODE, universe)
 
 
 def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
@@ -418,26 +421,28 @@ def test_depth_first_nil_search_matches_the_reference(p, k):
 @settings(max_examples=150, deadline=None)
 def test_an_unbalanced_term_reaches_nil_in_no_number_of_steps(p):
     """Where some name that no vector binds has unequal up and down
-    prefix counts of one arity (`reduction._balanced` false), the
+    prefix counts of one arity (a nonempty `reduction._signature`), the
     reference search does not reach NIL under the term's fusion (<1 ; Δ>
     for a term under Δ) in 4 steps, nor in half the term's prefix count,
     where every search from it ends; so in no number of steps."""
     for term in (p.proc, _without_vectors(p.proc)):
         closed = nu_all(Pwf(term, p.fus))
         node = sigma_node(closed)
-        if not reduction._balanced(node):
+        if reduction._signature(node):
             prefixes = sum(count for _, count in invariant(node))
             assert not reference_reduces_within(
                 closed, Pwf(NIL, p.fus), max(4, prefixes // 2))
 
 
 @given(_pwfs(scoped=True))
+# firing 0?(5) with 2!(5) or with 0!(5) leaves one PWF under {0~2}
+@example(parse_pwf("<0?(5) | 2!(5) | 0!(5) ; {0~2}>"))
 @settings(max_examples=200, deadline=None)
 def test_step_matches_the_process_level_reference(p):
     """Firing on the multiset form gives the reducts that firing on
-    `Process` terms with capture-avoiding substitution gives, and each
-    reduct's binders capture none of its free names, so it reads back
-    as itself."""
+    `Process` terms with capture-avoiding substitution gives, each class
+    up to the fusion once, and each reduct's binders capture none of its
+    free names, so it reads back as itself."""
     def keys(reducts):
         return Counter(node_key(sigma_node(r)) for r in reducts)
 
