@@ -11,21 +11,13 @@ class that reaches it may be infinite or only large, and the operation
 raises `ClassBudgetError` (undecided, exit 3 at the CLI).
 
 What the operations read of a fusion is computed once per value and
-kept in two module stores, each holding at most `_STORE_CAP` (128)
-analyses and dropping the oldest first:
-- `_ANALYSES`, keyed by the fusion: the adjacency map, the family
-  steps, every class walked so far under each of its members, the
-  `presentation` and `restrict`'s result per name set;
-- `_FAMILY_ANALYSES`, keyed by the family set: the suffix rules, its
-  own classes (walked only once something reads them), the region
-  lists of its words, the partition and the family half of `restrict`
-  per set (`_family_restriction`).
-The restrictions of one analysis are bounded by `_RESTRICT_CAP` (16)
-name sets, since a restriction binder makes a new set per name.  Equal
-values built by different calls share one analysis, and a fusion value
-is never changed.  A walk that exceeds the budget, or a restriction
-that raises, stores no result, so it raises on every call.  Every
-bounded store drops its oldest entry first (`names.remember`).
+kept by `functools.lru_cache` (the README lists each bound):
+`_analysis` keeps a fusion's adjacency map, family steps and every
+class walked so far; `presentation`, `family_partition`, `_suffix_rules`,
+`_restrict` and `_family_restriction` keep their results.  The classes
+of a family set are those of the pure-family fusion on it, so one
+analysis serves both.  A walk that exceeds the budget, or a
+restriction that raises, stores no result, so it raises on every call.
 
 A family generator rewrites a low-order word suffix and keeps n, so the
 family part is a suffix-rewriting system on words.  A word v is stable
@@ -58,10 +50,11 @@ reached from them) is also what makes restriction representable.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
-                    parse_name, remember, tag, untag, word, word_str)
+                    parse_name, tag, untag, word, word_str)
 from .record import Record
 from .subst import Substitution, remap_subst
 
@@ -159,30 +152,18 @@ def _singleton(x: Name) -> frozenset[Name]:
 
 
 # ---------------------------------------------------------------------------
-# the store of analyses
+# the analysis of a fusion
 
-_STORE_CAP = 128
+_STORE_CAP = 128  # fusions, family sets and presentations kept
 _CLASS_BUDGET = 1024  # members one class walk may reach
-_RESTRICT_CAP = 16  # restrictions kept per analysis
-_ANALYSES: dict = {}  # Fusion -> _Analysis
-_FAMILY_ANALYSES: dict = {}  # family set -> _FamilyAnalysis
-
-
-def _remembered(store: dict, kind: type, value):
-    """kind(value) from `store`, made on first use; a full store drops
-    its oldest analysis first."""
-    analysis = store.get(value)
-    if analysis is None:
-        analysis = remember(store, value, kind(value), _STORE_CAP)
-    return analysis
+_RESTRICT_CAP = 2048  # restrictions kept: 16 name sets per cached fusion
 
 
 class _Analysis:
-    """One fusion: the adjacency map of its pairs, its family steps,
-    each class walked so far under every member, and the presentation
-    once computed."""
+    """One fusion: the adjacency map of its pairs, its family steps and
+    each class walked so far under every member."""
 
-    __slots__ = ("adj", "steps", "walked", "restricted", "presentation")
+    __slots__ = ("adj", "steps", "walked")
 
     def __init__(self, e: Fusion) -> None:
         self.adj: dict[Name, list[Name]] = {}
@@ -194,8 +175,6 @@ class _Analysis:
             self.steps.append(_affine(w1, w2))
             self.steps.append(_affine(w2, w1))
         self.walked: dict[Name, frozenset[Name]] = {}
-        self.restricted: dict[NameSet, Fusion] = {}
-        self.presentation: tuple | None = None
 
     def class_of(self, x: Name) -> frozenset[Name]:
         cls = self.walked.get(x)
@@ -226,19 +205,21 @@ class _Analysis:
         return cls
 
 
+_analysis = functools.lru_cache(maxsize=_STORE_CAP)(_Analysis)
+
+
 def _classes(e: Fusion) -> Callable[[Name], frozenset[Name]]:
     """x -> class_of(e, x), each class walked once per analysis.
 
-    Reads e's analysis in `_ANALYSES`, keyed by e: its adjacency map,
-    its family steps and every class walked so far, remembered for all
-    members.  A class walked by one operation is read by the next one
-    on an equal value for as long as the analysis is among the last
-    `_STORE_CAP` (128) made.  A walk that exceeds the budget raises
-    ClassBudgetError naming the queried name and remembers nothing.  Δ
+    Reads e's `_analysis`: its adjacency map, its family steps and every
+    class walked so far, kept for all members.  A class walked by one
+    operation is read by the next one on an equal value for as long as
+    the analysis stays cached.  A walk that exceeds the budget raises
+    ClassBudgetError naming the queried name and keeps nothing.  Δ
     needs no analysis: all its classes are singletons."""
     if e.is_delta():
         return _singleton
-    return _remembered(_ANALYSES, _Analysis, e).class_of
+    return _analysis(e).class_of
 
 
 def class_of(e: Fusion, x: Name) -> frozenset[Name]:
@@ -317,9 +298,7 @@ def meet(e: Fusion, f: Fusion) -> Fusion:
                 both = sorted(f_words.intersection(s + u for u in e_words))
                 families.update(zip(both, both[1:]))
                 probes.add(tag(0, s + r + w))
-    families = frozenset(families)
-    family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis,
-                             families).class_of
+    family_cls = _classes(Fusion(families=families))
     pairs: set[tuple[Name, Name]] = set()
     for x in probes:
         cls = sorted(e_cls(x) & f_cls(x))
@@ -331,6 +310,7 @@ def meet(e: Fusion, f: Fusion) -> Fusion:
 # ---------------------------------------------------------------------------
 # parametric classes of the family part
 
+@functools.lru_cache(maxsize=_STORE_CAP)
 def _suffix_rules(families: frozenset[tuple[Word, Word]]) -> tuple:
     """The family generators as suffix rewrites in both directions, by
     left-hand word and by its length, and the unstable words: the proper
@@ -372,57 +352,27 @@ def _word_class(system: tuple, u: Word) -> frozenset[Word] | None:
     return frozenset(cls)
 
 
-class _FamilyAnalysis:
-    """One family set: its suffix rules
-    (`_suffix_rules`), the analysis that walks its classes once one is
-    read (`class_of`), the region list of each word that `_regions`
-    walked, and its `family_partition` once built."""
-
-    __slots__ = ("families", "system", "walks", "regions", "partition",
-                 "restricted")
-
-    def __init__(self, families: frozenset[tuple[Word, Word]]) -> None:
-        self.families = families
-        self.system = _suffix_rules(families)
-        self.walks: _Analysis | None = None
-        self.regions: dict[Word, list[tuple[Word, frozenset[Word]]]] = {}
-        self.partition: tuple | None = None
-        self.restricted: dict[NameSet, tuple] = {}
-
-    def class_of(self, x: Name) -> frozenset[Name]:
-        """x's class in the family-only relation."""
-        if self.walks is None:
-            self.walks = _Analysis(Fusion(families=self.families))
-        return self.walks.class_of(x)
-
-
 def _regions(families: frozenset[tuple[Word, Word]], w: Word
              ) -> list[tuple[Word, frozenset[Word]]]:
     """Split the names tag(n, w) into regions tag(m, r + w) whose family
-    class is uniform in m: each r with the word class of r + w.
-
-    Remembered in the family set's analysis; a walk that fails
-    remembers nothing."""
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
-    found = analysis.regions.get(w)
-    if found is None:
-        system = analysis.system
-        found = []
-        max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
-        stack: list[Word] = [()]
-        while stack:
-            r = stack.pop()
-            if len(r + w) > max_base:
-                raise InvalidFusionError("family bases do not stabilize")
-            cls = _word_class(system, r + w)
-            if cls is None:
-                stack += [(2,) + r, (1,) + r]
-            else:
-                found.append((r, cls))
-        analysis.regions[w] = found
+    class is uniform in m: each r with the word class of r + w."""
+    system = _suffix_rules(families)
+    found = []
+    max_base = 2 * max(map(len, system[0].keys() | {w})) + 4
+    stack: list[Word] = [()]
+    while stack:
+        r = stack.pop()
+        if len(r + w) > max_base:
+            raise InvalidFusionError("family bases do not stabilize")
+        cls = _word_class(system, r + w)
+        if cls is None:
+            stack += [(2,) + r, (1,) + r]
+        else:
+            found.append((r, cls))
     return found
 
 
+@functools.lru_cache(maxsize=_STORE_CAP)
 def family_partition(families: frozenset[tuple[Word, Word]]
                      ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     """Partition the family-generated relation into parametric classes.
@@ -433,20 +383,12 @@ def family_partition(families: frozenset[tuple[Word, Word]]
     deeper than them, so the class shape is uniform in n.  They are the
     regions of the family words.
 
-    Remembered in the family set's analysis, since every operation's
-    result is validated; a partition that exceeds the class budget is not
-    remembered, so it raises on every call.
+    Cached, since every operation's result is validated; a partition
+    that exceeds the class budget is not stored, so it raises on every
+    call.
     """
     if not families:
         return ()
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
-    if analysis.partition is None:
-        analysis.partition = _partition(families)
-    return analysis.partition
-
-
-def _partition(families: frozenset[tuple[Word, Word]]
-               ) -> tuple[tuple[Word, tuple[Word, ...]], ...]:
     bases = [(r + g, tuple(sorted(cls, key=_word_key)))
              for g in sorted({w for pair in families for w in pair},
                              key=_word_key)
@@ -472,23 +414,18 @@ def _partition(families: frozenset[tuple[Word, Word]]
 def restrict(e: Fusion, X: NameSet) -> Fusion:
     """e restricted to X: the pairs of e between members of X.
 
-    Remembered per X in e's analysis, for the last `_RESTRICT_CAP` sets
-    restricted to; the family half (`_family_restriction`) is kept per X
-    in the family set's analysis.  A restriction that raises stores no
-    result, so it raises on every call; a family half it completed
+    Cached per (e, X) in `_restrict`, and the family half per (family
+    set, X) in `_family_restriction`.  A restriction that raises stores
+    no result, so it raises on every call; a family half it completed
     before raising is kept, as it does not depend on e's pairs."""
     if X.is_all():
         return e
     if X.is_empty_like() or e.is_delta():
         return DELTA
-    analysis = _remembered(_ANALYSES, _Analysis, e)
-    found = analysis.restricted.get(X)
-    if found is None:
-        found = remember(analysis.restricted, X, _restrict(e, X),
-                         _RESTRICT_CAP)
-    return found
+    return _restrict(e, X)
 
 
+@functools.lru_cache(maxsize=_RESTRICT_CAP)
 def _restrict(e: Fusion, X: NameSet) -> Fusion:
     new_pairs: set[tuple[Name, Name]] = set()
     concrete_seen: set[Name] = set()
@@ -526,20 +463,16 @@ def _restrict(e: Fusion, X: NameSet) -> Fusion:
                   "restriction produced an invalid fusion")
 
 
+@functools.lru_cache(maxsize=_RESTRICT_CAP)
 def _family_restriction(families: frozenset[tuple[Word, Word]],
                         X: NameSet) -> tuple:
     """The half of `restrict` that reads only the family part and X: per
     entry (u, W) of the family partition, W, the indices n that X names
     singly in some tag(., w), and each region with the words w of W whose
     whole region tag(., region + w) lies in X (`keep`); and the families
-    that join the kept words.  Remembered per X in the family set's
-    analysis, for the last `_RESTRICT_CAP` sets."""
+    that join the kept words."""
     if not families:
         return (), frozenset()
-    analysis = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis, families)
-    found = analysis.restricted.get(X)
-    if found is not None:
-        return found
     entries = []
     new_fams: set[tuple[Word, Word]] = set()
     for u, W in family_partition(families):
@@ -557,8 +490,7 @@ def _family_restriction(families: frozenset[tuple[Word, Word]],
                     new_fams.add(_fam_pair(region + first, region + w2))
             regions.append((region, tuple(keep)))
         entries.append((W, indices, tuple(regions)))
-    return remember(analysis.restricted, X,
-                    (tuple(entries), frozenset(new_fams)), _RESTRICT_CAP)
+    return tuple(entries), frozenset(new_fams)
 
 
 def _region_inside(region: Word, N: NameSet) -> bool:
@@ -614,21 +546,18 @@ def map_fusion(e: Fusion, sigma: Substitution) -> Fusion:
                   "substitution image is not a fusion")
 
 
+@functools.lru_cache(maxsize=_STORE_CAP)
 def presentation(e: Fusion) -> tuple:
     """The normal form of e's relation (see the module docstring): its
     merged family word classes and the classes its pairs make larger
-    than their family-only class.  Remembered in e's analysis."""
+    than their family-only class."""
     if e.is_delta():
         return frozenset(), frozenset()
-    analysis = _remembered(_ANALYSES, _Analysis, e)
-    if analysis.presentation is None:
-        classes = _classes(e)
-        family_cls = _remembered(_FAMILY_ANALYSES, _FamilyAnalysis,
-                                 e.families).class_of
-        added = {classes(x) for x in sorted(e.endpoints())}
-        analysis.presentation = _merged(e.families), frozenset(
-            c for c in added if len(c) > len(family_cls(next(iter(c)))))
-    return analysis.presentation
+    classes = _classes(e)
+    family_cls = _classes(Fusion(families=e.families))
+    added = {classes(x) for x in sorted(e.endpoints())}
+    return _merged(e.families), frozenset(
+        c for c in added if len(c) > len(family_cls(next(iter(c)))))
 
 
 def _merged(families: frozenset[tuple[Word, Word]]

@@ -4,13 +4,13 @@ the truth-value operations, with law checkers.
 All results are universe-relative: operations clip to the member set,
 and subsets are bitmasks over the member list.  The orthogonality
 matrix is computed once (the `always` pole builds no composite), and
-each universe keeps the orthogonals of its last `_ORTHOGONAL_CAP` masks
+each universe caches the orthogonals of `_ORTHOGONAL_CAP` masks
 (`check_laws` asks 720 times for 261 distinct masks on the 48 `sandbox`
 members).  The op tables depend only on the member list, so universes
-that share it share one set of tables; each row keeps only its member
-cells.  `clip` maps a PWF to the member with the same `pwf.pwf_key`,
-which equates exactly the equal PWFs; `default_universe` drops a PWF
-whose key an earlier one has.
+that share it share one set of tables (`_shared_tables`); each row
+keeps only its member cells.  `clip` maps a PWF to the member with the
+same `pwf.pwf_key`, which equates exactly the equal PWFs;
+`default_universe` drops a PWF whose key an earlier one has.
 `check_laws` returns a `record.Report`, so this module loads none of
 `calgebra`.
 
@@ -81,7 +81,7 @@ composite.  The `done` pole is `reduction._reaches_nil`, which is
 exact on any closed node, so it repeats neither test.  It keeps no
 verdicts: it runs depth first to the first NIL, deduplicates reducts
 by key, and reads a repeated node's reducts and their keys from the
-node stores of `reduction._expand` and `terms.node_key`.  No composite
+caches of `reduction._expand` and `terms.node_key`.  No composite
 becomes a `Process`.
 
 `Universe.regular` decides `reduction.pole_regular_on` on the same
@@ -94,12 +94,13 @@ members that do not step are never built.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from typing import Callable, Iterable, Iterator, Optional
 
 from .fusion import DELTA, Fusion, _classes, join, remove
-from .names import ALL, EMPTY, Word, remember, residue, tag, untag
+from .names import ALL, EMPTY, Word, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
@@ -109,13 +110,16 @@ from .reduction import (_expand, _may_reach, _negated, _reaches_nil,
 from .terms import (_NIL_NODE, _nodes, _relabel, invariant, multiset_form,
                     skeleton)
 
-# op tables by member tuple, shared by every Universe on it;
-# the oldest member list is dropped past _SHARED_LISTS, so a long-lived
-# process keeps a bounded number of tables alive
-_TABLES: dict = {}
-_SHARED_LISTS = 4
-# orthogonals a Universe keeps, by mask; the oldest is dropped first
-_ORTHOGONAL_CAP = 1024
+_SHARED_LISTS = 4  # member lists whose op tables are kept
+_ORTHOGONAL_CAP = 1024  # orthogonals a Universe keeps, by mask
+
+
+@functools.lru_cache(maxsize=_SHARED_LISTS)
+def _shared_tables(members: tuple) -> dict:
+    """The op tables of a member list, label -> rows, shared by every
+    Universe on it; a long-lived process keeps tables for a bounded
+    number of lists."""
+    return {}
 
 
 def pole_always(node) -> bool:
@@ -288,7 +292,8 @@ class Universe:
         self.pole = pole
         self._matrix = None
         self._keyed: Optional[dict] = None
-        self._orthogonals: dict = {}
+        self.orthogonal_mask = functools.lru_cache(
+            maxsize=_ORTHOGONAL_CAP)(self._orthogonal_mask)
         # each member's σ-node, its free names and its binders: the one
         # multiset form that the invariants, the keys and the images
         # read; and the member indices grouped by fusion, then invariant
@@ -299,9 +304,7 @@ class Universe:
             self._nodes.append((node, free, _names(node)[1]))
             self._groups.setdefault(m.fus, {}).setdefault(
                 invariant(node), []).append(i)
-        tables = _TABLES.get(self.members)
-        self._tables: dict = tables if tables is not None else remember(
-            _TABLES, self.members, {}, _SHARED_LISTS)
+        self._tables = _shared_tables(self.members)
 
     @property
     def full_mask(self) -> int:
@@ -455,16 +458,13 @@ class Universe:
 
     # -- orthogonality ------------------------------------------------
 
-    def orthogonal_mask(self, mask: int) -> int:
-        """Bitmask of the members orthogonal to every member of mask,
-        kept for the last `_ORTHOGONAL_CAP` masks asked."""
-        out = self._orthogonals.get(mask)
-        if out is None:
-            out = 0
-            for i, row in enumerate(self.matrix()):
-                if row & mask == mask:
-                    out |= 1 << i
-            remember(self._orthogonals, mask, out, _ORTHOGONAL_CAP)
+    def _orthogonal_mask(self, mask: int) -> int:
+        """Bitmask of the members orthogonal to every member of mask;
+        `orthogonal_mask`, bound in `__init__`, caches it by mask."""
+        out = 0
+        for i, row in enumerate(self.matrix()):
+            if row & mask == mask:
+                out |= 1 << i
         return out
 
     def orthogonal(self, subset: Iterable[Pwf]) -> list[Pwf]:

@@ -61,23 +61,23 @@ member's σ-node from `_expand`: only the members that step get rows,
 and the pole decides each composite on its node, with no `Process`.
 
 With no replication, the reducts of a σ-normal node depend on the node
-alone: `_expand` keeps the distinct reducts of the last `_REDUCT_CAP`
-nodes in `_REDUCTS`, keyed by the node, dropping the oldest first.  With
-`node_key`'s store of keys, a process that runs many searches (`laws`,
-`pole-laws`, library batches) keys and expands each node value once; a
-single `fusioncalc reduce` run already keys each class once.  `step`
-is `reach` one level deep, each class printed as a term under p's
-fusion, so it reads both stores too.
+alone, so `_expand` is cached by the node.  With `node_key`'s cache, a
+process that runs many searches (`laws`, `pole-laws`, library batches)
+keys and expands each node value once; a single `fusioncalc reduce`
+run already keys each class once.  `step` is `reach` one level deep,
+each class printed as a term under p's fusion, so it reads both
+caches too.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from typing import Iterator
 
 from .fusion import equal
-from .names import Name, remember
+from .names import Name
 from .pwf import Pwf, sigma_form, sigma_node
 from .terms import (_NIL_NODE, _nodes, _relabel, _to_process, invariant,
                     multiset_form, node_key)
@@ -158,29 +158,22 @@ def _occurs(x: Name, node) -> bool:
     return kind == "nu" and _occurs(x, node[2])
 
 
-# σ-normal node -> its one-step reducts, for the last _REDUCT_CAP nodes
-# expanded
-_REDUCT_CAP = 1024
-_REDUCTS: dict = {}
+_REDUCT_CAP = 1024  # σ-normal nodes whose reducts are kept
 
 
+@functools.lru_cache(maxsize=_REDUCT_CAP)
 def _expand(q) -> tuple:
     """The distinct reducts of a σ-normal node, in the order `_reducts`
     first yields them.  With no replication they depend on the node
-    alone, so they are kept in `_REDUCTS`, keyed by the node, for as
-    long as it is among the last `_REDUCT_CAP` (1,024) expanded."""
-    out = _REDUCTS.get(q)
-    if out is None:
-        out = remember(_REDUCTS, q, tuple(dict.fromkeys(
-            r for _, _, r in _reducts(*_level(q)))), _REDUCT_CAP)
-    return out
+    alone, so they are cached by the node."""
+    return tuple(dict.fromkeys(r for _, _, r in _reducts(*_level(q))))
 
 
 def _search(node, k: int) -> Iterator[tuple[tuple, tuple]]:
     """(key, node) of each class reachable from a σ-normal node in 1..k
     steps, once, breadth first.  The start is not keyed, and each level
     is deduplicated on its own; `keys` memoises `node_key` on the node
-    tuples of a level.  The stores of `node_key` and `_expand` carry
+    tuples of a level.  The caches of `node_key` and `_expand` carry
     keys and reducts from one search to the next."""
     frontier = [node]
     for _ in range(k):

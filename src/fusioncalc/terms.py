@@ -17,18 +17,18 @@ codes) and the printed form (`canonical_form`, a least-prefix search);
 terms whose action invariants differ are told apart before either.
 A node that binds no name needs no search: its siblings sorted are its
 printed form, and that text (`form_str`) is its key.
-A node's key depends on the node value alone: `node_key` keeps the keys
-of the last `_KEY_CAP` nodes in `_KEYS`, keyed by the node, dropping
-the oldest first, and a search that exceeds the budget stores nothing.
+A node's key depends on the node value alone, so `node_key` is cached
+by the node, and a search that exceeds the budget stores nothing.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from typing import Iterator
 
-from .names import Name, remember
+from .names import Name
 from .record import Record
 from .subst import Substitution
 
@@ -488,11 +488,10 @@ class _Search:
 # positions, but never share a name.
 
 
-# node -> node_key(node), for the last _KEY_CAP nodes keyed
-_KEY_CAP = 1024
-_KEYS: dict = {}
+_KEY_CAP = 1024  # node keys kept
 
 
+@functools.lru_cache(maxsize=_KEY_CAP)
 def node_key(node) -> tuple | str:
     """The congruence key of a `multiset_form` node (binders negative and
     pairwise distinct, free names natural): an exact invariant, equal
@@ -517,16 +516,12 @@ def node_key(node) -> tuple | str:
     its codes too; the others are searched (see above), keeping the
     orders whose codes are least so far.
 
-    The key depends on the node value alone, so it is kept in `_KEYS`,
-    keyed by the node, for as long as the node is among the last
-    `_KEY_CAP` (1,024) keyed.  A search that exceeds the candidate
-    budget stores nothing, so it raises on every call."""
-    key = _KEYS.get(node)
-    if key is None:
-        key = form_str(_sorted(node)) if _binds_nothing(node) else \
-            _KeySearch().level(node, 0, {})[0]
-        remember(_KEYS, node, key, _KEY_CAP)
-    return key
+    The key depends on the node value alone, so it is cached by the
+    node.  A search that exceeds the candidate budget stores nothing, so
+    it raises on every call."""
+    if _binds_nothing(node):
+        return form_str(_sorted(node))
+    return _KeySearch().level(node, 0, {})[0]
 
 
 _NO_HOLES = ((),)

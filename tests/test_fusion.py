@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -21,6 +22,7 @@ from fusioncalc.pwf import Pwf, realizer_catalog, sigma_node
 from fusioncalc.subst import finite_subst, remap_subst
 from fusioncalc.terms import multiset_form
 
+from caches import fresh_caches
 from fusion_reference import (canonical_subst, sampled_equal, sampled_meet,
                               sampled_validate, sufficient_bound)
 from subst_reference import compose
@@ -242,27 +244,23 @@ def outcome(fn, *args):
         return "raised", type(exc), str(exc)
 
 
-def empty_stores():
-    """A context in which the stores of analyses start empty."""
-    return mock.patch.multiple(fusion, _ANALYSES={}, _FAMILY_ANALYSES={})
-
-
 @contextlib.contextmanager
 def class_budget(budget):
     """A context in which every class walk stops at `budget` members.  The
-    stores of analyses start empty in it, and what it stored is dropped
+    caches of `fusion` start empty in it, and what it cached is dropped
     on exit, so no analysis walked under one budget is read under
     another."""
-    with mock.patch.object(fusion, "_CLASS_BUDGET", budget), empty_stores():
+    with fresh_caches(fusion), \
+            mock.patch.object(fusion, "_CLASS_BUDGET", budget):
         yield
 
 
 def reference_outcome(fn, *args):
     """outcome(fn, *args) with every class computed by the reference; the
-    stores start empty, so nothing remembered from an earlier call (σ)
-    stands in for the reference's walks."""
-    with empty_stores(), mock.patch.object(fusion, "_classes",
-                                           reference_classes):
+    caches start empty, so nothing cached by an earlier call (σ) stands
+    in for the reference's walks."""
+    with fresh_caches(fusion), mock.patch.object(fusion, "_classes",
+                                                  reference_classes):
         return outcome(fn, *args)
 
 
@@ -563,17 +561,19 @@ def test_family_partition_is_remembered_and_failures_raise_each_time():
     families = parse_fusion("{[1.1 <-> 1.2], [2.1 <-> 2.2]}").families
     with class_budget(1):
         for _ in range(2):
+            misses = family_partition.cache_info().misses
             with pytest.raises(
                     ClassBudgetError,
                     match=r"^family class of @1\.1 exceeds budget 1$"):
                 family_partition(families)
+            assert family_partition.cache_info().misses == misses + 1
     first = family_partition(families)
     assert family_partition(families) is first
     assert first == (((1, 1), ((1, 1), (1, 2))), ((2, 1), ((2, 1), (2, 2))))
 
 
 # ---------------------------------------------------------------------------
-# the stores of analyses
+# the caches of analyses
 
 two_budgets = st.sampled_from([4, 1024])
 
@@ -608,7 +608,7 @@ def test_equal_stops_at_the_first_region_that_fails():
     budget, on every walk.  `equal` raises as `validate` rejects, before
     and after such walks, since a failed walk is not remembered."""
     e, f = parse_fusion("{[ <-> 1.1.1]}"), parse_fusion("{[2 <-> 1.2.2]}")
-    with empty_stores():
+    with fresh_caches(fusion):
         assert not validate(e) and not validate(f)
         for _ in range(2):
             for left, right in ((e, f), (f, e)):
@@ -632,10 +632,12 @@ def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
                 with pytest.raises(ClassBudgetError,
                                    match=f"^class of {x} exceeds budget 3$"):
                     class_of(e, x)
+            misses = presentation.cache_info().misses
             with pytest.raises(ClassBudgetError, match="^class of 0 "):
                 presentation(e)
+            assert presentation.cache_info().misses == misses + 1
         assert class_of(e, 7) == {7}
-    with empty_stores():
+    with fresh_caches(fusion):
         assert class_of(e, 2) == {0, 1, 2, 3}
         assert validate(e)
         assert presentation(e) is presentation(Fusion(e.pairs))
@@ -643,33 +645,60 @@ def test_budget_errors_are_not_remembered_and_the_stores_stay_bounded():
             v = (2,) * n  # identity_I injected by 2.2...2
             families = frozenset({((1,) + v, (2,) + v)})
             assert validate(Fusion(frozenset({(n, n + 1)}), families))
-        assert len(fusion._ANALYSES) == fusion._STORE_CAP
-        assert len(fusion._FAMILY_ANALYSES) == fusion._STORE_CAP
-        assert e not in fusion._ANALYSES
+        for cache in (fusion._analysis, family_partition,
+                      fusion._suffix_rules):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == fusion._STORE_CAP
+        misses = fusion._analysis.cache_info().misses
         assert class_of(e, 3) == {0, 1, 2, 3}
+        assert fusion._analysis.cache_info().misses == misses + 1
 
 
 def test_restrictions_are_remembered_per_set_and_failures_raise_each_time():
     # psi relates tag(n, 1) and tag(n, 1.2), so no multiple of 4 above
     # e's concrete class is in a class of two
     e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}), psi().families)
+    restricted = fusion._restrict.cache_info
     with class_budget(3):
         for _ in range(2):
+            misses = restricted().misses
             with pytest.raises(ClassBudgetError, match="^class of 0 "):
                 restrict(e, finite([0, 1]))
-        assert fusion._ANALYSES[e].restricted == {}
-    with empty_stores():
+            assert restricted().misses == misses + 1
+        assert restricted().currsize == 0
+    with fresh_caches(fusion):
         for _ in range(2):
+            misses = restricted().misses
             with pytest.raises(NotRepresentableError,
                                match=r"single instances .*\(index 0\)$"):
                 remove(identity_I(), finite([1]))
-        assert fusion._ANALYSES[identity_I()].restricted == {}
+            assert restricted().misses == misses + 1
+        assert restricted().currsize == 0
         first = remove(e, finite([8]))
         assert remove(e, finite([8])) is first
         for n in range(fusion._RESTRICT_CAP + 5):
             remove(e, finite([4 * n + 12]))
-        analysis = fusion._ANALYSES[e]
-        family = fusion._FAMILY_ANALYSES[e.families]
-        assert len(analysis.restricted) == fusion._RESTRICT_CAP
-        assert len(family.restricted) == fusion._RESTRICT_CAP
+        for cache in (fusion._restrict, fusion._family_restriction):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == fusion._RESTRICT_CAP
         assert remove(e, finite([8])) == first
+
+
+def test_a_fusion_and_its_family_set_share_one_analysis(monkeypatch):
+    """The family-only classes of a fusion are those of the pure-family
+    fusion on its family set, read from that fusion's one analysis: a
+    presentation builds no second analysis of `identity_I()`."""
+    built = Counter()
+    init = fusion._Analysis.__init__
+
+    def counting(self, e):
+        built[e] += 1
+        init(self, e)
+
+    monkeypatch.setattr(fusion._Analysis, "__init__", counting)
+    with fresh_caches(fusion):
+        class_of(identity_I(), 0)
+        e = parse_fusion("{0~3, [1 <-> 2]}")
+        assert e.families == identity_I().families
+        presentation(e)
+    assert built == {identity_I(): 1, e: 1}

@@ -4,11 +4,13 @@ referenced from the package, its tests or the benchmark, and none but
 the documented API is referenced from the tests alone."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import fusioncalc
+from caches import MODULES as LOADED, package_caches
 
 PACKAGE = Path(fusioncalc.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -198,3 +200,19 @@ def test_no_config_parameter_or_banner_returns(capsys):
     for argv in (["laws"], ["pole-laws", "--universe", "limit=20"]):
         assert main(argv) == 0
         assert "# config" not in capsys.readouterr().out, argv
+
+
+def test_every_memo_is_a_bounded_functools_cache():
+    """The package memoises through `functools` caches alone: each one
+    whose function takes an argument has a finite `maxsize`, and neither
+    the hand-written stores nor their eviction helper exist."""
+    caches = package_caches()
+    assert caches
+    for cache in caches:
+        if inspect.signature(cache.__wrapped__).parameters:
+            assert cache.cache_info().maxsize is not None, cache
+    assert not hasattr(fusioncalc.names, "remember")
+    gone = ("_ANALYSES", "_FAMILY_ANALYSES", "_FamilyAnalysis", "_remembered",
+            "_KEYS", "_REDUCTS", "_TABLES")
+    assert [(module.__name__, name) for module in LOADED for name in gone
+            if hasattr(module, name)] == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import canonical_reference
+from caches import cached
 from canonical_reference import (_orderings, reference_canonical,
                                  reference_key, struct_eq)
 from congruence_oracle import (
@@ -22,7 +23,7 @@ from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
-from fusioncalc.terms import _KEYS, _nodes, multiset_form, node_key, skeleton
+from fusioncalc.terms import _nodes, multiset_form, node_key, skeleton
 from subst_reference import reference_substitute, scoped_processes
 
 
@@ -505,7 +506,7 @@ def _bound_free_processes():
 def test_a_term_that_binds_no_name_is_keyed_by_its_printed_form(p, r, other,
                                                                 rng):
     """A term with no bound name is keyed by its printed form, the text
-    that `_KEYS` holds and that parses back to a term of the same key;
+    that `node_key` caches and that parses back to a term of the same key;
     two such keys are equal exactly when the reference keys are.  A term
     that binds a name is keyed by a code tuple, which equals no text."""
     family = [p, _congruent_copy(rng, p), r, _congruent_copy(rng, r)]
@@ -513,7 +514,7 @@ def test_a_term_that_binds_no_name_is_keyed_by_its_printed_form(p, r, other,
     keys = []
     for t, node in zip(family, nodes):
         key = node_key(node)
-        assert key == _KEYS[node] == process_str(canonical(t))
+        assert key == cached(node_key, node) == process_str(canonical(t))
         assert node_key(multiset_form(parse_process(key))[0]) == key
         keys.append(key)
     references = [reference_key(t) for t in family]

@@ -16,6 +16,7 @@ from fusioncalc.realizability import (Universe, check_laws, default_universe,
                                       make_pole_done, parse_pole, pole_always)
 from fusioncalc.reduction import pole_regular_on
 from fusioncalc.terms import multiset_form
+from caches import clear_caches
 from fusion_reference import canonical_subst
 from reduction_reference import (reference_pole_regular_on,
                                  reference_reduces_within)
@@ -141,11 +142,9 @@ def test_done_pole_searches_and_caches_no_unbalanced_composite(
 def _count_keys(monkeypatch) -> list:
     """Record the argument of every `node_key` call, in every module
     that binds it: each congruence key is computed through it.  The
-    node stores start empty, so the counts are those of a fresh
-    process."""
+    caches start empty, so the counts are those of a fresh process."""
     from fusioncalc import reduction, terms
-    monkeypatch.setattr(terms, "_KEYS", {})
-    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    clear_caches()
     calls = []
     original = terms.node_key
 
@@ -444,7 +443,7 @@ def _count_joins(monkeypatch) -> list:
 
 
 def test_universes_on_one_member_list_share_the_tables(monkeypatch):
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     joins = _count_joins(monkeypatch)
     built = _record_merges(monkeypatch)
     members = default_universe(1, 2, [DELTA], 10)
@@ -463,7 +462,8 @@ def test_universes_on_one_member_list_share_the_tables(monkeypatch):
     assert images[0] == images[1]
     for limit in range(2, 9):
         Universe(default_universe(1, 2, [DELTA], limit), pole_always)
-    assert len(realizability._TABLES) == realizability._SHARED_LISTS
+    info = realizability._shared_tables.cache_info()
+    assert info.currsize == info.maxsize == realizability._SHARED_LISTS
 
 
 def test_always_matrix_equals_the_pairwise_rows():
@@ -664,7 +664,7 @@ def test_tables_key_only_images_of_a_member_skeleton(monkeypatch):
     """An op-table image is keyed only when its skeleton is a member's:
     congruent nodes have one skeleton, so no other image can be a
     member."""
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     members = sandbox_members()
     u = Universe(members, pole_always)
     u.clip([])  # the members' keys
@@ -833,7 +833,7 @@ def test_matrix_on_interleaved_fusions_matches_the_all_pairs_loop():
 
 def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
         monkeypatch):
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     members = [parse_pwf("<0!() ; {}>"), parse_pwf("<1!() ; {}>"),
                parse_pwf("<0!() ; {0~1}>")]
     possible = [invariant(m.proc) for m in members]
@@ -844,7 +844,7 @@ def test_fusion_errors_raise_where_the_invariants_skip_every_pair(
     def failing_join(e, f):
         raise InvalidFusionError("join produced an infinite class")
 
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     monkeypatch.setattr(realizability, "join", failing_join)
     with pytest.raises(InvalidFusionError):
         Universe(members, pole_always).op_par(7, 7)
@@ -857,7 +857,7 @@ def test_matrix_and_tables_build_no_process_for_a_pair(monkeypatch):
     fusions from the operation's shape, with one join per pair of member
     fusions (ordered for a table, unordered for the matrix), and no
     pair's term is put through `multiset_form`."""
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     members = mixed_members()
     u = Universe(members, make_pole_done(8))
     joins = _count_joins(monkeypatch)
@@ -952,15 +952,17 @@ def test_orthogonal_store_is_bounded(monkeypatch):
     matrix = Universe.matrix
     monkeypatch.setattr(Universe, "matrix",
                         lambda self: scans.append(1) or matrix(self))
+    kept = u.orthogonal_mask.cache_info
+    assert kept().maxsize == 8
     for mask in range(1, 41):
         assert u.orthogonal_mask(mask) == reference_orthogonal_mask(rows, mask)
-        assert len(u._orthogonals) <= 8
-    assert len(scans) == 40 and len(u._orthogonals) == 8
+        assert kept().currsize <= 8
+    assert len(scans) == 40 and kept().currsize == 8
     for mask in range(33, 41):
         assert u.orthogonal_mask(mask) == reference_orthogonal_mask(rows, mask)
     assert len(scans) == 40
     assert u.orthogonal_mask(1) == reference_orthogonal_mask(rows, 1)
-    assert len(scans) == 41 and len(u._orthogonals) == 8
+    assert len(scans) == 41 and kept().currsize == 8
 
 
 @pytest.mark.parametrize("universe", ["sandbox", "mixed"])
@@ -970,7 +972,7 @@ def test_each_member_is_renamed_once_per_side_and_fusion_group_pair(
     the left operand and once as the right one for each pair of fusion
     groups, however many pairs it joins, and merges each fitting pair
     from the two renamed sides."""
-    monkeypatch.setattr(realizability, "_TABLES", {})
+    clear_caches()
     members = sandbox_members() if universe == "sandbox" else mixed_members()
     u = Universe(members, make_pole_done(8))
     renamed, current, group_pairs = [], [], []

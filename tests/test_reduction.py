@@ -8,6 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from caches import cached, clear_caches, fresh_caches
 from canonical_reference import congruence_key
 from fusioncalc import fusion, reduction, terms
 from fusioncalc.cli import main
@@ -120,22 +121,12 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
     assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
 
 
-@contextlib.contextmanager
-def empty_node_stores():
-    """A context in which the stores of `node_key` and of the search's
-    reducts start empty."""
-    with mock.patch.object(terms, "_KEYS", {}), \
-            mock.patch.object(reduction, "_REDUCTS", {}):
-        yield
-
-
 def _count_calls(monkeypatch, name: str) -> list:
     """Record the argument of every call of `terms.<name>` or
-    `process.<name>`, in every module that binds it.  The node stores
-    start empty, so the counts are those of a fresh process."""
+    `process.<name>`, in every module that binds it.  The caches start
+    empty, so the counts are those of a fresh process."""
     from fusioncalc import cli, process, pwf, realizability
-    monkeypatch.setattr(terms, "_KEYS", {})
-    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    clear_caches()
     calls = []
     original = getattr(terms, name, None) or getattr(process, name)
 
@@ -187,7 +178,7 @@ def test_sibling_search_keys_its_nodes(monkeypatch, literal, depth, nodes):
     p = parse_pwf(literal)
     expanded = []
     expand = reduction._expand
-    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    clear_caches()
     monkeypatch.setattr(reduction, "_expand",
                         lambda q: expanded.append(q) or expand(q))
     assert not reduces_within(p, UNIT, 2 * depth)
@@ -226,7 +217,7 @@ def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
     assert len(printed) == len(set(printed)) == len(binding)
     assert set(printed) == set(binding)
     fus = fusion_str(parse_pwf(literal).fus)
-    texts = {f"<{terms._KEYS[node]} ; {fus}>" for node in keyed
+    texts = {f"<{cached(node_key, node)} ; {fus}>" for node in keyed
              if _binds_no_name(node)}
     assert texts <= set(lines) and len(texts) == len(lines) - len(binding)
     assert rebuilt == canonicalised == []
@@ -332,11 +323,11 @@ def test_reducts_fire_each_pair_of_component_values_once(p, doubled):
         return tuple(dict.fromkeys(r for _, _, r in found))
 
     node = sigma_node(p)
-    with empty_node_stores():
+    with fresh_caches(terms, reduction):
         assert reduction._expand(node) == distinct(
             reference_reducts(*reduction._level(node)))
     found = step(p)
-    with empty_node_stores(), \
+    with fresh_caches(terms, reduction), \
             mock.patch.object(reduction, "_reducts", reference_reducts):
         assert found == step(p)
 
@@ -409,7 +400,7 @@ def test_depth_first_nil_search_matches_the_reference(p, k):
     for term in (p.proc, _without_vectors(p.proc)):
         closed = nu_all(Pwf(term, p.fus))
         node = sigma_node(closed)
-        with empty_node_stores():
+        with fresh_caches(terms, reduction):
             assert reduction._reaches_nil(node, k) == \
                 reference_reduces_within(closed, UNIT, k)
             prefixes = sum(count for _, count in invariant(node))
@@ -473,9 +464,9 @@ def test_warm_node_stores_give_the_outcome_of_empty_ones(p, others, k):
     from other terms, from p beside each of them (nodes that share
     components with p's), and a deeper one from p leave p's outcomes as
     they are with empty stores."""
-    with empty_node_stores():
+    with fresh_caches(terms, reduction):
         cold = _outcomes(p, k)
-    with empty_node_stores():
+    with fresh_caches(terms, reduction):
         for q in others:
             _outcomes(q, k)
             list(reach(Pwf(Par(p.proc, q.proc), p.fus), k))
@@ -511,21 +502,26 @@ def test_budget_errors_are_not_stored_and_the_node_stores_stay_bounded():
     names = " ".join(str(x) for x in range(1, 20))
     star = " | ".join(f"{x}!().0?().{x + 10}?()" for x in range(1, 10))
     p = parse_pwf(f"<new 0 {names}. ({star} | 30!() | 30?()) ; {{}}>")
-    with empty_node_stores(), \
-            mock.patch.object(terms, "_MAX_CANDIDATES", 5040):
+    clear_caches()
+    with mock.patch.object(terms, "_MAX_CANDIDATES", 5040):
         for _ in range(2):
+            misses = node_key.cache_info().misses
             with pytest.raises(SearchBudgetError, match="budget 5040$"):
                 list(reach(p, 1))
+            assert node_key.cache_info().misses == misses + 1
             # no key is stored; the one expansion stored is the start's,
             # which completed before its reduct, the star, was keyed
-            assert terms._KEYS == {}
-            assert list(reduction._REDUCTS) == [sigma_node(p)]
+            assert node_key.cache_info().currsize == 0
+            assert reduction._expand.cache_info().currsize == 1
+            cached(reduction._expand, sigma_node(p))
         # each search keys and expands a distinct node: x!()
         for x in range(max(terms._KEY_CAP, reduction._REDUCT_CAP) + 10):
             assert reduces_within(parse_pwf(f"<{x}!().{x}!() | {x}?() ; {{}}>"),
                                   parse_pwf(f"<{x}!() ; {{}}>"), 1)
-        assert len(terms._KEYS) == terms._KEY_CAP
-        assert len(reduction._REDUCTS) == reduction._REDUCT_CAP
+        for cache, cap in ((node_key, terms._KEY_CAP),
+                           (reduction._expand, reduction._REDUCT_CAP)):
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize == cap
         assert reduces_within(parse_pwf("<0!() | 0?() ; {}>"), UNIT, 1)
 
 
@@ -539,7 +535,7 @@ def test_identical_binding_pairs_expand_one_node_per_class_and_level(
                   + " ; {}>")
     expanded = []
     expand = reduction._expand
-    monkeypatch.setattr(reduction, "_REDUCTS", {})
+    clear_caches()
     monkeypatch.setattr(reduction, "_expand",
                         lambda q: expanded.append(q) or expand(q))
     found = list(reach(p, k))
