@@ -80,9 +80,15 @@ def _cmd_equal(args) -> int:
     if equal_pwf(left, right):
         print("equal")
         return 0
+    # the verdict is decided: a normal form past the search budget is
+    # reported on its own line, and does not make the verdict undecided
     print("not equal")
-    print(f"  left  normal form: {pwf_str(normalize(left))}")
-    print(f"  right normal form: {pwf_str(normalize(right))}")
+    for side, p in (("left ", left), ("right", right)):
+        try:
+            form = pwf_str(normalize(p))
+        except SearchBudgetError as exc:
+            form = f"not printed: {exc}"
+        print(f"  {side} normal form: {form}")
     return 1
 
 
@@ -92,8 +98,9 @@ def _cmd_reduce(args) -> int:
     p = parse_pwf(args.pwf)
     fus = fusion_str(p.fus)
     # each listed class is printed once: a class that binds no name from
-    # its key, which is its printed form, any other from its node; p's
-    # own class is not reached, so it is neither keyed nor listed
+    # its key, which is its printed form, any other from its node, whose
+    # key `reach` has just cached; p's own class is not reached, so it is
+    # neither keyed nor listed
     forms = (key if isinstance(key, str) else form_str(canonical_form(node))
              for key, node in reach(p, args.steps))
     for line in sorted(f"<{form} ; {fus}>" for form in forms):

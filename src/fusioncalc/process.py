@@ -1,12 +1,12 @@
 """Printed forms of process terms, and their text grammar.
 
 `canonical` is the printed form of a congruence class,
-`terms.canonical_form` of the term's multiset form: the least rendering
-over the orders of equal-skeleton siblings, found by the sibling-order
-search that the congruence key uses.  `terms.form_str` writes such a
-form from its node.  Congruence itself is decided by `terms.node_key`
-of the multiset form; the term classes, substitution and `form_str`
-are re-exported here.
+`terms.canonical_form` of the term's multiset form: the class's
+congruence key (`terms.node_key`) written out as a term, in the key's
+sibling order, with bound names numbered by first occurrence.
+`terms.form_str` writes such a form from its node.  Congruence itself
+is decided by the key of the multiset form; the term classes,
+substitution and `form_str` are re-exported here.
 """
 
 from __future__ import annotations

@@ -88,7 +88,9 @@ def sigma_key(e: Fusion, node: tuple) -> tuple:
 
 
 def normalize(p: Pwf) -> Pwf:
-    """The σ-normal form of p, for printing: `sigma_node` canonicalised."""
+    """The σ-normal form of p, for printing: the key of its `sigma_node`
+    written out as a term (`terms.canonical_form`), which reads a cached
+    key and otherwise runs the key's search."""
     return Pwf(_to_process(canonical_form(sigma_node(p))), p.fus)
 
 

@@ -16,7 +16,8 @@ reduct.  So a reduct's `terms.node_key` is both the search's dedup key
 and its key up to the fusion, and its class's line in the `fusioncalc
 reduce` listing is printed without building a `Process`: from the key
 itself when the node binds no name, as the key is then the printed
-form, and otherwise from `terms.canonical_form` of the node.
+form, and otherwise from `terms.canonical_form` of the node, which
+writes out the key that the search has cached.
 
 A search keys only the reducts.  A step consumes one up and one down
 prefix, so a reduct is never congruent to the start nor to a node of
@@ -172,18 +173,14 @@ def _expand(q) -> tuple:
 def _search(node, k: int) -> Iterator[tuple[tuple, tuple]]:
     """(key, node) of each class reachable from a σ-normal node in 1..k
     steps, once, breadth first.  The start is not keyed, and each level
-    is deduplicated on its own; `keys` memoises `node_key` on the node
-    tuples of a level.  The caches of `node_key` and `_expand` carry
-    keys and reducts from one search to the next."""
+    is deduplicated on its own.  The caches of `node_key` and `_expand`
+    carry keys and reducts within a search and from one to the next."""
     frontier = [node]
     for _ in range(k):
         level: dict = {}
-        keys: dict = {}
         for q in frontier:
             for r in _expand(q):
-                key = keys.get(r)
-                if key is None:
-                    key = keys[r] = node_key(r)
+                key = node_key(r)
                 if key not in level:
                     level[key] = r
                     yield key, r

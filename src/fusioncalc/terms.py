@@ -12,13 +12,14 @@ every binder apart and brings the term to scope-maximal form, with the
 restrictions of each level gathered into one set and its parallel
 components into one tuple.  The reduction search works on that form too
 (`multiset_form`).  One sibling-order search, with colour refinement
-and swap pruning, serves both the exact equality key (`node_key`, AHU
-codes) and the printed form (`canonical_form`, a least-prefix search);
-terms whose action invariants differ are told apart before either.
-A node that binds no name needs no search: its siblings sorted are its
-printed form, and that text (`form_str`) is its key.
-A node's key depends on the node value alone, so `node_key` is cached
-by the node, and a search that exceeds the budget stores nothing.
+and swap pruning, gives the exact equality key (`node_key`, AHU codes);
+terms whose action invariants differ are told apart before it.  The
+printed form (`canonical_form`) is that key written out as a term, so
+it runs no search of its own.  A node that binds no name needs no
+search: its siblings sorted are its printed form, and that text
+(`form_str`) is its key.  A node's key depends on the node value alone,
+so `node_key` is cached by the node, and a search that exceeds the
+budget stores nothing.
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ class ProcessError(Exception):
 
 
 class SearchBudgetError(ProcessError):
-    """A valid term whose key or canonical search exceeds the candidate
-    budget."""
+    """A valid term whose key search exceeds the candidate budget."""
 
 
 class Process(Record):
@@ -343,29 +343,86 @@ def skeleton(node, memo: dict) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# the sibling-order search
+# congruence key
 #
-# Both the key and the printed form place the siblings of a level in
-# skeleton order (bound names erased) and try, position by position,
-# every sibling of the current skeleton class in every state kept so
-# far.  A sibling is not tried when an interchangeable one was: one
-# equal up to the names it binds itself, or one that a swap of two
-# unnumbered names of the level turns into it, where the swap maps the
-# siblings onto themselves (a checked automorphism; McKay and Piperno,
-# "Practical graph isomorphism II", 2014).  A search holding more than
-# _MAX_CANDIDATES states raises `SearchBudgetError`; each state is a
-# distinct prefix of one order, so there are never more states than
-# orders.
+# Codes:  level = sorted tuple of group codes
+#         group = (m, tuple of act codes): m restricted names and the
+#                 siblings that share them
+#         act   = (subject label, is output, arity, level code of body)
+# A free name x is labelled ~x.  A bound name is labelled by its position
+# among the names bound on the path from the root (a de Bruijn level):
+# input-bound names by their place in the prefix, a group's restricted
+# names by the rank of their colour, and names that share a colour by
+# first occurrence in the group's least code.  Sibling subtrees reuse
+# positions, but never share a name.
+#
+# The search places the siblings of a group in skeleton order (bound
+# names erased) and tries, position by position, every sibling of the
+# current skeleton class in every state kept so far.  A sibling is not
+# tried when an interchangeable one was: one equal up to the names it
+# binds itself, or one that a swap of two unnumbered names of the group
+# turns into it, where the swap maps the siblings onto themselves (a
+# checked automorphism; McKay and Piperno, "Practical graph isomorphism
+# II", 2014).  A search holding more than _MAX_CANDIDATES states raises
+# `SearchBudgetError`; each state is a distinct prefix of one order, so
+# there are never more states than orders.
 
 
-class _Search:
-    """Memos over the nodes of one term, by node identity, and the
-    sibling-order search.  Bound names are negative, free ones natural."""
+_KEY_CAP = 1024  # node keys kept
+
+
+@functools.lru_cache(maxsize=_KEY_CAP)
+def node_key(node) -> tuple | str:
+    """The congruence key of a `multiset_form` node (binders negative and
+    pairwise distinct, free names natural): an exact invariant, equal
+    for the nodes of p and q exactly when `canonical(p) ==
+    canonical(q)`.
+
+    A node that binds no name (`_binds_nothing`) is keyed by its printed
+    form, the text `form_str(_sorted(node))`.  With no binder,
+    congruence is equality of the sorted siblings at each level (the
+    tree code of Aho, Hopcroft and Ullman), and the printed form writes
+    that sorted node injectively, since the grammar reads it back.  A
+    text never equals a code tuple, so the two kinds of key are apart.
+
+    Any other node is keyed by a code tuple.  Siblings that share no
+    restricted name, and hold no name that an enclosing search has yet
+    to number, are placed by their codes alone.
+    The restricted names of a connected group are numbered by one round
+    of colour refinement: a name's colour is the multiset of the
+    skeleton paths from the siblings it occurs in down to each
+    occurrence, and a name whose colour is unique is labelled by the
+    colour's rank.  A group whose names are all labelled so is placed by
+    its codes too; the others are searched (see above), keeping the
+    orders whose codes are least so far.
+
+    The key depends on the node value alone, so it is cached by the
+    node.  A search that exceeds the candidate budget stores nothing, so
+    it raises on every call."""
+    if _binds_nothing(node):
+        return form_str(_sorted(node))
+    return _KeySearch().level(node, 0, {})[0]
+
+
+_NO_HOLES = ((),)
+
+
+class _KeySearch:
+    """The state of one `node_key` search: memos over the nodes of one
+    term, by node identity (bound names are negative, free ones
+    natural), and `dom`, which maps each tied name of a group under
+    search to (its colour class, the class's first label).
+
+    `level` and `act` return (code, outcomes): each outcome is a tuple
+    of (name, label) pairs, the labels that the least code gives to
+    names that enclosing searches have not numbered yet."""
 
     def __init__(self) -> None:
         self.frees: dict = {}
         self.skeletons: dict = {}
         self.alphas: dict = {}
+        self.paths: dict = {}
+        self.dom: dict = {}
 
     def free(self, node) -> frozenset:
         """The bound names of enclosing scopes that occur in node."""
@@ -386,23 +443,18 @@ class _Search:
             self.frees[id(node)] = out
         return out
 
-    @staticmethod
-    def bound(node) -> set:
-        """Every bound name in node, binders included."""
-        out = set()
-        for q in _nodes(node):
-            if q[0] == "act":
-                out.update(x for x in (q[1], *q[3]) if x < 0)
-            elif q[0] == "nu":
-                out |= q[1]
-        return out
-
     def alpha(self, node):
         """node with the names it binds itself numbered by first
         occurrence."""
         out = self.alphas.get(id(node))
         if out is None:
-            inner = self.bound(node) - self.free(node)
+            inner = set()
+            for q in _nodes(node):
+                if q[0] == "act":
+                    inner.update(x for x in (q[1], *q[3]) if x < 0)
+                elif q[0] == "nu":
+                    inner |= q[1]
+            inner -= self.free(node)
             ids: dict = {}
             for q in _nodes(node):
                 if q[0] == "act":
@@ -433,113 +485,6 @@ class _Search:
         pair = memo[j, i]
         return pair is not None and pair[0] not in known and \
             pair[1] not in known
-
-    def arrange(self, kids, states: list, own: frozenset, place, keep):
-        """The states after placing every sibling.  A state is a tuple
-        whose first item holds the names numbered so far;
-        `place(kid, state)` lists the states after placing kid, and
-        `keep(found, same)` the ones to go on with, each found state
-        ending with the positions still to place."""
-        ids: dict = {}
-        same = [ids.setdefault(self.alpha(c), len(ids)) for c in kids]
-        shapes = [skeleton(c, self.skeletons) for c in kids]
-        order = sorted(range(len(kids)), key=shapes.__getitem__)
-        memo: dict = {}
-        while order:
-            cls = tuple(i for i in order if shapes[i] == shapes[order[0]])
-            order = order[len(cls):]
-            pending = [(*state, cls) for state in states]
-            for _ in cls:
-                found: list = []
-                for state in pending:
-                    rest, state = state[-1], state[:-1]
-                    tried: list = []
-                    for pos, i in enumerate(rest):
-                        if any(same[i] == same[j] or
-                               self.twins(kids, j, i, state[0], own, memo)
-                               for j in tried):
-                            continue
-                        tried.append(i)
-                        left = rest[:pos] + rest[pos + 1:]
-                        found += [new + (left,)
-                                  for new in place(kids[i], state)]
-                pending = keep(found, same)
-                if len(pending) > _MAX_CANDIDATES:
-                    raise SearchBudgetError(
-                        f"canonicalization search space too large: "
-                        f"{len(pending)} candidate orders, budget "
-                        f"{_MAX_CANDIDATES}")
-            states = [state[:-1] for state in pending]
-        return states
-
-
-# ---------------------------------------------------------------------------
-# congruence key
-#
-# Codes:  level = sorted tuple of group codes
-#         group = (m, tuple of act codes): m restricted names and the
-#                 siblings that share them
-#         act   = (subject label, is output, arity, level code of body)
-# A free name x is labelled ~x.  A bound name is labelled by its position
-# among the names bound on the path from the root (a de Bruijn level):
-# input-bound names by their place in the prefix, a group's restricted
-# names by the rank of their colour, and names that share a colour by
-# first occurrence in the group's least code.  Sibling subtrees reuse
-# positions, but never share a name.
-
-
-_KEY_CAP = 1024  # node keys kept
-
-
-@functools.lru_cache(maxsize=_KEY_CAP)
-def node_key(node) -> tuple | str:
-    """The congruence key of a `multiset_form` node (binders negative and
-    pairwise distinct, free names natural): an exact invariant, equal
-    for the nodes of p and q exactly when `canonical(p) ==
-    canonical(q)`.
-
-    A node that binds no name (`_binds_nothing`) is keyed by its printed
-    form, the text `form_str(canonical_form(node))`.  With no binder,
-    congruence is equality of the sorted siblings at each level (the
-    tree code of Aho, Hopcroft and Ullman), and the printed form writes
-    that sorted node injectively, since the grammar reads it back.  A
-    text never equals a code tuple, so the two kinds of key are apart.
-
-    Any other node is keyed by a code tuple.  Siblings that share no
-    restricted name, and hold no name that an enclosing search has yet
-    to number, are placed by their codes alone.
-    The restricted names of a connected group are numbered by one round
-    of colour refinement: a name's colour is the multiset of the
-    skeleton paths from the siblings it occurs in down to each
-    occurrence, and a name whose colour is unique is labelled by the
-    colour's rank.  A group whose names are all labelled so is placed by
-    its codes too; the others are searched (see above), keeping the
-    orders whose codes are least so far.
-
-    The key depends on the node value alone, so it is cached by the
-    node.  A search that exceeds the candidate budget stores nothing, so
-    it raises on every call."""
-    if _binds_nothing(node):
-        return form_str(_sorted(node))
-    return _KeySearch().level(node, 0, {})[0]
-
-
-_NO_HOLES = ((),)
-
-
-class _KeySearch(_Search):
-    """The state of one `node_key` search.  `dom` maps each tied
-    name of a group under search to (its colour class, the class's first
-    label).
-
-    `level` and `act` return (code, outcomes): each outcome is a tuple
-    of (name, label) pairs, the labels that the least code gives to
-    names that enclosing searches have not numbered yet."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.dom: dict = {}
-        self.paths: dict = {}
 
     def occurrences(self, node) -> list:
         """(name, path) for each bound subject in an act node: the path is
@@ -657,23 +602,48 @@ class _KeySearch(_Search):
 
     def search(self, kids: list, base: int, lab: dict, own: frozenset):
         """The least code of the sibling sequence over the orders of
-        equal skeletons, and its outcomes on the names outside `own`."""
-        def place(kid, state):
-            lab_, acc, codes = state
-            code, outs = self.act(kid, base, lab_)
-            return [({**lab_, **dict(o)} if o else lab_, acc + o,
-                     codes + (code,)) for o in outs]
-
-        def keep(found, same):
-            best = min(state[2][-1] for state in found)
-            seen: dict = {}
-            for state in found:
-                if state[2][-1] == best:
-                    seen.setdefault((frozenset(state[1]), tuple(
-                        sorted(same[j] for j in state[3]))), state)
-            return list(seen.values())
-
-        states = self.arrange(kids, [(lab, (), ())], own, place, keep)
+        equal skeletons, and its outcomes on the names outside `own`.  A
+        state is (labels, outcome pairs, codes, positions still to
+        place); of the states whose last code is least, one is kept per
+        outcome set and multiset of the siblings still to place."""
+        ids: dict = {}
+        same = [ids.setdefault(self.alpha(c), len(ids)) for c in kids]
+        shapes = [skeleton(c, self.skeletons) for c in kids]
+        order = sorted(range(len(kids)), key=shapes.__getitem__)
+        memo: dict = {}
+        states = [(lab, (), ())]
+        while order:
+            cls = tuple(i for i in order if shapes[i] == shapes[order[0]])
+            order = order[len(cls):]
+            pending = [(*state, cls) for state in states]
+            for _ in cls:
+                found: list = []
+                for lab_, acc, codes, rest in pending:
+                    tried: list = []
+                    for pos, i in enumerate(rest):
+                        if any(same[i] == same[j] or
+                               self.twins(kids, j, i, lab_, own, memo)
+                               for j in tried):
+                            continue
+                        tried.append(i)
+                        left = rest[:pos] + rest[pos + 1:]
+                        code, outs = self.act(kids[i], base, lab_)
+                        found += [({**lab_, **dict(o)} if o else lab_,
+                                   acc + o, codes + (code,), left)
+                                  for o in outs]
+                best = min(state[2][-1] for state in found)
+                seen: dict = {}
+                for state in found:
+                    if state[2][-1] == best:
+                        seen.setdefault((frozenset(state[1]), tuple(
+                            sorted(same[j] for j in state[3]))), state)
+                pending = list(seen.values())
+                if len(pending) > _MAX_CANDIDATES:
+                    raise SearchBudgetError(
+                        f"canonicalization search space too large: "
+                        f"{len(pending)} candidate orders, budget "
+                        f"{_MAX_CANDIDATES}")
+            states = [state[:-1] for state in pending]
         outcomes = {tuple(pair for pair in acc if pair[0] not in own)
                     for _, acc, _ in states}
         return states[0][2], (_NO_HOLES if outcomes == {()}
@@ -682,25 +652,51 @@ class _KeySearch(_Search):
 
 # ---------------------------------------------------------------------------
 # printed form
-#
-# The printed form renders a term with its bound names numbered by first
-# occurrence, from the least natural numbers that are not free names, and
-# picks the order of equal-skeleton siblings whose rendering is least.  A
-# `new` lists its numbers before its body but gets them from the body's
-# first occurrences, so a search state is compared first on the numbers
-# the open `new`s have got (their binder tuples), then on the numbers it
-# has printed.
 
 
 def canonical_form(node):
     """The printed form of a `multiset_form` node's congruence class, as
-    a node with natural names: the least rendering over the orders of
-    equal-skeleton siblings, then the binders pushed onto the
-    sub-multisets that use them (`_minimize`)."""
+    a node with natural names.  A node that binds no name prints as its
+    siblings sorted, the text of its key.  Any other prints as its key
+    written out as a term (`_decode`), with its bound names numbered by
+    first occurrence from the least naturals that are no free subject,
+    and its binders then pushed onto the sub-multisets that use them
+    (`_minimize`).  So a class whose key is cached prints with no
+    search, and a node whose key exceeds the budget has no form."""
     if _binds_nothing(node):
         return _sorted(node)
-    assign, _, _, ordered = _FormSearch(node).level(node, {}, 0, (), ())[0]
-    return _minimize(_relabel(ordered, assign))
+    frees = {q[1] for q in _nodes(node) if q[0] == "act" and q[1] >= 0}
+    pool = (x for x in itertools.count() if x not in frees)
+    return _minimize(_decode(node_key(node), (), pool))
+
+
+def _decode(code, path: tuple, pool: Iterator[Name]):
+    """The node of a level code, in the code's sibling order.  `path`
+    holds the names bound on the path from the root by de Bruijn level,
+    each as a one-item list that takes the next name of `pool` at the
+    name's first occurrence."""
+    names: list = []
+    kids: list = []
+    for m, acts in code:
+        own = tuple([None] for _ in range(m))
+        inner = path + own
+        for label, out, arity, body in acts:
+            if label < 0:
+                subj = ~label
+            else:
+                cell = inner[label]
+                if cell[0] is None:
+                    cell[0] = next(pool)
+                subj = cell[0]
+            bound = tuple(next(pool) for _ in range(arity))
+            kids.append(("act", subj, "up" if out else "down", bound,
+                         _decode(body, inner + tuple([x] for x in bound),
+                                 pool)))
+        names += [cell[0] for cell in own]
+    if not kids:
+        return _NIL_NODE
+    inner = kids[0] if len(kids) == 1 else ("par", tuple(kids))
+    return ("nu", frozenset(names), inner) if names else inner
 
 
 def _binds_nothing(node) -> bool:
@@ -743,109 +739,6 @@ def form_str(node) -> str:
         names += sorted(body[1])
         body = body[2]
     return f"new {' '.join(str(x) for x in names)}. {form_str(body)}"
-
-
-class _FormSearch(_Search):
-    """The least-prefix search of one `canonical_form` call.
-
-    A state is (assign, k, toks, node): the numbers given to bound
-    names, how many were given, the numbers printed so far with the
-    binder tuples of closed `new`s in place (free names and symbols sit
-    at the same places in every order, so they never decide), and the
-    ordered node of what the call rendered.  `open_` lists the (names,
-    position) of the enclosing `new`s whose binder tuples are open."""
-
-    def __init__(self, node) -> None:
-        super().__init__()
-        # the numbers for bound names: the least that are not free names
-        self.pool = _fresh_names({q[1] for q in _nodes(node)
-                                  if q[0] == "act" and q[1] >= 0},
-                                 len(self.bound(node)))
-
-    def act(self, node, assign: dict, k: int, toks: tuple, open_: tuple):
-        _, subj, pol, bound, body = node
-        if subj < 0:
-            n = assign.get(subj)
-            if n is None:
-                n = self.pool[k]
-                k += 1
-                assign = {**assign, subj: n}
-            toks += (n,)
-        if bound:
-            assign = dict(assign)
-            for x in bound:
-                assign[x] = n = self.pool[k]
-                k += 1
-                toks += (n,)
-        if body is _NIL_NODE:
-            return [(assign, k, toks, node)]
-        return [(a, k_, t, ("act", subj, pol, bound, b))
-                for a, k_, t, b in self.level(body, assign, k, toks, open_)]
-
-    def level(self, node, assign: dict, k: int, toks: tuple, open_: tuple):
-        names: frozenset = frozenset()
-        if node[0] == "nu":
-            _, names, node = node
-            open_ += ((names, len(toks)),)
-        if node[0] == "act":
-            out = self.act(node, assign, k, toks, open_)
-        elif node[0] == "nil":
-            out = [(assign, k, toks, node)]
-        else:
-            # this level's binder tuple is known as soon as its siblings
-            # hold no bound name but its own and numbered ones: the
-            # unnumbered ones come next, in turn
-            plain = names and all(x in names or x in assign
-                                  for x in self.bound(node))
-
-            def place(kid, state):
-                return [(*new[:3], state[3] + (new[3],)) for new in
-                        self.act(kid, *state[:3], open_)]
-
-            out = [(a, k_, t, ("par", chosen)) for a, k_, t, chosen in
-                   self.arrange(node[1], [(assign, k, toks, ())], names,
-                                place, lambda found, same: self.select(
-                                    found, same, open_,
-                                    names if plain else None))]
-        if not names:
-            return out
-        at = open_[-1][1]
-        return [(a, k_, t[:at] + tuple(sorted(a[x] for x in names)) + t[at:],
-                 ("nu", names, b)) for a, k_, t, b in out]
-
-    def select(self, found: list, same: list, open_: tuple, plain):
-        """The states that may still begin the least rendering.
-
-        States with the same numbered names and the same siblings left
-        have the same continuations, so their open binder tuples compare
-        on their numbers so far, and then their printed numbers: only
-        the least are kept.  Across such groups a state is dropped only
-        when the open binder tuples of both are known (all their names
-        numbered or, for a `plain` level, the next numbers in turn) and
-        the other is less."""
-        groups: dict = {}
-        for state in found:
-            assign, k = state[0], state[1]
-            tuples, known = [], True
-            for names, _ in open_:
-                nums = sorted(assign[x] for x in names if x in assign)
-                missing = len(names) - len(nums)
-                known = known and (not missing or names is plain)
-                tuples.append(tuple(nums + self.pool[k:k + missing]))
-            sig = (frozenset(assign), tuple(sorted(same[i] for i in state[4])))
-            groups.setdefault(sig, []).append(
-                ((tuple(tuples), state[2]), known, state))
-        kept: dict = {}
-        for sig, members in groups.items():
-            low = min(rank for rank, _, _ in members)
-            for rank, known, state in members:
-                if rank == low:
-                    kept.setdefault((sig, frozenset(state[0].items())),
-                                    (rank, known, state))
-        low = min((rank for rank, known, _ in kept.values() if known),
-                  default=None)
-        return [state for rank, known, state in kept.values()
-                if not known or rank == low]
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Reference printed form and congruence key, for differential tests of
 `process.canonical` and `terms.node_key`.
 
-`reference_canonical` is the printed form as it was computed before it
-became a least-prefix search on the multiset form: it enumerates every
-admissible ordering of structurally ambiguous parallel siblings (each
-distinct order of equal-skeleton siblings once), renders each candidate
-with bound names numbered by first occurrence, keeps the least token
-stream and shapes it with the scope-minimization pass.  It gives up
+`reference_canonical` is the least rendering of a congruence class: it
+enumerates every admissible ordering of structurally ambiguous parallel
+siblings (each distinct order of equal-skeleton siblings once), renders
+each candidate with bound names numbered by first occurrence, keeps the
+least token stream and shapes it with the scope-minimization pass.
+`process.canonical` prints a class that binds a name from its key
+instead, so the two agree on the partition of terms, and on the forms
+of terms that bind no name.  The reference gives up
 (`SearchBudgetError`) when the candidates, counted as a product of
 multinomials before any is built, exceed the budget.
 

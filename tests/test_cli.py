@@ -466,6 +466,25 @@ def test_search_budget_is_undecided_not_a_parse_error(capsys):
         assert "budget 40320" in out
 
 
+def test_equal_keeps_its_verdict_when_a_normal_form_exceeds_the_budget(
+        capsys):
+    """The double-swap star and `<0!() ; {}>` differ in their actions, so
+    `equal` decides `not equal` with no key; the star's normal form
+    exceeds the search budget, and its line says so and names the
+    budget, while the decided verdict sets the exit code."""
+    names = " ".join(str(x) for x in range(1, 20) if x != 10)
+    star = " | ".join(f"{x}!().0?().{x + 10}?()" for x in range(1, 10))
+    code, out, _ = run(capsys, "equal", f"<new 0 {names}. ({star}) ; {{}}>",
+                       "<0!() ; {}>")
+    assert code == 1
+    verdict, left, right = out.splitlines()
+    assert verdict == "not equal"
+    assert left.startswith("  left  normal form: not printed: "
+                           "canonicalization search space too large")
+    assert left.endswith("budget 40320")
+    assert right == "  right normal form: <0!() ; {}>"
+
+
 def test_normalize_decides_the_symmetric_stars(capsys):
     names = " ".join(str(x) for x in range(1, 10))
     outputs = " | ".join(f"{x}!()" for x in range(1, 10))

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import fusioncalc
-from caches import MODULES as LOADED, package_caches
+from caches import MODULES as LOADED, cached, fresh_caches, package_caches
+from fusioncalc import terms
+from fusioncalc.process import parse_process
 
 PACKAGE = Path(fusioncalc.__file__).resolve().parent
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -216,3 +218,26 @@ def test_every_memo_is_a_bounded_functools_cache():
             "_KEYS", "_REDUCTS", "_TABLES")
     assert [(module.__name__, name) for module in LOADED for name in gone
             if hasattr(module, name)] == []
+
+
+def test_one_sibling_order_search(monkeypatch):
+    """The congruence key is the one sibling-order search: `terms` has no
+    least-rendering search, and the printed form of a class that binds
+    a name is read from its key, so printing a node whose key is cached
+    constructs no `_KeySearch`, and one whose key is not, one."""
+    assert not hasattr(terms, "_FormSearch")
+    assert not hasattr(terms, "_Search")
+    node = terms.multiset_form(parse_process(
+        "new 0 1. (0!().1?() | 1!().0?() | 2?(3).3!())"))[0]
+    searches = []
+    search = terms._KeySearch
+    monkeypatch.setattr(terms, "_KeySearch",
+                        lambda: searches.append(None) or search())
+    with fresh_caches(terms):
+        terms.node_key(node)
+        assert len(searches) == 1
+        cached(terms.node_key, node)
+        form = terms.canonical_form(node)
+        assert len(searches) == 1
+        terms.node_key.cache_clear()
+        assert terms.canonical_form(node) == form and len(searches) == 2

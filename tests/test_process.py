@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import canonical_reference
-from caches import cached
+from caches import cached, fresh_caches
 from canonical_reference import (_orderings, reference_canonical,
                                  reference_key, struct_eq)
 from congruence_oracle import (
@@ -23,7 +23,8 @@ from fusioncalc.fusion import DELTA
 from fusioncalc.pwf import Pwf, equal_pwf, parse_pwf, pwf_str
 from fusioncalc.reduction import step
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
-from fusioncalc.terms import _nodes, multiset_form, node_key, skeleton
+from fusioncalc.terms import (_binds_nothing, _nodes, _sorted, canonical_form,
+                              form_str, multiset_form, node_key, skeleton)
 from subst_reference import reference_substitute, scoped_processes
 
 
@@ -186,8 +187,8 @@ def _step_listing(text):
     # an input binder shadowing a restriction
     (_canonical_str, "new 0. 0?(0).0!()", "new 0. 0?(1).1!()"),
     # bound arguments re-using free names
-    (_canonical_str, "1!() | 0?(1).1!()", "0?(2).2!() | 1!()"),
-    (_canonical_str, "0!(2).2?() | 2!(3).3?(2)", "0!(1).1?() | 2!(3).3?(4)"),
+    (_canonical_str, "1!() | 0?(1).1!()", "1!() | 0?(2).2!()"),
+    (_canonical_str, "0!(2).2?() | 2!(3).3?(2)", "2!(1).1?(3) | 0!(4).4?()"),
     # nested restrictions, one of them shadowed by an output binder
     (_canonical_str, "new 0. new 1. (0!(1) | 1?().0?())",
      "new 1. 1!(2) | (new 0. 0?().1?())"),
@@ -195,7 +196,7 @@ def _step_listing(text):
      "4!() | (new 1. 1!(2) | (new 0. 0?().1?()))"),
     # input binders under parallel composition
     (_canonical_str, "0?(1).1!() | 0?(1).1?() | 1!()",
-     "0?(2).2?() | 0?(3).3!() | 1!()"),
+     "1!() | 0?(2).2?() | 0?(3).3!()"),
     (_canonical_str, "0?(1,2).(new 1. (1!(2) | 2?()) | 1?())",
      "0?(1,2).(2?() | (new 3. 3?() | 3!(4)))"),
     # one communication of arity 2; a reduct is printed from its
@@ -236,15 +237,15 @@ def test_identical_siblings_in_any_association(k):
     assert equal_pwf(Pwf(terms[1], DELTA), Pwf(terms[2], DELTA))
 
 
-# Groups with identical and distinct siblings of one skeleton; the
-# expected forms are those of the exhaustive permutation search.
+# Groups with identical and distinct siblings of one skeleton, printed
+# in the sibling order of their congruence keys.
 @pytest.mark.parametrize("text, expected", [
     ("new 5 6. (5!() | 6!() | 5!() | 0!() | 6?() | 6!() | 0!() | 5?() "
      "| 1?())",
-     "0!() | 0!() | 1?() | (new 2. 2?() | 2!() | 2!()) "
+     "1?() | 0!() | 0!() | (new 2. 2?() | 2!() | 2!()) "
      "| (new 3. 3?() | 3!() | 3!())"),
     ("new 7. (0!() | 0!() | 0!() | 7!() | 7!().0!() | 0!())",
-     "0!() | 0!() | 0!() | 0!() | (new 1. 1!().0!() | 1!())"),
+     "0!() | 0!() | 0!() | 0!() | (new 1. 1!() | 1!().0!())"),
     ("0!() | 0!() | 1!() | 0!() | 0?()", "0?() | 0!() | 0!() | 0!() | 1!()"),
     ("new 5 6. (5!() | 6!() | 5!() | 6!() | 5!() | 6!() | 0!() | 0!())",
      "0!() | 0!() | (new 1. 1!() | 1!() | 1!()) "
@@ -456,18 +457,57 @@ def test_nodes_with_one_key_have_one_skeleton(p, r, rng):
                 (process_str(family[i]), process_str(family[j]))
 
 
-@given(_printed_processes())
+_TIED = parse_process("new 8 9. (8!().9?() | 9!().8?())")
+
+
+@given(_printed_processes(), _printed_processes(),
+       st.randoms(use_true_random=False))
 @settings(max_examples=300, deadline=None)
-def test_canonical_matches_the_enumerating_reference(p):
-    """On every term whose orders the reference enumerates within 7!
-    candidates (eight siblings equal up to their own binders take it 2 s
-    to enumerate at the full budget, and the search 1 ms)."""
-    with mock.patch.object(canonical_reference, "_MAX_CANDIDATES", 5040):
-        try:
-            expected = reference_canonical(p)
-        except process.SearchBudgetError:
-            return
-    assert canonical(p) == expected
+def test_canonical_matches_the_enumerating_reference(p, r, rng):
+    """`canonical` induces the partition of the reference's least
+    renderings on random terms and their congruent copies, on every term
+    whose orders the reference enumerates within 7! candidates (eight
+    siblings equal up to their own binders take it 2 s to enumerate at
+    the full budget, and the search 1 ms).  Each form parses back to a
+    term of the same key, and a term that binds no name prints as its
+    sorted node, the reference's form.  The form runs no search of its
+    own: under a budget of no state, where every search raises, it
+    raises exactly where the key does, on these terms and beside two
+    siblings whose restricted names tie (`_TIED`), which are searched."""
+    family = [p, _congruent_copy(rng, p), r, _congruent_copy(rng, r)]
+    nodes = [multiset_form(t)[0] for t in family]
+    forms, references = [], []
+    for t, node in zip(family, nodes):
+        form = canonical(t)
+        assert node_key(multiset_form(form)[0]) == node_key(node)
+        if _binds_nothing(node):
+            assert process_str(form) == form_str(_sorted(node))
+        with mock.patch.object(canonical_reference, "_MAX_CANDIDATES", 5040):
+            try:
+                reference = reference_canonical(t)
+            except process.SearchBudgetError:
+                continue
+        if _binds_nothing(node):
+            assert form == reference
+        forms.append(form)
+        references.append(reference)
+    for i, j in itertools.combinations(range(len(forms)), 2):
+        assert (forms[i] == forms[j]) == (references[i] == references[j])
+    tied = [multiset_form(Par(t, _TIED))[0] for t in family]
+    outcomes = []
+    with fresh_caches(), mock.patch("fusioncalc.terms._MAX_CANDIDATES", 0):
+        for node in nodes + tied:
+            raised = []
+            for fn in (node_key, canonical_form):
+                node_key.cache_clear()
+                try:
+                    fn(node)
+                except process.SearchBudgetError:
+                    raised.append(fn)
+            outcomes.append(raised)
+    assert all(raised in ([], [node_key, canonical_form])
+               for raised in outcomes)
+    assert all(outcomes[len(nodes):])
 
 
 @given(_printed_processes(), _printed_processes(),
@@ -558,7 +598,8 @@ def _nine(pattern, extra=""):
 # up (9! orders).  Swap pruning and colour refinement decide the first
 # four.  In the last one every x!().0?().z?() is another's with two
 # pairs of names swapped, and no single swap maps the siblings onto
-# themselves, so both searches hold 9 * 8 * 7 * 6 * 5 * 4 = 60,480 orders.
+# themselves, so the key's search holds 9 * 8 * 7 * 6 * 5 * 4 = 60,480
+# orders, and the printed form, read from the key, has none either.
 @pytest.mark.parametrize("term, decided", [
     (_nine("{x}!()"), True),
     (_nine("{x}!().{x}?()"), True),

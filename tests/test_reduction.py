@@ -121,9 +121,10 @@ def test_reduces_within_under_a_fusion_compares_up_to_the_fusion():
     assert not reduces_within(p, parse_pwf("<0!() ; {}>"), 3)
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, computed: bool = False) -> list:
     """Record the argument of every call of `terms.<name>` or
-    `process.<name>`, in every module that binds it.  The caches start
+    `process.<name>`, in every module that binds it; when `computed`,
+    only of the calls that miss the function's cache.  The caches start
     empty, so the counts are those of a fresh process."""
     from fusioncalc import cli, process, pwf, realizability
     clear_caches()
@@ -131,8 +132,11 @@ def _count_calls(monkeypatch, name: str) -> list:
     original = getattr(terms, name, None) or getattr(process, name)
 
     def counting(p, *args):
-        calls.append(p)
-        return original(p, *args)
+        misses = original.cache_info().misses if computed else None
+        out = original(p, *args)
+        if not computed or original.cache_info().misses > misses:
+            calls.append(p)
+        return out
 
     for module in (cli, process, pwf, realizability, reduction, terms):
         if getattr(module, name, None) is original:
@@ -200,14 +204,15 @@ def _binds_no_name(node) -> bool:
 ])
 def test_cli_reduce_canonicalises_each_term_once(monkeypatch, capsys,
                                                   literal, steps, distinct):
-    """The search keys every distinct reduct once, and not the start
-    term; here each keyed reduct is a listed class.  Each line is
-    printed once: a class that binds no name from its key, which is its
-    printed form, with no `canonical_form` call, and any other class by
-    one `canonical_form` of its node.  No `Process` is built for a
+    """The search computes the key of every distinct reduct once, and
+    not that of the start term; here each keyed reduct is a listed
+    class.  Each line is printed once: a class that binds no name from
+    its key, which is its printed form, with no `canonical_form` call,
+    and any other class by one `canonical_form` of its node, which
+    reads the node's key from the cache.  No `Process` is built for a
     line."""
     printed = _count_calls(monkeypatch, "canonical_form")
-    keyed = _count_calls(monkeypatch, "node_key")
+    keyed = _count_calls(monkeypatch, "node_key", computed=True)
     rebuilt = _count_calls(monkeypatch, "_to_process")
     canonicalised = _count_calls(monkeypatch, "canonical")
     assert main(["reduce", literal, "--steps", str(steps)]) == 0
