@@ -18,8 +18,9 @@ import sys
 
 from .fusion import (DELTA, ClassBudgetError, FusionError,
                      NotRepresentableError, class_of, equal, fusion_str,
-                     join, meet, parse_fusion, phi, remove, restrict)
-from .names import parse_name, parse_nameset
+                     join, meet, parse_fusion, phi, read_fusion, remove,
+                     restrict)
+from .names import Tokens, parse_name, parse_nameset
 from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
 from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
@@ -145,42 +146,33 @@ def _cmd_star(args) -> int:
     return 0
 
 
-def _top_level_items(spec: str) -> list[str]:
-    """spec split at each comma outside {...} and [...], so that a fusion
-    literal keeps its items."""
-    items, depth, start = [], 0, 0
-    for i, ch in enumerate(spec):
-        if ch in "{[":
-            depth += 1
-        elif ch in "}]":
-            depth -= 1
-        elif ch == "," and not depth:
-            items.append(spec[start:i])
-            start = i + 1
-    items.append(spec[start:])
-    return items
-
-
 def _parse_universe_spec(spec: str):
+    """Grammar: `key=value` entries joined with `,`; a `fusions` value is
+    fusion literals joined with `|`, and any other is an integer."""
     from . import realizability
-    max_actions, names, limit = 2, 3, 160
+    sizes = {"max_actions": 2, "names": 3, "limit": 160}
     fusions = [DELTA, parse_fusion("{0~1}")]
-    for part in filter(None, (s.strip() for s in _top_level_items(spec))):
-        if "=" not in part:
-            raise ValueError(f"universe spec entries look like key=value:"
-                             f" {part!r}")
-        key, value = (s.strip() for s in part.split("=", 1))
-        if key == "max_actions":
-            max_actions = int(value)
-        elif key == "names":
-            names = int(value)
-        elif key == "limit":
-            limit = int(value)
-        elif key == "fusions":
-            fusions = [parse_fusion(f) for f in value.split("|")]
+    tokens = Tokens(spec, ValueError)
+    while tokens.peek()[0] != "end":
+        if tokens.take(","):
+            continue
+        key = tokens.take()[1]
+        tokens.expect("=")
+        if key == "fusions":
+            fusions = [read_fusion(tokens)]
+            while tokens.take("|"):
+                fusions.append(read_fusion(tokens))
+        elif key in sizes:
+            start = tokens.peek()[2]
+            while tokens.peek()[1] not in (",", ""):
+                tokens.take()
+            sizes[key] = int(spec[start:tokens.peek()[2]])
         else:
             raise ValueError(f"unknown universe spec key {key!r}")
-    return realizability.default_universe(max_actions, names, fusions, limit)
+        if tokens.peek()[1] not in (",", ""):
+            raise tokens.fail("expected ','")
+    return realizability.default_universe(
+        sizes["max_actions"], sizes["names"], fusions, sizes["limit"])
 
 
 def _cmd_pole_laws(args) -> int:
@@ -279,9 +271,6 @@ def _realizer_str(expr) -> str:
 
 def _cmd_hy_check(args) -> int:
     from . import hy_encodings
-    if not args.experimental_hy:
-        print("hy-check is experimental; rerun with --experimental-hy")
-        return 2
     ok = True
     for label, verdict, detail in hy_encodings.check_hy_reductions():
         print(f"{label}\t{verdict}\t{detail}" if args.format == "tsv"
@@ -422,7 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mll)
 
     p = sub.add_parser("hy-check", help="combinator encoding tests")
-    p.add_argument("--experimental-hy", action="store_true")
     p.set_defaults(func=_cmd_hy_check)
 
     p = sub.add_parser("laws", help="run the full law suite")

@@ -53,8 +53,9 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable
 
-from .names import (Name, NameSet, Word, _all_words, index_set, is_suffix,
-                    parse_name, tag, untag, word, word_str)
+from .names import (EPSILON, Name, NameSet, Tokens, Word, _all_words,
+                    index_set, is_suffix, parse_name, tag, untag, word,
+                    word_str)
 from .record import Record
 from .subst import Substitution, remap_subst
 
@@ -585,29 +586,39 @@ def equal(e: Fusion, f: Fusion) -> bool:
 
 def parse_fusion(text: str) -> Fusion:
     """Grammar: `{ item (, item)* }`, item = chain `a~b~c` or family
-    `[w1 <-> w2]`; `{}` is the identity fusion."""
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"fusion literal must be braced: {text!r}")
+    `[w1 <-> w2]`; `{}` is the identity fusion, and empty items are
+    skipped."""
+    tokens = Tokens(text, ValueError)
+    return tokens.end(read_fusion(tokens))
+
+
+def read_fusion(tokens: Tokens) -> Fusion:
+    """The fusion literal that starts at the cursor, read."""
     pairs: set[tuple[Name, Name]] = set()
     families: set[tuple[Word, Word]] = set()
-    for item in text[1:-1].split(","):
-        item = item.strip()
-        if not item:
+    tokens.expect("{")
+    while not tokens.take("}"):
+        if tokens.take(","):
             continue
-        if item.startswith("["):
-            if not item.endswith("]"):
-                raise ValueError(f"unterminated family literal: {item!r}")
-            lhs, sep, rhs = item[1:-1].partition("<->")
-            if not sep:
-                raise ValueError(f"family literal needs '<->': {item!r}")
-            families.add(_fam_pair(word(lhs), word(rhs)))
+        if tokens.take("["):
+            lhs = _read_word(tokens)
+            tokens.expect("<->")
+            families.add(_fam_pair(lhs, _read_word(tokens)))
+            tokens.expect("]")
         else:
-            chain = [parse_name(part.strip()) for part in item.split("~")]
-            if len(chain) < 2:
-                raise ValueError(f"chain needs at least two names: {item!r}")
+            chain = [tokens.read(parse_name)]
+            tokens.expect("~")
+            chain.append(tokens.read(parse_name))
+            while tokens.take("~"):
+                chain.append(tokens.read(parse_name))
             pairs.update(_name_pair(a, b) for a, b in zip(chain, chain[1:]))
+        if tokens.peek()[1] not in (",", "}"):
+            raise tokens.fail("expected ',' or '}'")
     return Fusion(frozenset(pairs), frozenset(families))
+
+
+def _read_word(tokens: Tokens) -> Word:
+    return tokens.read(word) if tokens.peek()[0] == "name" else EPSILON
 
 
 def fusion_str(e: Fusion) -> str:

@@ -11,6 +11,7 @@ operations the fusion calculus needs.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Optional
 
 from .record import Record
@@ -68,6 +69,67 @@ def parse_name(text: str) -> Name:
     if not (head.isascii() and head.isdigit()):
         raise ValueError(f"a name is a decimal natural: {text!r}")
     return tag(int(head), word(rest)) if dot else int(head)
+
+
+# a token: a name (digits, with dotted sugar), a word (letters), the
+# family arrow, or any other character; whitespace only separates
+_TOKEN = re.compile(r"(?P<name>\d+(?:\.\d+)*)|(?P<word>[A-Za-z_]+)"
+                    r"|(?P<op><->|\S)")
+
+
+class Tokens:
+    """A cursor over the tokens of a calculus literal, found by one
+    pattern (the tokenizer recipe of the `re` documentation).  A token is
+    (kind, text, position): kind "name", "word" or "op", and a last one
+    of kind "end".  `error` is the reader's exception class, raised with
+    the position of the token that stopped it."""
+
+    __slots__ = ("text", "tokens", "i", "error")
+
+    def __init__(self, text: str, error: type[Exception]) -> None:
+        self.text, self.error, self.i = text, error, 0
+        self.tokens = [(m.lastgroup, m[0], m.start())
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append(("end", "", len(text)))
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def take(self, text: Optional[str] = None):
+        """The next token, read, if its text is `text` (any token but the
+        end when None); None otherwise."""
+        token = self.tokens[self.i]
+        if token[0] == "end" or text is not None and token[1] != text:
+            return None
+        self.i += 1
+        return token
+
+    def expect(self, text: str) -> None:
+        if self.take(text) is None:
+            raise self.fail(f"expected {text!r}")
+
+    def read(self, parse):
+        """The next token, read by `parse` (`parse_name` or `word`); its
+        ValueError gains the token's position."""
+        _, text, at = self.peek()
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise self.fail(str(exc), at) from None
+        self.i += 1
+        return value
+
+    def end(self, value):
+        """value, once no token is left to read."""
+        kind, text, _ = self.peek()
+        if kind != "end":
+            raise self.fail(f"trailing input {text!r}")
+        return value
+
+    def fail(self, message: str, at: Optional[int] = None) -> Exception:
+        if at is None:
+            at = self.peek()[2]
+        return self.error(f"{message} at position {at} in {self.text!r}")
 
 
 class NameSet(Record):

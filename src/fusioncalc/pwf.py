@@ -4,6 +4,10 @@ binders, relabelings, and the adjoint application operators.
 PWF equality is decided here alone, by `pwf_key`, which equates exactly
 the equal PWFs; `equal_pwf` compares two keys.
 
+A literal `< P ; F >` is read by the process parser and the fusion
+reader, which share one tokenizer (`names.Tokens`), and printed by
+`pwf_str` through `terms.form_str`.
+
 The set binder follows the hereditary-closure construction: starting
 from the free names inside the bound set, repeatedly pick replacement
 representatives outside the already-bound prefix until the set
@@ -273,19 +277,13 @@ def pwf_str(p: Pwf) -> str:
 
 
 def parse_pwf(text: str) -> Pwf:
+    """Grammar: `< process ; fusion >`.  Neither part holds a `;`, so the
+    literal splits at its first one, and a process error's position
+    counts from the character after `<`."""
     text = text.strip()
     if not (text.startswith("<") and text.endswith(">")):
         raise PwfError(f"PWF literal must look like < P ; F >: {text!r}")
-    inner = text[1:-1]
-    depth = 0
-    split = -1
-    for idx, ch in enumerate(inner):
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-        elif ch == ";" and depth == 0:
-            split = idx
-    if split < 0:
+    proc, semicolon, fus = text[1:-1].partition(";")
+    if not semicolon:
         raise PwfError(f"PWF literal needs a ';' separator: {text!r}")
-    return Pwf(parse_process(inner[:split]), parse_fusion(inner[split + 1:]))
+    return Pwf(parse_process(proc), parse_fusion(fus))

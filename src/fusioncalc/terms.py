@@ -716,8 +716,10 @@ def _sorted(node):
 
 
 def form_str(node) -> str:
-    """`process.process_str` of the term of a node with natural names,
-    such as a `canonical_form`, written from the node."""
+    """The text of a node with natural names, such as a `canonical_form`
+    or a `Process` read as a node (`process.process_str`): the one term
+    printer.  A `par` or `nu` inside a level or under a prefix is
+    bracketed, and a `nu` directly under a `nu` joins its `new`."""
     kind = node[0]
     if kind == "nil":
         return "1"
@@ -746,7 +748,9 @@ def form_str(node) -> str:
 
 
 def _minimize(node):
-    """Push nu binders onto the sub-multisets that use them.  node has
+    """Push nu binders onto the sub-multisets that use them, a name
+    pushed onto a component that holds pushed names joining them, so
+    that each `new` prints its binders in ascending order.  node has
     natural names, each bound one bound once, so a restricted name is
     free in a component exactly when it is a subject there."""
     kind = node[0]
@@ -767,8 +771,11 @@ def _minimize(node):
             continue
         used = [c for c, u in zip(comps, uses) if u]
         comps = [c for c, u in zip(comps, uses) if not u]
-        comps.append(("nu", frozenset({x}),
-                      used[0] if len(used) == 1 else ("par", tuple(used))))
+        if len(used) == 1 and used[0][0] == "nu":
+            comps.append(("nu", used[0][1] | {x}, used[0][2]))
+        else:
+            comps.append(("nu", frozenset({x}), used[0] if len(used) == 1
+                          else ("par", tuple(used))))
         names = names - {x}
     inner = comps[0] if len(comps) == 1 else ("par", tuple(comps))
     return ("nu", names, _minimize(inner)) if names else _minimize(inner)

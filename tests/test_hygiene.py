@@ -241,3 +241,16 @@ def test_one_sibling_order_search(monkeypatch):
         assert len(searches) == 1
         terms.node_key.cache_clear()
         assert terms.canonical_form(node) == form and len(searches) == 2
+
+
+def test_one_tokenizer_and_one_term_printer():
+    """Every literal is read through `names.Tokens`: the process parser
+    scans no characters, and the universe spec is not split by hand;
+    a `Process` prints as `form_str` of its node, with no walk of its
+    own."""
+    from fusioncalc import cli, process
+
+    assert not hasattr(cli, "_top_level_items")
+    assert not hasattr(process, "_par_list")
+    assert not hasattr(process._Parser, "skip")
+    assert issubclass(process._Parser, fusioncalc.names.Tokens)

@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ from fusioncalc.names import finite, parse_nameset, residue
 from fusioncalc.process import NIL, Act, parse_process, process_str
 from fusioncalc.pwf import (
     Pwf, PwfError, REALIZER_WORDS, as_pwf, bullet, equal_pwf, fn_contains,
-    hereditary_closure, nu_all, nu_finite, nu_name, nu_set,
+    hereditary_closure, normalize, nu_all, nu_finite, nu_name, nu_set,
     par, parse_pwf, prefix, pwf_str, realizer_catalog, relabel, relabel_word,
     sigma_node, star, unrelabel, _closure_step)
 from fusioncalc.subst import Substitution, finite_subst, remap_subst
@@ -155,6 +156,15 @@ def test_sigma_node_is_the_form_of_the_substituted_process(proc, fus):
     expected = multiset_form(
         reference_substitute(proc, canonical_subst(fus)))[0]
     assert sigma_node(p) == expected
+
+
+@given(scoped_processes(), _fusions())
+@settings(max_examples=200, deadline=None)
+def test_each_printed_new_lists_its_binders_in_ascending_order(proc, fus):
+    for binders in re.findall(r"new ([\d ]+)\.", pwf_str(normalize(
+            Pwf(proc, fus)))):
+        names = [int(x) for x in binders.split()]
+        assert names == sorted(names), binders
 
 
 NAME_SETS = ["all", "@1", "@2", "@1.2", "{0,2}", "{1,3,4}", "{5,7}",
