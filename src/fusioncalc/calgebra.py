@@ -42,6 +42,7 @@ from importlib import resources
 from itertools import combinations, product
 from typing import Iterable, Optional
 
+from .names import natural
 from .record import Report, first_witness, passed
 
 Element = str
@@ -436,13 +437,15 @@ def parse_model(text: str) -> FinModel:
 
     parcomp = binary_table("par") if "par" in sections else None
 
-    window = tuple(int(t) for t in tokens("window"))
+    window = tuple(natural(t, "a [window] name", ModelError)
+                   for t in tokens("window"))
     m_table: dict[tuple[int, int], Element] = {}
     for line in sections.get("M", []):
         parts = line.split()
         if len(parts) != 4 or parts[2] != "->":
             raise ModelError(f"[M] rows look like `a x -> elem`: {line!r}")
-        m_table[int(parts[0]), int(parts[1])] = check_elem(parts[3], "M")
+        a, x = (natural(t, "an [M] name", ModelError) for t in parts[:2])
+        m_table[a, x] = check_elem(parts[3], "M")
 
     separator = frozenset(check_elem(t, "separator")
                           for t in tokens("separator"))

@@ -20,7 +20,7 @@ from .fusion import (DELTA, ClassBudgetError, FusionError,
                      NotRepresentableError, class_of, equal, fusion_str,
                      join, meet, parse_fusion, phi, read_fusion, remove,
                      restrict)
-from .names import Tokens, parse_name, parse_nameset
+from .names import Tokens, natural, parse_name, parse_nameset
 from .process import (ProcessError, SearchBudgetError, form_str,
                       parse_process, process_str)
 from .pwf import (PwfError, as_pwf, equal_pwf, normalize, nu_set, par,
@@ -148,7 +148,8 @@ def _cmd_star(args) -> int:
 
 def _parse_universe_spec(spec: str):
     """Grammar: `key=value` entries joined with `,`; a `fusions` value is
-    fusion literals joined with `|`, and any other is an integer."""
+    fusion literals joined with `|`, and any other is a natural, perhaps
+    negated (the universe reports a negative size as out of range)."""
     from . import realizability
     sizes = {"max_actions": 2, "names": 3, "limit": 160}
     fusions = [DELTA, parse_fusion("{0~1}")]
@@ -166,7 +167,9 @@ def _parse_universe_spec(spec: str):
             start = tokens.peek()[2]
             while tokens.peek()[1] not in (",", ""):
                 tokens.take()
-            sizes[key] = int(spec[start:tokens.peek()[2]])
+            value = spec[start:tokens.peek()[2]].strip()
+            sizes[key] = (-natural(value[1:], key) if value.startswith("-")
+                          else natural(value, key))
         else:
             raise ValueError(f"unknown universe spec key {key!r}")
         if tokens.peek()[1] not in (",", ""):

@@ -53,9 +53,8 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterable
 
-from .names import (EPSILON, Name, NameSet, Tokens, Word, _all_words,
-                    index_set, is_suffix, parse_name, tag, untag, word,
-                    word_str)
+from .names import (Name, NameSet, Tokens, Word, _all_words, index_set,
+                    is_suffix, parse_name, read_word, tag, untag, word_str)
 from .record import Record
 from .subst import Substitution, remap_subst
 
@@ -601,9 +600,9 @@ def read_fusion(tokens: Tokens) -> Fusion:
         if tokens.take(","):
             continue
         if tokens.take("["):
-            lhs = _read_word(tokens)
+            lhs = read_word(tokens)
             tokens.expect("<->")
-            families.add(_fam_pair(lhs, _read_word(tokens)))
+            families.add(_fam_pair(lhs, read_word(tokens)))
             tokens.expect("]")
         else:
             chain = [tokens.read(parse_name)]
@@ -615,10 +614,6 @@ def read_fusion(tokens: Tokens) -> Fusion:
         if tokens.peek()[1] not in (",", "}"):
             raise tokens.fail("expected ',' or '}'")
     return Fusion(frozenset(pairs), frozenset(families))
-
-
-def _read_word(tokens: Tokens) -> Word:
-    return tokens.read(word) if tokens.peek()[0] == "name" else EPSILON
 
 
 def fusion_str(e: Fusion) -> str:

@@ -22,6 +22,7 @@ from importlib import resources
 from typing import Optional, Union
 
 from .calgebra import Element, FinModel, _no_join
+from .names import Tokens, natural
 from .process import SearchBudgetError
 from .pwf import UNIT, Pwf, as_pwf, realizer_catalog, star
 from .record import Record, Report
@@ -138,115 +139,65 @@ def sequent_str(seq: Sequent) -> str:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer shared by formulas and proof trees
+# formulas and proof trees read the tokens of `names.Tokens`: `1` is a
+# name token, a variable a word token that starts with a letter and is
+# no keyword, and punctuation one character each
 
 _KEYWORDS = {"v", "ex", "ax", "sub", "cut", "one", "tensor", "exists"}
-_PUNCT = "()^*.,"
 
 
-def _tokenize(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _PUNCT:
-            out.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise MllError(f"unexpected character {ch!r}")
-    return out
+def _variable(ts: Tokens) -> str:
+    kind, text, _ = ts.peek()
+    if kind != "word" or text in _KEYWORDS or text.startswith("_"):
+        raise ts.fail("expected a variable")
+    ts.take()
+    return text
 
 
-class _Tokens:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise MllError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise MllError(f"expected {tok!r}, found {got!r}")
-
-
-def _is_ident(tok: Optional[str]) -> bool:
-    return (tok is not None and tok not in _KEYWORDS and tok != "1"
-            and tok[0].isalpha())
-
-
-def _parse_formula(ts: _Tokens) -> Formula:
-    if ts.peek() == "ex":
-        ts.next()
-        var = ts.next()
-        if not _is_ident(var):
-            raise MllError(f"invalid bound variable {var!r}")
+def _formula(ts: Tokens) -> Formula:
+    if ts.take("ex"):
+        var = _variable(ts)
         ts.expect(".")
-        return Exists(var, _parse_formula(ts))
-    return _parse_join(ts)
+        return Exists(var, _formula(ts))
+    return _join(ts)
 
 
-def _parse_join(ts: _Tokens) -> Formula:
-    left = _parse_tensor(ts)
-    while ts.peek() == "v":
-        ts.next()
-        if ts.peek() == "ex":
-            return Join(left, _parse_formula(ts))
-        left = Join(left, _parse_tensor(ts))
+def _join(ts: Tokens) -> Formula:
+    left = _tensor(ts)
+    while ts.take("v"):
+        if ts.peek()[1] == "ex":
+            return Join(left, _formula(ts))
+        left = Join(left, _tensor(ts))
     return left
 
 
-def _parse_tensor(ts: _Tokens) -> Formula:
-    left = _parse_postfix(ts)
-    while ts.peek() == "*":
-        ts.next()
-        left = Tensor(left, _parse_postfix(ts))
+def _tensor(ts: Tokens) -> Formula:
+    left = _postfix(ts)
+    while ts.take("*"):
+        left = Tensor(left, _postfix(ts))
     return left
 
 
-def _parse_postfix(ts: _Tokens) -> Formula:
-    out = _parse_primary(ts)
-    while ts.peek() == "^":
-        ts.next()
+def _postfix(ts: Tokens) -> Formula:
+    out = _primary(ts)
+    while ts.take("^"):
         out = Perp(out)
     return out
 
 
-def _parse_primary(ts: _Tokens) -> Formula:
-    tok = ts.next()
-    if tok == "1":
+def _primary(ts: Tokens) -> Formula:
+    if ts.take("1"):
         return One()
-    if tok == "(":
-        inner = _parse_formula(ts)
+    if ts.take("("):
+        inner = _formula(ts)
         ts.expect(")")
         return inner
-    if _is_ident(tok):
-        return Var(tok)
-    raise MllError(f"unexpected token {tok!r} in formula")
+    return Var(_variable(ts))
 
 
 def parse_formula(text: str) -> Formula:
-    ts = _Tokens(_tokenize(text))
-    out = _parse_formula(ts)
-    if ts.peek() is not None:
-        raise MllError(f"trailing tokens after formula: {ts.peek()!r}")
-    return out
+    ts = Tokens(text, MllError)
+    return ts.end(_formula(ts))
 
 
 # ---------------------------------------------------------------------------
@@ -285,51 +236,36 @@ class ExistsIntro(Record):
 Proof = Union[Ax, Ex, SubRule, Cut, OneIntro, TensorIntro, ExistsIntro]
 
 
-def _parse_proof(ts: _Tokens) -> Proof:
+def _proof(ts: Tokens) -> Proof:
     ts.expect("(")
-    rule = ts.next()
-    if rule == "ax":
-        out: Proof = Ax(_parse_formula(ts))
-    elif rule == "ex":
+    if ts.take("ax"):
+        out: Proof = Ax(_formula(ts))
+    elif ts.take("ex"):
         ts.expect("(")
         perm: list[int] = []
-        while ts.peek() != ")":
-            tok = ts.next()
-            if not tok.isdigit():
-                raise MllError(f"permutation entries are numbers: {tok!r}")
-            perm.append(int(tok))
-        ts.expect(")")
-        out = Ex(tuple(perm), _parse_proof(ts))
-    elif rule == "sub":
-        sub = _parse_proof(ts)
-        out = SubRule(sub, _parse_formula(ts))
-    elif rule == "cut":
-        left = _parse_proof(ts)
-        right = _parse_proof(ts)
-        out = Cut(left, right, _parse_formula(ts))
-    elif rule == "one":
+        while not ts.take(")"):
+            perm.append(ts.read(lambda t: natural(t, "a permutation entry")))
+        out = Ex(tuple(perm), _proof(ts))
+    elif ts.take("sub"):
+        out = SubRule(_proof(ts), _formula(ts))
+    elif ts.take("cut"):
+        out = Cut(_proof(ts), _proof(ts), _formula(ts))
+    elif ts.take("one"):
         out = OneIntro()
-    elif rule == "tensor":
-        left = _parse_proof(ts)
-        out = TensorIntro(left, _parse_proof(ts))
-    elif rule == "exists":
-        sub = _parse_proof(ts)
-        var = ts.next()
-        if not _is_ident(var):
-            raise MllError(f"invalid bound variable {var!r}")
-        out = ExistsIntro(sub, var, _parse_formula(ts), _parse_formula(ts))
+    elif ts.take("tensor"):
+        out = TensorIntro(_proof(ts), _proof(ts))
+    elif ts.take("exists"):
+        out = ExistsIntro(_proof(ts), _variable(ts), _formula(ts),
+                          _formula(ts))
     else:
-        raise MllError(f"unknown proof rule {rule!r}")
+        raise ts.fail("expected a proof rule")
     ts.expect(")")
     return out
 
 
 def parse_proof(text: str) -> Proof:
-    ts = _Tokens(_tokenize(text))
-    out = _parse_proof(ts)
-    if ts.peek() is not None:
-        raise MllError(f"trailing tokens after proof: {ts.peek()!r}")
-    return out
+    ts = Tokens(text, MllError)
+    return ts.end(_proof(ts))
 
 
 def check_proof(p: Proof) -> Sequent:

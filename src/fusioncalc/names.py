@@ -24,7 +24,6 @@ EPSILON: Word = ()
 
 def word(text: str) -> Word:
     """Parse a dotted word literal such as "1.2" (empty string = epsilon)."""
-    text = text.strip()
     if not text:
         return EPSILON
     letters = text.split(".")
@@ -62,13 +61,23 @@ def is_suffix(u: Word, w: Word) -> bool:
     return len(u) <= len(w) and w[len(w) - len(u):] == u
 
 
+def natural(text: str, what: str,
+            error: type[Exception] = ValueError) -> int:
+    """`text` as a plain natural: ASCII decimal digits only, with no sign,
+    space, underscore or other numeral (`int()` takes all of them).
+    Otherwise raises `error`, saying that `what` is a decimal natural."""
+    if not (text.isascii() and text.isdigit()):
+        raise error(f"{what} is a decimal natural: {text!r}")
+    return int(text)
+
+
 def parse_name(text: str) -> Name:
-    """A decimal natural or dotted sugar n.w, e.g. "1.1.2" = tag(1, "1.2").
-    Only ASCII digits: no sign, space or other numeral."""
+    """A decimal natural or dotted sugar n.w, e.g. "1.1.2" = tag(1, "1.2"),
+    with a letter after each dot."""
     head, dot, rest = text.partition(".")
-    if not (head.isascii() and head.isdigit()):
-        raise ValueError(f"a name is a decimal natural: {text!r}")
-    return tag(int(head), word(rest)) if dot else int(head)
+    if dot and not rest:
+        raise ValueError(f"a dot needs a word letter after it: {text!r}")
+    return tag(natural(head, "a name"), word(rest))
 
 
 # a token: a name (digits, with dotted sugar), a word (letters), the
@@ -82,7 +91,9 @@ class Tokens:
     pattern (the tokenizer recipe of the `re` documentation).  A token is
     (kind, text, position): kind "name", "word" or "op", and a last one
     of kind "end".  `error` is the reader's exception class, raised with
-    the position of the token that stopped it."""
+    the position of the token that stopped it.  Every inline literal is
+    read from it: processes, fusions, name sets, `--universe` specs, and
+    mll formulas and proofs."""
 
     __slots__ = ("text", "tokens", "i", "error")
 
@@ -109,8 +120,9 @@ class Tokens:
             raise self.fail(f"expected {text!r}")
 
     def read(self, parse):
-        """The next token, read by `parse` (`parse_name` or `word`); its
-        ValueError gains the token's position."""
+        """The next token, read by `parse` (`parse_name`, `word`, or
+        `natural` with its `what`); its ValueError gains the token's
+        position."""
         _, text, at = self.peek()
         try:
             value = parse(text)
@@ -246,22 +258,30 @@ def index_set(w: Word, X: NameSet) -> NameSet:
                    frozenset(excl))
 
 
+def read_word(tokens: Tokens) -> Word:
+    """The word at the cursor, if a name token holds one; else epsilon."""
+    return tokens.read(word) if tokens.peek()[0] == "name" else EPSILON
+
+
 def parse_nameset(text: str) -> NameSet:
-    """Grammar: `{3,5}` | `@1` | `@1.2` | `all`, joined with `+`."""
+    """Grammar: `{3,5}` | `@1` | `@1.2` | `all`, joined with `+`; an
+    error names the position of the token that stopped the reader."""
+    tokens = Tokens(text, ValueError)
     result = EMPTY
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError("empty name-set component")
-        if chunk == "all":
+    while True:
+        if tokens.take("all"):
             part = ALL
-        elif chunk.startswith("@"):
-            part = residue(word(chunk[1:]))
-        elif chunk.startswith("{") and chunk.endswith("}"):
-            inner = chunk[1:-1].strip()
-            part = finite(parse_name(p.strip()) for p in inner.split(",")
-                          if inner)
+        elif tokens.take("@"):
+            part = residue(read_word(tokens))
+        elif tokens.take("{"):
+            members: list[Name] = []
+            while not tokens.take("}"):
+                if members:
+                    tokens.expect(",")
+                members.append(tokens.read(parse_name))
+            part = finite(members)
         else:
-            raise ValueError(f"bad name-set component: {chunk!r}")
+            raise tokens.fail("expected '{', '@' or 'all'")
         result = result.union(part)
-    return result
+        if not tokens.take("+"):
+            return tokens.end(result)

@@ -100,7 +100,7 @@ import random
 from typing import Callable, Iterable, Iterator, Optional
 
 from .fusion import DELTA, Fusion, _classes, join, remove
-from .names import ALL, EMPTY, Word, residue, tag, untag
+from .names import ALL, EMPTY, Word, natural, residue, tag, untag
 from .process import NIL, Act, Par, Process
 from .pwf import (UNIT, Pwf, PwfError, pwf_key, sigma_form, sigma_key,
                   tag_fusion, untag_fusion)
@@ -152,9 +152,11 @@ def parse_pole(text: str) -> Callable[[tuple], bool]:
         return pole_always
     if text == "done":
         return make_pole_done(math.inf)
-    bound = text[len("done:"):]
-    if text.startswith("done:") and bound.isascii() and bound.isdigit():
-        return make_pole_done(int(bound))
+    if text.startswith("done:"):
+        try:
+            return make_pole_done(natural(text[len("done:"):], "k"))
+        except ValueError:
+            pass
     raise ValueError(f"unknown pole {text!r} (use 'always', 'done' or "
                      f"'done:k', k a natural number)")
 

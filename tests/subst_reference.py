@@ -162,7 +162,7 @@ def parse_subst(text: str) -> Substitution:
         if not item:
             continue
         lhs, _, rhs = item.partition("->")
-        remaps.add((word(lhs), word(rhs)))
+        remaps.add((word(lhs.strip()), word(rhs.strip())))
     return Substitution(tuple(fm.items()), frozenset(remaps))
 
 

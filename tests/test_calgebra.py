@@ -1,5 +1,6 @@
 import itertools
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,6 +37,25 @@ def test_parse_rejects_malformed_models():
         parse_model("[weird]\n")
     with pytest.raises(ModelError):
         parse_model("stray tokens\n")
+
+
+def test_window_and_m_names_are_ascii_naturals(boolean2):
+    """A [window] or [M] name that `int()` would take but is no ASCII
+    natural is a model error."""
+    text = (resources.files("fusioncalc") / "models" /
+            "boolean2.model").read_text(encoding="utf-8")
+    assert parse_model(text).window == boolean2.window == (0, 1)
+    for old, new, message in (
+            ("[window]\n0 1", "[window]\n\u0660 \u0661",
+             "a [window] name is a decimal natural: '\u0660'"),
+            ("[window]\n0 1", "[window]\n0 1_0",
+             "a [window] name is a decimal natural: '1_0'"),
+            ("[M]\n0 0 ->", "[M]\n0 +0 ->",
+             "an [M] name is a decimal natural: '+0'")):
+        assert old in text
+        with pytest.raises(ModelError) as raised:
+            parse_model(text.replace(old, new))
+        assert str(raised.value) == message
 
 
 def test_join_table_cross_checked_against_leq():

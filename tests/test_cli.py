@@ -220,6 +220,41 @@ def test_negative_names_are_rejected(capsys):
         assert (code, out) == (2, "") and "decimal natural" in err
 
 
+def test_a_dotted_name_needs_a_letter_after_each_dot(capsys):
+    """`word` once stripped its text, so `1. 2` read as the name 2."""
+    for argv, message in (
+            (("fusion", "class", "{0~2}", "1. 2"), "word letters"),
+            (("fusion", "class", "{0~2}", "1."), "a dot needs a word letter"),
+            (("nu", "{1. 2}", "<2!() ; {}>"), "expected ',' at position 2"),
+            (("fusion", "restrict", "{0~2}", "{0,1.}"),
+             "expected ',' at position 4")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert message in err, (argv, err)
+
+
+def test_every_natural_is_ascii_digits(capsys, tmp_path):
+    """`int()` takes other numerals and `_`; no reader of a natural
+    does."""
+    model = (resources.files("fusioncalc") / "models" /
+             "boolean2.model").read_text(encoding="utf-8")
+    path = tmp_path / "window.model"
+    path.write_text(model.replace("[window]\n0 1", "[window]\n٠ ١"))
+    for argv, message in (
+            (("pole-laws", "--universe", "limit=١٦"),
+             "limit is a decimal natural: '١٦'"),
+            (("pole-laws", "--universe", "limit=1_6"),
+             "limit is a decimal natural: '1_6'"),
+            (("mll", "check", "(ex (٢ ١) (ax X))"),
+             "a permutation entry is a decimal natural: '٢' at position 5"),
+            (("algebra-check", "--level", "ccpa", str(path)),
+             "a [window] name is a decimal natural: '٠'")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: {message}" + (
+            f" in {argv[-1]!r}\n" if "position" in message else "\n"), argv
+
+
 def test_fusion_equal_on_invalid_fusions_is_undecided(capsys):
     for left, right in (("{[ <-> 2]}", "{0~1, [ <-> 2]}"),
                         ("{[ <-> 1.1.1]}", "{[2 <-> 1.2.2]}")):
@@ -575,9 +610,9 @@ def test_mll_extract_past_the_class_budget_is_undecided(capsys):
 
 
 def test_mll_sound_over_the_assignment_budget_is_undecided(capsys):
-    proof = "(ax X1)"
-    for i in range(2, 8):
-        proof = f"(tensor {proof} (ax X{i}))"
+    proof = "(ax A)"
+    for name in "BCDEFG":
+        proof = f"(tensor {proof} (ax {name}))"
     code, out, _ = run(capsys, "mll", "sound", proof)
     assert code == 3
     assert out.splitlines()[-1] == (

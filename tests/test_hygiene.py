@@ -245,12 +245,20 @@ def test_one_sibling_order_search(monkeypatch):
 
 def test_one_tokenizer_and_one_term_printer():
     """Every literal is read through `names.Tokens`: the process parser
-    scans no characters, and the universe spec is not split by hand;
-    a `Process` prints as `form_str` of its node, with no walk of its
-    own."""
-    from fusioncalc import cli, process
+    scans no characters, the universe spec is not split by hand, mll
+    keeps no tokenizer of its own, and no module but `names` imports
+    `re`; a `Process` prints as `form_str` of its node, with no walk of
+    its own."""
+    from fusioncalc import cli, mll, process
 
     assert not hasattr(cli, "_top_level_items")
     assert not hasattr(process, "_par_list")
     assert not hasattr(process._Parser, "skip")
     assert issubclass(process._Parser, fusioncalc.names.Tokens)
+    assert not {"_tokenize", "_Tokens", "_PUNCT"} & set(vars(mll))
+    assert {path.name for path in MODULES
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import)
+            and "re" in (alias.name for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "re"
+            } == {"names.py"}

@@ -173,10 +173,10 @@ def test_extraction_requires_valid_proof():
 
 
 def axioms_tensor(k):
-    """A proof whose conclusion has k formula variables, X1..Xk."""
-    proof = "(ax X1)"
-    for i in range(2, k + 1):
-        proof = f"(tensor {proof} (ax X{i}))"
+    """A proof whose conclusion has k formula variables, A, B, C, ..."""
+    proof = "(ax A)"
+    for name in "BCDEFGH"[:k - 1]:
+        proof = f"(tensor {proof} (ax {name}))"
     return parse_proof(proof)
 
 

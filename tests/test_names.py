@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fusioncalc.names import (
-    ALL, EMPTY, NameSet, finite, index_set, is_suffix, parse_name,
+    ALL, EMPTY, NameSet, finite, index_set, is_suffix, natural, parse_name,
     parse_nameset, residue, tag, untag, word, word_str,
 )
 
@@ -58,6 +58,28 @@ def test_parse_name_takes_only_ascii_naturals(text):
     make a free name; int() would also take spaces and other numerals."""
     with pytest.raises(ValueError):
         parse_name(text)
+
+
+@pytest.mark.parametrize("text", ["1.", "1. 2", "1.2.", "1 .2"])
+def test_a_dotted_name_needs_a_letter_after_each_dot(text):
+    """`word` keeps its spaces, so no dot stands alone."""
+    with pytest.raises(ValueError):
+        parse_name(text)
+
+
+@pytest.mark.parametrize("text", ["-1", "+3", " 4", "4 ", "1_6", "\u0663",
+                                  "\uff12", "1.2", ""])
+def test_natural_takes_only_ascii_digits(text):
+    with pytest.raises(ValueError, match="a size is a decimal natural"):
+        natural(text, "a size")
+    assert natural("016", "a size") == 16
+
+
+@pytest.mark.parametrize("text", ["{1.}", "{1. 2}", "{0, 1 2}", "{1,}",
+                                  "@1 + ", "{1}{2}", "all1", "{\u0663}"])
+def test_parse_nameset_rejects_malformed_literals(text):
+    with pytest.raises(ValueError, match="at position"):
+        parse_nameset(text)
 
 
 @given(small_namesets(), small_namesets(),
