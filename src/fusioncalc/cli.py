@@ -154,10 +154,14 @@ def _parse_universe_spec(spec: str):
     sizes = {"max_actions": 2, "names": 3, "limit": 160}
     fusions = [DELTA, parse_fusion("{0~1}")]
     tokens = Tokens(spec, ValueError)
+    keys: set[str] = set()
     while tokens.peek()[0] != "end":
         if tokens.take(","):
             continue
         key = tokens.take()[1]
+        if key in keys:
+            raise ValueError(f"repeated universe spec key {key!r}")
+        keys.add(key)
         tokens.expect("=")
         if key == "fusions":
             fusions = [read_fusion(tokens)]
@@ -217,13 +221,7 @@ def _cmd_mll(args) -> int:
         return 0
     if args.mll_op == "interpret":
         model = calgebra.load_model(args.model)
-        assign = {}
-        for item in filter(None, (args.assign or "").split(",")):
-            if "=" not in item:
-                raise mll.MllError(f"assignments look like X=element: "
-                                   f"{item!r}")
-            key, value = item.split("=", 1)
-            assign[key.strip()] = value.strip()
+        assign = mll.parse_assignment(args.assign or "")
         print(mll.interpret(mll.parse_formula(args.formula), model, assign))
         return 0
     if args.mll_op == "sound":

@@ -13,10 +13,11 @@ raises `ClassBudgetError` (undecided, exit 3 at the CLI).
 What the operations read of a fusion is computed once per value and
 kept by `functools.lru_cache` (the README lists each bound):
 `_analysis` keeps a fusion's adjacency map, family steps and every
-class walked so far; `presentation`, `family_partition`, `_suffix_rules`,
-`_restrict` and `_family_restriction` keep their results.  The classes
-of a family set are those of the pure-family fusion on it, so one
-analysis serves both.  A walk that exceeds the budget, or a
+class walked so far, and `_suffix_rules` a family set's rewrites and
+every word class walked so far; `presentation`, `family_partition`,
+`_merged`, `_restrict` and `_family_restriction` keep their results.
+The classes of a family set are those of the pure-family fusion on it,
+so one analysis serves both.  A walk that exceeds the budget, or a
 restriction that raises, stores no result, so it raises on every call.
 
 A family generator rewrites a low-order word suffix and keeps n, so the
@@ -313,23 +314,28 @@ def meet(e: Fusion, f: Fusion) -> Fusion:
 @functools.lru_cache(maxsize=_STORE_CAP)
 def _suffix_rules(families: frozenset[tuple[Word, Word]]) -> tuple:
     """The family generators as suffix rewrites in both directions, by
-    left-hand word and by its length, and the unstable words: the proper
+    left-hand word and by its length, the unstable words: the proper
     suffixes of family words, under which it depends on n which
-    generators apply to tag(n, v)."""
+    generators apply to tag(n, v); and the word classes walked so far
+    (`_word_class`)."""
     rules: dict[Word, list[Word]] = {}
     for w1, w2 in families:
         rules.setdefault(w1, []).append(w2)
         rules.setdefault(w2, []).append(w1)
     unstable = {w[k:] for w in rules for k in range(1, len(w) + 1)}
-    return rules, sorted({len(w) for w in rules}), unstable
+    return rules, sorted({len(w) for w in rules}), unstable, {}
 
 
 def _word_class(system: tuple, u: Word) -> frozenset[Word] | None:
     """The words reached from u by the rewrites of `system`
-    (`_suffix_rules`), or None when u or one of them is unstable."""
-    rules, lengths, unstable = system
+    (`_suffix_rules`), or None when u or one of them is unstable.  The
+    answer is kept in `system` under every word reached, so each class
+    is walked once; a walk that exceeds the budget keeps nothing."""
+    rules, lengths, unstable, walked = system
     if u in unstable:
         return None
+    if u in walked:
+        return walked[u]
     cls = {u}
     frontier = [u]
     while frontier:
@@ -347,9 +353,9 @@ def _word_class(system: tuple, u: Word) -> frozenset[Word] | None:
                             f"budget {_CLASS_BUDGET}", _CLASS_BUDGET)
                     cls.add(nv)
                     frontier.append(nv)
-    if not unstable.isdisjoint(cls):
-        return None
-    return frozenset(cls)
+    out = frozenset(cls) if unstable.isdisjoint(cls) else None
+    walked.update(dict.fromkeys(cls, out))
+    return out
 
 
 def _regions(families: frozenset[tuple[Word, Word]], w: Word
@@ -440,9 +446,13 @@ def _restrict(e: Fusion, X: NameSet) -> Fusion:
 
     entries, new_fams = _family_restriction(e.families, X)
     for W, indices, regions in entries:
-        exceptional = sorted(indices.union(
-            n for w in W for y in concrete_seen
-            if (n := untag(y, w)) is not None))
+        # Only the indices that X names singly are exceptional.  For any
+        # other n, index_set(w, X) decides tag(n, w) by residues alone,
+        # and the regions are split to the depth of those residues, so
+        # in_x == set(keep): the test below cannot raise, and new_fams
+        # already relates in_x.  The index of a concrete name is no
+        # exception: that name is in concrete_seen, so it is skipped.
+        exceptional = sorted(indices)
         for region, keep in regions:
             for n in exceptional:
                 if untag(n, region) is None:
@@ -560,6 +570,7 @@ def presentation(e: Fusion) -> tuple:
         c for c in added if len(c) > len(family_cls(next(iter(c)))))
 
 
+@functools.lru_cache(maxsize=_STORE_CAP)
 def _merged(families: frozenset[tuple[Word, Word]]
             ) -> frozenset[frozenset[Word]]:
     """The partition's word classes, each (1,) + V and (2,) + V as V."""

@@ -200,6 +200,23 @@ def parse_formula(text: str) -> Formula:
     return ts.end(_formula(ts))
 
 
+def parse_assignment(text: str) -> dict[str, str]:
+    """Grammar: `X=element` items joined with `,`, empty items skipped;
+    each X is one variable, assigned once, and each element is the rest
+    of its item, stripped."""
+    assign: dict[str, str] = {}
+    for item in filter(None, text.split(",")):
+        if "=" not in item:
+            raise MllError(f"assignments look like X=element: {item!r}")
+        ts = Tokens(item, MllError)
+        var = _variable(ts)
+        if var in assign:
+            raise MllError(f"variable {var} is assigned twice")
+        ts.expect("=")
+        assign[var] = item[ts.peek()[2]:].strip()
+    return assign
+
+
 # ---------------------------------------------------------------------------
 # proofs
 

@@ -41,12 +41,18 @@ each word of a family class to its shortest, least word, and whose
 finite entries cover the concrete classes and the small indices where
 that word's name is not the least.  `pwf.sigma_node` reads the least
 member of each class instead, and the tests compare the two.
+
+`scanning_restrict` is `restrict` as it was before it stopped scanning
+concrete names against family words: uncached, and besides the indices
+that X names singly, it tests every index untag(y, w) of a walked
+concrete name y and a word w of a partition entry.
 """
 
 from fusioncalc import fusion
-from fusioncalc.fusion import (Fusion, InvalidFusionError, _classes,
+from fusioncalc.fusion import (DELTA, Fusion, InvalidFusionError,
+                               NotRepresentableError, _classes,
                                family_partition)
-from fusioncalc.names import tag
+from fusioncalc.names import NameSet, tag, untag
 from fusioncalc.subst import Substitution
 
 
@@ -129,3 +135,44 @@ def canonical_subst(e: Fusion) -> Substitution:
                 for y in members:
                     fm[y] = m
     return Substitution(tuple(fm.items()), frozenset(remaps))
+
+
+def scanning_restrict(e: Fusion, X: NameSet) -> Fusion:
+    if X.is_all():
+        return e
+    if X.is_empty_like() or e.is_delta():
+        return DELTA
+    new_pairs: set[tuple[int, int]] = set()
+    concrete_seen: set[int] = set()
+    classes = _classes(e)
+    for a, b in sorted(e.pairs):
+        for x in (a, b):
+            if x not in concrete_seen:
+                cls = classes(x)
+                concrete_seen |= cls
+                kept = sorted(y for y in cls if X.member(y))
+                new_pairs.update(zip(kept, kept[1:]))
+
+    entries, new_fams = fusion._family_restriction(e.families, X)
+    for W, indices, regions in entries:
+        exceptional = sorted(indices.union(
+            n for w in W for y in concrete_seen
+            if (n := untag(y, w)) is not None))
+        for region, keep in regions:
+            for n in exceptional:
+                if untag(n, region) is None:
+                    continue
+                members = {w: tag(n, w) for w in W}
+                in_x = {w for w, y in members.items() if X.member(y)}
+                if len(keep) >= 2 and not set(keep) <= in_x:
+                    raise NotRepresentableError(
+                        f"restriction removes single instances of a family "
+                        f"(index {n})")
+                if any(y in concrete_seen for y in members.values()):
+                    continue  # handled with its concrete class above
+                if len(in_x) >= 2:
+                    ys = sorted(members[w] for w in in_x)
+                    new_pairs.update(zip(ys, ys[1:]))
+
+    return fusion._valid(Fusion(frozenset(new_pairs), new_fams),
+                         "restriction produced an invalid fusion")

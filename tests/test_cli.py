@@ -459,6 +459,25 @@ def test_mll_interpret_rejects_values_outside_the_carrier(capsys):
     assert err == "error: assignments look like X=element: 'X'\n"
 
 
+def test_mll_interpret_reads_each_key_as_one_variable_assigned_once(capsys):
+    for assign, message in (
+            ("X=0,=1", "expected a variable at position 0 in '=1'"),
+            ("X=0, É=1", "expected a variable at position 1 in ' É=1'"),
+            ("X=0,X=1", "variable X is assigned twice")):
+        code, out, err = run(capsys, "mll", "interpret", "X * Y^",
+                             "--model", "boolean2", "--assign", assign)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), assign
+
+
+def test_a_repeated_universe_spec_key_is_an_error(capsys):
+    for spec, key in (("limit=5,limit=6", "limit"),
+                      ("fusions={},names=2,fusions={0~1}", "fusions")):
+        code, out, err = run(capsys, "pole-laws", "--universe", spec,
+                             "--pole", "done:2")
+        assert (code, out) == (2, ""), spec
+        assert err == f"error: repeated universe spec key {key!r}\n", spec
+
+
 def test_hy_check_runs_without_a_flag(capsys):
     code, out, _ = run(capsys, "hy-check")
     assert code == 0 and "not-encodable" in out and "fail" not in out

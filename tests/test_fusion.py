@@ -4,7 +4,8 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import (assume, example, find, given, settings,
+                        strategies as st)
 
 from fusioncalc import fusion
 from fusioncalc.fusion import (
@@ -24,7 +25,8 @@ from fusioncalc.terms import multiset_form
 
 from caches import fresh_caches
 from fusion_reference import (canonical_subst, sampled_equal, sampled_meet,
-                              sampled_validate, sufficient_bound)
+                              sampled_validate, scanning_restrict,
+                              sufficient_bound)
 from subst_reference import compose
 
 
@@ -413,6 +415,41 @@ def test_restrict_matches_reference(e, X, budget):
         assert outcome(restrict, e, X) == reference_outcome(restrict, e, X)
 
 
+@st.composite
+def built_namesets(draw):
+    """Singletons, residues of words of length 0 to 3 and `all`, joined
+    by unions, each part and the whole complemented now and then, so
+    that exclusions occur."""
+    words = st.lists(st.sampled_from([1, 2]), max_size=3).map(tuple)
+    parts = st.one_of(
+        st.frozensets(st.integers(0, 40), min_size=1, max_size=3).map(finite),
+        words.map(residue), st.just(ALL))
+    X = NameSet()
+    for part in draw(st.lists(parts, min_size=1, max_size=3)):
+        X = X.union(part.complement() if draw(st.booleans()) else part)
+    return X.complement() if draw(st.booleans()) else X
+
+
+@given(mixed_fusions(), built_namesets())
+@settings(max_examples=300, deadline=None)
+def test_restriction_matches_the_scanning_reference(e, X):
+    """Testing only the indices that X names singly gives the value, or
+    the error, of also testing every index of a walked concrete name."""
+    assert outcome(restrict, e, X) == outcome(scanning_restrict, e, X)
+    assert outcome(remove, e, X) == \
+        outcome(scanning_restrict, e, X.complement())
+
+
+def test_the_restriction_draws_reach_an_unrepresentable_restriction():
+    def unrepresentable(draw):
+        e, X = draw
+        return any(outcome(fn, e, X)[1:2] == (NotRepresentableError,)
+                   for fn in (restrict, remove))
+
+    find(st.tuples(mixed_fusions(), built_namesets()), unrepresentable,
+         settings=settings(database=None))
+
+
 def test_budget_error_names_the_queried_name():
     e = Fusion(frozenset({(0, 1), (1, 2), (2, 3)}))
     with class_budget(3):
@@ -702,3 +739,57 @@ def test_a_fusion_and_its_family_set_share_one_analysis(monkeypatch):
         assert e.families == identity_I().families
         presentation(e)
     assert built == {identity_I(): 1, e: 1}
+
+
+# ---------------------------------------------------------------------------
+# work that follows the answer
+
+def test_restriction_tests_no_index_per_concrete_name():
+    """The indices that `restrict` tests are those X names singly, so its
+    `untag` calls do not grow with e's endpoints."""
+    X = finite([0, 3, 5, 40])
+    calls = []
+    for pairs in ({(0, 3)}, {(0, 3), (5, 40), (7, 100), (9, 11), (13, 60)}):
+        e = Fusion(frozenset(pairs), psi().families)
+        with fresh_caches(fusion), \
+                mock.patch.object(fusion, "untag", wraps=untag) as counted:
+            restrict(e, X)
+        calls.append(counted.call_count)
+    assert calls[1] <= calls[0]
+
+
+def test_a_word_class_is_walked_once_per_family_set():
+    """phi's one word class {1, 1.2, 2.2} is reached from each of its
+    words, and `family_partition` walks it once: it looks up as many
+    rewrites as one walk from 1 does."""
+    lookups = []
+
+    class Rules(dict):
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    rules = fusion._suffix_rules
+
+    def counted(families):
+        system = rules(families)
+        return (Rules(system[0]),) + system[1:]
+
+    walks = []
+    for run in (lambda: fusion._word_class(counted(phi().families), (1,)),
+                lambda: family_partition(phi().families)):
+        with fresh_caches(fusion), \
+                mock.patch.object(fusion, "_suffix_rules", counted):
+            run()
+        walks.append(len(lookups))
+        lookups.clear()
+    assert walks[1] == walks[0] > 0
+
+
+def test_presentations_that_share_a_family_set_merge_its_classes_once():
+    e, f = parse_fusion("{0~3, [1 <-> 2]}"), parse_fusion("{4~9, [1 <-> 2]}")
+    with fresh_caches(fusion), mock.patch.object(
+            fusion, "family_partition", wraps=family_partition) as read:
+        presentation(e)
+        presentation(f)
+    assert read.call_count == 1

@@ -116,14 +116,25 @@ def test_pwf_literals_read_as_the_scanner_read_them(p, e, data):
            split_moves=_split_moves)
 
 
+def _repeats_a_key(spec: str) -> bool:
+    keys = [item.partition("=")[0].strip()
+            for item in reference._top_level_items(spec) if item.strip()]
+    return len(set(keys)) < len(keys)
+
+
 @given(_specs(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_universe_specs_read_as_the_scanner_read_them(spec, data):
-    """The spec's values, as the universe receives them."""
+    """The spec's values, as the universe receives them.  The scanner
+    kept the last value of a repeated key; the reader rejects the spec."""
     with mock.patch.object(realizability, "default_universe",
                            lambda *sizes: sizes):
+        texts = _edited(spec, data)
+        for text in filter(_repeats_a_key, texts):
+            assert outcome(cli._parse_universe_spec, text) is ValueError
         _check(cli._parse_universe_spec, reference.parse_universe_spec,
-               _edited(spec, data), fusion_text=str)
+               [text for text in texts if not _repeats_a_key(text)],
+               fusion_text=str)
 
 
 def test_the_intended_differences():
